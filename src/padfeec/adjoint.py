@@ -195,7 +195,7 @@ def base_pair_report(mesh, k, eig_tol=1e-10):
         dim_RT_MB = rank_D
     else:
         MB = _twisted_part(primal, D, p0_hi.gram, uM, Gp)
-        NB = _twisted_part_dual(dual, Delta, p0_lo.gram, uN, Gq)
+        NB = _twisted_part(dual, Delta, p0_lo.gram, uN, Gq)
         dim_NT_MB = _kernel_in(MB, D, Gp).dim
         dim_RT_NB = Subspace.from_span(Delta @ NB.basis, p0_lo.gram).dim
         dim_NT_NB = _kernel_in(NB, Delta, Gq).dim
@@ -239,10 +239,6 @@ def _blockdiag_rank(T, p0, broken):
     return total
 
 
-def _cell_p0_gram(p0, ci):
-    return np.eye(p0.ncomp) * p0.volumes[ci]
-
-
 def _kernel_in(sub: Subspace, T, gram):
     if sub.dim == 0:
         return Subspace.zero(sub.ambient_dim, gram)
@@ -253,23 +249,15 @@ def _kernel_in(sub: Subspace, T, gram):
     )
 
 
-def _twisted_part(broken, D, range_gram, core: Subspace, gram):
-    """Members orthogonal to the core kernel in L2 and to the core in energy."""
+def _twisted_part(broken, T, range_gram, core: Subspace, gram):
+    """Members orthogonal to the core kernel in L2 and to the core in T-energy.
+
+    T is the side's cellwise operator: d on the primal side, delta on the dual.
+    """
     if core.dim == 0:
         return Subspace.full(broken.dim, gram)
-    rows = [core.basis.T @ D.T @ range_gram @ D]
-    kernel_core = _kernel_in(core, D, gram)
-    if kernel_core.dim:
-        rows.append(kernel_core.basis.T @ gram)
-    ns = nullspace(np.vstack(rows))
-    return Subspace.from_span(ns.basis, gram)
-
-
-def _twisted_part_dual(broken, Delta, range_gram, core: Subspace, gram):
-    if core.dim == 0:
-        return Subspace.full(broken.dim, gram)
-    rows = [core.basis.T @ Delta.T @ range_gram @ Delta]
-    kernel_core = _kernel_in(core, Delta, gram)
+    rows = [core.basis.T @ T.T @ range_gram @ T]
+    kernel_core = _kernel_in(core, T, gram)
     if kernel_core.dim:
         rows.append(kernel_core.basis.T @ gram)
     ns = nullspace(np.vstack(rows))

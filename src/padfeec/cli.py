@@ -3,33 +3,22 @@ and scheme solves, with JSON/CSV reports.
 
 Subcommands: mesh gen|info, space build, verify base-pair|decomposition|
 duality|complex|interp, solve source|eigen|hodge, suite all.  Configuration
-precedence is CLI flags over a JSON config file over defaults; the worker
-cap honours PADFEEC_THREADS.
+precedence is CLI flags over a JSON config file over defaults.  Every
+command runs on a mesh its caller parses: `run` parses one for a single
+command, and `suite all` parses each mesh spec once for all of its jobs.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import PadfeecError
 from .mesh import Mesh, generate_structured, shape_report
 from .report import CheckRecord, Report, RunConfig, emit
-
-
-def worker_count():
-    raw = os.environ.get("PADFEEC_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return os.cpu_count() or 1
 
 
 def parse_mesh(config: RunConfig):
@@ -75,8 +64,7 @@ def parse_load(mesh, k, spec):
 # -- subcommand implementations ---------------------------------------------------
 
 
-def cmd_mesh_gen(config, report):
-    mesh = parse_mesh(config)
+def cmd_mesh_gen(mesh, config, report):
     if config.out:
         mesh.save(config.out)
         config.out = ""  # the report goes to stdout; --out names the mesh file
@@ -94,8 +82,7 @@ def cmd_mesh_gen(config, report):
     )
 
 
-def cmd_mesh_info(config, report):
-    mesh = parse_mesh(config)
+def cmd_mesh_info(mesh, config, report):
     shape = shape_report(mesh)
     tables = {k: mesh.subsimplices(k).count for k in range(mesh.dim + 1)}
     euler = sum(((-1) ** k) * c for k, c in tables.items())
@@ -118,7 +105,7 @@ def cmd_mesh_info(config, report):
     )
 
 
-def cmd_space_build(config, report, kind):
+def cmd_space_build(mesh, config, report, kind):
     from .spaces import (
         broken_space,
         conforming_whitney,
@@ -128,7 +115,6 @@ def cmd_space_build(config, report, kind):
         verify_trace_continuity,
     )
 
-    mesh = parse_mesh(config)
     lad = ladder(mesh)
     if kind == "broken":
         gs = broken_space(mesh, config.k, "primal")
@@ -154,46 +140,45 @@ def cmd_space_build(config, report, kind):
     report.add(CheckRecord("space-build-%s" % kind, verdict, numbers=summary))
 
 
-def cmd_verify_base_pair(config, report, levels=None):
+def cmd_verify_base_pair(mesh, config, report, name="base-pair"):
     from .adjoint import base_pair_report, quantified_crt_check, whitney_pair
 
-    if levels:
-        kind = config.mesh.split(":", 1)[0]
-        specs = ["%s:%d" % (kind, n) for n in levels]
-    else:
-        specs = [config.mesh]
-    for spec in specs:
-        sub = RunConfig(**{**config.to_dict(), "mesh": spec})
-        mesh = parse_mesh(sub)
-        rep = base_pair_report(mesh, config.k, eig_tol=config.eig_tol)
-        pair = whitney_pair(mesh, config.k, config.bc)
-        icr_p, icr_a, bound_ok = quantified_crt_check(pair, rep, eig_tol=config.eig_tol)
-        verdict = "pass" if all(rep.assumptions_ok.values()) and bound_ok else "fail"
-        report.add(
-            CheckRecord(
-                "base-pair" if not levels else "base-pair-%s" % spec,
-                verdict,
-                numbers={
-                    "alpha": rep.alpha,
-                    "beta": rep.beta,
-                    "gamma": rep.gamma,
-                    "icr_broken": rep.icr_tilde,
-                    "icr_broken_adjoint": rep.icr_tilde_adjoint,
-                    "icr_core": rep.icr_under,
-                    "icr_domain": icr_p,
-                    "icr_adjoint_domain": icr_a,
-                    "annihilator_dim": rep.uM_dim,
-                    "annihilator_dim_adjoint": rep.uN_dim,
-                },
-                inputs={"k": config.k, "mesh": spec},
-            )
+    rep = base_pair_report(mesh, config.k, eig_tol=config.eig_tol)
+    pair = whitney_pair(mesh, config.k, config.bc)
+    icr_p, icr_a, bound_ok = quantified_crt_check(pair, rep, eig_tol=config.eig_tol)
+    verdict = "pass" if all(rep.assumptions_ok.values()) and bound_ok else "fail"
+    report.add(
+        CheckRecord(
+            name,
+            verdict,
+            numbers={
+                "alpha": rep.alpha,
+                "beta": rep.beta,
+                "gamma": rep.gamma,
+                "icr_broken": rep.icr_tilde,
+                "icr_broken_adjoint": rep.icr_tilde_adjoint,
+                "icr_core": rep.icr_under,
+                "icr_domain": icr_p,
+                "icr_adjoint_domain": icr_a,
+                "annihilator_dim": rep.uM_dim,
+                "annihilator_dim_adjoint": rep.uN_dim,
+            },
+            inputs={"k": config.k, "mesh": config.mesh},
         )
+    )
 
 
-def cmd_verify_decomposition(config, report):
+def cmd_verify_base_pair_levels(config, report, levels):
+    """The base-pair check on one mesh per level of the config's mesh family."""
+    kind = config.mesh.split(":", 1)[0]
+    for n in levels:
+        sub = RunConfig(**{**config.to_dict(), "mesh": "%s:%d" % (kind, n)})
+        cmd_verify_base_pair(parse_mesh(sub), sub, report, name="base-pair-%s" % sub.mesh)
+
+
+def cmd_verify_decomposition(mesh, config, report):
     from .adjoint import helmholtz_check, hodge_check, whitney_pair
 
-    mesh = parse_mesh(config)
     for bc in ("none", "homogeneous"):
         if config.k <= mesh.dim - 1:
             pair = whitney_pair(mesh, config.k, bc)
@@ -225,10 +210,9 @@ def cmd_verify_decomposition(config, report):
         )
 
 
-def cmd_verify_duality(config, report):
+def cmd_verify_duality(mesh, config, report):
     from .adjoint import horizontal_duality_check, pl_duality_check
 
-    mesh = parse_mesh(config)
     rep = pl_duality_check(mesh, config.k)
     report.add(
         CheckRecord(
@@ -256,11 +240,10 @@ def cmd_verify_duality(config, report):
         )
 
 
-def cmd_verify_complex(config, report):
+def cmd_verify_complex(mesh, config, report):
     from .linalg import Subspace, subspace_equal, rank
     from .spaces import ladder
 
-    mesh = parse_mesh(config)
     lad = ladder(mesh)
     for bc in ("none", "homogeneous"):
         worst = 0.0
@@ -300,7 +283,7 @@ def cmd_verify_complex(config, report):
         )
 
 
-def cmd_verify_interp(config, report):
+def cmd_verify_interp(mesh, config, report):
     from .forms import random_polyform
     from .interp import (
         commute_check,
@@ -311,7 +294,6 @@ def cmd_verify_interp(config, report):
         stability_report,
     )
 
-    mesh = parse_mesh(config)
     k = config.k
     J = projectivity_matrix(mesh, k)
     proj = float(np.abs(J @ J - J).max())
@@ -380,10 +362,9 @@ def _export_solutions(path, solutions):
         json.dump(payload, fh, sort_keys=True, indent=1)
 
 
-def cmd_solve_source(config, report, export=None):
+def cmd_solve_source(mesh, config, report, export=None):
     from .solve import solve_source_dual, solve_source_primal, verify_source_equivalence
 
-    mesh = parse_mesh(config)
     load = parse_load(mesh, config.k, config.load)
     sp = solve_source_primal(mesh, config.k, load, config.bc)
     sd = solve_source_dual(mesh, config.k, load, config.bc)
@@ -400,10 +381,9 @@ def cmd_solve_source(config, report, export=None):
     )
 
 
-def cmd_solve_eigen(config, report):
+def cmd_solve_eigen(mesh, config, report):
     from .solve import solve_eigen_pair
 
-    mesh = parse_mesh(config)
     pv, dv, rep, meta = solve_eigen_pair(mesh, config.k, config.bc)
     numbers = {
         "nonzero_spectrum_gap": rep.residuals["nonzero_spectrum_gap"],
@@ -418,10 +398,9 @@ def cmd_solve_eigen(config, report):
     )
 
 
-def cmd_solve_hodge(config, report, check_equivalence=True, export=None):
+def cmd_solve_hodge(mesh, config, report, check_equivalence=True, export=None):
     from .solve import solve_hodge, verify_hodge_equivalences
 
-    mesh = parse_mesh(config)
     load = parse_load(mesh, config.k, config.load)
     schemes = (
         ("complete", "mixed_primal", "mixed_dual", "lowest_primal")
@@ -458,7 +437,7 @@ def cmd_solve_hodge(config, report, check_equivalence=True, export=None):
 
 
 def cmd_suite_all(config, report, fast=False):
-    """The whole verification battery on a fixed mesh matrix."""
+    """The whole verification battery on a fixed mesh matrix, run serially."""
     jobs = []
 
     def sub(command, **kw):
@@ -467,27 +446,30 @@ def cmd_suite_all(config, report, fast=False):
         base.update(kw)
         return RunConfig(command=command, **base).validate()
 
-    meshes = ["box:2", "box:4", "hole:4"] if fast else ["box:2", "box:4", "box:8", "hole:4", "hole:8"]
-    for mesh in meshes:
+    specs = ["box:2", "box:4", "hole:4"] if fast else ["box:2", "box:4", "box:8", "hole:4", "hole:8"]
+    for spec in specs:
         for k in (0, 1):
-            jobs.append(("verify", cmd_verify_base_pair, sub("verify base-pair", mesh=mesh, k=k)))
-            jobs.append(("verify", cmd_verify_decomposition, sub("verify decomposition", mesh=mesh, k=k)))
-        jobs.append(("verify", cmd_verify_duality, sub("verify duality", mesh=mesh, k=1)))
-        jobs.append(("verify", cmd_verify_complex, sub("verify complex", mesh=mesh)))
-        jobs.append(("verify", cmd_verify_interp, sub("verify interp", mesh=mesh, k=0)))
-        jobs.append(("solve", cmd_solve_source, sub("solve source", mesh=mesh, k=0)))
-        jobs.append(("solve", cmd_solve_eigen, sub("solve eigen", mesh=mesh, k=0)))
-        jobs.append(("solve", cmd_solve_hodge, sub("solve hodge", mesh=mesh, k=1)))
+            jobs.append((cmd_verify_base_pair, sub("verify base-pair", mesh=spec, k=k)))
+            jobs.append((cmd_verify_decomposition, sub("verify decomposition", mesh=spec, k=k)))
+        jobs.append((cmd_verify_duality, sub("verify duality", mesh=spec, k=1)))
+        jobs.append((cmd_verify_complex, sub("verify complex", mesh=spec)))
+        jobs.append((cmd_verify_interp, sub("verify interp", mesh=spec, k=0)))
+        jobs.append((cmd_solve_source, sub("solve source", mesh=spec, k=0)))
+        jobs.append((cmd_solve_eigen, sub("solve eigen", mesh=spec, k=0)))
+        jobs.append((cmd_solve_hodge, sub("solve hodge", mesh=spec, k=1)))
     if not fast:
-        jobs.append(("verify", cmd_verify_base_pair, sub("verify base-pair", mesh="tetbox:1", k=1)))
-        jobs.append(("verify", cmd_verify_complex, sub("verify complex", mesh="tetbox:1")))
-    results = [None] * len(jobs)
-
-    def run(idx):
-        _, fn, cfg = jobs[idx]
+        jobs.append((cmd_verify_base_pair, sub("verify base-pair", mesh="tetbox:1", k=1)))
+        jobs.append((cmd_verify_complex, sub("verify complex", mesh="tetbox:1")))
+    # The jobs of one spec are adjacent and share one mesh, and with it the
+    # ladder the mesh owns.  A mesh that fails to parse is retried, and
+    # fails, job by job.
+    spec = None
+    for fn, cfg in jobs:
         local = Report(cfg)
         try:
-            fn(cfg, local)
+            if cfg.mesh != spec:
+                mesh, spec = parse_mesh(cfg), cfg.mesh
+            fn(mesh, cfg, local)
         except PadfeecError as exc:
             local.add(
                 CheckRecord(
@@ -496,18 +478,7 @@ def cmd_suite_all(config, report, fast=False):
                     note="%s: %s" % (type(exc).__name__, exc),
                 )
             )
-        return local.records
-
-    max_workers = worker_count()
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for idx, recs in zip(range(len(jobs)), pool.map(run, range(len(jobs)))):
-                results[idx] = recs
-    else:
-        for idx in range(len(jobs)):
-            results[idx] = run(idx)
-    for (label, fn, cfg), recs in zip(jobs, results):
-        for rec in recs:
+        for rec in local.records:
             rec.inputs = {**rec.inputs, "mesh": cfg.mesh}
             rec.name = "%s/%s" % (cfg.mesh, rec.name)
             report.add(rec)
@@ -531,9 +502,7 @@ def build_parser():
         p.add_argument("--bc", choices=("none", "homogeneous"), default=None)
         p.add_argument("--load", default=None, help="zero, poly:<seed> or trig")
         p.add_argument("--scheme", default=None)
-        p.add_argument("--rank-tol", type=float, default=None)
         p.add_argument("--eig-tol", type=float, default=None)
-        p.add_argument("--identity-tol", type=float, default=None)
         p.add_argument("--levels", default=None, help="comma list of mesh sizes")
         p.add_argument("--export-solutions", default=None)
         p.add_argument("--out", default=None)
@@ -570,9 +539,7 @@ def merge_config(args):
         "bc": "none",
         "scheme": "all",
         "load": "poly:0",
-        "rank_tol": 1e-10,
         "eig_tol": 1e-10,
-        "identity_tol": 1e-8,
         "out": "",
         "fmt": "json",
     }
@@ -591,9 +558,7 @@ def merge_config(args):
         "bc": args.bc,
         "scheme": getattr(args, "scheme", None),
         "load": args.load,
-        "rank_tol": args.rank_tol,
         "eig_tol": args.eig_tol,
-        "identity_tol": args.identity_tol,
         "out": args.out,
         "fmt": args.format,
     }
@@ -610,27 +575,30 @@ def run(config: RunConfig, **options):
     t0 = time.time()
     group, _, action = config.command.partition(" ")
     if group == "mesh" and action == "gen":
-        cmd_mesh_gen(config, report)
+        cmd_mesh_gen(parse_mesh(config), config, report)
     elif group == "mesh" and action == "info":
-        cmd_mesh_info(config, report)
+        cmd_mesh_info(parse_mesh(config), config, report)
     elif group == "space" and action == "build":
-        cmd_space_build(config, report, options.get("kind", "abc"))
+        cmd_space_build(parse_mesh(config), config, report, options.get("kind", "abc"))
+    elif group == "verify" and action == "base-pair" and options.get("levels"):
+        cmd_verify_base_pair_levels(config, report, options["levels"])
     elif group == "verify" and action == "base-pair":
-        cmd_verify_base_pair(config, report, levels=options.get("levels"))
+        cmd_verify_base_pair(parse_mesh(config), config, report)
     elif group == "verify" and action == "decomposition":
-        cmd_verify_decomposition(config, report)
+        cmd_verify_decomposition(parse_mesh(config), config, report)
     elif group == "verify" and action == "duality":
-        cmd_verify_duality(config, report)
+        cmd_verify_duality(parse_mesh(config), config, report)
     elif group == "verify" and action == "complex":
-        cmd_verify_complex(config, report)
+        cmd_verify_complex(parse_mesh(config), config, report)
     elif group == "verify" and action == "interp":
-        cmd_verify_interp(config, report)
+        cmd_verify_interp(parse_mesh(config), config, report)
     elif group == "solve" and action == "source":
-        cmd_solve_source(config, report, export=options.get("export"))
+        cmd_solve_source(parse_mesh(config), config, report, export=options.get("export"))
     elif group == "solve" and action == "eigen":
-        cmd_solve_eigen(config, report)
+        cmd_solve_eigen(parse_mesh(config), config, report)
     elif group == "solve" and action == "hodge":
         cmd_solve_hodge(
+            parse_mesh(config),
             config,
             report,
             check_equivalence=options.get("check_equivalence", False)

@@ -173,16 +173,8 @@ class LadderInterpolator:
         return vec
 
 
-_INTERPOLATORS = {}
-
-
 def global_interpolator(mesh, k):
-    key = (id(mesh), k)
-    entry = _INTERPOLATORS.get(key)
-    if entry is None or entry.mesh is not mesh:
-        entry = LadderInterpolator(mesh, k)
-        _INTERPOLATORS[key] = entry
-    return entry
+    return ladder(mesh)._get(("interp", k), lambda: LadderInterpolator(mesh, k))
 
 
 def interpolate_global(mesh, k, field):

@@ -27,7 +27,6 @@ class SubSimplexTable:
     index: dict = field(repr=False)
     boundary: np.ndarray = field(repr=False)
     cell_incidence: np.ndarray = field(repr=False)  # (cells, faces-per-cell) global ids
-    incidence_signs: np.ndarray = field(repr=False)
 
     @property
     def count(self):
@@ -82,6 +81,7 @@ class Mesh:
         self._tables = {}
         self._geometry = {}
         self._patches = {}
+        self._ladder = None  # the DeRhamLadder of spaces.ladder, built on first use
         self._validate_facets()
         self.satisfies_vertex_hypothesis = self._check_vertex_hypothesis()
 
@@ -177,7 +177,6 @@ class Mesh:
             index=index,
             boundary=boundary,
             cell_incidence=incidence,
-            incidence_signs=np.ones_like(incidence),
         )
         self._tables[k] = table
         return table

@@ -24,16 +24,13 @@ class RunConfig:
     bc: str = "none"
     scheme: str = "all"
     load: str = "poly:0"
-    rank_tol: float = 1e-10
     eig_tol: float = 1e-10
-    identity_tol: float = 1e-8
     out: str = ""
     fmt: str = "json"
 
     def validate(self):
-        for name in ("rank_tol", "eig_tol", "identity_tol"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameter("%s must be positive" % name)
+        if self.eig_tol <= 0:
+            raise InvalidParameter("eig_tol must be positive")
         if self.k < 0 or self.k > 3:
             raise InvalidParameter("degree k out of range")
         if self.fmt not in ("json", "csv"):
@@ -49,9 +46,7 @@ class RunConfig:
             "bc": self.bc,
             "scheme": self.scheme,
             "load": self.load,
-            "rank_tol": self.rank_tol,
             "eig_tol": self.eig_tol,
-            "identity_tol": self.identity_tol,
         }
 
 

@@ -20,14 +20,6 @@ from .spaces import ladder
 
 
 @dataclass
-class Projector:
-    """L2 projection onto piecewise-constant k-forms, in coordinates."""
-
-    matrix: np.ndarray
-    k: int
-
-
-@dataclass
 class SchemeSolution:
     scheme: str
     components: dict
@@ -62,6 +54,27 @@ def _check_symmetric(K, label):
         if np.abs(K - K.T).max() > 1e-13 * scale:
             raise AssemblyError("%s system lost symmetry" % label)
     return K
+
+
+def _block_system(sizes, blocks, rhs_blocks):
+    """Symmetric block matrix and right-hand side, with the block slices.
+
+    ``blocks`` maps (i, j) with i <= j to the upper block; it is mirrored to
+    (j, i) transposed.  ``rhs_blocks`` maps i to that block of the right-hand
+    side.  Every block not given is zero.
+    """
+    ends = np.cumsum(sizes)
+    slices = [slice(int(e - n), int(e)) for n, e in zip(sizes, ends)]
+    dim = int(ends[-1])
+    K = np.zeros((dim, dim))
+    for (i, j), B in blocks.items():
+        K[slices[i], slices[j]] = B
+        if i != j:
+            K[slices[j], slices[i]] = B.T
+    rhs = np.zeros(dim)
+    for i, b in rhs_blocks.items():
+        rhs[slices[i]] = b
+    return K, rhs, slices
 
 
 def p0_moments(mesh, k, load):
@@ -127,18 +140,14 @@ def solve_source_dual(mesh, k, load, bc="none"):
     Mp = Pz.T @ lad.p0(k + 1).gram @ Pz
     C = lad.p0(k).gram @ (lad.delta_matrix(k + 1) @ Az)  # moments of delta zeta
     M0 = lad.p0(k).gram
-    nz, n0 = Az.shape[1], lad.p0(k).dim
-    K = np.zeros((nz + n0, nz + n0))
-    K[:nz, :nz] = Mp
-    K[:nz, nz:] = -C.T
-    K[nz:, :nz] = -C
-    K[nz:, nz:] = -M0
     F = load if isinstance(load, np.ndarray) else p0_moments(mesh, k, load)
-    rhs = np.concatenate([np.zeros(nz), -F])
+    K, rhs, (sl_z, sl_o) = _block_system(
+        (Az.shape[1], lad.p0(k).dim), {(0, 0): Mp, (0, 1): -C.T, (1, 1): -M0}, {1: -F}
+    )
     x, rel, cond = _solve(K, rhs, "source-dual")
     return SchemeSolution(
         scheme="source-dual",
-        components={"zeta": x[:nz], "omega_bar": x[nz:]},
+        components={"zeta": x[sl_z], "omega_bar": x[sl_o]},
         residual=rel,
         condition=cond,
         meta={"k": k, "bc": bc, "moments": F},
@@ -235,9 +244,10 @@ def _mixed_space(mesh, k):
     by the conforming partner one degree up and the nonconforming space one
     degree down.  Cached per mesh level."""
     lad = ladder(mesh)
-    cached = lad._cache.get(("mixed-space", k))
-    if cached is not None:
-        return cached
+    return lad._get(("mixed-space", k), lambda: _build_mixed_space(lad, k))
+
+
+def _build_mixed_space(lad, k):
     full = lad.full(k)
     from .spaces import d_pairing
     from .linalg import nullspace, orthonormalize
@@ -259,7 +269,6 @@ def _mixed_space(mesh, k):
     C = np.vstack(rows)
     ns = nullspace(C / max(np.abs(C).max(initial=0.0), 1e-300))
     A = orthonormalize(ns.basis, full.gram())
-    lad._cache[("mixed-space", k)] = (full, A)
     return full, A
 
 
@@ -274,9 +283,7 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         star = lad.whitney_star(k + 1, "homogeneous")
         abc_lo, _ = lad.abc(k - 1, "none")
         H = _harmonic_basis(mesh, k, "abc")
-        n0 = lad.p0(k).dim
         Az, As = star.atlas, abc_lo.atlas
-        nz, ns_, nh = Az.shape[1], As.shape[1], H.shape[1]
         Pz = lad.dual(k + 1).p0_projection(lad.p0(k + 1)) @ Az
         Mpz = Pz.T @ lad.p0(k + 1).gram @ Pz
         Cz = g0 @ (lad.delta_matrix(k + 1) @ Az)
@@ -284,23 +291,11 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         Mps = Ps.T @ lad.p0(k - 1).gram @ Ps
         Cs = g0 @ (lad.d_matrix(k - 1) @ As)
         MH = g0 @ H
-        dim = n0 + nz + ns_ + nh
-        K = np.zeros((dim, dim))
-        o = 0
-        sl_o = slice(0, n0)
-        sl_z = slice(n0, n0 + nz)
-        sl_s = slice(n0 + nz, n0 + nz + ns_)
-        sl_h = slice(n0 + nz + ns_, dim)
-        K[sl_o, sl_z] = Cz
-        K[sl_o, sl_s] = Cs
-        K[sl_o, sl_h] = MH
-        K[sl_z, sl_o] = Cz.T
-        K[sl_z, sl_z] = -Mpz
-        K[sl_s, sl_o] = Cs.T
-        K[sl_s, sl_s] = -Mps
-        K[sl_h, sl_o] = MH.T
-        rhs = np.zeros(dim)
-        rhs[sl_o] = F
+        K, rhs, (sl_o, sl_z, sl_s, sl_h) = _block_system(
+            (lad.p0(k).dim, Az.shape[1], As.shape[1], H.shape[1]),
+            {(0, 1): Cz, (0, 2): Cs, (0, 3): MH, (1, 1): -Mpz, (2, 2): -Mps},
+            {0: F},
+        )
         x, rel, cond = _solve(K, rhs, "hodge-complete")
         comps = {
             "omega": x[sl_o],
@@ -317,7 +312,6 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         abc_lo, _ = lad.abc(k - 1, "none")
         H = _harmonic_basis(mesh, k, "abc")
         A, As = abc_k.atlas, abc_lo.atlas
-        na, ns_, nh = A.shape[1], As.shape[1], H.shape[1]
         Pk = lad.primal(k).p0_projection(lad.p0(k)) @ A
         DA = lad.d_matrix(k) @ A
         Sk = DA.T @ lad.p0(k + 1).gram @ DA
@@ -325,19 +319,11 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         Mps = Ps.T @ lad.p0(k - 1).gram @ Ps
         Cs = Pk.T @ g0 @ (lad.d_matrix(k - 1) @ As)
         MH = Pk.T @ g0 @ H
-        dim = na + ns_ + nh
-        K = np.zeros((dim, dim))
-        sl_o = slice(0, na)
-        sl_s = slice(na, na + ns_)
-        sl_h = slice(na + ns_, dim)
-        K[sl_o, sl_o] = Sk
-        K[sl_o, sl_s] = Cs
-        K[sl_o, sl_h] = MH
-        K[sl_s, sl_o] = Cs.T
-        K[sl_s, sl_s] = -Mps
-        K[sl_h, sl_o] = MH.T
-        rhs = np.zeros(dim)
-        rhs[sl_o] = Pk.T @ F
+        K, rhs, (sl_o, sl_s, sl_h) = _block_system(
+            (A.shape[1], As.shape[1], H.shape[1]),
+            {(0, 0): Sk, (0, 1): Cs, (0, 2): MH, (1, 1): -Mps},
+            {0: Pk.T @ F},
+        )
         x, rel, cond = _solve(K, rhs, "hodge-mixed-primal")
         comps = {
             "omega": x[sl_o],
@@ -353,7 +339,6 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         star_hi = lad.whitney_star(k + 1, "homogeneous")
         H = _harmonic_basis(mesh, k, "star0")
         A, Az = star_k.atlas, star_hi.atlas
-        na, nz, nh = A.shape[1], Az.shape[1], H.shape[1]
         Pk = lad.dual(k).p0_projection(lad.p0(k)) @ A
         DeltaA = lad.delta_matrix(k) @ A
         Sk = DeltaA.T @ lad.p0(k - 1).gram @ DeltaA
@@ -361,19 +346,11 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         Mpz = Pz.T @ lad.p0(k + 1).gram @ Pz
         Cz = Pk.T @ g0 @ (lad.delta_matrix(k + 1) @ Az)
         MH = Pk.T @ g0 @ H
-        dim = na + nz + nh
-        K = np.zeros((dim, dim))
-        sl_o = slice(0, na)
-        sl_z = slice(na, na + nz)
-        sl_h = slice(na + nz, dim)
-        K[sl_o, sl_o] = Sk
-        K[sl_o, sl_z] = Cz
-        K[sl_o, sl_h] = MH
-        K[sl_z, sl_o] = Cz.T
-        K[sl_z, sl_z] = -Mpz
-        K[sl_h, sl_o] = MH.T
-        rhs = np.zeros(dim)
-        rhs[sl_o] = Pk.T @ F
+        K, rhs, (sl_o, sl_z, sl_h) = _block_system(
+            (A.shape[1], Az.shape[1], H.shape[1]),
+            {(0, 0): Sk, (0, 1): Cz, (0, 2): MH, (1, 1): -Mpz},
+            {0: Pk.T @ F},
+        )
         x, rel, cond = _solve(K, rhs, "hodge-mixed-dual")
         comps = {
             "omega": x[sl_o],
@@ -390,30 +367,25 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         # the discrete Hodge decomposition identifies with the harmonic space
         # of the nonconforming ladder
         H = _harmonic_basis(mesh, k, "abc")
-        na, nh = A.shape[1], H.shape[1]
         DA = full.diff_matrix(lad.p0(k + 1)) @ A
         DeltaA = full.codiff_matrix(lad.p0(k - 1)) @ A
         S = DA.T @ lad.p0(k + 1).gram @ DA + DeltaA.T @ lad.p0(k - 1).gram @ DeltaA
         PV = full.p0_projection(lad.p0(k)) @ A
         MH = PV.T @ g0 @ H
         # harmonic part of the load
-        if nh:
+        if H.shape[1]:
             c = np.linalg.solve(H.T @ g0 @ H, H.T @ F)
             F_eff = F - g0 @ (H @ c)
         else:
             F_eff = F
-        dim = na + nh
-        K = np.zeros((dim, dim))
-        K[:na, :na] = S
-        K[:na, na:] = MH
-        K[na:, :na] = MH.T
-        rhs = np.zeros(dim)
-        rhs[:na] = PV.T @ F_eff
+        K, rhs, (sl_o, sl_h) = _block_system(
+            (A.shape[1], H.shape[1]), {(0, 0): S, (0, 1): MH}, {0: PV.T @ F_eff}
+        )
         x, rel, cond = _solve(K, rhs, "hodge-one-field")
         comps = {
-            "omega": x[:na],
-            "omega_broken": A @ x[:na],
-            "multiplier": x[na:],
+            "omega": x[sl_o],
+            "omega_broken": A @ x[sl_o],
+            "multiplier": x[sl_h],
         }
         return SchemeSolution("hodge-lowest-primal", comps, rel, cond, {"k": k, "moments": F})
     raise InvalidParameter("unknown scheme %r" % (scheme,))

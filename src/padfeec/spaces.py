@@ -312,7 +312,11 @@ class BasisAtlas:
 
 
 class DeRhamLadder:
-    """Per-mesh cache of broken spaces, conforming atlases and derived maps."""
+    """Per-mesh cache of broken spaces, conforming atlases and derived maps.
+
+    The mesh owns its one ladder (see `ladder`); interpolators and mixed
+    spaces are kept here too, so all of it is freed with the mesh.
+    """
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -397,16 +401,11 @@ class DeRhamLadder:
         return self._get(("localdec", k), build)
 
 
-_LADDERS = {}
-
-
 def ladder(mesh):
-    key = id(mesh)
-    entry = _LADDERS.get(key)
-    if entry is None or entry.mesh is not mesh:
-        entry = DeRhamLadder(mesh)
-        _LADDERS[key] = entry
-    return entry
+    """The mesh's ladder, built on first use; it is freed with the mesh."""
+    if mesh._ladder is None:
+        mesh._ladder = DeRhamLadder(mesh)
+    return mesh._ladder
 
 
 # -- space constructors ----------------------------------------------------------

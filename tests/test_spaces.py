@@ -250,3 +250,35 @@ class TestExactness3D:
         assert kernels[0] - ranges[0] == 1  # constants
         assert kernels[1] - ranges[1] == 0
         assert kernels[2] - ranges[2] == 0
+
+
+class TestLadderOwnership:
+    def test_ladder_and_interpolator_freed_with_mesh(self):
+        import gc
+        import weakref
+
+        from padfeec.interp import global_interpolator
+
+        mesh = generate_structured(2, 2)
+        ref = weakref.ref(mesh)
+        assert ladder(mesh) is ladder(mesh)
+        assert global_interpolator(mesh, 0) is global_interpolator(mesh, 0)
+        del mesh
+        gc.collect()
+        assert ref() is None
+
+    def test_suite_builds_one_ladder_per_mesh_spec(self, monkeypatch):
+        from padfeec import cli, spaces
+        from padfeec.report import RunConfig
+
+        built = []
+        init = spaces.DeRhamLadder.__init__
+
+        def counted(self, mesh):
+            built.append(mesh)
+            init(self, mesh)
+
+        monkeypatch.setattr(spaces.DeRhamLadder, "__init__", counted)
+        report = cli.run(RunConfig("suite all").validate(), fast=True)
+        assert report.all_passed
+        assert len(built) == 3
