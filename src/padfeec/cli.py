@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .errors import PadfeecError
+from .errors import InvalidParameter, PadfeecError
 from .mesh import Mesh, generate_structured, shape_report
 from .report import CheckRecord, Report, RunConfig, emit
 
@@ -170,6 +170,8 @@ def cmd_verify_base_pair(mesh, config, report, name="base-pair"):
 
 def cmd_verify_base_pair_levels(config, report, levels):
     """The base-pair check on one mesh per level of the config's mesh family."""
+    if config.mesh_file:
+        raise InvalidParameter("--levels builds its meshes from the --mesh family, not a file")
     kind = config.mesh.split(":", 1)[0]
     for n in levels:
         sub = RunConfig(**{**config.to_dict(), "mesh": "%s:%d" % (kind, n)})
@@ -438,6 +440,8 @@ def cmd_solve_hodge(mesh, config, report, check_equivalence=True, export=None):
 
 def cmd_suite_all(config, report, fast=False):
     """The whole verification battery on a fixed mesh matrix, run serially."""
+    if config.mesh_file:
+        raise InvalidParameter("suite all runs its fixed mesh matrix and takes no --mesh-file")
     jobs = []
 
     def sub(command, **kw):
@@ -546,7 +550,14 @@ def merge_config(args):
     file_conf = {}
     if args.config:
         with open(args.config) as fh:
-            file_conf = json.load(fh)
+            try:
+                file_conf = json.load(fh)
+            except ValueError as exc:
+                raise InvalidParameter("config file is not valid JSON: %s" % exc)
+        if not isinstance(file_conf, dict):
+            raise InvalidParameter(
+                "config file must hold a JSON object, not %s" % type(file_conf).__name__
+            )
     merged = dict(defaults)
     for key in defaults:
         if key in file_conf and file_conf[key] is not None:
@@ -567,6 +578,14 @@ def merge_config(args):
             merged[key] = value
     command = "%s %s" % (args.group, args.action)
     return RunConfig(command=command, **merged).validate()
+
+
+def parse_levels(text):
+    """Mesh sizes from a comma list such as ``2,4,8``."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise InvalidParameter("--levels must be a comma list of integers, got %r" % (text,))
 
 
 def run(config: RunConfig, **options):
@@ -620,7 +639,7 @@ def main(argv=None):
         config = merge_config(args)
         levels = None
         if getattr(args, "levels", None):
-            levels = [int(v) for v in args.levels.split(",") if v.strip()]
+            levels = parse_levels(args.levels)
         report = run(
             config,
             kind=getattr(args, "kind", "abc"),

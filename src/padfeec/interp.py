@@ -5,6 +5,10 @@ of the dual space, (2) the L2 moments against the kernel of the pairing-null
 part, and (3) the differential moments against its complement; the stacked
 square system is solved at once per cell.  The operator is projective, local
 and maps pairing-constrained fields into the matching nonconforming space.
+The codifferentials and differentials of the fixed moment forms are computed
+once per cell, and the projectivity check is assembled cell by cell: each
+cell's interpolator sees only that cell's basis, so the matrix is block
+diagonal.
 """
 
 from dataclasses import dataclass
@@ -36,6 +40,8 @@ class InterpolatorSpec:
     dual_PB_forms: list
     ring_P0_forms: list
     P0_perp_forms: list
+    dual_PB_codiffs: list  # delta q for each dual_PB_forms member q
+    P0_perp_diffs: list  # d w for each P0_perp_forms member w
 
     @property
     def size(self):
@@ -70,6 +76,9 @@ def interpolator_spec(primal: LocalSpace, dual: LocalSpace):
     perp_forms = [
         primal.form_from_coeffs(dec.P0_perp.basis[:, j]) for j in range(dec.P0_perp.dim)
     ]
+    n, k = primal.n, primal.k
+    codiffs = [codifferential(q) if q.k > 0 else PolyForm(n, 0) for q in dual_PB_forms]
+    diffs = [exterior_derivative(w) if k < n else PolyForm(n, k + 1) for w in perp_forms]
     return InterpolatorSpec(
         primal=primal,
         dual=dual,
@@ -80,6 +89,8 @@ def interpolator_spec(primal: LocalSpace, dual: LocalSpace):
         dual_PB_forms=dual_PB_forms,
         ring_P0_forms=ring_forms,
         P0_perp_forms=perp_forms,
+        dual_PB_codiffs=codiffs,
+        P0_perp_diffs=diffs,
     )
 
 
@@ -88,13 +99,11 @@ def _rhs_polynomial(spec: InterpolatorSpec, omega: PolyForm):
     n, k = spec.primal.n, spec.primal.k
     domega = exterior_derivative(omega) if k < n else PolyForm(n, k + 1)
     rhs = []
-    for q in spec.dual_PB_forms:
-        dq = codifferential(q) if q.k > 0 else PolyForm(n, 0)
+    for q, dq in zip(spec.dual_PB_forms, spec.dual_PB_codiffs):
         rhs.append(l2_inner(omega, dq, cell) - l2_inner(domega, q, cell))
     for w in spec.ring_P0_forms:
         rhs.append(l2_inner(omega, w, cell))
-    for w in spec.P0_perp_forms:
-        dw = exterior_derivative(w) if k < n else PolyForm(n, k + 1)
+    for dw in spec.P0_perp_diffs:
         rhs.append(l2_inner(domega, dw, cell))
     return np.asarray(rhs)
 
@@ -118,17 +127,11 @@ def _rhs_callable(spec: InterpolatorSpec, value_fn, d_value_fn, degree=7):
         return acc
 
     rhs = []
-    for q in spec.dual_PB_forms:
-        dq = codifferential(q) if q.k > 0 else PolyForm(spec.primal.n, 0)
+    for q, dq in zip(spec.dual_PB_forms, spec.dual_PB_codiffs):
         rhs.append(inner_vals(vals, dq) - inner_vals(dvals, q))
     for w in spec.ring_P0_forms:
         rhs.append(inner_vals(vals, w))
-    for w in spec.P0_perp_forms:
-        dw = (
-            exterior_derivative(w)
-            if spec.primal.k < spec.primal.n
-            else PolyForm(spec.primal.n, spec.primal.k + 1)
-        )
+    for dw in spec.P0_perp_diffs:
         rhs.append(inner_vals(dvals, dw))
     return np.asarray(rhs)
 
@@ -237,17 +240,19 @@ def commute_check(mesh, k, field):
 
 
 def projectivity_matrix(mesh, k):
-    """Interpolation of every broken basis member; the identity when projective."""
-    lad = ladder(mesh)
-    broken = lad.primal(k)
+    """Interpolation of every broken basis member; the identity when projective.
+
+    The interpolator is local, so a basis member supported on one cell maps
+    into that cell's block and the matrix is block diagonal: each cell
+    interpolates only its own basis, and the off-diagonal blocks are zero.
+    """
     I = global_interpolator(mesh, k)
-    cols = []
-    for j in range(broken.dim):
-        ci = int(np.searchsorted(broken.offsets, j, side="right") - 1)
-        field = [PolyForm(mesh.dim, k) for _ in range(mesh.num_cells)]
-        field[ci] = broken.locals[ci].basis[j - int(broken.offsets[ci])]
-        cols.append(I(field))
-    return np.column_stack(cols)
+    broken = I.broken
+    J = np.zeros((broken.dim, broken.dim))
+    for ci, spec in enumerate(I.specs):
+        s = broken.cell_slice(ci)
+        J[s, s] = np.column_stack([interpolate_local(spec, b) for b in spec.primal.basis])
+    return J
 
 
 def stability_report(mesh, k, fields, base_report=None):

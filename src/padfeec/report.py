@@ -7,6 +7,7 @@ byte-identical output.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -29,12 +30,21 @@ class RunConfig:
     fmt: str = "json"
 
     def validate(self):
-        if self.eig_tol <= 0:
-            raise InvalidParameter("eig_tol must be positive")
+        for name in ("mesh", "mesh_file", "bc", "scheme", "load", "out", "fmt"):
+            if not isinstance(getattr(self, name), str):
+                raise InvalidParameter("%s must be a string" % name)
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            raise InvalidParameter("degree k must be an integer")
+        if isinstance(self.eig_tol, bool) or not isinstance(self.eig_tol, (int, float)):
+            raise InvalidParameter("eig_tol must be a number")
+        if not 0 < self.eig_tol < math.inf:
+            raise InvalidParameter("eig_tol must be positive and finite")
         if self.k < 0 or self.k > 3:
             raise InvalidParameter("degree k out of range")
         if self.fmt not in ("json", "csv"):
             raise InvalidParameter("format must be json or csv")
+        if self.bc not in ("none", "homogeneous"):
+            raise InvalidParameter("bc must be none or homogeneous")
         return self
 
     def to_dict(self):

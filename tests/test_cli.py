@@ -93,6 +93,45 @@ class TestCli:
         assert data["config"]["mesh"] == "box:2"  # CLI beats config file
         assert data["config"]["k"] == 1  # config file beats default
 
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("[1, 2]", "JSON object"),
+            ('{"k": "a"}', "integer"),
+            ('{"k": true}', "integer"),
+            ('{"eig_tol": "small"}', "number"),
+            ('{"mesh": 4}', "string"),
+            ('{"bc": "dirichlet"}', "none or homogeneous"),
+            ("not json", "valid JSON"),
+        ],
+        ids=["list", "k-string", "k-bool", "eig_tol-string", "mesh-number", "bc-unknown", "not-json"],
+    )
+    def test_malformed_config_rejected(self, tmp_path, capsys, text, reason):
+        conf = tmp_path / "conf.json"
+        conf.write_text(text)
+        code, out, err = run_cli(["--config", str(conf), "mesh", "info"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter") and reason in err
+        assert err.count("\n") == 1
+
+    def test_bad_levels_rejected(self, capsys):
+        code, _, err = run_cli(
+            ["verify", "base-pair", "--mesh", "box:2", "--levels", "2,x"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [["suite", "all", "--fast"], ["verify", "base-pair", "--levels", "2,4"]],
+    )
+    def test_mesh_file_refused_where_meshes_are_generated(self, tmp_path, capsys, command):
+        mesh = tmp_path / "mesh.json"
+        run_cli(["mesh", "gen", "--mesh", "box:2", "--out", str(mesh)], capsys)
+        code, out, err = run_cli(command + ["--mesh-file", str(mesh)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
+
     def test_determinism_byte_identical(self, capsys):
         _, out1, _ = run_cli(["verify", "base-pair", "--mesh", "box:2", "--k", "0"], capsys)
         _, out2, _ = run_cli(["verify", "base-pair", "--mesh", "box:2", "--k", "0"], capsys)

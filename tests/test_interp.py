@@ -3,6 +3,7 @@ import pytest
 
 from padfeec.forms import (
     PolyForm,
+    codifferential,
     exterior_derivative,
     l2_inner,
     random_polyform,
@@ -24,6 +25,13 @@ from padfeec.spaces import ladder
 
 BOX2 = generate_structured(2, 2)
 BOX4 = generate_structured(2, 4)
+HOLE4 = generate_structured(2, 4, "hole")
+TETBOX1 = generate_structured(3, 1, "box")
+ORACLE_CASES = [
+    pytest.param(mesh, k, id="%s-k%d" % (name, k))
+    for name, mesh in (("box2", BOX2), ("hole4", HOLE4), ("tetbox1", TETBOX1))
+    for k in range(mesh.dim + 1)
+]
 
 
 class TestLocalInterpolation:
@@ -95,6 +103,34 @@ class TestGlobalInterpolation:
         v1, v2 = interp(f1), interp(f2)
         s = interp.broken.cell_slice(3)
         assert np.array_equal(v1[s], v2[s])
+
+    @pytest.mark.parametrize("mesh,k", ORACLE_CASES)
+    def test_block_projectivity_matches_global_sweep(self, mesh, k):
+        # the oracle interpolates every broken basis member as a global field
+        # that is zero on every other cell
+        interp = global_interpolator(mesh, k)
+        broken = interp.broken
+        cols = []
+        for ci in range(mesh.num_cells):
+            for b in broken.locals[ci].basis:
+                field = [PolyForm(mesh.dim, k) for _ in range(mesh.num_cells)]
+                field[ci] = b
+                cols.append(interp(field))
+        assert np.array_equal(projectivity_matrix(mesh, k), np.column_stack(cols))
+
+    @pytest.mark.parametrize("mesh,k", ORACLE_CASES)
+    def test_stored_moment_forms_match_fresh_derivatives(self, mesh, k):
+        n = mesh.dim
+        for spec in global_interpolator(mesh, k).specs:
+            assert len(spec.dual_PB_codiffs) == len(spec.dual_PB_forms)
+            assert len(spec.P0_perp_diffs) == len(spec.P0_perp_forms)
+            for q, dq in zip(spec.dual_PB_forms, spec.dual_PB_codiffs):
+                assert dq.k == q.k - 1
+                assert dq.terms == codifferential(q).terms
+            for w, dw in zip(spec.P0_perp_forms, spec.P0_perp_diffs):
+                fresh = exterior_derivative(w) if k < n else PolyForm(n, k + 1)
+                assert dw.k == k + 1
+                assert dw.terms == fresh.terms
 
     def test_conforming_member_reproduced(self):
         lad = ladder(BOX2)
