@@ -102,9 +102,8 @@ class HarmonicSpace:
 
 def _p0_coords(lad, k, broken, vectors, tol=1e-9):
     """Coordinates of broken vectors that are piecewise constant, verified."""
-    J = broken.p0_injection(lad.p0(k))
-    P = broken.p0_projection(lad.p0(k))
-    coords = P @ vectors
+    J = lad.p0_injection(k, broken.name)
+    coords = lad.p0_projection(k, broken.name) @ vectors
     resid = np.abs(vectors - J @ coords).max(initial=0.0)
     scale = max(np.abs(vectors).max(initial=0.0), 1.0)
     if resid > tol * scale:
@@ -145,9 +144,8 @@ def base_pair_report(mesh, k, eig_tol=1e-10):
     uN = Subspace(dual.dim, Vt[r:].T.copy())
     Gp, Gq = primal.gram(), dual.gram()
     alphas, betas, gammas = [], [], []
-    Ball = lad.pairing(k)
     for ci in range(mesh.num_cells):
-        Bk = Ball[primal.cell_slice(ci), dual.cell_slice(ci)]
+        Bk = B[primal.cell_slice(ci), dual.cell_slice(ci)]
         a, b, g = fast_local_constants(primal.locals[ci], dual.locals[ci], Bk)
         alphas.append(a)
         betas.append(b)
@@ -519,9 +517,7 @@ def harmonic_space(mesh, k, flavor):
     def kernel_star(kk, bc):
         gs = lad.whitney_star(kk, bc)
         if kk == 0:
-            return Subspace.from_span(
-                _p0_coords(lad, 0, lad.dual(0), gs.atlas), g
-            )
+            return Subspace.from_span(_p0_coords(lad, 0, lad.dual(0), gs.atlas), g)
         return _domain_kernel_p0(lad, kk, lad.dual(kk), lad.delta_matrix(kk), gs.subspace())
 
     def range_star(kk, bc):

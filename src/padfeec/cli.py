@@ -47,7 +47,12 @@ def parse_load(mesh, k, spec):
 
         return np.zeros(ladder(mesh).p0(k).dim)
     if spec.startswith("poly:"):
-        return random_polynomial_load(mesh, k, seed=int(spec.split(":", 1)[1]))
+        seed = spec.split(":", 1)[1]
+        if not (seed.isascii() and seed.isdigit()):
+            raise InvalidParameter(
+                "load poly:<seed> needs a non-negative integer seed, got %r" % (spec,)
+            )
+        return random_polynomial_load(mesh, k, seed=int(seed))
     if spec == "trig":
         from .forms import multiindices
 
@@ -252,14 +257,14 @@ def cmd_verify_complex(mesh, config, report):
         dims = {}
         for k in range(mesh.dim):
             gs, _ = lad.abc(k, bc)
-            upper, cons = lad.abc(k + 1, bc)
-            image = lad.primal(k + 1).p0_injection(lad.p0(k + 1)) @ (
-                lad.d_matrix(k) @ gs.atlas
-            )
+            _, cons = lad.abc(k + 1, bc)
+            DA = lad.d_matrix(k) @ gs.atlas
             if cons.matrix.shape[0]:
+                image = lad.p0_injection(k + 1) @ DA
                 worst = max(worst, float(np.abs(cons.matrix @ image).max()))
-            dims["kernel_%d" % k] = gs.dim - rank(lad.d_matrix(k) @ gs.atlas)
-            dims["range_%d" % (k + 1)] = rank(lad.d_matrix(k) @ gs.atlas)
+            r = rank(DA)
+            dims["kernel_%d" % k] = gs.dim - r
+            dims["range_%d" % (k + 1)] = r
         report.add(
             CheckRecord(
                 "complex-property-%s" % bc,
@@ -282,6 +287,15 @@ def cmd_verify_complex(mesh, config, report):
                 numbers={"max_angle": max(angles)},
                 inputs={"bc": bc},
             )
+        )
+
+
+def _require_below_top(mesh, k, command):
+    """Source and eigen problems pair degree k with k+1, so k must be below n."""
+    if k > mesh.dim - 1:
+        raise InvalidParameter(
+            "%s needs degree k in 0..%d on a %d-D mesh, got %d"
+            % (command, mesh.dim - 1, mesh.dim, k)
         )
 
 
@@ -335,6 +349,17 @@ def cmd_verify_interp(mesh, config, report):
             inputs={"k": k},
         )
     )
+    if k == mesh.dim:
+        # the stability bounds come from the (k, k+1) base pair
+        report.add(
+            CheckRecord(
+                "interp-stability",
+                "skipped",
+                inputs={"k": k},
+                note="no (n, n+1) base pair at the top degree",
+            )
+        )
+        return
     stab = stability_report(mesh, k, fields)
     ok = (
         stab["energy_ratio"] <= stab["energy_bound"] + 1e-9
@@ -367,6 +392,7 @@ def _export_solutions(path, solutions):
 def cmd_solve_source(mesh, config, report, export=None):
     from .solve import solve_source_dual, solve_source_primal, verify_source_equivalence
 
+    _require_below_top(mesh, config.k, "solve source")
     load = parse_load(mesh, config.k, config.load)
     sp = solve_source_primal(mesh, config.k, load, config.bc)
     sd = solve_source_dual(mesh, config.k, load, config.bc)
@@ -386,6 +412,7 @@ def cmd_solve_source(mesh, config, report, export=None):
 def cmd_solve_eigen(mesh, config, report):
     from .solve import solve_eigen_pair
 
+    _require_below_top(mesh, config.k, "solve eigen")
     pv, dv, rep, meta = solve_eigen_pair(mesh, config.k, config.bc)
     numbers = {
         "nonzero_spectrum_gap": rep.residuals["nonzero_spectrum_gap"],
@@ -558,6 +585,9 @@ def merge_config(args):
             raise InvalidParameter(
                 "config file must hold a JSON object, not %s" % type(file_conf).__name__
             )
+    unknown = sorted(set(file_conf) - set(defaults))
+    if unknown:
+        raise InvalidParameter("unknown config key(s): %s" % ", ".join(map(repr, unknown)))
     merged = dict(defaults)
     for key in defaults:
         if key in file_conf and file_conf[key] is not None:

@@ -23,7 +23,7 @@ from .forms import (
     exterior_derivative,
     l2_inner,
 )
-from .local import LocalSpace, decompose_local
+from .local import LocalDecomposition, LocalSpace
 from .spaces import ladder
 
 
@@ -48,12 +48,10 @@ class InterpolatorSpec:
         return self.primal.dim
 
 
-def interpolator_spec(primal: LocalSpace, dual: LocalSpace):
-    """Assemble and validate the square local system."""
-    dec = decompose_local(primal, dual)
+def interpolator_spec(dec: LocalDecomposition):
+    """Assemble and validate the square local system of one cell's pair."""
+    primal, dual = dec.primal, dec.dual
     B = dec.pairing
-    rows = []
-    blocks = []
     pairing_block = (B @ dec.dual_PB.basis).T if dec.dual_PB.dim else np.zeros((0, primal.dim))
     l2_block = dec.ring_P0.basis.T @ primal.gram() if dec.ring_P0.dim else np.zeros((0, primal.dim))
     energy_block = (
@@ -150,23 +148,15 @@ def interpolate_local(spec: InterpolatorSpec, omega):
 
 
 class LadderInterpolator:
-    """All cell interpolators of one mesh level, cached."""
+    """All cell interpolators of one mesh level, built from the ladder's
+    cell decompositions and cached in the ladder."""
 
     def __init__(self, mesh, k):
         self.mesh = mesh
         self.k = k
         lad = ladder(mesh)
         self.broken = lad.primal(k)
-        self.specs = []
-        for ci in range(mesh.num_cells):
-            cell = mesh.cell_geometry(ci)
-            primal = self.broken.locals[ci]
-            dual = (
-                lad.dual(k + 1).locals[ci]
-                if k + 1 <= mesh.dim
-                else LocalSpace(cell, k + 1, [], op="delta")
-            )
-            self.specs.append(interpolator_spec(primal, dual))
+        self.specs = [interpolator_spec(dec) for dec in lad.local_decompositions(k)]
 
     def __call__(self, field):
         """Broken coefficient vector of the cellwise interpolant."""
@@ -234,7 +224,7 @@ def commute_check(mesh, k, field):
     d_field = [exterior_derivative(w) for w in field]
     w_vec = I_high(d_field)
     D = lad.d_matrix(k)
-    diff = lad.primal(k + 1).p0_injection(lad.p0(k + 1)) @ (D @ v) - w_vec
+    diff = lad.p0_injection(k + 1) @ (D @ v) - w_vec
     G = lad.primal(k + 1).gram()
     return float(np.sqrt(max(diff @ G @ diff, 0.0)))
 

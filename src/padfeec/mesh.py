@@ -32,12 +32,6 @@ class SubSimplexTable:
     def count(self):
         return len(self.simplices)
 
-    def interior_ids(self):
-        return [i for i in range(self.count) if not self.boundary[i]]
-
-    def boundary_ids(self):
-        return [i for i in range(self.count) if self.boundary[i]]
-
 
 @dataclass
 class Patch:
@@ -54,13 +48,18 @@ class Mesh:
         if dim not in (2, 3):
             raise Unsupported("mesh dimension must be 2 or 3")
         self.dim = dim
-        self.vertices = np.asarray(vertices, dtype=float)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != dim:
-            raise MeshError("vertex array must be (num_vertices, dim)")
-        raw = [tuple(int(v) for v in c) for c in cells]
+        self.vertices = _coordinates(vertices, dim)
+        try:
+            raw = [tuple(_vertex_index(v) for v in c) for c in cells]
+        except TypeError as exc:
+            raise MeshError("cells must be lists of vertex indices") from exc
+        if not raw:
+            raise MeshError("mesh has no cells")
         self.cells = []
         self.cell_orientations = []
         for c in raw:
+            if len(c) != dim + 1:
+                raise MeshError("cell %s must have %d vertices" % (c, dim + 1))
             if len(set(c)) != dim + 1:
                 raise MeshError("cell %s has repeated vertices" % (c,))
             if max(c) >= len(self.vertices) or min(c) < 0:
@@ -244,17 +243,56 @@ class Mesh:
     @classmethod
     def from_json(cls, data):
         try:
-            dim = int(data["dim"])
+            dim = data["dim"]
             vertices = data["vertices"]
             cells = data["cells"]
         except (KeyError, TypeError) as exc:
             raise MeshError("mesh file must carry dim, vertices and cells") from exc
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise MeshError("dim must be an integer, got %r" % (dim,))
         return cls(dim, vertices, cells)
 
     @classmethod
     def load(cls, path):
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise MeshError("mesh file is not valid JSON: %s" % exc) from exc
+        return cls.from_json(data)
+
+
+def _is_number(x):
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(
+        x, (bool, np.bool_)
+    )
+
+
+def _coordinates(vertices, dim):
+    """Vertex array of finite numbers, shaped (num_vertices, dim)."""
+    try:
+        numeric = all(_is_number(x) for row in vertices for x in row)
+    except TypeError:
+        numeric = False
+    if not numeric:
+        raise MeshError("vertex coordinates must be numbers")
+    try:
+        array = np.asarray(vertices, dtype=float)
+    except OverflowError as exc:
+        raise MeshError("vertex coordinates must be finite") from exc
+    except (TypeError, ValueError) as exc:
+        raise MeshError("vertex array must be (num_vertices, dim)") from exc
+    if array.ndim != 2 or array.shape[1] != dim:
+        raise MeshError("vertex array must be (num_vertices, dim)")
+    if not np.isfinite(array).all():
+        raise MeshError("vertex coordinates must be finite")
+    return array
+
+
+def _vertex_index(v):
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+        raise MeshError("cell vertex index %r is not an integer" % (v,))
+    return int(v)
 
 
 # -- structured generation ------------------------------------------------------

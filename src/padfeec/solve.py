@@ -113,7 +113,7 @@ def solve_source_primal(mesh, k, load, bc="none"):
     gs, _ = lad.abc(k, bc)
     A = gs.atlas
     G_hi = lad.p0(k + 1).gram if k < mesh.dim else None
-    P = lad.primal(k).p0_projection(lad.p0(k)) @ A
+    P = lad.p0_projection(k) @ A
     K = P.T @ lad.p0(k).gram @ P
     if k < mesh.dim:
         DA = lad.d_matrix(k) @ A
@@ -136,7 +136,7 @@ def solve_source_dual(mesh, k, load, bc="none"):
     partner_bc = "homogeneous" if bc == "none" else "none"
     star = lad.whitney_star(k + 1, partner_bc)
     Az = star.atlas
-    Pz = lad.dual(k + 1).p0_projection(lad.p0(k + 1)) @ Az
+    Pz = lad.p0_projection(k + 1, "dual") @ Az
     Mp = Pz.T @ lad.p0(k + 1).gram @ Pz
     C = lad.p0(k).gram @ (lad.delta_matrix(k + 1) @ Az)  # moments of delta zeta
     M0 = lad.p0(k).gram
@@ -178,7 +178,7 @@ def verify_source_equivalence(mesh, primal_sol, dual_sol):
     zeta_b = star.atlas @ dual_sol.components["zeta"]
     F = primal_sol.meta["moments"]
     floor = max(float(np.linalg.norm(F)), 1e-14)
-    P_omega = lad.primal(k).p0_projection(lad.p0(k)) @ omega_b
+    P_omega = lad.p0_projection(k) @ omega_b
     g0 = lad.p0(k).gram
     g1 = lad.p0(k + 1).gram
     res = {}
@@ -187,7 +187,7 @@ def verify_source_equivalence(mesh, primal_sol, dual_sol):
     Pf = _p0_coords_of_moments(lad, k, F)
     res["state_plus_coflux"] = _rel(P_omega + delta_zeta, Pf, g0, floor)
     d_omega = lad.d_matrix(k) @ omega_b
-    P_zeta = lad.dual(k + 1).p0_projection(lad.p0(k + 1)) @ zeta_b
+    P_zeta = lad.p0_projection(k + 1, "dual") @ zeta_b
     res["flux_projection"] = _rel(d_omega, P_zeta, g1, floor)
     verdict = "pass" if all(v < 1e-9 for v in res.values()) else "fail"
     return EquivalenceReport(res, verdict)
@@ -204,7 +204,7 @@ def solve_eigen_pair(mesh, k, bc="none", rel_tol=1e-9):
     A = gs.atlas
     DA = lad.d_matrix(k) @ A
     K1 = DA.T @ lad.p0(k + 1).gram @ DA
-    P1 = lad.primal(k).p0_projection(lad.p0(k)) @ A
+    P1 = lad.p0_projection(k) @ A
     M1 = P1.T @ lad.p0(k).gram @ P1
     primal_vals, primal_zero = pencil_nonzero_eigs(K1, M1, rel_tol)
     partner_bc = "homogeneous" if bc == "none" else "none"
@@ -212,7 +212,7 @@ def solve_eigen_pair(mesh, k, bc="none", rel_tol=1e-9):
     Az = star.atlas
     DZ = lad.delta_matrix(k + 1) @ Az
     K2 = DZ.T @ lad.p0(k).gram @ DZ
-    P2 = lad.dual(k + 1).p0_projection(lad.p0(k + 1)) @ Az
+    P2 = lad.p0_projection(k + 1, "dual") @ Az
     M2 = P2.T @ lad.p0(k + 1).gram @ P2
     dual_vals, dual_zero = pencil_nonzero_eigs(K2, M2, rel_tol)
     m = min(primal_vals.size, dual_vals.size)
@@ -240,9 +240,10 @@ def _harmonic_basis(mesh, k, flavor):
 
 
 def _mixed_space(mesh, k):
-    """One-field space: constants plus both contraction summands, constrained
-    by the conforming partner one degree up and the nonconforming space one
-    degree down.  Cached per mesh level."""
+    """Atlas of the one-field space in the broken full family: constants plus
+    both contraction summands, constrained by the conforming partner one
+    degree up and the nonconforming space one degree down.  Cached per mesh
+    level."""
     lad = ladder(mesh)
     return lad._get(("mixed-space", k), lambda: _build_mixed_space(lad, k))
 
@@ -257,19 +258,15 @@ def _build_mixed_space(lad, k):
     star = lad.whitney_star(k + 1, "homogeneous")
     rows.append((B_up @ star.atlas).T)
     abc_lo, _ = lad.abc(k - 1, "none")
-    Delta_full = full.codiff_matrix(lad.p0(k - 1))
-    term1 = Delta_full.T @ (
-        lad.p0(k - 1).gram
-        @ (lad.primal(k - 1).p0_projection(lad.p0(k - 1)) @ abc_lo.atlas)
+    term1 = lad.delta_matrix(k, "full").T @ (
+        lad.p0(k - 1).gram @ (lad.p0_projection(k - 1) @ abc_lo.atlas)
     )
     D_lo = lad.d_matrix(k - 1) @ abc_lo.atlas
-    Jk = full.p0_injection(lad.p0(k))
-    term2 = full.gram() @ (Jk @ D_lo)
+    term2 = full.gram() @ (lad.p0_injection(k, "full") @ D_lo)
     rows.append((term1 - term2).T)
     C = np.vstack(rows)
     ns = nullspace(C / max(np.abs(C).max(initial=0.0), 1e-300))
-    A = orthonormalize(ns.basis, full.gram())
-    return full, A
+    return orthonormalize(ns.basis, full.gram())
 
 
 def solve_hodge(mesh, k, load, scheme="complete"):
@@ -284,10 +281,10 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         abc_lo, _ = lad.abc(k - 1, "none")
         H = _harmonic_basis(mesh, k, "abc")
         Az, As = star.atlas, abc_lo.atlas
-        Pz = lad.dual(k + 1).p0_projection(lad.p0(k + 1)) @ Az
+        Pz = lad.p0_projection(k + 1, "dual") @ Az
         Mpz = Pz.T @ lad.p0(k + 1).gram @ Pz
         Cz = g0 @ (lad.delta_matrix(k + 1) @ Az)
-        Ps = lad.primal(k - 1).p0_projection(lad.p0(k - 1)) @ As
+        Ps = lad.p0_projection(k - 1) @ As
         Mps = Ps.T @ lad.p0(k - 1).gram @ Ps
         Cs = g0 @ (lad.d_matrix(k - 1) @ As)
         MH = g0 @ H
@@ -312,10 +309,10 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         abc_lo, _ = lad.abc(k - 1, "none")
         H = _harmonic_basis(mesh, k, "abc")
         A, As = abc_k.atlas, abc_lo.atlas
-        Pk = lad.primal(k).p0_projection(lad.p0(k)) @ A
+        Pk = lad.p0_projection(k) @ A
         DA = lad.d_matrix(k) @ A
         Sk = DA.T @ lad.p0(k + 1).gram @ DA
-        Ps = lad.primal(k - 1).p0_projection(lad.p0(k - 1)) @ As
+        Ps = lad.p0_projection(k - 1) @ As
         Mps = Ps.T @ lad.p0(k - 1).gram @ Ps
         Cs = Pk.T @ g0 @ (lad.d_matrix(k - 1) @ As)
         MH = Pk.T @ g0 @ H
@@ -339,10 +336,10 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         star_hi = lad.whitney_star(k + 1, "homogeneous")
         H = _harmonic_basis(mesh, k, "star0")
         A, Az = star_k.atlas, star_hi.atlas
-        Pk = lad.dual(k).p0_projection(lad.p0(k)) @ A
+        Pk = lad.p0_projection(k, "dual") @ A
         DeltaA = lad.delta_matrix(k) @ A
         Sk = DeltaA.T @ lad.p0(k - 1).gram @ DeltaA
-        Pz = lad.dual(k + 1).p0_projection(lad.p0(k + 1)) @ Az
+        Pz = lad.p0_projection(k + 1, "dual") @ Az
         Mpz = Pz.T @ lad.p0(k + 1).gram @ Pz
         Cz = Pk.T @ g0 @ (lad.delta_matrix(k + 1) @ Az)
         MH = Pk.T @ g0 @ H
@@ -362,15 +359,15 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         }
         return SchemeSolution("hodge-mixed-dual", comps, rel, cond, {"k": k, "moments": F})
     if scheme == "lowest_primal":
-        full, A = _mixed_space(mesh, k)
+        A = _mixed_space(mesh, k)
         # the multiplier space is cut out by the two pairing conditions, which
         # the discrete Hodge decomposition identifies with the harmonic space
         # of the nonconforming ladder
         H = _harmonic_basis(mesh, k, "abc")
-        DA = full.diff_matrix(lad.p0(k + 1)) @ A
-        DeltaA = full.codiff_matrix(lad.p0(k - 1)) @ A
+        DA = lad.d_matrix(k, "full") @ A
+        DeltaA = lad.delta_matrix(k, "full") @ A
         S = DA.T @ lad.p0(k + 1).gram @ DA + DeltaA.T @ lad.p0(k - 1).gram @ DeltaA
-        PV = full.p0_projection(lad.p0(k)) @ A
+        PV = lad.p0_projection(k, "full") @ A
         MH = PV.T @ g0 @ H
         # harmonic part of the load
         if H.shape[1]:
@@ -398,117 +395,53 @@ def verify_hodge_equivalences(mesh, k, sols):
     'lowest_primal') to their solutions for one common load.
     """
     lad = ladder(mesh)
-    g0 = lad.p0(k).gram
-    g_lo = lad.p0(k - 1).gram
-    g_hi = lad.p0(k + 1).gram
-    comp = sols["complete"]
-    F = comp.meta["moments"]
+    g0, g_lo, g_hi = lad.p0(k).gram, lad.p0(k - 1).gram, lad.p0(k + 1).gram
+    c, d, p = (sols[tag].components for tag in ("complete", "mixed_dual", "mixed_primal"))
+    F = sols["complete"].meta["moments"]
     floor = max(float(np.linalg.norm(F)), 1e-14)
     Pf = _p0_coords_of_moments(lad, k, F)
-    res = {}
-    # dual vs complete
-    d = sols["mixed_dual"]
-    res["dual_theta"] = _rel(d.components["theta_p0"], comp.components["theta_p0"], g0, floor)
-    res["dual_zeta"] = _rel(
-        lad.dual(k + 1).p0_projection(lad.p0(k + 1)) @ d.components["zeta_broken"],
-        lad.dual(k + 1).p0_projection(lad.p0(k + 1)) @ comp.components["zeta_broken"],
-        g_hi,
-        floor,
-    )
-    res["dual_zeta_full"] = _rel(
-        d.components["zeta_broken"], comp.components["zeta_broken"],
-        lad.dual(k + 1).gram(), floor,
-    )
-    res["dual_state"] = _rel(
-        lad.dual(k).p0_projection(lad.p0(k)) @ d.components["omega_broken"],
-        comp.components["omega"],
-        g0,
-        floor,
-    )
-    res["dual_costate"] = _rel(
-        lad.delta_matrix(k) @ d.components["omega_broken"],
-        lad.primal(k - 1).p0_projection(lad.p0(k - 1)) @ comp.components["sigma_broken"],
-        g_lo,
-        floor,
-    )
-    res["dual_balance"] = _rel(
-        lad.delta_matrix(k + 1) @ d.components["zeta_broken"],
-        Pf - lad.d_matrix(k - 1) @ comp.components["sigma_broken"] - comp.components["theta_p0"],
-        g0,
-        floor,
-    )
-    # primal vs complete
-    p = sols["mixed_primal"]
-    res["primal_theta"] = _rel(p.components["theta_p0"], comp.components["theta_p0"], g0, floor)
-    res["primal_sigma"] = _rel(
-        p.components["sigma_broken"], comp.components["sigma_broken"],
-        lad.primal(k - 1).gram(), floor,
-    )
-    res["primal_state"] = _rel(
-        lad.primal(k).p0_projection(lad.p0(k)) @ p.components["omega_broken"],
-        comp.components["omega"],
-        g0,
-        floor,
-    )
-    res["primal_flux"] = _rel(
-        lad.d_matrix(k) @ p.components["omega_broken"],
-        lad.dual(k + 1).p0_projection(lad.p0(k + 1)) @ comp.components["zeta_broken"],
-        g_hi,
-        floor,
-    )
-    res["primal_balance"] = _rel(
-        lad.d_matrix(k - 1) @ p.components["sigma_broken"],
-        Pf - lad.delta_matrix(k + 1) @ comp.components["zeta_broken"] - comp.components["theta_p0"],
-        g0,
-        floor,
-    )
-    # primal vs dual
-    res["cross_theta"] = _rel(d.components["theta_p0"], p.components["theta_p0"], g0, floor)
-    res["cross_flux"] = _rel(
-        lad.dual(k + 1).p0_projection(lad.p0(k + 1)) @ d.components["zeta_broken"],
-        lad.d_matrix(k) @ p.components["omega_broken"],
-        g_hi,
-        floor,
-    )
-    res["cross_state"] = _rel(
-        lad.dual(k).p0_projection(lad.p0(k)) @ d.components["omega_broken"],
-        lad.primal(k).p0_projection(lad.p0(k)) @ p.components["omega_broken"],
-        g0,
-        floor,
-    )
-    res["cross_costate"] = _rel(
-        lad.delta_matrix(k) @ d.components["omega_broken"],
-        lad.primal(k - 1).p0_projection(lad.p0(k - 1)) @ p.components["sigma_broken"],
-        g_lo,
-        floor,
-    )
-    res["cross_balance"] = _rel(
-        lad.delta_matrix(k + 1) @ d.components["zeta_broken"]
-        + lad.d_matrix(k - 1) @ p.components["sigma_broken"],
-        Pf - comp.components["theta_p0"],
-        g0,
-        floor,
-    )
+    P_lo, P_k = lad.p0_projection(k - 1), lad.p0_projection(k)
+    P_k_dual, P_hi_dual = lad.p0_projection(k, "dual"), lad.p0_projection(k + 1, "dual")
+    D_lo, D_k = lad.d_matrix(k - 1), lad.d_matrix(k)
+    Delta_k, Delta_hi = lad.delta_matrix(k), lad.delta_matrix(k + 1)
+
+    def rel(x, y, gram):
+        return _rel(x, y, gram, floor)
+
+    res = {
+        # dual vs complete
+        "dual_theta": rel(d["theta_p0"], c["theta_p0"], g0),
+        "dual_zeta": rel(P_hi_dual @ d["zeta_broken"], P_hi_dual @ c["zeta_broken"], g_hi),
+        "dual_zeta_full": rel(d["zeta_broken"], c["zeta_broken"], lad.dual(k + 1).gram()),
+        "dual_state": rel(P_k_dual @ d["omega_broken"], c["omega"], g0),
+        "dual_costate": rel(Delta_k @ d["omega_broken"], P_lo @ c["sigma_broken"], g_lo),
+        "dual_balance": rel(
+            Delta_hi @ d["zeta_broken"], Pf - D_lo @ c["sigma_broken"] - c["theta_p0"], g0
+        ),
+        # primal vs complete
+        "primal_theta": rel(p["theta_p0"], c["theta_p0"], g0),
+        "primal_sigma": rel(p["sigma_broken"], c["sigma_broken"], lad.primal(k - 1).gram()),
+        "primal_state": rel(P_k @ p["omega_broken"], c["omega"], g0),
+        "primal_flux": rel(D_k @ p["omega_broken"], P_hi_dual @ c["zeta_broken"], g_hi),
+        "primal_balance": rel(
+            D_lo @ p["sigma_broken"], Pf - Delta_hi @ c["zeta_broken"] - c["theta_p0"], g0
+        ),
+        # primal vs dual
+        "cross_theta": rel(d["theta_p0"], p["theta_p0"], g0),
+        "cross_flux": rel(P_hi_dual @ d["zeta_broken"], D_k @ p["omega_broken"], g_hi),
+        "cross_state": rel(P_k_dual @ d["omega_broken"], P_k @ p["omega_broken"], g0),
+        "cross_costate": rel(Delta_k @ d["omega_broken"], P_lo @ p["sigma_broken"], g_lo),
+        "cross_balance": rel(
+            Delta_hi @ d["zeta_broken"] + D_lo @ p["sigma_broken"], Pf - c["theta_p0"], g0
+        ),
+    }
     # one-field scheme vs complete, cell by cell
     if "lowest_primal" in sols:
-        m = sols["lowest_primal"]
-        full, _ = _mixed_space(mesh, k)
-        vec = m.components["omega_broken"]
-        res["onefield_flux"] = _rel(
-            full.diff_matrix(lad.p0(k + 1)) @ vec,
-            lad.dual(k + 1).p0_projection(lad.p0(k + 1)) @ comp.components["zeta_broken"],
-            g_hi,
-            floor,
-        )
-        res["onefield_costate"] = _rel(
-            full.codiff_matrix(lad.p0(k - 1)) @ vec,
-            lad.primal(k - 1).p0_projection(lad.p0(k - 1)) @ comp.components["sigma_broken"],
-            g_lo,
-            floor,
-        )
-        res["onefield_state"] = _rel(
-            full.p0_projection(lad.p0(k)) @ vec, comp.components["omega"], g0, floor
-        )
+        vec = sols["lowest_primal"].components["omega_broken"]
+        D_full, Delta_full = lad.d_matrix(k, "full"), lad.delta_matrix(k, "full")
+        res["onefield_flux"] = rel(D_full @ vec, P_hi_dual @ c["zeta_broken"], g_hi)
+        res["onefield_costate"] = rel(Delta_full @ vec, P_lo @ c["sigma_broken"], g_lo)
+        res["onefield_state"] = rel(lad.p0_projection(k, "full") @ vec, c["omega"], g0)
     verdict = "pass" if all(v < 1e-9 for v in res.values()) else "fail"
     return EquivalenceReport(res, verdict)
 

@@ -7,6 +7,12 @@ constraints against a conforming partner) is an atlas matrix whose columns
 are broken coefficient vectors.  Differentials of all the trimmed families
 land in piecewise-constant forms, so ranges, kernels and decompositions are
 computed inside small piecewise-constant coordinate spaces.
+
+The mesh's `DeRhamLadder` is the one home of the operators of a broken
+space.  For each family (primal, dual, full) and degree it builds the
+cellwise d and delta into piecewise constants, the P0 injection and
+projection, the pairing and each cell's pairing-relative decomposition once,
+and keeps them for the life of the mesh.
 """
 
 import math
@@ -20,9 +26,18 @@ from .errors import (
     InvalidParameter,
     ToleranceFailure,
 )
-from .forms import PolyForm, hodge_star, l2_inner, multiindices, star_sign
+from .forms import (
+    PolyForm,
+    codifferential,
+    exterior_derivative,
+    hodge_star,
+    l2_inner,
+    multiindices,
+    star_sign,
+)
 from .linalg import RANK_TOL, Subspace, nullspace, orthonormalize, rank
 from .local import (
+    LocalSpace,
     decompose_local,
     mixed_local,
     pairing_matrix,
@@ -63,14 +78,6 @@ class P0Space:
                 S[ci * len(target) + pos[comp], self.index(ci, mi)] = sign
         return S
 
-    def form_on_cell(self, vec, cell):
-        out = PolyForm(self.mesh.dim, self.k)
-        for mi, m in enumerate(self.midx):
-            c = vec[self.index(cell, mi)]
-            if c != 0.0:
-                out = out + float(c) * PolyForm.basis_form(self.mesh.dim, m)
-        return out
-
 
 class BrokenSpace:
     """Block product of one local space per cell."""
@@ -97,88 +104,8 @@ class BrokenSpace:
             self._gram = G
         return self._gram
 
-    def _cached(self, name, builder):
-        store = getattr(self, "_matrix_cache", None)
-        if store is None:
-            store = {}
-            self._matrix_cache = store
-        if name not in store:
-            store[name] = builder()
-        return store[name]
-
     def form_on_cell(self, vec, i):
         return self.locals[i].form_from_coeffs(vec[self.cell_slice(i)])
-
-    def expand_field(self, forms, tol=1e-9):
-        """Broken vector of a per-cell field that lies in the local spaces."""
-        vec = np.zeros(self.dim)
-        for i, form in enumerate(forms):
-            vec[self.cell_slice(i)] = self.locals[i].expand(form, tol=tol)
-        return vec
-
-    def p0_injection(self, p0: P0Space):
-        """Inclusion of piecewise constants; they are the leading local basis."""
-
-        def build():
-            J = np.zeros((self.dim, p0.dim))
-            for i in range(self.mesh.num_cells):
-                off = int(self.offsets[i])
-                for mi in range(p0.ncomp):
-                    J[off + mi, p0.index(i, mi)] = 1.0
-            return J
-
-        return self._cached("inject", build)
-
-    def p0_projection(self, p0: P0Space):
-        """L2 projection onto piecewise constants, in coordinates."""
-
-        def build():
-            P = np.zeros((p0.dim, self.dim))
-            for i, sp in enumerate(self.locals):
-                vol = p0.volumes[i]
-                off = int(self.offsets[i])
-                for mi, m in enumerate(p0.midx):
-                    unit = PolyForm.basis_form(self.mesh.dim, m)
-                    for j, w in enumerate(sp.basis):
-                        P[p0.index(i, mi), off + j] = l2_inner(unit, w, sp.cell) / vol
-            return P
-
-        return self._cached("project", build)
-
-    def diff_matrix(self, target: P0Space):
-        """Matrix of the cellwise exterior derivative into constant forms."""
-        from .forms import exterior_derivative
-
-        D = np.zeros((target.dim, self.dim))
-        n = self.mesh.dim
-        for i, sp in enumerate(self.locals):
-            off = int(self.offsets[i])
-            for j, w in enumerate(sp.basis):
-                if sp.k >= n:
-                    continue
-                dw = exterior_derivative(w)
-                if dw.poly_degree() > 0:
-                    raise AssemblyError("differential is not piecewise constant")
-                for (expo, midx), c in dw.terms.items():
-                    D[target.index(i, target.midx.index(midx)), off + j] = c
-        return D
-
-    def codiff_matrix(self, target: P0Space):
-        """Matrix of the cellwise codifferential into constant forms."""
-        from .forms import codifferential
-
-        D = np.zeros((target.dim, self.dim))
-        for i, sp in enumerate(self.locals):
-            off = int(self.offsets[i])
-            for j, w in enumerate(sp.basis):
-                if sp.k == 0:
-                    continue
-                dw = codifferential(w)
-                if dw.poly_degree() > 0:
-                    raise AssemblyError("codifferential is not piecewise constant")
-                for (expo, midx), c in dw.terms.items():
-                    D[target.index(i, target.midx.index(midx)), off + j] = c
-        return D
 
 
 def d_pairing(primal: BrokenSpace, dual: BrokenSpace):
@@ -197,8 +124,6 @@ def block_d_expand(source: BrokenSpace, target: BrokenSpace):
 
     The image of every source basis form must lie in the target local space.
     """
-    from .forms import exterior_derivative
-
     if target.k != source.k + 1:
         raise AssemblyError("derivative must raise the degree by one")
     D = np.zeros((target.dim, source.dim))
@@ -229,7 +154,11 @@ def star_block_matrix(source: BrokenSpace, target: BrokenSpace):
 
 @dataclass
 class GlobalSpace:
-    """A subspace of a broken space given by an atlas of coefficient columns."""
+    """A subspace of a broken space given by an atlas of coefficient columns.
+
+    ``span`` is the atlas as an orthonormal `Subspace`; a constructor that
+    already holds one passes it, otherwise `subspace` builds it on first use.
+    """
 
     broken: BrokenSpace
     atlas: np.ndarray
@@ -237,6 +166,7 @@ class GlobalSpace:
     bc: str = "none"
     anchors: list = field(default_factory=list)
     constraint_rank: int = 0
+    span: Subspace = field(default=None, repr=False, compare=False)
 
     @property
     def mesh(self):
@@ -254,24 +184,19 @@ class GlobalSpace:
         return self.atlas.T @ self.broken.gram() @ self.atlas
 
     def gram_energy(self):
-        """Gram of the applicable differential; zero blocks at the chain ends."""
+        """Gram of the applicable differential; zero at the chain ends."""
         lad = ladder(self.mesh)
-        if self.broken.name in ("primal", "full"):
-            if self.k >= self.mesh.dim:
-                return np.zeros((self.dim, self.dim))
-            D = self.broken.diff_matrix(lad.p0(self.k + 1)) @ self.atlas
-            return D.T @ lad.p0(self.k + 1).gram @ D
-        if self.k == 0:
-            return np.zeros((self.dim, self.dim))
-        D = self.broken.codiff_matrix(lad.p0(self.k - 1)) @ self.atlas
-        return D.T @ lad.p0(self.k - 1).gram @ D
+        if self.broken.name == "dual":
+            D, g = lad.delta_matrix(self.k, "dual"), lad.p0(self.k - 1).gram
+        else:
+            D, g = lad.d_matrix(self.k, self.broken.name), lad.p0(self.k + 1).gram
+        DA = D @ self.atlas
+        return DA.T @ g @ DA
 
     def subspace(self):
-        cached = getattr(self, "_subspace", None)
-        if cached is None:
-            cached = Subspace.from_span(self.atlas, self.broken.gram())
-            self._subspace = cached
-        return cached
+        if self.span is None:
+            self.span = Subspace.from_span(self.atlas, self.broken.gram())
+        return self.span
 
 
 @dataclass
@@ -312,10 +237,14 @@ class BasisAtlas:
 
 
 class DeRhamLadder:
-    """Per-mesh cache of broken spaces, conforming atlases and derived maps.
+    """Per-mesh cache of broken spaces, their operators and conforming atlases.
 
-    The mesh owns its one ladder (see `ladder`); interpolators and mixed
-    spaces are kept here too, so all of it is freed with the mesh.
+    This is the one place that builds the operators of a broken space, for
+    each family (`primal`, `dual`, `full`) and degree: the cellwise d and
+    delta into piecewise constants, the P0 injection and projection, the
+    pairing, and each cell's pairing-relative decomposition.  The mesh owns
+    its one ladder (see `ladder`); interpolators and mixed spaces are kept
+    here too, so all of it is freed with the mesh.
     """
 
     def __init__(self, mesh):
@@ -330,45 +259,109 @@ class DeRhamLadder:
     def p0(self, k):
         return self._get(("p0", k), lambda: P0Space(self.mesh, k))
 
+    def broken(self, k, family):
+        """Broken trimmed k-forms of one family: 'primal', 'dual' or 'full'."""
+        if family == "full":
+            factory = lambda c: mixed_local(c, k)  # noqa: E731
+        elif family in ("primal", "dual"):
+            factory = lambda c: whitney_local(c, k, family)  # noqa: E731
+        else:
+            raise InvalidParameter("unknown broken family %r" % (family,))
+        return self._get((family, k), lambda: BrokenSpace(self.mesh, k, factory, family))
+
     def primal(self, k):
-        return self._get(
-            ("primal", k),
-            lambda: BrokenSpace(
-                self.mesh, k, lambda c: whitney_local(c, k, "primal"), "primal"
-            ),
-        )
+        return self.broken(k, "primal")
 
     def dual(self, k):
-        return self._get(
-            ("dual", k),
-            lambda: BrokenSpace(
-                self.mesh, k, lambda c: whitney_local(c, k, "dual"), "dual"
-            ),
-        )
+        return self.broken(k, "dual")
 
     def full(self, k):
+        return self.broken(k, "full")
+
+    def d_matrix(self, k, family="primal"):
+        """Cellwise exterior derivative into constant (k+1)-forms."""
         return self._get(
-            ("full", k),
-            lambda: BrokenSpace(self.mesh, k, lambda c: mixed_local(c, k), "full"),
+            ("d", k, family), lambda: self._cellwise(k, family, k + 1, exterior_derivative)
         )
 
-    def d_matrix(self, k, variant="primal"):
-        source = getattr(self, variant)(k)
+    def delta_matrix(self, k, family="dual"):
+        """Cellwise codifferential into constant (k-1)-forms."""
         return self._get(
-            ("d", k, variant), lambda: source.diff_matrix(self.p0(k + 1))
+            ("delta", k, family), lambda: self._cellwise(k, family, k - 1, codifferential)
         )
 
-    def delta_matrix(self, k, variant="dual"):
-        source = getattr(self, variant)(k)
-        return self._get(
-            ("delta", k, variant), lambda: source.codiff_matrix(self.p0(k - 1))
-        )
+    def _cellwise(self, k, family, target_k, op):
+        """Matrix of d or delta on every local basis form, in P0 coordinates.
+
+        The target is empty at the chain ends (d at the top degree, delta at
+        degree 0), where the matrix has no rows.
+        """
+        source, target = self.broken(k, family), self.p0(target_k)
+        D = np.zeros((target.dim, source.dim))
+        if target.dim == 0:
+            return D
+        for i, sp in enumerate(source.locals):
+            off = int(source.offsets[i])
+            for j, w in enumerate(sp.basis):
+                image = op(w)
+                if image.poly_degree() > 0:
+                    raise AssemblyError("%s is not piecewise constant" % op.__name__)
+                for (_, midx), c in image.terms.items():
+                    D[target.index(i, target.midx.index(midx)), off + j] = c
+        return D
+
+    def p0_injection(self, k, family="primal"):
+        """Inclusion of constant k-forms; they are the leading local basis."""
+
+        def build():
+            broken, p0 = self.broken(k, family), self.p0(k)
+            J = np.zeros((broken.dim, p0.dim))
+            for i in range(self.mesh.num_cells):
+                off = int(broken.offsets[i])
+                for mi in range(p0.ncomp):
+                    J[off + mi, p0.index(i, mi)] = 1.0
+            return J
+
+        return self._get(("p0-injection", k, family), build)
+
+    def p0_projection(self, k, family="primal"):
+        """L2 projection onto constant k-forms, in coordinates."""
+
+        def build():
+            broken, p0 = self.broken(k, family), self.p0(k)
+            P = np.zeros((p0.dim, broken.dim))
+            for i, sp in enumerate(broken.locals):
+                vol = p0.volumes[i]
+                off = int(broken.offsets[i])
+                for mi, m in enumerate(p0.midx):
+                    unit = PolyForm.basis_form(self.mesh.dim, m)
+                    for j, w in enumerate(sp.basis):
+                        P[p0.index(i, mi), off + j] = l2_inner(unit, w, sp.cell) / vol
+            return P
+
+        return self._get(("p0-projection", k, family), build)
 
     def pairing(self, k):
         """Pairing of broken primal k-forms with broken dual (k+1)-forms."""
         return self._get(
             ("pairing", k), lambda: d_pairing(self.primal(k), self.dual(k + 1))
         )
+
+    def local_decompositions(self, k):
+        """Each cell's decomposition of (primal k-forms, dual (k+1)-forms).
+
+        At the top degree the dual side is the empty space of (n+1)-forms.
+        """
+
+        def build():
+            primal = self.primal(k).locals
+            if k < self.mesh.dim:
+                duals = self.dual(k + 1).locals
+            else:
+                duals = [LocalSpace(sp.cell, k + 1, [], op="delta") for sp in primal]
+            return [decompose_local(p, q) for p, q in zip(primal, duals)]
+
+        return self._get(("localdec", k), build)
 
     def whitney(self, k, bc="none"):
         return self._get(("whitney", k, bc), lambda: conforming_whitney(self.mesh, k, bc, self))
@@ -389,17 +382,6 @@ class DeRhamLadder:
             ("abc-atlas", k, bc), lambda: abcfes_local_basis(self.mesh, k, bc, self)
         )
 
-    def local_decompositions(self, k):
-        def build():
-            out = []
-            for i in range(self.mesh.num_cells):
-                out.append(
-                    decompose_local(self.primal(k).locals[i], self.dual(k + 1).locals[i])
-                )
-            return out
-
-        return self._get(("localdec", k), build)
-
 
 def ladder(mesh):
     """The mesh's ladder, built on first use; it is freed with the mesh."""
@@ -413,8 +395,7 @@ def ladder(mesh):
 
 def broken_space(mesh, k, variant="primal"):
     """The whole broken trimmed space as a GlobalSpace (identity atlas)."""
-    lad = ladder(mesh)
-    broken = getattr(lad, variant)(k)
+    broken = ladder(mesh).broken(k, variant)
     return GlobalSpace(broken, np.eye(broken.dim), kind="broken")
 
 
@@ -493,8 +474,8 @@ def abcfes_by_constraints(mesh, k, bc="none", lad=None):
         kind="abc" if bc == "none" else "abc0",
         bc=bc,
         constraint_rank=r,
+        span=Subspace(broken.dim, A, broken.gram()),
     )
-    gs._subspace = Subspace(broken.dim, A, broken.gram())
     return gs, ConstraintSet(C, partner)
 
 

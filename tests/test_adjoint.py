@@ -398,7 +398,7 @@ class TestComplexDuality:
                 hi, _ = lad.abc(k + 1, bc)
                 img = lad.d_matrix(k) @ lo.atlas
                 DA = lad.d_matrix(k + 1) @ (
-                    lad.primal(k + 1).p0_injection(lad.p0(k + 1)) @ img
+                    lad.p0_injection(k + 1) @ img
                 )
                 primal_contained = np.abs(DA).max(initial=0.0) < 1e-11
                 # adjoint chain: image of the conjugated space two levels up
@@ -406,7 +406,7 @@ class TestComplexDuality:
                 top = lad.whitney_star(k + 2, star_bc)
                 img2 = lad.delta_matrix(k + 2) @ top.atlas
                 DD = lad.delta_matrix(k + 1) @ (
-                    lad.dual(k + 1).p0_injection(lad.p0(k + 1)) @ img2
+                    lad.p0_injection(k + 1, "dual") @ img2
                 )
                 adjoint_contained = np.abs(DD).max(initial=0.0) < 1e-11
                 assert primal_contained == adjoint_contained == True  # noqa: E712

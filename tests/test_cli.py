@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padfeec.cli import main
 from padfeec.report import CheckRecord, Report, RunConfig, roundtrip
@@ -114,6 +116,44 @@ class TestCli:
         assert err.startswith("error: InvalidParameter") and reason in err
         assert err.count("\n") == 1
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"mesh_fle": "x"}))
+        code, out, err = run_cli(["--config", str(conf), "mesh", "info"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter") and "mesh_fle" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("load", ["poly:x", "poly:-1", "poly:"])
+    def test_bad_poly_seed_rejected(self, capsys, load):
+        code, out, err = run_cli(["solve", "source", "--mesh", "box:2", "--load", load], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,mesh,k",
+        [("source", "box:2", 2), ("eigen", "box:2", 2), ("eigen", "tetbox:1", 3)],
+    )
+    def test_source_and_eigen_refuse_top_degree(self, capsys, command, mesh, k):
+        code, out, err = run_cli(["solve", command, "--mesh", mesh, "--k", str(k)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
+        assert "0..%d" % (k - 1) in err
+
+    def test_interp_top_degree_skips_stability(self, capsys):
+        code, out, _ = run_cli(["verify", "interp", "--mesh", "box:2", "--k", "2"], capsys)
+        assert code == 0
+        records = {r["name"]: r for r in json.loads(out)["records"]}
+        assert list(records) == [
+            "interp-projectivity",
+            "interp-commutation",
+            "interp-domain-preservation",
+            "interp-stability",
+        ]
+        assert records["interp-stability"]["verdict"] == "skipped"
+        assert "top degree" in records["interp-stability"]["note"]
+        assert all(r["verdict"] == "pass" for r in list(records.values())[:3])
+
     def test_bad_levels_rejected(self, capsys):
         code, _, err = run_cli(
             ["verify", "base-pair", "--mesh", "box:2", "--levels", "2,x"], capsys
@@ -146,6 +186,52 @@ class TestCli:
         lines = out.strip().splitlines()
         assert lines[0] == "record,key,value,verdict"
         assert any("alpha" in line for line in lines)
+
+
+CONFIG_KEYS = ("mesh", "mesh_file", "k", "bc", "scheme", "load", "eig_tol", "out", "fmt")
+NOT_STRING = st.one_of(st.integers(), st.floats(), st.booleans(), st.lists(st.text(), max_size=2))
+NOT_NUMBER = st.one_of(st.text(max_size=5), st.booleans(), st.lists(st.integers(), max_size=2))
+
+# Each member holds exactly one bad entry; None values count as absent.
+MALFORMED_CONFIG = st.one_of(
+    st.dictionaries(
+        st.text(max_size=8).filter(lambda key: key not in CONFIG_KEYS),
+        st.integers(),
+        min_size=1,
+        max_size=2,
+    ),
+    st.sampled_from(["mesh", "mesh_file", "bc", "scheme", "load", "out", "fmt"]).flatmap(
+        lambda key: NOT_STRING.map(lambda value: {key: value})
+    ),
+    st.one_of(NOT_NUMBER, st.floats(), st.integers().filter(lambda k: not 0 <= k <= 3)).map(
+        lambda value: {"k": value}
+    ),
+    st.one_of(
+        NOT_NUMBER,
+        st.floats(max_value=0.0),
+        st.just(float("inf")),
+        st.just(float("nan")),
+    ).map(lambda value: {"eig_tol": value}),
+    st.text(max_size=12)
+    .filter(lambda v: v not in ("none", "homogeneous"))
+    .map(lambda value: {"bc": value}),
+    st.text(max_size=6).filter(lambda v: v not in ("json", "csv")).map(lambda v: {"fmt": v}),
+)
+
+
+class TestConfigFuzz:
+    @given(MALFORMED_CONFIG)
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_malformed_config_exits_2_with_one_line(self, tmp_path, capsys, data):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(data))
+        code, out, err = run_cli(["--config", str(conf), "mesh", "info"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
 
 
 class TestReport:

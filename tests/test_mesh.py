@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from padfeec.cli import main
 from padfeec.errors import InvalidParameter, MeshError, Unsupported
 from padfeec.mesh import (
     Mesh,
@@ -203,3 +206,116 @@ class TestValidation:
         for mesh in (generate_structured(2, 2), generate_structured(3, 1)):
             for i in range(mesh.num_cells):
                 assert mesh.signed_volume(i) > 0
+
+
+# -- malformed mesh files ----------------------------------------------------------
+
+VALID = {
+    "dim": 2,
+    "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
+    "cells": [[0, 1, 3], [0, 3, 2]],
+}
+
+JUNK = st.one_of(
+    st.text(max_size=5),
+    st.none(),
+    st.booleans(),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.lists(st.integers(), max_size=2),
+)
+BAD_COORDINATE = st.one_of(
+    JUNK,
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400]),
+)
+BAD_INDEX = st.one_of(
+    JUNK,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers().filter(lambda v: not 0 <= v < 4),
+)
+
+
+def _with(path, value):
+    """VALID with the entry at ``path`` replaced by ``value``."""
+    data = json.loads(json.dumps(VALID))
+    *head, last = path
+    target = data
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+WRONG_DIM = st.one_of(JUNK, st.floats(), st.integers().filter(lambda d: d != 2))
+WRONG_VERTICES = st.one_of(
+    JUNK, st.lists(st.lists(st.floats(0, 1), min_size=3, max_size=3), min_size=1, max_size=4)
+)
+WRONG_CELLS = st.one_of(
+    JUNK,
+    st.just([]),
+    st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1, max_size=2),
+)
+WRONG_CELL = st.one_of(
+    JUNK.filter(lambda v: not isinstance(v, list)), st.lists(st.integers(0, 3), max_size=2)
+)
+VERTEX_ENTRY = st.tuples(st.just("vertices"), st.integers(0, 3), st.integers(0, 1))
+CELL_ENTRY = st.tuples(st.just("cells"), st.integers(0, 1), st.integers(0, 2))
+
+# Each member is malformed: one corrupted entry, field or key, or no object at all.
+MALFORMED_MESH = st.one_of(
+    st.builds(_with, VERTEX_ENTRY, BAD_COORDINATE),
+    st.builds(_with, CELL_ENTRY, BAD_INDEX),
+    st.builds(_with, st.just(("dim",)), WRONG_DIM),
+    st.builds(_with, st.just(("vertices",)), WRONG_VERTICES),
+    st.builds(_with, st.just(("cells",)), WRONG_CELLS),
+    st.builds(_with, st.tuples(st.just("cells"), st.integers(0, 1)), WRONG_CELL),
+    st.sampled_from(sorted(VALID)).map(lambda key: {k: v for k, v in VALID.items() if k != key}),
+    JUNK.filter(lambda v: not isinstance(v, dict)),
+)
+
+
+class TestMalformedMeshFiles:
+    def _info(self, tmp_path, capsys, text):
+        path = tmp_path / "mesh.json"
+        path.write_text(text)
+        code = main(["mesh", "info", "--mesh-file", str(path)])
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_valid_file_loads(self, tmp_path, capsys):
+        code, out, _ = self._info(tmp_path, capsys, json.dumps(VALID))
+        assert code == 0 and json.loads(out)["records"][0]["numbers"]["cells"] == 2
+
+    @pytest.mark.parametrize(
+        "data,reason",
+        [
+            (_with(("vertices", 1, 1), "a"), "numbers"),
+            (_with(("vertices", 1, 1), "1"), "numbers"),
+            (_with(("vertices", 1, 1), float("nan")), "finite"),
+            (_with(("vertices", 1, 1), float("inf")), "finite"),
+            (_with(("cells", 0, 2), 2.5), "not an integer"),
+            (_with(("cells", 0, 2), 3.0), "not an integer"),
+        ],
+        ids=["coordinate-text", "coordinate-numeric-text", "coordinate-nan", "coordinate-inf",
+             "index-fraction", "index-float"],
+    )
+    def test_bad_entries_refused(self, tmp_path, capsys, data, reason):
+        code, out, err = self._info(tmp_path, capsys, json.dumps(data))
+        assert code == 2 and out == ""
+        assert err.startswith("error: MeshError") and reason in err
+        assert err.count("\n") == 1
+
+    def test_not_json_refused(self, tmp_path, capsys):
+        code, out, err = self._info(tmp_path, capsys, "{not json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: MeshError") and err.count("\n") == 1
+
+    @given(MALFORMED_MESH)
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_fuzz_malformed_exits_2_with_one_line(self, tmp_path, capsys, data):
+        code, out, err = self._info(tmp_path, capsys, json.dumps(data))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -53,7 +53,7 @@ class TestSourceSchemes:
         sp = solve_source_primal(BOX2, 0, load)
         lad = ladder(BOX2)
         om = sp.components["omega_broken"]
-        proj = lad.primal(0).p0_projection(lad.p0(0)) @ om
+        proj = lad.p0_projection(0) @ om
         assert np.abs(proj - c).max() < 1e-12
         assert np.abs(lad.d_matrix(0) @ om).max() < 1e-12
 
@@ -68,7 +68,7 @@ class TestSourceSchemes:
         gs, _ = lad.abc(0, "none")
         A = gs.atlas
         DA = lad.d_matrix(0) @ A
-        P = lad.primal(0).p0_projection(lad.p0(0)) @ A
+        P = lad.p0_projection(0) @ A
         K = DA.T @ lad.p0(1).gram @ DA + P.T @ lad.p0(0).gram @ P
         assert np.abs(K - K.T).max() < 1e-13 * np.abs(K).max()
 
@@ -78,7 +78,7 @@ class TestSourceSchemes:
         lad = ladder(BOX3)
         om = sp.components["omega_broken"]
         d = lad.d_matrix(0) @ om
-        P = lad.primal(0).p0_projection(lad.p0(0)) @ om
+        P = lad.p0_projection(0) @ om
         lhs = d @ lad.p0(1).gram @ d + P @ lad.p0(0).gram @ P
         rhs = P @ sp.meta["moments"]
         assert abs(lhs - rhs) < 1e-11 * max(abs(rhs), 1.0)
@@ -123,7 +123,7 @@ class TestEigenSchemes:
         gs, _ = lad.abc(0, "none")
         A = gs.atlas
         DA = lad.d_matrix(0) @ A
-        P = lad.primal(0).p0_projection(lad.p0(0)) @ A
+        P = lad.p0_projection(0) @ A
         kernel_dim = A.shape[1] - rank(DA)
         mass_free = A.shape[1] - rank(np.vstack([DA, P]))
         expected_zeros = kernel_dim - mass_free

@@ -31,7 +31,7 @@ class TestBrokenSpaces:
         lad = ladder(BOX2)
         gs = broken_space(BOX2, 2, "primal")
         # d vanishes identically at the top degree: no admissible image space
-        D = lad.primal(2).diff_matrix(lad.p0(2))  # placeholder target, d == 0
+        D = lad.d_matrix(2)
         assert not D.any()
 
     def test_gram_block_diagonal_spd(self):
@@ -44,14 +44,13 @@ class TestBrokenSpaces:
         lad = ladder(BOX2)
         D0 = lad.d_matrix(0)
         D1 = lad.d_matrix(1)
-        J = lad.primal(1).p0_injection(lad.p0(1))
+        J = lad.p0_injection(1)
         assert np.abs(D1 @ J @ D0).max() < 1e-13
 
     def test_projection_of_injection_is_identity(self):
         lad = ladder(BOX2)
-        br = lad.primal(1)
-        J = br.p0_injection(lad.p0(1))
-        P = br.p0_projection(lad.p0(1))
+        J = lad.p0_injection(1)
+        P = lad.p0_projection(1)
         assert np.allclose(P @ J, np.eye(lad.p0(1).dim), atol=1e-13)
 
 
@@ -129,7 +128,7 @@ class TestAbcByConstraints:
         lower, _ = lad.abc(0, "none")
         upper, cons_upper = lad.abc(1, "none")
         D = lad.d_matrix(0)
-        J = lad.primal(1).p0_injection(lad.p0(1))
+        J = lad.p0_injection(1)
         image = J @ D @ lower.atlas
         assert np.abs(cons_upper.matrix @ image).max() < 1e-11
 
@@ -282,3 +281,57 @@ class TestLadderOwnership:
         report = cli.run(RunConfig("suite all").validate(), fast=True)
         assert report.all_passed
         assert len(built) == 3
+
+
+class TestLadderOperators:
+    @pytest.mark.parametrize("mesh", [BOX2, BOX3], ids=["box:2", "tetbox:1"])
+    @pytest.mark.parametrize("family", ["primal", "dual", "full"])
+    def test_p0_projection_inverts_injection(self, mesh, family):
+        lad = ladder(mesh)
+        for k in range(mesh.dim + 1):
+            J = lad.p0_injection(k, family)
+            P = lad.p0_projection(k, family)
+            dims = (lad.p0(k).dim, lad.broken(k, family).dim)
+            assert P.shape == dims and J.shape == dims[::-1]
+            assert np.allclose(P @ J, np.eye(dims[0]), atol=1e-13)
+            assert lad.p0_projection(k, family) is P
+
+    @pytest.mark.parametrize("family", ["primal", "dual", "full"])
+    def test_d_and_delta_land_in_constants_of_the_next_degree(self, family):
+        lad = ladder(BOX2)
+        for k in range(3):
+            assert lad.d_matrix(k, family).shape == (lad.p0(k + 1).dim, lad.broken(k, family).dim)
+            assert lad.delta_matrix(k, family).shape == (
+                lad.p0(k - 1).dim,
+                lad.broken(k, family).dim,
+            )
+        assert lad.d_matrix(2, family).shape[0] == 0
+        assert lad.delta_matrix(0, family).shape[0] == 0
+
+    def test_unknown_family_refused(self):
+        from padfeec.errors import InvalidParameter
+
+        with pytest.raises(InvalidParameter):
+            ladder(BOX2).d_matrix(0, "whitney")
+
+    def test_interpolator_reuses_the_cell_decompositions(self, monkeypatch):
+        import padfeec
+        from padfeec import local
+        from padfeec.interp import global_interpolator
+
+        calls = []
+        original = local.decompose_local
+
+        def counted(primal, dual):
+            calls.append(primal.cell)
+            return original(primal, dual)
+
+        # patch every module-level binding of the function
+        for name in dir(padfeec):
+            module = getattr(padfeec, name)
+            if getattr(module, "decompose_local", None) is original:
+                monkeypatch.setattr(module, "decompose_local", counted)
+        mesh = generate_structured(2, 2)
+        ladder(mesh).abc_atlas(0)
+        global_interpolator(mesh, 0)
+        assert len(calls) == mesh.num_cells
