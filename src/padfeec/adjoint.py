@@ -486,8 +486,15 @@ def harmonic_space(mesh, k, flavor):
 
     Flavors: 'abc'/'abc0' use the nonconforming ladder, 'conforming'/
     'conforming0' the conforming Whitney one, 'star'/'star0' the conjugated
-    codifferential ladder.
+    codifferential ladder.  Each space is built once per mesh and kept in its
+    ladder; the basis is read-only because every caller shares it.
     """
+    return ladder(mesh)._get(
+        ("harmonic", k, flavor), lambda: _build_harmonic_space(mesh, k, flavor)
+    )
+
+
+def _build_harmonic_space(mesh, k, flavor):
     lad = ladder(mesh)
     n = mesh.dim
     g = lad.p0(k).gram
@@ -542,7 +549,9 @@ def harmonic_space(mesh, k, flavor):
         raise AssemblyError("unknown harmonic flavor %r" % (flavor,))
     if R.dim and not N.contains(R.basis, tol=1e-8):
         raise NotAComplex("range is not contained in the kernel (flavor %s)" % flavor)
-    return HarmonicSpace(gram_complement(R, N, g), k, flavor)
+    H = gram_complement(R, N, g)
+    H.basis.flags.writeable = False
+    return HarmonicSpace(H, k, flavor)
 
 
 def pl_duality_check(mesh, k):

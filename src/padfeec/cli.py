@@ -148,6 +148,7 @@ def cmd_space_build(mesh, config, report, kind):
 def cmd_verify_base_pair(mesh, config, report, name="base-pair"):
     from .adjoint import base_pair_report, quantified_crt_check, whitney_pair
 
+    _require_below_top(mesh, config.k, "verify base-pair")
     rep = base_pair_report(mesh, config.k, eig_tol=config.eig_tol)
     pair = whitney_pair(mesh, config.k, config.bc)
     icr_p, icr_a, bound_ok = quantified_crt_check(pair, rep, eig_tol=config.eig_tol)
@@ -291,7 +292,7 @@ def cmd_verify_complex(mesh, config, report):
 
 
 def _require_below_top(mesh, k, command):
-    """Source and eigen problems pair degree k with k+1, so k must be below n."""
+    """Base pairs, source and eigen problems pair degree k with k+1, so k < n."""
     if k > mesh.dim - 1:
         raise InvalidParameter(
             "%s needs degree k in 0..%d on a %d-D mesh, got %d"

@@ -346,7 +346,10 @@ def pencil_nonzero_eigs(K, M, rel_tol=1e-9):
 def solve_symmetric(A, b, refine=True):
     """Dense symmetric-indefinite solve with one step of iterative refinement.
 
-    Returns (x, relative_residual, condition_estimate).
+    Returns (x, relative_residual, condition_estimate).  The condition
+    estimate is LAPACK's 1-norm estimate (``gecon``) rounded to 6 significant
+    digits: its last digits vary between identical processes, and the
+    rounding keeps reports byte-for-byte deterministic.
     """
     A = _as_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -362,5 +365,5 @@ def solve_symmetric(A, b, refine=True):
     anorm = np.linalg.norm(A, 1)
     gecon = scipy.linalg.get_lapack_funcs("gecon", (A,))
     rcond, _ = gecon(lu, anorm)
-    cond = float(1.0 / rcond) if rcond > 0 else np.inf
+    cond = float("%.6g" % (1.0 / rcond)) if rcond > 0 else np.inf
     return x, rel, cond

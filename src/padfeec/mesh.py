@@ -18,6 +18,11 @@ from .errors import InvalidParameter, MeshError, Unsupported
 from .forms import CellGeometry
 
 
+# A cell is degenerate when |det| of its edge vectors is at most this times
+# its longest edge to the power n: the test does not depend on the mesh scale.
+DEGENERACY_TOL = 1e-10
+
+
 @dataclass
 class SubSimplexTable:
     """All k-sub-simplices of a mesh plus cell incidence and boundary flags."""
@@ -55,8 +60,6 @@ class Mesh:
             raise MeshError("cells must be lists of vertex indices") from exc
         if not raw:
             raise MeshError("mesh has no cells")
-        self.cells = []
-        self.cell_orientations = []
         for c in raw:
             if len(c) != dim + 1:
                 raise MeshError("cell %s must have %d vertices" % (c, dim + 1))
@@ -64,18 +67,24 @@ class Mesh:
                 raise MeshError("cell %s has repeated vertices" % (c,))
             if max(c) >= len(self.vertices) or min(c) < 0:
                 raise MeshError("cell %s references a missing vertex" % (c,))
-            srt = tuple(sorted(c))
-            det = np.linalg.det(
-                (self.vertices[list(srt[1:])] - self.vertices[srt[0]]).T
+        self.cells = tuple(tuple(sorted(c)) for c in raw)
+        corners = self.vertices[np.array(self.cells)]  # (cells, n+1, n)
+        dets = np.linalg.det(np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2))
+        longest = np.max(
+            [np.linalg.norm(corners[:, a] - corners[:, b], axis=1)
+             for a, b in itertools.combinations(range(dim + 1), 2)],
+            axis=0,
+        )
+        bad = np.flatnonzero(np.abs(dets) <= DEGENERACY_TOL * longest**dim)
+        if bad.size:
+            ci = bad[0]
+            raise MeshError(
+                "cell %s is degenerate: |det| %.3g <= %g x longest edge^%d"
+                % (raw[ci], abs(dets[ci]), DEGENERACY_TOL, dim)
             )
-            if det == 0.0:
-                raise MeshError("cell %s is degenerate" % (c,))
-            # the stored orientation is the sign of the volume form in the
-            # ascending vertex order, so the oriented volume is positive
-            self.cells.append(srt)
-            self.cell_orientations.append(int(np.sign(det)))
-        self.cells = tuple(self.cells)
-        self.cell_orientations = np.asarray(self.cell_orientations, dtype=int)
+        # the stored orientation is the sign of the volume form in the
+        # ascending vertex order, so the oriented volume is positive
+        self.cell_orientations = np.sign(dets).astype(int)
         self.domain_volume = domain_volume
         self._tables = {}
         self._geometry = {}

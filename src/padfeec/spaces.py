@@ -236,6 +236,26 @@ class BasisAtlas:
         return sum(1 for f in self.functions if f.category == category)
 
 
+# Largest dense float64 matrix a ladder may need, in MiB (box:32 needs 512).
+DENSE_LIMIT_MB = 1024
+
+
+def _largest_dense_dim(mesh):
+    """Order of the largest dense matrix a ladder builds on ``mesh``.
+
+    The widest broken space has one block per cell, of the widest local
+    space: C(n+1, k+1) trimmed forms in the primal and dual families, and
+    C(n, k-1) + C(n, k) + C(n, k+1) in the full family, k = 1..n-1.  Its Gram
+    matrix and the nullspace bases of its constraints are square in it.
+    """
+    n = mesh.dim
+    widest = max(
+        [math.comb(n + 1, k + 1) for k in range(n + 1)]
+        + [math.comb(n, k - 1) + math.comb(n, k) + math.comb(n, k + 1) for k in range(1, n)]
+    )
+    return mesh.num_cells * widest
+
+
 class DeRhamLadder:
     """Per-mesh cache of broken spaces, their operators and conforming atlases.
 
@@ -243,11 +263,21 @@ class DeRhamLadder:
     each family (`primal`, `dual`, `full`) and degree: the cellwise d and
     delta into piecewise constants, the P0 injection and projection, the
     pairing, and each cell's pairing-relative decomposition.  The mesh owns
-    its one ladder (see `ladder`); interpolators and mixed spaces are kept
-    here too, so all of it is freed with the mesh.
+    its one ladder (see `ladder`); interpolators, mixed spaces and harmonic
+    spaces are kept here too, so all of it is freed with the mesh.
+
+    A mesh whose largest dense matrix would exceed `DENSE_LIMIT_MB` is
+    refused before anything is built.
     """
 
     def __init__(self, mesh):
+        size = _largest_dense_dim(mesh)
+        megabytes = 8.0 * size * size / 2**20
+        if megabytes > DENSE_LIMIT_MB:
+            raise InvalidParameter(
+                "mesh too large for dense algebra: the largest matrix would be "
+                "%d x %d (%.0f MiB, limit %d MiB)" % (size, size, megabytes, DENSE_LIMIT_MB)
+            )
         self.mesh = mesh
         self._cache = {}
 

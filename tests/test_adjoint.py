@@ -197,6 +197,52 @@ class TestHarmonic:
         assert ok, ang
 
 
+HARMONIC_FLAVORS = ("abc", "abc0", "conforming", "conforming0", "star", "star0")
+
+
+class TestHarmonicCache:
+    def test_second_call_returns_the_cached_space(self):
+        mesh = generate_structured(2, 2)
+        assert harmonic_space(mesh, 1, "abc") is harmonic_space(mesh, 1, "abc")
+
+    def test_hodge_all_builds_each_space_once(self, monkeypatch, capsys):
+        import padfeec.adjoint as adjoint
+        from padfeec.cli import main
+
+        built = []
+        builder = adjoint._build_harmonic_space
+
+        def counting(mesh, k, flavor):
+            built.append((k, flavor))
+            return builder(mesh, k, flavor)
+
+        monkeypatch.setattr(adjoint, "_build_harmonic_space", counting)
+        code = main(["solve", "hodge", "--mesh", "box:2", "--k", "1", "--scheme", "all"])
+        capsys.readouterr()
+        assert code == 0
+        assert built == [(1, "abc"), (1, "star0")]
+
+    def test_cached_spaces_equal_fresh_builds(self):
+        from padfeec.adjoint import _build_harmonic_space
+
+        mesh = generate_structured(2, 4, "hole")
+        cached = {flavor: harmonic_space(mesh, 1, flavor) for flavor in HARMONIC_FLAVORS}
+        for flavor, space in cached.items():
+            fresh = _build_harmonic_space(generate_structured(2, 4, "hole"), 1, flavor)
+            assert space.dim == fresh.dim == 1
+            assert np.array_equal(space.subspace.basis, fresh.subspace.basis), flavor
+            with pytest.raises(ValueError):
+                space.subspace.basis[0, 0] = 1.0
+
+    def test_unknown_flavor_caches_nothing(self):
+        from padfeec.errors import AssemblyError
+
+        mesh = generate_structured(2, 2)
+        with pytest.raises(AssemblyError, match="unknown harmonic flavor"):
+            harmonic_space(mesh, 1, "bogus")
+        assert not [key for key in ladder(mesh)._cache if key[0] == "harmonic"]
+
+
 class TestPlDuality:
     def test_hole_identity(self):
         rep = pl_duality_check(HOLE, 1)

@@ -140,6 +140,34 @@ class TestCli:
         assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
         assert "0..%d" % (k - 1) in err
 
+    @pytest.mark.parametrize("mesh,k", [("box:2", 2), ("tetbox:1", 3)])
+    def test_base_pair_refuses_top_degree(self, capsys, mesh, k):
+        code, out, err = run_cli(["verify", "base-pair", "--mesh", mesh, "--k", str(k)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
+        assert "base-pair" in err and "0..%d" % (k - 1) in err
+
+    def test_oversized_mesh_refused_before_allocating(self, capsys):
+        import time
+        import tracemalloc
+
+        import padfeec.solve  # noqa: F401  (keep the import out of the timing)
+
+        args = ["solve", "hodge", "--mesh", "box:64", "--k", "1"]
+        t0 = time.perf_counter()
+        code, out, err = run_cli(args, capsys)
+        elapsed = time.perf_counter() - t0
+        assert code == 2 and out == "" and elapsed < 1.0
+        assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
+        assert "32768 x 32768" in err
+        tracemalloc.start()
+        try:
+            run_cli(args, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_interp_top_degree_skips_stability(self, capsys):
         code, out, _ = run_cli(["verify", "interp", "--mesh", "box:2", "--k", "2"], capsys)
         assert code == 0

@@ -240,6 +240,12 @@ class TestSolveSymmetric:
         assert rel < 1e-13
         assert cond >= 1.0
 
+    def test_condition_estimate_has_six_significant_digits(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((40, 40))
+        _, _, cond = solve_symmetric(M + M.T, rng.standard_normal(40))
+        assert cond > 1.0 and float("%.6g" % cond) == cond
+
 
 class TestOrthonormalize:
     def test_gram_orthonormal(self):

@@ -319,3 +319,38 @@ class TestMalformedMeshFiles:
         code, out, err = self._info(tmp_path, capsys, json.dumps(data))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_degenerate_cell_refused(self, tmp_path, capsys):
+        # area 1e-17: the determinant is not exactly zero, but negligible
+        # against the longest edge squared
+        data = {"dim": 2, "vertices": [[0, 0], [1, 0], [0.5, 2e-17]], "cells": [[0, 1, 2]]}
+        code, out, err = self._info(tmp_path, capsys, json.dumps(data))
+        assert code == 2 and out == ""
+        assert err.startswith("error: MeshError") and "degenerate" in err
+        assert err.count("\n") == 1
+
+    def test_small_well_shaped_cell_loads(self, tmp_path, capsys):
+        data = {"dim": 2, "vertices": [[0, 0], [1e-9, 0], [0, 1e-9]], "cells": [[0, 1, 2]]}
+        code, _, _ = self._info(tmp_path, capsys, json.dumps(data))
+        assert code == 0
+
+
+# every generated level that the tests, demos and benchmark run, and the
+# ROADMAP's tetbox targets
+BUILTIN_LEVELS = (
+    ["box:%d" % n for n in (1, 2, 3, 4, 8, 16)]
+    + ["hole:%d" % n for n in (4, 8, 12)]
+    + ["tetbox:%d" % n for n in (1, 2, 3, 4)]
+)
+
+
+class TestBuiltinLevels:
+    @pytest.mark.parametrize("spec", BUILTIN_LEVELS)
+    def test_level_loads_and_passes_the_size_guard(self, spec):
+        from padfeec.cli import parse_mesh
+        from padfeec.report import RunConfig
+        from padfeec.spaces import ladder
+
+        mesh = parse_mesh(RunConfig(command="mesh info", mesh=spec))
+        assert (mesh.cell_orientations != 0).all()
+        assert ladder(mesh).mesh is mesh
