@@ -60,8 +60,6 @@ class OperatorPair:
 class BasePairReport:
     uM_dim: int
     uN_dim: int
-    MB: Subspace
-    NB: Subspace
     alpha: float
     beta: float
     gamma: float
@@ -183,8 +181,6 @@ def base_pair_report(mesh, k, eig_tol=1e-10):
     # trivial annihilator cores the twisted parts are the whole broken spaces
     # and the dimensions reduce to plain rank counts.
     if uM.dim == 0 and uN.dim == 0:
-        MB = Subspace(primal.dim, np.eye(primal.dim), Gp)
-        NB = Subspace(dual.dim, np.eye(dual.dim), Gq)
         rank_D = _blockdiag_rank(D, lad.p0(k + 1), primal)
         rank_Delta = _blockdiag_rank(Delta, lad.p0(k), dual)
         dim_NT_MB = primal.dim - rank_D
@@ -206,8 +202,6 @@ def base_pair_report(mesh, k, eig_tol=1e-10):
     return BasePairReport(
         uM_dim=uM.dim,
         uN_dim=uN.dim,
-        MB=MB,
-        NB=NB,
         alpha=float(min(alphas)),
         beta=float(min(betas)),
         gamma=float(min(gammas)),
@@ -238,13 +232,9 @@ def _blockdiag_rank(T, p0, broken):
 
 
 def _kernel_in(sub: Subspace, T, gram):
-    if sub.dim == 0:
-        return Subspace.zero(sub.ambient_dim, gram)
     TV = T @ sub.basis
     ns = nullspace(TV / max(np.abs(TV).max(initial=0.0), 1e-300))
-    return Subspace.from_span(sub.basis @ ns.basis, gram) if ns.dim else Subspace.zero(
-        sub.ambient_dim, gram
-    )
+    return Subspace.from_span(sub.basis @ ns.basis, gram)
 
 
 def _twisted_part(broken, T, range_gram, core: Subspace, gram):
@@ -465,8 +455,6 @@ def helmholtz_check(pair: OperatorPair):
 def _p0_kernel(lad, k, broken, T):
     """Kernel of a broken-to-constant operator, as a subspace of constants."""
     ns = nullspace(T / max(np.abs(T).max(initial=0.0), 1e-300))
-    if ns.dim == 0:
-        return Subspace.zero(lad.p0(k).dim, lad.p0(k).gram)
     coords = _p0_coords(lad, k, broken, ns.basis)
     return Subspace.from_span(coords, lad.p0(k).gram)
 
@@ -474,8 +462,6 @@ def _p0_kernel(lad, k, broken, T):
 def _domain_kernel_p0(lad, k, broken, T, domain: Subspace):
     TV = T @ domain.basis
     ns = nullspace(TV / max(np.abs(TV).max(initial=0.0), 1e-300))
-    if ns.dim == 0:
-        return Subspace.zero(lad.p0(k).dim, lad.p0(k).gram)
     vecs = domain.basis @ ns.basis
     coords = _p0_coords(lad, k, broken, vecs)
     return Subspace.from_span(coords, lad.p0(k).gram)

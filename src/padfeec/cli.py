@@ -187,23 +187,23 @@ def cmd_verify_base_pair_levels(config, report, levels):
 def cmd_verify_decomposition(mesh, config, report):
     from .adjoint import helmholtz_check, hodge_check, whitney_pair
 
+    _require_below_top(mesh, config.k, "verify decomposition")
     for bc in ("none", "homogeneous"):
-        if config.k <= mesh.dim - 1:
-            pair = whitney_pair(mesh, config.k, bc)
-            rep = helmholtz_check(pair)
-            report.add(
-                CheckRecord(
-                    "helmholtz-%s" % bc,
-                    rep.verdict,
-                    numbers={
-                        "orthogonality_residual": rep.orthogonality_residual,
-                        "identity_angle": rep.identity_angle,
-                        **{"dim_%s" % n: d for n, d in rep.rhs_dims.items()},
-                    },
-                    inputs={"k": config.k, "bc": bc},
-                )
+        pair = whitney_pair(mesh, config.k, bc)
+        rep = helmholtz_check(pair)
+        report.add(
+            CheckRecord(
+                "helmholtz-%s" % bc,
+                rep.verdict,
+                numbers={
+                    "orthogonality_residual": rep.orthogonality_residual,
+                    "identity_angle": rep.identity_angle,
+                    **{"dim_%s" % n: d for n, d in rep.rhs_dims.items()},
+                },
+                inputs={"k": config.k, "bc": bc},
             )
-    if 1 <= config.k <= mesh.dim - 1:
+        )
+    if config.k >= 1:
         rep = hodge_check(mesh, config.k)
         report.add(
             CheckRecord(
@@ -292,7 +292,7 @@ def cmd_verify_complex(mesh, config, report):
 
 
 def _require_below_top(mesh, k, command):
-    """Base pairs, source and eigen problems pair degree k with k+1, so k < n."""
+    """Base pairs, decompositions, source and eigen problems pair k with k+1, so k < n."""
     if k > mesh.dim - 1:
         raise InvalidParameter(
             "%s needs degree k in 0..%d on a %d-D mesh, got %d"
@@ -686,10 +686,14 @@ def main(argv=None):
         else:
             sys.stdout.buffer.write(payload)
         return 0 if report.all_passed else 1
-    except PadfeecError as exc:
-        sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))
+    except np.linalg.LinAlgError as exc:
+        # a LAPACK factorization that failed: singular, indefinite or not converged
+        sys.stderr.write("error: SolverFailure: %s\n" % exc)
         return 2
-    except OSError as exc:
+    except MemoryError as exc:
+        sys.stderr.write("error: MemoryError: %s\n" % (str(exc) or "out of memory"))
+        return 2
+    except (PadfeecError, OSError) as exc:
         sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))
         return 2
 

@@ -4,7 +4,10 @@ Rank and nullspace detection with explicit relative tolerances, Gram-aware
 orthonormalization, inf-sup constants, indices of closed range, generalized
 eigenproblems and principal angles between subspaces.  Every orthogonality
 notion goes through an explicit Gram matrix; the Euclidean inner product is
-only the special case ``gram=None``.
+only the special case ``gram=None``.  A `Subspace` keeps its basis
+orthonormal in its own ``gram``; the subspace operations orthonormalize only
+a subspace carrying another Gram.  Principal angles take a Cholesky factor of
+their Gram, so a Gram that is not SPD raises `InvalidGram`.
 """
 
 from dataclasses import dataclass, field
@@ -45,8 +48,9 @@ def check_spd(gram, tol=RANK_TOL):
 class Subspace:
     """A subspace of R^ambient_dim, columns of ``basis`` spanning it.
 
-    ``gram`` is the ambient Gram matrix defining the inner product the basis
-    is orthonormal against (None means Euclidean).
+    Invariant: ``basis`` is orthonormal in ``gram``, the ambient Gram matrix
+    the subspace carries, or Euclidean-orthonormal when ``gram`` is None.
+    Every constructor here keeps it; a caller building one directly must too.
     """
 
     ambient_dim: int
@@ -155,26 +159,35 @@ def principal_angles(A: Subspace, B: Subspace, gram=None):
     m = min(p, q)
     if m == 0:
         return np.zeros(0)
-    Qa = orthonormalize(A.basis, gram)
-    Qb = orthonormalize(B.basis, gram)
-    G = np.eye(A.ambient_dim) if gram is None else np.asarray(gram, dtype=float)
-    cos_vals = scipy.linalg.svdvals(Qa.T @ G @ Qb)  # descending: cos(t_1) >= ...
+    Qa = _orthonormal_basis(A, gram)
+    Qb = _orthonormal_basis(B, gram)
+    # Bjorck-Golub cosines, descending: cos(t_1) >= ...
+    cos_vals = scipy.linalg.svdvals(_cross_gram(Qa, gram, Qb))
     cos_vals = np.clip(cos_vals[:m], 0.0, 1.0)
     # sines from the projection residual of the smaller space resolve angles
-    # near zero far better than arccos
+    # near zero far better than arccos; with gram = L L^T its gram-norms are
+    # the Euclidean norms of L^T R (Knyazev-Argentati A-based sines)
     small, big = (Qa, Qb) if p <= q else (Qb, Qa)
-    R = small - big @ (big.T @ (G @ small))
-    sin_vals = np.sort(np.clip(scipy.linalg.svdvals(_gram_sqrt_apply(G, R)), 0.0, 1.0))
+    R = small - big @ (big.T @ (small if gram is None else gram @ small))
+    if gram is not None:
+        try:
+            R = scipy.linalg.cholesky(gram) @ R
+        except np.linalg.LinAlgError:
+            raise InvalidGram("gram matrix is not positive definite") from None
+    sin_vals = np.sort(np.clip(scipy.linalg.svdvals(R), 0.0, 1.0))
     angles = np.where(
         cos_vals > np.sqrt(0.5), np.arcsin(sin_vals[:m]), np.arccos(cos_vals)
     )
     return np.sort(angles)
 
 
-def _gram_sqrt_apply(G, V):
-    w, U = scipy.linalg.eigh(0.5 * (G + G.T))
-    w = np.clip(w, 0.0, None)
-    return (U * np.sqrt(w)) @ (U.T @ V)
+def _orthonormal_basis(S: Subspace, gram):
+    """S's basis if S carries ``gram``, else a ``gram``-orthonormal basis of S."""
+    return S.basis if S.gram is gram else orthonormalize(S.basis, gram)
+
+
+def _cross_gram(A, gram, B):
+    return A.T @ B if gram is None else A.T @ gram @ B
 
 
 def subspace_equal(A: Subspace, B: Subspace, gram=None, tol=1e-8):
@@ -200,12 +213,11 @@ def infsup(A: Subspace, B: Subspace, gram=None, check=True):
         check_spd(gram)
     if A.dim == 0 or B.dim == 0:
         return 0.0
-    Qa = orthonormalize(A.basis, gram)
-    Qb = orthonormalize(B.basis, gram)
-    G = np.eye(A.ambient_dim) if gram is None else np.asarray(gram, dtype=float)
-    s = scipy.linalg.svdvals(Qa.T @ G @ Qb)
     if A.dim > B.dim:
         return 0.0
+    Qa = _orthonormal_basis(A, gram)
+    Qb = _orthonormal_basis(B, gram)
+    s = scipy.linalg.svdvals(_cross_gram(Qa, gram, Qb))
     return float(np.clip(s[A.dim - 1], 0.0, 1.0))
 
 
@@ -252,25 +264,23 @@ def gram_complement(A: Subspace, B: Subspace, gram=None, tol=RANK_TOL):
     if A.ambient_dim != B.ambient_dim:
         raise InvalidMatrix("subspaces live in different ambient dimensions")
     n = A.ambient_dim
-    G = None if gram is None else np.asarray(gram, dtype=float)
-    Qb = orthonormalize(B.basis, G)
-    Bsub = Subspace(n, Qb, G)
+    Qb = _orthonormal_basis(B, gram)
+    Bsub = Subspace(n, Qb, gram)
     if A.dim > 0 and not Bsub.contains(A.basis, tol=max(tol, 1e-9) * 1e3):
         raise NotNested("first subspace is not contained in the second")
     if A.dim == 0:
-        return Subspace(n, Qb.copy(), G)
-    Qa = orthonormalize(A.basis, G)
-    Ggb = Qb if G is None else G @ Qb
+        return Subspace(n, Qb.copy(), gram)
+    Qa = _orthonormal_basis(A, gram)
     # B-coordinates of the complement: kernel of the (dim A x dim B) cross-Gram,
-    # which is well scaled since both bases are orthonormal
-    coords = nullspace(Qa.T @ Ggb, tol=1e-8)
-    Q = orthonormalize(Qb @ coords.basis, G)
-    if Q.shape[1] != B.dim - A.dim:
+    # which is well scaled since both bases are orthonormal.  The coordinates
+    # are Euclidean-orthonormal, so Qb @ coords is gram-orthonormal as it is.
+    coords = nullspace(_cross_gram(Qa, gram, Qb), tol=1e-8)
+    if coords.dim != B.dim - A.dim:
         raise NotNested(
             "complement dimension %d does not match dim B - dim A = %d"
-            % (Q.shape[1], B.dim - A.dim)
+            % (coords.dim, B.dim - A.dim)
         )
-    return Subspace(n, Q, G)
+    return Subspace(n, Qb @ coords.basis, gram)
 
 
 @dataclass

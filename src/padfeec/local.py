@@ -27,7 +27,7 @@ from .forms import (
     l2_inner,
     multiindices,
 )
-from .linalg import RANK_TOL, Subspace, gram_complement, infsup, nullspace
+from .linalg import RANK_TOL, Subspace, gram_complement, infsup, nullspace, orthonormalize
 
 
 @dataclass
@@ -190,7 +190,7 @@ def local_range_kernel(space: LocalSpace, op=None):
         ]
         target = polynomial_space(space.cell, max(k - 1, 0), max(space_degree(space) - 1, 0))
     E = inner_matrix(images, images, space.cell)
-    kernel = _gram_sub(space.dim, nullspace(E).basis, space.gram())
+    kernel = Subspace.from_span(nullspace(E).basis, space.gram())
     cols = []
     for img in images:
         if img.k > n:
@@ -241,21 +241,15 @@ class LocalDecomposition:
     dual_PB_perp: Subspace
 
 
-def _gram_sub(dim, raw_basis, gram):
-    if raw_basis.shape[1] == 0:
-        return Subspace.zero(dim, gram)
-    return Subspace.from_span(raw_basis, gram)
-
-
 def _side_decomposition(dim, gram, energy, pairing_rows, ambient_gram):
     if dim == 0:
         zero = Subspace.zero(0, ambient_gram)
         return zero, zero, zero, zero, zero, zero
     scale = max(np.abs(pairing_rows).max(initial=0.0), 1.0)
     e_scale = max(np.abs(energy).max(initial=0.0), 1e-30)
-    P0 = _gram_sub(dim, nullspace(pairing_rows / scale).basis, ambient_gram)
+    P0 = Subspace.from_span(nullspace(pairing_rows / scale).basis, ambient_gram)
     ring_rows = np.vstack([pairing_rows / scale, energy / e_scale])
-    ring_P0 = _gram_sub(dim, nullspace(ring_rows).basis, ambient_gram)
+    ring_P0 = Subspace.from_span(nullspace(ring_rows).basis, ambient_gram)
     P0_perp = gram_complement(ring_P0, P0, ambient_gram)
     rows = []
     if ring_P0.dim:
@@ -263,7 +257,7 @@ def _side_decomposition(dim, gram, energy, pairing_rows, ambient_gram):
     if P0.dim:
         rows.append(P0.basis.T @ energy)
     if rows:
-        PB = _gram_sub(dim, nullspace(np.vstack(rows)).basis, ambient_gram)
+        PB = Subspace.from_span(nullspace(np.vstack(rows)).basis, ambient_gram)
     else:
         PB = Subspace.full(dim, ambient_gram)
     ring_PB_rows = [energy / e_scale]
@@ -271,7 +265,7 @@ def _side_decomposition(dim, gram, energy, pairing_rows, ambient_gram):
         ring_PB_rows.append(ring_P0.basis.T @ gram)
     if P0.dim:
         ring_PB_rows.append(P0.basis.T @ energy)
-    ring_PB = _gram_sub(dim, nullspace(np.vstack(ring_PB_rows)).basis, ambient_gram)
+    ring_PB = Subspace.from_span(nullspace(np.vstack(ring_PB_rows)).basis, ambient_gram)
     PB_perp = gram_complement(ring_PB, PB, ambient_gram)
     return P0, ring_P0, P0_perp, PB, ring_PB, PB_perp
 
@@ -358,18 +352,6 @@ def fast_local_constants(primal: LocalSpace, dual: LocalSpace, B=None):
     Mp, Ep = primal.gram(), primal.energy_gram()
     Md, Ed = dual.gram(), dual.energy_gram()
 
-    def kernel(E):
-        w, U = np.linalg.eigh(0.5 * (E + E.T))
-        keep = w <= 1e-10 * max(w[-1], 1e-30)
-        return U[:, keep]
-
-    def span_cols(cols, M):
-        # M-orthonormal basis of the column span
-        C = cols.T @ M @ cols
-        w, U = np.linalg.eigh(0.5 * (C + C.T))
-        keep = w > 1e-10 * max(w[-1], 1e-30)
-        return cols @ U[:, keep] / np.sqrt(w[keep])
-
     def pair_infsup(A, Bc, M):
         if A.shape[1] == 0 and Bc.shape[1] == 0:
             return 1.0
@@ -378,16 +360,16 @@ def fast_local_constants(primal: LocalSpace, dual: LocalSpace, B=None):
         s = np.linalg.svd(A.T @ M @ Bc, compute_uv=False)
         return float(np.clip(s[-1], 0.0, 1.0))
 
-    ker_p = kernel(Ep)
+    ker_p = nullspace(Ep).basis
     delta_imgs = np.column_stack(
         [primal.expand(dual.op_image(j)) for j in range(q)]
     ) if q else np.zeros((p, 0))
-    alpha = pair_infsup(span_cols(ker_p, Mp), span_cols(delta_imgs, Mp), Mp)
-    ker_d = kernel(Ed)
+    alpha = pair_infsup(orthonormalize(ker_p, Mp), orthonormalize(delta_imgs, Mp), Mp)
+    ker_d = nullspace(Ed).basis
     d_imgs = np.column_stack(
         [dual.expand(primal.op_image(i)) for i in range(p)]
     ) if p else np.zeros((q, 0))
-    beta = pair_infsup(span_cols(ker_d, Md), span_cols(d_imgs, Md), Md)
+    beta = pair_infsup(orthonormalize(ker_d, Md), orthonormalize(d_imgs, Md), Md)
     Gp = Mp + Ep
     Gq = Md + Ed
     Lp = np.linalg.cholesky(0.5 * (Gp + Gp.T))

@@ -243,6 +243,30 @@ class TestHarmonicCache:
         assert not [key for key in ladder(mesh)._cache if key[0] == "harmonic"]
 
 
+class TestOrthonormalInvariant:
+    """Each basis is orthonormal in the Gram its subspace carries."""
+
+    @staticmethod
+    def _deviation(sub):
+        Q = sub.basis
+        return float(np.abs(Q.T @ sub.gram @ Q - np.eye(sub.dim)).max(initial=0.0))
+
+    @pytest.mark.parametrize("dim,n,domain", [(2, 4, "hole"), (3, 1, "box")])
+    def test_spaces_and_complements(self, dim, n, domain):
+        mesh = generate_structured(dim, n, domain)
+        lad = ladder(mesh)
+        subs = []
+        for k in range(mesh.dim + 1):
+            subs.append(lad.abc(k)[0].subspace())
+            subs.extend(harmonic_space(mesh, k, f).subspace for f in HARMONIC_FLAVORS)
+        for k in range(mesh.dim):
+            g = lad.p0(k + 1).gram
+            big = Subspace.from_span(lad.d_matrix(k) @ lad.abc(k, "none")[0].atlas, g)
+            small = Subspace.from_span(lad.d_matrix(k) @ lad.abc(k, "homogeneous")[0].atlas, g)
+            subs.append(gram_complement(small, big, g))
+        assert max(self._deviation(sub) for sub in subs) <= 1e-12
+
+
 class TestPlDuality:
     def test_hole_identity(self):
         rep = pl_duality_check(HOLE, 1)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -140,12 +141,35 @@ class TestCli:
         assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
         assert "0..%d" % (k - 1) in err
 
+    @pytest.mark.parametrize("command", ["base-pair", "decomposition"])
     @pytest.mark.parametrize("mesh,k", [("box:2", 2), ("tetbox:1", 3)])
-    def test_base_pair_refuses_top_degree(self, capsys, mesh, k):
-        code, out, err = run_cli(["verify", "base-pair", "--mesh", mesh, "--k", str(k)], capsys)
+    def test_base_pair_refuses_top_degree(self, capsys, mesh, k, command):
+        code, out, err = run_cli(["verify", command, "--mesh", mesh, "--k", str(k)], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
-        assert "base-pair" in err and "0..%d" % (k - 1) in err
+        assert "verify " + command in err and "0..%d" % (k - 1) in err
+
+    def test_lapack_failure_is_one_line(self, capsys, monkeypatch):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", fail)
+        code, out, err = run_cli(["solve", "source", "--mesh", "box:2", "--k", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: SolverFailure: singular matrix\n"
+
+    def test_memory_failure_is_one_line(self, capsys, monkeypatch):
+        import padfeec.cli
+
+        def fail(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(padfeec.cli, "generate_structured", fail)
+        code, out, err = run_cli(["mesh", "info", "--mesh", "box:2"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: MemoryError: out of memory\n"
 
     def test_oversized_mesh_refused_before_allocating(self, capsys):
         import time

@@ -268,3 +268,61 @@ class TestPrincipalAngles:
         ang = principal_angles(A, B)
         assert ang[0] == pytest.approx(0.0, abs=1e-12)
         assert ang[1] == pytest.approx(np.pi / 2, abs=1e-12)
+
+
+class TestOrthonormalizeOnce:
+    """A subspace carrying the Gram in use is taken as it is."""
+
+    @staticmethod
+    def _pair(G):
+        rng = np.random.default_rng(3)
+        B = Subspace.from_span(rng.standard_normal((6, 4)), G)
+        A = Subspace.from_span(B.basis @ rng.standard_normal((4, 2)), G)
+        return A, B
+
+    @staticmethod
+    def _count_calls(monkeypatch, A, B, gram):
+        import padfeec.linalg as linalg
+
+        counts = []
+        inner = linalg.orthonormalize
+
+        def counting(*args, **kwargs):
+            counts[-1] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "orthonormalize", counting)
+        for fn in (principal_angles, infsup, gram_complement):
+            counts.append(0)
+            fn(A, B, gram)
+        return counts
+
+    def test_no_calls_when_both_carry_the_gram(self, monkeypatch):
+        G = np.diag(np.arange(1.0, 7.0))
+        A, B = self._pair(G)
+        assert self._count_calls(monkeypatch, A, B, G) == [0, 0, 0]
+
+    @pytest.mark.parametrize("other", ["weighted", "euclidean"])
+    def test_two_calls_when_they_carry_another_gram(self, monkeypatch, other):
+        G = np.diag(np.arange(1.0, 7.0))
+        A, B = self._pair(G)
+        gram = np.diag(np.arange(6.0, 0.0, -1.0)) if other == "weighted" else None
+        assert self._count_calls(monkeypatch, A, B, gram) == [2, 2, 2]
+
+    def test_reused_and_fresh_bases_agree(self):
+        G = np.diag(np.arange(1.0, 7.0))
+        A, B = self._pair(G)
+        # an equal Gram that is another object is orthonormalized against again
+        A2, B2 = Subspace(6, A.basis, G.copy()), Subspace(6, B.basis, G.copy())
+        np.testing.assert_allclose(
+            principal_angles(A, B, G), principal_angles(A2, B2, G), atol=1e-12
+        )
+        C = gram_complement(A, B, G)
+        assert np.abs(C.basis.T @ G @ C.basis - np.eye(C.dim)).max() <= 1e-12
+        assert np.abs(A.basis.T @ G @ C.basis).max() <= 1e-12
+
+    def test_indefinite_gram_raises(self):
+        A = span([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        B = span([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        with pytest.raises(InvalidGram):
+            principal_angles(A, B, np.diag([1.0, -1.0, 1.0]))

@@ -15,6 +15,7 @@ from padfeec.local import (
     decompose_local,
     div_of,
     edge_bubble,
+    fast_local_constants,
     gallery_2d,
     grad_components,
     interior_quadratic,
@@ -391,3 +392,22 @@ class TestMixedLocal:
             assert dw.poly_degree() == 0
             deltaw = codifferential(w)
             assert deltaw.poly_degree() == 0
+
+
+class TestFastLocalConstants:
+    @pytest.mark.parametrize("dim,n,domain", [(2, 2, "box"), (2, 4, "hole"), (3, 1, "box")])
+    def test_matches_full_decomposition(self, dim, n, domain):
+        from padfeec.mesh import generate_structured
+        from padfeec.spaces import ladder
+
+        mesh = generate_structured(dim, n, domain)
+        lad = ladder(mesh)
+        worst = 0.0
+        for k in range(mesh.dim):
+            primal, dual = lad.primal(k), lad.dual(k + 1)
+            for ci in range(mesh.num_cells):
+                p, q = primal.locals[ci], dual.locals[ci]
+                fast = fast_local_constants(p, q)
+                full = local_constants(decompose_local(p, q))
+                worst = max(worst, float(np.abs(np.subtract(fast, full)).max()))
+        assert worst <= 1e-12
