@@ -111,28 +111,26 @@ def cmd_mesh_info(mesh, config, report):
 
 
 def cmd_space_build(mesh, config, report, kind):
-    from .spaces import (
-        broken_space,
-        conforming_whitney,
-        ladder,
-        space_summary,
-        star_space,
-        verify_trace_continuity,
-    )
+    from .spaces import broken_space, ladder, space_summary, verify_trace_continuity
 
+    if config.k > mesh.dim:
+        raise InvalidParameter(
+            "space build needs degree k in 0..%d on a %d-D mesh, got %d"
+            % (mesh.dim, mesh.dim, config.k)
+        )
     lad = ladder(mesh)
     if kind == "broken":
         gs = broken_space(mesh, config.k, "primal")
         summary = space_summary(gs)
         verdict = "pass"
     elif kind == "conforming":
-        gs = conforming_whitney(mesh, config.k, config.bc)
+        gs = lad.whitney(config.k, config.bc)
         mismatch = verify_trace_continuity(gs)
         summary = space_summary(gs)
         summary["trace_mismatch"] = mismatch
         verdict = "pass" if mismatch < 1e-11 else "fail"
     elif kind == "star":
-        gs = star_space(conforming_whitney(mesh, mesh.dim - config.k, config.bc))
+        gs = lad.whitney_star(config.k, config.bc)
         summary = space_summary(gs)
         verdict = "pass"
     elif kind == "abc":
@@ -428,7 +426,8 @@ def cmd_solve_eigen(mesh, config, report):
     )
 
 
-def cmd_solve_hodge(mesh, config, report, check_equivalence=True, export=None):
+def cmd_solve_hodge(mesh, config, report, export=None):
+    """The chosen Hodge schemes; with --scheme all, also their equivalences."""
     from .solve import solve_hodge, verify_hodge_equivalences
 
     load = parse_load(mesh, config.k, config.load)
@@ -454,7 +453,7 @@ def cmd_solve_hodge(mesh, config, report, check_equivalence=True, export=None):
                 inputs={"k": config.k, "load": config.load},
             )
         )
-    if check_equivalence and len(sols) == 4:
+    if config.scheme == "all":
         rep = verify_hodge_equivalences(mesh, config.k, sols)
         report.add(
             CheckRecord(
@@ -607,6 +606,11 @@ def merge_config(args):
     for key, value in cli_map.items():
         if value is not None:
             merged[key] = value
+    # the scheme equivalences run exactly when every scheme does
+    if getattr(args, "check_equivalence", False) and merged["scheme"] != "all":
+        raise InvalidParameter(
+            "--check-equivalence needs --scheme all, got --scheme %s" % (merged["scheme"],)
+        )
     command = "%s %s" % (args.group, args.action)
     return RunConfig(command=command, **merged).validate()
 
@@ -647,14 +651,7 @@ def run(config: RunConfig, **options):
     elif group == "solve" and action == "eigen":
         cmd_solve_eigen(parse_mesh(config), config, report)
     elif group == "solve" and action == "hodge":
-        cmd_solve_hodge(
-            parse_mesh(config),
-            config,
-            report,
-            check_equivalence=options.get("check_equivalence", False)
-            or config.scheme == "all",
-            export=options.get("export"),
-        )
+        cmd_solve_hodge(parse_mesh(config), config, report, export=options.get("export"))
     elif group == "suite" and action == "all":
         cmd_suite_all(config, report, fast=options.get("fast", False))
     else:
@@ -676,7 +673,6 @@ def main(argv=None):
             kind=getattr(args, "kind", "abc"),
             levels=levels,
             export=getattr(args, "export_solutions", None),
-            check_equivalence=getattr(args, "check_equivalence", False),
             fast=getattr(args, "fast", False),
         )
         payload = emit(report, config.fmt, include_timings=args.timings)

@@ -14,6 +14,7 @@ diagonal.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import AssumptionViolation
 from .forms import (
@@ -236,13 +237,10 @@ def projectivity_matrix(mesh, k):
     into that cell's block and the matrix is block diagonal: each cell
     interpolates only its own basis, and the off-diagonal blocks are zero.
     """
-    I = global_interpolator(mesh, k)
-    broken = I.broken
-    J = np.zeros((broken.dim, broken.dim))
-    for ci, spec in enumerate(I.specs):
-        s = broken.cell_slice(ci)
-        J[s, s] = np.column_stack([interpolate_local(spec, b) for b in spec.primal.basis])
-    return J
+    return block_diag(*[
+        np.column_stack([interpolate_local(spec, b) for b in spec.primal.basis])
+        for spec in global_interpolator(mesh, k).specs
+    ])
 
 
 def stability_report(mesh, k, fields, base_report=None):

@@ -25,13 +25,19 @@ DEGENERACY_TOL = 1e-10
 
 @dataclass
 class SubSimplexTable:
-    """All k-sub-simplices of a mesh plus cell incidence and boundary flags."""
+    """All k-sub-simplices of a mesh plus cell incidence and boundary flags.
+
+    ``owners[gid]`` lists the cells that hold sub-simplex ``gid`` as pairs
+    (cell, local vertex positions), in ascending cell order; it is the one
+    answer to "which cells hold this sub-simplex".
+    """
 
     k: int
     simplices: list
     index: dict = field(repr=False)
     boundary: np.ndarray = field(repr=False)
     cell_incidence: np.ndarray = field(repr=False)  # (cells, faces-per-cell) global ids
+    owners: list = field(repr=False)
 
     @property
     def count(self):
@@ -96,17 +102,13 @@ class Mesh:
     # -- construction checks --------------------------------------------------
 
     def _validate_facets(self):
-        counts = {}
-        for ci, cell in enumerate(self.cells):
-            for facet in itertools.combinations(cell, self.dim):
-                counts.setdefault(facet, []).append(ci)
-        for facet, owners in counts.items():
+        facets = self.subsimplices(self.dim - 1)
+        for facet, owners in zip(facets.simplices, facets.owners):
             if len(owners) > 2:
                 raise MeshError(
                     "facet %s is shared by %d cells; complex is not conforming"
                     % (facet, len(owners))
                 )
-        self._facet_owners = counts
 
     def _check_vertex_hypothesis(self):
         verts = self.subsimplices(0)
@@ -158,6 +160,7 @@ class Mesh:
         combos = list(itertools.combinations(range(self.dim + 1), k + 1))
         index = {}
         simplices = []
+        owners = []
         incidence = np.zeros((self.num_cells, len(combos)), dtype=int)
         for ci, cell in enumerate(self.cells):
             for fi, combo in enumerate(combos):
@@ -167,24 +170,27 @@ class Mesh:
                     gid = len(simplices)
                     index[sub] = gid
                     simplices.append(sub)
+                    owners.append([])
                 incidence[ci, fi] = gid
+                # cells are sorted, so the combo is the sub-simplex's local positions
+                owners[gid].append((ci, combo))
+        # a boundary facet has one owner; the boundary is its closure
         boundary = np.zeros(len(simplices), dtype=bool)
-        if k < self.dim:
-            bfacets = [f for f, owners in self._facet_owners.items() if len(owners) == 1]
-            bset = set()
-            for f in bfacets:
-                for sub in itertools.combinations(f, k + 1):
-                    bset.add(sub)
-            for sub in bset:
-                gid = index.get(sub)
-                if gid is not None:
-                    boundary[gid] = True
+        if k == self.dim - 1:
+            boundary[:] = [len(cells) == 1 for cells in owners]
+        elif k < self.dim - 1:
+            facets = self.subsimplices(self.dim - 1)
+            for facet, cells in zip(facets.simplices, facets.owners):
+                if len(cells) == 1:
+                    for sub in itertools.combinations(facet, k + 1):
+                        boundary[index[sub]] = True
         table = SubSimplexTable(
             k=k,
             simplices=simplices,
             index=index,
             boundary=boundary,
             cell_incidence=incidence,
+            owners=owners,
         )
         self._tables[k] = table
         return table
@@ -209,7 +215,9 @@ class Mesh:
         patch = self._patches.get(v)
         if patch is not None:
             return patch
-        cells = [ci for ci, cell in enumerate(self.cells) if v in cell]
+        verts = self.subsimplices(0)
+        gid = verts.index.get((v,))
+        cells = [] if gid is None else [ci for ci, _ in verts.owners[gid]]
         if self.dim == 2 and len(cells) > 1:
             cells = self._order_patch(v, cells)
         patch = Patch(center=v, cells=cells)

@@ -92,14 +92,12 @@ def p0_moments(mesh, k, load):
             acc = np.zeros(p0.ncomp)
             for p, w in zip(pts, wts):
                 acc += w * np.asarray(load(p), dtype=float)
-            for mi in range(p0.ncomp):
-                F[p0.index(ci, mi)] = acc[mi]
+            F[p0.cell_slice(ci)] = acc
     else:
+        units = [PolyForm.basis_form(mesh.dim, m) for m in p0.midx]
         for ci, form in enumerate(load):
             cell = mesh.cell_geometry(ci)
-            for mi, m in enumerate(p0.midx):
-                unit = PolyForm.basis_form(mesh.dim, m)
-                F[p0.index(ci, mi)] = l2_inner(form, unit, cell)
+            F[p0.cell_slice(ci)] = [l2_inner(form, unit, cell) for unit in units]
     return F
 
 
@@ -469,9 +467,7 @@ def primal_energy_error(mesh, sol: SchemeSolution, exact_value_fn, exact_d_fn, d
         cell = mesh.cell_geometry(ci)
         pts, wts = cell_quadrature(cell, degree)
         form = broken.form_on_cell(vec, ci)
-        dconst = np.array(
-            [dvec[p0_hi.index(ci, mi)] for mi in range(p0_hi.ncomp)]
-        )
+        dconst = dvec[p0_hi.cell_slice(ci)]
         for p, w in zip(pts, wts):
             ev = form.coefficients_at(p) - np.asarray(exact_value_fn(p))
             ed = dconst - np.asarray(exact_d_fn(p))

@@ -8,6 +8,13 @@ are broken coefficient vectors.  Differentials of all the trimmed families
 land in piecewise-constant forms, so ranges, kernels and decompositions are
 computed inside small piecewise-constant coordinate spaces.
 
+Broken and piecewise-constant coordinates share one block layout: cell i
+owns the rows or columns ``cell_slice(i)`` of `BrokenSpace` and `P0Space`,
+and every cellwise operator (Gram, pairing, d, delta, star, P0 injection and
+projection) is assembled by `scipy.linalg.block_diag` from its per-cell
+blocks.  The cells that hold a sub-simplex come from the owner table of
+`Mesh.subsimplices`.
+
 The mesh's `DeRhamLadder` is the one home of the operators of a broken
 space.  For each family (primal, dual, full) and degree it builds the
 cellwise d and delta into piecewise constants, the P0 injection and
@@ -19,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import (
     AssemblyError,
@@ -63,20 +71,19 @@ class P0Space:
         self.volumes = vols
         self.gram = np.diag(np.repeat(vols, self.ncomp))
 
-    def index(self, cell, comp):
-        return cell * self.ncomp + comp
+    def cell_slice(self, i):
+        return slice(i * self.ncomp, (i + 1) * self.ncomp)
 
     def star_matrix(self):
         """Signed permutation onto the piecewise-constant (n-k)-forms."""
         n = self.mesh.dim
         target = multiindices(n - self.k, n)
         pos = {m: i for i, m in enumerate(target)}
-        S = np.zeros((len(target) * self.mesh.num_cells, self.dim))
-        for ci in range(self.mesh.num_cells):
-            for mi, m in enumerate(self.midx):
-                sign, comp = star_sign(m, n)
-                S[ci * len(target) + pos[comp], self.index(ci, mi)] = sign
-        return S
+        block = np.zeros((len(target), self.ncomp))
+        for mi, m in enumerate(self.midx):
+            sign, comp = star_sign(m, n)
+            block[pos[comp], mi] = sign
+        return block_diag(*[block] * self.mesh.num_cells)
 
 
 class BrokenSpace:
@@ -97,11 +104,7 @@ class BrokenSpace:
 
     def gram(self):
         if self._gram is None:
-            G = np.zeros((self.dim, self.dim))
-            for i, sp in enumerate(self.locals):
-                s = self.cell_slice(i)
-                G[s, s] = sp.gram()
-            self._gram = G
+            self._gram = block_diag(*[sp.gram() for sp in self.locals])
         return self._gram
 
     def form_on_cell(self, vec, i):
@@ -112,11 +115,7 @@ def d_pairing(primal: BrokenSpace, dual: BrokenSpace):
     """Block pairing B[i, j] = <v_i, delta q_j> - <d v_i, q_j>, assembled cellwise."""
     if dual.k != primal.k + 1:
         raise AssemblyError("pairing needs degrees k and k+1")
-    B = np.zeros((primal.dim, dual.dim))
-    for i in range(primal.mesh.num_cells):
-        sp, sq = primal.cell_slice(i), dual.cell_slice(i)
-        B[sp, sq] = pairing_matrix(primal.locals[i], dual.locals[i])
-    return B
+    return block_diag(*[pairing_matrix(p, q) for p, q in zip(primal.locals, dual.locals)])
 
 
 def block_d_expand(source: BrokenSpace, target: BrokenSpace):
@@ -126,30 +125,20 @@ def block_d_expand(source: BrokenSpace, target: BrokenSpace):
     """
     if target.k != source.k + 1:
         raise AssemblyError("derivative must raise the degree by one")
-    D = np.zeros((target.dim, source.dim))
-    n = source.mesh.dim
-    for i in range(source.mesh.num_cells):
-        src, tgt = source.locals[i], target.locals[i]
-        cols = []
-        for w in src.basis:
-            if src.k >= n:
-                cols.append(np.zeros(tgt.dim))
-            else:
-                cols.append(tgt.expand(exterior_derivative(w)))
-        D[target.cell_slice(i), source.cell_slice(i)] = np.column_stack(cols)
-    return D
+    return block_diag(*[
+        np.column_stack([tgt.expand(exterior_derivative(w)) for w in src.basis])
+        for src, tgt in zip(source.locals, target.locals)
+    ])
 
 
 def star_block_matrix(source: BrokenSpace, target: BrokenSpace):
     """Cellwise Hodge star as a map between broken coordinate spaces."""
     if source.k + target.k != source.mesh.dim:
         raise AssemblyError("star must map degree k to n-k")
-    S = np.zeros((target.dim, source.dim))
-    for i in range(source.mesh.num_cells):
-        src, tgt = source.locals[i], target.locals[i]
-        block = np.column_stack([tgt.expand(hodge_star(w)) for w in src.basis])
-        S[target.cell_slice(i), source.cell_slice(i)] = block
-    return S
+    return block_diag(*[
+        np.column_stack([tgt.expand(hodge_star(w)) for w in src.basis])
+        for src, tgt in zip(source.locals, target.locals)
+    ])
 
 
 @dataclass
@@ -327,30 +316,26 @@ class DeRhamLadder:
         degree 0), where the matrix has no rows.
         """
         source, target = self.broken(k, family), self.p0(target_k)
-        D = np.zeros((target.dim, source.dim))
         if target.dim == 0:
-            return D
-        for i, sp in enumerate(source.locals):
-            off = int(source.offsets[i])
+            return np.zeros((0, source.dim))
+        blocks = []
+        for sp in source.locals:
+            block = np.zeros((target.ncomp, sp.dim))
             for j, w in enumerate(sp.basis):
                 image = op(w)
                 if image.poly_degree() > 0:
                     raise AssemblyError("%s is not piecewise constant" % op.__name__)
                 for (_, midx), c in image.terms.items():
-                    D[target.index(i, target.midx.index(midx)), off + j] = c
-        return D
+                    block[target.midx.index(midx), j] = c
+            blocks.append(block)
+        return block_diag(*blocks)
 
     def p0_injection(self, k, family="primal"):
         """Inclusion of constant k-forms; they are the leading local basis."""
 
         def build():
-            broken, p0 = self.broken(k, family), self.p0(k)
-            J = np.zeros((broken.dim, p0.dim))
-            for i in range(self.mesh.num_cells):
-                off = int(broken.offsets[i])
-                for mi in range(p0.ncomp):
-                    J[off + mi, p0.index(i, mi)] = 1.0
-            return J
+            ncomp = self.p0(k).ncomp
+            return block_diag(*[np.eye(sp.dim, ncomp) for sp in self.broken(k, family).locals])
 
         return self._get(("p0-injection", k, family), build)
 
@@ -358,16 +343,12 @@ class DeRhamLadder:
         """L2 projection onto constant k-forms, in coordinates."""
 
         def build():
-            broken, p0 = self.broken(k, family), self.p0(k)
-            P = np.zeros((p0.dim, broken.dim))
-            for i, sp in enumerate(broken.locals):
-                vol = p0.volumes[i]
-                off = int(broken.offsets[i])
-                for mi, m in enumerate(p0.midx):
-                    unit = PolyForm.basis_form(self.mesh.dim, m)
-                    for j, w in enumerate(sp.basis):
-                        P[p0.index(i, mi), off + j] = l2_inner(unit, w, sp.cell) / vol
-            return P
+            p0 = self.p0(k)
+            units = [PolyForm.basis_form(self.mesh.dim, m) for m in p0.midx]
+            return block_diag(*[
+                np.array([[l2_inner(u, w, sp.cell) / vol for w in sp.basis] for u in units])
+                for sp, vol in zip(self.broken(k, family).locals, p0.volumes)
+            ])
 
         return self._get(("p0-projection", k, family), build)
 
@@ -450,12 +431,8 @@ def conforming_whitney(mesh, k, bc="none", lad=None):
     A = np.zeros((broken.dim, len(dofs)))
     anchors = []
     for col, sid in enumerate(dofs):
-        sub = table.simplices[sid]
-        anchors.append(sub)
-        for ci, cell in enumerate(mesh.cells):
-            if not set(sub) <= set(cell):
-                continue
-            local_ids = [cell.index(v) for v in sub]
+        anchors.append(table.simplices[sid])
+        for ci, local_ids in table.owners[sid]:
             w = whitney_form(mesh.cell_geometry(ci), local_ids)
             A[broken.cell_slice(ci), col] = broken.locals[ci].expand(w)
     return GlobalSpace(broken, A, kind="conforming" if bc == "none" else "conforming0",
@@ -534,11 +511,8 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
     B = lad.pairing(k)
     decs = lad.local_decompositions(k)
     # cells supporting each partner basis function
-    support = [[] for _ in range(partner.dim)]
-    for j, sub in enumerate(partner.anchors):
-        for ci, cell in enumerate(mesh.cells):
-            if set(sub) <= set(cell):
-                support[j].append(ci)
+    table = mesh.subsimplices(mesh.dim - k - 1)
+    support = [[ci for ci, _ in table.owners[table.index[sub]]] for sub in partner.anchors]
     cell_funcs = {ci: [] for ci in range(mesh.num_cells)}
     for j in range(partner.dim):
         for ci in support[j]:
@@ -607,20 +581,15 @@ def verify_trace_continuity(space: GlobalSpace, tol=1e-11):
     if k == mesh.dim:
         return 0.0
     facets = mesh.subsimplices(mesh.dim - 1)
-    owners = {}
-    for ci in range(mesh.num_cells):
-        for gid in facets.cell_incidence[ci]:
-            owners.setdefault(gid, []).append(ci)
     worst = 0.0
     ref = reference_simplex(mesh.dim - 1)
-    for gid, cells in owners.items():
-        if len(cells) != 2:
+    for sub, owners in zip(facets.simplices, facets.owners):
+        if len(owners) != 2:
             continue
-        sub = facets.simplices[gid]
         coords = mesh.vertices[list(sub)]
         for col in range(space.dim):
             tr = []
-            for ci in cells:
+            for ci, _ in owners:
                 form = broken.form_on_cell(space.atlas[:, col], ci)
                 tr.append(trace_on(form, coords))
             diff = tr[0] - tr[1]

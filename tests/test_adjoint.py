@@ -328,10 +328,10 @@ class TestOrthogonalDualityInvariant:
         lad = ladder(mesh)
         pair = whitney_pair(mesh, k, bc)
         g = lad.p0(k).gram
-        from padfeec.adjoint import _domain_kernel_p0, _p0_kernel
+        from padfeec.adjoint import _domain_kernel_p0
 
         N_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain)
-        N_full = _p0_kernel(lad, k, lad.primal(k), pair.T)
+        N_full = _domain_kernel_p0(lad, k, lad.primal(k), pair.T)
         R_adj = Subspace.from_span(pair.adjoint_T @ pair.adjoint_domain.basis, g)
         expected = gram_complement(R_adj, N_full, g)
         ok, ang = subspace_equal(N_dom, expected, g, tol=1e-9)

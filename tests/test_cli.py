@@ -133,13 +133,31 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command,mesh,k",
-        [("source", "box:2", 2), ("eigen", "box:2", 2), ("eigen", "tetbox:1", 3)],
+        [
+            ("source", "box:2", 2),
+            ("eigen", "box:2", 2),
+            ("eigen", "tetbox:1", 3),
+            # space build takes every degree 0..n, so it refuses k = n + 1
+            ("space build --kind star", "box:2", 3),
+            ("space build --kind conforming", "box:2", 3),
+        ],
     )
     def test_source_and_eigen_refuse_top_degree(self, capsys, command, mesh, k):
-        code, out, err = run_cli(["solve", command, "--mesh", mesh, "--k", str(k)], capsys)
+        argv = command.split() if " " in command else ["solve", command]
+        code, out, err = run_cli(argv + ["--mesh", mesh, "--k", str(k)], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
-        assert "0..%d" % (k - 1) in err
+        assert "0..%d" % (k - 1) in err and " ".join(argv[:2]) in err
+
+    def test_check_equivalence_needs_every_scheme(self, capsys):
+        code, out, err = run_cli(
+            ["solve", "hodge", "--mesh", "box:2", "--k", "1", "--scheme", "complete",
+             "--check-equivalence"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
+        assert "--scheme all" in err
 
     @pytest.mark.parametrize("command", ["base-pair", "decomposition"])
     @pytest.mark.parametrize("mesh,k", [("box:2", 2), ("tetbox:1", 3)])

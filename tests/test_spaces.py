@@ -335,3 +335,233 @@ class TestLadderOperators:
         ladder(mesh).abc_atlas(0)
         global_interpolator(mesh, 0)
         assert len(calls) == mesh.num_cells
+
+
+# -- block assembly against the offset-writing loops it replaced ------------------
+
+
+def _old_gram(broken):
+    G = np.zeros((broken.dim, broken.dim))
+    for i, sp in enumerate(broken.locals):
+        s = broken.cell_slice(i)
+        G[s, s] = sp.gram()
+    return G
+
+
+def _old_pairing(primal, dual):
+    from padfeec.local import pairing_matrix
+
+    B = np.zeros((primal.dim, dual.dim))
+    for i in range(primal.mesh.num_cells):
+        B[primal.cell_slice(i), dual.cell_slice(i)] = pairing_matrix(
+            primal.locals[i], dual.locals[i]
+        )
+    return B
+
+
+def _old_cellwise_expand(source, target, op):
+    M = np.zeros((target.dim, source.dim))
+    for i in range(source.mesh.num_cells):
+        src, tgt = source.locals[i], target.locals[i]
+        block = np.column_stack([tgt.expand(op(w)) for w in src.basis])
+        M[target.cell_slice(i), source.cell_slice(i)] = block
+    return M
+
+
+def _old_p0_star(p0):
+    from padfeec.forms import multiindices, star_sign
+
+    n = p0.mesh.dim
+    target = multiindices(n - p0.k, n)
+    pos = {m: i for i, m in enumerate(target)}
+    S = np.zeros((len(target) * p0.mesh.num_cells, p0.dim))
+    for ci in range(p0.mesh.num_cells):
+        for mi, m in enumerate(p0.midx):
+            sign, comp = star_sign(m, n)
+            S[ci * len(target) + pos[comp], ci * p0.ncomp + mi] = sign
+    return S
+
+
+def _old_cellwise(source, target, op):
+    D = np.zeros((target.dim, source.dim))
+    if target.dim == 0:
+        return D
+    for i, sp in enumerate(source.locals):
+        off = int(source.offsets[i])
+        for j, w in enumerate(sp.basis):
+            for (_, midx), c in op(w).terms.items():
+                D[i * target.ncomp + target.midx.index(midx), off + j] = c
+    return D
+
+
+def _old_p0_injection(broken, p0):
+    J = np.zeros((broken.dim, p0.dim))
+    for i in range(broken.mesh.num_cells):
+        off = int(broken.offsets[i])
+        for mi in range(p0.ncomp):
+            J[off + mi, i * p0.ncomp + mi] = 1.0
+    return J
+
+
+def _old_p0_projection(broken, p0):
+    from padfeec.forms import PolyForm, l2_inner
+
+    P = np.zeros((p0.dim, broken.dim))
+    for i, sp in enumerate(broken.locals):
+        off = int(broken.offsets[i])
+        for mi, m in enumerate(p0.midx):
+            unit = PolyForm.basis_form(broken.mesh.dim, m)
+            for j, w in enumerate(sp.basis):
+                P[i * p0.ncomp + mi, off + j] = l2_inner(unit, w, sp.cell) / p0.volumes[i]
+    return P
+
+
+def _old_projectivity(mesh, k):
+    from padfeec.interp import global_interpolator, interpolate_local
+
+    I = global_interpolator(mesh, k)
+    J = np.zeros((I.broken.dim, I.broken.dim))
+    for ci, spec in enumerate(I.specs):
+        s = I.broken.cell_slice(ci)
+        J[s, s] = np.column_stack([interpolate_local(spec, b) for b in spec.primal.basis])
+    return J
+
+
+ORACLE_MESHES = {
+    "box:2": lambda: generate_structured(2, 2),
+    "hole:4": lambda: generate_structured(2, 4, "hole"),
+    "tetbox:1": lambda: generate_structured(3, 1),
+}
+
+
+class TestBlockAssemblyOracle:
+    """Each cellwise operator equals, bit for bit, the offset-writing loop."""
+
+    @pytest.fixture(scope="class", params=list(ORACLE_MESHES))
+    def mesh(self, request):
+        return ORACLE_MESHES[request.param]()
+
+    def test_grams_and_pairings(self, mesh):
+        from padfeec.spaces import d_pairing
+
+        lad = ladder(mesh)
+        for k in range(mesh.dim + 1):
+            for family in ("primal", "dual", "full"):
+                broken = lad.broken(k, family)
+                assert np.array_equal(broken.gram(), _old_gram(broken))
+            if k < mesh.dim:
+                primal, dual = lad.primal(k), lad.dual(k + 1)
+                assert np.array_equal(lad.pairing(k), _old_pairing(primal, dual))
+                assert np.array_equal(d_pairing(primal, dual), lad.pairing(k))
+
+    def test_star_matrices_and_d_expansion(self, mesh):
+        from padfeec.forms import exterior_derivative, hodge_star
+        from padfeec.spaces import block_d_expand, star_block_matrix
+
+        lad = ladder(mesh)
+        n = mesh.dim
+        for k in range(n + 1):
+            p0 = lad.p0(k)
+            assert np.array_equal(p0.star_matrix(), _old_p0_star(p0))
+            source, target = lad.primal(k), lad.dual(n - k)
+            assert np.array_equal(
+                star_block_matrix(source, target), _old_cellwise_expand(source, target, hodge_star)
+            )
+            if k < n:
+                source, target = lad.primal(k), lad.primal(k + 1)
+                assert np.array_equal(
+                    block_d_expand(source, target),
+                    _old_cellwise_expand(source, target, exterior_derivative),
+                )
+
+    @pytest.mark.parametrize("family", ["primal", "dual", "full"])
+    def test_d_delta_and_p0_maps(self, mesh, family):
+        from padfeec.forms import codifferential, exterior_derivative
+
+        lad = ladder(mesh)
+        for k in range(mesh.dim + 1):
+            broken, p0 = lad.broken(k, family), lad.p0(k)
+            assert np.array_equal(
+                lad.d_matrix(k, family), _old_cellwise(broken, lad.p0(k + 1), exterior_derivative)
+            )
+            assert np.array_equal(
+                lad.delta_matrix(k, family), _old_cellwise(broken, lad.p0(k - 1), codifferential)
+            )
+            assert np.array_equal(lad.p0_injection(k, family), _old_p0_injection(broken, p0))
+            assert np.array_equal(lad.p0_projection(k, family), _old_p0_projection(broken, p0))
+
+    def test_projectivity_matrix(self, mesh):
+        from padfeec.interp import projectivity_matrix
+
+        for k in range(mesh.dim + 1):
+            assert np.array_equal(projectivity_matrix(mesh, k), _old_projectivity(mesh, k))
+
+
+# -- sub-simplex owners against the cell scan they replaced -----------------------
+
+
+def _scanned_owners(mesh, table):
+    return [
+        [(ci, tuple(cell.index(v) for v in sub)) for ci, cell in enumerate(mesh.cells)
+         if set(sub) <= set(cell)]
+        for sub in table.simplices
+    ]
+
+
+def _scanned_whitney_atlas(mesh, k, bc):
+    from padfeec.local import whitney_form
+
+    broken = ladder(mesh).primal(k)
+    table = mesh.subsimplices(k)
+    order = sorted(range(table.count), key=lambda i: table.simplices[i])
+    dofs = [i for i in order if bc == "none" or not table.boundary[i]]
+    A = np.zeros((broken.dim, len(dofs)))
+    for col, sid in enumerate(dofs):
+        sub = table.simplices[sid]
+        for ci, cell in enumerate(mesh.cells):
+            if not set(sub) <= set(cell):
+                continue
+            w = whitney_form(mesh.cell_geometry(ci), [cell.index(v) for v in sub])
+            A[broken.cell_slice(ci), col] = broken.locals[ci].expand(w)
+    return A
+
+
+INCIDENCE_MESHES = {
+    "box:4": lambda: generate_structured(2, 4),
+    "hole:8": lambda: generate_structured(2, 8, "hole"),
+    "tetbox:2": lambda: generate_structured(3, 2),
+}
+
+
+class TestIncidenceOracle:
+    """Owner tables reproduce the cell scans, and so do the atlases read from them."""
+
+    @pytest.fixture(scope="class", params=list(INCIDENCE_MESHES))
+    def meshes(self, request):
+        build = INCIDENCE_MESHES[request.param]
+        mesh, scanned = build(), build()
+        # the reference mesh answers every owner query by the old cell scan
+        for k in range(scanned.dim + 1):
+            table = scanned.subsimplices(k)
+            table.owners = _scanned_owners(scanned, table)
+        return mesh, scanned
+
+    def test_owners_match_cell_scan(self, meshes):
+        mesh, scanned = meshes
+        for k in range(mesh.dim + 1):
+            assert mesh.subsimplices(k).owners == scanned.subsimplices(k).owners
+        for v in range(mesh.num_vertices):
+            cells = [ci for ci, cell in enumerate(mesh.cells) if v in cell]
+            if mesh.dim == 2 and len(cells) > 1:
+                cells = mesh._order_patch(v, cells)
+            assert mesh.vertex_patch(v).cells == cells
+
+    @pytest.mark.parametrize("bc", ["none", "homogeneous"])
+    def test_atlases_match_cell_scan(self, meshes, bc):
+        mesh, scanned = meshes
+        lad, ref = ladder(mesh), ladder(scanned)
+        for k in range(mesh.dim + 1):
+            assert np.array_equal(lad.whitney(k, bc).atlas, _scanned_whitney_atlas(mesh, k, bc))
+            assert np.array_equal(
+                lad.abc_atlas(k, bc).matrix(), ref.abc_atlas(k, bc).matrix()
+            )
