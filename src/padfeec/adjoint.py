@@ -41,17 +41,20 @@ def build_pairing(primal: GlobalSpace, dual: GlobalSpace):
 
 @dataclass
 class OperatorPair:
-    """A discrete operator with its domain and the partially adjoint partner."""
+    """A discrete operator with its domain and the partially adjoint partner.
 
-    T: np.ndarray
+    The operators, Grams and pairing are the ladder's sparse cellwise arrays.
+    """
+
+    T: object
     domain: Subspace
-    source_gram: np.ndarray
-    range_gram: np.ndarray
-    adjoint_T: np.ndarray
+    source_gram: object
+    range_gram: object
+    adjoint_T: object
     adjoint_domain: Subspace
-    adjoint_source_gram: np.ndarray
-    adjoint_range_gram: np.ndarray
-    pairing: np.ndarray = None
+    adjoint_source_gram: object
+    adjoint_range_gram: object
+    pairing: object = None
     meta: dict = field(default_factory=dict)
 
     def pairing_residual(self):
@@ -138,7 +141,8 @@ def base_pair_report(mesh, k, eig_tol=1e-10):
     """
     lad = ladder(mesh)
     primal, dual = lad.primal(k), lad.dual(k + 1)
-    B = lad.pairing(k)
+    # dense copies: one global SVD, then a small block per cell
+    B = lad.pairing(k).toarray()
     scale = max(np.abs(B).max(), 1.0)
     # one SVD yields both mutual annihilators
     U, s, Vt = np.linalg.svd(B / scale)
@@ -153,8 +157,8 @@ def base_pair_report(mesh, k, eig_tol=1e-10):
         alphas.append(a)
         betas.append(b)
         gammas.append(g)
-    D = lad.d_matrix(k)
-    Delta = lad.delta_matrix(k + 1)
+    D = lad.d_matrix(k).toarray()
+    Delta = lad.delta_matrix(k + 1).toarray()
     p0_hi, p0_lo = lad.p0(k + 1), lad.p0(k)
     icr_tilde = max(
         _cell_icr(
@@ -360,7 +364,7 @@ def _assemble_report(name, pieces_lhs, pieces_rhs, gram, ambient_dim=None, extra
             for j in range(i + 1, len(parts)):
                 A, Bp = parts[i], parts[j]
                 if A.dim and Bp.dim:
-                    M = A.basis.T @ gram @ Bp.basis
+                    M = A.basis.T @ (gram @ Bp.basis)
                     resid = max(resid, float(np.abs(M).max()))
     span_l = Subspace.from_span(
         np.column_stack([s.basis for s in pieces_lhs.values() if s.dim])
@@ -458,7 +462,7 @@ def _domain_kernel_p0(lad, k, broken, T, domain: Subspace = None):
 
     With ``domain`` None the kernel is taken on the whole broken space.
     """
-    TV = T if domain is None else T @ domain.basis
+    TV = T.toarray() if domain is None else T @ domain.basis
     ns = nullspace(TV / max(np.abs(TV).max(initial=0.0), 1e-300))
     vecs = ns.basis if domain is None else domain.basis @ ns.basis
     return Subspace.from_span(_p0_coords(lad, k, broken, vecs), lad.p0(k).gram)

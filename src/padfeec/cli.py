@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameter, PadfeecError
 from .mesh import Mesh, generate_structured, shape_report
-from .report import CheckRecord, Report, RunConfig, emit
+from .report import HODGE_SCHEMES, CheckRecord, Report, RunConfig, emit
 
 
 def parse_mesh(config: RunConfig):
@@ -431,11 +431,7 @@ def cmd_solve_hodge(mesh, config, report, export=None):
     from .solve import solve_hodge, verify_hodge_equivalences
 
     load = parse_load(mesh, config.k, config.load)
-    schemes = (
-        ("complete", "mixed_primal", "mixed_dual", "lowest_primal")
-        if config.scheme == "all"
-        else (config.scheme,)
-    )
+    schemes = HODGE_SCHEMES if config.scheme == "all" else (config.scheme,)
     sols = {}
     for scheme in schemes:
         sols[scheme] = solve_hodge(mesh, config.k, load, scheme)
@@ -597,7 +593,7 @@ def merge_config(args):
         "mesh_file": args.mesh_file,
         "k": args.k,
         "bc": args.bc,
-        "scheme": getattr(args, "scheme", None),
+        "scheme": args.scheme,
         "load": args.load,
         "eig_tol": args.eig_tol,
         "out": args.out,
@@ -606,12 +602,20 @@ def merge_config(args):
     for key, value in cli_map.items():
         if value is not None:
             merged[key] = value
+    command = "%s %s" % (args.group, args.action)
+    # only solve hodge reads a scheme; every other command would ignore it
+    if command != "solve hodge":
+        for flag, given in (
+            ("--scheme", args.scheme is not None),
+            ("--check-equivalence", getattr(args, "check_equivalence", False)),
+        ):
+            if given:
+                raise InvalidParameter("%s applies only to solve hodge, not to %s" % (flag, command))
     # the scheme equivalences run exactly when every scheme does
     if getattr(args, "check_equivalence", False) and merged["scheme"] != "all":
         raise InvalidParameter(
             "--check-equivalence needs --scheme all, got --scheme %s" % (merged["scheme"],)
         )
-    command = "%s %s" % (args.group, args.action)
     return RunConfig(command=command, **merged).validate()
 
 

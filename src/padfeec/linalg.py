@@ -1,19 +1,25 @@
-"""Dense linear-algebra substrate.
+"""Dense linear-algebra substrate, with Grams that may be sparse.
 
 Rank and nullspace detection with explicit relative tolerances, Gram-aware
 orthonormalization, inf-sup constants, indices of closed range, generalized
 eigenproblems and principal angles between subspaces.  Every orthogonality
 notion goes through an explicit Gram matrix; the Euclidean inner product is
-only the special case ``gram=None``.  A `Subspace` keeps its basis
-orthonormal in its own ``gram``; the subspace operations orthonormalize only
-a subspace carrying another Gram.  Principal angles take a Cholesky factor of
-their Gram, so a Gram that is not SPD raises `InvalidGram`.
+only the special case ``gram=None``.  A Gram may be a dense array or a
+`scipy.sparse` array (the cellwise Grams of `spaces` are sparse
+block-diagonal); it is only ever multiplied with dense bases, and made dense
+only where it is factored itself: the Cholesky factor of `principal_angles`
+and the eigenvalues of `check_spd`.  Bases, nullspaces and the results are
+dense.  A `Subspace` keeps its basis orthonormal in its own ``gram``; the
+subspace operations orthonormalize only a subspace carrying another Gram.
+Principal angles take a Cholesky factor of their Gram, so a Gram that is not
+SPD raises `InvalidGram`.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import InvalidGram, InvalidMatrix, NotClosedRange, NotNested
 
@@ -22,12 +28,24 @@ EIG_TOL = 1e-10
 
 
 def _as_matrix(M):
-    M = np.asarray(M, dtype=float)
+    """A dense float 2-d array; a sparse operand is made dense to be factored."""
+    M = np.asarray(_dense(M), dtype=float)
     if M.ndim != 2:
         raise InvalidMatrix("expected a 2-d array, got shape %s" % (M.shape,))
     if not np.all(np.isfinite(M)):
         raise InvalidMatrix("matrix has non-finite entries")
     return M
+
+
+def _as_gram(gram):
+    """A Gram as given if it is None or sparse, else as a dense float array."""
+    if gram is None or scipy.sparse.issparse(gram):
+        return gram
+    return np.asarray(gram, dtype=float)
+
+
+def _dense(M):
+    return M.toarray() if scipy.sparse.issparse(M) else M
 
 
 def check_spd(gram, tol=RANK_TOL):
@@ -99,10 +117,10 @@ def orthonormalize(V, gram=None, tol=RANK_TOL):
     V = _as_matrix(V)
     if V.shape[1] == 0:
         return V.copy()
-    G = None if gram is None else np.asarray(gram, dtype=float)
+    G = _as_gram(gram)
 
     def normalize(W, trim):
-        C = W.T @ W if G is None else W.T @ G @ W
+        C = W.T @ W if G is None else W.T @ (G @ W)
         C = 0.5 * (C + C.T)
         w, U = scipy.linalg.eigh(C)
         wmax = max(w[-1], 0.0)
@@ -171,7 +189,7 @@ def principal_angles(A: Subspace, B: Subspace, gram=None):
     R = small - big @ (big.T @ (small if gram is None else gram @ small))
     if gram is not None:
         try:
-            R = scipy.linalg.cholesky(gram) @ R
+            R = scipy.linalg.cholesky(_dense(gram)) @ R
         except np.linalg.LinAlgError:
             raise InvalidGram("gram matrix is not positive definite") from None
     sin_vals = np.sort(np.clip(scipy.linalg.svdvals(R), 0.0, 1.0))
@@ -187,7 +205,7 @@ def _orthonormal_basis(S: Subspace, gram):
 
 
 def _cross_gram(A, gram, B):
-    return A.T @ B if gram is None else A.T @ gram @ B
+    return A.T @ B if gram is None else A.T @ (gram @ B)
 
 
 def subspace_equal(A: Subspace, B: Subspace, gram=None, tol=1e-8):
@@ -209,7 +227,8 @@ def infsup(A: Subspace, B: Subspace, gram=None, check=True):
     Returns 0.0 when either side is trivial or when dim A exceeds dim B.  When
     the dimensions agree the value is symmetric in A and B.
     """
-    if gram is not None and check and np.asarray(gram).shape[0] <= 400:
+    gram = _as_gram(gram)
+    if gram is not None and check and gram.shape[0] <= 400:
         check_spd(gram)
     if A.dim == 0 or B.dim == 0:
         return 0.0
@@ -227,16 +246,14 @@ def icr_of(T, D: Subspace, gram_x=None, gram_y=None, eig_tol=EIG_TOL):
     Computes sup |v|_X / |Tv|_Y over the X-orthogonal complement of the kernel
     inside D; returns 0.0 when that complement is trivial.
     """
-    T = _as_matrix(T)
+    if not scipy.sparse.issparse(T):
+        T = _as_matrix(T)
     if D.dim == 0:
         return 0.0
     V = D.basis
-    n = D.ambient_dim
-    Gx = np.eye(n) if gram_x is None else np.asarray(gram_x, dtype=float)
-    Gy = np.eye(T.shape[0]) if gram_y is None else np.asarray(gram_y, dtype=float)
     TV = T @ V
-    K = TV.T @ Gy @ TV
-    M = V.T @ Gx @ V
+    K = _cross_gram(TV, _as_gram(gram_y), TV)
+    M = _cross_gram(V, _as_gram(gram_x), V)
     K = 0.5 * (K + K.T)
     M = 0.5 * (M + M.T)
     w, U = scipy.linalg.eigh(K, M)
@@ -297,7 +314,7 @@ def generalized_eig(K, M, sub: Subspace | None = None, eig_tol=EIG_TOL):
     ambient, M-orthonormal; the residual is max |Kv - lambda Mv| over pairs.
     """
     K = _as_matrix(K)
-    M = _as_matrix(M)
+    M = _as_gram(M)
     if sub is None:
         sub = Subspace(K.shape[1], np.eye(K.shape[1]))
     V = sub.basis

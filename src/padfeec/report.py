@@ -14,6 +14,8 @@ from . import __version__
 from .errors import InvalidParameter
 
 VERDICTS = ("pass", "fail", "skipped")
+# the Hodge-Laplace schemes `solve hodge` runs; "all" runs each in turn
+HODGE_SCHEMES = ("complete", "mixed_primal", "mixed_dual", "lowest_primal")
 
 
 @dataclass
@@ -45,6 +47,11 @@ class RunConfig:
             raise InvalidParameter("format must be json or csv")
         if self.bc not in ("none", "homogeneous"):
             raise InvalidParameter("bc must be none or homogeneous")
+        if self.scheme not in ("all",) + HODGE_SCHEMES:
+            raise InvalidParameter(
+                "%s: unknown scheme %r (use all, %s)"
+                % (self.command, self.scheme, ", ".join(HODGE_SCHEMES))
+            )
         return self
 
     def to_dict(self):

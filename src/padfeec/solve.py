@@ -11,12 +11,13 @@ the load enter any right-hand side.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .adjoint import harmonic_space
 from .errors import AssemblyError, InvalidParameter, SolverFailure
 from .forms import PolyForm, cell_quadrature, l2_inner
-from .linalg import pencil_nonzero_eigs, solve_symmetric
-from .spaces import ladder
+from .linalg import nullspace, pencil_nonzero_eigs, solve_symmetric
+from .spaces import d_pairing, ladder
 
 
 @dataclass
@@ -57,17 +58,19 @@ def _check_symmetric(K, label):
 
 
 def _block_system(sizes, blocks, rhs_blocks):
-    """Symmetric block matrix and right-hand side, with the block slices.
+    """Dense symmetric block matrix and right-hand side, with the block slices.
 
-    ``blocks`` maps (i, j) with i <= j to the upper block; it is mirrored to
-    (j, i) transposed.  ``rhs_blocks`` maps i to that block of the right-hand
-    side.  Every block not given is zero.
+    ``blocks`` maps (i, j) with i <= j to the upper block, dense or
+    `scipy.sparse`; it is mirrored to (j, i) transposed.  ``rhs_blocks`` maps
+    i to that block of the right-hand side.  Every block not given is zero.
     """
     ends = np.cumsum(sizes)
     slices = [slice(int(e - n), int(e)) for n, e in zip(sizes, ends)]
     dim = int(ends[-1])
     K = np.zeros((dim, dim))
     for (i, j), B in blocks.items():
+        if scipy.sparse.issparse(B):
+            B = B.toarray()
         K[slices[i], slices[j]] = B
         if i != j:
             K[slices[j], slices[i]] = B.T
@@ -102,7 +105,8 @@ def p0_moments(mesh, k, load):
 
 
 def _p0_coords_of_moments(lad, k, F):
-    return F / np.diag(lad.p0(k).gram)
+    p0 = lad.p0(k)
+    return F / np.repeat(p0.volumes, p0.ncomp)
 
 
 def solve_source_primal(mesh, k, load, bc="none"):
@@ -154,10 +158,10 @@ def solve_source_dual(mesh, k, load, bc="none"):
 
 def _rel(x, y, gram, floor):
     num = x - y
-    nn = float(np.sqrt(max(num @ gram @ num, 0.0)))
+    nn = float(np.sqrt(max(num @ (gram @ num), 0.0)))
     scale = max(
-        float(np.sqrt(max(x @ gram @ x, 0.0))),
-        float(np.sqrt(max(y @ gram @ y, 0.0))),
+        float(np.sqrt(max(x @ (gram @ x), 0.0))),
+        float(np.sqrt(max(y @ (gram @ y), 0.0))),
         floor,
     )
     if nn == 0.0:
@@ -246,11 +250,9 @@ def _mixed_space(mesh, k):
     return lad._get(("mixed-space", k), lambda: _build_mixed_space(lad, k))
 
 
-def _build_mixed_space(lad, k):
+def _mixed_constraints(lad, k):
+    """Rows constraining the broken full k-forms to the one-field space."""
     full = lad.full(k)
-    from .spaces import d_pairing
-    from .linalg import nullspace, orthonormalize
-
     rows = []
     B_up = d_pairing(full, lad.dual(k + 1))
     star = lad.whitney_star(k + 1, "homogeneous")
@@ -262,9 +264,15 @@ def _build_mixed_space(lad, k):
     D_lo = lad.d_matrix(k - 1) @ abc_lo.atlas
     term2 = full.gram() @ (lad.p0_injection(k, "full") @ D_lo)
     rows.append((term1 - term2).T)
-    C = np.vstack(rows)
-    ns = nullspace(C / max(np.abs(C).max(initial=0.0), 1e-300))
-    return orthonormalize(ns.basis, full.gram())
+    return np.vstack(rows)
+
+
+def _build_mixed_space(lad, k):
+    # with G = R^T R cellwise, R^-1 times the null vectors of C R^-1 is a
+    # Gram-orthonormal basis of the null space of C
+    Rinv = lad.full(k).gram_factor_inverse()
+    CR = _mixed_constraints(lad, k) @ Rinv
+    return Rinv @ nullspace(CR / max(np.abs(CR).max(initial=0.0), 1e-300)).basis
 
 
 def solve_hodge(mesh, k, load, scheme="complete"):

@@ -11,8 +11,13 @@ computed inside small piecewise-constant coordinate spaces.
 Broken and piecewise-constant coordinates share one block layout: cell i
 owns the rows or columns ``cell_slice(i)`` of `BrokenSpace` and `P0Space`,
 and every cellwise operator (Gram, pairing, d, delta, star, P0 injection and
-projection) is assembled by `scipy.linalg.block_diag` from its per-cell
-blocks.  The cells that hold a sub-simplex come from the owner table of
+projection) is a `scipy.sparse` CSR array assembled by `block_diagonal` from
+its per-cell blocks; ``@`` with a dense operand gives a dense array.  The P0
+Gram is the diagonal of cell volumes.  Each `BrokenSpace` also keeps the
+inverse R^-1 of its cellwise upper Cholesky factor (G = R^T R), so that a
+constraint nullspace N gives the Gram-orthonormal atlas R^-1 N without a
+further orthonormalization.  Atlases and nullspace bases stay dense.  The
+cells that hold a sub-simplex come from the owner table of
 `Mesh.subsimplices`.
 
 The mesh's `DeRhamLadder` is the one home of the operators of a broken
@@ -26,7 +31,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
+import scipy.linalg
+import scipy.sparse
 
 from .errors import (
     AssemblyError,
@@ -43,7 +49,7 @@ from .forms import (
     multiindices,
     star_sign,
 )
-from .linalg import RANK_TOL, Subspace, nullspace, orthonormalize, rank
+from .linalg import RANK_TOL, Subspace, nullspace, rank
 from .local import (
     LocalSpace,
     decompose_local,
@@ -52,6 +58,11 @@ from .local import (
     whitney_local,
     whitney_form,
 )
+
+
+def block_diagonal(blocks):
+    """Sparse CSR array with the dense ``blocks`` along its diagonal."""
+    return scipy.sparse.csr_array(scipy.sparse.block_diag(blocks, format="csr"))
 
 
 class P0Space:
@@ -69,7 +80,7 @@ class P0Space:
         self.dim = self.ncomp * mesh.num_cells
         vols = np.array([mesh.cell_geometry(i).volume for i in range(mesh.num_cells)])
         self.volumes = vols
-        self.gram = np.diag(np.repeat(vols, self.ncomp))
+        self.gram = scipy.sparse.diags_array(np.repeat(vols, self.ncomp), format="csr")
 
     def cell_slice(self, i):
         return slice(i * self.ncomp, (i + 1) * self.ncomp)
@@ -83,7 +94,7 @@ class P0Space:
         for mi, m in enumerate(self.midx):
             sign, comp = star_sign(m, n)
             block[pos[comp], mi] = sign
-        return block_diag(*[block] * self.mesh.num_cells)
+        return block_diagonal([block] * self.mesh.num_cells)
 
 
 class BrokenSpace:
@@ -98,14 +109,28 @@ class BrokenSpace:
         self.offsets = np.concatenate([[0], np.cumsum(self.block_dims)])
         self.dim = int(self.offsets[-1])
         self._gram = None
+        self._factor_inverse = None
 
     def cell_slice(self, i):
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
     def gram(self):
         if self._gram is None:
-            self._gram = block_diag(*[sp.gram() for sp in self.locals])
+            self._gram = block_diagonal([sp.gram() for sp in self.locals])
         return self._gram
+
+    def gram_factor_inverse(self):
+        """R^-1 for the cellwise upper Cholesky factor R of the Gram, G = R^T R.
+
+        For any Euclidean-orthonormal N, the columns of R^-1 N are
+        G-orthonormal.
+        """
+        if self._factor_inverse is None:
+            self._factor_inverse = block_diagonal([
+                scipy.linalg.solve_triangular(scipy.linalg.cholesky(sp.gram()), np.eye(sp.dim))
+                for sp in self.locals
+            ])
+        return self._factor_inverse
 
     def form_on_cell(self, vec, i):
         return self.locals[i].form_from_coeffs(vec[self.cell_slice(i)])
@@ -115,7 +140,7 @@ def d_pairing(primal: BrokenSpace, dual: BrokenSpace):
     """Block pairing B[i, j] = <v_i, delta q_j> - <d v_i, q_j>, assembled cellwise."""
     if dual.k != primal.k + 1:
         raise AssemblyError("pairing needs degrees k and k+1")
-    return block_diag(*[pairing_matrix(p, q) for p, q in zip(primal.locals, dual.locals)])
+    return block_diagonal([pairing_matrix(p, q) for p, q in zip(primal.locals, dual.locals)])
 
 
 def block_d_expand(source: BrokenSpace, target: BrokenSpace):
@@ -125,7 +150,7 @@ def block_d_expand(source: BrokenSpace, target: BrokenSpace):
     """
     if target.k != source.k + 1:
         raise AssemblyError("derivative must raise the degree by one")
-    return block_diag(*[
+    return block_diagonal([
         np.column_stack([tgt.expand(exterior_derivative(w)) for w in src.basis])
         for src, tgt in zip(source.locals, target.locals)
     ])
@@ -135,7 +160,7 @@ def star_block_matrix(source: BrokenSpace, target: BrokenSpace):
     """Cellwise Hodge star as a map between broken coordinate spaces."""
     if source.k + target.k != source.mesh.dim:
         raise AssemblyError("star must map degree k to n-k")
-    return block_diag(*[
+    return block_diagonal([
         np.column_stack([tgt.expand(hodge_star(w)) for w in src.basis])
         for src, tgt in zip(source.locals, target.locals)
     ])
@@ -317,7 +342,7 @@ class DeRhamLadder:
         """
         source, target = self.broken(k, family), self.p0(target_k)
         if target.dim == 0:
-            return np.zeros((0, source.dim))
+            return scipy.sparse.csr_array((0, source.dim))
         blocks = []
         for sp in source.locals:
             block = np.zeros((target.ncomp, sp.dim))
@@ -328,14 +353,14 @@ class DeRhamLadder:
                 for (_, midx), c in image.terms.items():
                     block[target.midx.index(midx), j] = c
             blocks.append(block)
-        return block_diag(*blocks)
+        return block_diagonal(blocks)
 
     def p0_injection(self, k, family="primal"):
         """Inclusion of constant k-forms; they are the leading local basis."""
 
         def build():
             ncomp = self.p0(k).ncomp
-            return block_diag(*[np.eye(sp.dim, ncomp) for sp in self.broken(k, family).locals])
+            return block_diagonal([np.eye(sp.dim, ncomp) for sp in self.broken(k, family).locals])
 
         return self._get(("p0-injection", k, family), build)
 
@@ -345,7 +370,7 @@ class DeRhamLadder:
         def build():
             p0 = self.p0(k)
             units = [PolyForm.basis_form(self.mesh.dim, m) for m in p0.midx]
-            return block_diag(*[
+            return block_diagonal([
                 np.array([[l2_inner(u, w, sp.cell) / vol for w in sp.basis] for u in units])
                 for sp, vol in zip(self.broken(k, family).locals, p0.volumes)
             ])
@@ -473,8 +498,15 @@ def abcfes_by_constraints(mesh, k, bc="none", lad=None):
             raise ToleranceFailure("constraint rank detection is ambiguous")
     else:
         r = 0
-    space = nullspace(C)
-    A = orthonormalize(space.basis, broken.gram())
+    # null vectors of C R^-1 are Euclidean-orthonormal, so A = R^-1 N is
+    # Gram-orthonormal and spans the null space of C
+    Rinv = broken.gram_factor_inverse()
+    A = Rinv @ nullspace(C @ Rinv).basis
+    if A.shape[1] != broken.dim - r:
+        raise ToleranceFailure(
+            "constraint rank %d of C disagrees with rank %d of C R^-1"
+            % (r, broken.dim - A.shape[1])
+        )
     gs = GlobalSpace(
         broken,
         A,
@@ -508,7 +540,8 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
         return BasisAtlas(broken, funcs)
     partner_bc = "homogeneous" if bc == "none" else "none"
     partner = lad.whitney_star(k + 1, partner_bc)
-    B = lad.pairing(k)
+    # pairing of every broken basis form with every partner column
+    BP = lad.pairing(k) @ partner.atlas
     decs = lad.local_decompositions(k)
     # cells supporting each partner basis function
     table = mesh.subsimplices(mesh.dim - k - 1)
@@ -530,7 +563,7 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
                 vec[s] = dec.P0.basis[:, col]
                 funcs.append(BasisFunction("type-I", ("cell", ci), vec))
         # functionals of the overlapping partner columns, restricted to PB
-        L = (B[s, :] @ partner.atlas[:, I2]).T @ PB if I2 else np.zeros((0, PB.shape[1]))
+        L = BP[s, I2].T @ PB if I2 else np.zeros((0, PB.shape[1]))
         if I2:
             if rank(L, tol=1e-10) < len(I2):
                 raise AssumptionViolation(

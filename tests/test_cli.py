@@ -159,6 +159,34 @@ class TestCli:
         assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
         assert "--scheme all" in err
 
+    @pytest.mark.parametrize(
+        "argv,command",
+        [
+            (["verify", "complex", "--scheme", "bogus"], "verify complex"),
+            (["verify", "complex", "--scheme", "all"], "verify complex"),
+            (["verify", "base-pair", "--k", "0", "--scheme", "complete"], "verify base-pair"),
+            (["suite", "all", "--fast", "--scheme", "all"], "suite all"),
+            (["solve", "eigen", "--k", "0", "--check-equivalence"], "solve eigen"),
+            (["solve", "source", "--k", "0", "--check-equivalence"], "solve source"),
+            (["solve", "source", "--k", "0", "--scheme", "all"], "solve source"),
+            (["solve", "hodge", "--k", "1", "--scheme", "bogus"], "solve hodge"),
+        ],
+    )
+    def test_flags_a_command_ignores_are_refused(self, capsys, argv, command):
+        code, out, err = run_cli(argv + ["--mesh", "box:2"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
+        assert command in err
+
+    @pytest.mark.parametrize("command", [["verify", "complex"], ["mesh", "info"]])
+    def test_unknown_scheme_in_config_refused_by_every_command(self, tmp_path, capsys, command):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"scheme": "bogus"}))
+        code, out, err = run_cli(["--config", str(conf)] + command, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
+        assert " ".join(command) in err and "bogus" in err
+
     @pytest.mark.parametrize("command", ["base-pair", "decomposition"])
     @pytest.mark.parametrize("mesh,k", [("box:2", 2), ("tetbox:1", 3)])
     def test_base_pair_refuses_top_degree(self, capsys, mesh, k, command):

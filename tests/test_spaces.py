@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from padfeec.linalg import Subspace, rank, subspace_equal
 from padfeec.mesh import generate_structured
@@ -32,11 +33,11 @@ class TestBrokenSpaces:
         gs = broken_space(BOX2, 2, "primal")
         # d vanishes identically at the top degree: no admissible image space
         D = lad.d_matrix(2)
-        assert not D.any()
+        assert not D.toarray().any()
 
     def test_gram_block_diagonal_spd(self):
         lad = ladder(BOX2)
-        G = lad.primal(1).gram()
+        G = lad.primal(1).gram().toarray()
         w = np.linalg.eigvalsh(G)
         assert w[0] > 0
 
@@ -51,7 +52,7 @@ class TestBrokenSpaces:
         lad = ladder(BOX2)
         J = lad.p0_injection(1)
         P = lad.p0_projection(1)
-        assert np.allclose(P @ J, np.eye(lad.p0(1).dim), atol=1e-13)
+        assert np.allclose((P @ J).toarray(), np.eye(lad.p0(1).dim), atol=1e-13)
 
 
 class TestConformingWhitney:
@@ -293,7 +294,7 @@ class TestLadderOperators:
             P = lad.p0_projection(k, family)
             dims = (lad.p0(k).dim, lad.broken(k, family).dim)
             assert P.shape == dims and J.shape == dims[::-1]
-            assert np.allclose(P @ J, np.eye(dims[0]), atol=1e-13)
+            assert np.allclose((P @ J).toarray(), np.eye(dims[0]), atol=1e-13)
             assert lad.p0_projection(k, family) is P
 
     @pytest.mark.parametrize("family", ["primal", "dual", "full"])
@@ -434,6 +435,19 @@ ORACLE_MESHES = {
 }
 
 
+def _assert_cellwise(op, rows, cols):
+    """``op`` is stored sparse, with no more entries than its cell blocks hold.
+
+    ``rows`` and ``cols`` are the per-cell block heights and widths.
+    """
+    assert scipy.sparse.issparse(op)
+    assert op.nnz <= sum(r * c for r, c in zip(rows, cols))
+
+
+def _p0_blocks(p0):
+    return [p0.ncomp] * p0.mesh.num_cells
+
+
 class TestBlockAssemblyOracle:
     """Each cellwise operator equals, bit for bit, the offset-writing loop."""
 
@@ -448,11 +462,15 @@ class TestBlockAssemblyOracle:
         for k in range(mesh.dim + 1):
             for family in ("primal", "dual", "full"):
                 broken = lad.broken(k, family)
-                assert np.array_equal(broken.gram(), _old_gram(broken))
+                _assert_cellwise(broken.gram(), broken.block_dims, broken.block_dims)
+                assert np.array_equal(broken.gram().toarray(), _old_gram(broken))
             if k < mesh.dim:
                 primal, dual = lad.primal(k), lad.dual(k + 1)
-                assert np.array_equal(lad.pairing(k), _old_pairing(primal, dual))
-                assert np.array_equal(d_pairing(primal, dual), lad.pairing(k))
+                _assert_cellwise(lad.pairing(k), primal.block_dims, dual.block_dims)
+                assert np.array_equal(lad.pairing(k).toarray(), _old_pairing(primal, dual))
+                assert np.array_equal(
+                    d_pairing(primal, dual).toarray(), lad.pairing(k).toarray()
+                )
 
     def test_star_matrices_and_d_expansion(self, mesh):
         from padfeec.forms import exterior_derivative, hodge_star
@@ -462,15 +480,20 @@ class TestBlockAssemblyOracle:
         n = mesh.dim
         for k in range(n + 1):
             p0 = lad.p0(k)
-            assert np.array_equal(p0.star_matrix(), _old_p0_star(p0))
+            _assert_cellwise(p0.star_matrix(), _p0_blocks(lad.p0(n - k)), _p0_blocks(p0))
+            assert np.array_equal(p0.star_matrix().toarray(), _old_p0_star(p0))
             source, target = lad.primal(k), lad.dual(n - k)
+            star = star_block_matrix(source, target)
+            _assert_cellwise(star, target.block_dims, source.block_dims)
             assert np.array_equal(
-                star_block_matrix(source, target), _old_cellwise_expand(source, target, hodge_star)
+                star.toarray(), _old_cellwise_expand(source, target, hodge_star)
             )
             if k < n:
                 source, target = lad.primal(k), lad.primal(k + 1)
+                d = block_d_expand(source, target)
+                _assert_cellwise(d, target.block_dims, source.block_dims)
                 assert np.array_equal(
-                    block_d_expand(source, target),
+                    d.toarray(),
                     _old_cellwise_expand(source, target, exterior_derivative),
                 )
 
@@ -481,20 +504,42 @@ class TestBlockAssemblyOracle:
         lad = ladder(mesh)
         for k in range(mesh.dim + 1):
             broken, p0 = lad.broken(k, family), lad.p0(k)
+            blocks = broken.block_dims
+            for op, target in ((lad.d_matrix(k, family), k + 1), (lad.delta_matrix(k, family), k - 1)):
+                height = lad.p0(target).ncomp if 0 <= target <= mesh.dim else 0
+                _assert_cellwise(op, [height] * mesh.num_cells, blocks)
+            _assert_cellwise(lad.p0_injection(k, family), blocks, _p0_blocks(p0))
+            _assert_cellwise(lad.p0_projection(k, family), _p0_blocks(p0), blocks)
             assert np.array_equal(
-                lad.d_matrix(k, family), _old_cellwise(broken, lad.p0(k + 1), exterior_derivative)
+                lad.d_matrix(k, family).toarray(),
+                _old_cellwise(broken, lad.p0(k + 1), exterior_derivative),
             )
             assert np.array_equal(
-                lad.delta_matrix(k, family), _old_cellwise(broken, lad.p0(k - 1), codifferential)
+                lad.delta_matrix(k, family).toarray(),
+                _old_cellwise(broken, lad.p0(k - 1), codifferential),
             )
-            assert np.array_equal(lad.p0_injection(k, family), _old_p0_injection(broken, p0))
-            assert np.array_equal(lad.p0_projection(k, family), _old_p0_projection(broken, p0))
+            assert np.array_equal(
+                lad.p0_injection(k, family).toarray(), _old_p0_injection(broken, p0)
+            )
+            assert np.array_equal(
+                lad.p0_projection(k, family).toarray(), _old_p0_projection(broken, p0)
+            )
 
     def test_projectivity_matrix(self, mesh):
         from padfeec.interp import projectivity_matrix
 
         for k in range(mesh.dim + 1):
-            assert np.array_equal(projectivity_matrix(mesh, k), _old_projectivity(mesh, k))
+            J = projectivity_matrix(mesh, k)
+            blocks = ladder(mesh).primal(k).block_dims
+            _assert_cellwise(J, blocks, blocks)
+            assert np.array_equal(J.toarray(), _old_projectivity(mesh, k))
+
+    def test_p0_gram_is_the_diagonal_of_volumes(self, mesh):
+        lad = ladder(mesh)
+        for k in range(mesh.dim + 1):
+            p0 = lad.p0(k)
+            _assert_cellwise(p0.gram, [1] * p0.dim, [1] * p0.dim)
+            assert np.array_equal(p0.gram.diagonal(), np.repeat(p0.volumes, p0.ncomp))
 
 
 # -- sub-simplex owners against the cell scan they replaced -----------------------
@@ -565,3 +610,66 @@ class TestIncidenceOracle:
             assert np.array_equal(
                 lad.abc_atlas(k, bc).matrix(), ref.abc_atlas(k, bc).matrix()
             )
+
+
+# -- Gram-orthonormal constraint bases against orthonormalizing the nullspace ------
+
+
+def _old_route(C, gram):
+    from padfeec.linalg import nullspace, orthonormalize
+
+    return orthonormalize(nullspace(C).basis, gram)
+
+
+def _largest_angle(A, B, gram):
+    from padfeec.linalg import principal_angles
+
+    n = A.shape[0]
+    angles = principal_angles(Subspace(n, A, gram), Subspace(n, B, gram), gram)
+    return float(angles.max(initial=0.0))
+
+
+def _orthonormality_defect(A, gram):
+    return float(np.abs(A.T @ gram @ A - np.eye(A.shape[1])).max(initial=0.0))
+
+
+class TestGramOrthonormalConstraintBases:
+    """R^-1 nullspace(C R^-1) spans what orthonormalize(nullspace(C)) spans."""
+
+    @pytest.fixture(scope="class", params=list(ORACLE_MESHES))
+    def mesh(self, request):
+        return ORACLE_MESHES[request.param]()
+
+    @pytest.mark.parametrize("bc", ["none", "homogeneous"])
+    def test_abc_atlas(self, mesh, bc):
+        lad = ladder(mesh)
+        for k in range(mesh.dim):
+            gs, cons = lad.abc(k, bc)
+            G = gs.broken.gram()
+            old = _old_route(cons.matrix, G)
+            assert gs.dim == old.shape[1]
+            assert gs.constraint_rank == gs.broken.dim - old.shape[1]
+            assert _largest_angle(gs.atlas, old, G) <= 1e-10
+            assert _orthonormality_defect(gs.atlas, G) <= 1e-12
+
+    def test_mixed_space(self, mesh):
+        from padfeec.solve import _mixed_constraints, _mixed_space
+
+        lad = ladder(mesh)
+        for k in range(1, mesh.dim):
+            A = _mixed_space(mesh, k)
+            G = lad.full(k).gram()
+            C = _mixed_constraints(lad, k)
+            old = _old_route(C / np.abs(C).max(), G)
+            assert A.shape[1] == old.shape[1]
+            assert _largest_angle(A, old, G) <= 1e-10
+            assert _orthonormality_defect(A, G) <= 1e-12
+
+    def test_factor_inverse_whitens_every_gram(self, mesh):
+        lad = ladder(mesh)
+        for k in range(mesh.dim + 1):
+            for family in ("primal", "dual", "full"):
+                broken = lad.broken(k, family)
+                Rinv = broken.gram_factor_inverse()
+                _assert_cellwise(Rinv, broken.block_dims, broken.block_dims)
+                assert _orthonormality_defect(Rinv.toarray(), broken.gram()) <= 1e-12
