@@ -8,10 +8,12 @@ identity, and the horizontal slice dualities.  Every theorem-level check
 returns a structured verdict naming the first failed hypothesis instead of
 assuming it.
 
-The kernels and ranges of the three discrete complexes (nonconforming,
-conforming Whitney, starred) come from `_complex_kernel` and
-`_complex_range`; harmonic spaces, Hodge splits and slice dualities read
-them, and only the harmonic spaces are kept in the ladder.
+Base pairs are checked cell by cell on the ladder's block-diagonal
+pairing, d and delta, and each report is kept in the ladder.  The kernels
+and ranges of the three discrete complexes (nonconforming, conforming
+Whitney, starred) come from `_complex_kernel` and `_complex_range`;
+harmonic spaces, Hodge splits and slice dualities read them, and only the
+harmonic spaces are kept in the ladder.
 """
 
 from dataclasses import dataclass, field
@@ -27,16 +29,8 @@ from .linalg import (
     nullspace,
     subspace_equal,
 )
-from .local import fast_local_constants
-from .spaces import GlobalSpace, ladder
-
-
-def build_pairing(primal: GlobalSpace, dual: GlobalSpace):
-    """Pairing matrix <v_i, delta q_j> - <d v_i, q_j> between two atlases."""
-    if dual.k != primal.k + 1 or primal.mesh is not dual.mesh:
-        raise AssemblyError("pairing needs degrees k and k+1 on one mesh")
-    B = ladder(primal.mesh).pairing(primal.k)
-    return primal.atlas.T @ B @ dual.atlas
+from .local import fast_local_constants, pairing_null_dims, pairing_singular_values
+from .spaces import ladder
 
 
 @dataclass
@@ -133,128 +127,100 @@ def _cell_icr(T_block, M_local, range_gram_scale, eig_tol):
 
 
 def base_pair_report(mesh, k, eig_tol=1e-10):
-    """Clears the base-pair hypotheses for the broken (k, k+1) trimmed pair.
+    """The base-pair hypotheses and constants of the broken (k, k+1) trimmed pair.
 
-    The mutual annihilators are computed from the global pairing; the
-    constants are minima of the cell constants, cross-checked against the
-    mesh-level inf-sups; indices of closed range reduce to cell suprema.
+    Each report is built once per (k, eig_tol) and kept in the mesh's ladder;
+    its cell arrays are read-only because every caller shares them.
+    """
+    return ladder(mesh)._get(
+        ("base-pair", k, eig_tol), lambda: _build_base_pair_report(mesh, k, eig_tol)
+    )
+
+
+def _build_base_pair_report(mesh, k, eig_tol):
+    """One pass over the cells of the block-diagonal pairing, d and delta.
+
+    The mutual annihilators of a block-diagonal pairing are the sums of its
+    cell annihilators, read off the singular values of each cell block.  A
+    singular or non-square block fails `annihilator_cores_trivial`; its cell
+    constants are undefined (NaN) and the constants are minima over the
+    other cells.  With trivial cores the twisted parts are the whole broken
+    spaces, so the twisted kernel dimensions reduce to the cellwise ranks of
+    d and delta, the core's index of closed range is its convention value 0,
+    and the broken indices of closed range are cell suprema.
     """
     lad = ladder(mesh)
     primal, dual = lad.primal(k), lad.dual(k + 1)
-    # dense copies: one global SVD, then a small block per cell
-    B = lad.pairing(k).toarray()
-    scale = max(np.abs(B).max(), 1.0)
-    # one SVD yields both mutual annihilators
-    U, s, Vt = np.linalg.svd(B / scale)
-    r = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
-    uM = Subspace(primal.dim, U[:, r:])
-    uN = Subspace(dual.dim, Vt[r:].T.copy())
-    Gp, Gq = primal.gram(), dual.gram()
+    p0_hi, p0_lo = lad.p0(k + 1), lad.p0(k)
+    B, D, Delta = lad.pairing(k), lad.d_matrix(k), lad.delta_matrix(k + 1)
+    uM_dim = uN_dim = rank_D = rank_Delta = 0
+    icr_tilde = icr_tilde_adj = 0.0
     alphas, betas, gammas = [], [], []
     for ci in range(mesh.num_cells):
-        Bk = B[primal.cell_slice(ci), dual.cell_slice(ci)]
-        a, b, g = fast_local_constants(primal.locals[ci], dual.locals[ci], Bk)
+        p, q = primal.locals[ci], dual.locals[ci]
+        cols_p, cols_q = primal.cell_slice(ci), dual.cell_slice(ci)
+        Bk = B[cols_p, cols_q].toarray()
+        sv = pairing_singular_values(Bk)
+        core_p, core_q = pairing_null_dims(p.dim, q.dim, sv)
+        uM_dim += core_p
+        uN_dim += core_q
+        if core_p or core_q:
+            a = b = g = np.nan
+        else:
+            a, b, g = fast_local_constants(p, q, Bk, sv)
         alphas.append(a)
         betas.append(b)
         gammas.append(g)
-    D = lad.d_matrix(k).toarray()
-    Delta = lad.delta_matrix(k + 1).toarray()
-    p0_hi, p0_lo = lad.p0(k + 1), lad.p0(k)
-    icr_tilde = max(
-        _cell_icr(
-            D[p0_hi.cell_slice(ci), primal.cell_slice(ci)],
-            primal.locals[ci].gram(),
-            p0_hi.volumes[ci],
-            eig_tol,
+        Dk = D[p0_hi.cell_slice(ci), cols_p].toarray()
+        Deltak = Delta[p0_lo.cell_slice(ci), cols_q].toarray()
+        icr_tilde = max(icr_tilde, _cell_icr(Dk, p.gram(), p0_hi.volumes[ci], eig_tol))
+        icr_tilde_adj = max(
+            icr_tilde_adj, _cell_icr(Deltak, q.gram(), p0_lo.volumes[ci], eig_tol)
         )
-        for ci in range(mesh.num_cells)
-    )
-    icr_tilde_adj = max(
-        _cell_icr(
-            Delta[p0_lo.cell_slice(ci), dual.cell_slice(ci)],
-            dual.locals[ci].gram(),
-            p0_lo.volumes[ci],
-            eig_tol,
-        )
-        for ci in range(mesh.num_cells)
-    )
-    # the annihilator cores are trivial for trimmed pairs; their icr is the
-    # convention value 0 whenever that happens
-    icr_under = 0.0 if uM.dim == 0 else icr_of(
-        D, Subspace.from_span(uM.basis, Gp), Gp, p0_hi.gram
-    )
-    icr_under_adj = 0.0 if uN.dim == 0 else icr_of(
-        Delta, Subspace.from_span(uN.basis, Gq), Gq, p0_lo.gram
-    )
-    # hypothesis: the twisted kernels pair isomorphically across sides.  With
-    # trivial annihilator cores the twisted parts are the whole broken spaces
-    # and the dimensions reduce to plain rank counts.
-    if uM.dim == 0 and uN.dim == 0:
-        rank_D = _blockdiag_rank(D, lad.p0(k + 1), primal)
-        rank_Delta = _blockdiag_rank(Delta, lad.p0(k), dual)
-        dim_NT_MB = primal.dim - rank_D
-        dim_RT_NB = rank_Delta
-        dim_NT_NB = dual.dim - rank_Delta
-        dim_RT_MB = rank_D
-    else:
-        MB = _twisted_part(primal, D, p0_hi.gram, uM, Gp)
-        NB = _twisted_part(dual, Delta, p0_lo.gram, uN, Gq)
-        dim_NT_MB = _kernel_in(MB, D, Gp).dim
-        dim_RT_NB = Subspace.from_span(Delta @ NB.basis, p0_lo.gram).dim
-        dim_NT_NB = _kernel_in(NB, Delta, Gq).dim
-        dim_RT_MB = Subspace.from_span(D @ MB.basis, p0_hi.gram).dim
+        rank_D += _block_rank(Dk)
+        rank_Delta += _block_rank(Deltak)
+    cores_trivial = uM_dim == 0 and uN_dim == 0
+    alpha, beta, gamma = (_min_defined(c) for c in (alphas, betas, gammas))
     assumptions = {
-        "twisted_kernel_dims_match": dim_NT_MB == dim_RT_NB and dim_NT_NB == dim_RT_MB,
-        "alpha_positive": min(alphas) > 0,
-        "beta_positive": min(betas) > 0,
+        "annihilator_cores_trivial": cores_trivial,
+        # the twisted kernels pair isomorphically across sides
+        "twisted_kernel_dims_match": cores_trivial
+        and primal.dim - rank_D == rank_Delta
+        and dual.dim - rank_Delta == rank_D,
+        "alpha_positive": alpha > 0,
+        "beta_positive": beta > 0,
     }
+    alpha_cells, beta_cells = np.asarray(alphas), np.asarray(betas)
+    alpha_cells.flags.writeable = False
+    beta_cells.flags.writeable = False
     return BasePairReport(
-        uM_dim=uM.dim,
-        uN_dim=uN.dim,
-        alpha=float(min(alphas)),
-        beta=float(min(betas)),
-        gamma=float(min(gammas)),
+        uM_dim=uM_dim,
+        uN_dim=uN_dim,
+        alpha=alpha,
+        beta=beta,
+        gamma=gamma,
         icr_tilde=float(icr_tilde),
         icr_tilde_adjoint=float(icr_tilde_adj),
-        icr_under=float(icr_under),
-        icr_under_adjoint=float(icr_under_adj),
-        alpha_cells=np.asarray(alphas),
-        beta_cells=np.asarray(betas),
+        icr_under=0.0,
+        icr_under_adjoint=0.0,
+        alpha_cells=alpha_cells,
+        beta_cells=beta_cells,
         assumptions_ok=assumptions,
     )
 
 
-def _blockdiag_rank(T, p0, broken):
-    """Rank of a cell-block-diagonal operator, summed cell by cell."""
-    total = 0
-    for ci in range(broken.mesh.num_cells):
-        block = T[p0.cell_slice(ci), broken.cell_slice(ci)]
-        if block.size:
-            s = np.linalg.svd(block, compute_uv=False)
-            if s.size and s[0] > 0:
-                total += int(np.sum(s > 1e-12 * s[0]))
-    return total
+def _min_defined(values):
+    """Minimum over the cells whose constant is defined; NaN if none is."""
+    defined = [v for v in values if not np.isnan(v)]
+    return float(min(defined)) if defined else float("nan")
 
 
-def _kernel_in(sub: Subspace, T, gram):
-    TV = T @ sub.basis
-    ns = nullspace(TV / max(np.abs(TV).max(initial=0.0), 1e-300))
-    return Subspace.from_span(sub.basis @ ns.basis, gram)
-
-
-def _twisted_part(broken, T, range_gram, core: Subspace, gram):
-    """Members orthogonal to the core kernel in L2 and to the core in T-energy.
-
-    T is the side's cellwise operator: d on the primal side, delta on the dual.
-    """
-    if core.dim == 0:
-        return Subspace.full(broken.dim, gram)
-    rows = [core.basis.T @ T.T @ range_gram @ T]
-    kernel_core = _kernel_in(core, T, gram)
-    if kernel_core.dim:
-        rows.append(kernel_core.basis.T @ gram)
-    ns = nullspace(np.vstack(rows))
-    return Subspace.from_span(ns.basis, gram)
+def _block_rank(block):
+    """Numerical rank of one small cell block."""
+    if not block.size:
+        return 0
+    s = np.linalg.svd(block, compute_uv=False)
+    return int(np.sum(s > 1e-12 * s[0])) if s[0] > 0 else 0
 
 
 def whitney_pair(mesh, k, bc="none"):
@@ -288,17 +254,17 @@ def whitney_pair(mesh, k, bc="none"):
 def partial_adjoint_of(D: Subspace, mesh, k, check_roundtrip=True):
     """Adjoint domain of a subspace of the broken k-forms, with round trip.
 
-    The domain must contain the mutual-annihilator core of the base pair;
-    the adjoint domain is the annihilator of the pairing restricted to it.
+    The domain must contain the mutual-annihilator core of the base pair,
+    which every domain does when the core is trivial, as for the trimmed
+    pairs; a nontrivial core raises NotAdmissible.  The adjoint domain is the
+    annihilator of the pairing restricted to the domain.
     """
+    if not base_pair_report(mesh, k).assumptions_ok["annihilator_cores_trivial"]:
+        raise NotAdmissible("the base pair has a nontrivial annihilator core")
     lad = ladder(mesh)
     B = lad.pairing(k)
-    scale = max(np.abs(B).max(), 1.0)
-    uM = nullspace(B.T / scale)
     Gp, Gq = lad.primal(k).gram(), lad.dual(k + 1).gram()
     Dsub = Subspace.from_span(D.basis, Gp)
-    if uM.dim and not Dsub.contains(uM.basis, tol=1e-8):
-        raise NotAdmissible("domain does not contain the annihilator core")
     rows = Dsub.basis.T @ B
     adjoint = Subspace.from_span(nullspace(rows / max(np.abs(rows).max(initial=0.0), 1e-300)).basis, Gq)
     pair = OperatorPair(
@@ -655,41 +621,3 @@ def horizontal_duality_check(mesh, k):
         verdict=verdict,
         detail={"infsup_high": gamma1, "infsup_low": gamma2, "bound": bound},
     )
-
-
-def ladder_constants(mesh, k):
-    """The vertical-structure constants for the (k, k+1) rung of the ladder.
-
-    For trimmed pairs the harmonic slices are empty cell by cell and the
-    convention values 1 apply; the slice dimensions are computed, not assumed.
-    """
-    lad = ladder(mesh)
-    report_low = base_pair_report(mesh, k)
-    out = {
-        "alpha": report_low.alpha,
-        "beta": report_low.beta,
-        "gamma": report_low.gamma,
-    }
-    if k + 1 <= mesh.dim - 1:
-        report_high = base_pair_report(mesh, k + 1)
-        out["kappa"] = report_high.beta
-        out["varpi"] = report_high.alpha
-    else:
-        out["kappa"] = 1.0
-        out["varpi"] = 1.0
-    # harmonic slices per cell: kernel of d one level up modulo range of d
-    slice_dims = 0
-    for ci in range(mesh.num_cells):
-        lo = lad.primal(k).locals[ci]
-        hi = lad.primal(k + 1).locals[ci]
-        D_lo = np.column_stack(
-            [hi.expand(lo.op_image(i)) for i in range(lo.dim)]
-        ) if lo.dim else np.zeros((hi.dim, 0))
-        ker_hi = nullspace(hi.energy_gram() / max(np.abs(hi.energy_gram()).max(), 1e-300))
-        R = Subspace.from_span(D_lo, hi.gram())
-        N = Subspace.from_span(ker_hi.basis, hi.gram())
-        slice_dims += N.dim - R.dim
-    out["harmonic_slice_dim"] = int(slice_dims)
-    out["chi"] = 1.0 if slice_dims == 0 else np.nan
-    out["epsilon"] = 1.0 if slice_dims == 0 else np.nan
-    return out

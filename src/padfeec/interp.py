@@ -242,16 +242,17 @@ def projectivity_matrix(mesh, k):
     ])
 
 
-def stability_report(mesh, k, fields, base_report=None):
+def stability_report(mesh, k, fields):
     """Worst observed energy and graph-norm amplification over sample fields.
 
     Returns the two empirical ratios and their theoretical ceilings
-    (1 + 1/beta) and (2 + rho + 1/gamma + 1/beta) from the base-pair data.
+    (1 + 1/beta) and (2 + rho + 1/gamma + 1/beta) from the base-pair report
+    the ladder keeps.
     """
     from .adjoint import base_pair_report
 
     lad = ladder(mesh)
-    rep = base_report or base_pair_report(mesh, k)
+    rep = base_pair_report(mesh, k)
     I = global_interpolator(mesh, k)
     D = lad.d_matrix(k)
     G = lad.primal(k).gram()

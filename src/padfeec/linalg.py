@@ -1,8 +1,8 @@
 """Dense linear-algebra substrate, with Grams that may be sparse.
 
 Rank and nullspace detection with explicit relative tolerances, Gram-aware
-orthonormalization, inf-sup constants, indices of closed range, generalized
-eigenproblems and principal angles between subspaces.  Every orthogonality
+orthonormalization, inf-sup constants, indices of closed range, the nonzero
+eigenvalues of a singular pencil and principal angles between subspaces.  Every orthogonality
 notion goes through an explicit Gram matrix; the Euclidean inner product is
 only the special case ``gram=None``.  A Gram may be a dense array or a
 `scipy.sparse` array (the cellwise Grams of `spaces` are sparse
@@ -298,40 +298,6 @@ def gram_complement(A: Subspace, B: Subspace, gram=None, tol=RANK_TOL):
             % (coords.dim, B.dim - A.dim)
         )
     return Subspace(n, Qb @ coords.basis, gram)
-
-
-@dataclass
-class SpectralReport:
-    values: np.ndarray
-    vectors: np.ndarray
-    residual: float
-
-
-def generalized_eig(K, M, sub: Subspace | None = None, eig_tol=EIG_TOL):
-    """Eigenpairs of K v = lambda M v restricted to ``sub`` (ascending).
-
-    M must be positive definite on the subspace.  The returned vectors are
-    ambient, M-orthonormal; the residual is max |Kv - lambda Mv| over pairs.
-    """
-    K = _as_matrix(K)
-    M = _as_gram(M)
-    if sub is None:
-        sub = Subspace(K.shape[1], np.eye(K.shape[1]))
-    V = sub.basis
-    Kp = 0.5 * ((V.T @ K @ V) + (V.T @ K @ V).T)
-    Mp = 0.5 * ((V.T @ M @ V) + (V.T @ M @ V).T)
-    wM = scipy.linalg.eigvalsh(Mp) if Mp.shape[0] else np.array([1.0])
-    if Mp.shape[0] and wM[0] <= eig_tol * max(wM[-1], 1.0):
-        raise InvalidGram("mass matrix not positive definite on the subspace")
-    if Mp.shape[0] == 0:
-        return SpectralReport(np.zeros(0), np.zeros((K.shape[1], 0)), 0.0)
-    w, U = scipy.linalg.eigh(Kp, Mp)
-    vecs = V @ U
-    resid = 0.0
-    for i in range(w.size):
-        r = K @ vecs[:, i] - w[i] * (M @ vecs[:, i])
-        resid = max(resid, float(np.linalg.norm(r)))
-    return SpectralReport(w, vecs, resid)
 
 
 def pencil_nonzero_eigs(K, M, rel_tol=1e-9):

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionViolation, DegreeMismatch, InvalidParameter, Unsupported
+from .errors import (
+    AssumptionViolation,
+    DegreeMismatch,
+    InvalidParameter,
+    NotAdmissible,
+    Unsupported,
+)
 from .forms import (
     CellGeometry,
     PolyForm,
@@ -222,7 +228,13 @@ def pairing_matrix(primal: LocalSpace, dual: LocalSpace):
 
 @dataclass
 class LocalDecomposition:
-    """Pairing-relative structural split of a primal/dual local space pair."""
+    """Pairing-relative structural split of a primal/dual local space pair.
+
+    Both sides keep their pairing-null part P0 and twisted part PB with the
+    d- or delta-kernel of PB; the primal side also keeps the kernel ring_P0
+    of its P0 and the complement P0_perp, which the interpolation moments
+    read.
+    """
 
     primal: LocalSpace
     dual: LocalSpace
@@ -232,42 +244,37 @@ class LocalDecomposition:
     P0_perp: Subspace
     PB: Subspace
     ring_PB: Subspace
-    PB_perp: Subspace
     dual_P0: Subspace
-    dual_ring_P0: Subspace
-    dual_P0_perp: Subspace
     dual_PB: Subspace
     dual_ring_PB: Subspace
-    dual_PB_perp: Subspace
 
 
-def _side_decomposition(dim, gram, energy, pairing_rows, ambient_gram):
+def _side_decomposition(dim, gram, energy, pairing_rows):
+    """(P0, ring_P0, PB, ring_PB) of one side of a local pair."""
     if dim == 0:
-        zero = Subspace.zero(0, ambient_gram)
-        return zero, zero, zero, zero, zero, zero
+        zero = Subspace.zero(0, gram)
+        return zero, zero, zero, zero
     scale = max(np.abs(pairing_rows).max(initial=0.0), 1.0)
     e_scale = max(np.abs(energy).max(initial=0.0), 1e-30)
-    P0 = Subspace.from_span(nullspace(pairing_rows / scale).basis, ambient_gram)
+    P0 = Subspace.from_span(nullspace(pairing_rows / scale).basis, gram)
     ring_rows = np.vstack([pairing_rows / scale, energy / e_scale])
-    ring_P0 = Subspace.from_span(nullspace(ring_rows).basis, ambient_gram)
-    P0_perp = gram_complement(ring_P0, P0, ambient_gram)
+    ring_P0 = Subspace.from_span(nullspace(ring_rows).basis, gram)
     rows = []
     if ring_P0.dim:
         rows.append(ring_P0.basis.T @ gram)
     if P0.dim:
         rows.append(P0.basis.T @ energy)
     if rows:
-        PB = Subspace.from_span(nullspace(np.vstack(rows)).basis, ambient_gram)
+        PB = Subspace.from_span(nullspace(np.vstack(rows)).basis, gram)
     else:
-        PB = Subspace.full(dim, ambient_gram)
+        PB = Subspace.full(dim, gram)
     ring_PB_rows = [energy / e_scale]
     if ring_P0.dim:
         ring_PB_rows.append(ring_P0.basis.T @ gram)
     if P0.dim:
         ring_PB_rows.append(P0.basis.T @ energy)
-    ring_PB = Subspace.from_span(nullspace(np.vstack(ring_PB_rows)).basis, ambient_gram)
-    PB_perp = gram_complement(ring_PB, PB, ambient_gram)
-    return P0, ring_P0, P0_perp, PB, ring_PB, PB_perp
+    ring_PB = Subspace.from_span(nullspace(np.vstack(ring_PB_rows)).basis, gram)
+    return P0, ring_P0, PB, ring_PB
 
 
 def decompose_local(primal: LocalSpace, dual: LocalSpace):
@@ -279,15 +286,28 @@ def decompose_local(primal: LocalSpace, dual: LocalSpace):
     """
     B = pairing_matrix(primal, dual)
     Mp = primal.gram()
-    Md = dual.gram()
-    p_side = _side_decomposition(primal.dim, Mp, primal.energy_gram(), B.T, Mp)
-    d_side = _side_decomposition(dual.dim, Md, dual.energy_gram(), B, Md)
-    dec = LocalDecomposition(primal, dual, B, *p_side, *d_side)
-    if dec.P0.dim + dec.PB.dim != primal.dim:
+    P0, ring_P0, PB, ring_PB = _side_decomposition(primal.dim, Mp, primal.energy_gram(), B.T)
+    # the dual ring_P0 only serves to cut out the dual PB
+    dual_P0, _, dual_PB, dual_ring_PB = _side_decomposition(
+        dual.dim, dual.gram(), dual.energy_gram(), B
+    )
+    if P0.dim + PB.dim != primal.dim:
         raise AssumptionViolation("primal side does not split into P0 + PB")
-    if dec.dual_P0.dim + dec.dual_PB.dim != dual.dim:
+    if dual_P0.dim + dual_PB.dim != dual.dim:
         raise AssumptionViolation("dual side does not split into P0 + PB")
-    return dec
+    return LocalDecomposition(
+        primal,
+        dual,
+        B,
+        P0,
+        ring_P0,
+        gram_complement(ring_P0, P0, Mp),
+        PB,
+        ring_PB,
+        dual_P0,
+        dual_PB,
+        dual_ring_PB,
+    )
 
 
 def local_constants(dec: LocalDecomposition):
@@ -334,21 +354,36 @@ def local_constants(dec: LocalDecomposition):
     return alpha, beta, gamma
 
 
-def fast_local_constants(primal: LocalSpace, dual: LocalSpace, B=None):
-    """(alpha_K, beta_K, gamma_K) on one cell, specialized to trivial null parts.
+def pairing_singular_values(B):
+    """Singular values of a cell pairing block, scaled by its largest entry."""
+    return np.linalg.svd(B / max(np.abs(B).max(initial=0.0), 1e-30), compute_uv=False)
 
-    Falls back to the full decomposition when either pairing-null part is
-    nontrivial.  Plain numpy throughout; this runs once per cell on every
-    mesh level, so call overhead matters.
+
+def pairing_null_dims(p, q, sv):
+    """Dimensions of the two pairing-null parts of a p x q cell pairing block.
+
+    ``sv`` are its singular values from `pairing_singular_values`; both parts
+    are trivial exactly when the block is square and nonsingular.
+    """
+    r = int(np.sum(sv > 1e-10))
+    return p - r, q - r
+
+
+def fast_local_constants(primal: LocalSpace, dual: LocalSpace, B=None, sv=None):
+    """(alpha_K, beta_K, gamma_K) on one cell whose pairing-null parts are trivial.
+
+    ``B`` is the cell pairing block and ``sv`` its singular values from
+    `pairing_singular_values`; a caller that holds them passes them in.  A
+    singular or non-square block has a nontrivial pairing-null part, which
+    raises NotAdmissible; `local_constants` of `decompose_local` covers that
+    case.  Plain numpy throughout; this runs once per cell on every mesh
+    level, so call overhead matters.
     """
     B = pairing_matrix(primal, dual) if B is None else B
-    scale = max(np.abs(B).max(), 1e-30)
-    sv = np.linalg.svd(B / scale, compute_uv=False)
+    sv = pairing_singular_values(B) if sv is None else sv
     p, q = primal.dim, dual.dim
-    r = int(np.sum(sv > 1e-10))
-    if r < min(p, q) or p != q:
-        dec = decompose_local(primal, dual)
-        return local_constants(dec)
+    if pairing_null_dims(p, q, sv) != (0, 0):
+        raise NotAdmissible("cell pairing block has a nontrivial pairing-null part")
     Mp, Ep = primal.gram(), primal.energy_gram()
     Md, Ed = dual.gram(), dual.energy_gram()
 

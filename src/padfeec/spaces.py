@@ -194,19 +194,6 @@ class GlobalSpace:
     def dim(self):
         return self.atlas.shape[1]
 
-    def gram_l2(self):
-        return self.atlas.T @ self.broken.gram() @ self.atlas
-
-    def gram_energy(self):
-        """Gram of the applicable differential; zero at the chain ends."""
-        lad = ladder(self.mesh)
-        if self.broken.name == "dual":
-            D, g = lad.delta_matrix(self.k, "dual"), lad.p0(self.k - 1).gram
-        else:
-            D, g = lad.d_matrix(self.k, self.broken.name), lad.p0(self.k + 1).gram
-        DA = D @ self.atlas
-        return DA.T @ g @ DA
-
     def subspace(self):
         if self.span is None:
             self.span = Subspace.from_span(self.atlas, self.broken.gram())
@@ -219,10 +206,6 @@ class ConstraintSet:
 
     matrix: np.ndarray
     partner: GlobalSpace
-
-    @property
-    def rank(self):
-        return rank(self.matrix)
 
 
 @dataclass

@@ -3,12 +3,10 @@ import pytest
 
 from padfeec.adjoint import (
     base_pair_report,
-    build_pairing,
     harmonic_space,
     helmholtz_check,
     hodge_check,
     horizontal_duality_check,
-    ladder_constants,
     partial_adjoint_of,
     pl_duality_check,
     quantified_crt_check,
@@ -20,7 +18,6 @@ from padfeec.local import LocalSpace, decompose_local, gallery_2d, local_constan
 from padfeec.mesh import generate_structured
 from padfeec.spaces import (
     BrokenSpace,
-    GlobalSpace,
     block_d_expand,
     d_pairing,
     ladder,
@@ -38,15 +35,14 @@ class TestBuildPairing:
         lad = ladder(BOX2)
         primal = lad.whitney(k, "none")
         dual = lad.whitney_star(k + 1, "homogeneous")
-        B = build_pairing(primal, dual)
+        B = primal.atlas.T @ lad.pairing(k) @ dual.atlas
         assert np.abs(B).max() < 1e-12
 
     def test_empty_dual_space(self):
         lad = ladder(BOX2)
         primal = lad.whitney(0, "none")
-        dual = lad.whitney_star(1, "homogeneous")
-        empty = GlobalSpace(dual.broken, np.zeros((dual.broken.dim, 0)), kind="star")
-        B = build_pairing(primal, empty)
+        empty = np.zeros((lad.dual(1).dim, 0))
+        B = primal.atlas.T @ lad.pairing(0) @ empty
         assert B.shape == (9, 0)
 
 
@@ -60,6 +56,22 @@ class TestBasePair:
         assert rep.icr_under == 0.0
         assert 0 < rep.icr_tilde <= 1.5 * mesh.max_diameter()
         assert all(rep.assumptions_ok.values())
+
+    def test_vertical_constants_on_the_next_rung(self):
+        # kappa and varpi of the (0, 1) rung are the beta and alpha of the
+        # (1, 2) base pair; chi and epsilon keep their convention value 1
+        # because each cell's harmonic slice, ker d / ran d at degree 1, is empty
+        from padfeec.linalg import rank
+
+        rep = base_pair_report(BOX2, 1)
+        assert rep.beta == pytest.approx(1.0, abs=1e-10)
+        assert rep.alpha == pytest.approx(1.0, abs=1e-10)
+        lad = ladder(BOX2)
+        for ci in range(BOX2.num_cells):
+            d0 = lad.d_matrix(0)[lad.p0(1).cell_slice(ci), lad.primal(0).cell_slice(ci)]
+            d1 = lad.d_matrix(1)[lad.p0(2).cell_slice(ci), lad.primal(1).cell_slice(ci)]
+            kernel = lad.primal(1).block_dims[ci] - rank(d1)
+            assert kernel == rank(d0) > 0
 
     def test_trivial_twisted_parts_give_convention_value(self):
         cell = CellGeometry([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -79,6 +91,202 @@ class TestBasePair:
         dual.__post_init__()
         alpha, beta, gamma = local_constants(decompose_local(primal, dual))
         assert alpha > 0 and beta > 0 and gamma > 0
+
+
+def _global_base_pair_report(mesh, k, eig_tol=1e-10):
+    """The earlier global route: dense copies and one SVD of the whole pairing.
+
+    Kept here as the oracle of the cellwise report.  Only the trivial-core
+    branch is copied; no input below reaches the other.
+    """
+    from padfeec.adjoint import BasePairReport, _cell_icr
+    from padfeec.local import fast_local_constants
+
+    lad = ladder(mesh)
+    primal, dual = lad.primal(k), lad.dual(k + 1)
+    B = lad.pairing(k).toarray()
+    scale = max(np.abs(B).max(), 1.0)
+    U, s, Vt = np.linalg.svd(B / scale)
+    r = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0 else 0
+    uM = Subspace(primal.dim, U[:, r:])
+    uN = Subspace(dual.dim, Vt[r:].T.copy())
+    assert uM.dim == 0 and uN.dim == 0
+    alphas, betas, gammas = [], [], []
+    for ci in range(mesh.num_cells):
+        Bk = B[primal.cell_slice(ci), dual.cell_slice(ci)]
+        a, b, g = fast_local_constants(primal.locals[ci], dual.locals[ci], Bk)
+        alphas.append(a)
+        betas.append(b)
+        gammas.append(g)
+    D = lad.d_matrix(k).toarray()
+    Delta = lad.delta_matrix(k + 1).toarray()
+    p0_hi, p0_lo = lad.p0(k + 1), lad.p0(k)
+    icr_tilde = max(
+        _cell_icr(
+            D[p0_hi.cell_slice(ci), primal.cell_slice(ci)],
+            primal.locals[ci].gram(),
+            p0_hi.volumes[ci],
+            eig_tol,
+        )
+        for ci in range(mesh.num_cells)
+    )
+    icr_tilde_adj = max(
+        _cell_icr(
+            Delta[p0_lo.cell_slice(ci), dual.cell_slice(ci)],
+            dual.locals[ci].gram(),
+            p0_lo.volumes[ci],
+            eig_tol,
+        )
+        for ci in range(mesh.num_cells)
+    )
+
+    def blockdiag_rank(T, p0, broken):
+        total = 0
+        for ci in range(broken.mesh.num_cells):
+            block = T[p0.cell_slice(ci), broken.cell_slice(ci)]
+            if block.size:
+                sv = np.linalg.svd(block, compute_uv=False)
+                if sv.size and sv[0] > 0:
+                    total += int(np.sum(sv > 1e-12 * sv[0]))
+        return total
+
+    rank_D = blockdiag_rank(D, p0_hi, primal)
+    rank_Delta = blockdiag_rank(Delta, p0_lo, dual)
+    assumptions = {
+        "annihilator_cores_trivial": True,
+        "twisted_kernel_dims_match": primal.dim - rank_D == rank_Delta
+        and dual.dim - rank_Delta == rank_D,
+        "alpha_positive": min(alphas) > 0,
+        "beta_positive": min(betas) > 0,
+    }
+    return BasePairReport(
+        uM_dim=uM.dim,
+        uN_dim=uN.dim,
+        alpha=float(min(alphas)),
+        beta=float(min(betas)),
+        gamma=float(min(gammas)),
+        icr_tilde=float(icr_tilde),
+        icr_tilde_adjoint=float(icr_tilde_adj),
+        icr_under=0.0,
+        icr_under_adjoint=0.0,
+        alpha_cells=np.asarray(alphas),
+        beta_cells=np.asarray(betas),
+        assumptions_ok=assumptions,
+    )
+
+
+ORACLE_MESHES = [(2, 2, "box"), (2, 4, "hole"), (3, 1, "box")]
+
+
+class TestCellwiseBasePairOracle:
+    """The cellwise report equals the global route it replaced, field by field."""
+
+    @pytest.mark.parametrize(
+        "dim,n,domain,k",
+        [(dim, n, domain, k) for dim, n, domain in ORACLE_MESHES for k in range(dim)],
+    )
+    def test_equal_to_global_route(self, dim, n, domain, k):
+        mesh = generate_structured(dim, n, domain)
+        cellwise = base_pair_report(mesh, k)
+        oracle = _global_base_pair_report(mesh, k)
+        for name in oracle.__dataclass_fields__:
+            got, want = getattr(cellwise, name), getattr(oracle, name)
+            if name in ("alpha_cells", "beta_cells"):
+                assert np.array_equal(got, want), name
+            else:
+                assert got == want, name
+
+
+def _zero_cell_block(mesh, k, ci):
+    """Replace the ladder's pairing by one whose block on cell ``ci`` is zero."""
+    import scipy.sparse
+
+    lad = ladder(mesh)
+    B = lad.pairing(k).toarray()
+    B[lad.primal(k).cell_slice(ci), lad.dual(k + 1).cell_slice(ci)] = 0.0
+    lad._cache[("pairing", k)] = scipy.sparse.csr_array(B)
+    return lad.primal(k).block_dims[ci], lad.dual(k + 1).block_dims[ci]
+
+
+class TestBasePairCore:
+    def test_zeroed_cell_block_counts_the_core(self):
+        mesh = generate_structured(2, 2)
+        p, q = _zero_cell_block(mesh, 0, 3)
+        rep = base_pair_report(mesh, 0)
+        assert (rep.uM_dim, rep.uN_dim) == (p, q)
+        assert rep.assumptions_ok["annihilator_cores_trivial"] is False
+        assert rep.assumptions_ok["twisted_kernel_dims_match"] is False
+        assert np.isnan(rep.alpha_cells[3]) and np.isnan(rep.beta_cells[3])
+        # the other cells still give their constants
+        assert rep.alpha == pytest.approx(1.0, abs=1e-10)
+        assert rep.icr_under == rep.icr_under_adjoint == 0.0
+
+    def test_verify_base_pair_fails_without_raising(self):
+        from padfeec.cli import cmd_verify_base_pair
+        from padfeec.report import Report, RunConfig
+
+        mesh = generate_structured(2, 2)
+        p, q = _zero_cell_block(mesh, 0, 3)
+        config = RunConfig(command="verify base-pair", mesh="box:2", k=0).validate()
+        report = Report(config)
+        cmd_verify_base_pair(mesh, config, report)
+        (record,) = report.records
+        assert record.verdict == "fail"
+        assert record.numbers["annihilator_dim"] == p
+        assert record.numbers["annihilator_dim_adjoint"] == q
+        assert record.numbers["icr_core"] == 0.0
+
+    def test_partial_adjoint_refuses_a_nontrivial_core(self):
+        from padfeec.errors import NotAdmissible
+
+        mesh = generate_structured(2, 2)
+        _zero_cell_block(mesh, 0, 0)
+        lad = ladder(mesh)
+        D = Subspace.full(lad.primal(0).dim, lad.primal(0).gram())
+        with pytest.raises(NotAdmissible, match="annihilator core"):
+            partial_adjoint_of(D, mesh, 0)
+
+    def test_fast_constants_refuse_a_singular_block(self):
+        from padfeec.errors import NotAdmissible
+        from padfeec.local import fast_local_constants, whitney_local
+
+        cell = CellGeometry([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        p, q = whitney_local(cell, 0, "primal"), whitney_local(cell, 1, "dual")
+        with pytest.raises(NotAdmissible):
+            fast_local_constants(p, q, np.zeros((p.dim, q.dim)))
+
+
+class TestBasePairCache:
+    def test_one_report_per_k_and_tolerance(self):
+        mesh = generate_structured(2, 2)
+        rep = base_pair_report(mesh, 0)
+        assert base_pair_report(mesh, 0) is rep
+        assert base_pair_report(mesh, 0, eig_tol=1e-12) is not rep
+        with pytest.raises(ValueError):
+            rep.alpha_cells[0] = 0.0
+
+    def test_stability_and_horizontal_duality_reuse_the_report(self, monkeypatch):
+        import padfeec.adjoint as adjoint
+        from padfeec.forms import random_polyform
+        from padfeec.interp import global_field, stability_report
+
+        mesh = generate_structured(2, 2)
+        base_pair_report(mesh, 0)
+        calls = []
+        original = adjoint.fast_local_constants
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(adjoint, "fast_local_constants", counted)
+        rng = np.random.default_rng(0)
+        stability_report(mesh, 0, [global_field(mesh, random_polyform(2, 0, 2, rng))])
+        horizontal_duality_check(mesh, 0)
+        assert calls == []
+        # a fresh mesh does count, so the patch is live
+        base_pair_report(generate_structured(2, 2), 0)
+        assert len(calls) == mesh.num_cells
 
 
 class TestPartialAdjoint:
@@ -353,16 +561,6 @@ class TestComplexGuard:
 
         with pytest.raises(NotNested):
             gram_complement(A, B, g)
-
-
-class TestLadderConstants:
-    def test_whitney_values(self):
-        out = ladder_constants(BOX2, 0)
-        assert out["alpha"] == pytest.approx(1.0, abs=1e-10)
-        assert out["kappa"] == pytest.approx(1.0, abs=1e-10)
-        assert out["varpi"] == pytest.approx(1.0, abs=1e-10)
-        assert out["harmonic_slice_dim"] == 0
-        assert out["chi"] == 1.0 and out["epsilon"] == 1.0
 
 
 def _quadratic_conforming_atlas(mesh, broken, bc):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from padfeec.errors import InvalidGram, InvalidMatrix, NotNested
 from padfeec.linalg import (
     Subspace,
-    generalized_eig,
     gram_complement,
     icr_of,
     infsup,
@@ -194,26 +193,6 @@ class TestGramComplement:
             A2 = gram_complement(C, B, G)
             flag, ang = subspace_equal(A, A2, G, tol=1e-9)
             assert flag, ang
-
-
-class TestGeneralizedEig:
-    def test_identity_pair(self):
-        rep = generalized_eig(np.eye(2), np.eye(2))
-        assert np.allclose(rep.values, [1.0, 1.0])
-
-    def test_diagonal(self):
-        rep = generalized_eig(np.diag([1.0, 4.0]), np.eye(2))
-        assert np.allclose(rep.values, [1.0, 4.0])
-
-    def test_tridiagonal_characteristic_oracle(self):
-        # characteristic polynomial of [[2,-1],[-1,2]] is (l-1)(l-3)
-        rep = generalized_eig(np.array([[2.0, -1.0], [-1.0, 2.0]]), np.eye(2))
-        assert np.allclose(rep.values, [1.0, 3.0], atol=1e-12)
-        assert rep.residual < 1e-10
-
-    def test_indefinite_mass_rejected(self):
-        with pytest.raises(InvalidGram):
-            generalized_eig(np.eye(2), np.diag([1.0, -1.0]))
 
 
 class TestPencil:

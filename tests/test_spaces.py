@@ -88,8 +88,8 @@ class TestStarSpace:
         st = star_space(gs)
         assert st.dim == gs.dim
         assert st.k == 2
-        G1 = gs.gram_l2()
-        G2 = st.gram_l2()
+        G1 = gs.atlas.T @ gs.broken.gram() @ gs.atlas
+        G2 = st.atlas.T @ st.broken.gram() @ st.atlas
         assert np.abs(G1 - G2).max() < 1e-13
 
     def test_double_star_is_signed_identity(self):
@@ -104,14 +104,14 @@ class TestStarSpace:
 
 class TestAbcByConstraints:
     def test_cr_dimension_with_bc(self):
-        gs, cons = abcfes_by_constraints(BOX2, 0, "homogeneous")
+        gs, _ = abcfes_by_constraints(BOX2, 0, "homogeneous")
         assert gs.dim == 8  # interior edge count
-        assert cons.rank == 16
+        assert gs.constraint_rank == 16
 
     def test_k1_dimension_no_bc(self):
-        gs, cons = abcfes_by_constraints(BOX2, 1, "none")
+        gs, _ = abcfes_by_constraints(BOX2, 1, "none")
         assert gs.dim == 24 - 1
-        assert cons.rank == 1
+        assert gs.constraint_rank == 1
 
     def test_top_degree_is_broken_constants(self):
         gs, cons = abcfes_by_constraints(BOX2, 2, "none")
@@ -224,11 +224,15 @@ class TestSummary:
 class TestEnergyGram:
     def test_top_degree_energy_gram_is_zero(self):
         gs = broken_space(BOX2, 2, "primal")
-        assert not gs.gram_energy().any()
+        lad = ladder(BOX2)
+        DA = lad.d_matrix(2) @ gs.atlas
+        assert not (DA.T @ lad.p0(3).gram @ DA).any()
 
     def test_gradient_energy_positive_semidefinite(self):
         gs = conforming_whitney(BOX2, 0, "none")
-        E = gs.gram_energy()
+        lad = ladder(BOX2)
+        DA = lad.d_matrix(0) @ gs.atlas
+        E = DA.T @ lad.p0(1).gram @ DA
         w = np.linalg.eigvalsh(E)
         assert w[0] > -1e-12
         assert w[-1] > 0
