@@ -76,6 +76,12 @@ class BasePairReport:
 
 @dataclass
 class DecompositionReport:
+    """One decomposition or duality verdict.
+
+    ``vacuous`` names the comparisons inside it that compared two
+    zero-dimensional spaces, so that their pass checked nothing.
+    """
+
     name: str
     lhs_dims: dict
     rhs_dims: dict
@@ -83,6 +89,7 @@ class DecompositionReport:
     identity_angle: float
     verdict: str
     detail: dict = field(default_factory=dict)
+    vacuous: tuple = ()
 
     @property
     def passed(self):
@@ -357,8 +364,14 @@ def _assemble_report(name, pieces_lhs, pieces_rhs, gram, ambient_dim=None, extra
         identity_angle=angle,
         verdict=verdict,
         detail=extra or {},
+        vacuous=_vacuous(name, sum(lhs_dims.values()), sum(rhs_dims.values())),
     )
     return report
+
+
+def _vacuous(name, dim_a, dim_b):
+    """(name,) if a comparison was between two zero-dimensional spaces, else ()."""
+    return (name,) if dim_a == dim_b == 0 else ()
 
 
 def helmholtz_check(pair: OperatorPair):
@@ -390,7 +403,7 @@ def helmholtz_check(pair: OperatorPair):
         )
     # split of the low space: R(adjoint on full) (+) 0  =  R(adjoint on domain) (+) N(T on domain)
     R_dom_adj = Subspace.from_span(pair.adjoint_T @ pair.adjoint_domain.basis, g_lo)
-    kernel_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain)
+    kernel_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain.basis)
     low = _assemble_report(
         "helmholtz-low",
         {"range_adjoint_full": R_full_adj, "kernel_core": Subspace.zero(R_full_adj.ambient_dim, g_lo)},
@@ -400,7 +413,7 @@ def helmholtz_check(pair: OperatorPair):
     )
     R_dom = Subspace.from_span(pair.T @ pair.domain.basis, g_hi)
     kernel_adj = _domain_kernel_p0(
-        lad, k + 1, lad.dual(k + 1), pair.adjoint_T, pair.adjoint_domain
+        lad, k + 1, lad.dual(k + 1), pair.adjoint_T, pair.adjoint_domain.basis
     )
     high = _assemble_report(
         "helmholtz-high",
@@ -420,17 +433,19 @@ def helmholtz_check(pair: OperatorPair):
         identity_angle=max(low.identity_angle, high.identity_angle),
         verdict=verdict,
         detail={"low": low, "high": high},
+        vacuous=low.vacuous + high.vacuous,
     )
 
 
-def _domain_kernel_p0(lad, k, broken, T, domain: Subspace = None):
-    """Kernel of a broken-to-constant operator on ``domain``, in P0 coordinates.
+def _domain_kernel_p0(lad, k, broken, T, basis=None):
+    """Kernel of a broken-to-constant operator on span(``basis``), in P0 coordinates.
 
-    With ``domain`` None the kernel is taken on the whole broken space.
+    The basis columns need not be orthonormal.  With ``basis`` None the kernel
+    is taken on the whole broken space.
     """
-    TV = T.toarray() if domain is None else T @ domain.basis
+    TV = T.toarray() if basis is None else T @ basis
     ns = nullspace(TV / max(np.abs(TV).max(initial=0.0), 1e-300))
-    vecs = ns.basis if domain is None else domain.basis @ ns.basis
+    vecs = ns.basis if basis is None else basis @ ns.basis
     return Subspace.from_span(_p0_coords(lad, k, broken, vecs), lad.p0(k).gram)
 
 
@@ -462,17 +477,18 @@ def _complex_kernel(lad, complex_, k, bc):
     """Kernel of the complex's d (delta for 'star') at degree k, in P0 coordinates.
 
     Past the last operator (d at degree n, delta at degree 0) the kernel is the
-    whole space, whose members are piecewise constant.
+    whole space, whose members are piecewise constant.  The atlas is handed
+    over as it is, without orthonormalizing it first.
     """
     gs = _complex_space(lad, complex_, k, bc)
     g = lad.p0(k).gram
     if complex_ == "star":
         if k == 0:
             return Subspace.from_span(_p0_coords(lad, 0, lad.dual(0), gs.atlas), g)
-        return _domain_kernel_p0(lad, k, lad.dual(k), lad.delta_matrix(k), gs.subspace())
+        return _domain_kernel_p0(lad, k, lad.dual(k), lad.delta_matrix(k), gs.atlas)
     if k == lad.mesh.dim:
         return Subspace.from_span(gs.atlas, g)
-    return _domain_kernel_p0(lad, k, lad.primal(k), lad.d_matrix(k), gs.subspace())
+    return _domain_kernel_p0(lad, k, lad.primal(k), lad.d_matrix(k), gs.atlas)
 
 
 def _complex_range(lad, complex_, k, bc):
@@ -540,6 +556,7 @@ def pl_duality_check(mesh, k):
             orthogonality_residual=0.0,
             identity_angle=ang,
             verdict="pass" if ok else "fail",
+            vacuous=_vacuous("pl-duality-%s" % flavor, H_abc.dim, starred.dim),
         )
     verdict = "pass" if all(r.passed for r in out.values()) else "fail"
     return DecompositionReport(
@@ -550,6 +567,7 @@ def pl_duality_check(mesh, k):
         identity_angle=max(r.identity_angle for r in out.values()),
         verdict=verdict,
         detail=out,
+        vacuous=sum((r.vacuous for r in out.values()), ()),
     )
 
 
@@ -580,6 +598,7 @@ def hodge_check(mesh, k):
         identity_angle=max(r.identity_angle for r in reports.values()),
         verdict=verdict,
         detail=reports,
+        vacuous=sum((r.vacuous for r in reports.values()), ()),
     )
 
 
@@ -620,4 +639,5 @@ def horizontal_duality_check(mesh, k):
         identity_angle=max(ang1, ang2),
         verdict=verdict,
         detail={"infsup_high": gamma1, "infsup_low": gamma2, "bound": bound},
+        vacuous=_vacuous("slices-high", dR.dim, dN.dim) + _vacuous("slices-low", dRs.dim, dNk.dim),
     )

@@ -29,14 +29,18 @@ def parse_mesh(config: RunConfig):
         kind, _, size = spec.partition(":")
         n = int(size)
     except ValueError:
-        raise PadfeecError("mesh spec must look like box:4, hole:8 or tetbox:2")
-    if kind == "box":
-        return generate_structured(2, n, "box")
-    if kind == "hole":
-        return generate_structured(2, n, "hole")
-    if kind == "tetbox":
-        return generate_structured(3, n, "box")
-    raise PadfeecError("unknown mesh family %r" % (kind,))
+        raise PadfeecError("mesh spec must look like box:4, hole:8, tetbox:2, tunnel:4 or cavity:4")
+    families = {
+        "box": (2, "box"),
+        "hole": (2, "hole"),
+        "tetbox": (3, "box"),
+        "tunnel": (3, "tunnel"),
+        "cavity": (3, "cavity"),
+    }
+    if kind not in families:
+        raise PadfeecError("unknown mesh family %r" % (kind,))
+    dim, domain = families[kind]
+    return generate_structured(dim, n, domain)
 
 
 def parse_load(mesh, k, spec):
@@ -199,6 +203,7 @@ def cmd_verify_decomposition(mesh, config, report):
                     **{"dim_%s" % n: d for n, d in rep.rhs_dims.items()},
                 },
                 inputs={"k": config.k, "bc": bc},
+                note=_vacuous_note(rep),
             )
         )
     if config.k >= 1:
@@ -212,8 +217,16 @@ def cmd_verify_decomposition(mesh, config, report):
                     "identity_angle": rep.identity_angle,
                 },
                 inputs={"k": config.k},
+                note=_vacuous_note(rep),
             )
         )
+
+
+def _vacuous_note(rep):
+    """The note of a decomposition record whose pass compared empty spaces."""
+    if not rep.vacuous:
+        return ""
+    return "vacuous: %s compared two zero-dimensional spaces" % ", ".join(rep.vacuous)
 
 
 def cmd_verify_duality(mesh, config, report):
@@ -229,6 +242,7 @@ def cmd_verify_duality(mesh, config, report):
                 **{"dim_%s" % n: d for n, d in rep.lhs_dims.items()},
             },
             inputs={"k": config.k},
+            note=_vacuous_note(rep),
         )
     )
     if config.k <= mesh.dim - 1:
@@ -242,6 +256,7 @@ def cmd_verify_duality(mesh, config, report):
                     **{"dim_%s" % n: d for n, d in rep.lhs_dims.items()},
                 },
                 inputs={"k": config.k},
+                note=_vacuous_note(rep),
             )
         )
 
@@ -523,7 +538,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="group", required=True)
 
     def common(p):
-        p.add_argument("--mesh", default=None, help="box:N, hole:N or tetbox:N")
+        p.add_argument("--mesh", default=None, help="box:N, hole:N, tetbox:N, tunnel:N or cavity:N")
         p.add_argument("--mesh-file", default=None)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--bc", choices=("none", "homogeneous"), default=None)

@@ -2,17 +2,21 @@
 
 Rank and nullspace detection with explicit relative tolerances, Gram-aware
 orthonormalization, inf-sup constants, indices of closed range, the nonzero
-eigenvalues of a singular pencil and principal angles between subspaces.  Every orthogonality
-notion goes through an explicit Gram matrix; the Euclidean inner product is
-only the special case ``gram=None``.  A Gram may be a dense array or a
-`scipy.sparse` array (the cellwise Grams of `spaces` are sparse
-block-diagonal); it is only ever multiplied with dense bases, and made dense
-only where it is factored itself: the Cholesky factor of `principal_angles`
-and the eigenvalues of `check_spd`.  Bases, nullspaces and the results are
+eigenvalues of a singular pencil and principal angles between subspaces.
+Every orthogonality notion goes through an explicit Gram matrix; the
+Euclidean inner product is only the special case ``gram=None``.  A Gram may
+be a dense array or a `scipy.sparse` array (the cellwise Grams of `spaces`
+are sparse block-diagonal, the P0 Gram is diagonal).  It is only ever
+multiplied with dense bases or factored by `gram_factor`, which keeps its
+Cholesky factor as sparse as the Gram; only `check_spd` makes it dense.
+
+The subspace algebra runs on Householder QR, which reveals rank without
+iterating: `orthonormalize` takes one column-pivoted QR of the whitened span
+R V, `nullspace` one of M^T, and `gram_complement` an unpivoted QR of the
+cross-Gram of two orthonormal bases.  Bases, nullspaces and the results are
 dense.  A `Subspace` keeps its basis orthonormal in its own ``gram``; the
 subspace operations orthonormalize only a subspace carrying another Gram.
-Principal angles take a Cholesky factor of their Gram, so a Gram that is not
-SPD raises `InvalidGram`.
+A Gram that is not SPD raises `InvalidGram` wherever it is factored.
 """
 
 from dataclasses import dataclass, field
@@ -88,8 +92,9 @@ class Subspace:
 
     @classmethod
     def full(cls, n, gram=None):
-        Q = orthonormalize(np.eye(n), gram)
-        return cls(n, Q, gram)
+        """The whole space; with gram = R^T R the columns of R^-1 are its basis."""
+        Rinv = gram_factor(_as_gram(gram))[1]
+        return cls(n, np.eye(n) if Rinv is None else _dense(Rinv), gram)
 
     @classmethod
     def zero(cls, n, gram=None):
@@ -113,31 +118,147 @@ class Subspace:
 
 
 def orthonormalize(V, gram=None, tol=RANK_TOL):
-    """Return a gram-orthonormal basis of span(columns of V), rank-trimmed."""
+    """Return a gram-orthonormal basis of span(columns of V), rank-trimmed.
+
+    With gram = R^T R, one column-pivoted Householder QR of R V keeps the
+    leading columns whose |R_ii| exceeds sqrt(tol) |R_11|, the singular-value
+    form of a relative eigenvalue cut ``tol`` on V^T G V, and maps them back
+    by R^-1.
+    """
     V = _as_matrix(V)
-    if V.shape[1] == 0:
-        return V.copy()
-    G = _as_gram(gram)
+    R, Rinv = gram_factor(_as_gram(gram))
+    W = V if R is None else R @ V
+    reflectors, tau, rdiag = _householder(W, pivoting=True)
+    Q = _leading_columns(reflectors, tau, _leading_rank(rdiag, np.sqrt(tol)))
+    return Q if Rinv is None else Rinv @ Q
 
-    def normalize(W, trim):
-        C = W.T @ W if G is None else W.T @ (G @ W)
-        C = 0.5 * (C + C.T)
-        w, U = scipy.linalg.eigh(C)
-        wmax = max(w[-1], 0.0)
-        if wmax <= 0.0:
-            return np.zeros((W.shape[0], 0))
-        # the eigenvalues scale like squared singular values, so the relative
-        # rank threshold applies to w directly, not to its square root
-        keep = w > trim * wmax
-        if not np.any(keep):
-            return np.zeros((W.shape[0], 0))
-        return W @ U[:, keep] / np.sqrt(w[keep])
 
-    Q = normalize(V, tol)
-    if Q.shape[1]:
-        # second pass tightens orthonormality to machine precision
-        Q = normalize(Q, 1e-14)
-    return Q
+def gram_factor(gram):
+    """(R, R^-1) for the upper Cholesky factor R of ``gram`` = R^T R.
+
+    The factor is as sparse as the Gram: the square roots of a diagonal Gram
+    (the P0 volumes), one dense Cholesky block per diagonal block of a
+    block-diagonal sparse Gram (the cellwise broken Grams), or a dense factor
+    of a dense Gram.  The Euclidean ``gram=None`` gives (None, None).  A Gram
+    that is not positive definite raises InvalidGram.
+    """
+    if gram is None:
+        return None, None
+    if not scipy.sparse.issparse(gram):
+        return _dense_factor(np.asarray(gram, dtype=float))
+    G = scipy.sparse.csr_array(gram)
+    ends = _block_ends(G)
+    if ends.size == G.shape[0]:
+        d = G.diagonal()
+        if not np.all(d > 0.0):
+            raise InvalidGram("gram matrix is not positive definite")
+        r = np.sqrt(d)
+        return scipy.sparse.diags_array(r, format="csr"), scipy.sparse.diags_array(1.0 / r, format="csr")
+    factors = [None] * ends.size
+    for members, stack in _blocks_by_size(G, ends):
+        for i, R, Rinv in zip(members, *_dense_factor(stack)):
+            factors[i] = (R, Rinv)
+    return block_diagonal([f[0] for f in factors]), block_diagonal([f[1] for f in factors])
+
+
+def block_diagonal(blocks):
+    """Sparse CSR array with the dense ``blocks`` along its diagonal."""
+    return scipy.sparse.csr_array(scipy.sparse.block_diag(blocks, format="csr"))
+
+
+def _dense_factor(G):
+    """Upper Cholesky factor R and R^-1 of a Gram, or of a stack of equal-size Grams."""
+    try:
+        R = scipy.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        raise InvalidGram("gram matrix is not positive definite") from None
+    return R, scipy.linalg.solve_triangular(R, np.broadcast_to(np.eye(G.shape[-1]), G.shape))
+
+
+def _blocks_by_size(G, ends):
+    """(block indices, dense stack) per block size of a block-diagonal CSR matrix."""
+    starts = np.concatenate([[0], ends[:-1]])
+    sizes = ends - starts
+    rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
+    block = np.repeat(np.arange(sizes.size), sizes)[rows]
+    for m in np.unique(sizes):
+        members = np.flatnonzero(sizes == m)
+        slot = np.zeros(sizes.size, dtype=int)
+        slot[members] = np.arange(members.size)
+        mine = sizes[block] == m
+        b = block[mine]
+        stack = np.zeros((members.size, m, m))
+        stack[slot[b], rows[mine] - starts[b], G.indices[mine] - starts[b]] = G.data[mine]
+        yield members, stack
+
+
+def _block_ends(G):
+    """End rows of the diagonal blocks of a symmetric sparse matrix.
+
+    A block ends at row i when no entry of rows 0..i lies right of column i.
+    """
+    n = G.shape[0]
+    reach = np.arange(n)
+    rows = np.repeat(reach, np.diff(G.indptr))
+    np.maximum.at(reach, rows, G.indices)
+    return np.flatnonzero(np.maximum.accumulate(reach) == np.arange(n)) + 1
+
+
+def _householder(A, pivoting):
+    """Householder QR of A: the LAPACK reflectors, their tau and |diag R|.
+
+    With ``pivoting`` the columns are pivoted by residual norm (``geqp3``),
+    so |diag R| is non-increasing and reveals the rank.
+    """
+    A = np.array(A, dtype=float, order="F")
+    if min(A.shape) == 0:
+        return A, np.zeros(0), np.zeros(0)
+    routine = scipy.linalg.lapack.dgeqp3 if pivoting else scipy.linalg.lapack.dgeqrf
+    out = routine(A, lwork=_lwork(routine, A, overwrite_a=1), overwrite_a=1)
+    if out[-1] != 0:
+        raise InvalidMatrix("Householder QR failed (info %d)" % out[-1])
+    qr, tau = out[0], out[-3]
+    return qr, tau, np.abs(np.diag(qr))
+
+
+def _leading_rank(rdiag, rel_tol):
+    """Count of the leading |R_ii| above rel_tol |R_11|."""
+    if rdiag.size == 0 or rdiag[0] == 0.0:
+        return 0
+    small = rdiag <= rel_tol * rdiag[0]
+    return int(np.argmax(small)) if small.any() else rdiag.size
+
+
+def _leading_columns(reflectors, tau, r):
+    """The first r columns of Q; the reflectors past r leave them unchanged."""
+    if r == 0:
+        return np.zeros((reflectors.shape[0], 0))
+    orgqr = scipy.linalg.lapack.dorgqr
+    a, t = reflectors[:, :r], tau[:r]
+    q, _, info = orgqr(a, t, lwork=_lwork(orgqr, a, t, overwrite_a=1))
+    if info != 0:
+        raise InvalidMatrix("forming Q failed (info %d)" % info)
+    return q
+
+
+def _trailing_columns(reflectors, tau, r):
+    """Columns r.. of the full square Q of the reflectors."""
+    n = reflectors.shape[0]
+    E = np.zeros((n, n - r), order="F")
+    E[r:, :] = np.eye(n - r)
+    if tau.size == 0 or n == r:
+        return E
+    a = reflectors[:, : tau.size]
+    lwork = _lwork(scipy.linalg.lapack.dormqr, "L", "N", a, tau, E, overwrite_c=1)
+    return scipy.linalg.lapack.dormqr("L", "N", a, tau, E, lwork, overwrite_c=1)[0]
+
+
+def _lwork(routine, *args, **overwrite):
+    """LAPACK's optimal workspace for ``routine`` on ``args``.
+
+    A workspace query reads no array, so the overwrite flags spare a copy.
+    """
+    return int(routine(*args, lwork=-1, **overwrite)[-2][0])
 
 
 def rank(M, tol=RANK_TOL):
@@ -152,17 +273,15 @@ def rank(M, tol=RANK_TOL):
 
 
 def nullspace(M, tol=RANK_TOL):
-    """Euclidean-orthonormal basis of {v : ||Mv|| <= tol ||M|| ||v||} as a Subspace."""
+    """Euclidean-orthonormal basis of {v : ||Mv|| <= tol ||M|| ||v||} as a Subspace.
+
+    One column-pivoted Householder QR of M^T: its rank r counts the |R_ii|
+    above tol |R_11|, and the trailing columns of the full Q span the kernel.
+    """
     M = _as_matrix(M)
     n = M.shape[1]
-    if n == 0:
-        return Subspace.zero(0)
-    if M.shape[0] == 0:
-        return Subspace(n, np.eye(n))
-    _, s, Vt = scipy.linalg.svd(M, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    r = int(np.sum(s > tol * smax)) if smax > 0.0 else 0
-    return Subspace(n, Vt[r:].T.copy())
+    reflectors, tau, rdiag = _householder(M.T, pivoting=True)
+    return Subspace(n, _trailing_columns(reflectors, tau, _leading_rank(rdiag, tol)))
 
 
 def principal_angles(A: Subspace, B: Subspace, gram=None):
@@ -183,15 +302,12 @@ def principal_angles(A: Subspace, B: Subspace, gram=None):
     cos_vals = scipy.linalg.svdvals(_cross_gram(Qa, gram, Qb))
     cos_vals = np.clip(cos_vals[:m], 0.0, 1.0)
     # sines from the projection residual of the smaller space resolve angles
-    # near zero far better than arccos; with gram = L L^T its gram-norms are
-    # the Euclidean norms of L^T R (Knyazev-Argentati A-based sines)
+    # near zero far better than arccos; with gram = F^T F its gram-norms are
+    # the Euclidean norms of F R (Knyazev-Argentati A-based sines)
     small, big = (Qa, Qb) if p <= q else (Qb, Qa)
     R = small - big @ (big.T @ (small if gram is None else gram @ small))
     if gram is not None:
-        try:
-            R = scipy.linalg.cholesky(_dense(gram)) @ R
-        except np.linalg.LinAlgError:
-            raise InvalidGram("gram matrix is not positive definite") from None
+        R = gram_factor(_as_gram(gram))[0] @ R
     sin_vals = np.sort(np.clip(scipy.linalg.svdvals(R), 0.0, 1.0))
     angles = np.where(
         cos_vals > np.sqrt(0.5), np.arcsin(sin_vals[:m]), np.arccos(cos_vals)
@@ -287,17 +403,18 @@ def gram_complement(A: Subspace, B: Subspace, gram=None, tol=RANK_TOL):
         raise NotNested("first subspace is not contained in the second")
     if A.dim == 0:
         return Subspace(n, Qb.copy(), gram)
+    if A.dim > B.dim:
+        raise NotNested("first subspace is larger than the second")
     Qa = _orthonormal_basis(A, gram)
-    # B-coordinates of the complement: kernel of the (dim A x dim B) cross-Gram,
-    # which is well scaled since both bases are orthonormal.  The coordinates
-    # are Euclidean-orthonormal, so Qb @ coords is gram-orthonormal as it is.
-    coords = nullspace(_cross_gram(Qa, gram, Qb), tol=1e-8)
-    if coords.dim != B.dim - A.dim:
-        raise NotNested(
-            "complement dimension %d does not match dim B - dim A = %d"
-            % (coords.dim, B.dim - A.dim)
-        )
-    return Subspace(n, Qb @ coords.basis, gram)
+    # With A inside B the transposed cross-Gram C^T (dim B x dim A) has
+    # orthonormal columns, so its unpivoted Householder QR has |R_ii| near 1
+    # and the trailing columns of the full Q are the B-coordinates of the
+    # complement.  They are Euclidean-orthonormal, so Qb @ coords is
+    # gram-orthonormal as it is.
+    reflectors, tau, rdiag = _householder(_cross_gram(Qa, gram, Qb).T, pivoting=False)
+    if np.any(rdiag <= 1e-8):
+        raise NotNested("first subspace is not contained in the second")
+    return Subspace(n, Qb @ _trailing_columns(reflectors, tau, A.dim), gram)
 
 
 def pencil_nonzero_eigs(K, M, rel_tol=1e-9):

@@ -4,7 +4,9 @@ Cells are stored with vertex indices sorted ascending together with an
 orientation sign (the sign of the volume form in that order), so incidence
 data is reproducible regardless of how input files order their vertices.
 Structured generators cover the unit box, the box with a central square hole
-(nontrivial first Betti number) and the 6-tets-per-cube unit box in 3-D.
+(nontrivial first Betti number), the 6-tets-per-cube unit box in 3-D, the
+3-D box with a central tunnel (a solid torus, first Betti number 1) and the
+3-D box with a central cavity (a ball with a void, second Betti number 1).
 """
 
 import itertools
@@ -316,11 +318,14 @@ def _vertex_index(v):
 
 
 def generate_structured(dim, n, domain="box"):
-    """Structured triangulations: unit box (2-D/3-D) and 2-D box with a hole.
+    """Structured triangulations of the unit box and of boxes with a hole.
 
     The 2-D box is split into 2 n^2 triangles with a uniform diagonal; the hole
-    variant removes the central (n/2)^2 sub-squares and needs n divisible by 4.
-    The 3-D box splits each of the n^3 cubes into 6 tetrahedra.
+    variant removes the central (n/2)^2 sub-squares.  The 3-D box splits each
+    of the n^3 cubes into 6 tetrahedra; the tunnel variant removes the
+    central (n/2)^2 column of cubes through every layer, and the cavity
+    variant the central (n/2)^3 cubes.  The holed domains need n divisible
+    by 4.
     """
     if n < 1:
         raise InvalidParameter("need at least one cell per side")
@@ -330,13 +335,14 @@ def generate_structured(dim, n, domain="box"):
         if dim == 3:
             return _box_3d(n)
         raise Unsupported("dimension must be 2 or 3")
-    if domain == "hole":
-        if dim != 2:
-            raise InvalidParameter("the hole domain is only generated in 2-D")
-        if n % 4 != 0:
-            raise InvalidParameter("hole meshes need the side count divisible by 4")
-        return _box_2d(n, hole=True)
-    raise InvalidParameter("unknown domain %r" % (domain,))
+    holed = {"hole": 2, "tunnel": 3, "cavity": 3}
+    if domain not in holed:
+        raise InvalidParameter("unknown domain %r" % (domain,))
+    if dim != holed[domain]:
+        raise InvalidParameter("the %s domain is only generated in %d-D" % (domain, holed[domain]))
+    if n % 4 != 0:
+        raise InvalidParameter("%s meshes need the side count divisible by 4" % domain)
+    return _box_2d(n, hole=True) if dim == 2 else _box_3d(n, domain)
 
 
 def _box_2d(n, hole):
@@ -363,7 +369,7 @@ def _box_2d(n, hole):
     return Mesh(2, vertices, cells, domain_volume=volume)
 
 
-def _box_3d(n):
+def _box_3d(n, domain="box"):
     idx = lambda i, j, k: (k * (n + 1) + j) * (n + 1) + i
     vertices = [
         (i / n, j / n, k / n)
@@ -371,18 +377,28 @@ def _box_3d(n):
         for j in range(n + 1)
         for i in range(n + 1)
     ]
+    # the hole is the cubes whose first `axes` indices are all central
+    axes = {"box": 0, "tunnel": 2, "cavity": 3}[domain]
+    lo, hi = n // 4, 3 * n // 4
     offsets = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
     cells = []
     for k in range(n):
         for j in range(n):
             for i in range(n):
+                if axes and all(lo <= t < hi for t in (i, j, k)[:axes]):
+                    continue
                 corner = np.array([i, j, k])
                 for perm in itertools.permutations(range(3)):
                     path = [corner.copy()]
                     for axis in perm:
                         path.append(path[-1] + np.array(offsets[axis]))
                     cells.append(tuple(idx(*p) for p in path))
-    return Mesh(3, vertices, cells, domain_volume=1.0)
+    used = sorted({v for cell in cells for v in cell})
+    remap = {v: i for i, v in enumerate(used)}
+    vertices = [vertices[v] for v in used]
+    cells = [tuple(remap[v] for v in cell) for cell in cells]
+    volume = 1.0 - (0.5**axes if axes else 0.0)
+    return Mesh(3, vertices, cells, domain_volume=volume)
 
 
 def refine_uniform(mesh):

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .errors import (
@@ -49,7 +48,7 @@ from .forms import (
     multiindices,
     star_sign,
 )
-from .linalg import RANK_TOL, Subspace, nullspace, rank
+from .linalg import RANK_TOL, Subspace, block_diagonal, gram_factor, nullspace, rank
 from .local import (
     LocalSpace,
     decompose_local,
@@ -58,11 +57,6 @@ from .local import (
     whitney_local,
     whitney_form,
 )
-
-
-def block_diagonal(blocks):
-    """Sparse CSR array with the dense ``blocks`` along its diagonal."""
-    return scipy.sparse.csr_array(scipy.sparse.block_diag(blocks, format="csr"))
 
 
 class P0Space:
@@ -126,10 +120,7 @@ class BrokenSpace:
         G-orthonormal.
         """
         if self._factor_inverse is None:
-            self._factor_inverse = block_diagonal([
-                scipy.linalg.solve_triangular(scipy.linalg.cholesky(sp.gram()), np.eye(sp.dim))
-                for sp in self.locals
-            ])
+            self._factor_inverse = gram_factor(self.gram())[1]
         return self._factor_inverse
 
     def form_on_cell(self, vec, i):

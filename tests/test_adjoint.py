@@ -538,7 +538,7 @@ class TestOrthogonalDualityInvariant:
         g = lad.p0(k).gram
         from padfeec.adjoint import _domain_kernel_p0
 
-        N_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain)
+        N_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain.basis)
         N_full = _domain_kernel_p0(lad, k, lad.primal(k), pair.T)
         R_adj = Subspace.from_span(pair.adjoint_T @ pair.adjoint_domain.basis, g)
         expected = gram_complement(R_adj, N_full, g)

@@ -305,3 +305,78 @@ class TestOrthonormalizeOnce:
         B = span([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
         with pytest.raises(InvalidGram):
             principal_angles(A, B, np.diag([1.0, -1.0, 1.0]))
+
+
+class TestHouseholderSubspaces:
+    """The subspace algebra needs no SVD with singular vectors and no eigh."""
+
+    @staticmethod
+    def _forbid(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an SVD or eigh was called")
+
+        for module in (scipy.linalg, np.linalg):
+            monkeypatch.setattr(module, "svd", fail)
+            monkeypatch.setattr(module, "eigh", fail)
+
+    @staticmethod
+    def _grams(rng, n):
+        import scipy.sparse
+
+        from padfeec.linalg import block_diagonal
+
+        def spd(m):
+            X = rng.standard_normal((m, m))
+            return X @ X.T + m * np.eye(m)
+
+        sizes = [3, 6] * (n // 9)
+        return {
+            "diagonal": scipy.sparse.diags_array(rng.uniform(0.5, 2.0, n), format="csr"),
+            "dense": spd(n),
+            "block-diagonal": block_diagonal([spd(m) for m in sizes]),
+        }
+
+    @pytest.mark.parametrize("kind", ["diagonal", "dense", "block-diagonal"])
+    def test_orthonormalize_trims_rank_in_every_gram(self, monkeypatch, kind):
+        rng = np.random.default_rng(5)
+        G = self._grams(rng, 36)[kind]
+        V = rng.standard_normal((36, 7)) @ rng.standard_normal((7, 12))
+        with monkeypatch.context() as m:
+            self._forbid(m)
+            Q = orthonormalize(V, G)
+        assert Q.shape == (36, 7)
+        assert np.abs(Q.T @ (G @ Q) - np.eye(7)).max() <= 1e-12
+        # Q spans the columns of V
+        assert np.abs(V - Q @ (Q.T @ (G @ V))).max() <= 1e-10 * np.abs(V).max()
+
+    def test_nullspace(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((30, 9)) @ rng.standard_normal((9, 40))
+        with monkeypatch.context() as m:
+            self._forbid(m)
+            N = nullspace(M)
+        assert N.dim == 31
+        assert np.abs(N.basis.T @ N.basis - np.eye(31)).max() <= 1e-12
+        assert np.abs(M @ N.basis).max() <= 1e-12 * np.abs(M).max()
+
+    def test_complement_with_every_cross_gram_singular_value_one(self, monkeypatch):
+        # a 455-dimensional A inside a 456-dimensional B: the cross-Gram of
+        # their orthonormal bases has 455 singular values, all equal to 1
+        import scipy.sparse
+
+        rng = np.random.default_rng(7)
+        n = 600
+        G = scipy.sparse.diags_array(rng.uniform(0.5, 2.0, n), format="csr")
+        with monkeypatch.context() as m:
+            self._forbid(m)
+            B = Subspace.from_span(rng.standard_normal((n, 456)), G)
+            A = Subspace.from_span(B.basis @ rng.standard_normal((456, 455)), G)
+            C = gram_complement(A, B, G)
+            E = gram_complement(B, B, G)
+        s = scipy.linalg.svdvals(A.basis.T @ (G @ B.basis))
+        assert s.size == 455 and np.abs(s - 1.0).max() <= 1e-12
+        assert C.dim == 1 and E.dim == 0
+        c = C.basis[:, 0]
+        assert abs(c @ (G @ c) - 1.0) <= 1e-12
+        assert np.abs(A.basis.T @ (G @ c)).max() <= 1e-12
+        assert B.contains(C.basis, tol=1e-10)

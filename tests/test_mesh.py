@@ -66,6 +66,50 @@ class TestGeneration:
         assert m.num_cells == 48
 
 
+class TestHoled3D:
+    """The tunnel (a solid torus) and the cavity (a ball with a void)."""
+
+    @pytest.mark.parametrize(
+        "domain,cells,volume,euler",
+        [("tunnel", 288, 0.75, 0), ("cavity", 336, 0.875, 2)],
+    )
+    def test_counts_volume_and_euler_characteristic(self, domain, cells, volume, euler):
+        m = generate_structured(3, 4, domain)
+        assert m.num_cells == cells
+        assert m.total_volume() == pytest.approx(volume, abs=1e-12)
+        counts = [m.subsimplices(k).count for k in range(4)]
+        assert counts[0] - counts[1] + counts[2] - counts[3] == euler
+
+    @pytest.mark.parametrize("domain", ["tunnel", "cavity"])
+    def test_conforming_with_a_closed_boundary_surface(self, domain):
+        m = generate_structured(3, 4, domain)
+        faces = m.subsimplices(2)
+        # every face has one or two cells; the one-cell faces close up: each of
+        # their edges lies on exactly two of them
+        assert {len(o) for o in faces.owners} == {1, 2}
+        edge_uses = {}
+        for face, owners in zip(faces.simplices, faces.owners):
+            if len(owners) == 1:
+                for e in ((face[0], face[1]), (face[0], face[2]), (face[1], face[2])):
+                    edge_uses[e] = edge_uses.get(e, 0) + 1
+        assert set(edge_uses.values()) == {2}
+        # outer box surface (192 triangles) plus the hole's walls
+        assert sum(faces.boundary) == 240
+
+    @pytest.mark.parametrize("domain", ["tunnel", "cavity"])
+    def test_positive_orientation_and_no_unused_vertices(self, domain):
+        m = generate_structured(3, 4, domain)
+        assert all(m.signed_volume(i) > 0 for i in range(m.num_cells))
+        assert {v for cell in m.cells for v in cell} == set(range(m.num_vertices))
+
+    @pytest.mark.parametrize("domain", ["tunnel", "cavity"])
+    def test_needs_3d_and_divisible_by_four(self, domain):
+        with pytest.raises(InvalidParameter):
+            generate_structured(3, 6, domain)
+        with pytest.raises(InvalidParameter):
+            generate_structured(2, 4, domain)
+
+
 class TestSubsimplices:
     def test_edge_boundary_split_n1(self):
         m = generate_structured(2, 1)
@@ -341,6 +385,7 @@ BUILTIN_LEVELS = (
     ["box:%d" % n for n in (1, 2, 3, 4, 8, 16)]
     + ["hole:%d" % n for n in (4, 8, 12)]
     + ["tetbox:%d" % n for n in (1, 2, 3, 4)]
+    + ["tunnel:4", "cavity:4"]
 )
 
 

@@ -677,3 +677,19 @@ class TestGramOrthonormalConstraintBases:
                 Rinv = broken.gram_factor_inverse()
                 _assert_cellwise(Rinv, broken.block_dims, broken.block_dims)
                 assert _orthonormality_defect(Rinv.toarray(), broken.gram()) <= 1e-12
+
+    def test_factor_inverse_matches_the_cell_loop(self, mesh):
+        # reference: one Cholesky factor and triangular inverse per cell
+        import scipy.linalg
+
+        lad = ladder(mesh)
+        for k in range(mesh.dim + 1):
+            broken = lad.broken(k, "full")
+            ref = [
+                scipy.linalg.solve_triangular(scipy.linalg.cholesky(sp.gram()), np.eye(sp.dim))
+                for sp in broken.locals
+            ]
+            Rinv = broken.gram_factor_inverse()
+            for i, block in enumerate(ref):
+                cells = broken.cell_slice(i)
+                np.testing.assert_array_equal(Rinv[cells, cells].toarray(), block)
