@@ -9,6 +9,7 @@ command, and `suite all` parses each mesh spec once for all of its jobs.
 """
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -502,14 +503,21 @@ def cmd_suite_all(config, report, fast=False):
     if not fast:
         jobs.append((cmd_verify_base_pair, sub("verify base-pair", mesh="tetbox:1", k=1)))
         jobs.append((cmd_verify_complex, sub("verify complex", mesh="tetbox:1")))
+        jobs.append((cmd_verify_interp, sub("verify interp", mesh="tetbox:1", k=1)))
+        # a solid torus: the 3-D duality check compares nonzero harmonic spaces
+        jobs.append((cmd_verify_duality, sub("verify duality", mesh="tunnel:4", k=1)))
     # The jobs of one spec are adjacent and share one mesh, and with it the
-    # ladder the mesh owns.  A mesh that fails to parse is retried, and
-    # fails, job by job.
-    spec = None
+    # ladder the mesh owns.  A mesh and its ladder refer to each other, so
+    # only the cycle collector frees them: it runs at each switch of spec,
+    # and one spec's mesh is alive at a time.  A mesh that fails to parse is
+    # retried, and fails, job by job.
+    spec = mesh = None
     for fn, cfg in jobs:
         local = Report(cfg)
         try:
             if cfg.mesh != spec:
+                mesh = spec = None
+                gc.collect()
                 mesh, spec = parse_mesh(cfg), cfg.mesh
             fn(mesh, cfg, local)
         except PadfeecError as exc:

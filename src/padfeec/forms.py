@@ -9,6 +9,15 @@ converts per term to barycentric monomials where the factorial formula
     integral over T of lambda^a  =  a_0! ... a_n! n! / (|a| + n)! * |T|
 
 is exact for every polynomial degree.
+
+The same forms are also vectors over a fixed coordinate basis: every pair
+(exponent of degree <= MAX_COEFF_DEGREE, multi-index), multi-index major.
+On coefficient vectors d is a constant matrix per (n, k), built once from
+`exterior_derivative`, and the L2 product over a cell is the cell's mass
+matrix: one block of exact monomial moments of degree <= 2 MAX_COEFF_DEGREE
+per multi-index, integrated by a quadrature rule exact to that degree and
+kept on the `CellGeometry`.  `PolyForm` stays the definition and the oracle
+of both.
 """
 
 import itertools
@@ -201,6 +210,14 @@ class PolyForm:
             vals[midx] = vals.get(midx, 0.0) + c * mono
         return np.array([vals.get(m, 0.0) for m in multiindices(self.k, self.n)])
 
+    def coefficient_vector(self):
+        """The form as a vector over the coordinate basis of k-forms (`coefficient_basis`)."""
+        positions = _basis_positions(self.n, self.k)
+        out = np.zeros(len(positions))
+        for key, c in self.terms.items():
+            out[positions[key]] = c
+        return out
+
     def __repr__(self):
         if not self.terms:
             return "PolyForm(n=%d, k=%d, 0)" % (self.n, self.k)
@@ -301,6 +318,7 @@ class CellGeometry:
         self.bary_affine = Ainv[:, 0].copy()
         self.bary_gradients = Ainv[:, 1:].copy()
         self._monomial_cache = {}
+        self._monomial_mass = None
         self.diameter = max(
             np.linalg.norm(V[i] - V[j])
             for i in range(self.n + 1)
@@ -358,6 +376,24 @@ class CellGeometry:
         self._monomial_cache[expo] = value
         return value
 
+    @property
+    def monomial_mass(self):
+        """L2 Gram of the monomials of degree <= MAX_COEFF_DEGREE over the cell.
+
+        Built from the moments of degree <= 2 MAX_COEFF_DEGREE, which the
+        Grundmann-Moeller rule of degree 2 MAX_COEFF_DEGREE + 1 integrates
+        exactly; `monomial_integral` is its oracle.
+        """
+        if self._monomial_mass is None:
+            pts, wts = cell_quadrature(self, 2 * MAX_COEFF_DEGREE + 1)
+            moments = wts @ monomial_values(pts, 2 * MAX_COEFF_DEGREE)
+            self._monomial_mass = moments[_product_positions(self.n)]
+        return self._monomial_mass
+
+    def mass_matrix(self, k):
+        """L2 Gram of the coordinate basis of k-forms: one monomial block per multi-index."""
+        return np.kron(np.eye(len(multiindices(k, self.n))), self.monomial_mass)
+
 
 def l2_inner(a: PolyForm, b: PolyForm, cell: CellGeometry) -> float:
     """Exact L2 inner product of two same-degree forms over the cell."""
@@ -383,14 +419,59 @@ def inner_matrix(basis_a, basis_b, cell):
     return M
 
 
-def integral_top(form: PolyForm, cell: CellGeometry) -> float:
-    """Integral of an n-form over the (positively oriented) cell."""
-    if form.k != form.n:
-        raise DegreeMismatch("only top-degree forms integrate over the cell")
-    total = 0.0
-    for (expo, _), c in form.terms.items():
-        total += c * cell.monomial_integral(expo)
-    return total
+# -- coefficient arrays -------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def monomial_exponents(n, degree=MAX_COEFF_DEGREE):
+    """Exponent vectors of total degree <= degree in n variables, as rows."""
+    rows = [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree]
+    out = np.array(rows, dtype=int).reshape(len(rows), n)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def coefficient_basis(n, k):
+    """The coordinate basis of k-forms: (exponent, multi-index) pairs, multi-index major."""
+    monomials = [tuple(e) for e in monomial_exponents(n).tolist()]
+    return tuple((e, m) for m in multiindices(k, n) for e in monomials)
+
+
+@lru_cache(maxsize=None)
+def _basis_positions(n, k):
+    return {key: i for i, key in enumerate(coefficient_basis(n, k))}
+
+
+@lru_cache(maxsize=None)
+def derivative_matrix(n, k):
+    """d on coefficient vectors of k-forms; it has no rows at the top degree."""
+    basis = coefficient_basis(n, k)
+    D = np.zeros((len(coefficient_basis(n, k + 1)), len(basis)))
+    if k < n:
+        for j, (expo, midx) in enumerate(basis):
+            D[:, j] = exterior_derivative(PolyForm.monomial(n, k, expo, midx)).coefficient_vector()
+    D.flags.writeable = False
+    return D
+
+
+def monomial_values(points, degree=MAX_COEFF_DEGREE):
+    """Every monomial of degree <= degree at each point: a (points, monomials) array."""
+    points = np.asarray(points, dtype=float)
+    out = np.ones((points.shape[0], len(monomial_exponents(points.shape[1], degree))))
+    for axis, powers in enumerate(monomial_exponents(points.shape[1], degree).T):
+        out *= points[:, axis, None] ** powers
+    return out
+
+
+@lru_cache(maxsize=None)
+def _product_positions(n):
+    """Position of e_i + e_j among the exponents of degree <= 2 MAX_COEFF_DEGREE."""
+    high = {
+        tuple(e): i for i, e in enumerate(monomial_exponents(n, 2 * MAX_COEFF_DEGREE).tolist())
+    }
+    low = monomial_exponents(n).tolist()
+    return np.array([[high[tuple(a + b for a, b in zip(ea, eb))] for eb in low] for ea in low])
 
 
 # -- traces -------------------------------------------------------------------

@@ -5,23 +5,28 @@ of the dual space, (2) the L2 moments against the kernel of the pairing-null
 part, and (3) the differential moments against its complement; the stacked
 square system is solved at once per cell.  The operator is projective, local
 and maps pairing-constrained fields into the matching nonconforming space.
-The codifferentials and differentials of the fixed moment forms are computed
-once per cell, and the projectivity check is assembled cell by cell: each
-cell's interpolator sees only that cell's basis, so the matrix is block
-diagonal and kept sparse.
+
+Every moment is linear in the field.  Over the coordinate basis of
+`padfeec.forms` it is a row built from the cell's mass matrices and the
+constant d matrix, so each cell keeps its operator S_K = system^-1 Phi_K,
+which maps a polynomial field's coefficient vector to the coefficients of
+its interpolant.  The ladder's interpolator stacks them in one
+(cells, dim, N) array: interpolating a field, its differential or the whole
+broken basis (the projectivity check, kept sparse block diagonal) is one
+batched product over coefficient arrays.  Fields given by point values go
+through fixed-degree quadrature instead.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolation
+from .errors import AssumptionViolation, DegreeMismatch
 from .forms import (
     PolyForm,
     cell_quadrature,
-    codifferential,
-    exterior_derivative,
-    l2_inner,
+    derivative_matrix,
+    monomial_values,
 )
 from .local import LocalDecomposition, LocalSpace
 from .spaces import block_diagonal, ladder
@@ -29,81 +34,57 @@ from .spaces import block_diagonal, ladder
 
 @dataclass
 class InterpolatorSpec:
-    """Precomputed square system for one cell of the interpolation ladder."""
+    """Precomputed square system and interpolation operator of one cell.
+
+    The test forms are coefficient columns: the moment of row i is
+    <omega, value_tests[:, i]> + <d omega, derivative_tests[:, i]>.
+    """
 
     primal: LocalSpace
-    dual: LocalSpace
-    pairing_block: np.ndarray  # rows: dual twisted-part functionals
-    l2_block: np.ndarray  # rows: kernel of the pairing-null part
-    energy_block: np.ndarray  # rows: its complement, in differential moments
-    system: np.ndarray
-    dual_PB_forms: list
-    ring_P0_forms: list
-    P0_perp_forms: list
-    dual_PB_codiffs: list  # delta q for each dual_PB_forms member q
-    P0_perp_diffs: list  # d w for each P0_perp_forms member w
-
-    @property
-    def size(self):
-        return self.primal.dim
+    system: np.ndarray  # the moments of the primal basis: pairing, L2, energy rows
+    value_tests: np.ndarray  # (N_k, dim)
+    derivative_tests: np.ndarray  # (N_{k+1}, dim)
+    basis_coeffs: np.ndarray  # (N_k, dim): the primal basis as coefficient columns
+    operator: np.ndarray  # (dim, N_k): S_K = system^-1 Phi_K
 
 
 def interpolator_spec(dec: LocalDecomposition):
-    """Assemble and validate the square local system of one cell's pair."""
+    """Assemble and validate the square local system of one cell's pair.
+
+    The system is Phi_K applied to the primal basis, the moments of each
+    basis member, so S_K reproduces the local space up to round-off.
+    """
     primal, dual = dec.primal, dec.dual
-    B = dec.pairing
-    pairing_block = (B @ dec.dual_PB.basis).T if dec.dual_PB.dim else np.zeros((0, primal.dim))
-    l2_block = dec.ring_P0.basis.T @ primal.gram() if dec.ring_P0.dim else np.zeros((0, primal.dim))
-    energy_block = (
-        dec.P0_perp.basis.T @ primal.energy_gram() if dec.P0_perp.dim else np.zeros((0, primal.dim))
-    )
-    system = np.vstack([pairing_block, l2_block, energy_block])
-    if system.shape[0] != primal.dim:
+    n, k = primal.n, primal.k
+    D = derivative_matrix(n, k)
+    P = np.column_stack([w.coefficient_vector() for w in primal.basis])
+    # the dual basis and its codifferentials, which the dual's energy Gram cached
+    Q = np.zeros((D.shape[0], dual.dim))
+    dQ = np.zeros((P.shape[0], dual.dim))
+    for j, q in enumerate(dual.basis):
+        Q[:, j] = q.coefficient_vector()
+        dQ[:, j] = dual.op_image(j).coefficient_vector()
+    pb, ring, perp = dec.dual_PB.basis, dec.ring_P0.basis, dec.P0_perp.basis
+    value_tests = np.hstack([dQ @ pb, P @ ring, np.zeros((P.shape[0], perp.shape[1]))])
+    derivative_tests = np.hstack([-(Q @ pb), np.zeros((D.shape[0], ring.shape[1])), D @ P @ perp])
+    if value_tests.shape[1] != primal.dim:
         raise AssumptionViolation(
-            "interpolation system is %dx%d, not square" % (system.shape[0], primal.dim)
+            "interpolation system is %dx%d, not square" % (value_tests.shape[1], primal.dim)
         )
+    cell = primal.cell
+    phi = value_tests.T @ cell.mass_matrix(k) + derivative_tests.T @ cell.mass_matrix(k + 1) @ D
+    system = phi @ P
     s = np.linalg.svd(system, compute_uv=False)
     if s[-1] <= 1e-10 * s[0]:
         raise AssumptionViolation("interpolation system is singular at tolerance")
-    dual_PB_forms = [
-        dual.form_from_coeffs(dec.dual_PB.basis[:, j]) for j in range(dec.dual_PB.dim)
-    ]
-    ring_forms = [
-        primal.form_from_coeffs(dec.ring_P0.basis[:, j]) for j in range(dec.ring_P0.dim)
-    ]
-    perp_forms = [
-        primal.form_from_coeffs(dec.P0_perp.basis[:, j]) for j in range(dec.P0_perp.dim)
-    ]
-    n, k = primal.n, primal.k
-    codiffs = [codifferential(q) if q.k > 0 else PolyForm(n, 0) for q in dual_PB_forms]
-    diffs = [exterior_derivative(w) if k < n else PolyForm(n, k + 1) for w in perp_forms]
     return InterpolatorSpec(
         primal=primal,
-        dual=dual,
-        pairing_block=pairing_block,
-        l2_block=l2_block,
-        energy_block=energy_block,
         system=system,
-        dual_PB_forms=dual_PB_forms,
-        ring_P0_forms=ring_forms,
-        P0_perp_forms=perp_forms,
-        dual_PB_codiffs=codiffs,
-        P0_perp_diffs=diffs,
+        value_tests=value_tests,
+        derivative_tests=derivative_tests,
+        basis_coeffs=P,
+        operator=np.linalg.solve(system, phi),
     )
-
-
-def _rhs_polynomial(spec: InterpolatorSpec, omega: PolyForm):
-    cell = spec.primal.cell
-    n, k = spec.primal.n, spec.primal.k
-    domega = exterior_derivative(omega) if k < n else PolyForm(n, k + 1)
-    rhs = []
-    for q, dq in zip(spec.dual_PB_forms, spec.dual_PB_codiffs):
-        rhs.append(l2_inner(omega, dq, cell) - l2_inner(domega, q, cell))
-    for w in spec.ring_P0_forms:
-        rhs.append(l2_inner(omega, w, cell))
-    for dw in spec.P0_perp_diffs:
-        rhs.append(l2_inner(domega, dw, cell))
-    return np.asarray(rhs)
 
 
 def _rhs_callable(spec: InterpolatorSpec, value_fn, d_value_fn, degree=7):
@@ -111,27 +92,17 @@ def _rhs_callable(spec: InterpolatorSpec, value_fn, d_value_fn, degree=7):
 
     ``value_fn``/``d_value_fn`` map a point to the coefficient arrays of the
     k-form and its differential (component order of the multi-index list);
-    accuracy is limited by the fixed quadrature degree.
+    accuracy is limited by the fixed quadrature degree.  Each moment pairs the
+    point values with those of the coordinate basis.
     """
-    cell = spec.primal.cell
-    pts, wts = cell_quadrature(cell, degree)
-    vals = np.array([value_fn(p) for p in pts])
-    dvals = np.array([d_value_fn(p) for p in pts])
-
-    def inner_vals(sample, form):
-        acc = 0.0
-        for p, w, row in zip(pts, wts, sample):
-            acc += w * float(row @ form.coefficients_at(p))
-        return acc
-
-    rhs = []
-    for q, dq in zip(spec.dual_PB_forms, spec.dual_PB_codiffs):
-        rhs.append(inner_vals(vals, dq) - inner_vals(dvals, q))
-    for w in spec.ring_P0_forms:
-        rhs.append(inner_vals(vals, w))
-    for dw in spec.P0_perp_diffs:
-        rhs.append(inner_vals(dvals, dw))
-    return np.asarray(rhs)
+    pts, wts = cell_quadrature(spec.primal.cell, degree)
+    weighted = wts[:, None] * monomial_values(pts)
+    vals = np.array([value_fn(p) for p in pts]).reshape(len(pts), -1)
+    dvals = np.array([d_value_fn(p) for p in pts]).reshape(len(pts), -1)
+    return (
+        spec.value_tests.T @ (vals.T @ weighted).ravel()
+        + spec.derivative_tests.T @ (dvals.T @ weighted).ravel()
+    )
 
 
 def interpolate_local(spec: InterpolatorSpec, omega):
@@ -141,15 +112,17 @@ def interpolate_local(spec: InterpolatorSpec, omega):
     fixed-degree quadrature.
     """
     if isinstance(omega, PolyForm):
-        rhs = _rhs_polynomial(spec, omega)
-    else:
-        rhs = _rhs_callable(spec, *omega)
-    return np.linalg.solve(spec.system, rhs)
+        return spec.operator @ omega.coefficient_vector()
+    return np.linalg.solve(spec.system, _rhs_callable(spec, *omega))
 
 
 class LadderInterpolator:
     """All cell interpolators of one mesh level, built from the ladder's
-    cell decompositions and cached in the ladder."""
+    cell decompositions and cached in the ladder.
+
+    ``operators`` stacks the cells' S_K; every cell has the same local
+    dimension, so broken coordinates are its rows in cell order.
+    """
 
     def __init__(self, mesh, k):
         self.mesh = mesh
@@ -157,13 +130,33 @@ class LadderInterpolator:
         lad = ladder(mesh)
         self.broken = lad.primal(k)
         self.specs = [interpolator_spec(dec) for dec in lad.local_decompositions(k)]
+        self.operators = np.stack([spec.operator for spec in self.specs])
+
+    def coefficients(self, field):
+        """(cells, N) coefficient array of a per-cell polynomial field.
+
+        Each distinct form is converted once: a global field repeats one.
+        """
+        rows = {}
+        for omega in field:
+            if id(omega) not in rows:
+                if (omega.n, omega.k) != (self.mesh.dim, self.k):
+                    raise DegreeMismatch(
+                        "field of %d-forms on R^%d for the %d-form interpolator"
+                        % (omega.k, omega.n, self.k)
+                    )
+                rows[id(omega)] = omega.coefficient_vector()
+        return np.array([rows[id(omega)] for omega in field])
+
+    def apply(self, coeffs):
+        """Broken coefficient vector of the interpolant of a (cells, N) coefficient array."""
+        return np.matmul(self.operators, np.ascontiguousarray(coeffs)[:, :, None]).ravel()
 
     def __call__(self, field):
         """Broken coefficient vector of the cellwise interpolant."""
-        vec = np.zeros(self.broken.dim)
-        for ci, omega in enumerate(field):
-            vec[self.broken.cell_slice(ci)] = interpolate_local(self.specs[ci], omega)
-        return vec
+        if all(isinstance(omega, PolyForm) for omega in field):
+            return self.apply(self.coefficients(field))
+        return np.concatenate([interpolate_local(spec, w) for spec, w in zip(self.specs, field)])
 
 
 def global_interpolator(mesh, k):
@@ -189,42 +182,14 @@ def constraint_residual(mesh, k, bc, vec):
     return float(np.abs(cons.matrix @ vec).max())
 
 
-def field_pairing_residual(mesh, k, bc, field):
-    """Pairing of an arbitrary polynomial field against the conforming partner.
-
-    Zero means the field belongs to the continuous domain class the
-    nonconforming space discretizes.
-    """
-    lad = ladder(mesh)
-    partner_bc = "homogeneous" if bc == "none" else "none"
-    partner = lad.whitney_star(k + 1, partner_bc)
-    dual = lad.dual(k + 1)
-    out = 0.0
-    for col in range(partner.dim):
-        total = 0.0
-        for ci in range(mesh.num_cells):
-            q = dual.form_on_cell(partner.atlas[:, col], ci)
-            omega = field[ci]
-            cell = mesh.cell_geometry(ci)
-            dq = codifferential(q)
-            domega = (
-                exterior_derivative(omega) if k < mesh.dim else PolyForm(mesh.dim, k + 1)
-            )
-            total += l2_inner(omega, dq, cell) - l2_inner(domega, q, cell)
-        out = max(out, abs(total))
-    return out
-
-
 def commute_check(mesh, k, field):
     """L2 norm of d_h(I omega) - I(d omega) for a per-cell polynomial field."""
     lad = ladder(mesh)
     I_low = global_interpolator(mesh, k)
-    I_high = global_interpolator(mesh, k + 1)
-    v = I_low(field)
-    d_field = [exterior_derivative(w) for w in field]
-    w_vec = I_high(d_field)
-    D = lad.d_matrix(k)
-    diff = lad.p0_injection(k + 1) @ (D @ v) - w_vec
+    C = I_low.coefficients(field)
+    v = I_low.apply(C)
+    w_vec = global_interpolator(mesh, k + 1).apply(C @ derivative_matrix(mesh.dim, k).T)
+    diff = lad.p0_injection(k + 1) @ (lad.d_matrix(k) @ v) - w_vec
     G = lad.primal(k + 1).gram()
     return float(np.sqrt(max(diff @ (G @ diff), 0.0)))
 
@@ -233,13 +198,21 @@ def projectivity_matrix(mesh, k):
     """Interpolation of every broken basis member; the identity when projective.
 
     The interpolator is local, so a basis member supported on one cell maps
-    into that cell's block and the matrix is block diagonal: each cell
-    interpolates only its own basis, and the off-diagonal blocks are zero.
+    into that cell's block and the matrix is block diagonal.  Column j of
+    every block comes from one batched product over the j-th basis member of
+    each cell, the same product that interpolates a field.
     """
-    return block_diagonal([
-        np.column_stack([interpolate_local(spec, b) for b in spec.primal.basis])
-        for spec in global_interpolator(mesh, k).specs
-    ])
+    I = global_interpolator(mesh, k)
+    basis = np.stack([spec.basis_coeffs for spec in I.specs])  # (cells, N, dim)
+    cells, _, dim = basis.shape
+    columns = [I.apply(basis[:, :, j]).reshape(cells, dim) for j in range(dim)]
+    return block_diagonal(list(np.stack(columns, axis=2)))
+
+
+def _squared_norm(masses, coeffs):
+    """Sum over cells of c_K^T M_K c_K, ``masses`` the cells' monomial masses."""
+    X = coeffs.reshape(len(masses), -1, masses.shape[-1])
+    return float(np.einsum("crp,cpq,crq->", X, masses, X))
 
 
 def stability_report(mesh, k, fields):
@@ -247,7 +220,8 @@ def stability_report(mesh, k, fields):
 
     Returns the two empirical ratios and their theoretical ceilings
     (1 + 1/beta) and (2 + rho + 1/gamma + 1/beta) from the base-pair report
-    the ladder keeps.
+    the ladder keeps.  The fields' own norms come from the cells' mass
+    matrices.
     """
     from .adjoint import base_pair_report
 
@@ -257,21 +231,18 @@ def stability_report(mesh, k, fields):
     D = lad.d_matrix(k)
     G = lad.primal(k).gram()
     G_hi = lad.p0(k + 1).gram
+    d_coeffs = derivative_matrix(mesh.dim, k).T
+    masses = np.stack([mesh.cell_geometry(ci).monomial_mass for ci in range(mesh.num_cells)])
     energy_ratio = 0.0
     graph_ratio = 0.0
     for field in fields:
-        v = I(field)
+        C = I.coefficients(field)
+        v = I.apply(C)
         Dv = D @ v
         d_energy = float(Dv @ (G_hi @ Dv))
         l2 = float(v @ (G @ v))
-        ref_energy = 0.0
-        ref_l2 = 0.0
-        for ci, omega in enumerate(field):
-            cell = mesh.cell_geometry(ci)
-            ref_l2 += l2_inner(omega, omega, cell)
-            if k < mesh.dim:
-                dw = exterior_derivative(omega)
-                ref_energy += l2_inner(dw, dw, cell)
+        ref_l2 = _squared_norm(masses, C)
+        ref_energy = _squared_norm(masses, C @ d_coeffs)
         if ref_energy > 1e-24:
             energy_ratio = max(energy_ratio, np.sqrt(d_energy / ref_energy))
         graph = np.sqrt(l2 + d_energy)

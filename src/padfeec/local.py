@@ -149,19 +149,6 @@ def mixed_local(cell, k):
     return LocalSpace(cell, k, basis, tag="trimmed-mixed", op="d")
 
 
-def polynomial_space(cell, k, degree):
-    """All monomial k-forms of coefficient degree <= degree (coordinate space)."""
-    n = cell.n
-    basis = []
-    from itertools import product
-
-    for midx in multiindices(k, n):
-        for expo in product(range(degree + 1), repeat=n):
-            if sum(expo) <= degree:
-                basis.append(PolyForm.monomial(n, k, expo, midx))
-    return LocalSpace(cell, k, basis, tag="monomials-deg%d" % degree)
-
-
 def star_local(space: LocalSpace):
     """Cellwise Hodge star of a local space; toggles between d and delta."""
     basis = [hodge_star(w) for w in space.basis]
@@ -173,43 +160,6 @@ def star_local(space: LocalSpace):
         op="delta" if space.op == "d" else "d",
         named={k: hodge_star(v) for k, v in space.named.items()},
     )
-
-
-def local_range_kernel(space: LocalSpace, op=None):
-    """Range and kernel of d or delta on a local space.
-
-    The kernel is a subspace of the source coefficient space; the range is a
-    subspace of the monomial coordinate space one degree up or down.
-    """
-    op = op or space.op
-    n, k = space.n, space.k
-    if op == "d":
-        images = [
-            PolyForm(n, k + 1) if k >= n else exterior_derivative(w)
-            for w in space.basis
-        ]
-        target = polynomial_space(space.cell, min(k + 1, n), max(space_degree(space) - 1, 0))
-    else:
-        images = [
-            PolyForm(n, max(k - 1, 0)) if k == 0 else codifferential(w)
-            for w in space.basis
-        ]
-        target = polynomial_space(space.cell, max(k - 1, 0), max(space_degree(space) - 1, 0))
-    E = inner_matrix(images, images, space.cell)
-    kernel = Subspace.from_span(nullspace(E).basis, space.gram())
-    cols = []
-    for img in images:
-        if img.k > n:
-            cols.append(np.zeros(target.dim))
-        else:
-            cols.append(target.expand(img, tol=1e-8))
-    T = np.column_stack(cols) if cols else np.zeros((target.dim, 0))
-    rng = Subspace.from_span(T, target.gram())
-    return rng, kernel, target
-
-
-def space_degree(space: LocalSpace):
-    return max((w.poly_degree() for w in space.basis), default=0)
 
 
 def pairing_matrix(primal: LocalSpace, dual: LocalSpace):

@@ -97,12 +97,12 @@ class TestTopology3D:
     """Harmonic spaces that are not empty: the tunnel and the cavity."""
 
     @staticmethod
-    def _duality(mesh, capsys):
+    def _duality(mesh, capsys, k=1):
         import json
 
         from padfeec.cli import main
 
-        code = main(["verify", "duality", "--mesh", mesh, "--k", "1"])
+        code = main(["verify", "duality", "--mesh", mesh, "--k", str(k)])
         records = {r["name"]: r for r in json.loads(capsys.readouterr().out)["records"]}
         assert code == 0
         assert [r["verdict"] for r in records.values()] == ["pass", "pass"]
@@ -117,3 +117,11 @@ class TestTopology3D:
         # its 455 x 456 harmonic cross-Gram made the SVD route fail to converge
         pl = self._duality("cavity:4", capsys)["poincare-lefschetz"]
         assert (pl["numbers"]["dim_abc"], pl["numbers"]["dim_abc0"]) == (0, 1)
+
+    def test_tunnel_duality_k2_dims(self, capsys):
+        pl = self._duality("tunnel:4", capsys, k=2)["poincare-lefschetz"]
+        assert (pl["numbers"]["dim_abc"], pl["numbers"]["dim_abc0"]) == (0, 1)
+
+    def test_cavity_duality_k2_dims(self, capsys):
+        pl = self._duality("cavity:4", capsys, k=2)["poincare-lefschetz"]
+        assert (pl["numbers"]["dim_abc"], pl["numbers"]["dim_abc0"]) == (1, 0)

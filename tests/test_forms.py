@@ -10,14 +10,16 @@ from padfeec.forms import (
     CellGeometry,
     PolyForm,
     cell_quadrature,
+    coefficient_basis,
     codifferential,
+    derivative_matrix,
     exterior_derivative,
     hodge_star,
     inner_matrix,
     integral_over_subsimplex,
-    integral_top,
     koszul,
     l2_inner,
+    monomial_exponents,
     multiindices,
     random_polyform,
     simplex_quadrature,
@@ -285,8 +287,12 @@ class TestCellGeometry:
         assert (total - PolyForm.one(3)).is_zero(tol=1e-12)
 
     def test_integral_top(self):
-        vol = PolyForm.basis_form(2, (0, 1))
-        assert integral_top(vol, UNIT_TRIANGLE) == pytest.approx(0.5)
+        # the integral of a top-degree form is its L2 product with the volume form
+        vol = PolyForm.basis_form(2, (0, 1)).coefficient_vector()
+        assert vol @ UNIT_TRIANGLE.mass_matrix(2) @ vol == pytest.approx(0.5, abs=1e-15)
+        form = PolyForm.monomial(2, 2, (2, 1), (0, 1), 3.0)
+        got = form.coefficient_vector() @ UNIT_TRIANGLE.mass_matrix(2) @ vol
+        assert got == pytest.approx(3.0 * UNIT_TRIANGLE.monomial_integral((2, 1)), abs=1e-15)
 
     def test_inner_matrix_symmetric(self):
         rng = np.random.default_rng(11)
@@ -316,3 +322,53 @@ class TestStarIsometryProperty:
         lhs = l2_inner(hodge_star(a), hodge_star(b), cell)
         rhs = l2_inner(a, b, cell)
         assert abs(lhs - rhs) <= 1e-13 * max(abs(rhs), 1.0)
+
+
+class TestCoefficientArrays:
+    """The coefficient-array layer against the PolyForm dict algebra."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_moments_match_monomial_integral(self, n):
+        # the mass blocks hold every moment of degree <= 6 = 3 + 3
+        rng = np.random.default_rng(40 + n)
+        low = monomial_exponents(n)
+        for _ in range(4):
+            cell = random_cell(n, rng)
+            exact = np.array([[cell.monomial_integral(a + b) for b in low] for a in low])
+            assert np.abs(cell.monomial_mass - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    def test_mass_matrix_matches_l2_inner(self):
+        rng = np.random.default_rng(43)
+        for n in (2, 3):
+            cell = random_cell(n, rng)
+            for k in range(n + 1):
+                a, b = (random_polyform(n, k, 3, rng) for _ in range(2))
+                got = a.coefficient_vector() @ cell.mass_matrix(k) @ b.coefficient_vector()
+                exact = l2_inner(a, b, cell)
+                scale = math.sqrt(l2_inner(a, a, cell) * l2_inner(b, b, cell))
+                assert abs(got - exact) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_derivative_matrix_matches_exterior_derivative(self, n):
+        rng = np.random.default_rng(44)
+        for k in range(n + 1):
+            D = derivative_matrix(n, k)
+            basis = coefficient_basis(n, k)
+            assert D.shape == (len(coefficient_basis(n, k + 1)), len(basis))
+            for j, (expo, midx) in enumerate(basis):
+                w = PolyForm.monomial(n, k, expo, midx)
+                fresh = exterior_derivative(w) if k < n else PolyForm(n, k + 1)
+                assert np.array_equal(D[:, j], fresh.coefficient_vector())
+            w = random_polyform(n, k, 3, rng)
+            fresh = exterior_derivative(w) if k < n else PolyForm(n, k + 1)
+            assert np.allclose(D @ w.coefficient_vector(), fresh.coefficient_vector(), rtol=0, atol=1e-12)
+            if k + 1 < n:
+                assert not np.any(derivative_matrix(n, k + 1) @ D)
+
+    def test_coefficient_vector_lists_every_term(self):
+        rng = np.random.default_rng(45)
+        w = random_polyform(3, 1, 3, rng)
+        vec = w.coefficient_vector()
+        basis = coefficient_basis(3, 1)
+        assert len(basis) == 3 * 20
+        assert {basis[i]: vec[i] for i in np.flatnonzero(vec)} == w.terms

@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+import padfeec.forms
+import padfeec.interp
+from padfeec.cli import main
 from padfeec.forms import (
     PolyForm,
     codifferential,
@@ -12,7 +17,6 @@ from padfeec.interp import (
     commute_check,
     constraint_residual,
     crouzeix_raviart_coefficients,
-    field_pairing_residual,
     global_field,
     global_interpolator,
     interpolate_global,
@@ -20,13 +24,83 @@ from padfeec.interp import (
     projectivity_matrix,
     stability_report,
 )
-from padfeec.mesh import generate_structured
+from padfeec.mesh import Mesh, generate_structured
 from padfeec.spaces import ladder
 
 BOX2 = generate_structured(2, 2)
 BOX4 = generate_structured(2, 4)
 HOLE4 = generate_structured(2, 4, "hole")
 TETBOX1 = generate_structured(3, 1, "box")
+
+
+def jittered(mesh, seed, amount, everywhere=False):
+    """A copy of a unit-box mesh with its vertices moved by up to ``amount``.
+
+    Only interior vertices move unless ``everywhere``; either way every cell
+    gets its own shape, so a mapping error cannot hide behind congruent cells.
+    """
+    rng = np.random.default_rng(seed)
+    V = np.array(mesh.vertices, dtype=float)
+    movable = np.ones(len(V), dtype=bool) if everywhere else np.all((V > 0) & (V < 1), axis=1)
+    V[movable] += rng.uniform(-amount, amount, size=(int(movable.sum()), mesh.dim))
+    return Mesh(mesh.dim, V, mesh.cells)
+
+
+# box:4 with interior vertices moved; tetbox:1 has none, so all of its move
+JITTERED = [
+    ("box4-jittered", jittered(BOX4, 7, 0.04)),
+    ("tetbox1-jittered", jittered(TETBOX1, 8, 0.1, everywhere=True)),
+]
+
+
+def field_pairing_residual(mesh, k, bc, field):
+    """Pairing of an arbitrary polynomial field against the conforming partner.
+
+    Zero means the field belongs to the continuous domain class the
+    nonconforming space discretizes.  The oracle works on the dict algebra.
+    """
+    lad = ladder(mesh)
+    partner_bc = "homogeneous" if bc == "none" else "none"
+    partner = lad.whitney_star(k + 1, partner_bc)
+    dual = lad.dual(k + 1)
+    out = 0.0
+    for col in range(partner.dim):
+        total = 0.0
+        for ci in range(mesh.num_cells):
+            q = dual.form_on_cell(partner.atlas[:, col], ci)
+            omega = field[ci]
+            cell = mesh.cell_geometry(ci)
+            domega = exterior_derivative(omega) if k < mesh.dim else PolyForm(mesh.dim, k + 1)
+            total += l2_inner(omega, codifferential(q), cell) - l2_inner(domega, q, cell)
+        out = max(out, abs(total))
+    return out
+
+
+def interpolate_by_l2_inner(dec, omega):
+    """One cell's interpolant with every moment taken by `l2_inner` on PolyForms,
+    the system from the cell's exact Grams and pairing."""
+    primal, dual = dec.primal, dec.dual
+    system = np.vstack([
+        (dec.pairing @ dec.dual_PB.basis).T,
+        dec.ring_P0.basis.T @ primal.gram(),
+        dec.P0_perp.basis.T @ primal.energy_gram(),
+    ])
+    cell = primal.cell
+    n, k = primal.n, primal.k
+    domega = exterior_derivative(omega) if k < n else PolyForm(n, k + 1)
+    rhs = []
+    for j in range(dec.dual_PB.dim):
+        q = dual.form_from_coeffs(dec.dual_PB.basis[:, j])
+        rhs.append(l2_inner(omega, codifferential(q), cell) - l2_inner(domega, q, cell))
+    for j in range(dec.ring_P0.dim):
+        rhs.append(l2_inner(omega, primal.form_from_coeffs(dec.ring_P0.basis[:, j]), cell))
+    for j in range(dec.P0_perp.dim):
+        w = primal.form_from_coeffs(dec.P0_perp.basis[:, j])
+        dw = exterior_derivative(w) if k < n else PolyForm(n, k + 1)
+        rhs.append(l2_inner(domega, dw, cell))
+    return np.linalg.solve(system, np.asarray(rhs))
+
+
 ORACLE_CASES = [
     pytest.param(mesh, k, id="%s-k%d" % (name, k))
     for name, mesh in (("box2", BOX2), ("hole4", HOLE4), ("tetbox1", TETBOX1))
@@ -120,17 +194,57 @@ class TestGlobalInterpolation:
 
     @pytest.mark.parametrize("mesh,k", ORACLE_CASES)
     def test_stored_moment_forms_match_fresh_derivatives(self, mesh, k):
+        # the spec's test-form columns against fresh PolyForm derivatives
         n = mesh.dim
-        for spec in global_interpolator(mesh, k).specs:
-            assert len(spec.dual_PB_codiffs) == len(spec.dual_PB_forms)
-            assert len(spec.P0_perp_diffs) == len(spec.P0_perp_forms)
-            for q, dq in zip(spec.dual_PB_forms, spec.dual_PB_codiffs):
-                assert dq.k == q.k - 1
-                assert dq.terms == codifferential(q).terms
-            for w, dw in zip(spec.P0_perp_forms, spec.P0_perp_diffs):
-                fresh = exterior_derivative(w) if k < n else PolyForm(n, k + 1)
-                assert dw.k == k + 1
-                assert dw.terms == fresh.terms
+        decs = ladder(mesh).local_decompositions(k)
+        for spec, dec in zip(global_interpolator(mesh, k).specs, decs):
+            npb, nring, nperp = dec.dual_PB.dim, dec.ring_P0.dim, dec.P0_perp.dim
+            assert spec.value_tests.shape[1] == npb + nring + nperp == spec.primal.dim
+            assert not spec.value_tests[:, npb + nring:].any()
+            assert not spec.derivative_tests[:, npb:npb + nring].any()
+            expected_value, expected_derivative = [], []
+            for j in range(npb):
+                q = dec.dual.form_from_coeffs(dec.dual_PB.basis[:, j])
+                expected_value.append(codifferential(q).coefficient_vector())
+                expected_derivative.append(-q.coefficient_vector())
+            for j in range(nring):
+                expected_value.append(
+                    dec.primal.form_from_coeffs(dec.ring_P0.basis[:, j]).coefficient_vector()
+                )
+            for j in range(nperp):
+                w = dec.primal.form_from_coeffs(dec.P0_perp.basis[:, j])
+                dw = exterior_derivative(w) if k < n else PolyForm(n, k + 1)
+                expected_derivative.append(dw.coefficient_vector())
+            got_value = spec.value_tests[:, : npb + nring]
+            got_derivative = np.hstack(
+                [spec.derivative_tests[:, :npb], spec.derivative_tests[:, npb + nring:]]
+            )
+            for got, expected in ((got_value, expected_value), (got_derivative, expected_derivative)):
+                expected = np.column_stack(expected) if expected else np.zeros_like(got)
+                assert got.shape == expected.shape
+                assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * max(
+                    np.abs(expected).max(initial=0.0), 1.0
+                )
+
+    @pytest.mark.parametrize(
+        "mesh,k",
+        [
+            pytest.param(mesh, k, id="%s-k%d" % (name, k))
+            for name, mesh in JITTERED
+            for k in range(mesh.dim + 1)
+        ],
+    )
+    def test_global_interpolation_matches_l2_inner_route(self, mesh, k):
+        rng = np.random.default_rng(9)
+        decs = ladder(mesh).local_decompositions(k)
+        fields = [global_field(mesh, random_polyform(mesh.dim, k, 3, rng))]
+        fields.append([random_polyform(mesh.dim, k, 3, rng) for _ in range(mesh.num_cells)])
+        for field in fields:
+            got = interpolate_global(mesh, k, field)
+            expected = np.concatenate([
+                interpolate_by_l2_inner(dec, omega) for dec, omega in zip(decs, field)
+            ])
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_conforming_member_reproduced(self):
         lad = ladder(BOX2)
@@ -162,6 +276,22 @@ class TestDomainPreservation:
         field = [random_polyform(2, 0, 2, rng) for _ in range(BOX2.num_cells)]
         vec = interpolate_global(BOX2, 0, field)
         assert np.isfinite(vec).all()
+
+
+class TestWithoutL2Inner:
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_verify_interp_passes_with_l2_inner_raising(self, monkeypatch, capsys, k):
+        # no moment of the interpolation path may go through the dict algebra
+        def refuse(*args, **kwargs):
+            raise AssertionError("l2_inner reached from padfeec.interp")
+
+        for name, obj in list(vars(padfeec.interp).items()):
+            if obj is padfeec.forms.l2_inner:
+                monkeypatch.setattr(padfeec.interp, name, refuse)
+        code = main(["verify", "interp", "--mesh", "box:2", "--k", str(k)])
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert code == 0 and len(records) == 4
+        assert all(r["verdict"] == "pass" for r in records), records
 
 
 class TestCommutation:

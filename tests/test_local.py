@@ -20,7 +20,6 @@ from padfeec.local import (
     grad_components,
     interior_quadratic,
     local_constants,
-    local_range_kernel,
     mixed_local,
     rot_of,
     star_local,
@@ -104,31 +103,37 @@ class TestWhitneyLocal:
 
 
 class TestRangeKernel:
+    """Range and kernel of d or delta on a local space, from the rank of its
+    images as coefficient columns."""
+
+    @staticmethod
+    def images(space):
+        return np.column_stack(
+            [space.op_image(i).coefficient_vector() for i in range(space.dim)]
+        )
+
     def test_gradient_of_scalars(self):
         cell = random_triangle()
         space = whitney_local(cell, 0, "primal")
-        rng_, ker, target = local_range_kernel(space, "d")
-        assert rng_.dim == 2 and ker.dim == 1
-        consts = Subspace.from_span(
-            np.column_stack(
-                [target.expand(PolyForm.basis_form(2, (0,))), target.expand(PolyForm.basis_form(2, (1,)))]
-            ),
-            target.gram(),
+        T = self.images(space)
+        assert np.linalg.matrix_rank(T) == 2  # the kernel is the constants
+        consts = np.column_stack(
+            [PolyForm.basis_form(2, m).coefficient_vector() for m in ((0,), (1,))]
         )
-        assert subspace_equal(rng_, consts, target.gram())[0]
+        assert np.linalg.matrix_rank(np.hstack([T, consts])) == 2
 
     def test_delta_on_dual_volume_forms(self):
         cell = random_triangle()
         space = whitney_local(cell, 2, "dual")
-        rng_, ker, target = local_range_kernel(space, "delta")
-        assert rng_.dim == 2 and ker.dim == 1
+        assert space.dim == 3
+        assert np.linalg.matrix_rank(self.images(space)) == 2
 
     def test_rt_divergence(self):
         cell = random_triangle()
         rt = gallery_2d(cell, "RT")
-        rng_, ker, _ = local_range_kernel(rt, "d")
-        assert rng_.dim == 1  # constants
-        assert ker.dim == 2  # constant vector fields
+        T = self.images(rt)
+        assert np.linalg.matrix_rank(T) == 1  # constants
+        assert rt.dim - np.linalg.matrix_rank(T) == 2  # constant vector fields
 
 
 class TestDecomposition:

@@ -288,6 +288,28 @@ class TestLadderOwnership:
         assert len(built) == 3
 
 
+    def test_suite_frees_each_mesh_before_the_next(self, monkeypatch):
+        # a mesh and its ladder form a reference cycle; with little other
+        # allocation the collector might not free it before the next spec
+        import weakref
+
+        from padfeec import cli
+        from padfeec.report import RunConfig
+
+        alive = []
+        parse = cli.parse_mesh
+
+        def tracked(cfg):
+            assert all(ref() is None for ref in alive)
+            mesh = parse(cfg)
+            alive.append(weakref.ref(mesh))
+            return mesh
+
+        monkeypatch.setattr(cli, "parse_mesh", tracked)
+        assert cli.run(RunConfig("suite all").validate(), fast=True).all_passed
+        assert len(alive) == 3
+
+
 class TestLadderOperators:
     @pytest.mark.parametrize("mesh", [BOX2, BOX3], ids=["box:2", "tetbox:1"])
     @pytest.mark.parametrize("family", ["primal", "dual", "full"])
