@@ -10,11 +10,14 @@ Every moment is linear in the field.  Over the coordinate basis of
 `padfeec.forms` it is a row built from the cell's mass matrices and the
 constant d matrix, so each cell keeps its operator S_K = system^-1 Phi_K,
 which maps a polynomial field's coefficient vector to the coefficients of
-its interpolant.  The ladder's interpolator stacks them in one
-(cells, dim, N) array: interpolating a field, its differential or the whole
-broken basis (the projectivity check, kept sparse block diagonal) is one
-batched product over coefficient arrays.  Fields given by point values go
-through fixed-degree quadrature instead.
+its interpolant.  The system itself comes from the cell's pairing block and
+exact Grams, not from Phi_K, so the projectivity check S_K P = I compares the
+coefficient moments with that independent data.  The ladder's interpolator
+stacks the operators in one (cells, dim, N) array: interpolating a field,
+its differential or the whole broken basis (the projectivity check, kept
+sparse block diagonal) is one batched product over coefficient arrays.
+Fields given by point values go through fixed-degree quadrature instead,
+cell by cell in `interpolate_local`.
 """
 
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ class InterpolatorSpec:
     """
 
     primal: LocalSpace
-    system: np.ndarray  # the moments of the primal basis: pairing, L2, energy rows
+    system: np.ndarray  # pairing, L2 and energy rows from the pairing block and Grams
     value_tests: np.ndarray  # (N_k, dim)
     derivative_tests: np.ndarray  # (N_{k+1}, dim)
     basis_coeffs: np.ndarray  # (N_k, dim): the primal basis as coefficient columns
@@ -51,8 +54,10 @@ class InterpolatorSpec:
 def interpolator_spec(dec: LocalDecomposition):
     """Assemble and validate the square local system of one cell's pair.
 
-    The system is Phi_K applied to the primal basis, the moments of each
-    basis member, so S_K reproduces the local space up to round-off.
+    The system is built from the pairing block and the primal Grams that
+    the decomposition cached; Phi_K holds the same moments as coefficient
+    functionals, so S_K applied to the primal basis is the identity only
+    when the two agree.
     """
     primal, dual = dec.primal, dec.dual
     n, k = primal.n, primal.k
@@ -71,9 +76,13 @@ def interpolator_spec(dec: LocalDecomposition):
         raise AssumptionViolation(
             "interpolation system is %dx%d, not square" % (value_tests.shape[1], primal.dim)
         )
+    system = np.vstack([
+        (dec.pairing @ pb).T,
+        ring.T @ primal.gram(),
+        perp.T @ primal.energy_gram(),
+    ])
     cell = primal.cell
     phi = value_tests.T @ cell.mass_matrix(k) + derivative_tests.T @ cell.mass_matrix(k + 1) @ D
-    system = phi @ P
     s = np.linalg.svd(system, compute_uv=False)
     if s[-1] <= 1e-10 * s[0]:
         raise AssumptionViolation("interpolation system is singular at tolerance")
@@ -153,10 +162,10 @@ class LadderInterpolator:
         return np.matmul(self.operators, np.ascontiguousarray(coeffs)[:, :, None]).ravel()
 
     def __call__(self, field):
-        """Broken coefficient vector of the cellwise interpolant."""
-        if all(isinstance(omega, PolyForm) for omega in field):
-            return self.apply(self.coefficients(field))
-        return np.concatenate([interpolate_local(spec, w) for spec, w in zip(self.specs, field)])
+        """Broken coefficient vector of the cellwise interpolant of a
+        per-cell polynomial field; fields given by point values go through
+        `interpolate_local` cell by cell."""
+        return self.apply(self.coefficients(field))
 
 
 def global_interpolator(mesh, k):

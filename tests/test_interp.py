@@ -178,6 +178,30 @@ class TestGlobalInterpolation:
         s = interp.broken.cell_slice(3)
         assert np.array_equal(v1[s], v2[s])
 
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("fault", ["derivative", "mass"])
+    def test_projectivity_sees_wrong_coefficient_moments(self, monkeypatch, fault, k):
+        # the system comes from the pairing block and the Grams, so a wrong d
+        # matrix or mass matrix in the moments must break S_K P = I
+        if fault == "derivative":
+            exact = padfeec.interp.derivative_matrix
+            monkeypatch.setattr(padfeec.interp, "derivative_matrix", lambda n, j: 1.5 * exact(n, j))
+        else:
+            exact = padfeec.forms.CellGeometry.mass_matrix
+
+            def skewed(cell, j):
+                M = exact(cell, j).copy()
+                M[0, 0] *= 1.01
+                return M
+
+            monkeypatch.setattr(padfeec.forms.CellGeometry, "mass_matrix", skewed)
+        worst = 0.0
+        for dec in ladder(BOX2).local_decompositions(k):
+            spec = padfeec.interp.interpolator_spec(dec)
+            J = spec.operator @ spec.basis_coeffs
+            worst = max(worst, float(np.abs(J - np.eye(len(J))).max()))
+        assert worst > 1e-4
+
     @pytest.mark.parametrize("mesh,k", ORACLE_CASES)
     def test_block_projectivity_matches_global_sweep(self, mesh, k):
         # the oracle interpolates every broken basis member as a global field
