@@ -23,13 +23,15 @@ import numpy as np
 from .errors import AssemblyError, NotAComplex, NotAdmissible, NotNested
 from .linalg import (
     Subspace,
+    diagonal_blocks,
     gram_complement,
     icr_of,
     infsup,
     nullspace,
+    orthonormalize,
     subspace_equal,
 )
-from .local import fast_local_constants, pairing_null_dims, pairing_singular_values
+from .local import cell_constants, pairing_null_dims, pairing_singular_values
 from .spaces import ladder
 
 
@@ -159,33 +161,34 @@ def _build_base_pair_report(mesh, k, eig_tol):
     lad = ladder(mesh)
     primal, dual = lad.primal(k), lad.dual(k + 1)
     p0_hi, p0_lo = lad.p0(k + 1), lad.p0(k)
-    B, D, Delta = lad.pairing(k), lad.d_matrix(k), lad.delta_matrix(k + 1)
-    uM_dim = uN_dim = rank_D = rank_Delta = 0
+    # every cell holds the reference blocks of d and delta; the constant images
+    # are the leading members of the other side's basis
+    p_ref, q_ref = primal.reference, dual.reference
+    Dk, Deltak = p_ref.d, q_ref.delta
+    delta_imgs, d_imgs = p_ref.projection.T @ Deltak, q_ref.projection.T @ Dk
+    volumes = lad.geometry.volumes
+    Mp, Md = primal.gram_blocks(), dual.gram_blocks()
+    Ep, Ed = p_ref.energy_grams(volumes), q_ref.energy_grams(volumes)
+    rank_D, rank_Delta = (mesh.num_cells * _block_rank(T) for T in (Dk, Deltak))
+    uM_dim = uN_dim = 0
     icr_tilde = icr_tilde_adj = 0.0
     alphas, betas, gammas = [], [], []
-    for ci in range(mesh.num_cells):
-        p, q = primal.locals[ci], dual.locals[ci]
-        cols_p, cols_q = primal.cell_slice(ci), dual.cell_slice(ci)
-        Bk = B[cols_p, cols_q].toarray()
+    for ci, Bk in enumerate(lad.pairing_blocks(k)):
         sv = pairing_singular_values(Bk)
-        core_p, core_q = pairing_null_dims(p.dim, q.dim, sv)
+        core_p, core_q = pairing_null_dims(p_ref.dim, q_ref.dim, sv)
         uM_dim += core_p
         uN_dim += core_q
         if core_p or core_q:
             a = b = g = np.nan
         else:
-            a, b, g = fast_local_constants(p, q, Bk, sv)
+            a, b, g = cell_constants(Mp[ci], Ep[ci], Md[ci], Ed[ci], Bk, delta_imgs, d_imgs)
         alphas.append(a)
         betas.append(b)
         gammas.append(g)
-        Dk = D[p0_hi.cell_slice(ci), cols_p].toarray()
-        Deltak = Delta[p0_lo.cell_slice(ci), cols_q].toarray()
-        icr_tilde = max(icr_tilde, _cell_icr(Dk, p.gram(), p0_hi.volumes[ci], eig_tol))
+        icr_tilde = max(icr_tilde, _cell_icr(Dk, Mp[ci], p0_hi.volumes[ci], eig_tol))
         icr_tilde_adj = max(
-            icr_tilde_adj, _cell_icr(Deltak, q.gram(), p0_lo.volumes[ci], eig_tol)
+            icr_tilde_adj, _cell_icr(Deltak, Md[ci], p0_lo.volumes[ci], eig_tol)
         )
-        rank_D += _block_rank(Dk)
-        rank_Delta += _block_rank(Deltak)
     cores_trivial = uM_dim == 0 and uN_dim == 0
     alpha, beta, gamma = (_min_defined(c) for c in (alphas, betas, gammas))
     assumptions = {
@@ -441,12 +444,40 @@ def _domain_kernel_p0(lad, k, broken, T, basis=None):
     """Kernel of a broken-to-constant operator on span(``basis``), in P0 coordinates.
 
     The basis columns need not be orthonormal.  With ``basis`` None the kernel
-    is taken on the whole broken space.
+    is taken on the whole broken space (see `_broken_kernel_p0`).
     """
-    TV = T.toarray() if basis is None else T @ basis
+    if basis is None:
+        return _broken_kernel_p0(lad, k, broken, T)
+    TV = T @ basis
     ns = nullspace(TV / max(np.abs(TV).max(initial=0.0), 1e-300))
-    vecs = ns.basis if basis is None else basis @ ns.basis
-    return Subspace.from_span(_p0_coords(lad, k, broken, vecs), lad.p0(k).gram)
+    return Subspace.from_span(_p0_coords(lad, k, broken, basis @ ns.basis), lad.p0(k).gram)
+
+
+def _broken_kernel_p0(lad, k, broken, T):
+    """Kernel of a cellwise operator on the whole broken space, in P0 coordinates.
+
+    The ladder's d and delta hold one reference block on every cell, so the
+    kernel is that block's kernel on every cell, taken at the same relative
+    rank tolerance as on the whole matrix.  Its P0 coordinates, checked to be
+    constant, are orthonormalized once and scaled by 1/sqrt(volume) per cell,
+    which makes them orthonormal in the P0 Gram.
+    """
+    p0, cells, dim = lad.p0(k), lad.mesh.num_cells, broken.reference.dim
+    blocks = diagonal_blocks(T, T.shape[0] // cells, dim)
+    block = blocks[0]
+    if not np.array_equal(blocks, np.broadcast_to(block, blocks.shape)):
+        raise AssemblyError("operator is not one block repeated on every cell")
+    N = nullspace(block / max(np.abs(block).max(initial=0.0), 1e-300)).basis
+    ref = broken.reference
+    coords = ref.projection @ N
+    resid = np.abs(N - ref.projection.T @ coords).max(initial=0.0)
+    if resid > 1e-9 * max(np.abs(N).max(initial=0.0), 1.0):
+        raise AssemblyError("vectors are not piecewise constant (residual %.2e)" % resid)
+    Q = orthonormalize(coords)
+    basis = np.zeros((cells, p0.ncomp, cells, Q.shape[1]))
+    every = np.arange(cells)
+    basis[every, :, every, :] = Q / np.sqrt(p0.volumes)[:, None, None]
+    return Subspace(p0.dim, basis.reshape(p0.dim, cells * Q.shape[1]), p0.gram)
 
 
 # -- the three discrete complexes ------------------------------------------------

@@ -444,13 +444,15 @@ def cmd_solve_eigen(mesh, config, report):
 
 def cmd_solve_hodge(mesh, config, report, export=None):
     """The chosen Hodge schemes; with --scheme all, also their equivalences."""
-    from .solve import solve_hodge, verify_hodge_equivalences
+    from .solve import p0_moments, solve_hodge, verify_hodge_equivalences
 
     load = parse_load(mesh, config.k, config.load)
+    # every scheme reads only the constant moments of the load: take them once
+    moments = load if isinstance(load, np.ndarray) else p0_moments(mesh, config.k, load)
     schemes = HODGE_SCHEMES if config.scheme == "all" else (config.scheme,)
     sols = {}
     for scheme in schemes:
-        sols[scheme] = solve_hodge(mesh, config.k, load, scheme)
+        sols[scheme] = solve_hodge(mesh, config.k, moments, scheme)
     if export:
         _export_solutions(export, sols)
     for scheme in schemes:

@@ -138,12 +138,15 @@ def gram_factor(gram):
 
     The factor is as sparse as the Gram: the square roots of a diagonal Gram
     (the P0 volumes), one dense Cholesky block per diagonal block of a
-    block-diagonal sparse Gram (the cellwise broken Grams), or a dense factor
-    of a dense Gram.  The Euclidean ``gram=None`` gives (None, None).  A Gram
-    that is not positive definite raises InvalidGram.
+    block-diagonal sparse Gram (the cellwise broken Grams) or of a (cells, m,
+    m) stack standing for the block-diagonal Gram of its blocks, or a dense
+    factor of a dense Gram.  The Euclidean ``gram=None`` gives (None, None).
+    A Gram that is not positive definite raises InvalidGram.
     """
     if gram is None:
         return None, None
+    if isinstance(gram, np.ndarray) and gram.ndim == 3:
+        return tuple(block_diagonal(F) for F in _dense_factor(gram))
     if not scipy.sparse.issparse(gram):
         return _dense_factor(np.asarray(gram, dtype=float))
     G = scipy.sparse.csr_array(gram)
@@ -162,8 +165,37 @@ def gram_factor(gram):
 
 
 def block_diagonal(blocks):
-    """Sparse CSR array with the dense ``blocks`` along its diagonal."""
-    return scipy.sparse.csr_array(scipy.sparse.block_diag(blocks, format="csr"))
+    """Sparse CSR array with the dense ``blocks`` along its diagonal, zeros not stored.
+
+    ``blocks`` is a (cells, r, c) stack, or a list of 2-d blocks; equal-shape
+    blocks are stacked, and only blocks of differing shapes are placed one
+    by one.  The CSR arrays are written straight from the stack.
+    """
+    if not isinstance(blocks, np.ndarray):
+        blocks = [np.asarray(b, dtype=float) for b in blocks]
+        if len({b.shape for b in blocks}) > 1:
+            return scipy.sparse.csr_array(scipy.sparse.block_diag(blocks, format="csr"))
+        blocks = np.stack(blocks)
+    cells, r, c = blocks.shape
+    data = blocks.reshape(cells * r, c)
+    columns = np.broadcast_to(
+        (np.arange(cells)[:, None] * c + np.arange(c))[:, None, :], (cells, r, c)
+    ).reshape(cells * r, c)
+    keep = data != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return scipy.sparse.csr_array(
+        (data[keep], columns[keep], indptr), shape=(cells * r, cells * c)
+    )
+
+
+def diagonal_blocks(M, r, c):
+    """(cells, r, c) stack of the diagonal blocks of a block-diagonal sparse array."""
+    cells = M.shape[0] // r if r else M.shape[1] // c
+    out = np.zeros((cells, r, c))
+    coo = M.tocoo()
+    cell = coo.row // r
+    out[cell, coo.row % r, coo.col - cell * c] = coo.data
+    return out
 
 
 def _dense_factor(G):

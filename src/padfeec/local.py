@@ -6,12 +6,21 @@ pairing-null part and its twisted part, and the closed-form 2-D families
 (lowest-degree H(div) shape functions, Crouzeix-Raviart companions, enriched
 quadratics with the cubic edge bubble, enhanced linear fluxes).
 
+Each trimmed family also has a `ReferenceBlock`: its basis in coordinates
+centred at the cell's centroid, where the coefficients are the same on every
+cell, with its d, delta, P0 projection, pairing and star blocks, built once
+per (n, k, family) on first use.  The Whitney forms of a whole mesh have
+their trimmed coordinates in closed form (`whitney_coefficients`).
+
 Vector fields in the 2-D families are identified with 1-forms through the
 flux map (u, v) -> u dy - v dx (normal traces) or the circulation map
 (u, v) -> u dx + v dy (tangential traces).
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +40,9 @@ from .forms import (
     inner_matrix,
     koszul,
     l2_inner,
+    monomial_exponents,
     multiindices,
+    star_sign,
 )
 from .linalg import RANK_TOL, Subspace, gram_complement, infsup, nullspace, orthonormalize
 
@@ -114,6 +125,42 @@ class LocalSpace:
         return w[0] > tol * max(w[-1], 1e-30)
 
 
+# the operator each trimmed family pairs with: the energy Gram is its image's Gram
+FAMILY_OPS = {"primal": "d", "dual": "delta", "full": "d"}
+
+
+def trimmed_basis(n, k, family, center=None):
+    """Basis forms of a trimmed family: the constant k-forms, then Koszul images.
+
+    ``primal`` adds the Koszul image of each constant (k+1)-form, ``dual``
+    the star-conjugated Koszul image of each constant (k-1)-form, and
+    ``full`` both.  The contraction is centred at ``center`` (the origin when
+    None): in coordinates centred at a cell's centroid every family has the
+    same coefficients on every cell.
+    """
+    if not 0 <= k <= n:
+        raise InvalidParameter("degree %d outside 0..%d" % (k, n))
+    if family not in FAMILY_OPS:
+        raise InvalidParameter("unknown trimmed family %r" % (family,))
+    basis = [PolyForm.basis_form(n, m) for m in multiindices(k, n)]
+    if family in ("primal", "full"):
+        for m in multiindices(k + 1, n):
+            basis.append(koszul(PolyForm.basis_form(n, m), center=center))
+    if family in ("dual", "full"):
+        for m in multiindices(k - 1, n):
+            w = hodge_star(PolyForm.basis_form(n, m))
+            basis.append(hodge_star(koszul(w, center=center)))
+    return basis
+
+
+def trimmed_local(cell, k, family):
+    """Trimmed local space of k-forms of one family, centred at the cell's centroid."""
+    return LocalSpace(
+        cell, k, trimmed_basis(cell.n, k, family, cell.centroid),
+        tag="trimmed-%s" % ("mixed" if family == "full" else family), op=FAMILY_OPS[family],
+    )
+
+
 def whitney_local(cell, k, variant="primal"):
     """Trimmed local space of k-forms.
 
@@ -121,32 +168,178 @@ def whitney_local(cell, k, variant="primal"):
     the constant (k+1)-forms; the dual variant conjugates by the Hodge star
     and pairs with the codifferential.
     """
-    n = cell.n
-    if not 0 <= k <= n:
-        raise InvalidParameter("degree %d outside 0..%d" % (k, n))
-    basis = [PolyForm.basis_form(n, m) for m in multiindices(k, n)]
-    if variant == "primal":
-        for m in multiindices(k + 1, n):
-            basis.append(koszul(PolyForm.basis_form(n, m), center=cell.centroid))
-        return LocalSpace(cell, k, basis, tag="trimmed-primal", op="d")
-    if variant == "dual":
-        for m in multiindices(k - 1, n):
-            w = hodge_star(PolyForm.basis_form(n, m))
-            basis.append(hodge_star(koszul(w, center=cell.centroid)))
-        return LocalSpace(cell, k, basis, tag="trimmed-dual", op="delta")
-    raise InvalidParameter("variant must be primal or dual")
+    if variant not in ("primal", "dual"):
+        raise InvalidParameter("variant must be primal or dual")
+    return trimmed_local(cell, k, variant)
 
 
 def mixed_local(cell, k):
     """Constants plus both Koszul summands: the one-field Hodge-Laplace space."""
-    n = cell.n
-    basis = [PolyForm.basis_form(n, m) for m in multiindices(k, n)]
-    for m in multiindices(k + 1, n):
-        basis.append(koszul(PolyForm.basis_form(n, m), center=cell.centroid))
-    for m in multiindices(k - 1, n):
-        w = hodge_star(PolyForm.basis_form(n, m))
-        basis.append(hodge_star(koszul(w, center=cell.centroid)))
-    return LocalSpace(cell, k, basis, tag="trimmed-mixed", op="d")
+    return trimmed_local(cell, k, "full")
+
+
+# -- reference blocks of the trimmed families -----------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceBlock:
+    """One trimmed family in coordinates y = x - centroid, the same on every cell.
+
+    Basis form i is sum over multi-indices m of (values[i, m] + slopes[i, m] . y) dx^m,
+    so its value at the centroid is its constant part and its d and delta
+    are constant.  Every cellwise operator follows from these arrays: the
+    Gram is vol values values^T + sum_m slopes_m Sigma slopes_m^T with the
+    cell's centred second moments Sigma, the energy Gram vol E^T E for the
+    family's operator block E, and the L2 projection onto constants is the
+    constant part, since the centred slopes have zero cell mean.
+    """
+
+    n: int
+    k: int
+    family: str
+    values: np.ndarray  # (dim, ncomp_k)
+    slopes: np.ndarray  # (dim, ncomp_k, n)
+    d: np.ndarray  # (ncomp_{k+1}, dim): d of each basis form
+    delta: np.ndarray  # (ncomp_{k-1}, dim): delta of each basis form
+
+    @property
+    def dim(self):
+        return self.values.shape[0]
+
+    @property
+    def projection(self):
+        """L2 projection onto the constant k-forms, in coordinates: [I | 0]."""
+        return self.values.T
+
+    @property
+    def energy(self):
+        """The block of the family's operator, whose Gram is the energy Gram."""
+        return self.d if FAMILY_OPS[self.family] == "d" else self.delta
+
+    def grams(self, volumes, second_moments):
+        """(cells, dim, dim) stack of the cells' L2 Grams."""
+        G = volumes[:, None, None] * (self.values @ self.values.T)
+        if self.slopes.size:
+            G = G + np.einsum(
+                "cimb,jmb->cij", np.einsum("ima,cab->cimb", self.slopes, second_moments), self.slopes
+            )
+        # symmetric to the last bit, as every Gram factorization assumes
+        return 0.5 * (G + np.swapaxes(G, 1, 2))
+
+    def energy_grams(self, volumes):
+        """(cells, dim, dim) stack of the cells' energy Grams."""
+        return volumes[:, None, None] * (self.energy.T @ self.energy)
+
+
+def _constant_block(images, n, degree):
+    """Coefficients of constant forms as columns over multiindices(degree, n)."""
+    block = np.zeros((len(multiindices(degree, n)), len(images)))
+    for j, img in enumerate(images):
+        if img.poly_degree() > 0:
+            raise AssumptionViolation("trimmed basis image is not constant")
+        block[:, j] = img.coefficients_at(np.zeros(n))
+    return block
+
+
+@lru_cache(maxsize=None)
+def reference_block(n, k, family):
+    """The `ReferenceBlock` of a trimmed family, built on first use from `trimmed_basis`."""
+    basis = trimmed_basis(n, k, family)
+    lin = [
+        monomial_exponents(n).tolist().index([int(a == b) for b in range(n)]) for a in range(n)
+    ]
+    mono = len(monomial_exponents(n))
+    coeffs = np.array([w.coefficient_vector() for w in basis]).reshape(len(basis), -1, mono)
+    if np.any(np.delete(coeffs, [0] + lin, axis=2)):
+        raise AssumptionViolation("trimmed basis is not affine")
+    values, slopes = coeffs[:, :, 0], coeffs[:, :, lin]
+    d = _constant_block(
+        [exterior_derivative(w) if k < n else PolyForm(n, k + 1) for w in basis], n, k + 1
+    )
+    delta = _constant_block(
+        [codifferential(w) if k > 0 else PolyForm(n, 0) for w in basis], n, k - 1
+    )
+    for a in (values, slopes, d, delta):
+        a.flags.writeable = False
+    return ReferenceBlock(n, k, family, values, slopes, d, delta)
+
+
+@lru_cache(maxsize=None)
+def reference_pairing(n, k, primal_family, dual_family):
+    """B[i, j] = <v_i, delta q_j> - <d v_i, q_j> on a cell of unit volume.
+
+    Both images are constant, so only the constant parts of the other side
+    enter: B_ref = P_p^T Delta_q - D_p^T P_q, and a cell's block is vol B_ref.
+    """
+    p, q = reference_block(n, k, primal_family), reference_block(n, k + 1, dual_family)
+    B = p.projection.T @ q.delta - p.d.T @ q.projection
+    B.flags.writeable = False
+    return B
+
+
+@lru_cache(maxsize=None)
+def reference_star(n, k):
+    """Hodge star of the primal k-family into the dual (n-k)-family: a signed permutation.
+
+    star dx^m = s dx^m' on the constants.  The dual Koszul member of m'' is
+    star kappa(star dx^m''), and star dx^m'' = s'' dx^c with c the
+    complement of m'', so star kappa(dx^c) is s'' times that member.
+    """
+    src, src_kos = multiindices(k, n), multiindices(k + 1, n)
+    tgt, tgt_kos = multiindices(n - k, n), multiindices(n - k - 1, n)
+    S = np.zeros((len(tgt) + len(tgt_kos), len(src) + len(src_kos)))
+    for j, m in enumerate(src):
+        sign, comp = star_sign(m, n)
+        S[tgt.index(comp), j] = sign
+    for i, m in enumerate(tgt_kos):
+        sign, comp = star_sign(m, n)
+        S[len(tgt) + i, len(src) + src_kos.index(comp)] = sign
+    S.flags.writeable = False
+    return S
+
+
+def whitney_coefficients(gradients, k, tol=1e-9):
+    """Trimmed primal coordinates of the Whitney k-form of every k-face of every cell.
+
+    ``gradients`` is the (cells, n+1, n) stack of barycentric gradients; the
+    result is (cells, faces, dim), faces in `itertools.combinations` order of
+    the local vertex positions.  For phi_s = k! sum_j (-1)^j lambda_{s_j}
+    dlambda_{s-j}, every lambda is 1/(n+1) at the centroid, which gives the
+    constant part, and d phi_s = (k+1)! dlambda_s with d kappa(dx^m) =
+    (k+1) dx^m gives the Koszul part: on dx^I the minors of the gradients
+    restricted to I.  The form's own slopes, from lambda_j = 1/(n+1) +
+    grad lambda_j . y, must match those of the reconstruction to ``tol``
+    relative, or the form is not in the trimmed span.
+    """
+    cells, n1, n = gradients.shape
+    ref = reference_block(n, k, "primal")
+    faces = list(itertools.combinations(range(n1), k + 1))
+    Ik = np.array(multiindices(k, n), dtype=int).reshape(len(multiindices(k, n)), k)
+    Ik1 = np.array(multiindices(k + 1, n), dtype=int).reshape(len(multiindices(k + 1, n)), k + 1)
+
+    def minors(rows, cols):
+        # (cells, len(cols)) determinants of gradients[:, rows][:, :, I] for I in cols
+        sub = gradients[:, rows][:, :, cols]  # (cells, len(rows), len(cols), len(rows))
+        return np.linalg.det(np.moveaxis(sub, 2, 1))
+
+    scale = math.factorial(k)
+    const = np.zeros((cells, len(faces), len(Ik)))
+    own_slopes = np.zeros((cells, len(faces), len(Ik), n))
+    kos = np.zeros((cells, len(faces), len(Ik1)))
+    for f, face in enumerate(faces):
+        for j in range(k + 1):
+            minor = (-1) ** j * scale * minors(list(face[:j] + face[j + 1:]), Ik)
+            const[:, f] += minor / n1
+            own_slopes[:, f] += minor[:, :, None] * gradients[:, face[j], None, :]
+        if len(Ik1):
+            kos[:, f] = scale * minors(list(face), Ik1)
+    coeffs = np.concatenate([const, kos], axis=2)
+    slopes = np.einsum("cfi,ima->cfma", coeffs, ref.slopes)
+    own = np.sqrt(np.sum(const**2, axis=2) + np.sum(own_slopes**2, axis=(2, 3)))
+    err = np.sqrt(np.sum((slopes - own_slopes) ** 2, axis=(2, 3)))
+    if np.any(err > tol * own):
+        raise AssumptionViolation("Whitney form lies outside the local space")
+    return coeffs
 
 
 def star_local(space: LocalSpace):
@@ -227,14 +420,15 @@ def _side_decomposition(dim, gram, energy, pairing_rows):
     return P0, ring_P0, PB, ring_PB
 
 
-def decompose_local(primal: LocalSpace, dual: LocalSpace):
+def decompose_local(primal: LocalSpace, dual: LocalSpace, B=None):
     """Split both sides of a local (k, k+1) pair by the adjointness pairing.
 
     The pairing-null parts collect the members invisible to the other space;
     the twisted parts carry the cross-cell coupling.  Dimensions are additive:
-    P = P0 (+) PB on both sides.
+    P = P0 (+) PB on both sides.  ``B`` is the cell's pairing block, when
+    the caller holds it.
     """
-    B = pairing_matrix(primal, dual)
+    B = pairing_matrix(primal, dual) if B is None else B
     Mp = primal.gram()
     P0, ring_P0, PB, ring_PB = _side_decomposition(primal.dim, Mp, primal.energy_gram(), B.T)
     # the dual ring_P0 only serves to cut out the dual PB
@@ -334,8 +528,25 @@ def fast_local_constants(primal: LocalSpace, dual: LocalSpace, B=None, sv=None):
     p, q = primal.dim, dual.dim
     if pairing_null_dims(p, q, sv) != (0, 0):
         raise NotAdmissible("cell pairing block has a nontrivial pairing-null part")
-    Mp, Ep = primal.gram(), primal.energy_gram()
-    Md, Ed = dual.gram(), dual.energy_gram()
+    delta_imgs = np.column_stack(
+        [primal.expand(dual.op_image(j)) for j in range(q)]
+    ) if q else np.zeros((p, 0))
+    d_imgs = np.column_stack(
+        [dual.expand(primal.op_image(i)) for i in range(p)]
+    ) if p else np.zeros((q, 0))
+    return cell_constants(
+        primal.gram(), primal.energy_gram(), dual.gram(), dual.energy_gram(), B, delta_imgs, d_imgs
+    )
+
+
+def cell_constants(Mp, Ep, Md, Ed, B, delta_imgs, d_imgs):
+    """(alpha_K, beta_K, gamma_K) from one cell's Grams, energy Grams and pairing block.
+
+    ``delta_imgs`` holds the dual basis' delta images in primal coordinates
+    and ``d_imgs`` the primal basis' d images in dual coordinates; the
+    pairing block must be square and nonsingular (see `fast_local_constants`).
+    """
+    p, q = B.shape
 
     def pair_infsup(A, Bc, M):
         if A.shape[1] == 0 and Bc.shape[1] == 0:
@@ -346,14 +557,8 @@ def fast_local_constants(primal: LocalSpace, dual: LocalSpace, B=None, sv=None):
         return float(np.clip(s[-1], 0.0, 1.0))
 
     ker_p = nullspace(Ep).basis
-    delta_imgs = np.column_stack(
-        [primal.expand(dual.op_image(j)) for j in range(q)]
-    ) if q else np.zeros((p, 0))
     alpha = pair_infsup(orthonormalize(ker_p, Mp), orthonormalize(delta_imgs, Mp), Mp)
     ker_d = nullspace(Ed).basis
-    d_imgs = np.column_stack(
-        [dual.expand(primal.op_image(i)) for i in range(p)]
-    ) if p else np.zeros((q, 0))
     beta = pair_infsup(orthonormalize(ker_d, Md), orthonormalize(d_imgs, Md), Md)
     Gp = Mp + Ep
     Gq = Md + Ed

@@ -14,8 +14,8 @@ import numpy as np
 import scipy.sparse
 
 from .adjoint import harmonic_space
-from .errors import AssemblyError, InvalidParameter, SolverFailure
-from .forms import PolyForm, cell_quadrature, l2_inner
+from .errors import AssemblyError, DegreeMismatch, InvalidParameter, SolverFailure
+from .forms import cell_quadrature
 from .linalg import nullspace, pencil_nonzero_eigs, solve_symmetric
 from .spaces import d_pairing, ladder
 
@@ -40,7 +40,8 @@ class EquivalenceReport:
 
 
 def _solve(K, rhs, label):
-    x, rel, cond = solve_symmetric(_check_symmetric(K, label), rhs)
+    """Solve a system whose symmetry the caller has checked."""
+    x, rel, cond = solve_symmetric(K, rhs)
     if rel > 1e-10:
         raise SolverFailure(
             "%s solve stalled at relative residual %.2e (condition %.2e)"
@@ -49,20 +50,33 @@ def _solve(K, rhs, label):
     return x, rel, cond
 
 
-def _check_symmetric(K, label):
+def _check_symmetric(K, label, scale=None):
+    """Raise unless |K - K^T| <= 1e-13 times ``scale``, by default K's largest entry.
+
+    The rows are compared in stripes, so no temporary of K's size is made.
+    """
     if K.size:
-        scale = max(np.abs(K).max(), 1e-300)
-        if np.abs(K - K.T).max() > 1e-13 * scale:
-            raise AssemblyError("%s system lost symmetry" % label)
+        if scale is None:
+            scale = max(K.max(), -K.min())
+        tol = 1e-13 * max(scale, 1e-300)
+        for r in range(0, K.shape[0], _STRIPE):
+            gap = K[r : r + _STRIPE] - K[:, r : r + _STRIPE].T
+            if np.abs(gap, out=gap).max() > tol:
+                raise AssemblyError("%s system lost symmetry" % label)
     return K
 
 
-def _block_system(sizes, blocks, rhs_blocks):
+_STRIPE = 128  # rows per stripe of the symmetry check
+
+
+def _block_system(sizes, blocks, rhs_blocks, label):
     """Dense symmetric block matrix and right-hand side, with the block slices.
 
     ``blocks`` maps (i, j) with i <= j to the upper block, dense or
     `scipy.sparse`; it is mirrored to (j, i) transposed.  ``rhs_blocks`` maps
     i to that block of the right-hand side.  Every block not given is zero.
+    The mirrored blocks are symmetric by construction, so only the diagonal
+    blocks are checked, against the largest entry of the whole system.
     """
     ends = np.cumsum(sizes)
     slices = [slice(int(e - n), int(e)) for n, e in zip(sizes, ends)]
@@ -74,6 +88,11 @@ def _block_system(sizes, blocks, rhs_blocks):
         K[slices[i], slices[j]] = B
         if i != j:
             K[slices[j], slices[i]] = B.T
+    if K.size:
+        scale = max(K.max(), -K.min())
+        for i, j in blocks:
+            if i == j:
+                _check_symmetric(K[slices[i], slices[i]], label, scale)
     rhs = np.zeros(dim)
     for i, b in rhs_blocks.items():
         rhs[slices[i]] = b
@@ -83,25 +102,33 @@ def _block_system(sizes, blocks, rhs_blocks):
 def p0_moments(mesh, k, load):
     """Vector of integrals of the load components over every cell.
 
-    ``load`` is a per-cell list of PolyForm (exact) or a callable point ->
-    component array (fixed-degree quadrature).
+    ``load`` is a per-cell list of PolyForm (exact: each distinct form's
+    coefficient vector times the mesh's monomial moments) or a callable
+    point -> component array (fixed-degree quadrature).
     """
     lad = ladder(mesh)
     p0 = lad.p0(k)
-    F = np.zeros(p0.dim)
     if callable(load):
+        F = np.zeros(p0.dim)
         for ci in range(mesh.num_cells):
             pts, wts = cell_quadrature(mesh.cell_geometry(ci), degree=7)
             acc = np.zeros(p0.ncomp)
             for p, w in zip(pts, wts):
                 acc += w * np.asarray(load(p), dtype=float)
             F[p0.cell_slice(ci)] = acc
-    else:
-        units = [PolyForm.basis_form(mesh.dim, m) for m in p0.midx]
-        for ci, form in enumerate(load):
-            cell = mesh.cell_geometry(ci)
-            F[p0.cell_slice(ci)] = [l2_inner(form, unit, cell) for unit in units]
-    return F
+        return F
+    cells_of = {}
+    for ci, form in enumerate(load):
+        cells_of.setdefault(id(form), (form, []))[1].append(ci)
+    moments = lad.geometry.first_moments()
+    F = np.zeros((mesh.num_cells, p0.ncomp))
+    for form, cells in cells_of.values():
+        if (form.n, form.k) != (mesh.dim, k):
+            raise DegreeMismatch(
+                "load of %d-forms on R^%d for %d-form moments" % (form.k, form.n, k)
+            )
+        F[cells] = moments[cells] @ form.coefficient_vector().reshape(p0.ncomp, -1).T
+    return F.ravel()
 
 
 def _p0_coords_of_moments(lad, k, F):
@@ -122,7 +149,7 @@ def solve_source_primal(mesh, k, load, bc="none"):
         K = K + DA.T @ G_hi @ DA
     F = load if isinstance(load, np.ndarray) else p0_moments(mesh, k, load)
     rhs = P.T @ F
-    x, rel, cond = _solve(K, rhs, "source-primal")
+    x, rel, cond = _solve(_check_symmetric(K, "source-primal"), rhs, "source-primal")
     return SchemeSolution(
         scheme="source-primal",
         components={"omega": x, "omega_broken": A @ x},
@@ -144,7 +171,8 @@ def solve_source_dual(mesh, k, load, bc="none"):
     M0 = lad.p0(k).gram
     F = load if isinstance(load, np.ndarray) else p0_moments(mesh, k, load)
     K, rhs, (sl_z, sl_o) = _block_system(
-        (Az.shape[1], lad.p0(k).dim), {(0, 0): Mp, (0, 1): -C.T, (1, 1): -M0}, {1: -F}
+        (Az.shape[1], lad.p0(k).dim), {(0, 0): Mp, (0, 1): -C.T, (1, 1): -M0}, {1: -F},
+        "source-dual",
     )
     x, rel, cond = _solve(K, rhs, "source-dual")
     return SchemeSolution(
@@ -298,6 +326,7 @@ def solve_hodge(mesh, k, load, scheme="complete"):
             (lad.p0(k).dim, Az.shape[1], As.shape[1], H.shape[1]),
             {(0, 1): Cz, (0, 2): Cs, (0, 3): MH, (1, 1): -Mpz, (2, 2): -Mps},
             {0: F},
+            "hodge-complete",
         )
         x, rel, cond = _solve(K, rhs, "hodge-complete")
         comps = {
@@ -326,6 +355,7 @@ def solve_hodge(mesh, k, load, scheme="complete"):
             (A.shape[1], As.shape[1], H.shape[1]),
             {(0, 0): Sk, (0, 1): Cs, (0, 2): MH, (1, 1): -Mps},
             {0: Pk.T @ F},
+            "hodge-mixed-primal",
         )
         x, rel, cond = _solve(K, rhs, "hodge-mixed-primal")
         comps = {
@@ -353,6 +383,7 @@ def solve_hodge(mesh, k, load, scheme="complete"):
             (A.shape[1], Az.shape[1], H.shape[1]),
             {(0, 0): Sk, (0, 1): Cz, (0, 2): MH, (1, 1): -Mpz},
             {0: Pk.T @ F},
+            "hodge-mixed-dual",
         )
         x, rel, cond = _solve(K, rhs, "hodge-mixed-dual")
         comps = {
@@ -382,7 +413,8 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         else:
             F_eff = F
         K, rhs, (sl_o, sl_h) = _block_system(
-            (A.shape[1], H.shape[1]), {(0, 0): S, (0, 1): MH}, {0: PV.T @ F_eff}
+            (A.shape[1], H.shape[1]), {(0, 0): S, (0, 1): MH}, {0: PV.T @ F_eff},
+            "hodge-one-field",
         )
         x, rel, cond = _solve(K, rhs, "hodge-one-field")
         comps = {

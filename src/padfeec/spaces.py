@@ -8,23 +8,34 @@ are broken coefficient vectors.  Differentials of all the trimmed families
 land in piecewise-constant forms, so ranges, kernels and decompositions are
 computed inside small piecewise-constant coordinate spaces.
 
+In coordinates centred at a cell's centroid, every trimmed basis (the
+constants plus the centred Koszul images) has the same coefficients on every
+cell.  So each cellwise operator of a `TrimmedSpace` is a fixed reference
+block (`local.reference_block`): d, delta, the star and the P0 injection and
+projection are that block on every cell, the pairing is the cell volume
+times it, and the Grams are batched over the cells from the volumes and
+centred second moments that `MeshGeometry` computes once per mesh.  The
+Whitney atlas is in closed form from the barycentric gradients.  No
+`PolyForm` is built for any of them; a cell's `LocalSpace` is built only
+when a caller asks for the cell's basis forms.
+
 Broken and piecewise-constant coordinates share one block layout: cell i
 owns the rows or columns ``cell_slice(i)`` of `BrokenSpace` and `P0Space`,
-and every cellwise operator (Gram, pairing, d, delta, star, P0 injection and
-projection) is a `scipy.sparse` CSR array assembled by `block_diagonal` from
-its per-cell blocks; ``@`` with a dense operand gives a dense array.  The P0
-Gram is the diagonal of cell volumes.  Each `BrokenSpace` also keeps the
-inverse R^-1 of its cellwise upper Cholesky factor (G = R^T R), so that a
-constraint nullspace N gives the Gram-orthonormal atlas R^-1 N without a
-further orthonormalization.  Atlases and nullspace bases stay dense.  The
-cells that hold a sub-simplex come from the owner table of
-`Mesh.subsimplices`.
+and every cellwise operator (Gram, pairing, d, delta, P0 injection and
+projection) is a `scipy.sparse` CSR array written by `block_diagonal`
+straight from its (cells, r, c) stack; ``@`` with a dense operand gives a
+dense array.  The P0 Gram is the diagonal of cell volumes.  Each
+`BrokenSpace` also keeps the inverse R^-1 of its cellwise upper Cholesky
+factor (G = R^T R), so that a constraint nullspace N gives the
+Gram-orthonormal atlas R^-1 N without a further orthonormalization.
+Atlases and nullspace bases stay dense.  The cells that hold a sub-simplex
+come from the incidence and owner tables of `Mesh.subsimplices`.
 
 The mesh's `DeRhamLadder` is the one home of the operators of a broken
 space.  For each family (primal, dual, full) and degree it builds the
 cellwise d and delta into piecewise constants, the P0 injection and
 projection, the pairing and each cell's pairing-relative decomposition once,
-and keeps them for the life of the mesh.
+and keeps them, with the mesh's geometry arrays, for the life of the mesh.
 """
 
 import math
@@ -40,23 +51,78 @@ from .errors import (
     ToleranceFailure,
 )
 from .forms import (
-    PolyForm,
-    codifferential,
+    MAX_COEFF_DEGREE,
     exterior_derivative,
-    hodge_star,
-    l2_inner,
+    monomial_values,
     multiindices,
+    simplex_quadrature,
     star_sign,
 )
-from .linalg import RANK_TOL, Subspace, block_diagonal, gram_factor, nullspace, rank
+from .linalg import (
+    RANK_TOL,
+    Subspace,
+    block_diagonal,
+    diagonal_blocks,
+    gram_factor,
+    nullspace,
+    rank,
+)
 from .local import (
+    FAMILY_OPS,
     LocalSpace,
     decompose_local,
-    mixed_local,
     pairing_matrix,
-    whitney_local,
-    whitney_form,
+    reference_block,
+    reference_pairing,
+    reference_star,
+    trimmed_local,
+    whitney_coefficients,
 )
+
+
+class MeshGeometry:
+    """Per-cell arrays of one mesh, computed in one vectorized pass.
+
+    ``volumes`` (cells,), ``centroids`` (cells, n), ``gradients`` (cells,
+    n+1, n) of the barycentric coordinates, and ``second_moments`` (cells, n,
+    n), the centred moments vol/((n+1)(n+2)) sum_i w_i w_i^T with w_i = v_i
+    - centroid.  Cells list their vertices in the mesh's ascending order, as
+    `Mesh.cell_geometry` does.
+    """
+
+    def __init__(self, mesh):
+        n = mesh.dim
+        V = mesh.vertices[np.array(mesh.cells)]  # (cells, n+1, n)
+        self.corners = V
+        self.volumes = np.abs(np.linalg.det(np.swapaxes(V[:, 1:] - V[:, :1], 1, 2))) / math.factorial(n)
+        self.centroids = V.mean(axis=1)
+        A = np.concatenate([np.ones((len(V), 1, n + 1)), np.swapaxes(V, 1, 2)], axis=1)
+        self.gradients = np.linalg.inv(A)[:, :, 1:]
+        W = V - self.centroids[:, None, :]
+        self.second_moments = np.einsum("cia,cib->cab", W, W) * (
+            self.volumes / ((n + 1) * (n + 2))
+        )[:, None, None]
+        self._first_moments = None
+
+    def first_moments(self):
+        """(cells, monomials) integrals of every monomial of degree <= MAX_COEFF_DEGREE.
+
+        A Grundmann-Moeller rule exact to that degree, mapped to every cell at once.
+        """
+        if self._first_moments is None:
+            V = self.corners
+            cells, n1, n = V.shape
+            pts, wts = simplex_quadrature(n, MAX_COEFF_DEGREE)
+            points = V[:, :1] + np.matmul(pts, V[:, 1:] - V[:, :1])  # (cells, q, n)
+            values = monomial_values(points.reshape(-1, n)).reshape(cells, len(wts), -1)
+            weights = np.outer(self.volumes * math.factorial(n), wts)
+            self._first_moments = np.einsum("cq,cqe->ce", weights, values)
+        return self._first_moments
+
+
+def _repeat(block, cells):
+    """The same block on every cell, as a read-only (cells, r, c) view."""
+    return np.broadcast_to(block, (cells,) + block.shape)
 
 
 class P0Space:
@@ -66,15 +132,14 @@ class P0Space:
     diagonal of cell volumes since the coordinate coframe is orthonormal.
     """
 
-    def __init__(self, mesh, k):
+    def __init__(self, mesh, k, volumes):
         self.mesh = mesh
         self.k = k
         self.midx = multiindices(k, mesh.dim)
         self.ncomp = len(self.midx)
         self.dim = self.ncomp * mesh.num_cells
-        vols = np.array([mesh.cell_geometry(i).volume for i in range(mesh.num_cells)])
-        self.volumes = vols
-        self.gram = scipy.sparse.diags_array(np.repeat(vols, self.ncomp), format="csr")
+        self.volumes = volumes
+        self.gram = scipy.sparse.diags_array(np.repeat(volumes, self.ncomp), format="csr")
 
     def cell_slice(self, i):
         return slice(i * self.ncomp, (i + 1) * self.ncomp)
@@ -88,29 +153,48 @@ class P0Space:
         for mi, m in enumerate(self.midx):
             sign, comp = star_sign(m, n)
             block[pos[comp], mi] = sign
-        return block_diagonal([block] * self.mesh.num_cells)
+        return block_diagonal(_repeat(block, self.mesh.num_cells))
 
 
 class BrokenSpace:
-    """Block product of one local space per cell."""
+    """Block product of one local space per cell.
 
-    def __init__(self, mesh, k, factory, name):
+    ``factory`` builds the `LocalSpace` of a cell from its `CellGeometry`;
+    the local spaces are built on first use.
+    """
+
+    def __init__(self, mesh, k, factory, name, block_dims=None):
         self.mesh = mesh
         self.k = k
         self.name = name
-        self.locals = [factory(mesh.cell_geometry(i)) for i in range(mesh.num_cells)]
-        self.block_dims = [sp.dim for sp in self.locals]
+        self._factory = factory
+        self._locals = None
+        if block_dims is None:
+            block_dims = [sp.dim for sp in self.locals]
+        self.block_dims = block_dims
         self.offsets = np.concatenate([[0], np.cumsum(self.block_dims)])
         self.dim = int(self.offsets[-1])
         self._gram = None
         self._factor_inverse = None
 
+    @property
+    def locals(self):
+        if self._locals is None:
+            self._locals = [self._local(i) for i in range(self.mesh.num_cells)]
+        return self._locals
+
+    def _local(self, i):
+        return self._factory(self.mesh.cell_geometry(i))
+
     def cell_slice(self, i):
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
+    def gram_blocks(self):
+        return [sp.gram() for sp in self.locals]
+
     def gram(self):
         if self._gram is None:
-            self._gram = block_diagonal([sp.gram() for sp in self.locals])
+            self._gram = block_diagonal(self.gram_blocks())
         return self._gram
 
     def gram_factor_inverse(self):
@@ -127,11 +211,59 @@ class BrokenSpace:
         return self.locals[i].form_from_coeffs(vec[self.cell_slice(i)])
 
 
-def d_pairing(primal: BrokenSpace, dual: BrokenSpace):
-    """Block pairing B[i, j] = <v_i, delta q_j> - <d v_i, q_j>, assembled cellwise."""
+class TrimmedSpace(BrokenSpace):
+    """A trimmed family of the ladder: one reference block on every cell.
+
+    The Grams are batched over the cells from the mesh's volumes and centred
+    second moments; a cell's `LocalSpace`, built only when asked for, takes
+    its Gram and energy Gram from those stacks.
+    """
+
+    def __init__(self, mesh, k, family, geometry):
+        self.reference = reference_block(mesh.dim, k, family)
+        self.geometry = geometry
+        self._gram_blocks = None
+        super().__init__(
+            mesh, k, lambda cell: trimmed_local(cell, k, family), family,
+            [self.reference.dim] * mesh.num_cells,
+        )
+
+    def gram_blocks(self):
+        if self._gram_blocks is None:
+            g = self.geometry
+            self._gram_blocks = self.reference.grams(g.volumes, g.second_moments)
+        return self._gram_blocks
+
+    def gram_factor_inverse(self):
+        # factored block by block from the stack, as a cell loop would
+        if self._factor_inverse is None:
+            self._factor_inverse = gram_factor(self.gram_blocks())[1]
+        return self._factor_inverse
+
+    def _local(self, i):
+        sp = super()._local(i)
+        sp._gram = self.gram_blocks()[i]
+        sp._energy = self.reference.energy_grams(self.geometry.volumes[i : i + 1])[0]
+        return sp
+
+
+def _cell_pairings(primal: BrokenSpace, dual: BrokenSpace):
+    """Cell blocks of B[i, j] = <v_i, delta q_j> - <d v_i, q_j>.
+
+    For two trimmed families each block is vol times the reference block;
+    other broken spaces pair cell by cell through `pairing_matrix`.
+    """
     if dual.k != primal.k + 1:
         raise AssemblyError("pairing needs degrees k and k+1")
-    return block_diagonal([pairing_matrix(p, q) for p, q in zip(primal.locals, dual.locals)])
+    if isinstance(primal, TrimmedSpace) and isinstance(dual, TrimmedSpace):
+        B = reference_pairing(primal.mesh.dim, primal.k, primal.name, dual.name)
+        return primal.geometry.volumes[:, None, None] * B
+    return [pairing_matrix(p, q) for p, q in zip(primal.locals, dual.locals)]
+
+
+def d_pairing(primal: BrokenSpace, dual: BrokenSpace):
+    """Block pairing B[i, j] = <v_i, delta q_j> - <d v_i, q_j>, assembled cellwise."""
+    return block_diagonal(_cell_pairings(primal, dual))
 
 
 def block_d_expand(source: BrokenSpace, target: BrokenSpace):
@@ -143,16 +275,6 @@ def block_d_expand(source: BrokenSpace, target: BrokenSpace):
         raise AssemblyError("derivative must raise the degree by one")
     return block_diagonal([
         np.column_stack([tgt.expand(exterior_derivative(w)) for w in src.basis])
-        for src, tgt in zip(source.locals, target.locals)
-    ])
-
-
-def star_block_matrix(source: BrokenSpace, target: BrokenSpace):
-    """Cellwise Hodge star as a map between broken coordinate spaces."""
-    if source.k + target.k != source.mesh.dim:
-        raise AssemblyError("star must map degree k to n-k")
-    return block_diagonal([
-        np.column_stack([tgt.expand(hodge_star(w)) for w in src.basis])
         for src, tgt in zip(source.locals, target.locals)
     ])
 
@@ -274,18 +396,20 @@ class DeRhamLadder:
             self._cache[key] = builder()
         return self._cache[key]
 
+    @property
+    def geometry(self):
+        return self._get("geometry", lambda: MeshGeometry(self.mesh))
+
     def p0(self, k):
-        return self._get(("p0", k), lambda: P0Space(self.mesh, k))
+        return self._get(("p0", k), lambda: P0Space(self.mesh, k, self.geometry.volumes))
 
     def broken(self, k, family):
         """Broken trimmed k-forms of one family: 'primal', 'dual' or 'full'."""
-        if family == "full":
-            factory = lambda c: mixed_local(c, k)  # noqa: E731
-        elif family in ("primal", "dual"):
-            factory = lambda c: whitney_local(c, k, family)  # noqa: E731
-        else:
+        if family not in FAMILY_OPS:
             raise InvalidParameter("unknown broken family %r" % (family,))
-        return self._get((family, k), lambda: BrokenSpace(self.mesh, k, factory, family))
+        return self._get(
+            (family, k), lambda: TrimmedSpace(self.mesh, k, family, self.geometry)
+        )
 
     def primal(self, k):
         return self.broken(k, "primal")
@@ -296,65 +420,39 @@ class DeRhamLadder:
     def full(self, k):
         return self.broken(k, "full")
 
+    def _cellwise(self, key, k, family, block):
+        """The reference block of a family on every cell, kept under ``key``."""
+
+        def build():
+            broken = self.broken(k, family)
+            return block_diagonal(_repeat(block(broken.reference), self.mesh.num_cells))
+
+        return self._get((key, k, family), build)
+
     def d_matrix(self, k, family="primal"):
-        """Cellwise exterior derivative into constant (k+1)-forms."""
-        return self._get(
-            ("d", k, family), lambda: self._cellwise(k, family, k + 1, exterior_derivative)
-        )
+        """Cellwise exterior derivative into constant (k+1)-forms; no rows at the top degree."""
+        return self._cellwise("d", k, family, lambda ref: ref.d)
 
     def delta_matrix(self, k, family="dual"):
-        """Cellwise codifferential into constant (k-1)-forms."""
-        return self._get(
-            ("delta", k, family), lambda: self._cellwise(k, family, k - 1, codifferential)
-        )
-
-    def _cellwise(self, k, family, target_k, op):
-        """Matrix of d or delta on every local basis form, in P0 coordinates.
-
-        The target is empty at the chain ends (d at the top degree, delta at
-        degree 0), where the matrix has no rows.
-        """
-        source, target = self.broken(k, family), self.p0(target_k)
-        if target.dim == 0:
-            return scipy.sparse.csr_array((0, source.dim))
-        blocks = []
-        for sp in source.locals:
-            block = np.zeros((target.ncomp, sp.dim))
-            for j, w in enumerate(sp.basis):
-                image = op(w)
-                if image.poly_degree() > 0:
-                    raise AssemblyError("%s is not piecewise constant" % op.__name__)
-                for (_, midx), c in image.terms.items():
-                    block[target.midx.index(midx), j] = c
-            blocks.append(block)
-        return block_diagonal(blocks)
+        """Cellwise codifferential into constant (k-1)-forms; no rows at degree 0."""
+        return self._cellwise("delta", k, family, lambda ref: ref.delta)
 
     def p0_injection(self, k, family="primal"):
         """Inclusion of constant k-forms; they are the leading local basis."""
-
-        def build():
-            ncomp = self.p0(k).ncomp
-            return block_diagonal([np.eye(sp.dim, ncomp) for sp in self.broken(k, family).locals])
-
-        return self._get(("p0-injection", k, family), build)
+        return self._cellwise("p0-injection", k, family, lambda ref: ref.projection.T)
 
     def p0_projection(self, k, family="primal"):
         """L2 projection onto constant k-forms, in coordinates."""
-
-        def build():
-            p0 = self.p0(k)
-            units = [PolyForm.basis_form(self.mesh.dim, m) for m in p0.midx]
-            return block_diagonal([
-                np.array([[l2_inner(u, w, sp.cell) / vol for w in sp.basis] for u in units])
-                for sp, vol in zip(self.broken(k, family).locals, p0.volumes)
-            ])
-
-        return self._get(("p0-projection", k, family), build)
+        return self._cellwise("p0-projection", k, family, lambda ref: ref.projection)
 
     def pairing(self, k):
         """Pairing of broken primal k-forms with broken dual (k+1)-forms."""
-        return self._get(
-            ("pairing", k), lambda: d_pairing(self.primal(k), self.dual(k + 1))
+        return self._get(("pairing", k), lambda: d_pairing(self.primal(k), self.dual(k + 1)))
+
+    def pairing_blocks(self, k):
+        """(cells, p, q) stack of the cell blocks of `pairing`."""
+        return diagonal_blocks(
+            self.pairing(k), self.primal(k).reference.dim, self.dual(k + 1).reference.dim
         )
 
     def local_decompositions(self, k):
@@ -366,10 +464,11 @@ class DeRhamLadder:
         def build():
             primal = self.primal(k).locals
             if k < self.mesh.dim:
-                duals = self.dual(k + 1).locals
+                duals, blocks = self.dual(k + 1).locals, self.pairing_blocks(k)
             else:
                 duals = [LocalSpace(sp.cell, k + 1, [], op="delta") for sp in primal]
-            return [decompose_local(p, q) for p, q in zip(primal, duals)]
+                blocks = np.zeros((len(primal), self.primal(k).reference.dim, 0))
+            return [decompose_local(p, q, B) for p, q, B in zip(primal, duals, blocks)]
 
         return self._get(("localdec", k), build)
 
@@ -413,9 +512,10 @@ def conforming_whitney(mesh, k, bc="none", lad=None):
     """Conforming Whitney k-forms: one degree of freedom per k-sub-simplex.
 
     With homogeneous boundary conditions the boundary sub-simplices are
-    dropped.  Columns are expanded per cell in the trimmed local bases; the
-    atlas is deterministic because degrees of freedom are sorted by their
-    vertex tuples.
+    dropped.  Each cell's columns are the closed-form trimmed coordinates of
+    its Whitney forms (`whitney_coefficients`), written through the incidence
+    table; the atlas is deterministic because degrees of freedom are sorted
+    by their vertex tuples.
     """
     lad = lad or ladder(mesh)
     broken = lad.primal(k)
@@ -427,25 +527,31 @@ def conforming_whitney(mesh, k, bc="none", lad=None):
         dofs = order
     else:
         raise InvalidParameter("bc must be 'none' or 'homogeneous'")
+    column = np.full(table.count, -1)
+    column[dofs] = np.arange(len(dofs))
+    cols = column[table.cell_incidence]  # (cells, faces)
+    cells, faces = np.nonzero(cols >= 0)
+    W = whitney_coefficients(lad.geometry.gradients, k)  # (cells, faces, dim)
+    dim = broken.reference.dim
     A = np.zeros((broken.dim, len(dofs)))
-    anchors = []
-    for col, sid in enumerate(dofs):
-        anchors.append(table.simplices[sid])
-        for ci, local_ids in table.owners[sid]:
-            w = whitney_form(mesh.cell_geometry(ci), local_ids)
-            A[broken.cell_slice(ci), col] = broken.locals[ci].expand(w)
+    A[cells[:, None] * dim + np.arange(dim), cols[cells, faces][:, None]] = W[cells, faces]
     return GlobalSpace(broken, A, kind="conforming" if bc == "none" else "conforming0",
-                       bc=bc, anchors=anchors)
+                       bc=bc, anchors=[table.simplices[sid] for sid in dofs])
 
 
 def star_space(space: GlobalSpace, lad=None):
-    """Cellwise Hodge star of a conforming space; degree n-k, kind 'star'."""
+    """Cellwise Hodge star of a conforming space; degree n-k, kind 'star'.
+
+    The star is the signed permutation `reference_star` on every cell.
+    """
     lad = lad or ladder(space.mesh)
-    n = space.mesh.dim
+    n, cells = space.mesh.dim, space.mesh.num_cells
     target = lad.dual(n - space.k)
-    S = star_block_matrix(space.broken, target)
+    S = reference_star(n, space.k)
+    blocks = space.atlas.reshape(cells, S.shape[1], space.dim)
     return GlobalSpace(
-        target, S @ space.atlas, kind="star", bc=space.bc, anchors=list(space.anchors)
+        target, np.matmul(S, blocks).reshape(target.dim, space.dim), kind="star",
+        bc=space.bc, anchors=list(space.anchors),
     )
 
 

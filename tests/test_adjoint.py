@@ -273,13 +273,13 @@ class TestBasePairCache:
         mesh = generate_structured(2, 2)
         base_pair_report(mesh, 0)
         calls = []
-        original = adjoint.fast_local_constants
+        original = adjoint.cell_constants
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(adjoint, "fast_local_constants", counted)
+        monkeypatch.setattr(adjoint, "cell_constants", counted)
         rng = np.random.default_rng(0)
         stability_report(mesh, 0, [global_field(mesh, random_polyform(2, 0, 2, rng))])
         horizontal_duality_check(mesh, 0)

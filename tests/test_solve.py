@@ -216,3 +216,65 @@ class TestMoments:
         exact = p0_moments(BOX2, 0, [form] * BOX2.num_cells)
         approx = p0_moments(BOX2, 0, lambda p: [3.0 * p[0] * p[1]])
         assert np.abs(exact - approx).max() < 1e-14
+
+    def test_polynomial_moments_match_l2_inner(self):
+        # the first moments of each cell against the exact dict algebra, with
+        # a different cubic form on every cell and cells of differing shapes
+        from padfeec.forms import l2_inner, multiindices, random_polyform
+        from padfeec.mesh import Mesh
+
+        rng = np.random.default_rng(5)
+        V = np.array(HOLE4.vertices)
+        inner = np.all((V > 0) & (V < 1), axis=1)
+        V[inner] += rng.uniform(-0.03, 0.03, size=(int(inner.sum()), 2))
+        mesh = Mesh(2, V, HOLE4.cells)
+        for k in range(3):
+            load = [random_polyform(2, k, 3, rng) for _ in range(mesh.num_cells)]
+            units = [PolyForm.basis_form(2, m) for m in multiindices(k, 2)]
+            expected = np.array([
+                [l2_inner(form, u, mesh.cell_geometry(ci)) for u in units]
+                for ci, form in enumerate(load)
+            ]).ravel()
+            got = p0_moments(mesh, k, load)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_load_of_the_wrong_degree_is_refused(self):
+        from padfeec.errors import DegreeMismatch
+
+        form = PolyForm.basis_form(2, (0,))
+        with pytest.raises(DegreeMismatch):
+            p0_moments(BOX2, 0, [form] * BOX2.num_cells)
+
+
+class TestSymmetryCheck:
+    def test_asymmetric_diagonal_block_raises(self):
+        from padfeec.errors import AssemblyError
+        from padfeec.solve import _block_system
+
+        rng = np.random.default_rng(0)
+        S = rng.standard_normal((300, 300))
+        S = S + S.T
+        C = rng.standard_normal((300, 4))
+        K, _, _ = _block_system((300, 4), {(0, 0): S, (0, 1): C}, {}, "test")
+        assert np.array_equal(K, K.T)
+        # the asymmetry sits in the last stripe of rows
+        S[290, 3] += 1e-6
+        with pytest.raises(AssemblyError, match="test system lost symmetry"):
+            _block_system((300, 4), {(0, 0): S, (0, 1): C}, {}, "test")
+
+    def test_asymmetry_is_scaled_by_the_whole_system(self):
+        from padfeec.solve import _block_system
+
+        # 1e-12 off in a block of unit entries, but the system's largest entry is 1e4
+        S = np.ones((3, 3))
+        S[0, 1] += 1e-12
+        _block_system((3, 2), {(0, 0): S, (0, 1): np.full((3, 2), 1e4)}, {}, "test")
+
+    def test_unassembled_system_is_checked_whole(self):
+        from padfeec.errors import AssemblyError
+        from padfeec.solve import _check_symmetric
+
+        K = np.eye(200)
+        K[0, 199] = 1e-3
+        with pytest.raises(AssemblyError, match="source-primal system lost symmetry"):
+            _check_symmetric(K, "source-primal")
