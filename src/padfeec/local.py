@@ -46,6 +46,9 @@ from .forms import (
 )
 from .linalg import RANK_TOL, Subspace, gram_complement, infsup, nullspace, orthonormalize
 
+# relative residual above which a form counts as outside a trimmed span
+SPAN_TOL = 1e-9
+
 
 @dataclass
 class LocalSpace:
@@ -107,7 +110,7 @@ class LocalSpace:
                 out = out + float(c) * w
         return out
 
-    def expand(self, form, tol=1e-9):
+    def expand(self, form, tol=SPAN_TOL):
         """Coefficients of ``form`` in this basis; error if it is not in the span."""
         if form.k != self.k or form.n != self.n:
             raise DegreeMismatch("form type does not match the local space")
@@ -298,7 +301,7 @@ def reference_star(n, k):
     return S
 
 
-def whitney_coefficients(gradients, k, tol=1e-9):
+def whitney_coefficients(gradients, k):
     """Trimmed primal coordinates of the Whitney k-form of every k-face of every cell.
 
     ``gradients`` is the (cells, n+1, n) stack of barycentric gradients; the
@@ -308,7 +311,7 @@ def whitney_coefficients(gradients, k, tol=1e-9):
     constant part, and d phi_s = (k+1)! dlambda_s with d kappa(dx^m) =
     (k+1) dx^m gives the Koszul part: on dx^I the minors of the gradients
     restricted to I.  The form's own slopes, from lambda_j = 1/(n+1) +
-    grad lambda_j . y, must match those of the reconstruction to ``tol``
+    grad lambda_j . y, must match those of the reconstruction to ``SPAN_TOL``
     relative, or the form is not in the trimmed span.
     """
     cells, n1, n = gradients.shape
@@ -337,7 +340,7 @@ def whitney_coefficients(gradients, k, tol=1e-9):
     slopes = np.einsum("cfi,ima->cfma", coeffs, ref.slopes)
     own = np.sqrt(np.sum(const**2, axis=2) + np.sum(own_slopes**2, axis=(2, 3)))
     err = np.sqrt(np.sum((slopes - own_slopes) ** 2, axis=(2, 3)))
-    if np.any(err > tol * own):
+    if np.any(err > SPAN_TOL * own):
         raise AssumptionViolation("Whitney form lies outside the local space")
     return coeffs
 
