@@ -166,9 +166,8 @@ def _build_base_pair_report(mesh, k, eig_tol):
     p_ref, q_ref = primal.reference, dual.reference
     Dk, Deltak = p_ref.d, q_ref.delta
     delta_imgs, d_imgs = p_ref.projection.T @ Deltak, q_ref.projection.T @ Dk
-    volumes = lad.geometry.volumes
     Mp, Md = primal.gram_blocks(), dual.gram_blocks()
-    Ep, Ed = p_ref.energy_grams(volumes), q_ref.energy_grams(volumes)
+    Ep, Ed = primal.energy_blocks(), dual.energy_blocks()
     rank_D, rank_Delta = (mesh.num_cells * _block_rank(T) for T in (Dk, Deltak))
     uM_dim = uN_dim = 0
     icr_tilde = icr_tilde_adj = 0.0

@@ -14,10 +14,10 @@ The same forms are also vectors over a fixed coordinate basis: every pair
 (exponent of degree <= MAX_COEFF_DEGREE, multi-index), multi-index major.
 On coefficient vectors d is a constant matrix per (n, k), built once from
 `exterior_derivative`, and the L2 product over a cell is the cell's mass
-matrix: one block of exact monomial moments of degree <= 2 MAX_COEFF_DEGREE
-per multi-index, integrated by a quadrature rule exact to that degree and
-kept on the `CellGeometry`.  `PolyForm` stays the definition and the oracle
-of both.
+matrix: one block of monomial moments of degree <= 2 MAX_COEFF_DEGREE per
+multi-index (`product_positions`), which the mesh's moment table holds for
+every cell (`spaces.MeshGeometry`).  `PolyForm` and `l2_inner` stay the
+definition and the oracle of both.
 """
 
 import itertools
@@ -218,6 +218,12 @@ class PolyForm:
             out[positions[key]] = c
         return out
 
+    @classmethod
+    def from_coefficient_vector(cls, n, k, vec):
+        """The k-form whose `coefficient_vector` is ``vec``."""
+        basis = coefficient_basis(n, k)
+        return cls(n, k, {basis[i]: vec[i] for i in np.flatnonzero(vec)})
+
     def __repr__(self):
         if not self.terms:
             return "PolyForm(n=%d, k=%d, 0)" % (self.n, self.k)
@@ -318,7 +324,6 @@ class CellGeometry:
         self.bary_affine = Ainv[:, 0].copy()
         self.bary_gradients = Ainv[:, 1:].copy()
         self._monomial_cache = {}
-        self._monomial_mass = None
         self.diameter = max(
             np.linalg.norm(V[i] - V[j])
             for i in range(self.n + 1)
@@ -375,24 +380,6 @@ class CellGeometry:
         value = total * self.volume
         self._monomial_cache[expo] = value
         return value
-
-    @property
-    def monomial_mass(self):
-        """L2 Gram of the monomials of degree <= MAX_COEFF_DEGREE over the cell.
-
-        Built from the moments of degree <= 2 MAX_COEFF_DEGREE, which the
-        Grundmann-Moeller rule of degree 2 MAX_COEFF_DEGREE + 1 integrates
-        exactly; `monomial_integral` is its oracle.
-        """
-        if self._monomial_mass is None:
-            pts, wts = cell_quadrature(self, 2 * MAX_COEFF_DEGREE + 1)
-            moments = wts @ monomial_values(pts, 2 * MAX_COEFF_DEGREE)
-            self._monomial_mass = moments[_product_positions(self.n)]
-        return self._monomial_mass
-
-    def mass_matrix(self, k):
-        """L2 Gram of the coordinate basis of k-forms: one monomial block per multi-index."""
-        return np.kron(np.eye(len(multiindices(k, self.n))), self.monomial_mass)
 
 
 def l2_inner(a: PolyForm, b: PolyForm, cell: CellGeometry) -> float:
@@ -465,7 +452,7 @@ def monomial_values(points, degree=MAX_COEFF_DEGREE):
 
 
 @lru_cache(maxsize=None)
-def _product_positions(n):
+def product_positions(n):
     """Position of e_i + e_j among the exponents of degree <= 2 MAX_COEFF_DEGREE."""
     high = {
         tuple(e): i for i, e in enumerate(monomial_exponents(n, 2 * MAX_COEFF_DEGREE).tolist())

@@ -10,90 +10,114 @@ Every moment is linear in the field.  Over the coordinate basis of
 `padfeec.forms` it is a row built from the cell's mass matrices and the
 constant d matrix, so each cell keeps its operator S_K = system^-1 Phi_K,
 which maps a polynomial field's coefficient vector to the coefficients of
-its interpolant.  The system itself comes from the cell's pairing block and
-exact Grams, not from Phi_K, so the projectivity check S_K P = I compares the
-coefficient moments with that independent data.  The ladder's interpolator
-stacks the operators in one (cells, dim, N) array: interpolating a field,
-its differential or the whole broken basis (the projectivity check, kept
-sparse block diagonal) is one batched product over coefficient arrays.
-Fields given by point values go through fixed-degree quadrature instead,
-cell by cell in `interpolate_local`.
+its interpolant.  The cell data comes from the reference blocks and the
+mesh: the bases are the blocks' coefficient columns shifted to the cell's
+centroid, and the mass matrices come from the mesh's moment table.  The
+system itself comes from the cell's pairing block and exact Grams, not from
+Phi_K, so the projectivity check S_K P = I compares the coefficient moments
+with that independent data.  All cells are solved at once over (cells, ...)
+stacks; interpolating a field, its differential or the whole broken basis
+(the projectivity check, kept sparse block diagonal) is one batched product
+over coefficient arrays.  Fields given by point values go through
+fixed-degree quadrature instead, cell by cell in `interpolate_local`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .adjoint import base_pair_report
 from .errors import AssumptionViolation, DegreeMismatch
 from .forms import (
     PolyForm,
     cell_quadrature,
     derivative_matrix,
     monomial_values,
+    reference_simplex,
+    trace_on,
 )
-from .local import LocalDecomposition, LocalSpace
+from .local import trimmed_local
 from .spaces import block_diagonal, ladder
 
 
 @dataclass
 class InterpolatorSpec:
-    """Precomputed square system and interpolation operator of one cell.
+    """The square system and interpolation operator of cell ``index``.
 
     The test forms are coefficient columns: the moment of row i is
     <omega, value_tests[:, i]> + <d omega, derivative_tests[:, i]>.
     """
 
-    primal: LocalSpace
+    mesh: object
+    index: int
+    k: int
     system: np.ndarray  # pairing, L2 and energy rows from the pairing block and Grams
     value_tests: np.ndarray  # (N_k, dim)
     derivative_tests: np.ndarray  # (N_{k+1}, dim)
     basis_coeffs: np.ndarray  # (N_k, dim): the primal basis as coefficient columns
     operator: np.ndarray  # (dim, N_k): S_K = system^-1 Phi_K
 
+    @cached_property
+    def primal(self):
+        """The cell's trimmed primal `LocalSpace`, built when first asked for."""
+        return trimmed_local(self.mesh.cell_geometry(self.index), self.k, "primal")
 
-def interpolator_spec(dec: LocalDecomposition):
-    """Assemble and validate the square local system of one cell's pair.
 
-    The system is built from the pairing block and the primal Grams that
-    the decomposition cached; Phi_K holds the same moments as coefficient
-    functionals, so S_K applied to the primal basis is the identity only
-    when the two agree.
+def interpolator_spec(mesh, k):
+    """Assemble and validate the square systems of every cell of one mesh level.
+
+    The systems are built from the pairing blocks and the primal Grams that
+    the ladder's cell decompositions hold; Phi_K holds the same moments as
+    coefficient functionals, so S_K applied to the primal basis is the
+    identity only when the two agree.  Returns one `InterpolatorSpec` per
+    cell, whose arrays are views into (cells, ...) stacks.
     """
-    primal, dual = dec.primal, dec.dual
-    n, k = primal.n, primal.k
-    D = derivative_matrix(n, k)
-    P = np.column_stack([w.coefficient_vector() for w in primal.basis])
-    # the dual basis and its codifferentials, which the dual's energy Gram cached
-    Q = np.zeros((D.shape[0], dual.dim))
-    dQ = np.zeros((P.shape[0], dual.dim))
-    for j, q in enumerate(dual.basis):
-        Q[:, j] = q.coefficient_vector()
-        dQ[:, j] = dual.op_image(j).coefficient_vector()
-    pb, ring, perp = dec.dual_PB.basis, dec.ring_P0.basis, dec.P0_perp.basis
-    value_tests = np.hstack([dQ @ pb, P @ ring, np.zeros((P.shape[0], perp.shape[1]))])
-    derivative_tests = np.hstack([-(Q @ pb), np.zeros((D.shape[0], ring.shape[1])), D @ P @ perp])
-    if value_tests.shape[1] != primal.dim:
-        raise AssumptionViolation(
-            "interpolation system is %dx%d, not square" % (value_tests.shape[1], primal.dim)
-        )
-    system = np.vstack([
-        (dec.pairing @ pb).T,
-        ring.T @ primal.gram(),
-        perp.T @ primal.energy_gram(),
-    ])
-    cell = primal.cell
-    phi = value_tests.T @ cell.mass_matrix(k) + derivative_tests.T @ cell.mass_matrix(k + 1) @ D
-    s = np.linalg.svd(system, compute_uv=False)
-    if s[-1] <= 1e-10 * s[0]:
-        raise AssumptionViolation("interpolation system is singular at tolerance")
-    return InterpolatorSpec(
-        primal=primal,
-        system=system,
-        value_tests=value_tests,
-        derivative_tests=derivative_tests,
-        basis_coeffs=P,
-        operator=np.linalg.solve(system, phi),
+    lad = ladder(mesh)
+    geo, primal, cells = lad.geometry, lad.primal(k), mesh.num_cells
+    decs = lad.local_decompositions(k)
+    D = derivative_matrix(mesh.dim, k)
+    P = primal.reference.coefficients(geo.centroids)
+    if k < mesh.dim:
+        dual = lad.dual(k + 1).reference
+        Q, delta = dual.coefficients(geo.centroids), dual.delta
+    else:
+        Q, delta = np.zeros((cells, 0, 0)), np.zeros((len(primal.reference.projection), 0))
+    # the dual basis' codifferentials are constant: combinations of the
+    # primal basis' leading members, the constants
+    dQ = P @ (primal.reference.projection.T @ delta)
+    pb, ring, perp = (
+        np.stack([getattr(dec, part).basis for dec in decs])
+        for part in ("dual_PB", "ring_P0", "P0_perp")
     )
+    value_tests = np.concatenate([dQ @ pb, P @ ring, np.zeros_like(P @ perp)], axis=2)
+    derivative_tests = np.concatenate(
+        [-(Q @ pb), np.zeros_like(D @ P @ ring), D @ P @ perp], axis=2
+    )
+    if value_tests.shape[2] != primal.reference.dim:
+        raise AssumptionViolation(
+            "interpolation system is %dx%d, not square"
+            % (value_tests.shape[2], primal.reference.dim)
+        )
+    system = np.concatenate([
+        np.swapaxes(np.stack([dec.pairing for dec in decs]) @ pb, 1, 2),
+        np.swapaxes(ring, 1, 2) @ primal.gram_blocks(),
+        np.swapaxes(perp, 1, 2) @ primal.energy_blocks(),
+    ], axis=1)
+    phi = (
+        np.swapaxes(value_tests, 1, 2) @ geo.mass_matrices(k)
+        + np.swapaxes(derivative_tests, 1, 2) @ geo.mass_matrices(k + 1) @ D
+    )
+    s = np.linalg.svd(system, compute_uv=False)
+    if np.any(s[:, -1] <= 1e-10 * s[:, 0]):
+        raise AssumptionViolation("interpolation system is singular at tolerance")
+    operators = np.linalg.solve(system, phi)
+    return [
+        InterpolatorSpec(
+            mesh, ci, k, system[ci], value_tests[ci], derivative_tests[ci], P[ci], operators[ci]
+        )
+        for ci in range(cells)
+    ]
 
 
 def _rhs_callable(spec: InterpolatorSpec, value_fn, d_value_fn, degree=7):
@@ -104,7 +128,7 @@ def _rhs_callable(spec: InterpolatorSpec, value_fn, d_value_fn, degree=7):
     accuracy is limited by the fixed quadrature degree.  Each moment pairs the
     point values with those of the coordinate basis.
     """
-    pts, wts = cell_quadrature(spec.primal.cell, degree)
+    pts, wts = cell_quadrature(spec.mesh.cell_geometry(spec.index), degree)
     weighted = wts[:, None] * monomial_values(pts)
     vals = np.array([value_fn(p) for p in pts]).reshape(len(pts), -1)
     dvals = np.array([d_value_fn(p) for p in pts]).reshape(len(pts), -1)
@@ -127,7 +151,7 @@ def interpolate_local(spec: InterpolatorSpec, omega):
 
 class LadderInterpolator:
     """All cell interpolators of one mesh level, built from the ladder's
-    cell decompositions and cached in the ladder.
+    cell decompositions in one batched pass and cached in the ladder.
 
     ``operators`` stacks the cells' S_K; every cell has the same local
     dimension, so broken coordinates are its rows in cell order.
@@ -138,7 +162,7 @@ class LadderInterpolator:
         self.k = k
         lad = ladder(mesh)
         self.broken = lad.primal(k)
-        self.specs = [interpolator_spec(dec) for dec in lad.local_decompositions(k)]
+        self.specs = interpolator_spec(mesh, k)
         self.operators = np.stack([spec.operator for spec in self.specs])
 
     def coefficients(self, field):
@@ -219,9 +243,8 @@ def projectivity_matrix(mesh, k):
 
 
 def _squared_norm(masses, coeffs):
-    """Sum over cells of c_K^T M_K c_K, ``masses`` the cells' monomial masses."""
-    X = coeffs.reshape(len(masses), -1, masses.shape[-1])
-    return float(np.einsum("crp,cpq,crq->", X, masses, X))
+    """Sum over cells of c_K^T M_K c_K, ``masses`` the cells' mass matrices."""
+    return float(np.einsum("cp,cpq,cq->", coeffs, masses, coeffs))
 
 
 def stability_report(mesh, k, fields):
@@ -229,11 +252,9 @@ def stability_report(mesh, k, fields):
 
     Returns the two empirical ratios and their theoretical ceilings
     (1 + 1/beta) and (2 + rho + 1/gamma + 1/beta) from the base-pair report
-    the ladder keeps.  The fields' own norms come from the cells' mass
+    the ladder keeps.  The fields' own norms come from the mesh's mass
     matrices.
     """
-    from .adjoint import base_pair_report
-
     lad = ladder(mesh)
     rep = base_pair_report(mesh, k)
     I = global_interpolator(mesh, k)
@@ -241,7 +262,7 @@ def stability_report(mesh, k, fields):
     G = lad.primal(k).gram()
     G_hi = lad.p0(k + 1).gram
     d_coeffs = derivative_matrix(mesh.dim, k).T
-    masses = np.stack([mesh.cell_geometry(ci).monomial_mass for ci in range(mesh.num_cells)])
+    M, M_hi = lad.geometry.mass_matrices(k), lad.geometry.mass_matrices(k + 1)
     energy_ratio = 0.0
     graph_ratio = 0.0
     for field in fields:
@@ -250,8 +271,8 @@ def stability_report(mesh, k, fields):
         Dv = D @ v
         d_energy = float(Dv @ (G_hi @ Dv))
         l2 = float(v @ (G @ v))
-        ref_l2 = _squared_norm(masses, C)
-        ref_energy = _squared_norm(masses, C @ d_coeffs)
+        ref_l2 = _squared_norm(M, C)
+        ref_energy = _squared_norm(M_hi, C @ d_coeffs)
         if ref_energy > 1e-24:
             energy_ratio = max(energy_ratio, np.sqrt(d_energy / ref_energy))
         graph = np.sqrt(l2 + d_energy)
@@ -276,28 +297,14 @@ def crouzeix_raviart_coefficients(mesh, ci, scalar: PolyForm):
     minus the opposite one, scaled by the edge length).
     """
     cell = mesh.cell_geometry(ci)
-    vals = []
-    for j in range(3):
-        opp = [m for m in range(3) if m != j]
-        edge = cell.vertices[opp]
-        # integral of the scalar along the edge
-        L = np.linalg.norm(edge[1] - edge[0])
-        tr = scalar  # 0-form: restrict and integrate with arclength weight
-        from .forms import trace_on, reference_simplex
-
-        t = trace_on(tr, edge)
-        ref = reference_simplex(1)
-        val = 0.0
-        for (expo, _), c in t.terms.items():
-            val += c * ref.monomial_integral(expo)
-        vals.append(val * L)
     lam = [cell.barycentric(i) for i in range(3)]
-    basis = []
-    for j in range(3):
-        opp = [m for m in range(3) if m != j]
-        L = np.linalg.norm(cell.vertices[opp[1]] - cell.vertices[opp[0]])
-        basis.append((lam[opp[0]] + lam[opp[1]] - lam[j]) * (1.0 / L))
+    ref = reference_simplex(1)
     out = PolyForm(2, 0)
-    for c, b in zip(vals, basis):
-        out = out + float(c) * b
+    for j in range(3):
+        a, b = [m for m in range(3) if m != j]
+        L = np.linalg.norm(cell.vertices[b] - cell.vertices[a])
+        # integral of the scalar along the edge opposite vertex j, by arclength
+        trace = trace_on(scalar, cell.vertices[[a, b]])
+        val = sum(c * ref.monomial_integral(expo) for (expo, _), c in trace.terms.items())
+        out = out + float(val * L) * ((lam[a] + lam[b] - lam[j]) * (1.0 / L))
     return out

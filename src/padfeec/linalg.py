@@ -146,9 +146,9 @@ def gram_factor(gram):
     if gram is None:
         return None, None
     if isinstance(gram, np.ndarray) and gram.ndim == 3:
-        return tuple(block_diagonal(F) for F in _dense_factor(gram))
+        return tuple(block_diagonal(F) for F in dense_factor(gram))
     if not scipy.sparse.issparse(gram):
-        return _dense_factor(np.asarray(gram, dtype=float))
+        return dense_factor(np.asarray(gram, dtype=float))
     G = scipy.sparse.csr_array(gram)
     ends = _block_ends(G)
     if ends.size == G.shape[0]:
@@ -159,7 +159,7 @@ def gram_factor(gram):
         return scipy.sparse.diags_array(r, format="csr"), scipy.sparse.diags_array(1.0 / r, format="csr")
     factors = [None] * ends.size
     for members, stack in _blocks_by_size(G, ends):
-        for i, R, Rinv in zip(members, *_dense_factor(stack)):
+        for i, R, Rinv in zip(members, *dense_factor(stack)):
             factors[i] = (R, Rinv)
     return block_diagonal([f[0] for f in factors]), block_diagonal([f[1] for f in factors])
 
@@ -198,7 +198,7 @@ def diagonal_blocks(M, r, c):
     return out
 
 
-def _dense_factor(G):
+def dense_factor(G):
     """Upper Cholesky factor R and R^-1 of a Gram, or of a stack of equal-size Grams."""
     try:
         R = scipy.linalg.cholesky(G)

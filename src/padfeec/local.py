@@ -1,19 +1,24 @@
 """Cell-local shape spaces and their structural decompositions.
 
-Trimmed polynomial k-form spaces for both the differential and the
-codifferential, the pairing-relative decomposition of a local space into its
-pairing-null part and its twisted part, and the closed-form 2-D families
-(lowest-degree H(div) shape functions, Crouzeix-Raviart companions, enriched
-quadratics with the cubic edge bubble, enhanced linear fluxes).
-
-Each trimmed family also has a `ReferenceBlock`: its basis in coordinates
+Each trimmed family of polynomial k-forms (for the differential, the
+codifferential, or both) has a `ReferenceBlock`: its basis in coordinates
 centred at the cell's centroid, where the coefficients are the same on every
 cell, with its d, delta, P0 projection, pairing and star blocks, built once
-per (n, k, family) on first use.  The Whitney forms of a whole mesh have
+per (n, k, family) on first use.  The runtime reads cells only through these
+blocks and the mesh's geometry: `decompose_local` splits every cell's pair
+into its pairing-null part and its twisted part in one batched pass over
+the cells' Gram, energy and pairing stacks, `cell_constants` gives a cell's
+inf-sups from the same stacks, and the Whitney forms of a whole mesh have
 their trimmed coordinates in closed form (`whitney_coefficients`).
 
-Vector fields in the 2-D families are identified with 1-forms through the
-flux map (u, v) -> u dy - v dx (normal traces) or the circulation map
+A `LocalSpace` is a span of `PolyForm`s on one cell, with Grams by exact
+integration.  `trimmed_local`, `pairing_matrix`, `block_d_expand`,
+`local_constants` and `fast_local_constants` are the oracles that the
+tests compare the runtime with.  The closed-form 2-D families (lowest-degree
+H(div) shape functions, Crouzeix-Raviart companions, enriched quadratics
+with the cubic edge bubble, enhanced linear fluxes) are local spaces too;
+their vector fields are identified with 1-forms through the flux map
+(u, v) -> u dy - v dx (normal traces) or the circulation map
 (u, v) -> u dx + v dy (tangential traces).
 """
 
@@ -44,7 +49,15 @@ from .forms import (
     multiindices,
     star_sign,
 )
-from .linalg import RANK_TOL, Subspace, gram_complement, infsup, nullspace, orthonormalize
+from .linalg import (
+    RANK_TOL,
+    Subspace,
+    block_diagonal,
+    dense_factor,
+    infsup,
+    nullspace,
+    orthonormalize,
+)
 
 # relative residual above which a form counts as outside a trimmed span
 SPAN_TOL = 1e-9
@@ -57,7 +70,6 @@ class LocalSpace:
     cell: CellGeometry
     k: int
     basis: list
-    tag: str = ""
     op: str = "d"
     named: dict = field(default_factory=dict)
 
@@ -158,27 +170,8 @@ def trimmed_basis(n, k, family, center=None):
 
 def trimmed_local(cell, k, family):
     """Trimmed local space of k-forms of one family, centred at the cell's centroid."""
-    return LocalSpace(
-        cell, k, trimmed_basis(cell.n, k, family, cell.centroid),
-        tag="trimmed-%s" % ("mixed" if family == "full" else family), op=FAMILY_OPS[family],
-    )
-
-
-def whitney_local(cell, k, variant="primal"):
-    """Trimmed local space of k-forms.
-
-    The primal variant spans the constants plus the centered Koszul image of
-    the constant (k+1)-forms; the dual variant conjugates by the Hodge star
-    and pairs with the codifferential.
-    """
-    if variant not in ("primal", "dual"):
-        raise InvalidParameter("variant must be primal or dual")
-    return trimmed_local(cell, k, variant)
-
-
-def mixed_local(cell, k):
-    """Constants plus both Koszul summands: the one-field Hodge-Laplace space."""
-    return trimmed_local(cell, k, "full")
+    basis = trimmed_basis(cell.n, k, family, cell.centroid)
+    return LocalSpace(cell, k, basis, op=FAMILY_OPS[family])
 
 
 # -- reference blocks of the trimmed families -----------------------------------
@@ -233,6 +226,25 @@ class ReferenceBlock:
         """(cells, dim, dim) stack of the cells' energy Grams."""
         return volumes[:, None, None] * (self.energy.T @ self.energy)
 
+    def coefficients(self, centroids):
+        """(cells, N, dim): every cell's basis as columns over the coordinate basis.
+
+        On a cell with centroid c, basis form i has the constant part
+        values[i] - slopes[i] . c and the slopes on the linear monomials.
+        """
+        mono = len(monomial_exponents(self.n))
+        out = np.zeros((len(centroids), self.dim, self.values.shape[1], mono))
+        out[..., 0] = self.values - np.einsum("ima,ca->cim", self.slopes, centroids)
+        out[..., _linear_monomials(self.n)] = self.slopes
+        return np.swapaxes(out.reshape(len(centroids), self.dim, -1), 1, 2)
+
+
+@lru_cache(maxsize=None)
+def _linear_monomials(n):
+    """Positions of x_0, ..., x_{n-1} among the monomials of `monomial_exponents`."""
+    rows = monomial_exponents(n).tolist()
+    return [rows.index([int(a == b) for b in range(n)]) for a in range(n)]
+
 
 def _constant_block(images, n, degree):
     """Coefficients of constant forms as columns over multiindices(degree, n)."""
@@ -248,9 +260,7 @@ def _constant_block(images, n, degree):
 def reference_block(n, k, family):
     """The `ReferenceBlock` of a trimmed family, built on first use from `trimmed_basis`."""
     basis = trimmed_basis(n, k, family)
-    lin = [
-        monomial_exponents(n).tolist().index([int(a == b) for b in range(n)]) for a in range(n)
-    ]
+    lin = _linear_monomials(n)
     mono = len(monomial_exponents(n))
     coeffs = np.array([w.coefficient_vector() for w in basis]).reshape(len(basis), -1, mono)
     if np.any(np.delete(coeffs, [0] + lin, axis=2)):
@@ -347,12 +357,8 @@ def whitney_coefficients(gradients, k):
 
 def star_local(space: LocalSpace):
     """Cellwise Hodge star of a local space; toggles between d and delta."""
-    basis = [hodge_star(w) for w in space.basis]
     return LocalSpace(
-        space.cell,
-        space.n - space.k,
-        basis,
-        tag="star(%s)" % space.tag,
+        space.cell, space.n - space.k, [hodge_star(w) for w in space.basis],
         op="delta" if space.op == "d" else "d",
         named={k: hodge_star(v) for k, v in space.named.items()},
     )
@@ -372,18 +378,28 @@ def pairing_matrix(primal: LocalSpace, dual: LocalSpace):
     return B
 
 
+def block_d_expand(sources, targets):
+    """Cellwise exterior derivative from one list of local spaces into another.
+
+    The image of every source basis form must lie in the target local space.
+    """
+    return block_diagonal([
+        np.column_stack([tgt.expand(exterior_derivative(w)) for w in src.basis])
+        for src, tgt in zip(sources, targets)
+    ])
+
+
 @dataclass
 class LocalDecomposition:
-    """Pairing-relative structural split of a primal/dual local space pair.
+    """Pairing-relative structural split of one cell's primal/dual pair.
 
     Both sides keep their pairing-null part P0 and twisted part PB with the
     d- or delta-kernel of PB; the primal side also keeps the kernel ring_P0
     of its P0 and the complement P0_perp, which the interpolation moments
-    read.
+    read.  Every part is orthonormal in the cell's Gram of its side, and
+    ``pairing`` is the cell's pairing block.
     """
 
-    primal: LocalSpace
-    dual: LocalSpace
     pairing: np.ndarray
     P0: Subspace
     ring_P0: Subspace
@@ -395,110 +411,136 @@ class LocalDecomposition:
     dual_ring_PB: Subspace
 
 
-def _side_decomposition(dim, gram, energy, pairing_rows):
-    """(P0, ring_P0, PB, ring_PB) of one side of a local pair."""
-    if dim == 0:
-        zero = Subspace.zero(0, gram)
-        return zero, zero, zero, zero
-    scale = max(np.abs(pairing_rows).max(initial=0.0), 1.0)
-    e_scale = max(np.abs(energy).max(initial=0.0), 1e-30)
-    P0 = Subspace.from_span(nullspace(pairing_rows / scale).basis, gram)
-    ring_rows = np.vstack([pairing_rows / scale, energy / e_scale])
-    ring_P0 = Subspace.from_span(nullspace(ring_rows).basis, gram)
-    rows = []
-    if ring_P0.dim:
-        rows.append(ring_P0.basis.T @ gram)
-    if P0.dim:
-        rows.append(P0.basis.T @ energy)
-    if rows:
-        PB = Subspace.from_span(nullspace(np.vstack(rows)).basis, gram)
-    else:
-        PB = Subspace.full(dim, gram)
-    ring_PB_rows = [energy / e_scale]
-    if ring_P0.dim:
-        ring_PB_rows.append(ring_P0.basis.T @ gram)
-    if P0.dim:
-        ring_PB_rows.append(P0.basis.T @ energy)
-    ring_PB = Subspace.from_span(nullspace(np.vstack(ring_PB_rows)).basis, gram)
-    return P0, ring_P0, PB, ring_PB
+def _unit_block(stack, what):
+    """The block that every cell of a (cells, r, c) stack holds up to a positive
+    factor, scaled to largest entry 1."""
+    scales = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    unit = stack / np.where(scales > 0.0, scales, 1.0)[:, None, None]
+    # a trimmed family's blocks are vol_K times one reference block: equal to round-off
+    if np.abs(unit - unit[:1]).max(initial=0.0) > 1e-12:
+        raise AssumptionViolation("the cells' %s blocks are not multiples of one block" % what)
+    return unit[0]
 
 
-def decompose_local(primal: LocalSpace, dual: LocalSpace, B=None):
-    """Split both sides of a local (k, k+1) pair by the adjointness pairing.
+def _gram_orthonormal(Z, grams):
+    """(cells, p, m) bases Z R_K^-1 (R_K^T R_K = Z^T G_K Z), orthonormal in each
+    cell's Gram G_K; their leading j columns span what those of Z span."""
+    if Z.shape[1] == 0:
+        return np.zeros((len(grams), Z.shape[0], 0))
+    return Z @ dense_factor(Z.T @ grams @ Z)[1]
 
-    The pairing-null parts collect the members invisible to the other space;
-    the twisted parts carry the cross-cell coupling.  Dimensions are additive:
-    P = P0 (+) PB on both sides.  ``B`` is the cell's pairing block, when
-    the caller holds it.
+
+def _complement_in(N, Z, grams):
+    """Bases of the G_K-orthogonal complement of span N inside span Z, which holds it."""
+    basis = np.hstack([N, Z @ nullspace(N.T @ Z).basis])
+    return _gram_orthonormal(basis, grams)[:, :, N.shape[1]:]
+
+
+def _side_parts(grams, energies, pairing_rows):
+    """(P0, ring_P0, P0_perp, PB, ring_PB) of one side of every cell's pair.
+
+    Each part is a (cells, dim, m) stack of bases.  P0 = N(pairing) and
+    ring_P0 = N([pairing; energy]) are one coordinate subspace on every cell;
+    PB, ring_PB and P0_perp are the Gram-orthogonal complements of ring_P0
+    inside N(P0^T E), N(E) and P0.  E vanishes on ring_P0, so the rest of
+    P0, on which E is injective, cuts out N(P0^T E) without a relative cut.
     """
-    B = pairing_matrix(primal, dual) if B is None else B
-    Mp = primal.gram()
-    P0, ring_P0, PB, ring_PB = _side_decomposition(primal.dim, Mp, primal.energy_gram(), B.T)
-    # the dual ring_P0 only serves to cut out the dual PB
-    dual_P0, _, dual_PB, dual_ring_PB = _side_decomposition(
-        dual.dim, dual.gram(), dual.energy_gram(), B
+    B = _unit_block(pairing_rows, "pairing")
+    E = _unit_block(energies, "energy")
+    N0 = nullspace(B).basis
+    N1 = nullspace(np.vstack([B, E])).basis
+    rest = N0 @ nullspace(N1.T @ N0).basis
+    return (
+        _gram_orthonormal(N0, grams),
+        _gram_orthonormal(N1, grams),
+        _complement_in(N1, N0, grams),
+        _complement_in(N1, nullspace(rest.T @ E).basis, grams),
+        _complement_in(N1, nullspace(E).basis, grams),
     )
-    if P0.dim + PB.dim != primal.dim:
+
+
+def decompose_local(Mp, Ep, Md, Ed, B):
+    """Split both sides of every cell's (k, k+1) pair by the adjointness pairing.
+
+    ``Mp`` and ``Ep`` are the (cells, p, p) stacks of the primal Grams and
+    energy Grams, ``Md`` and ``Ed`` the dual ones, ``B`` the (cells, p, q)
+    pairing blocks.  The pairing-null parts collect the members invisible to
+    the other space; the twisted parts carry the cross-cell coupling, and
+    P = P0 (+) PB on both sides.  Every cell's pairing and energy blocks must
+    be one block times a positive factor, as a trimmed family's are (vol_K
+    times its reference block): the pairing-null parts are found once, and
+    only the Gram-dependent steps run per cell, batched over the stacks.
+    Returns one `LocalDecomposition` per cell.
+    """
+    p, q = B.shape[1:]
+    P0, ring_P0, P0_perp, PB, ring_PB = _side_parts(Mp, Ep, np.swapaxes(B, 1, 2))
+    # the dual ring_P0 and P0_perp only serve to cut out the dual PB
+    dual_P0, _, _, dual_PB, dual_ring_PB = _side_parts(Md, Ed, B)
+    if P0.shape[2] + PB.shape[2] != p:
         raise AssumptionViolation("primal side does not split into P0 + PB")
-    if dual_P0.dim + dual_PB.dim != dual.dim:
+    if dual_P0.shape[2] + dual_PB.shape[2] != q:
         raise AssumptionViolation("dual side does not split into P0 + PB")
-    return LocalDecomposition(
-        primal,
-        dual,
-        B,
-        P0,
-        ring_P0,
-        gram_complement(ring_P0, P0, Mp),
-        PB,
-        ring_PB,
-        dual_P0,
-        dual_PB,
-        dual_ring_PB,
-    )
+    return [
+        LocalDecomposition(
+            B[c],
+            *(Subspace(p, part[c], Mp[c]) for part in (P0, ring_P0, P0_perp, PB, ring_PB)),
+            *(Subspace(q, part[c], Md[c]) for part in (dual_P0, dual_PB, dual_ring_PB)),
+        )
+        for c in range(len(B))
+    ]
 
 
-def local_constants(dec: LocalDecomposition):
+def local_constants(dec: LocalDecomposition, primal: LocalSpace, dual: LocalSpace):
     """(alpha_K, beta_K, gamma_K): the twisted-kernel inf-sup constants.
 
     alpha pairs the d-kernel of the primal twisted part with the delta-range
     of the dual twisted part inside L2 Lambda^k; beta is the mirror image one
     level up; gamma is the full twisted pairing inf-sup in graph norms.
+    ``dec`` is the decomposition of the pair of local spaces ``primal`` and
+    ``dual``.
     """
-    primal, dual = dec.primal, dec.dual
-    cell = primal.cell
-    Mp = primal.gram()
-    Md = dual.gram()
-    # kernel of d inside PB (primal coordinates)
-    ringPB = dec.ring_PB
     # delta-range of the dual twisted part, expanded in primal coordinates
-    dual_imgs = []
-    for j in range(dec.dual_PB.dim):
-        form = dual.form_from_coeffs(dec.dual_PB.basis[:, j])
-        dq = codifferential(form) if dual.k > 0 else PolyForm(dual.n, 0)
-        dual_imgs.append(primal.expand(dq, tol=1e-7))
-    R_delta = Subspace.from_span(
-        np.column_stack(dual_imgs) if dual_imgs else np.zeros((primal.dim, 0)), Mp
-    )
-    if ringPB.dim == 0 and R_delta.dim == 0:
-        alpha = 1.0
-    else:
-        alpha = infsup(ringPB, R_delta, Mp, check=False)
-    # beta: kernel of delta in the dual twisted part vs d-range of primal PB
-    ring_dual = dec.dual_ring_PB
-    prim_imgs = []
-    for j in range(dec.PB.dim):
-        form = primal.form_from_coeffs(dec.PB.basis[:, j])
-        dv = exterior_derivative(form) if primal.k < primal.n else PolyForm(primal.n, primal.k + 1)
-        prim_imgs.append(dual.expand(dv, tol=1e-7))
-    R_d = Subspace.from_span(
-        np.column_stack(prim_imgs) if prim_imgs else np.zeros((dual.dim, 0)), Md
-    )
-    if ring_dual.dim == 0 and R_d.dim == 0:
-        beta = 1.0
-    else:
-        beta = infsup(ring_dual, R_d, Md, check=False)
-    gamma = twisted_graph_infsup(dec)
-    return alpha, beta, gamma
+    delta_imgs = [
+        primal.expand(
+            codifferential(dual.form_from_coeffs(c)) if dual.k > 0 else PolyForm(dual.n, 0),
+            tol=1e-7,
+        )
+        for c in dec.dual_PB.basis.T
+    ]
+    alpha = _kernel_range_infsup(dec.ring_PB, delta_imgs, primal.gram())
+    # d-range of the primal twisted part, expanded in dual coordinates
+    d_imgs = [
+        dual.expand(
+            exterior_derivative(primal.form_from_coeffs(c))
+            if primal.k < primal.n else PolyForm(primal.n, primal.k + 1),
+            tol=1e-7,
+        )
+        for c in dec.PB.basis.T
+    ]
+    beta = _kernel_range_infsup(dec.dual_ring_PB, d_imgs, dual.gram())
+    P, Q = dec.PB.basis, dec.dual_PB.basis
+    if P.shape[1] == 0 or Q.shape[1] == 0:
+        return alpha, beta, 1.0
+    Gp = primal.gram() + primal.energy_gram()
+    Gq = dual.gram() + dual.energy_gram()
+    return alpha, beta, _graph_infsup(P.T @ Gp @ P, Q.T @ Gq @ Q, P.T @ dec.pairing @ Q)
+
+
+def _kernel_range_infsup(kernel: Subspace, images, gram):
+    """inf-sup of a kernel against the span of image columns; 1 when both are empty."""
+    span = np.column_stack(images) if images else np.zeros((len(gram), 0))
+    R = Subspace.from_span(span, gram)
+    if kernel.dim == 0 and R.dim == 0:
+        return 1.0
+    return infsup(kernel, R, gram, check=False)
+
+
+def _graph_infsup(Gp, Gq, B):
+    """Smallest singular value of a pairing block B in the graph norms Gp and Gq."""
+    Lp = np.linalg.cholesky(0.5 * (Gp + Gp.T))
+    Lq = np.linalg.cholesky(0.5 * (Gq + Gq.T))
+    C = np.linalg.solve(Lp, np.linalg.solve(Lq, B.T).T)
+    return float(np.linalg.svd(C, compute_uv=False)[min(B.shape) - 1])
 
 
 def pairing_singular_values(B):
@@ -523,8 +565,7 @@ def fast_local_constants(primal: LocalSpace, dual: LocalSpace, B=None, sv=None):
     `pairing_singular_values`; a caller that holds them passes them in.  A
     singular or non-square block has a nontrivial pairing-null part, which
     raises NotAdmissible; `local_constants` of `decompose_local` covers that
-    case.  Plain numpy throughout; this runs once per cell on every mesh
-    level, so call overhead matters.
+    case.
     """
     B = pairing_matrix(primal, dual) if B is None else B
     sv = pairing_singular_values(B) if sv is None else sv
@@ -549,7 +590,6 @@ def cell_constants(Mp, Ep, Md, Ed, B, delta_imgs, d_imgs):
     and ``d_imgs`` the primal basis' d images in dual coordinates; the
     pairing block must be square and nonsingular (see `fast_local_constants`).
     """
-    p, q = B.shape
 
     def pair_infsup(A, Bc, M):
         if A.shape[1] == 0 and Bc.shape[1] == 0:
@@ -563,29 +603,7 @@ def cell_constants(Mp, Ep, Md, Ed, B, delta_imgs, d_imgs):
     alpha = pair_infsup(orthonormalize(ker_p, Mp), orthonormalize(delta_imgs, Mp), Mp)
     ker_d = nullspace(Ed).basis
     beta = pair_infsup(orthonormalize(ker_d, Md), orthonormalize(d_imgs, Md), Md)
-    Gp = Mp + Ep
-    Gq = Md + Ed
-    Lp = np.linalg.cholesky(0.5 * (Gp + Gp.T))
-    Lq = np.linalg.cholesky(0.5 * (Gq + Gq.T))
-    C = np.linalg.solve(Lp, np.linalg.solve(Lq, B.T).T)
-    gamma = float(np.linalg.svd(C, compute_uv=False)[min(p, q) - 1])
-    return alpha, beta, gamma
-
-
-def twisted_graph_infsup(dec: LocalDecomposition):
-    """inf-sup of the pairing between the twisted parts in graph norms."""
-    P, Q = dec.PB, dec.dual_PB
-    if P.dim == 0 or Q.dim == 0:
-        return 1.0
-    primal, dual = dec.primal, dec.dual
-    Gp = primal.gram() + primal.energy_gram()
-    Gq = dual.gram() + dual.energy_gram()
-    Bt = P.basis.T @ dec.pairing @ Q.basis
-    Lp = np.linalg.cholesky(0.5 * ((P.basis.T @ Gp @ P.basis) + (P.basis.T @ Gp @ P.basis).T))
-    Lq = np.linalg.cholesky(0.5 * ((Q.basis.T @ Gq @ Q.basis) + (Q.basis.T @ Gq @ Q.basis).T))
-    C = np.linalg.solve(Lp, np.linalg.solve(Lq, Bt.T).T)
-    s = np.linalg.svd(C, compute_uv=False)
-    return float(s[min(P.dim, Q.dim) - 1])
+    return alpha, beta, _graph_infsup(Mp + Ep, Md + Ed, B)
 
 
 # -- 2-D closed-form families ---------------------------------------------------
@@ -660,7 +678,7 @@ def gallery_2d(cell, family):
         raise Unsupported("the closed-form gallery is two-dimensional")
     lam = [cell.barycentric(i) for i in range(3)]
     if family == "P1":
-        return LocalSpace(cell, 0, lam, tag="P1", op="d")
+        return LocalSpace(cell, 0, lam, op="d")
     if family == "RT":
         S = cell.volume
         basis = []
@@ -670,7 +688,7 @@ def gallery_2d(cell, family):
             u = 0.5 / S * (PolyForm.coordinate(2, 0) + shift[0] * PolyForm.one(2))
             v = 0.5 / S * (PolyForm.coordinate(2, 1) + shift[1] * PolyForm.one(2))
             basis.append(vec_to_flux(u, v))
-        return LocalSpace(cell, 1, basis, tag="RT", op="d")
+        return LocalSpace(cell, 1, basis, op="d")
     if family == "RTperp":
         basis = []
         for i in range(3):
@@ -683,7 +701,7 @@ def gallery_2d(cell, family):
             v = (PolyForm.coordinate(2, 1) - ai[1] * PolyForm.one(2)) * (1.0 / h)
             # clockwise rotation makes the companion duality come out +1
             basis.append(vec_to_circulation(v, -1.0 * u))
-        return LocalSpace(cell, 1, basis, tag="RTperp", op="d")
+        return LocalSpace(cell, 1, basis, op="d")
     if family == "P2plus":
         basis = [l.scale_by_polynomial(2.0 * l - PolyForm.one(2)) for l in lam]
         for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -691,7 +709,7 @@ def gallery_2d(cell, family):
         bubble = edge_bubble(cell)
         basis.append(bubble)
         named = {"psi_B": bubble, "psi_0": interior_quadratic(cell)}
-        return LocalSpace(cell, 0, basis, tag="P2plus", op="d", named=named)
+        return LocalSpace(cell, 0, basis, op="d", named=named)
     if family == "P1plus":
         basis = []
         for comp in range(2):
@@ -703,7 +721,7 @@ def gallery_2d(cell, family):
         cu, cv = curl_components(bubble)
         basis.append(vec_to_flux(cu, cv))
         return LocalSpace(
-            cell, 1, basis, tag="P1plus", op="d", named={"curl_bubble": vec_to_flux(cu, cv)}
+            cell, 1, basis, op="d", named={"curl_bubble": vec_to_flux(cu, cv)}
         )
     raise InvalidParameter("unknown family %r" % (family,))
 
@@ -714,8 +732,6 @@ def whitney_form(cell, local_vertices):
     ``local_vertices`` are indices into the cell's vertex list, ascending; the
     form has unit integral over the sub-simplex oriented that way.
     """
-    import math as _math
-
     k = len(local_vertices) - 1
     lam = [cell.barycentric(i) for i in local_vertices]
     dlam = [cell.barycentric_differential(i) for i in local_vertices]
@@ -728,5 +744,5 @@ def whitney_form(cell, local_vertices):
                 continue
             wedge = dlam[m] if wedge is None else wedge.wedge(dlam[m])
         piece = lam[j] if wedge is None else wedge.scale_by_polynomial(lam[j])
-        out = out + float(_math.factorial(k)) * ((-1) ** j) * piece
+        out = out + float(math.factorial(k)) * ((-1) ** j) * piece
     return out

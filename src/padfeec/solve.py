@@ -15,7 +15,7 @@ import scipy.sparse
 
 from .adjoint import harmonic_space
 from .errors import AssemblyError, DegreeMismatch, InvalidParameter, SolverFailure
-from .forms import cell_quadrature
+from .forms import cell_quadrature, random_polyform
 from .linalg import nullspace, pencil_nonzero_eigs, solve_symmetric
 from .spaces import d_pairing, ladder
 
@@ -120,7 +120,8 @@ def p0_moments(mesh, k, load):
     cells_of = {}
     for ci, form in enumerate(load):
         cells_of.setdefault(id(form), (form, []))[1].append(ci)
-    moments = lad.geometry.first_moments()
+    # the constant's row of the scalar mass matrix: every monomial's integral
+    moments = lad.geometry.mass_matrices(0)[:, 0]
     F = np.zeros((mesh.num_cells, p0.ncomp))
     for form, cells in cells_of.values():
         if (form.n, form.k) != (mesh.dim, k):
@@ -486,8 +487,6 @@ def verify_hodge_equivalences(mesh, k, sols):
 
 def random_polynomial_load(mesh, k, degree=2, seed=0):
     """A global random polynomial k-form restricted to every cell."""
-    from .forms import random_polyform
-
     rng = np.random.default_rng(seed)
     form = random_polyform(mesh.dim, k, degree, rng)
     return [form for _ in range(mesh.num_cells)]

@@ -10,14 +10,16 @@ computed inside small piecewise-constant coordinate spaces.
 
 In coordinates centred at a cell's centroid, every trimmed basis (the
 constants plus the centred Koszul images) has the same coefficients on every
-cell.  So each cellwise operator of a `TrimmedSpace` is a fixed reference
+cell.  So each cellwise operator of a `BrokenSpace` is a fixed reference
 block (`local.reference_block`): d, delta, the star and the P0 injection and
-projection are that block on every cell, the pairing is the cell volume
-times it, and the Grams are batched over the cells from the volumes and
-centred second moments that `MeshGeometry` computes once per mesh.  The
-Whitney atlas is in closed form from the barycentric gradients.  No
-`PolyForm` is built for any of them; a cell's `LocalSpace` is built only
-when a caller asks for the cell's basis forms.
+projection are that block on every cell, the pairing and the energy Grams
+are the cell volume times a block, and the Grams are batched over the cells
+from the volumes and centred second moments that `MeshGeometry` computes
+once per mesh, with the monomial moments that the mass matrices read.  The
+pairing-relative decompositions of all cells come from one batched pass
+over these stacks, and the Whitney atlas is in closed form from the
+barycentric gradients.  A cell's basis forms, where a caller asks for them,
+are the block's coefficient columns shifted to the cell's centroid.
 
 Broken and piecewise-constant coordinates share one block layout: cell i
 owns the rows or columns ``cell_slice(i)`` of `BrokenSpace` and `P0Space`,
@@ -52,11 +54,13 @@ from .errors import (
 )
 from .forms import (
     MAX_COEFF_DEGREE,
-    exterior_derivative,
+    PolyForm,
     monomial_values,
     multiindices,
+    product_positions,
+    reference_simplex,
     simplex_quadrature,
-    star_sign,
+    trace_on,
 )
 from .linalg import (
     RANK_TOL,
@@ -69,13 +73,10 @@ from .linalg import (
 )
 from .local import (
     FAMILY_OPS,
-    LocalSpace,
     decompose_local,
-    pairing_matrix,
     reference_block,
     reference_pairing,
     reference_star,
-    trimmed_local,
     whitney_coefficients,
 )
 
@@ -102,22 +103,31 @@ class MeshGeometry:
         self.second_moments = np.einsum("cia,cib->cab", W, W) * (
             self.volumes / ((n + 1) * (n + 2))
         )[:, None, None]
-        self._first_moments = None
+        self._moments = None
 
-    def first_moments(self):
-        """(cells, monomials) integrals of every monomial of degree <= MAX_COEFF_DEGREE.
+    def moments(self):
+        """(cells, monomials) integrals of every monomial of degree <= 2 MAX_COEFF_DEGREE.
 
-        A Grundmann-Moeller rule exact to that degree, mapped to every cell at once.
+        A Grundmann-Moeller rule exact to that degree, mapped to every cell
+        at once; `CellGeometry.monomial_integral` is its oracle.
         """
-        if self._first_moments is None:
+        if self._moments is None:
             V = self.corners
             cells, n1, n = V.shape
-            pts, wts = simplex_quadrature(n, MAX_COEFF_DEGREE)
+            degree = 2 * MAX_COEFF_DEGREE
+            pts, wts = simplex_quadrature(n, degree + 1)
             points = V[:, :1] + np.matmul(pts, V[:, 1:] - V[:, :1])  # (cells, q, n)
-            values = monomial_values(points.reshape(-1, n)).reshape(cells, len(wts), -1)
+            values = monomial_values(points.reshape(-1, n), degree).reshape(cells, len(wts), -1)
             weights = np.outer(self.volumes * math.factorial(n), wts)
-            self._first_moments = np.einsum("cq,cqe->ce", weights, values)
-        return self._first_moments
+            self._moments = np.matmul(weights[:, None, :], values)[:, 0]
+        return self._moments
+
+    def mass_matrices(self, k):
+        """(cells, N, N) L2 Grams of the coordinate basis of k-forms: one block of
+        monomial moments per multi-index (row 0 of a block: every monomial's integral)."""
+        n = self.corners.shape[2]
+        masses = self.moments()[:, product_positions(n)]
+        return np.kron(np.eye(len(multiindices(k, n))), masses)
 
 
 def _repeat(block, cells):
@@ -145,52 +155,51 @@ class P0Space:
         return slice(i * self.ncomp, (i + 1) * self.ncomp)
 
     def star_matrix(self):
-        """Signed permutation onto the piecewise-constant (n-k)-forms."""
+        """Signed permutation onto the piecewise-constant (n-k)-forms.
+
+        On each cell it is the constants' block of `reference_star`.
+        """
         n = self.mesh.dim
-        target = multiindices(n - self.k, n)
-        pos = {m: i for i, m in enumerate(target)}
-        block = np.zeros((len(target), self.ncomp))
-        for mi, m in enumerate(self.midx):
-            sign, comp = star_sign(m, n)
-            block[pos[comp], mi] = sign
+        block = reference_star(n, self.k)[: len(multiindices(n - self.k, n)), : self.ncomp]
         return block_diagonal(_repeat(block, self.mesh.num_cells))
 
 
 class BrokenSpace:
-    """Block product of one local space per cell.
+    """One trimmed family on every cell: the block product of its local spaces.
 
-    ``factory`` builds the `LocalSpace` of a cell from its `CellGeometry`;
-    the local spaces are built on first use.
+    In coordinates centred at a cell's centroid the family's basis has the
+    same coefficients on every cell, so every cellwise array comes from its
+    reference block and the mesh's geometry: the Grams are batched over the
+    cells from the volumes and centred second moments, the energy Grams are
+    the volumes times the block's energy, and a cell's basis forms are the
+    block's coefficient columns shifted to the cell's centroid.
     """
 
-    def __init__(self, mesh, k, factory, name, block_dims=None):
+    def __init__(self, mesh, k, family, geometry):
         self.mesh = mesh
         self.k = k
-        self.name = name
-        self._factory = factory
-        self._locals = None
-        if block_dims is None:
-            block_dims = [sp.dim for sp in self.locals]
-        self.block_dims = block_dims
-        self.offsets = np.concatenate([[0], np.cumsum(self.block_dims)])
-        self.dim = int(self.offsets[-1])
+        self.name = family
+        self.reference = reference_block(mesh.dim, k, family)
+        self.geometry = geometry
+        self.block_dims = [self.reference.dim] * mesh.num_cells
+        self.dim = self.reference.dim * mesh.num_cells
+        self._gram_blocks = None
         self._gram = None
         self._factor_inverse = None
 
-    @property
-    def locals(self):
-        if self._locals is None:
-            self._locals = [self._local(i) for i in range(self.mesh.num_cells)]
-        return self._locals
-
-    def _local(self, i):
-        return self._factory(self.mesh.cell_geometry(i))
-
     def cell_slice(self, i):
-        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+        return slice(i * self.reference.dim, (i + 1) * self.reference.dim)
 
     def gram_blocks(self):
-        return [sp.gram() for sp in self.locals]
+        """(cells, dim, dim) stack of the cells' L2 Grams."""
+        if self._gram_blocks is None:
+            g = self.geometry
+            self._gram_blocks = self.reference.grams(g.volumes, g.second_moments)
+        return self._gram_blocks
+
+    def energy_blocks(self):
+        """(cells, dim, dim) stack of the cells' energy Grams."""
+        return self.reference.energy_grams(self.geometry.volumes)
 
     def gram(self):
         if self._gram is None:
@@ -201,82 +210,29 @@ class BrokenSpace:
         """R^-1 for the cellwise upper Cholesky factor R of the Gram, G = R^T R.
 
         For any Euclidean-orthonormal N, the columns of R^-1 N are
-        G-orthonormal.
+        G-orthonormal.  The blocks are factored from the stack.
         """
-        if self._factor_inverse is None:
-            self._factor_inverse = gram_factor(self.gram())[1]
-        return self._factor_inverse
-
-    def form_on_cell(self, vec, i):
-        return self.locals[i].form_from_coeffs(vec[self.cell_slice(i)])
-
-
-class TrimmedSpace(BrokenSpace):
-    """A trimmed family of the ladder: one reference block on every cell.
-
-    The Grams are batched over the cells from the mesh's volumes and centred
-    second moments; a cell's `LocalSpace`, built only when asked for, takes
-    its Gram and energy Gram from those stacks.
-    """
-
-    def __init__(self, mesh, k, family, geometry):
-        self.reference = reference_block(mesh.dim, k, family)
-        self.geometry = geometry
-        self._gram_blocks = None
-        super().__init__(
-            mesh, k, lambda cell: trimmed_local(cell, k, family), family,
-            [self.reference.dim] * mesh.num_cells,
-        )
-
-    def gram_blocks(self):
-        if self._gram_blocks is None:
-            g = self.geometry
-            self._gram_blocks = self.reference.grams(g.volumes, g.second_moments)
-        return self._gram_blocks
-
-    def gram_factor_inverse(self):
-        # factored block by block from the stack, as a cell loop would
         if self._factor_inverse is None:
             self._factor_inverse = gram_factor(self.gram_blocks())[1]
         return self._factor_inverse
 
-    def _local(self, i):
-        sp = super()._local(i)
-        sp._gram = self.gram_blocks()[i]
-        sp._energy = self.reference.energy_grams(self.geometry.volumes[i : i + 1])[0]
-        return sp
-
-
-def _cell_pairings(primal: BrokenSpace, dual: BrokenSpace):
-    """Cell blocks of B[i, j] = <v_i, delta q_j> - <d v_i, q_j>.
-
-    For two trimmed families each block is vol times the reference block;
-    other broken spaces pair cell by cell through `pairing_matrix`.
-    """
-    if dual.k != primal.k + 1:
-        raise AssemblyError("pairing needs degrees k and k+1")
-    if isinstance(primal, TrimmedSpace) and isinstance(dual, TrimmedSpace):
-        B = reference_pairing(primal.mesh.dim, primal.k, primal.name, dual.name)
-        return primal.geometry.volumes[:, None, None] * B
-    return [pairing_matrix(p, q) for p, q in zip(primal.locals, dual.locals)]
+    def form_on_cell(self, vec, i):
+        """The form on cell ``i`` with coefficients ``vec[cell_slice(i)]``."""
+        columns = self.reference.coefficients(self.geometry.centroids[i : i + 1])[0]
+        return PolyForm.from_coefficient_vector(
+            self.mesh.dim, self.k, columns @ vec[self.cell_slice(i)]
+        )
 
 
 def d_pairing(primal: BrokenSpace, dual: BrokenSpace):
-    """Block pairing B[i, j] = <v_i, delta q_j> - <d v_i, q_j>, assembled cellwise."""
-    return block_diagonal(_cell_pairings(primal, dual))
+    """Block pairing B[i, j] = <v_i, delta q_j> - <d v_i, q_j>.
 
-
-def block_d_expand(source: BrokenSpace, target: BrokenSpace):
-    """Cellwise exterior derivative from one broken space into another.
-
-    The image of every source basis form must lie in the target local space.
+    Each cell block is the cell volume times the families' reference block.
     """
-    if target.k != source.k + 1:
-        raise AssemblyError("derivative must raise the degree by one")
-    return block_diagonal([
-        np.column_stack([tgt.expand(exterior_derivative(w)) for w in src.basis])
-        for src, tgt in zip(source.locals, target.locals)
-    ])
+    if dual.k != primal.k + 1:
+        raise AssemblyError("pairing needs degrees k and k+1")
+    B = reference_pairing(primal.mesh.dim, primal.k, primal.name, dual.name)
+    return block_diagonal(primal.geometry.volumes[:, None, None] * B)
 
 
 @dataclass
@@ -408,7 +364,7 @@ class DeRhamLadder:
         if family not in FAMILY_OPS:
             raise InvalidParameter("unknown broken family %r" % (family,))
         return self._get(
-            (family, k), lambda: TrimmedSpace(self.mesh, k, family, self.geometry)
+            (family, k), lambda: BrokenSpace(self.mesh, k, family, self.geometry)
         )
 
     def primal(self, k):
@@ -462,13 +418,14 @@ class DeRhamLadder:
         """
 
         def build():
-            primal = self.primal(k).locals
+            primal = self.primal(k)
             if k < self.mesh.dim:
-                duals, blocks = self.dual(k + 1).locals, self.pairing_blocks(k)
+                dual = self.dual(k + 1)
+                Md, Ed, B = dual.gram_blocks(), dual.energy_blocks(), self.pairing_blocks(k)
             else:
-                duals = [LocalSpace(sp.cell, k + 1, [], op="delta") for sp in primal]
-                blocks = np.zeros((len(primal), self.primal(k).reference.dim, 0))
-            return [decompose_local(p, q, B) for p, q, B in zip(primal, duals, blocks)]
+                Md = Ed = np.zeros((self.mesh.num_cells, 0, 0))
+                B = np.zeros((self.mesh.num_cells, primal.reference.dim, 0))
+            return decompose_local(primal.gram_blocks(), primal.energy_blocks(), Md, Ed, B)
 
         return self._get(("localdec", k), build)
 
@@ -610,14 +567,11 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
     lad = lad or ladder(mesh)
     broken = lad.primal(k)
     if k == mesh.dim:
-        funcs = []
-        for ci in range(mesh.num_cells):
-            s = broken.cell_slice(ci)
-            for j in range(broken.block_dims[ci]):
-                vec = np.zeros(broken.dim)
-                vec[s.start + j] = 1.0
-                funcs.append(BasisFunction("type-I", ("cell", ci), vec))
-        return BasisAtlas(broken, funcs)
+        cell_of = np.repeat(np.arange(mesh.num_cells), broken.reference.dim)
+        return BasisAtlas(broken, [
+            BasisFunction("type-I", ("cell", int(ci)), vec)
+            for ci, vec in zip(cell_of, np.eye(broken.dim))
+        ])
     partner_bc = "homogeneous" if bc == "none" else "none"
     partner = lad.whitney_star(k + 1, partner_bc)
     # pairing of every broken basis form with every partner column
@@ -637,11 +591,10 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
         dec = decs[ci]
         I2 = cell_funcs[ci]
         PB = dec.PB.basis  # local coordinates of the twisted part
-        if dec.P0.dim:
-            for col in range(dec.P0.dim):
-                vec = np.zeros(broken.dim)
-                vec[s] = dec.P0.basis[:, col]
-                funcs.append(BasisFunction("type-I", ("cell", ci), vec))
+        for col in range(dec.P0.dim):
+            vec = np.zeros(broken.dim)
+            vec[s] = dec.P0.basis[:, col]
+            funcs.append(BasisFunction("type-I", ("cell", ci), vec))
         # functionals of the overlapping partner columns, restricted to PB
         L = BP[s, I2].T @ PB if I2 else np.zeros((0, PB.shape[1]))
         if I2:
@@ -679,15 +632,13 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
 # -- verification helpers ---------------------------------------------------------
 
 
-def verify_trace_continuity(space: GlobalSpace, tol=1e-11):
+def verify_trace_continuity(space: GlobalSpace):
     """Worst inter-cell trace mismatch of the atlas columns on shared facets.
 
     The trace of each column is pulled back to every interior sub-simplex of
     dimension >= k from both owner cells with one shared parametrization; the
     mismatch is measured in the parametric L2 norm.
     """
-    from .forms import trace_on, reference_simplex
-
     mesh = space.mesh
     broken = space.broken
     k = space.k

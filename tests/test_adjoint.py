@@ -14,14 +14,20 @@ from padfeec.adjoint import (
 )
 from padfeec.forms import CellGeometry, PolyForm
 from padfeec.linalg import Subspace, gram_complement, icr_of, infsup, nullspace, subspace_equal
-from padfeec.local import LocalSpace, decompose_local, gallery_2d, local_constants, star_local
-from padfeec.mesh import generate_structured
-from padfeec.spaces import (
-    BrokenSpace,
+from padfeec.linalg import block_diagonal
+from padfeec.local import (
+    LocalSpace,
     block_d_expand,
-    d_pairing,
-    ladder,
+    gallery_2d,
+    local_constants,
+    pairing_matrix,
+    star_local,
+    trimmed_local,
 )
+from padfeec.mesh import generate_structured
+from padfeec.spaces import ladder
+
+from oracles import decompose_pair, ladder_locals
 
 BOX2 = generate_structured(2, 2)
 BOX4 = generate_structured(2, 4)
@@ -75,12 +81,10 @@ class TestBasePair:
 
     def test_trivial_twisted_parts_give_convention_value(self):
         cell = CellGeometry([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        from padfeec.local import whitney_local
-
-        primal = whitney_local(cell, 2, "primal")  # constants, d == 0
+        primal = trimmed_local(cell, 2, "primal")  # constants, d == 0
         empty_dual = LocalSpace(cell, 3, [], op="delta")
-        dec = decompose_local(primal, empty_dual)
-        alpha, beta, gamma = local_constants(dec)
+        dec = decompose_pair(primal, empty_dual)
+        alpha, beta, gamma = local_constants(dec, primal, empty_dual)
         assert alpha == 1.0 and beta == 1.0 and gamma == 1.0
 
     def test_ebdm_pair_constants_positive_on_reference_cell(self):
@@ -89,7 +93,7 @@ class TestBasePair:
         dual = star_local(gallery_2d(cell, "P2plus"))
         dual.basis = dual.basis[:6]
         dual.__post_init__()
-        alpha, beta, gamma = local_constants(decompose_local(primal, dual))
+        alpha, beta, gamma = local_constants(decompose_pair(primal, dual), primal, dual)
         assert alpha > 0 and beta > 0 and gamma > 0
 
 
@@ -104,6 +108,7 @@ def _global_base_pair_report(mesh, k, eig_tol=1e-10):
 
     lad = ladder(mesh)
     primal, dual = lad.primal(k), lad.dual(k + 1)
+    primal_locals, dual_locals = ladder_locals(primal), ladder_locals(dual)
     B = lad.pairing(k).toarray()
     scale = max(np.abs(B).max(), 1.0)
     U, s, Vt = np.linalg.svd(B / scale)
@@ -114,7 +119,7 @@ def _global_base_pair_report(mesh, k, eig_tol=1e-10):
     alphas, betas, gammas = [], [], []
     for ci in range(mesh.num_cells):
         Bk = B[primal.cell_slice(ci), dual.cell_slice(ci)]
-        a, b, g = fast_local_constants(primal.locals[ci], dual.locals[ci], Bk)
+        a, b, g = fast_local_constants(primal_locals[ci], dual_locals[ci], Bk)
         alphas.append(a)
         betas.append(b)
         gammas.append(g)
@@ -124,7 +129,7 @@ def _global_base_pair_report(mesh, k, eig_tol=1e-10):
     icr_tilde = max(
         _cell_icr(
             D[p0_hi.cell_slice(ci), primal.cell_slice(ci)],
-            primal.locals[ci].gram(),
+            primal_locals[ci].gram(),
             p0_hi.volumes[ci],
             eig_tol,
         )
@@ -133,7 +138,7 @@ def _global_base_pair_report(mesh, k, eig_tol=1e-10):
     icr_tilde_adj = max(
         _cell_icr(
             Delta[p0_lo.cell_slice(ci), dual.cell_slice(ci)],
-            dual.locals[ci].gram(),
+            dual_locals[ci].gram(),
             p0_lo.volumes[ci],
             eig_tol,
         )
@@ -248,10 +253,10 @@ class TestBasePairCore:
 
     def test_fast_constants_refuse_a_singular_block(self):
         from padfeec.errors import NotAdmissible
-        from padfeec.local import fast_local_constants, whitney_local
+        from padfeec.local import fast_local_constants
 
         cell = CellGeometry([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        p, q = whitney_local(cell, 0, "primal"), whitney_local(cell, 1, "dual")
+        p, q = trimmed_local(cell, 0, "primal"), trimmed_local(cell, 1, "dual")
         with pytest.raises(NotAdmissible):
             fast_local_constants(p, q, np.zeros((p.dim, q.dim)))
 
@@ -591,6 +596,21 @@ def _quadratic_conforming_atlas(mesh, broken, bc):
     return np.column_stack(cols) if cols else np.zeros((broken.dim, 0))
 
 
+class _CellSpaces:
+    """The block product of one given local space per cell."""
+
+    def __init__(self, spaces):
+        self.locals = spaces
+        self.offsets = np.concatenate([[0], np.cumsum([sp.dim for sp in spaces])])
+        self.dim = int(self.offsets[-1])
+
+    def cell_slice(self, i):
+        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+
+    def gram(self):
+        return block_diagonal([sp.gram() for sp in self.locals])
+
+
 class TestEnhancedFluxSlices:
     def test_slice_infsup_bounded_by_beta(self):
         mesh = BOX2
@@ -604,15 +624,16 @@ class TestEnhancedFluxSlices:
             sp.__post_init__()
             return star_local(sp)
 
-        flux = BrokenSpace(mesh, 1, flux_factory, "enhanced-flux")
-        starq = BrokenSpace(mesh, 2, star_p2_factory, "star-quadratic")
-        B = d_pairing(flux, starq)
+        cells = [mesh.cell_geometry(i) for i in range(mesh.num_cells)]
+        flux = _CellSpaces([flux_factory(cell) for cell in cells])
+        starq = _CellSpaces([star_p2_factory(cell) for cell in cells])
+        B = block_diagonal([pairing_matrix(p, q) for p, q in zip(flux.locals, starq.locals)])
         A_h0 = _quadratic_conforming_atlas(mesh, starq, "homogeneous")
         A_h = _quadratic_conforming_atlas(mesh, starq, "none")
         # nonconforming flux spaces for both boundary placements
         big = nullspace((B @ A_h0).T / max(np.abs(B).max(), 1.0))
         small = nullspace((B @ A_h).T / max(np.abs(B).max(), 1.0))
-        D = block_d_expand(flux, starq)
+        D = block_d_expand(flux.locals, starq.locals)
         g = starq.gram()
         R_big = Subspace.from_span(D @ big.basis, g)
         R_small = Subspace.from_span(D @ small.basis, g)
@@ -645,8 +666,8 @@ class TestEnhancedFluxSlices:
         # cell-level twisted inf-sup lower bound
         betas = []
         for ci in range(mesh.num_cells):
-            dec = decompose_local(flux.locals[ci], starq.locals[ci])
-            _, b, _ = local_constants(dec)
+            dec = decompose_pair(flux.locals[ci], starq.locals[ci])
+            _, b, _ = local_constants(dec, flux.locals[ci], starq.locals[ci])
             betas.append(b)
         beta_G = min(betas)
         val = infsup(dR, dN, g, check=False)

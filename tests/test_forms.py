@@ -26,6 +26,10 @@ from padfeec.forms import (
     stokes_boundary_integral,
     trace_on,
 )
+from padfeec.mesh import Mesh
+from padfeec.spaces import MeshGeometry
+
+from oracles import JITTERED
 
 UNIT_TRIANGLE = CellGeometry([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -39,6 +43,11 @@ def random_cell(n, rng):
             continue
         if cell.volume > 0.05:
             return cell
+
+
+def one_cell_geometry(cell):
+    """The `MeshGeometry` of the mesh made of ``cell`` alone."""
+    return MeshGeometry(Mesh(cell.n, cell.vertices, [tuple(range(cell.n + 1))]))
 
 
 class TestMultiIndices:
@@ -289,9 +298,10 @@ class TestCellGeometry:
     def test_integral_top(self):
         # the integral of a top-degree form is its L2 product with the volume form
         vol = PolyForm.basis_form(2, (0, 1)).coefficient_vector()
-        assert vol @ UNIT_TRIANGLE.mass_matrix(2) @ vol == pytest.approx(0.5, abs=1e-15)
+        mass = one_cell_geometry(UNIT_TRIANGLE).mass_matrices(2)[0]
+        assert vol @ mass @ vol == pytest.approx(0.5, abs=1e-15)
         form = PolyForm.monomial(2, 2, (2, 1), (0, 1), 3.0)
-        got = form.coefficient_vector() @ UNIT_TRIANGLE.mass_matrix(2) @ vol
+        got = form.coefficient_vector() @ mass @ vol
         assert got == pytest.approx(3.0 * UNIT_TRIANGLE.monomial_integral((2, 1)), abs=1e-15)
 
     def test_inner_matrix_symmetric(self):
@@ -329,21 +339,32 @@ class TestCoefficientArrays:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_moments_match_monomial_integral(self, n):
-        # the mass blocks hold every moment of degree <= 6 = 3 + 3
+        # the mass blocks hold every moment of degree <= 6 = 3 + 3, on random
+        # cells and on every cell of a jittered mesh
         rng = np.random.default_rng(40 + n)
         low = monomial_exponents(n)
+        cases = []
         for _ in range(4):
             cell = random_cell(n, rng)
-            exact = np.array([[cell.monomial_integral(a + b) for b in low] for a in low])
-            assert np.abs(cell.monomial_mass - exact).max() <= 1e-13 * np.abs(exact).max()
+            cases.append((one_cell_geometry(cell), [cell]))
+        for _, mesh in JITTERED:
+            if mesh.dim == n:
+                cells = [mesh.cell_geometry(i) for i in range(mesh.num_cells)]
+                cases.append((MeshGeometry(mesh), cells))
+        for geometry, cells in cases:
+            for mass, cell in zip(geometry.mass_matrices(0), cells):
+                exact = np.array([[cell.monomial_integral(a + b) for b in low] for a in low])
+                assert np.abs(mass - exact).max() <= 1e-13 * np.abs(exact).max()
 
     def test_mass_matrix_matches_l2_inner(self):
         rng = np.random.default_rng(43)
         for n in (2, 3):
             cell = random_cell(n, rng)
+            geometry = one_cell_geometry(cell)
             for k in range(n + 1):
                 a, b = (random_polyform(n, k, 3, rng) for _ in range(2))
-                got = a.coefficient_vector() @ cell.mass_matrix(k) @ b.coefficient_vector()
+                mass = geometry.mass_matrices(k)[0]
+                got = a.coefficient_vector() @ mass @ b.coefficient_vector()
                 exact = l2_inner(a, b, cell)
                 scale = math.sqrt(l2_inner(a, a, cell) * l2_inner(b, b, cell))
                 assert abs(got - exact) <= 1e-12 * scale

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-import padfeec.forms
 import padfeec.interp
+import padfeec.spaces
 from padfeec.cli import main
 from padfeec.forms import (
     PolyForm,
@@ -24,33 +24,16 @@ from padfeec.interp import (
     projectivity_matrix,
     stability_report,
 )
-from padfeec.mesh import Mesh, generate_structured
+from padfeec.local import LocalSpace, trimmed_local
+from padfeec.mesh import generate_structured
 from padfeec.spaces import ladder
+
+from oracles import JITTERED, decompose_pair
 
 BOX2 = generate_structured(2, 2)
 BOX4 = generate_structured(2, 4)
 HOLE4 = generate_structured(2, 4, "hole")
 TETBOX1 = generate_structured(3, 1, "box")
-
-
-def jittered(mesh, seed, amount, everywhere=False):
-    """A copy of a unit-box mesh with its vertices moved by up to ``amount``.
-
-    Only interior vertices move unless ``everywhere``; either way every cell
-    gets its own shape, so a mapping error cannot hide behind congruent cells.
-    """
-    rng = np.random.default_rng(seed)
-    V = np.array(mesh.vertices, dtype=float)
-    movable = np.ones(len(V), dtype=bool) if everywhere else np.all((V > 0) & (V < 1), axis=1)
-    V[movable] += rng.uniform(-amount, amount, size=(int(movable.sum()), mesh.dim))
-    return Mesh(mesh.dim, V, mesh.cells)
-
-
-# box:4 with interior vertices moved; tetbox:1 has none, so all of its move
-JITTERED = [
-    ("box4-jittered", jittered(BOX4, 7, 0.04)),
-    ("tetbox1-jittered", jittered(TETBOX1, 8, 0.1, everywhere=True)),
-]
 
 
 def field_pairing_residual(mesh, k, bc, field):
@@ -76,10 +59,10 @@ def field_pairing_residual(mesh, k, bc, field):
     return out
 
 
-def interpolate_by_l2_inner(dec, omega):
+def interpolate_by_l2_inner(primal, dual, omega):
     """One cell's interpolant with every moment taken by `l2_inner` on PolyForms,
-    the system from the cell's exact Grams and pairing."""
-    primal, dual = dec.primal, dec.dual
+    the system from the cell's exact Grams and pairing, decomposed afresh."""
+    dec = decompose_pair(primal, dual)
     system = np.vstack([
         (dec.pairing @ dec.dual_PB.basis).T,
         dec.ring_P0.basis.T @ primal.gram(),
@@ -187,17 +170,16 @@ class TestGlobalInterpolation:
             exact = padfeec.interp.derivative_matrix
             monkeypatch.setattr(padfeec.interp, "derivative_matrix", lambda n, j: 1.5 * exact(n, j))
         else:
-            exact = padfeec.forms.CellGeometry.mass_matrix
+            exact = padfeec.spaces.MeshGeometry.mass_matrices
 
-            def skewed(cell, j):
-                M = exact(cell, j).copy()
-                M[0, 0] *= 1.01
+            def skewed(geometry, j):
+                M = exact(geometry, j).copy()
+                M[:, 0, 0] *= 1.01
                 return M
 
-            monkeypatch.setattr(padfeec.forms.CellGeometry, "mass_matrix", skewed)
+            monkeypatch.setattr(padfeec.spaces.MeshGeometry, "mass_matrices", skewed)
         worst = 0.0
-        for dec in ladder(BOX2).local_decompositions(k):
-            spec = padfeec.interp.interpolator_spec(dec)
+        for spec in padfeec.interp.interpolator_spec(BOX2, k):
             J = spec.operator @ spec.basis_coeffs
             worst = max(worst, float(np.abs(J - np.eye(len(J))).max()))
         assert worst > 1e-4
@@ -207,10 +189,9 @@ class TestGlobalInterpolation:
         # the oracle interpolates every broken basis member as a global field
         # that is zero on every other cell
         interp = global_interpolator(mesh, k)
-        broken = interp.broken
         cols = []
         for ci in range(mesh.num_cells):
-            for b in broken.locals[ci].basis:
+            for b in interp.specs[ci].primal.basis:
                 field = [PolyForm(mesh.dim, k) for _ in range(mesh.num_cells)]
                 field[ci] = b
                 cols.append(interp(field))
@@ -222,21 +203,23 @@ class TestGlobalInterpolation:
         n = mesh.dim
         decs = ladder(mesh).local_decompositions(k)
         for spec, dec in zip(global_interpolator(mesh, k).specs, decs):
+            primal = spec.primal
+            dual = trimmed_local(primal.cell, k + 1, "dual") if k < n else None
             npb, nring, nperp = dec.dual_PB.dim, dec.ring_P0.dim, dec.P0_perp.dim
             assert spec.value_tests.shape[1] == npb + nring + nperp == spec.primal.dim
             assert not spec.value_tests[:, npb + nring:].any()
             assert not spec.derivative_tests[:, npb:npb + nring].any()
             expected_value, expected_derivative = [], []
             for j in range(npb):
-                q = dec.dual.form_from_coeffs(dec.dual_PB.basis[:, j])
+                q = dual.form_from_coeffs(dec.dual_PB.basis[:, j])
                 expected_value.append(codifferential(q).coefficient_vector())
                 expected_derivative.append(-q.coefficient_vector())
             for j in range(nring):
                 expected_value.append(
-                    dec.primal.form_from_coeffs(dec.ring_P0.basis[:, j]).coefficient_vector()
+                    primal.form_from_coeffs(dec.ring_P0.basis[:, j]).coefficient_vector()
                 )
             for j in range(nperp):
-                w = dec.primal.form_from_coeffs(dec.P0_perp.basis[:, j])
+                w = primal.form_from_coeffs(dec.P0_perp.basis[:, j])
                 dw = exterior_derivative(w) if k < n else PolyForm(n, k + 1)
                 expected_derivative.append(dw.coefficient_vector())
             got_value = spec.value_tests[:, : npb + nring]
@@ -260,13 +243,19 @@ class TestGlobalInterpolation:
     )
     def test_global_interpolation_matches_l2_inner_route(self, mesh, k):
         rng = np.random.default_rng(9)
-        decs = ladder(mesh).local_decompositions(k)
+        cells = [mesh.cell_geometry(ci) for ci in range(mesh.num_cells)]
+        primals = [trimmed_local(cell, k, "primal") for cell in cells]
+        duals = [
+            trimmed_local(cell, k + 1, "dual") if k < mesh.dim
+            else LocalSpace(cell, k + 1, [], op="delta")
+            for cell in cells
+        ]
         fields = [global_field(mesh, random_polyform(mesh.dim, k, 3, rng))]
         fields.append([random_polyform(mesh.dim, k, 3, rng) for _ in range(mesh.num_cells)])
         for field in fields:
             got = interpolate_global(mesh, k, field)
             expected = np.concatenate([
-                interpolate_by_l2_inner(dec, omega) for dec, omega in zip(decs, field)
+                interpolate_by_l2_inner(p, q, omega) for p, q, omega in zip(primals, duals, field)
             ])
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -329,9 +318,8 @@ class TestCommutation:
         assert worst < 1e-11
 
     def test_shape_space_residual_zero(self):
-        lad = ladder(BOX2)
         interp = global_interpolator(BOX2, 0)
-        field = [lad.primal(0).locals[ci].basis[1] for ci in range(BOX2.num_cells)]
+        field = [interp.specs[ci].primal.basis[1] for ci in range(BOX2.num_cells)]
         assert commute_check(BOX2, 0, field) < 1e-12
 
 
@@ -345,8 +333,7 @@ class TestStability:
         assert rep["graph_ratio"] <= rep["graph_bound"] + 1e-9
 
     def test_shape_space_samples_have_unit_ratio(self):
-        lad = ladder(BOX4)
         interp = global_interpolator(BOX4, 0)
-        field = [lad.primal(0).locals[ci].basis[2] for ci in range(BOX4.num_cells)]
+        field = [interp.specs[ci].primal.basis[2] for ci in range(BOX4.num_cells)]
         rep = stability_report(BOX4, 0, [field])
         assert rep["graph_ratio"] == pytest.approx(1.0, abs=1e-10)

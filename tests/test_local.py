@@ -12,7 +12,6 @@ from padfeec.forms import (
 from padfeec.linalg import Subspace, subspace_equal
 from padfeec.local import (
     curl_components,
-    decompose_local,
     div_of,
     edge_bubble,
     fast_local_constants,
@@ -20,13 +19,14 @@ from padfeec.local import (
     grad_components,
     interior_quadratic,
     local_constants,
-    mixed_local,
     rot_of,
     star_local,
     vec_inner,
+    trimmed_local,
     whitney_form,
-    whitney_local,
 )
+
+from oracles import decompose_pair, ladder_locals
 
 rng = np.random.default_rng(42)
 
@@ -71,13 +71,13 @@ class TestWhitneyLocal:
     )
     def test_dimensions(self, n, k, variant, dim):
         cell = random_triangle() if n == 2 else random_tet()
-        space = whitney_local(cell, k, variant)
+        space = trimmed_local(cell, k, variant)
         assert space.dim == dim
         assert space.is_independent()
 
     def test_summands_orthogonal(self):
         cell = random_triangle()
-        space = whitney_local(cell, 1, "primal")
+        space = trimmed_local(cell, 1, "primal")
         const = space.basis[:2]
         koszul_part = space.basis[2:]
         for a in const:
@@ -86,7 +86,7 @@ class TestWhitneyLocal:
 
     def test_dual_summands_orthogonal(self):
         cell = random_triangle()
-        space = whitney_local(cell, 2, "dual")
+        space = trimmed_local(cell, 2, "dual")
         const = space.basis[:1]
         conj = space.basis[1:]
         for a in const:
@@ -96,7 +96,7 @@ class TestWhitneyLocal:
     def test_primal_k1_matches_rotated_rt(self):
         # the trimmed 1-forms and the circulation forms of a + b x_perp agree
         cell = random_triangle()
-        trimmed = whitney_local(cell, 1, "primal")
+        trimmed = trimmed_local(cell, 1, "primal")
         rtp = gallery_2d(cell, "RTperp")
         A = np.column_stack([trimmed.expand(w) for w in rtp.basis])
         assert np.linalg.matrix_rank(A) == 3
@@ -114,7 +114,7 @@ class TestRangeKernel:
 
     def test_gradient_of_scalars(self):
         cell = random_triangle()
-        space = whitney_local(cell, 0, "primal")
+        space = trimmed_local(cell, 0, "primal")
         T = self.images(space)
         assert np.linalg.matrix_rank(T) == 2  # the kernel is the constants
         consts = np.column_stack(
@@ -124,7 +124,7 @@ class TestRangeKernel:
 
     def test_delta_on_dual_volume_forms(self):
         cell = random_triangle()
-        space = whitney_local(cell, 2, "dual")
+        space = trimmed_local(cell, 2, "dual")
         assert space.dim == 3
         assert np.linalg.matrix_rank(self.images(space)) == 2
 
@@ -140,9 +140,9 @@ class TestDecomposition:
     @pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
     def test_whitney_pair_has_trivial_null_part(self, n, k):
         cell = random_triangle() if n == 2 else random_tet()
-        primal = whitney_local(cell, k, "primal")
-        dual = whitney_local(cell, k + 1, "dual")
-        dec = decompose_local(primal, dual)
+        primal = trimmed_local(cell, k, "primal")
+        dual = trimmed_local(cell, k + 1, "dual")
+        dec = decompose_pair(primal, dual)
         assert dec.P0.dim == 0
         assert dec.PB.dim == primal.dim
         assert dec.dual_P0.dim == 0
@@ -156,7 +156,7 @@ class TestDecomposition:
         # against full quadratics
         dual.basis = dual.basis[:6]
         dual.__post_init__()
-        dec = decompose_local(primal, dual)
+        dec = decompose_pair(primal, dual)
         assert dec.P0.dim + dec.PB.dim == primal.dim
         assert dec.dual_P0.dim + dec.dual_PB.dim == dual.dim
 
@@ -184,7 +184,7 @@ class TestDecomposition:
         dual = star_local(gallery_2d(cell, "P2plus"))
         dual.basis = dual.basis[:6]
         dual.__post_init__()
-        dec = decompose_local(primal, dual)
+        dec = decompose_pair(primal, dual)
         coeffs = dual.expand(hodge_star(interior_quadratic(cell)))
         assert dec.dual_P0.dim >= 1
         assert dec.dual_P0.contains(coeffs.reshape(-1, 1), tol=1e-8)
@@ -194,10 +194,9 @@ class TestLocalConstants:
     @pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
     def test_whitney_alpha_beta_one(self, n, k):
         cell = random_triangle() if n == 2 else random_tet()
-        dec = decompose_local(
-            whitney_local(cell, k, "primal"), whitney_local(cell, k + 1, "dual")
-        )
-        alpha, beta, gamma = local_constants(dec)
+        primal, dual = trimmed_local(cell, k, "primal"), trimmed_local(cell, k + 1, "dual")
+        dec = decompose_pair(primal, dual)
+        alpha, beta, gamma = local_constants(dec, primal, dual)
         assert alpha == pytest.approx(1.0, abs=1e-10)
         assert beta == pytest.approx(1.0, abs=1e-10)
         assert gamma > 0
@@ -208,8 +207,8 @@ class TestLocalConstants:
         dual = star_local(gallery_2d(cell, "P2plus"))
         dual.basis = dual.basis[:6]
         dual.__post_init__()
-        dec = decompose_local(primal, dual)
-        alpha, beta, gamma = local_constants(dec)
+        dec = decompose_pair(primal, dual)
+        alpha, beta, gamma = local_constants(dec, primal, dual)
         assert alpha > 0 and beta > 0 and gamma > 0
 
     @pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (3, 1)])
@@ -217,9 +216,9 @@ class TestLocalConstants:
         # range of d on the primal twisted part equals the kernel of delta on
         # the dual twisted part, and vice versa
         cell = random_triangle() if n == 2 else random_tet()
-        primal = whitney_local(cell, k, "primal")
-        dual = whitney_local(cell, k + 1, "dual")
-        dec = decompose_local(primal, dual)
+        primal = trimmed_local(cell, k, "primal")
+        dual = trimmed_local(cell, k + 1, "dual")
+        dec = decompose_pair(primal, dual)
         d_imgs = [
             dual.expand(exterior_derivative(primal.form_from_coeffs(dec.PB.basis[:, j])))
             for j in range(dec.PB.dim)
@@ -376,7 +375,7 @@ class TestWhitneyForms:
 
     def test_lives_in_trimmed_space(self):
         cell = random_tet()
-        trimmed = whitney_local(cell, 1, "primal")
+        trimmed = trimmed_local(cell, 1, "primal")
         for edge in ((0, 1), (1, 3), (2, 3)):
             trimmed.expand(whitney_form(cell, edge))  # raises if outside
 
@@ -384,14 +383,14 @@ class TestWhitneyForms:
 class TestMixedLocal:
     def test_dimension(self):
         cell = random_triangle()
-        assert mixed_local(cell, 1).dim == 2 + 1 + 1
+        assert trimmed_local(cell, 1, "full").dim == 2 + 1 + 1
         cell3 = random_tet()
-        assert mixed_local(cell3, 1).dim == 3 + 3 + 1
-        assert mixed_local(cell3, 2).dim == 3 + 1 + 3
+        assert trimmed_local(cell3, 1, "full").dim == 3 + 3 + 1
+        assert trimmed_local(cell3, 2, "full").dim == 3 + 1 + 3
 
     def test_d_and_delta_land_in_constants(self):
         cell = random_triangle()
-        space = mixed_local(cell, 1)
+        space = trimmed_local(cell, 1, "full")
         for w in space.basis:
             dw = exterior_derivative(w)
             assert dw.poly_degree() == 0
@@ -409,10 +408,10 @@ class TestFastLocalConstants:
         lad = ladder(mesh)
         worst = 0.0
         for k in range(mesh.dim):
-            primal, dual = lad.primal(k), lad.dual(k + 1)
+            primal, dual = ladder_locals(lad.primal(k)), ladder_locals(lad.dual(k + 1))
             for ci in range(mesh.num_cells):
-                p, q = primal.locals[ci], dual.locals[ci]
+                p, q = primal[ci], dual[ci]
                 fast = fast_local_constants(p, q)
-                full = local_constants(decompose_local(p, q))
+                full = local_constants(decompose_pair(p, q), p, q)
                 worst = max(worst, float(np.abs(np.subtract(fast, full)).max()))
         assert worst <= 1e-12

@@ -4,8 +4,8 @@ import scipy.sparse
 
 from padfeec.forms import CellGeometry, hodge_star, inner_matrix, l2_inner
 from padfeec.linalg import Subspace, rank, subspace_equal
-from padfeec.local import mixed_local, pairing_matrix, whitney_local
-from padfeec.mesh import Mesh, generate_structured
+from padfeec.local import block_d_expand, pairing_matrix, trimmed_local
+from padfeec.mesh import generate_structured
 from padfeec.spaces import (
     abcfes_by_constraints,
     broken_space,
@@ -16,6 +16,8 @@ from padfeec.spaces import (
     star_space,
     verify_trace_continuity,
 )
+
+from oracles import decompose_pair, jittered, ladder_locals
 
 BOX2 = generate_structured(2, 2)
 BOX3 = generate_structured(3, 1)
@@ -351,9 +353,9 @@ class TestLadderOperators:
         calls = []
         original = local.decompose_local
 
-        def counted(primal, dual, *pairing):
-            calls.append(primal.cell)
-            return original(primal, dual, *pairing)
+        def counted(Mp, *stacks):
+            calls.extend(range(len(Mp)))
+            return original(Mp, *stacks)
 
         # patch every module-level binding of the function
         for name in dir(padfeec):
@@ -385,10 +387,7 @@ def _fresh_cells(mesh):
 
 def _fresh_locals(mesh, k, family, cells=None):
     """Every cell's trimmed local space, built outside the ladder."""
-    return [
-        mixed_local(geo, k) if family == "full" else whitney_local(geo, k, family)
-        for geo in cells or _fresh_cells(mesh)
-    ]
+    return [trimmed_local(geo, k, family) for geo in cells or _fresh_cells(mesh)]
 
 
 def _dense_blocks(blocks):
@@ -421,7 +420,7 @@ def _gram_errors(mesh):
             worst = max(worst, _rel_error(broken.gram(), expected))
             energy = _dense_blocks([sp.energy_gram() for sp in fresh])
             if energy.any():
-                ladder_energy = _dense_blocks([sp.energy_gram() for sp in broken.locals])
+                ladder_energy = _dense_blocks(list(broken.energy_blocks()))
                 worst = max(worst, _rel_error(ladder_energy, energy))
         if k < mesh.dim:
             duals = _fresh_locals(mesh, k + 1, "dual", cells)
@@ -444,19 +443,6 @@ def _star_errors(mesh):
             S = star_block_matrix(_fresh_locals(mesh, n - k, "primal"), _fresh_locals(mesh, k, "dual"))
             worst = max(worst, _rel_error(lad.whitney_star(k, bc).atlas, S @ source.atlas))
     return worst
-
-
-def jittered(mesh, seed, amount, everywhere=False):
-    """A copy of a unit-box mesh with its vertices moved by up to ``amount``.
-
-    Only interior vertices move unless ``everywhere``; either way every cell
-    gets its own shape, so a mapping error cannot hide behind congruent cells.
-    """
-    rng = np.random.default_rng(seed)
-    V = np.array(mesh.vertices, dtype=float)
-    movable = np.ones(len(V), dtype=bool) if everywhere else np.all((V > 0) & (V < 1), axis=1)
-    V[movable] += rng.uniform(-amount, amount, size=(int(movable.sum()), mesh.dim))
-    return Mesh(mesh.dim, V, mesh.cells)
 
 
 def _old_p0_star(p0):
@@ -560,7 +546,6 @@ class TestBlockAssemblyOracle:
 
     def test_star_matrices_and_d_expansion(self, mesh):
         from padfeec.forms import exterior_derivative
-        from padfeec.spaces import block_d_expand
 
         lad = ladder(mesh)
         n = mesh.dim
@@ -571,7 +556,7 @@ class TestBlockAssemblyOracle:
             assert np.array_equal(p0.star_matrix().toarray(), _old_p0_star(p0))
             if k < n:
                 source, target = lad.primal(k), lad.primal(k + 1)
-                d = block_d_expand(source, target)
+                d = block_d_expand(ladder_locals(source), ladder_locals(target))
                 _assert_cellwise(d, target.block_dims, source.block_dims)
                 fresh_s, fresh_t = _fresh_locals(mesh, k, "primal"), _fresh_locals(mesh, k + 1, "primal")
                 expected = _dense_blocks([
@@ -618,6 +603,30 @@ class TestBlockAssemblyOracle:
             blocks = ladder(mesh).primal(k).block_dims
             _assert_cellwise(J, blocks, blocks)
             assert np.array_equal(J.toarray(), _old_projectivity(mesh, k))
+
+    def test_local_decompositions(self, mesh):
+        # every part of the batched cell decompositions spans what the
+        # decomposition of freshly built trimmed local spaces spans, in a
+        # basis orthonormal in the cell's Gram
+        from padfeec.local import LocalSpace
+
+        lad = ladder(mesh)
+        cells = _fresh_cells(mesh)
+        parts = ("P0", "ring_P0", "P0_perp", "PB", "ring_PB", "dual_P0", "dual_PB", "dual_ring_PB")
+        for k in range(mesh.dim + 1):
+            primals = _fresh_locals(mesh, k, "primal", cells)
+            if k < mesh.dim:
+                duals = _fresh_locals(mesh, k + 1, "dual", cells)
+            else:
+                duals = [LocalSpace(cell, k + 1, [], op="delta") for cell in cells]
+            for dec, p, q in zip(lad.local_decompositions(k), primals, duals):
+                fresh = decompose_pair(p, q)
+                for part in parts:
+                    got, want = getattr(dec, part), getattr(fresh, part)
+                    ok, angle = subspace_equal(got, want, want.gram, tol=1e-10)
+                    assert ok, (k, part, got.dim, want.dim, angle)
+                    # orthonormal in the cell's own Gram, not another cell's
+                    assert _orthonormality_defect(got.basis, want.gram) <= ATLAS_RTOL, (k, part)
 
     def test_p0_gram_is_the_diagonal_of_volumes(self, mesh):
         lad = ladder(mesh)
@@ -677,7 +686,7 @@ class TestHodgeWithoutL2Inner:
         # the patch is live: the PolyForm route does reach it
         cell = CellGeometry([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(AssertionError, match="l2_inner reached"):
-            whitney_local(cell, 1).gram()
+            trimmed_local(cell, 1, "primal").gram()
         code = main([
             "solve", "hodge", "--mesh", "box:2", "--k", "1", "--scheme", "all",
             "--check-equivalence",
@@ -685,6 +694,38 @@ class TestHodgeWithoutL2Inner:
         records = json.loads(capsys.readouterr().out)["records"]
         assert code == 0 and len(records) == 5
         assert all(r["verdict"] == "pass" for r in records), records
+
+
+class TestRuntimeWithoutLocalSpace:
+    def test_suite_and_interp_pass_with_local_space_refused(self, monkeypatch, capsys):
+        # no runtime path may build a cell's LocalSpace: every cellwise array
+        # comes from the reference blocks and the mesh geometry
+        import importlib
+        import json
+
+        from padfeec import local
+        from padfeec.cli import main
+
+        class Refused:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("LocalSpace built")
+
+        names = ("forms", "linalg", "local", "mesh", "spaces", "adjoint", "interp", "solve", "cli")
+        original = local.LocalSpace
+        for module in (importlib.import_module("padfeec." + name) for name in names):
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, Refused)
+        # the patch is live: the oracle route does build one
+        cell = CellGeometry([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(AssertionError, match="LocalSpace built"):
+            trimmed_local(cell, 1, "primal")
+        interp = ["verify", "interp", "--mesh", "box:8", "--k", "0"]
+        for argv in (["suite", "all", "--fast"], interp):
+            code = main(argv)
+            records = json.loads(capsys.readouterr().out)["records"]
+            assert code == 0 and records, argv
+            assert all(r["verdict"] == "pass" for r in records), records
 
 
 # -- sub-simplex owners against the cell scan they replaced -----------------------
@@ -835,7 +876,7 @@ class TestGramOrthonormalConstraintBases:
             broken = lad.broken(k, "full")
             ref = [
                 scipy.linalg.solve_triangular(scipy.linalg.cholesky(sp.gram()), np.eye(sp.dim))
-                for sp in broken.locals
+                for sp in ladder_locals(broken)
             ]
             Rinv = broken.gram_factor_inverse()
             for i, block in enumerate(ref):
