@@ -8,8 +8,9 @@ identity, and the horizontal slice dualities.  Every theorem-level check
 returns a structured verdict naming the first failed hypothesis instead of
 assuming it.
 
-Base pairs are checked cell by cell on the ladder's block-diagonal
-pairing, d and delta, and each report is kept in the ladder.  The kernels
+Base pairs are checked in one batched pass over the cells' Gram, energy
+and pairing stacks, with d and delta as the reference blocks that every
+cell holds, and each report is kept in the ladder.  The kernels
 and ranges of the three discrete complexes (nonconforming, conforming
 Whitney, starred) come from `_complex_kernel` and `_complex_range`;
 harmonic spaces, Hodge splits and slice dualities read them, and only the
@@ -29,9 +30,10 @@ from .linalg import (
     infsup,
     nullspace,
     orthonormalize,
+    rank,
     subspace_equal,
 )
-from .local import cell_constants, pairing_null_dims, pairing_singular_values
+from .local import cell_constants
 from .spaces import ladder
 
 
@@ -120,19 +122,19 @@ def _p0_coords(lad, k, broken, vectors, tol=1e-9):
     return coords
 
 
-def _cell_icr(T_block, M_local, range_gram_scale, eig_tol):
-    """Lean per-cell index of closed range for a small stiffness block."""
-    K = T_block.T @ T_block * range_gram_scale
-    L = np.linalg.cholesky(0.5 * (M_local + M_local.T))
-    Kw = np.linalg.solve(L, np.linalg.solve(L, 0.5 * (K + K.T)).T)
-    w = np.linalg.eigvalsh(0.5 * (Kw + Kw.T))
-    wmax = max(w[-1], 0.0)
-    if wmax <= 0.0:
-        return 0.0
-    positive = w[w > eig_tol * wmax]
-    if positive.size == 0:
-        return 0.0
-    return 1.0 / np.sqrt(float(positive[0]))
+def _cell_icr(T, grams, scales, eig_tol):
+    """Largest cell index of closed range of the reference block T of d or delta.
+
+    Cell K's stiffness T^T T scales[K], whitened by its Gram, is one stacked
+    eigenproblem; the cell's index is 1/sqrt of its smallest eigenvalue above
+    ``eig_tol`` times its largest, and 0 where none is.
+    """
+    K = (T.T @ T) * scales[:, None, None]
+    L = np.linalg.cholesky(0.5 * (grams + np.swapaxes(grams, 1, 2)))
+    Kw = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, 0.5 * (K + np.swapaxes(K, 1, 2))), 1, 2))
+    w = np.linalg.eigvalsh(0.5 * (Kw + np.swapaxes(Kw, 1, 2)))
+    positive = w > eig_tol * np.maximum(w[:, -1:], 0.0)
+    return float(np.max(1.0 / np.sqrt(np.where(positive, w, np.inf).min(axis=1))))
 
 
 def base_pair_report(mesh, k, eig_tol=1e-10):
@@ -147,49 +149,38 @@ def base_pair_report(mesh, k, eig_tol=1e-10):
 
 
 def _build_base_pair_report(mesh, k, eig_tol):
-    """One pass over the cells of the block-diagonal pairing, d and delta.
+    """One batched pass over the cells' Gram, energy and pairing stacks.
 
     The mutual annihilators of a block-diagonal pairing are the sums of its
     cell annihilators, read off the singular values of each cell block.  A
     singular or non-square block fails `annihilator_cores_trivial`; its cell
     constants are undefined (NaN) and the constants are minima over the
     other cells.  With trivial cores the twisted parts are the whole broken
-    spaces, so the twisted kernel dimensions reduce to the cellwise ranks of
-    d and delta, the core's index of closed range is its convention value 0,
-    and the broken indices of closed range are cell suprema.
+    spaces, so the twisted kernel dimensions reduce to the ranks of the
+    reference blocks of d and delta, the core's index of closed range is its
+    convention value 0, and the broken indices of closed range are cell
+    suprema.
     """
     lad = ladder(mesh)
     primal, dual = lad.primal(k), lad.dual(k + 1)
-    p0_hi, p0_lo = lad.p0(k + 1), lad.p0(k)
-    # every cell holds the reference blocks of d and delta; the constant images
-    # are the leading members of the other side's basis
     p_ref, q_ref = primal.reference, dual.reference
-    Dk, Deltak = p_ref.d, q_ref.delta
-    delta_imgs, d_imgs = p_ref.projection.T @ Deltak, q_ref.projection.T @ Dk
     Mp, Md = primal.gram_blocks(), dual.gram_blocks()
-    Ep, Ed = primal.energy_blocks(), dual.energy_blocks()
-    rank_D, rank_Delta = (mesh.num_cells * _block_rank(T) for T in (Dk, Deltak))
-    uM_dim = uN_dim = 0
-    icr_tilde = icr_tilde_adj = 0.0
-    alphas, betas, gammas = [], [], []
-    for ci, Bk in enumerate(lad.pairing_blocks(k)):
-        sv = pairing_singular_values(Bk)
-        core_p, core_q = pairing_null_dims(p_ref.dim, q_ref.dim, sv)
-        uM_dim += core_p
-        uN_dim += core_q
-        if core_p or core_q:
-            a = b = g = np.nan
-        else:
-            a, b, g = cell_constants(Mp[ci], Ep[ci], Md[ci], Ed[ci], Bk, delta_imgs, d_imgs)
-        alphas.append(a)
-        betas.append(b)
-        gammas.append(g)
-        icr_tilde = max(icr_tilde, _cell_icr(Dk, Mp[ci], p0_hi.volumes[ci], eig_tol))
-        icr_tilde_adj = max(
-            icr_tilde_adj, _cell_icr(Deltak, Md[ci], p0_lo.volumes[ci], eig_tol)
-        )
+    B = lad.pairing_blocks(k)
+    scales = np.maximum(np.abs(B).max(axis=(1, 2), initial=0.0), 1e-30)
+    ranks = np.sum(np.linalg.svd(B / scales[:, None, None], compute_uv=False) > 1e-10, axis=1)
+    core_p, core_q = p_ref.dim - ranks, q_ref.dim - ranks
+    trivial = (core_p == 0) & (core_q == 0)
+    alpha_cells, beta_cells, gamma_cells = (
+        np.where(trivial, c, np.nan)
+        for c in cell_constants(p_ref, q_ref, Mp, primal.energy_blocks(), Md, dual.energy_blocks(), B)
+    )
+    alpha, beta, gamma = (
+        float(c[trivial].min()) if trivial.any() else np.nan
+        for c in (alpha_cells, beta_cells, gamma_cells)
+    )
+    rank_D, rank_Delta = (mesh.num_cells * rank(T, tol=1e-12) for T in (p_ref.d, q_ref.delta))
+    uM_dim, uN_dim = int(core_p.sum()), int(core_q.sum())
     cores_trivial = uM_dim == 0 and uN_dim == 0
-    alpha, beta, gamma = (_min_defined(c) for c in (alphas, betas, gammas))
     assumptions = {
         "annihilator_cores_trivial": cores_trivial,
         # the twisted kernels pair isomorphically across sides
@@ -199,7 +190,6 @@ def _build_base_pair_report(mesh, k, eig_tol):
         "alpha_positive": alpha > 0,
         "beta_positive": beta > 0,
     }
-    alpha_cells, beta_cells = np.asarray(alphas), np.asarray(betas)
     alpha_cells.flags.writeable = False
     beta_cells.flags.writeable = False
     return BasePairReport(
@@ -208,28 +198,14 @@ def _build_base_pair_report(mesh, k, eig_tol):
         alpha=alpha,
         beta=beta,
         gamma=gamma,
-        icr_tilde=float(icr_tilde),
-        icr_tilde_adjoint=float(icr_tilde_adj),
+        icr_tilde=_cell_icr(p_ref.d, Mp, lad.p0(k + 1).volumes, eig_tol),
+        icr_tilde_adjoint=_cell_icr(q_ref.delta, Md, lad.p0(k).volumes, eig_tol),
         icr_under=0.0,
         icr_under_adjoint=0.0,
         alpha_cells=alpha_cells,
         beta_cells=beta_cells,
         assumptions_ok=assumptions,
     )
-
-
-def _min_defined(values):
-    """Minimum over the cells whose constant is defined; NaN if none is."""
-    defined = [v for v in values if not np.isnan(v)]
-    return float(min(defined)) if defined else float("nan")
-
-
-def _block_rank(block):
-    """Numerical rank of one small cell block."""
-    if not block.size:
-        return 0
-    s = np.linalg.svd(block, compute_uv=False)
-    return int(np.sum(s > 1e-12 * s[0])) if s[0] > 0 else 0
 
 
 def whitney_pair(mesh, k, bc="none"):

@@ -7,16 +7,17 @@ cell, with its d, delta, P0 projection, pairing and star blocks, built once
 per (n, k, family) on first use.  The runtime reads cells only through these
 blocks and the mesh's geometry: `decompose_local` splits every cell's pair
 into its pairing-null part and its twisted part in one batched pass over
-the cells' Gram, energy and pairing stacks, `cell_constants` gives a cell's
-inf-sups from the same stacks, and the Whitney forms of a whole mesh have
-their trimmed coordinates in closed form (`whitney_coefficients`).
+the cells' Gram, energy and pairing stacks, `cell_constants` gives every
+cell's inf-sups in one batched pass over the same stacks, and the Whitney
+forms of a whole mesh have their trimmed coordinates in closed form
+(`whitney_coefficients`).
 
 A `LocalSpace` is a span of `PolyForm`s on one cell, with Grams by exact
-integration.  `trimmed_local`, `pairing_matrix`, `block_d_expand`,
-`local_constants` and `fast_local_constants` are the oracles that the
-tests compare the runtime with.  The closed-form 2-D families (lowest-degree
-H(div) shape functions, Crouzeix-Raviart companions, enriched quadratics
-with the cubic edge bubble, enhanced linear fluxes) are local spaces too;
+integration.  `trimmed_local`, `pairing_matrix`, `block_d_expand` and
+`local_constants` are the oracles that the tests compare the runtime with.
+The closed-form 2-D families (lowest-degree H(div) shape functions,
+Crouzeix-Raviart companions, enriched quadratics with the cubic edge
+bubble, enhanced linear fluxes) are local spaces too;
 their vector fields are identified with 1-forms through the flux map
 (u, v) -> u dy - v dx (normal traces) or the circulation map
 (u, v) -> u dx + v dy (tangential traces).
@@ -33,7 +34,6 @@ from .errors import (
     AssumptionViolation,
     DegreeMismatch,
     InvalidParameter,
-    NotAdmissible,
     Unsupported,
 )
 from .forms import (
@@ -50,7 +50,6 @@ from .forms import (
     star_sign,
 )
 from .linalg import (
-    RANK_TOL,
     Subspace,
     block_diagonal,
     dense_factor,
@@ -133,11 +132,6 @@ class LocalSpace:
         if resid2 > tol * scale:
             raise AssumptionViolation("form lies outside the local space")
         return coeffs
-
-    def is_independent(self, tol=RANK_TOL):
-        G = self.gram() + self.energy_gram()
-        w = np.linalg.eigvalsh(G)
-        return w[0] > tol * max(w[-1], 1e-30)
 
 
 # the operator each trimmed family pairs with: the energy Gram is its image's Gram
@@ -422,18 +416,24 @@ def _unit_block(stack, what):
     return unit[0]
 
 
-def _gram_orthonormal(Z, grams):
-    """(cells, p, m) bases Z R_K^-1 (R_K^T R_K = Z^T G_K Z), orthonormal in each
-    cell's Gram G_K; their leading j columns span what those of Z span."""
+def _gram_orthonormal(Z, factors):
+    """(cells, p, m) bases of span Z, orthonormal in each cell's Gram G_K = R_K^T R_K.
+
+    ``factors`` are the stacks (R, R^-1) of `dense_factor` of the Grams.
+    Cell K's basis is R_K^-1 Q_K for the Householder QR factor Q_K of the
+    whitened basis R_K Z, as `orthonormalize` takes it, so the leading j
+    columns span what those of Z span.  Z must have full column rank.
+    """
+    R, Rinv = factors
     if Z.shape[1] == 0:
-        return np.zeros((len(grams), Z.shape[0], 0))
-    return Z @ dense_factor(Z.T @ grams @ Z)[1]
+        return np.zeros((len(R), Z.shape[0], 0))
+    return Rinv @ np.linalg.qr(R @ Z).Q
 
 
-def _complement_in(N, Z, grams):
+def _complement_in(N, Z, factors):
     """Bases of the G_K-orthogonal complement of span N inside span Z, which holds it."""
     basis = np.hstack([N, Z @ nullspace(N.T @ Z).basis])
-    return _gram_orthonormal(basis, grams)[:, :, N.shape[1]:]
+    return _gram_orthonormal(basis, factors)[:, :, N.shape[1]:]
 
 
 def _side_parts(grams, energies, pairing_rows):
@@ -450,12 +450,13 @@ def _side_parts(grams, energies, pairing_rows):
     N0 = nullspace(B).basis
     N1 = nullspace(np.vstack([B, E])).basis
     rest = N0 @ nullspace(N1.T @ N0).basis
+    factors = dense_factor(grams)
     return (
-        _gram_orthonormal(N0, grams),
-        _gram_orthonormal(N1, grams),
-        _complement_in(N1, N0, grams),
-        _complement_in(N1, nullspace(rest.T @ E).basis, grams),
-        _complement_in(N1, nullspace(E).basis, grams),
+        _gram_orthonormal(N0, factors),
+        _gram_orthonormal(N1, factors),
+        _complement_in(N1, N0, factors),
+        _complement_in(N1, nullspace(rest.T @ E).basis, factors),
+        _complement_in(N1, nullspace(E).basis, factors),
     )
 
 
@@ -536,74 +537,49 @@ def _kernel_range_infsup(kernel: Subspace, images, gram):
 
 
 def _graph_infsup(Gp, Gq, B):
-    """Smallest singular value of a pairing block B in the graph norms Gp and Gq."""
-    Lp = np.linalg.cholesky(0.5 * (Gp + Gp.T))
-    Lq = np.linalg.cholesky(0.5 * (Gq + Gq.T))
-    C = np.linalg.solve(Lp, np.linalg.solve(Lq, B.T).T)
-    return float(np.linalg.svd(C, compute_uv=False)[min(B.shape) - 1])
+    """Smallest singular value of a pairing block B in the graph norms Gp and Gq.
 
-
-def pairing_singular_values(B):
-    """Singular values of a cell pairing block, scaled by its largest entry."""
-    return np.linalg.svd(B / max(np.abs(B).max(initial=0.0), 1e-30), compute_uv=False)
-
-
-def pairing_null_dims(p, q, sv):
-    """Dimensions of the two pairing-null parts of a p x q cell pairing block.
-
-    ``sv`` are its singular values from `pairing_singular_values`; both parts
-    are trivial exactly when the block is square and nonsingular.
+    Each argument may be one block or a (cells, ., .) stack of them.
     """
-    r = int(np.sum(sv > 1e-10))
-    return p - r, q - r
+    Lp = np.linalg.cholesky(0.5 * (Gp + np.swapaxes(Gp, -1, -2)))
+    Lq = np.linalg.cholesky(0.5 * (Gq + np.swapaxes(Gq, -1, -2)))
+    C = np.linalg.solve(Lp, np.swapaxes(np.linalg.solve(Lq, np.swapaxes(B, -1, -2)), -1, -2))
+    return np.linalg.svd(C, compute_uv=False)[..., min(B.shape[-2:]) - 1]
 
 
-def fast_local_constants(primal: LocalSpace, dual: LocalSpace, B=None, sv=None):
-    """(alpha_K, beta_K, gamma_K) on one cell whose pairing-null parts are trivial.
+def cell_constants(primal, dual, Mp, Ep, Md, Ed, B):
+    """(alpha, beta, gamma) of every cell, as (cells,) arrays, from the stacks.
 
-    ``B`` is the cell pairing block and ``sv`` its singular values from
-    `pairing_singular_values`; a caller that holds them passes them in.  A
-    singular or non-square block has a nontrivial pairing-null part, which
-    raises NotAdmissible; `local_constants` of `decompose_local` covers that
-    case.
+    ``primal`` and ``dual`` are the `ReferenceBlock`s of the pair, ``Mp``,
+    ``Ep``, ``Md`` and ``Ed`` the (cells, ., .) stacks of their Grams and
+    energy Grams and ``B`` the cells' pairing blocks.  alpha pairs the
+    d-kernel of the primal side with the delta-range of the dual side in the
+    primal Gram, beta the delta-kernel of the dual side with the d-range of
+    the primal side in the dual Gram: each kernel and range is the same
+    subspace on every cell, found once from the reference blocks, and only
+    its Gram-orthonormal basis is made per cell.  gamma is the pairing's
+    inf-sup in the graph norms.  The values mean something only on cells
+    whose pairing block is square and nonsingular.
     """
-    B = pairing_matrix(primal, dual) if B is None else B
-    sv = pairing_singular_values(B) if sv is None else sv
-    p, q = primal.dim, dual.dim
-    if pairing_null_dims(p, q, sv) != (0, 0):
-        raise NotAdmissible("cell pairing block has a nontrivial pairing-null part")
-    delta_imgs = np.column_stack(
-        [primal.expand(dual.op_image(j)) for j in range(q)]
-    ) if q else np.zeros((p, 0))
-    d_imgs = np.column_stack(
-        [dual.expand(primal.op_image(i)) for i in range(p)]
-    ) if p else np.zeros((q, 0))
-    return cell_constants(
-        primal.gram(), primal.energy_gram(), dual.gram(), dual.energy_gram(), B, delta_imgs, d_imgs
-    )
-
-
-def cell_constants(Mp, Ep, Md, Ed, B, delta_imgs, d_imgs):
-    """(alpha_K, beta_K, gamma_K) from one cell's Grams, energy Grams and pairing block.
-
-    ``delta_imgs`` holds the dual basis' delta images in primal coordinates
-    and ``d_imgs`` the primal basis' d images in dual coordinates; the
-    pairing block must be square and nonsingular (see `fast_local_constants`).
-    """
-
-    def pair_infsup(A, Bc, M):
-        if A.shape[1] == 0 and Bc.shape[1] == 0:
-            return 1.0
-        if A.shape[1] != Bc.shape[1]:
-            return 0.0
-        s = np.linalg.svd(A.T @ M @ Bc, compute_uv=False)
-        return float(np.clip(s[-1], 0.0, 1.0))
-
-    ker_p = nullspace(Ep).basis
-    alpha = pair_infsup(orthonormalize(ker_p, Mp), orthonormalize(delta_imgs, Mp), Mp)
-    ker_d = nullspace(Ed).basis
-    beta = pair_infsup(orthonormalize(ker_d, Md), orthonormalize(d_imgs, Md), Md)
+    alpha = _pair_infsup(nullspace(primal.energy).basis, primal.projection.T @ dual.delta, Mp)
+    beta = _pair_infsup(nullspace(dual.energy).basis, dual.projection.T @ primal.d, Md)
     return alpha, beta, _graph_infsup(Mp + Ep, Md + Ed, B)
+
+
+def _pair_infsup(kernel, images, grams):
+    """Every cell's inf-sup of span ``kernel`` against span ``images`` in its Gram.
+
+    1 when both are empty and 0 when their dimensions differ.
+    """
+    span = orthonormalize(images)
+    if kernel.shape[1] != span.shape[1]:
+        return np.zeros(len(grams))
+    if kernel.shape[1] == 0:
+        return np.ones(len(grams))
+    factors = dense_factor(grams)
+    A, S = _gram_orthonormal(kernel, factors), _gram_orthonormal(span, factors)
+    s = np.linalg.svd(np.swapaxes(A, 1, 2) @ grams @ S, compute_uv=False)
+    return np.clip(s[:, -1], 0.0, 1.0)
 
 
 # -- 2-D closed-form families ---------------------------------------------------

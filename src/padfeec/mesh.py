@@ -149,9 +149,6 @@ class Mesh:
     def total_volume(self):
         return float(sum(self.signed_volume(i) for i in range(self.num_cells)))
 
-    def max_diameter(self):
-        return max(self.cell_geometry(i).diameter for i in range(self.num_cells))
-
     def subsimplices(self, k):
         """Complete duplicate-free table of k-sub-simplices with boundary flags."""
         if not 0 <= k <= self.dim:
@@ -419,25 +416,6 @@ def refine_uniform(mesh):
             [(a, mab, mac), (b, mab, mbc), (c, mac, mbc), (mab, mac, mbc)]
         )
     return Mesh(2, vertices, cells, domain_volume=mesh.domain_volume)
-
-
-def canonically_equal(mesh_a, mesh_b, decimals=9):
-    """Equality of meshes up to a permutation of vertex labels."""
-    if mesh_a.dim != mesh_b.dim or mesh_a.num_vertices != mesh_b.num_vertices:
-        return False
-    if mesh_a.num_cells != mesh_b.num_cells:
-        return False
-
-    def canon(mesh):
-        keys = [tuple(round(float(x), decimals) for x in v) for v in mesh.vertices]
-        order = sorted(range(len(keys)), key=lambda i: keys[i])
-        rank = {old: new for new, old in enumerate(order)}
-        cells = sorted(tuple(sorted(rank[v] for v in cell)) for cell in mesh.cells)
-        return [keys[i] for i in order], cells
-
-    va, ca = canon(mesh_a)
-    vb, cb = canon(mesh_b)
-    return va == vb and ca == cb
 
 
 def shape_report(mesh):

@@ -165,8 +165,3 @@ def emit(report: Report, fmt="json", include_timings=False):
                 )
         return ("\n".join(lines) + "\n").encode()
     raise InvalidParameter("unknown report format %r" % (fmt,))
-
-
-def roundtrip(report: Report):
-    """Parse the JSON emission back into plain data (lossless by design)."""
-    return json.loads(emit(report, "json").decode())

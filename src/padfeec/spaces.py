@@ -69,7 +69,6 @@ from .linalg import (
     diagonal_blocks,
     gram_factor,
     nullspace,
-    rank,
 )
 from .local import (
     FAMILY_OPS,
@@ -584,6 +583,17 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
     for j in range(partner.dim):
         for ci in support[j]:
             cell_funcs[ci].append(j)
+    # every cell's functionals of its overlapping partner columns, restricted
+    # to its twisted part PB and zero-padded to one stack: one SVD gives each
+    # cell's rank, pseudo-inverse and local null basis
+    counts = np.array([len(cell_funcs[ci]) for ci in range(mesh.num_cells)])
+    L = np.zeros((mesh.num_cells, counts.max(initial=0), decs[0].PB.dim))
+    for ci, I2 in cell_funcs.items():
+        L[ci, : len(I2)] = BP[broken.cell_slice(ci), I2].T @ decs[ci].PB.basis
+    U, sv, Vt = np.linalg.svd(L)
+    short = np.flatnonzero(np.sum(sv > 1e-10 * sv[:, :1], axis=1) < counts)
+    if short.size:
+        raise AssumptionViolation("partner restrictions dependent on cell %d" % short[0])
     funcs = []
     reps = {}
     for ci in range(mesh.num_cells):
@@ -595,22 +605,15 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
             vec = np.zeros(broken.dim)
             vec[s] = dec.P0.basis[:, col]
             funcs.append(BasisFunction("type-I", ("cell", ci), vec))
-        # functionals of the overlapping partner columns, restricted to PB
-        L = BP[s, I2].T @ PB if I2 else np.zeros((0, PB.shape[1]))
-        if I2:
-            if rank(L, tol=1e-10) < len(I2):
-                raise AssumptionViolation(
-                    "partner restrictions dependent on cell %d" % ci
-                )
-            V = np.linalg.pinv(L)  # columns: local representatives per functional
-            for j_local, j in enumerate(I2):
-                reps[(ci, j)] = PB @ V[:, j_local]
-            null_local = nullspace(L).basis
-        else:
-            null_local = np.eye(PB.shape[1])
-        for col in range(null_local.shape[1]):
+        # the pseudo-inverse V_r S_r^-1 U_r^T; its columns are local
+        # representatives per functional
+        r = len(I2)
+        V = Vt[ci, :r].T / sv[ci, :r] @ U[ci, :r, :r].T
+        for j_local, j in enumerate(I2):
+            reps[(ci, j)] = PB @ V[:, j_local]
+        for null in Vt[ci, r:]:
             vec = np.zeros(broken.dim)
-            vec[s] = PB @ null_local[:, col]
+            vec[s] = PB @ null
             funcs.append(BasisFunction("type-I", ("cell", ci), vec))
     for j in range(partner.dim):
         cells = support[j]

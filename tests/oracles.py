@@ -4,12 +4,21 @@
 mapping error cannot hide behind congruent cells; `ladder_locals` builds
 the cells' trimmed `LocalSpace`s of a broken space with the ladder's Grams;
 `decompose_pair` runs `decompose_local` on one cell's pair of local spaces.
+`fast_local_constants` and `cell_icr` are the per-cell base-pair constants
+that the batched report is compared with; `is_independent`,
+`canonically_equal`, `max_diameter` and `roundtrip` are checks that only
+the tests make.
 """
+
+import json
 
 import numpy as np
 
-from padfeec.local import decompose_local, pairing_matrix, trimmed_local
+from padfeec.errors import NotAdmissible
+from padfeec.linalg import RANK_TOL, nullspace, orthonormalize
+from padfeec.local import LocalSpace, decompose_local, pairing_matrix, trimmed_local
 from padfeec.mesh import Mesh, generate_structured
+from padfeec.report import Report, emit
 
 
 def jittered(mesh, seed, amount, everywhere=False):
@@ -55,3 +64,103 @@ def ladder_locals(broken):
         sp._gram, sp._energy = G, E
         spaces.append(sp)
     return spaces
+
+
+def is_independent(space: LocalSpace, tol=RANK_TOL):
+    """True if the local space's basis is independent in the graph norm."""
+    w = np.linalg.eigvalsh(space.gram() + space.energy_gram())
+    return w[0] > tol * max(w[-1], 1e-30)
+
+
+def pairing_singular_values(B):
+    """Singular values of a cell pairing block, scaled by its largest entry."""
+    return np.linalg.svd(B / max(np.abs(B).max(initial=0.0), 1e-30), compute_uv=False)
+
+
+def pairing_null_dims(p, q, sv):
+    """Dimensions of the two pairing-null parts of a p x q cell pairing block.
+
+    ``sv`` are its singular values from `pairing_singular_values`; both parts
+    are trivial exactly when the block is square and nonsingular.
+    """
+    r = int(np.sum(sv > 1e-10))
+    return p - r, q - r
+
+
+def fast_local_constants(primal: LocalSpace, dual: LocalSpace, B=None):
+    """(alpha_K, beta_K, gamma_K) on one cell whose pairing-null parts are trivial.
+
+    ``B`` is the cell pairing block, `pairing_matrix` when None.  A singular
+    or non-square block has a nontrivial pairing-null part, which raises
+    NotAdmissible.  The kernels and ranges are found on this cell alone,
+    with the images expanded in the other side's basis.
+    """
+    B = pairing_matrix(primal, dual) if B is None else B
+    p, q = primal.dim, dual.dim
+    if pairing_null_dims(p, q, pairing_singular_values(B)) != (0, 0):
+        raise NotAdmissible("cell pairing block has a nontrivial pairing-null part")
+    delta_imgs = np.column_stack(
+        [primal.expand(dual.op_image(j)) for j in range(q)]
+    ) if q else np.zeros((p, 0))
+    d_imgs = np.column_stack(
+        [dual.expand(primal.op_image(i)) for i in range(p)]
+    ) if p else np.zeros((q, 0))
+    Mp, Ep, Md, Ed = primal.gram(), primal.energy_gram(), dual.gram(), dual.energy_gram()
+
+    def pair_infsup(A, Bc, M):
+        if A.shape[1] == 0 and Bc.shape[1] == 0:
+            return 1.0
+        if A.shape[1] != Bc.shape[1]:
+            return 0.0
+        s = np.linalg.svd(A.T @ M @ Bc, compute_uv=False)
+        return float(np.clip(s[-1], 0.0, 1.0))
+
+    alpha = pair_infsup(orthonormalize(nullspace(Ep).basis, Mp), orthonormalize(delta_imgs, Mp), Mp)
+    beta = pair_infsup(orthonormalize(nullspace(Ed).basis, Md), orthonormalize(d_imgs, Md), Md)
+    Gp, Gq = Mp + Ep, Md + Ed
+    Lp = np.linalg.cholesky(0.5 * (Gp + Gp.T))
+    Lq = np.linalg.cholesky(0.5 * (Gq + Gq.T))
+    C = np.linalg.solve(Lp, np.linalg.solve(Lq, B.T).T)
+    return alpha, beta, float(np.linalg.svd(C, compute_uv=False)[min(B.shape) - 1])
+
+
+def cell_icr(T_block, M_local, range_gram_scale, eig_tol):
+    """Index of closed range of one cell's stiffness block, whitened by its Gram."""
+    K = T_block.T @ T_block * range_gram_scale
+    L = np.linalg.cholesky(0.5 * (M_local + M_local.T))
+    Kw = np.linalg.solve(L, np.linalg.solve(L, 0.5 * (K + K.T)).T)
+    w = np.linalg.eigvalsh(0.5 * (Kw + Kw.T))
+    wmax = max(w[-1], 0.0)
+    if wmax <= 0.0:
+        return 0.0
+    positive = w[w > eig_tol * wmax]
+    if positive.size == 0:
+        return 0.0
+    return 1.0 / np.sqrt(float(positive[0]))
+
+
+def canonically_equal(mesh_a, mesh_b, decimals=9):
+    """Equality of meshes up to a permutation of vertex labels."""
+    if mesh_a.dim != mesh_b.dim or mesh_a.num_vertices != mesh_b.num_vertices:
+        return False
+    if mesh_a.num_cells != mesh_b.num_cells:
+        return False
+
+    def canon(mesh):
+        keys = [tuple(round(float(x), decimals) for x in v) for v in mesh.vertices]
+        order = sorted(range(len(keys)), key=lambda i: keys[i])
+        rank = {old: new for new, old in enumerate(order)}
+        cells = sorted(tuple(sorted(rank[v] for v in cell)) for cell in mesh.cells)
+        return [keys[i] for i in order], cells
+
+    return canon(mesh_a) == canon(mesh_b)
+
+
+def max_diameter(mesh):
+    """The largest cell diameter of a mesh."""
+    return max(mesh.cell_geometry(i).diameter for i in range(mesh.num_cells))
+
+
+def roundtrip(report: Report):
+    """Parse the JSON emission back into plain data (lossless by design)."""
+    return json.loads(emit(report, "json").decode())

@@ -24,10 +24,17 @@ from padfeec.local import (
     star_local,
     trimmed_local,
 )
-from padfeec.mesh import generate_structured
+from padfeec.mesh import Mesh, generate_structured
 from padfeec.spaces import ladder
 
-from oracles import decompose_pair, ladder_locals
+from oracles import (
+    JITTERED,
+    cell_icr,
+    decompose_pair,
+    fast_local_constants,
+    ladder_locals,
+    max_diameter,
+)
 
 BOX2 = generate_structured(2, 2)
 BOX4 = generate_structured(2, 4)
@@ -60,7 +67,7 @@ class TestBasePair:
         assert rep.alpha == pytest.approx(1.0, abs=1e-10)
         assert rep.beta == pytest.approx(1.0, abs=1e-10)
         assert rep.icr_under == 0.0
-        assert 0 < rep.icr_tilde <= 1.5 * mesh.max_diameter()
+        assert 0 < rep.icr_tilde <= 1.5 * max_diameter(mesh)
         assert all(rep.assumptions_ok.values())
 
     def test_vertical_constants_on_the_next_rung(self):
@@ -103,8 +110,7 @@ def _global_base_pair_report(mesh, k, eig_tol=1e-10):
     Kept here as the oracle of the cellwise report.  Only the trivial-core
     branch is copied; no input below reaches the other.
     """
-    from padfeec.adjoint import BasePairReport, _cell_icr
-    from padfeec.local import fast_local_constants
+    from padfeec.adjoint import BasePairReport
 
     lad = ladder(mesh)
     primal, dual = lad.primal(k), lad.dual(k + 1)
@@ -127,7 +133,7 @@ def _global_base_pair_report(mesh, k, eig_tol=1e-10):
     Delta = lad.delta_matrix(k + 1).toarray()
     p0_hi, p0_lo = lad.p0(k + 1), lad.p0(k)
     icr_tilde = max(
-        _cell_icr(
+        cell_icr(
             D[p0_hi.cell_slice(ci), primal.cell_slice(ci)],
             primal_locals[ci].gram(),
             p0_hi.volumes[ci],
@@ -136,7 +142,7 @@ def _global_base_pair_report(mesh, k, eig_tol=1e-10):
         for ci in range(mesh.num_cells)
     )
     icr_tilde_adj = max(
-        _cell_icr(
+        cell_icr(
             Delta[p0_lo.cell_slice(ci), dual.cell_slice(ci)],
             dual_locals[ci].gram(),
             p0_lo.volumes[ci],
@@ -181,10 +187,32 @@ def _global_base_pair_report(mesh, k, eig_tol=1e-10):
 
 
 ORACLE_MESHES = [(2, 2, "box"), (2, 4, "hole"), (3, 1, "box")]
+CLOSE_MESHES = {**dict(JITTERED), "tunnel:4": generate_structured(3, 4, "tunnel")}
+
+
+def _base_pair_differences(got, want):
+    """Fields whose integers or flags differ, and the largest float difference.
+
+    Every constant is at most about 1, so the float difference is absolute.
+    """
+    unequal, worst = [], 0.0
+    for name in want.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, (int, dict)):
+            if a != b:
+                unequal.append(name)
+        else:
+            worst = max(worst, float(np.abs(np.subtract(a, b)).max()))
+    return unequal, worst
+
+
+def _fresh(mesh):
+    """A copy of a mesh with a ladder of its own."""
+    return Mesh(mesh.dim, mesh.vertices, mesh.cells)
 
 
 class TestCellwiseBasePairOracle:
-    """The cellwise report equals the global route it replaced, field by field."""
+    """The batched report equals the per-cell global route it replaced, field by field."""
 
     @pytest.mark.parametrize(
         "dim,n,domain,k",
@@ -200,6 +228,28 @@ class TestCellwiseBasePairOracle:
                 assert np.array_equal(got, want), name
             else:
                 assert got == want, name
+
+    @pytest.mark.parametrize(
+        "name,k", [(name, k) for name, mesh in CLOSE_MESHES.items() for k in range(mesh.dim)]
+    )
+    def test_close_to_global_route(self, name, k):
+        # every cell has its own shape on the jittered meshes
+        mesh = CLOSE_MESHES[name]
+        unequal, worst = _base_pair_differences(
+            base_pair_report(_fresh(mesh), k), _global_base_pair_report(_fresh(mesh), k)
+        )
+        assert unequal == [] and worst <= 1e-14, (unequal, worst)
+
+    @pytest.mark.parametrize("name", [name for name, _ in JITTERED])
+    def test_reversed_gram_stack_fails_the_comparison(self, name, monkeypatch):
+        from padfeec.spaces import BrokenSpace
+
+        mesh = CLOSE_MESHES[name]
+        oracle = _global_base_pair_report(_fresh(mesh), 0)
+        original = BrokenSpace.gram_blocks
+        monkeypatch.setattr(BrokenSpace, "gram_blocks", lambda self: original(self)[::-1])
+        _, worst = _base_pair_differences(base_pair_report(_fresh(mesh), 0), oracle)
+        assert worst > 1e-3, worst
 
 
 def _zero_cell_block(mesh, k, ci):
@@ -253,7 +303,6 @@ class TestBasePairCore:
 
     def test_fast_constants_refuse_a_singular_block(self):
         from padfeec.errors import NotAdmissible
-        from padfeec.local import fast_local_constants
 
         cell = CellGeometry([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         p, q = trimmed_local(cell, 0, "primal"), trimmed_local(cell, 1, "dual")
@@ -289,9 +338,9 @@ class TestBasePairCache:
         stability_report(mesh, 0, [global_field(mesh, random_polyform(2, 0, 2, rng))])
         horizontal_duality_check(mesh, 0)
         assert calls == []
-        # a fresh mesh does count, so the patch is live
+        # a fresh mesh does count, one batched call per build, so the patch is live
         base_pair_report(generate_structured(2, 2), 0)
-        assert len(calls) == mesh.num_cells
+        assert len(calls) == 1
 
 
 class TestPartialAdjoint:
@@ -333,7 +382,7 @@ class TestQuantifiedCrt:
         pair = whitney_pair(BOX4, 0, "none")
         icr_p, icr_a, ok = quantified_crt_check(pair, rep)
         assert ok
-        assert abs(icr_p - icr_a) < 0.3 * BOX4.max_diameter() * max(icr_p, icr_a)
+        assert abs(icr_p - icr_a) < 0.3 * max_diameter(BOX4) * max(icr_p, icr_a)
 
     def test_zero_maps(self):
         D = Subspace.full(3)

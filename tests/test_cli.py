@@ -8,7 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padfeec.cli import main
-from padfeec.report import CheckRecord, Report, RunConfig, roundtrip
+from padfeec.report import CheckRecord, Report, RunConfig
+
+from oracles import roundtrip
 
 
 def run_cli(args, capsys):

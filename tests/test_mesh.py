@@ -9,11 +9,12 @@ from padfeec.cli import main
 from padfeec.errors import InvalidParameter, MeshError, Unsupported
 from padfeec.mesh import (
     Mesh,
-    canonically_equal,
     generate_structured,
     refine_uniform,
     shape_report,
 )
+
+from oracles import canonically_equal
 
 
 class TestGeneration:

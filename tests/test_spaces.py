@@ -202,6 +202,16 @@ class TestLocalBasisRoute:
             shared = set(mesh.cells[cells[0]]) & set(mesh.cells[cells[1]])
             assert len(shared) == 2  # sharing an edge
 
+    def test_dependent_partner_restrictions_are_refused(self):
+        from padfeec.errors import AssumptionViolation
+
+        lad = ladder(generate_structured(2, 2))
+        dec = lad.local_decompositions(0)[3]
+        # with cell 3's twisted part zeroed, its partner functionals restricted to it vanish
+        dec.PB = Subspace(dec.PB.ambient_dim, np.zeros_like(dec.PB.basis), dec.PB.gram)
+        with pytest.raises(AssumptionViolation, match="dependent on cell 3"):
+            lad.abc_atlas(0, "none")
+
     def test_route_equivalence_3d(self):
         mesh = BOX3
         lad = ladder(mesh)
