@@ -632,8 +632,8 @@ def horizontal_duality_check(mesh, k):
     ok2, ang2 = subspace_equal(dRs, dNk, g_lo, tol=1e-8)
     report = base_pair_report(mesh, k)
     bound = min(report.alpha, report.beta)
-    gamma1 = infsup(dR, dN, g_hi, check=False) if dR.dim and dN.dim else 1.0
-    gamma2 = infsup(dRs, dNk, g_lo, check=False) if dRs.dim and dNk.dim else 1.0
+    gamma1 = infsup(dR, dN, g_hi) if dR.dim and dN.dim else 1.0
+    gamma2 = infsup(dRs, dNk, g_lo) if dRs.dim and dNk.dim else 1.0
     hyp = report.assumptions_ok["twisted_kernel_dims_match"]
     identity_holds = ok1 and ok2
     verdict = "pass" if (identity_holds if hyp else min(gamma1, gamma2) >= bound - 1e-10) else "fail"

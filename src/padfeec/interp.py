@@ -239,7 +239,7 @@ def projectivity_matrix(mesh, k):
     basis = np.stack([spec.basis_coeffs for spec in I.specs])  # (cells, N, dim)
     cells, _, dim = basis.shape
     columns = [I.apply(basis[:, :, j]).reshape(cells, dim) for j in range(dim)]
-    return block_diagonal(list(np.stack(columns, axis=2)))
+    return block_diagonal(np.stack(columns, axis=2))
 
 
 def _squared_norm(masses, coeffs):

@@ -1,14 +1,17 @@
-"""Dense linear-algebra substrate, with Grams that may be sparse.
+"""Dense linear-algebra substrate, with sparse Grams that carry their factor.
 
 Rank and nullspace detection with explicit relative tolerances, Gram-aware
 orthonormalization, inf-sup constants, indices of closed range, the nonzero
 eigenvalues of a singular pencil and principal angles between subspaces.
-Every orthogonality notion goes through an explicit Gram matrix; the
-Euclidean inner product is only the special case ``gram=None``.  A Gram may
-be a dense array or a `scipy.sparse` array (the cellwise Grams of `spaces`
-are sparse block-diagonal, the P0 Gram is diagonal).  It is only ever
-multiplied with dense bases or factored by `gram_factor`, which keeps its
-Cholesky factor as sparse as the Gram; only `check_spd` makes it dense.
+Every orthogonality notion goes through an explicit Gram matrix G = R^T R;
+the Euclidean inner product is only the special case ``gram=None``.  A Gram
+is a dense array (the oracles and tests use these) or a `Gram`, a sparse
+matrix with its upper Cholesky factor.  The space that builds a sparse Gram
+owns its factor: `spaces.P0Space` builds the diagonal Gram of its volumes,
+`spaces.BrokenSpace` the block-diagonal Gram of its cells' stack, and each
+`Gram` computes (R, R^-1) from that structure once, on first use.
+`gram_factor` hands that factor out, factors a dense Gram, and refuses a
+bare `scipy.sparse` one.  Otherwise a Gram is only multiplied with bases.
 
 The subspace algebra runs on Householder QR, which reveals rank without
 iterating: `orthonormalize` takes one column-pivoted QR of the whitened span
@@ -42,8 +45,8 @@ def _as_matrix(M):
 
 
 def _as_gram(gram):
-    """A Gram as given if it is None or sparse, else as a dense float array."""
-    if gram is None or scipy.sparse.issparse(gram):
+    """A Gram as given if it is None, a `Gram` or sparse, else as a dense float array."""
+    if gram is None or isinstance(gram, Gram) or scipy.sparse.issparse(gram):
         return gram
     return np.asarray(gram, dtype=float)
 
@@ -52,18 +55,59 @@ def _dense(M):
     return M.toarray() if scipy.sparse.issparse(M) else M
 
 
-def check_spd(gram, tol=RANK_TOL):
-    """Raise InvalidGram unless ``gram`` is symmetric positive definite."""
-    G = _as_matrix(gram)
-    if G.shape[0] != G.shape[1]:
-        raise InvalidGram("gram matrix must be square")
-    scale = max(np.abs(G).max(), 1.0)
-    if np.abs(G - G.T).max() > 1e-12 * scale:
-        raise InvalidGram("gram matrix is not symmetric")
-    w = scipy.linalg.eigvalsh(G)
-    if w[0] <= tol * max(w[-1], 1.0):
-        raise InvalidGram("gram matrix is not positive definite at tolerance")
-    return G
+class Gram:
+    """A sparse SPD Gram G = R^T R that carries its upper Cholesky factor R.
+
+    The space that builds a Gram builds it here, from the structure it
+    knows: the diagonal of a piecewise-constant space, the (cells, m, m)
+    stack of a broken space.  The factor is computed from that structure on
+    first use, once, and `gram_factor` hands out (R, R^-1) from then on.  A
+    Gram multiplies like its sparse ``matrix``: ``G @ x``, ``x @ G`` and
+    ``-G`` give what the matrix gives.
+    """
+
+    __array_ufunc__ = None  # ``ndarray @ G`` defers to ``__rmatmul__``
+
+    def __init__(self, matrix, factor):
+        self.matrix = matrix
+        self._factor = factor
+        self._factors = None
+
+    @classmethod
+    def diagonal(cls, d):
+        """The diagonal Gram of ``d``; R is the diagonal of sqrt(d)."""
+        d = np.asarray(d, dtype=float)
+
+        def factor():
+            if not np.all(d > 0.0):
+                raise InvalidGram("gram matrix is not positive definite")
+            r = np.sqrt(d)
+            return (scipy.sparse.diags_array(r, format="csr"),
+                    scipy.sparse.diags_array(1.0 / r, format="csr"))
+
+        return cls(scipy.sparse.diags_array(d, format="csr"), factor)
+
+    @classmethod
+    def blocks(cls, stack):
+        """The block-diagonal Gram of a (cells, m, m) stack; R from one factor of the stack."""
+        return cls(
+            block_diagonal(stack), lambda: tuple(block_diagonal(F) for F in dense_factor(stack))
+        )
+
+    def factor(self):
+        """(R, R^-1), computed on the first call."""
+        if self._factors is None:
+            self._factors = self._factor()
+        return self._factors
+
+    def __matmul__(self, other):
+        return self.matrix @ other
+
+    def __rmatmul__(self, other):
+        return other @ self.matrix
+
+    def __neg__(self):
+        return -self.matrix
 
 
 @dataclass
@@ -77,7 +121,7 @@ class Subspace:
 
     ambient_dim: int
     basis: np.ndarray
-    gram: np.ndarray | None = field(default=None, repr=False)
+    gram: "np.ndarray | Gram | None" = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -93,7 +137,7 @@ class Subspace:
     @classmethod
     def full(cls, n, gram=None):
         """The whole space; with gram = R^T R the columns of R^-1 are its basis."""
-        Rinv = gram_factor(_as_gram(gram))[1]
+        Rinv = gram_factor(gram)[1]
         return cls(n, np.eye(n) if Rinv is None else _dense(Rinv), gram)
 
     @classmethod
@@ -126,7 +170,7 @@ def orthonormalize(V, gram=None, tol=RANK_TOL):
     by R^-1.
     """
     V = _as_matrix(V)
-    R, Rinv = gram_factor(_as_gram(gram))
+    R, Rinv = gram_factor(gram)
     W = V if R is None else R @ V
     reflectors, tau, rdiag = _householder(W, pivoting=True)
     Q = _leading_columns(reflectors, tau, _leading_rank(rdiag, np.sqrt(tol)))
@@ -136,46 +180,25 @@ def orthonormalize(V, gram=None, tol=RANK_TOL):
 def gram_factor(gram):
     """(R, R^-1) for the upper Cholesky factor R of ``gram`` = R^T R.
 
-    The factor is as sparse as the Gram: the square roots of a diagonal Gram
-    (the P0 volumes), one dense Cholesky block per diagonal block of a
-    block-diagonal sparse Gram (the cellwise broken Grams) or of a (cells, m,
-    m) stack standing for the block-diagonal Gram of its blocks, or a dense
-    factor of a dense Gram.  The Euclidean ``gram=None`` gives (None, None).
-    A Gram that is not positive definite raises InvalidGram.
+    A `Gram` hands out the factor it carries; a dense 2-d Gram is factored
+    here.  The Euclidean ``gram=None`` gives (None, None).  A bare
+    `scipy.sparse` Gram is refused: its factor belongs to the space that
+    built it.  A Gram that is not positive definite raises InvalidGram.
     """
     if gram is None:
         return None, None
-    if isinstance(gram, np.ndarray) and gram.ndim == 3:
-        return tuple(block_diagonal(F) for F in dense_factor(gram))
-    if not scipy.sparse.issparse(gram):
-        return dense_factor(np.asarray(gram, dtype=float))
-    G = scipy.sparse.csr_array(gram)
-    ends = _block_ends(G)
-    if ends.size == G.shape[0]:
-        d = G.diagonal()
-        if not np.all(d > 0.0):
-            raise InvalidGram("gram matrix is not positive definite")
-        r = np.sqrt(d)
-        return scipy.sparse.diags_array(r, format="csr"), scipy.sparse.diags_array(1.0 / r, format="csr")
-    factors = [None] * ends.size
-    for members, stack in _blocks_by_size(G, ends):
-        for i, R, Rinv in zip(members, *dense_factor(stack)):
-            factors[i] = (R, Rinv)
-    return block_diagonal([f[0] for f in factors]), block_diagonal([f[1] for f in factors])
+    if isinstance(gram, Gram):
+        return gram.factor()
+    if scipy.sparse.issparse(gram):
+        raise InvalidGram("a sparse gram matrix must come as a Gram carrying its factor")
+    return dense_factor(_as_matrix(gram))
 
 
 def block_diagonal(blocks):
-    """Sparse CSR array with the dense ``blocks`` along its diagonal, zeros not stored.
+    """Sparse CSR array with the (cells, r, c) stack ``blocks`` along its diagonal.
 
-    ``blocks`` is a (cells, r, c) stack, or a list of 2-d blocks; equal-shape
-    blocks are stacked, and only blocks of differing shapes are placed one
-    by one.  The CSR arrays are written straight from the stack.
+    Zeros are not stored; the CSR arrays are written straight from the stack.
     """
-    if not isinstance(blocks, np.ndarray):
-        blocks = [np.asarray(b, dtype=float) for b in blocks]
-        if len({b.shape for b in blocks}) > 1:
-            return scipy.sparse.csr_array(scipy.sparse.block_diag(blocks, format="csr"))
-        blocks = np.stack(blocks)
     cells, r, c = blocks.shape
     data = blocks.reshape(cells * r, c)
     columns = np.broadcast_to(
@@ -205,35 +228,6 @@ def dense_factor(G):
     except np.linalg.LinAlgError:
         raise InvalidGram("gram matrix is not positive definite") from None
     return R, scipy.linalg.solve_triangular(R, np.broadcast_to(np.eye(G.shape[-1]), G.shape))
-
-
-def _blocks_by_size(G, ends):
-    """(block indices, dense stack) per block size of a block-diagonal CSR matrix."""
-    starts = np.concatenate([[0], ends[:-1]])
-    sizes = ends - starts
-    rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
-    block = np.repeat(np.arange(sizes.size), sizes)[rows]
-    for m in np.unique(sizes):
-        members = np.flatnonzero(sizes == m)
-        slot = np.zeros(sizes.size, dtype=int)
-        slot[members] = np.arange(members.size)
-        mine = sizes[block] == m
-        b = block[mine]
-        stack = np.zeros((members.size, m, m))
-        stack[slot[b], rows[mine] - starts[b], G.indices[mine] - starts[b]] = G.data[mine]
-        yield members, stack
-
-
-def _block_ends(G):
-    """End rows of the diagonal blocks of a symmetric sparse matrix.
-
-    A block ends at row i when no entry of rows 0..i lies right of column i.
-    """
-    n = G.shape[0]
-    reach = np.arange(n)
-    rows = np.repeat(reach, np.diff(G.indptr))
-    np.maximum.at(reach, rows, G.indices)
-    return np.flatnonzero(np.maximum.accumulate(reach) == np.arange(n)) + 1
 
 
 def _householder(A, pivoting):
@@ -310,10 +304,15 @@ def nullspace(M, tol=RANK_TOL):
     One column-pivoted Householder QR of M^T: its rank r counts the |R_ii|
     above tol |R_11|, and the trailing columns of the full Q span the kernel.
     """
+    return pivoted_nullspace(M, tol)[0]
+
+
+def pivoted_nullspace(M, tol=RANK_TOL):
+    """`nullspace` of M and the |diag R| of its pivoted QR, which show the gap at the cut."""
     M = _as_matrix(M)
     n = M.shape[1]
     reflectors, tau, rdiag = _householder(M.T, pivoting=True)
-    return Subspace(n, _trailing_columns(reflectors, tau, _leading_rank(rdiag, tol)))
+    return Subspace(n, _trailing_columns(reflectors, tau, _leading_rank(rdiag, tol))), rdiag
 
 
 def principal_angles(A: Subspace, B: Subspace, gram=None):
@@ -339,7 +338,7 @@ def principal_angles(A: Subspace, B: Subspace, gram=None):
     small, big = (Qa, Qb) if p <= q else (Qb, Qa)
     R = small - big @ (big.T @ (small if gram is None else gram @ small))
     if gram is not None:
-        R = gram_factor(_as_gram(gram))[0] @ R
+        R = gram_factor(gram)[0] @ R
     sin_vals = np.sort(np.clip(scipy.linalg.svdvals(R), 0.0, 1.0))
     angles = np.where(
         cos_vals > np.sqrt(0.5), np.arcsin(sin_vals[:m]), np.arccos(cos_vals)
@@ -369,15 +368,13 @@ def subspace_equal(A: Subspace, B: Subspace, gram=None, tol=1e-8):
     return worst <= tol, worst
 
 
-def infsup(A: Subspace, B: Subspace, gram=None, check=True):
+def infsup(A: Subspace, B: Subspace, gram=None):
     """inf over a in A of sup over b in B of <a,b>/(|a||b|) in the gram inner product.
 
     Returns 0.0 when either side is trivial or when dim A exceeds dim B.  When
     the dimensions agree the value is symmetric in A and B.
     """
     gram = _as_gram(gram)
-    if gram is not None and check and gram.shape[0] <= 400:
-        check_spd(gram)
     if A.dim == 0 or B.dim == 0:
         return 0.0
     if A.dim > B.dim:

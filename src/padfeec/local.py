@@ -377,10 +377,10 @@ def block_d_expand(sources, targets):
 
     The image of every source basis form must lie in the target local space.
     """
-    return block_diagonal([
+    return block_diagonal(np.stack([
         np.column_stack([tgt.expand(exterior_derivative(w)) for w in src.basis])
         for src, tgt in zip(sources, targets)
-    ])
+    ]))
 
 
 @dataclass
@@ -533,7 +533,7 @@ def _kernel_range_infsup(kernel: Subspace, images, gram):
     R = Subspace.from_span(span, gram)
     if kernel.dim == 0 and R.dim == 0:
         return 1.0
-    return infsup(kernel, R, gram, check=False)
+    return infsup(kernel, R, gram)
 
 
 def _graph_infsup(Gp, Gq, B):

@@ -16,7 +16,7 @@ import scipy.sparse
 from .adjoint import harmonic_space
 from .errors import AssemblyError, DegreeMismatch, InvalidParameter, SolverFailure
 from .forms import cell_quadrature, random_polyform
-from .linalg import nullspace, pencil_nonzero_eigs, solve_symmetric
+from .linalg import gram_factor, nullspace, pencil_nonzero_eigs, solve_symmetric
 from .spaces import d_pairing, ladder
 
 
@@ -299,7 +299,7 @@ def _mixed_constraints(lad, k):
 def _build_mixed_space(lad, k):
     # with G = R^T R cellwise, R^-1 times the null vectors of C R^-1 is a
     # Gram-orthonormal basis of the null space of C
-    Rinv = lad.full(k).gram_factor_inverse()
+    Rinv = gram_factor(lad.full(k).gram())[1]
     CR = _mixed_constraints(lad, k) @ Rinv
     return Rinv @ nullspace(CR / max(np.abs(CR).max(initial=0.0), 1e-300)).basis
 

@@ -23,15 +23,17 @@ are the block's coefficient columns shifted to the cell's centroid.
 
 Broken and piecewise-constant coordinates share one block layout: cell i
 owns the rows or columns ``cell_slice(i)`` of `BrokenSpace` and `P0Space`,
-and every cellwise operator (Gram, pairing, d, delta, P0 injection and
+and every cellwise operator (pairing, d, delta, P0 injection and
 projection) is a `scipy.sparse` CSR array written by `block_diagonal`
 straight from its (cells, r, c) stack; ``@`` with a dense operand gives a
-dense array.  The P0 Gram is the diagonal of cell volumes.  Each
-`BrokenSpace` also keeps the inverse R^-1 of its cellwise upper Cholesky
-factor (G = R^T R), so that a constraint nullspace N gives the
-Gram-orthonormal atlas R^-1 N without a further orthonormalization.
-Atlases and nullspace bases stay dense.  The cells that hold a sub-simplex
-come from the incidence and owner tables of `Mesh.subsimplices`.
+dense array.  The L2 Grams are `linalg.Gram`s, and the space that builds
+one owns its upper Cholesky factor G = R^T R: the P0 Gram is the diagonal
+of cell volumes, factored by square roots, and a `BrokenSpace` Gram is
+factored from its cell stack, once, on first use.  So a constraint
+nullspace N gives the Gram-orthonormal atlas R^-1 N without a further
+orthonormalization.  Atlases and nullspace bases stay dense.  The cells
+that hold a sub-simplex come from the incidence and owner tables of
+`Mesh.subsimplices`.
 
 The mesh's `DeRhamLadder` is the one home of the operators of a broken
 space.  For each family (primal, dual, full) and degree it builds the
@@ -44,7 +46,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     AssemblyError,
@@ -63,12 +64,12 @@ from .forms import (
     trace_on,
 )
 from .linalg import (
-    RANK_TOL,
+    Gram,
     Subspace,
     block_diagonal,
     diagonal_blocks,
     gram_factor,
-    nullspace,
+    pivoted_nullspace,
 )
 from .local import (
     FAMILY_OPS,
@@ -148,7 +149,7 @@ class P0Space:
         self.ncomp = len(self.midx)
         self.dim = self.ncomp * mesh.num_cells
         self.volumes = volumes
-        self.gram = scipy.sparse.diags_array(np.repeat(volumes, self.ncomp), format="csr")
+        self.gram = Gram.diagonal(np.repeat(volumes, self.ncomp))
 
     def cell_slice(self, i):
         return slice(i * self.ncomp, (i + 1) * self.ncomp)
@@ -184,7 +185,6 @@ class BrokenSpace:
         self.dim = self.reference.dim * mesh.num_cells
         self._gram_blocks = None
         self._gram = None
-        self._factor_inverse = None
 
     def cell_slice(self, i):
         return slice(i * self.reference.dim, (i + 1) * self.reference.dim)
@@ -201,19 +201,10 @@ class BrokenSpace:
         return self.reference.energy_grams(self.geometry.volumes)
 
     def gram(self):
+        """The L2 `Gram`, carrying the factor of its cell stack."""
         if self._gram is None:
-            self._gram = block_diagonal(self.gram_blocks())
+            self._gram = Gram.blocks(self.gram_blocks())
         return self._gram
-
-    def gram_factor_inverse(self):
-        """R^-1 for the cellwise upper Cholesky factor R of the Gram, G = R^T R.
-
-        For any Euclidean-orthonormal N, the columns of R^-1 N are
-        G-orthonormal.  The blocks are factored from the stack.
-        """
-        if self._factor_inverse is None:
-            self._factor_inverse = gram_factor(self.gram_blocks())[1]
-        return self._factor_inverse
 
     def form_on_cell(self, vec, i):
         """The form on cell ``i`` with coefficients ``vec[cell_slice(i)]``."""
@@ -527,22 +518,15 @@ def abcfes_by_constraints(mesh, k, bc="none", lad=None):
     partner = lad.whitney_star(k + 1, partner_bc)
     B = lad.pairing(k)
     C = (B @ partner.atlas).T
-    if C.shape[0]:
-        s = np.linalg.svd(C, compute_uv=False)
-        r = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
-        if 0 < r < len(s) and s[r - 1] / max(s[r], 1e-300) < 1e3:
-            raise ToleranceFailure("constraint rank detection is ambiguous")
-    else:
-        r = 0
     # null vectors of C R^-1 are Euclidean-orthonormal, so A = R^-1 N is
-    # Gram-orthonormal and spans the null space of C
-    Rinv = broken.gram_factor_inverse()
-    A = Rinv @ nullspace(C @ Rinv).basis
-    if A.shape[1] != broken.dim - r:
-        raise ToleranceFailure(
-            "constraint rank %d of C disagrees with rank %d of C R^-1"
-            % (r, broken.dim - A.shape[1])
-        )
+    # Gram-orthonormal and spans the null space of C; the rank is cut from
+    # the same pivoted QR, and a gap of less than 1e3 at the cut is ambiguous
+    Rinv = gram_factor(broken.gram())[1]
+    kernel, rdiag = pivoted_nullspace(C @ Rinv)
+    r = broken.dim - kernel.dim
+    if 0 < r < rdiag.size and rdiag[r - 1] / max(rdiag[r], 1e-300) < 1e3:
+        raise ToleranceFailure("constraint rank detection is ambiguous")
+    A = Rinv @ kernel.basis
     gs = GlobalSpace(
         broken,
         A,

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from padfeec.errors import InvalidGram, InvalidMatrix, NotNested
 from padfeec.linalg import (
+    Gram,
     Subspace,
     gram_complement,
+    gram_factor,
     icr_of,
     infsup,
     nullspace,
@@ -89,6 +91,33 @@ class TestInfsup:
             v2 = infsup(B, A, G)
             if v1 > 0 and v2 > 0:
                 assert v1 == pytest.approx(v2, rel=1e-10)
+
+
+class TestGramFactor:
+    def test_bare_sparse_gram_is_refused(self):
+        import scipy.sparse
+
+        G = scipy.sparse.diags_array(np.arange(1.0, 5.0), format="csr")
+        with pytest.raises(InvalidGram, match="carrying its factor"):
+            gram_factor(G)
+
+    def test_gram_multiplies_like_its_matrix_and_keeps_its_factor(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((4, 3, 3))
+        G = Gram.blocks(X @ np.swapaxes(X, 1, 2) + 3.0 * np.eye(3))
+        dense = G.matrix.toarray()
+        P = rng.standard_normal((12, 5))
+        assert np.array_equal(G @ P, G.matrix @ P)
+        assert np.array_equal(P.T @ G @ P, P.T @ G.matrix @ P)
+        assert np.array_equal((-G).toarray(), -dense)
+        R, Rinv = gram_factor(G)
+        assert gram_factor(G)[0] is R
+        assert np.abs(R.T @ R - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert np.abs((R @ Rinv).toarray() - np.eye(12)).max() <= 1e-13
+
+    def test_diagonal_gram_with_a_zero_is_refused_when_factored(self):
+        with pytest.raises(InvalidGram):
+            gram_factor(Gram.diagonal([1.0, 0.0, 2.0]))
 
 
 class TestIcr:
@@ -321,19 +350,14 @@ class TestHouseholderSubspaces:
 
     @staticmethod
     def _grams(rng, n):
-        import scipy.sparse
-
-        from padfeec.linalg import block_diagonal
-
         def spd(m):
             X = rng.standard_normal((m, m))
             return X @ X.T + m * np.eye(m)
 
-        sizes = [3, 6] * (n // 9)
         return {
-            "diagonal": scipy.sparse.diags_array(rng.uniform(0.5, 2.0, n), format="csr"),
+            "diagonal": Gram.diagonal(rng.uniform(0.5, 2.0, n)),
             "dense": spd(n),
-            "block-diagonal": block_diagonal([spd(m) for m in sizes]),
+            "block-diagonal": Gram.blocks(np.stack([spd(6) for _ in range(n // 6)])),
         }
 
     @pytest.mark.parametrize("kind", ["diagonal", "dense", "block-diagonal"])
@@ -362,11 +386,9 @@ class TestHouseholderSubspaces:
     def test_complement_with_every_cross_gram_singular_value_one(self, monkeypatch):
         # a 455-dimensional A inside a 456-dimensional B: the cross-Gram of
         # their orthonormal bases has 455 singular values, all equal to 1
-        import scipy.sparse
-
         rng = np.random.default_rng(7)
         n = 600
-        G = scipy.sparse.diags_array(rng.uniform(0.5, 2.0, n), format="csr")
+        G = Gram.diagonal(rng.uniform(0.5, 2.0, n))
         with monkeypatch.context() as m:
             self._forbid(m)
             B = Subspace.from_span(rng.standard_normal((n, 456)), G)

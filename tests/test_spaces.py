@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from padfeec.errors import ToleranceFailure
 from padfeec.forms import CellGeometry, hodge_star, inner_matrix, l2_inner
-from padfeec.linalg import Subspace, rank, subspace_equal
+from padfeec.linalg import Subspace, gram_factor, rank, subspace_equal
 from padfeec.local import block_d_expand, pairing_matrix, trimmed_local
 from padfeec.mesh import generate_structured
 from padfeec.spaces import (
+    GlobalSpace,
     abcfes_by_constraints,
     broken_space,
     conforming_whitney,
@@ -42,7 +44,7 @@ class TestBrokenSpaces:
 
     def test_gram_block_diagonal_spd(self):
         lad = ladder(BOX2)
-        G = lad.primal(1).gram().toarray()
+        G = lad.primal(1).gram().matrix.toarray()
         w = np.linalg.eigvalsh(G)
         assert w[0] > 0
 
@@ -136,6 +138,25 @@ class TestAbcByConstraints:
         J = lad.p0_injection(1)
         image = J @ D @ lower.atlas
         assert np.abs(cons_upper.matrix @ image).max() < 1e-11
+
+    @pytest.mark.parametrize("weak, ambiguous", [(3e-11, True), (0.0, False)])
+    def test_rank_gap_below_1e3_is_ambiguous(self, weak, ambiguous):
+        # partner columns a, a + 1e-9 b and a + weak c give constraint rows
+        # whose pivoted-QR |diag R| fall to 1e-9 and to `weak` relative (the
+        # third is round-off when weak = 0), so the rank cut at 1e-10 sits
+        # in a gap of about 30, or of about 5e6
+        mesh = generate_structured(2, 2)
+        lad = ladder(mesh)
+        star = lad.whitney_star(1, "homogeneous")
+        a, b, c = star.atlas[:, :3].T
+        columns = np.column_stack([a, a + 1e-9 * b, a + weak * c])
+        lad._cache[("whitney-star", 1, "homogeneous")] = GlobalSpace(star.broken, columns, "star")
+        if ambiguous:
+            with pytest.raises(ToleranceFailure, match="ambiguous"):
+                abcfes_by_constraints(mesh, 0, "none", lad)
+        else:
+            gs, _ = abcfes_by_constraints(mesh, 0, "none", lad)
+            assert gs.constraint_rank == 2 and gs.dim == gs.broken.dim - 2
 
     @pytest.mark.parametrize("bc", ["none", "homogeneous"])
     def test_exactness_on_contractible_box(self, bc):
@@ -427,7 +448,7 @@ def _gram_errors(mesh):
         for family in ("primal", "dual", "full"):
             fresh, broken = _fresh_locals(mesh, k, family, cells), lad.broken(k, family)
             expected = _dense_blocks([inner_matrix(sp.basis, sp.basis, sp.cell) for sp in fresh])
-            worst = max(worst, _rel_error(broken.gram(), expected))
+            worst = max(worst, _rel_error(broken.gram().matrix, expected))
             energy = _dense_blocks([sp.energy_gram() for sp in fresh])
             if energy.any():
                 ladder_energy = _dense_blocks(list(broken.energy_blocks()))
@@ -548,7 +569,7 @@ class TestBlockAssemblyOracle:
         for k in range(mesh.dim + 1):
             for family in ("primal", "dual", "full"):
                 broken = lad.broken(k, family)
-                _assert_cellwise(broken.gram(), broken.block_dims, broken.block_dims)
+                _assert_cellwise(broken.gram().matrix, broken.block_dims, broken.block_dims)
             if k < mesh.dim:
                 primal, dual = lad.primal(k), lad.dual(k + 1)
                 _assert_cellwise(lad.pairing(k), primal.block_dims, dual.block_dims)
@@ -642,8 +663,8 @@ class TestBlockAssemblyOracle:
         lad = ladder(mesh)
         for k in range(mesh.dim + 1):
             p0 = lad.p0(k)
-            _assert_cellwise(p0.gram, [1] * p0.dim, [1] * p0.dim)
-            assert np.array_equal(p0.gram.diagonal(), np.repeat(p0.volumes, p0.ncomp))
+            _assert_cellwise(p0.gram.matrix, [1] * p0.dim, [1] * p0.dim)
+            assert np.array_equal(p0.gram.matrix.diagonal(), np.repeat(p0.volumes, p0.ncomp))
 
 
 class TestOracleSeesMappingErrors:
@@ -704,6 +725,36 @@ class TestHodgeWithoutL2Inner:
         records = json.loads(capsys.readouterr().out)["records"]
         assert code == 0 and len(records) == 5
         assert all(r["verdict"] == "pass" for r in records), records
+
+
+class TestGramsFactoredOnce:
+    def test_suite_factors_each_gram_once(self, monkeypatch, capsys):
+        # every sparse Gram a space hands out carries its factor, so over the
+        # jobs of `suite all --fast` (box:4 among them) none is factored twice
+        import json
+
+        from padfeec.cli import main
+        from padfeec.linalg import Gram
+
+        counts = []  # [gram, factorizations]; the entry keeps its Gram alive
+        init = Gram.__init__
+
+        def counting_init(self, matrix, factor):
+            entry = [self, 0]
+            counts.append(entry)
+
+            def counted():
+                entry[1] += 1
+                return factor()
+
+            init(self, matrix, counted)
+
+        monkeypatch.setattr(Gram, "__init__", counting_init)
+        assert main(["suite", "all", "--fast"]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert records and all(r["verdict"] == "pass" for r in records)
+        factored = [n for _, n in counts if n]
+        assert len(factored) >= 20 and max(factored) == 1, factored
 
 
 class TestRuntimeWithoutLocalSpace:
@@ -873,7 +924,7 @@ class TestGramOrthonormalConstraintBases:
         for k in range(mesh.dim + 1):
             for family in ("primal", "dual", "full"):
                 broken = lad.broken(k, family)
-                Rinv = broken.gram_factor_inverse()
+                Rinv = gram_factor(broken.gram())[1]
                 _assert_cellwise(Rinv, broken.block_dims, broken.block_dims)
                 assert _orthonormality_defect(Rinv.toarray(), broken.gram()) <= 1e-12
 
@@ -888,7 +939,7 @@ class TestGramOrthonormalConstraintBases:
                 scipy.linalg.solve_triangular(scipy.linalg.cholesky(sp.gram()), np.eye(sp.dim))
                 for sp in ladder_locals(broken)
             ]
-            Rinv = broken.gram_factor_inverse()
+            Rinv = gram_factor(broken.gram())[1]
             for i, block in enumerate(ref):
                 cells = broken.cell_slice(i)
                 np.testing.assert_array_equal(Rinv[cells, cells].toarray(), block)
