@@ -122,17 +122,18 @@ def _p0_coords(lad, k, broken, vectors, tol=1e-9):
     return coords
 
 
-def _cell_icr(T, grams, scales, eig_tol):
+def _cell_icr(T, gram, scales, eig_tol):
     """Largest cell index of closed range of the reference block T of d or delta.
 
-    Cell K's stiffness T^T T scales[K], whitened by its Gram, is one stacked
-    eigenproblem; the cell's index is 1/sqrt of its smallest eigenvalue above
-    ``eig_tol`` times its largest, and 0 where none is.
+    Cell K's stiffness T^T T scales[K], whitened by the stacked factor of the
+    broken space's `Gram` to R_K^-T T^T T R_K^-1 scales[K], is one stacked
+    eigenproblem (`eigvalsh` reads its lower triangle); the cell's index is
+    1/sqrt of its smallest eigenvalue above ``eig_tol`` times its largest,
+    and 0 where none is.
     """
-    K = (T.T @ T) * scales[:, None, None]
-    L = np.linalg.cholesky(0.5 * (grams + np.swapaxes(grams, 1, 2)))
-    Kw = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, 0.5 * (K + np.swapaxes(K, 1, 2))), 1, 2))
-    w = np.linalg.eigvalsh(0.5 * (Kw + np.swapaxes(Kw, 1, 2)))
+    Rinv = gram.stack_factor[1]
+    Kw = np.swapaxes(Rinv, 1, 2) @ ((T.T @ T) * scales[:, None, None]) @ Rinv
+    w = np.linalg.eigvalsh(Kw)
     positive = w > eig_tol * np.maximum(w[:, -1:], 0.0)
     return float(np.max(1.0 / np.sqrt(np.where(positive, w, np.inf).min(axis=1))))
 
@@ -164,7 +165,7 @@ def _build_base_pair_report(mesh, k, eig_tol):
     lad = ladder(mesh)
     primal, dual = lad.primal(k), lad.dual(k + 1)
     p_ref, q_ref = primal.reference, dual.reference
-    Mp, Md = primal.gram_blocks(), dual.gram_blocks()
+    Mp, Md = primal.gram(), dual.gram()
     B = lad.pairing_blocks(k)
     scales = np.maximum(np.abs(B).max(axis=(1, 2), initial=0.0), 1e-30)
     ranks = np.sum(np.linalg.svd(B / scales[:, None, None], compute_uv=False) > 1e-10, axis=1)

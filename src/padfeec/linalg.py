@@ -6,12 +6,13 @@ eigenvalues of a singular pencil and principal angles between subspaces.
 Every orthogonality notion goes through an explicit Gram matrix G = R^T R;
 the Euclidean inner product is only the special case ``gram=None``.  A Gram
 is a dense array (the oracles and tests use these) or a `Gram`, a sparse
-matrix with its upper Cholesky factor.  The space that builds a sparse Gram
-owns its factor: `spaces.P0Space` builds the diagonal Gram of its volumes,
-`spaces.BrokenSpace` the block-diagonal Gram of its cells' stack, and each
-`Gram` computes (R, R^-1) from that structure once, on first use.
-`gram_factor` hands that factor out, factors a dense Gram, and refuses a
-bare `scipy.sparse` one.  Otherwise a Gram is only multiplied with bases.
+block-diagonal matrix that owns its (cells, m, m) stack of blocks and their
+upper Cholesky factors.  `spaces.P0Space` builds the diagonal Gram of its
+volumes and `spaces.BrokenSpace` the Gram of its cells' stack; each `Gram`
+factors its stack once, on first use, with `dense_factor`, and every batched
+cell pass reads that stacked factor.  `gram_factor` hands out its
+block-diagonal (R, R^-1), factors a dense Gram, and refuses a bare
+`scipy.sparse` one.  Otherwise a Gram is only multiplied with bases.
 
 The subspace algebra runs on Householder QR, which reveals rank without
 iterating: `orthonormalize` takes one column-pivoted QR of the whitened span
@@ -23,6 +24,7 @@ A Gram that is not SPD raises `InvalidGram` wherever it is factored.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -56,49 +58,38 @@ def _dense(M):
 
 
 class Gram:
-    """A sparse SPD Gram G = R^T R that carries its upper Cholesky factor R.
+    """A sparse block-diagonal SPD Gram that owns its cell blocks and their factor.
 
-    The space that builds a Gram builds it here, from the structure it
-    knows: the diagonal of a piecewise-constant space, the (cells, m, m)
-    stack of a broken space.  The factor is computed from that structure on
-    first use, once, and `gram_factor` hands out (R, R^-1) from then on.  A
-    Gram multiplies like its sparse ``matrix``: ``G @ x``, ``x @ G`` and
-    ``-G`` give what the matrix gives.
+    The space that builds a Gram builds it from the (cells, m, m) ``stack``
+    of its blocks: the 1 x 1 volumes of a piecewise-constant space, the cell
+    Grams of a broken space.  Each block's upper Cholesky factor G_K =
+    R_K^T R_K is computed on first use, once: `stack_factor` hands the
+    stacks (R_K, R_K^-1) to the batched cell passes, and `gram_factor`
+    hands out the block-diagonal (R, R^-1) built from them.  A Gram
+    multiplies like its sparse ``matrix``: ``G @ x``, ``x @ G`` and ``-G``
+    give what the matrix gives.
     """
 
     __array_ufunc__ = None  # ``ndarray @ G`` defers to ``__rmatmul__``
 
-    def __init__(self, matrix, factor):
-        self.matrix = matrix
-        self._factor = factor
-        self._factors = None
+    def __init__(self, stack):
+        self.stack = stack
+        self.matrix = block_diagonal(stack)
 
     @classmethod
     def diagonal(cls, d):
-        """The diagonal Gram of ``d``; R is the diagonal of sqrt(d)."""
-        d = np.asarray(d, dtype=float)
+        """The diagonal Gram of ``d``, a stack of 1 x 1 blocks."""
+        return cls(np.asarray(d, dtype=float)[:, None, None])
 
-        def factor():
-            if not np.all(d > 0.0):
-                raise InvalidGram("gram matrix is not positive definite")
-            r = np.sqrt(d)
-            return (scipy.sparse.diags_array(r, format="csr"),
-                    scipy.sparse.diags_array(1.0 / r, format="csr"))
+    @cached_property
+    def stack_factor(self):
+        """(R_K, R_K^-1) of every block, as (cells, m, m) stacks."""
+        return dense_factor(self.stack)
 
-        return cls(scipy.sparse.diags_array(d, format="csr"), factor)
-
-    @classmethod
-    def blocks(cls, stack):
-        """The block-diagonal Gram of a (cells, m, m) stack; R from one factor of the stack."""
-        return cls(
-            block_diagonal(stack), lambda: tuple(block_diagonal(F) for F in dense_factor(stack))
-        )
-
+    @cached_property
     def factor(self):
-        """(R, R^-1), computed on the first call."""
-        if self._factors is None:
-            self._factors = self._factor()
-        return self._factors
+        """(R, R^-1), block-diagonal from `stack_factor`."""
+        return tuple(block_diagonal(F) for F in self.stack_factor)
 
     def __matmul__(self, other):
         return self.matrix @ other
@@ -188,7 +179,7 @@ def gram_factor(gram):
     if gram is None:
         return None, None
     if isinstance(gram, Gram):
-        return gram.factor()
+        return gram.factor
     if scipy.sparse.issparse(gram):
         raise InvalidGram("a sparse gram matrix must come as a Gram carrying its factor")
     return dense_factor(_as_matrix(gram))
@@ -222,12 +213,12 @@ def diagonal_blocks(M, r, c):
 
 
 def dense_factor(G):
-    """Upper Cholesky factor R and R^-1 of a Gram, or of a stack of equal-size Grams."""
+    """Upper Cholesky factor R and R^-1 of a Gram, or batched over a stack of Grams."""
     try:
-        R = scipy.linalg.cholesky(G)
+        R = np.linalg.cholesky(G, upper=True)
     except np.linalg.LinAlgError:
         raise InvalidGram("gram matrix is not positive definite") from None
-    return R, scipy.linalg.solve_triangular(R, np.broadcast_to(np.eye(G.shape[-1]), G.shape))
+    return R, np.linalg.inv(R)
 
 
 def _householder(A, pivoting):

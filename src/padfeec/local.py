@@ -10,7 +10,8 @@ into its pairing-null part and its twisted part in one batched pass over
 the cells' Gram, energy and pairing stacks, `cell_constants` gives every
 cell's inf-sups in one batched pass over the same stacks, and the Whitney
 forms of a whole mesh have their trimmed coordinates in closed form
-(`whitney_coefficients`).
+(`whitney_coefficients`).  Neither pass factors a Gram: both read the
+stacked factor that each broken space's `linalg.Gram` computes once.
 
 A `LocalSpace` is a span of `PolyForm`s on one cell, with Grams by exact
 integration.  `trimmed_local`, `pairing_matrix`, `block_d_expand` and
@@ -52,7 +53,6 @@ from .forms import (
 from .linalg import (
     Subspace,
     block_diagonal,
-    dense_factor,
     infsup,
     nullspace,
     orthonormalize,
@@ -416,27 +416,27 @@ def _unit_block(stack, what):
     return unit[0]
 
 
-def _gram_orthonormal(Z, factors):
+def _gram_orthonormal(Z, gram):
     """(cells, p, m) bases of span Z, orthonormal in each cell's Gram G_K = R_K^T R_K.
 
-    ``factors`` are the stacks (R, R^-1) of `dense_factor` of the Grams.
+    ``gram`` is the cells' `Gram`, whose stacked factor (R_K, R_K^-1) whitens.
     Cell K's basis is R_K^-1 Q_K for the Householder QR factor Q_K of the
     whitened basis R_K Z, as `orthonormalize` takes it, so the leading j
     columns span what those of Z span.  Z must have full column rank.
     """
-    R, Rinv = factors
     if Z.shape[1] == 0:
-        return np.zeros((len(R), Z.shape[0], 0))
+        return np.zeros((len(gram.stack), Z.shape[0], 0))
+    R, Rinv = gram.stack_factor
     return Rinv @ np.linalg.qr(R @ Z).Q
 
 
-def _complement_in(N, Z, factors):
+def _complement_in(N, Z, gram):
     """Bases of the G_K-orthogonal complement of span N inside span Z, which holds it."""
     basis = np.hstack([N, Z @ nullspace(N.T @ Z).basis])
-    return _gram_orthonormal(basis, factors)[:, :, N.shape[1]:]
+    return _gram_orthonormal(basis, gram)[:, :, N.shape[1]:]
 
 
-def _side_parts(grams, energies, pairing_rows):
+def _side_parts(gram, energies, pairing_rows):
     """(P0, ring_P0, P0_perp, PB, ring_PB) of one side of every cell's pair.
 
     Each part is a (cells, dim, m) stack of bases.  P0 = N(pairing) and
@@ -450,28 +450,29 @@ def _side_parts(grams, energies, pairing_rows):
     N0 = nullspace(B).basis
     N1 = nullspace(np.vstack([B, E])).basis
     rest = N0 @ nullspace(N1.T @ N0).basis
-    factors = dense_factor(grams)
     return (
-        _gram_orthonormal(N0, factors),
-        _gram_orthonormal(N1, factors),
-        _complement_in(N1, N0, factors),
-        _complement_in(N1, nullspace(rest.T @ E).basis, factors),
-        _complement_in(N1, nullspace(E).basis, factors),
+        _gram_orthonormal(N0, gram),
+        _gram_orthonormal(N1, gram),
+        _complement_in(N1, N0, gram),
+        _complement_in(N1, nullspace(rest.T @ E).basis, gram),
+        _complement_in(N1, nullspace(E).basis, gram),
     )
 
 
 def decompose_local(Mp, Ep, Md, Ed, B):
     """Split both sides of every cell's (k, k+1) pair by the adjointness pairing.
 
-    ``Mp`` and ``Ep`` are the (cells, p, p) stacks of the primal Grams and
-    energy Grams, ``Md`` and ``Ed`` the dual ones, ``B`` the (cells, p, q)
-    pairing blocks.  The pairing-null parts collect the members invisible to
-    the other space; the twisted parts carry the cross-cell coupling, and
-    P = P0 (+) PB on both sides.  Every cell's pairing and energy blocks must
-    be one block times a positive factor, as a trimmed family's are (vol_K
-    times its reference block): the pairing-null parts are found once, and
-    only the Gram-dependent steps run per cell, batched over the stacks.
-    Returns one `LocalDecomposition` per cell.
+    ``Mp`` is the primal side's `Gram`, whose stack holds the cells' Grams,
+    and ``Ep`` the (cells, p, p) stack of their energy Grams; ``Md`` and
+    ``Ed`` are the dual ones and ``B`` the (cells, p, q) pairing blocks.
+    The pairing-null parts collect the members invisible to the other
+    space; the twisted parts carry the cross-cell coupling, and P = P0 (+)
+    PB on both sides.  Every cell's pairing and energy blocks must be one
+    block times a positive factor, as a trimmed family's are (vol_K times
+    its reference block): the pairing-null parts are found once, and only
+    the Gram-dependent steps run per cell, batched over the stacks and
+    whitened by each `Gram`'s stacked factor.  Returns one
+    `LocalDecomposition` per cell.
     """
     p, q = B.shape[1:]
     P0, ring_P0, P0_perp, PB, ring_PB = _side_parts(Mp, Ep, np.swapaxes(B, 1, 2))
@@ -484,8 +485,8 @@ def decompose_local(Mp, Ep, Md, Ed, B):
     return [
         LocalDecomposition(
             B[c],
-            *(Subspace(p, part[c], Mp[c]) for part in (P0, ring_P0, P0_perp, PB, ring_PB)),
-            *(Subspace(q, part[c], Md[c]) for part in (dual_P0, dual_PB, dual_ring_PB)),
+            *(Subspace(p, part[c], Mp.stack[c]) for part in (P0, ring_P0, P0_perp, PB, ring_PB)),
+            *(Subspace(q, part[c], Md.stack[c]) for part in (dual_P0, dual_PB, dual_ring_PB)),
         )
         for c in range(len(B))
     ]
@@ -550,35 +551,35 @@ def _graph_infsup(Gp, Gq, B):
 def cell_constants(primal, dual, Mp, Ep, Md, Ed, B):
     """(alpha, beta, gamma) of every cell, as (cells,) arrays, from the stacks.
 
-    ``primal`` and ``dual`` are the `ReferenceBlock`s of the pair, ``Mp``,
-    ``Ep``, ``Md`` and ``Ed`` the (cells, ., .) stacks of their Grams and
-    energy Grams and ``B`` the cells' pairing blocks.  alpha pairs the
-    d-kernel of the primal side with the delta-range of the dual side in the
-    primal Gram, beta the delta-kernel of the dual side with the d-range of
-    the primal side in the dual Gram: each kernel and range is the same
-    subspace on every cell, found once from the reference blocks, and only
-    its Gram-orthonormal basis is made per cell.  gamma is the pairing's
-    inf-sup in the graph norms.  The values mean something only on cells
-    whose pairing block is square and nonsingular.
+    ``primal`` and ``dual`` are the `ReferenceBlock`s of the pair, ``Mp``
+    and ``Md`` the `Gram`s of their broken spaces, ``Ep`` and ``Ed`` the
+    (cells, ., .) stacks of their energy Grams and ``B`` the cells' pairing
+    blocks.  alpha pairs the d-kernel of the primal side with the
+    delta-range of the dual side in the primal Gram, beta the delta-kernel
+    of the dual side with the d-range of the primal side in the dual Gram:
+    each kernel and range is the same subspace on every cell, found once
+    from the reference blocks, and only its Gram-orthonormal basis is made
+    per cell.  gamma is the pairing's inf-sup in the graph norms.  The
+    values mean something only on cells whose pairing block is square and
+    nonsingular.
     """
     alpha = _pair_infsup(nullspace(primal.energy).basis, primal.projection.T @ dual.delta, Mp)
     beta = _pair_infsup(nullspace(dual.energy).basis, dual.projection.T @ primal.d, Md)
-    return alpha, beta, _graph_infsup(Mp + Ep, Md + Ed, B)
+    return alpha, beta, _graph_infsup(Mp.stack + Ep, Md.stack + Ed, B)
 
 
-def _pair_infsup(kernel, images, grams):
+def _pair_infsup(kernel, images, gram):
     """Every cell's inf-sup of span ``kernel`` against span ``images`` in its Gram.
 
     1 when both are empty and 0 when their dimensions differ.
     """
     span = orthonormalize(images)
     if kernel.shape[1] != span.shape[1]:
-        return np.zeros(len(grams))
+        return np.zeros(len(gram.stack))
     if kernel.shape[1] == 0:
-        return np.ones(len(grams))
-    factors = dense_factor(grams)
-    A, S = _gram_orthonormal(kernel, factors), _gram_orthonormal(span, factors)
-    s = np.linalg.svd(np.swapaxes(A, 1, 2) @ grams @ S, compute_uv=False)
+        return np.ones(len(gram.stack))
+    A, S = _gram_orthonormal(kernel, gram), _gram_orthonormal(span, gram)
+    s = np.linalg.svd(np.swapaxes(A, 1, 2) @ gram.stack @ S, compute_uv=False)
     return np.clip(s[:, -1], 0.0, 1.0)
 
 

@@ -26,14 +26,14 @@ owns the rows or columns ``cell_slice(i)`` of `BrokenSpace` and `P0Space`,
 and every cellwise operator (pairing, d, delta, P0 injection and
 projection) is a `scipy.sparse` CSR array written by `block_diagonal`
 straight from its (cells, r, c) stack; ``@`` with a dense operand gives a
-dense array.  The L2 Grams are `linalg.Gram`s, and the space that builds
-one owns its upper Cholesky factor G = R^T R: the P0 Gram is the diagonal
-of cell volumes, factored by square roots, and a `BrokenSpace` Gram is
-factored from its cell stack, once, on first use.  So a constraint
-nullspace N gives the Gram-orthonormal atlas R^-1 N without a further
-orthonormalization.  Atlases and nullspace bases stay dense.  The cells
-that hold a sub-simplex come from the incidence and owner tables of
-`Mesh.subsimplices`.
+dense array.  The L2 Grams are `linalg.Gram`s, each built by its space
+from its stack of cell blocks (the cell volumes of a `P0Space`, the cell
+Grams of a `BrokenSpace`) and owning that stack's upper Cholesky factor
+G_K = R_K^T R_K, computed once, on first use.  The batched cell passes read
+the stacked factor, and a constraint nullspace N gives the Gram-orthonormal
+atlas R^-1 N without a further orthonormalization.  Atlases and nullspace
+bases stay dense.  The cells that hold a sub-simplex come from the
+incidence and owner tables of `Mesh.subsimplices`.
 
 The mesh's `DeRhamLadder` is the one home of the operators of a broken
 space.  For each family (primal, dual, full) and degree it builds the
@@ -183,28 +183,25 @@ class BrokenSpace:
         self.geometry = geometry
         self.block_dims = [self.reference.dim] * mesh.num_cells
         self.dim = self.reference.dim * mesh.num_cells
-        self._gram_blocks = None
         self._gram = None
 
     def cell_slice(self, i):
         return slice(i * self.reference.dim, (i + 1) * self.reference.dim)
 
+    def gram(self):
+        """The L2 `Gram` of the cells' stack; it owns the stack's factor."""
+        if self._gram is None:
+            g = self.geometry
+            self._gram = Gram(self.reference.grams(g.volumes, g.second_moments))
+        return self._gram
+
     def gram_blocks(self):
         """(cells, dim, dim) stack of the cells' L2 Grams."""
-        if self._gram_blocks is None:
-            g = self.geometry
-            self._gram_blocks = self.reference.grams(g.volumes, g.second_moments)
-        return self._gram_blocks
+        return self.gram().stack
 
     def energy_blocks(self):
         """(cells, dim, dim) stack of the cells' energy Grams."""
         return self.reference.energy_grams(self.geometry.volumes)
-
-    def gram(self):
-        """The L2 `Gram`, carrying the factor of its cell stack."""
-        if self._gram is None:
-            self._gram = Gram.blocks(self.gram_blocks())
-        return self._gram
 
     def form_on_cell(self, vec, i):
         """The form on cell ``i`` with coefficients ``vec[cell_slice(i)]``."""
@@ -411,11 +408,12 @@ class DeRhamLadder:
             primal = self.primal(k)
             if k < self.mesh.dim:
                 dual = self.dual(k + 1)
-                Md, Ed, B = dual.gram_blocks(), dual.energy_blocks(), self.pairing_blocks(k)
+                Md, Ed, B = dual.gram(), dual.energy_blocks(), self.pairing_blocks(k)
             else:
-                Md = Ed = np.zeros((self.mesh.num_cells, 0, 0))
+                Ed = np.zeros((self.mesh.num_cells, 0, 0))
+                Md = Gram(Ed)
                 B = np.zeros((self.mesh.num_cells, primal.reference.dim, 0))
-            return decompose_local(primal.gram_blocks(), primal.energy_blocks(), Md, Ed, B)
+            return decompose_local(primal.gram(), primal.energy_blocks(), Md, Ed, B)
 
         return self._get(("localdec", k), build)
 

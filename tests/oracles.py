@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from padfeec.errors import NotAdmissible
-from padfeec.linalg import RANK_TOL, nullspace, orthonormalize
+from padfeec.linalg import RANK_TOL, Gram, nullspace, orthonormalize
 from padfeec.local import LocalSpace, decompose_local, pairing_matrix, trimmed_local
 from padfeec.mesh import Mesh, generate_structured
 from padfeec.report import Report, emit
@@ -43,11 +43,11 @@ JITTERED = [
 
 def decompose_pair(primal, dual):
     """The `LocalDecomposition` of one cell's pair of local spaces."""
-    stacks = (
-        primal.gram(), primal.energy_gram(), dual.gram(), dual.energy_gram(),
-        pairing_matrix(primal, dual),
+    (dec,) = decompose_local(
+        Gram(primal.gram()[None]), primal.energy_gram()[None],
+        Gram(dual.gram()[None]), dual.energy_gram()[None],
+        pairing_matrix(primal, dual)[None],
     )
-    (dec,) = decompose_local(*(a[None] for a in stacks))
     return dec
 
 
@@ -125,11 +125,14 @@ def fast_local_constants(primal: LocalSpace, dual: LocalSpace, B=None):
 
 
 def cell_icr(T_block, M_local, range_gram_scale, eig_tol):
-    """Index of closed range of one cell's stiffness block, whitened by its Gram."""
+    """Index of closed range of one cell's stiffness block, whitened by its Gram.
+
+    With the cell's upper Cholesky factor M_local = R^T R the whitened
+    stiffness is R^-T K R^-1.
+    """
     K = T_block.T @ T_block * range_gram_scale
-    L = np.linalg.cholesky(0.5 * (M_local + M_local.T))
-    Kw = np.linalg.solve(L, np.linalg.solve(L, 0.5 * (K + K.T)).T)
-    w = np.linalg.eigvalsh(0.5 * (Kw + Kw.T))
+    Rinv = np.linalg.inv(np.linalg.cholesky(M_local, upper=True))
+    w = np.linalg.eigvalsh(Rinv.T @ K @ Rinv)
     wmax = max(w[-1], 0.0)
     if wmax <= 0.0:
         return 0.0

@@ -246,8 +246,9 @@ class TestCellwiseBasePairOracle:
 
         mesh = CLOSE_MESHES[name]
         oracle = _global_base_pair_report(_fresh(mesh), 0)
-        original = BrokenSpace.gram_blocks
-        monkeypatch.setattr(BrokenSpace, "gram_blocks", lambda self: original(self)[::-1])
+        # the Gram owns the one stack that the runtime reads, and its factor
+        original = BrokenSpace.gram
+        monkeypatch.setattr(BrokenSpace, "gram", lambda self: Gram(original(self).stack[::-1]))
         _, worst = _base_pair_differences(base_pair_report(_fresh(mesh), 0), oracle)
         assert worst > 1e-3, worst
 
@@ -657,7 +658,7 @@ class _CellSpaces:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
     def gram(self):
-        return Gram.blocks(np.stack([sp.gram() for sp in self.locals]))
+        return Gram(np.stack([sp.gram() for sp in self.locals]))
 
 
 class TestEnhancedFluxSlices:

@@ -104,7 +104,7 @@ class TestGramFactor:
     def test_gram_multiplies_like_its_matrix_and_keeps_its_factor(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((4, 3, 3))
-        G = Gram.blocks(X @ np.swapaxes(X, 1, 2) + 3.0 * np.eye(3))
+        G = Gram(X @ np.swapaxes(X, 1, 2) + 3.0 * np.eye(3))
         dense = G.matrix.toarray()
         P = rng.standard_normal((12, 5))
         assert np.array_equal(G @ P, G.matrix @ P)
@@ -114,10 +114,20 @@ class TestGramFactor:
         assert gram_factor(G)[0] is R
         assert np.abs(R.T @ R - dense).max() <= 1e-13 * np.abs(dense).max()
         assert np.abs((R @ Rinv).toarray() - np.eye(12)).max() <= 1e-13
+        # the sparse factor is the stacked factor that the cell passes read
+        assert np.array_equal(R.toarray(), scipy.linalg.block_diag(*G.stack_factor[0]))
+        assert np.array_equal(Rinv.toarray(), scipy.linalg.block_diag(*G.stack_factor[1]))
 
     def test_diagonal_gram_with_a_zero_is_refused_when_factored(self):
         with pytest.raises(InvalidGram):
             gram_factor(Gram.diagonal([1.0, 0.0, 2.0]))
+
+    def test_stack_with_an_indefinite_block_is_refused_when_factored(self):
+        stack = np.stack([np.eye(3), 2.0 * np.eye(3), np.diag([1.0, -1.0, 1.0]), np.eye(3)])
+        with pytest.raises(InvalidGram):
+            gram_factor(Gram(stack))
+        with pytest.raises(InvalidGram):
+            Gram(stack).stack_factor
 
 
 class TestIcr:
@@ -357,7 +367,7 @@ class TestHouseholderSubspaces:
         return {
             "diagonal": Gram.diagonal(rng.uniform(0.5, 2.0, n)),
             "dense": spd(n),
-            "block-diagonal": Gram.blocks(np.stack([spd(6) for _ in range(n // 6)])),
+            "block-diagonal": Gram(np.stack([spd(6) for _ in range(n // 6)])),
         }
 
     @pytest.mark.parametrize("kind", ["diagonal", "dense", "block-diagonal"])

@@ -385,7 +385,7 @@ class TestLadderOperators:
         original = local.decompose_local
 
         def counted(Mp, *stacks):
-            calls.extend(range(len(Mp)))
+            calls.extend(range(len(Mp.stack)))
             return original(Mp, *stacks)
 
         # patch every module-level binding of the function
@@ -729,32 +729,38 @@ class TestHodgeWithoutL2Inner:
 
 class TestGramsFactoredOnce:
     def test_suite_factors_each_gram_once(self, monkeypatch, capsys):
-        # every sparse Gram a space hands out carries its factor, so over the
-        # jobs of `suite all --fast` (box:4 among them) none is factored twice
+        # every (cells, m, m) stack that is factored is the stack of a Gram,
+        # which factors it once and hands its stacked factor to the batched
+        # cell passes: over the jobs of `suite all --fast` (box:4 among them)
+        # no Gram is factored twice and no pass factors a stack itself
         import json
 
+        from padfeec import linalg
         from padfeec.cli import main
         from padfeec.linalg import Gram
 
-        counts = []  # [gram, factorizations]; the entry keeps its Gram alive
-        init = Gram.__init__
+        grams = []  # every Gram built; the list keeps each alive, so ids stay distinct
+        stacks = []  # every stack that reaches dense_factor
+        init, factor = Gram.__init__, linalg.dense_factor
 
-        def counting_init(self, matrix, factor):
-            entry = [self, 0]
-            counts.append(entry)
+        def counting_init(self, stack):
+            grams.append(self)
+            init(self, stack)
 
-            def counted():
-                entry[1] += 1
-                return factor()
-
-            init(self, matrix, counted)
+        def counting_factor(G):
+            if G.ndim == 3:
+                stacks.append(G)
+            return factor(G)
 
         monkeypatch.setattr(Gram, "__init__", counting_init)
+        monkeypatch.setattr(linalg, "dense_factor", counting_factor)
         assert main(["suite", "all", "--fast"]) == 0
         records = json.loads(capsys.readouterr().out)["records"]
         assert records and all(r["verdict"] == "pass" for r in records)
-        factored = [n for _, n in counts if n]
-        assert len(factored) >= 20 and max(factored) == 1, factored
+        owners = [next((g for g in grams if g.stack is G), None) for G in stacks]
+        assert all(g is not None for g in owners), "a stack factored outside a Gram"
+        factored = {id(g) for g in owners}
+        assert len(stacks) == len(factored) >= 20, (len(stacks), len(factored))
 
 
 class TestRuntimeWithoutLocalSpace:
