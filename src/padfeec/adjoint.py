@@ -12,9 +12,11 @@ Base pairs are checked in one batched pass over the cells' Gram, energy
 and pairing stacks, with d and delta as the reference blocks that every
 cell holds, and each report is kept in the ladder.  The kernels
 and ranges of the three discrete complexes (nonconforming, conforming
-Whitney, starred) come from `_complex_kernel` and `_complex_range`;
-harmonic spaces, Hodge splits and slice dualities read them, and only the
-harmonic spaces are kept in the ladder.
+Whitney, starred) come from `_complex_kernel` and `_complex_range`, the
+nonconforming kernel below the top degree from its constraint set;
+harmonic spaces, Hodge splits and slice dualities read them.  A harmonic
+space whose range fills its kernel is the zero space, with no complement
+taken, and only the harmonic spaces are kept in the ladder.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +28,7 @@ from .linalg import (
     Subspace,
     diagonal_blocks,
     gram_complement,
+    gram_factor,
     icr_of,
     infsup,
     nullspace,
@@ -432,28 +435,36 @@ def _domain_kernel_p0(lad, k, broken, T, basis=None):
 def _broken_kernel_p0(lad, k, broken, T):
     """Kernel of a cellwise operator on the whole broken space, in P0 coordinates.
 
-    The ladder's d and delta hold one reference block on every cell, so the
-    kernel is that block's kernel on every cell, taken at the same relative
-    rank tolerance as on the whole matrix.  Its P0 coordinates, checked to be
-    constant, are orthonormalized once and scaled by 1/sqrt(volume) per cell,
-    which makes them orthonormal in the P0 Gram.
+    The reference block's kernel coordinates, orthonormalized once and scaled
+    by 1/sqrt(volume) per cell, are orthonormal in the P0 Gram.
     """
-    p0, cells, dim = lad.p0(k), lad.mesh.num_cells, broken.reference.dim
-    blocks = diagonal_blocks(T, T.shape[0] // cells, dim)
-    block = blocks[0]
-    if not np.array_equal(blocks, np.broadcast_to(block, blocks.shape)):
-        raise AssemblyError("operator is not one block repeated on every cell")
-    N = nullspace(block / max(np.abs(block).max(initial=0.0), 1e-300)).basis
-    ref = broken.reference
-    coords = ref.projection @ N
-    resid = np.abs(N - ref.projection.T @ coords).max(initial=0.0)
-    if resid > 1e-9 * max(np.abs(N).max(initial=0.0), 1.0):
-        raise AssemblyError("vectors are not piecewise constant (residual %.2e)" % resid)
-    Q = orthonormalize(coords)
+    p0, cells = lad.p0(k), lad.mesh.num_cells
+    Q = orthonormalize(_reference_kernel(lad, broken, T))
     basis = np.zeros((cells, p0.ncomp, cells, Q.shape[1]))
     every = np.arange(cells)
     basis[every, :, every, :] = Q / np.sqrt(p0.volumes)[:, None, None]
     return Subspace(p0.dim, basis.reshape(p0.dim, cells * Q.shape[1]), p0.gram)
+
+
+def _reference_kernel(lad, broken, T):
+    """P0 coordinates of the kernel of the reference block of a cellwise T.
+
+    The ladder's d and delta hold one reference block on every cell, so the
+    kernel is that block's kernel on every cell, taken at the same relative
+    rank tolerance as on the whole matrix.  Its members are checked to be
+    constant.
+    """
+    cells, ref = lad.mesh.num_cells, broken.reference
+    blocks = diagonal_blocks(T, T.shape[0] // cells, ref.dim)
+    block = blocks[0]
+    if not np.array_equal(blocks, np.broadcast_to(block, blocks.shape)):
+        raise AssemblyError("operator is not one block repeated on every cell")
+    N = nullspace(block / max(np.abs(block).max(initial=0.0), 1e-300)).basis
+    coords = ref.projection @ N
+    resid = np.abs(N - ref.projection.T @ coords).max(initial=0.0)
+    if resid > 1e-9 * max(np.abs(N).max(initial=0.0), 1.0):
+        raise AssemblyError("vectors are not piecewise constant (residual %.2e)" % resid)
+    return coords
 
 
 # -- the three discrete complexes ------------------------------------------------
@@ -483,12 +494,24 @@ def _complex_space(lad, complex_, k, bc):
 def _complex_kernel(lad, complex_, k, bc):
     """Kernel of the complex's d (delta for 'star') at degree k, in P0 coordinates.
 
-    Past the last operator (d at degree n, delta at degree 0) the kernel is the
-    whole space, whose members are piecewise constant.  The atlas is handed
-    over as it is, without orthonormalizing it first.
+    Below the top degree the nonconforming space is null(C) for its
+    constraint matrix C, and d vanishes on the broken space exactly on the
+    constants J p (checked on the reference block), so the kernel is
+    {p : C J p = 0}: with the P0 Gram R0^T R0, the null vectors N of
+    C J R0^-1 give the Gram-orthonormal basis R0^-1 N.  The other kernels
+    are taken on the atlas, handed over without orthonormalizing it.  Past
+    the last operator (d at degree n, delta at degree 0) the kernel is the
+    whole space, whose members are piecewise constant.
     """
-    gs = _complex_space(lad, complex_, k, bc)
     g = lad.p0(k).gram
+    if complex_ == "abc" and k < lad.mesh.dim:
+        if _reference_kernel(lad, lad.primal(k), lad.d_matrix(k)).shape[1] != lad.p0(k).ncomp:
+            raise AssemblyError("d does not vanish exactly on the constants")
+        Rinv = gram_factor(g)[1]
+        CJ = lad.abc(k, bc)[1].matrix @ (lad.p0_injection(k) @ Rinv)
+        ns = nullspace(CJ / max(np.abs(CJ).max(initial=0.0), 1e-300))
+        return Subspace(ns.ambient_dim, Rinv @ ns.basis, g)
+    gs = _complex_space(lad, complex_, k, bc)
     if complex_ == "star":
         if k == 0:
             return Subspace.from_span(_p0_coords(lad, 0, lad.dual(0), gs.atlas), g)
@@ -535,11 +558,13 @@ def _build_harmonic_space(mesh, k, flavor):
         raise AssemblyError("unknown harmonic flavor %r" % (flavor,))
     complex_, bc = _FLAVORS[flavor]
     lad = ladder(mesh)
+    p0 = lad.p0(k)
     N = _complex_kernel(lad, complex_, k, bc)
     R = _complex_range(lad, complex_, k + 1 if complex_ == "star" else k - 1, bc)
     if R.dim and not N.contains(R.basis, tol=1e-8):
         raise NotAComplex("range is not contained in the kernel (flavor %s)" % flavor)
-    H = gram_complement(R, N, lad.p0(k).gram)
+    # a range as wide as the kernel that contains it leaves no complement
+    H = Subspace.zero(p0.dim, p0.gram) if R.dim == N.dim else gram_complement(R, N, p0.gram)
     H.basis.flags.writeable = False
     return HarmonicSpace(H, k, flavor)
 

@@ -7,7 +7,8 @@ the cells' trimmed `LocalSpace`s of a broken space with the ladder's Grams;
 `fast_local_constants` and `cell_icr` are the per-cell base-pair constants
 that the batched report is compared with; `is_independent`,
 `canonically_equal`, `max_diameter` and `roundtrip` are checks that only
-the tests make.
+the tests make.  `betti_numbers` is the mesh's topology from exact integer
+ranks of its chain boundary matrices, independent of any finite element.
 """
 
 import json
@@ -157,6 +158,53 @@ def canonically_equal(mesh_a, mesh_b, decimals=9):
         return [keys[i] for i in order], cells
 
     return canon(mesh_a) == canon(mesh_b)
+
+
+# 2^31 - 1: the product of two residues fits in an int64
+PRIME = 2_147_483_647
+
+
+def rank_mod_prime(M, p=PRIME):
+    """Exact rank of an integer matrix over the integers modulo the prime ``p``.
+
+    Gaussian elimination on residues, so no tolerance enters.  It equals the
+    rank over the rationals unless ``p`` divides every nonzero minor of
+    that order.
+    """
+    A = np.asarray(M, dtype=np.int64) % p
+    r = 0
+    for c in range(A.shape[1]):
+        if r == A.shape[0]:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), p - 2, p) % p
+        below = r + 1 + np.flatnonzero(A[r + 1 :, c])
+        A[below, c:] = (A[below, c:] - A[below, c : c + 1] * A[r, c:]) % p
+        r += 1
+    return r
+
+
+def betti_numbers(mesh, relative=False):
+    """Betti numbers b_0..b_n of the mesh, or b_k(mesh, boundary) if ``relative``.
+
+    b_k = dim C_k - rank of the boundary from C_k - rank of the boundary
+    into C_k, from `Mesh.boundary_matrix`; the relative chains drop the
+    boundary sub-simplices.
+    """
+    n = mesh.dim
+    keep = [
+        ~mesh.subsimplices(k).boundary if relative
+        else np.ones(mesh.subsimplices(k).count, dtype=bool)
+        for k in range(n + 1)
+    ]
+    ranks = [0] + [
+        rank_mod_prime(mesh.boundary_matrix(k)[np.ix_(keep[k - 1], keep[k])])
+        for k in range(1, n + 1)
+    ] + [0]
+    return [int(keep[k].sum()) - ranks[k] - ranks[k + 1] for k in range(n + 1)]
 
 
 def max_diameter(mesh):

@@ -29,6 +29,7 @@ from padfeec.spaces import ladder
 
 from oracles import (
     JITTERED,
+    betti_numbers,
     cell_icr,
     decompose_pair,
     fast_local_constants,
@@ -504,6 +505,117 @@ class TestHarmonicCache:
         with pytest.raises(AssemblyError, match="unknown harmonic flavor"):
             harmonic_space(mesh, 1, "bogus")
         assert not [key for key in ladder(mesh)._cache if key[0] == "harmonic"]
+
+
+KERNEL_MESHES = {
+    **CLOSE_MESHES,
+    "hole:8": generate_structured(2, 8, "hole"),
+    "cavity:4": generate_structured(3, 4, "cavity"),
+}
+
+
+class TestConstraintKernel:
+    """ker d on the nonconforming space, from its constraints, equals the atlas route."""
+
+    @pytest.mark.parametrize(
+        "name,k,bc",
+        [
+            (name, k, bc)
+            for name, mesh in KERNEL_MESHES.items()
+            for k in range(mesh.dim)
+            for bc in ("none", "homogeneous")
+        ],
+    )
+    def test_equal_to_atlas_route(self, name, k, bc):
+        from padfeec.adjoint import _complex_kernel, _domain_kernel_p0
+
+        lad = ladder(_fresh(KERNEL_MESHES[name]))
+        g = lad.p0(k).gram
+        N = _complex_kernel(lad, "abc", k, bc)
+        atlas = _domain_kernel_p0(lad, k, lad.primal(k), lad.d_matrix(k), lad.abc(k, bc)[0].atlas)
+        assert N.dim == atlas.dim
+        ok, angle = subspace_equal(N, atlas, g, tol=1e-10)
+        assert ok, angle
+        assert np.abs(N.basis.T @ (g @ N.basis) - np.eye(N.dim)).max(initial=0.0) <= 1e-12
+
+    def test_d_must_vanish_on_every_constant(self, monkeypatch):
+        import padfeec.adjoint as adjoint
+        from padfeec.errors import AssemblyError
+
+        # a reference kernel that misses a constant breaks the route's premise
+        reference = adjoint._reference_kernel
+        monkeypatch.setattr(adjoint, "_reference_kernel", lambda *args: reference(*args)[:, 1:])
+        with pytest.raises(AssemblyError, match="constants"):
+            adjoint._complex_kernel(ladder(generate_structured(2, 2)), "abc", 1, "none")
+
+
+class TestEmptyComplement:
+    def test_range_leaving_the_kernel_still_raises(self, monkeypatch):
+        import padfeec.adjoint as adjoint
+        from padfeec.errors import NotAComplex
+
+        mesh = generate_structured(2, 2)
+        lad = ladder(mesh)
+        g = lad.p0(1).gram
+        N = adjoint._complex_kernel(lad, "abc", 1, "none")
+        outside = gram_complement(N, Subspace.full(N.ambient_dim, g), g).basis[:, :1]
+        # as wide as the kernel, so only the containment check stops the shortcut
+        fake = Subspace.from_span(np.column_stack([N.basis[:, 1:], outside]), g)
+        assert fake.dim == N.dim
+        monkeypatch.setattr(adjoint, "_complex_range", lambda *args: fake)
+        with pytest.raises(NotAComplex):
+            harmonic_space(mesh, 1, "abc")
+
+    def test_zero_space_without_a_complement(self, monkeypatch):
+        import padfeec.adjoint as adjoint
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gram_complement called for an empty complement")
+
+        mesh = generate_structured(2, 2)
+        monkeypatch.setattr(adjoint, "gram_complement", refuse)
+        H = harmonic_space(mesh, 1, "abc")
+        assert H.subspace.basis.shape == (ladder(mesh).p0(1).dim, 0)
+        assert H.subspace.basis.flags.writeable is False
+
+
+BETTI_MESHES = {
+    "box:2": ((2, 2, "box"), [1, 0, 0]),
+    "hole:4": ((2, 4, "hole"), [1, 1, 0]),
+    "tetbox:1": ((3, 1, "box"), [1, 0, 0, 0]),
+    "tunnel:4": ((3, 4, "tunnel"), [1, 1, 0, 0]),
+    "cavity:4": ((3, 4, "cavity"), [1, 0, 1, 0]),
+}
+
+
+class TestBettiOracle:
+    """Every harmonic dimension is a Betti number of the mesh (de Rham).
+
+    The Betti numbers come from exact integer ranks of the chain boundary
+    matrices, so no finite element or tolerance enters the oracle.
+    """
+
+    @pytest.mark.parametrize("name", list(BETTI_MESHES))
+    def test_oracle_knows_the_topology(self, name):
+        args, betti = BETTI_MESHES[name]
+        mesh = generate_structured(*args)
+        assert betti_numbers(mesh) == betti
+        # Lefschetz duality: b_k(mesh, boundary) = b_{n-k}(mesh)
+        assert betti_numbers(mesh, relative=True) == betti[::-1]
+
+    @pytest.mark.parametrize("name", list(BETTI_MESHES))
+    def test_harmonic_dimensions(self, name):
+        mesh = generate_structured(*BETTI_MESHES[name][0])
+        absolute, relative = betti_numbers(mesh), betti_numbers(mesh, relative=True)
+        want = {
+            flavor: absolute if flavor in ("abc", "conforming", "star0") else relative
+            for flavor in HARMONIC_FLAVORS
+        }
+        got = {
+            flavor: [harmonic_space(mesh, k, flavor).dim for k in range(mesh.dim + 1)]
+            for flavor in HARMONIC_FLAVORS
+        }
+        assert got == want
 
 
 class TestOrthonormalInvariant:
