@@ -508,7 +508,7 @@ def _complex_kernel(lad, complex_, k, bc):
         if _reference_kernel(lad, lad.primal(k), lad.d_matrix(k)).shape[1] != lad.p0(k).ncomp:
             raise AssemblyError("d does not vanish exactly on the constants")
         Rinv = gram_factor(g)[1]
-        CJ = lad.abc(k, bc)[1].matrix @ (lad.p0_injection(k) @ Rinv)
+        CJ = lad.abc_constraints(k, bc) @ (lad.p0_injection(k) @ Rinv)
         ns = nullspace(CJ / max(np.abs(CJ).max(initial=0.0), 1e-300))
         return Subspace(ns.ambient_dim, Rinv @ ns.basis, g)
     gs = _complex_space(lad, complex_, k, bc)
@@ -524,8 +524,9 @@ def _complex_kernel(lad, complex_, k, bc):
 def _complex_range(lad, complex_, k, bc):
     """Range of the complex's d (delta for 'star') from degree k, in P0 coordinates.
 
-    It is empty past the ends of the complex: from degree -1 for d, and from
-    degree n+1 for delta.
+    The nonconforming range is spanned by d of the compact basis, the
+    others by the image of the atlas.  It is empty past the ends of the
+    complex: from degree -1 for d, and from degree n+1 for delta.
     """
     if complex_ == "star":
         target = lad.p0(k - 1)
@@ -537,7 +538,8 @@ def _complex_range(lad, complex_, k, bc):
         if k < 0:
             return Subspace.zero(target.dim, target.gram)
         T = lad.d_matrix(k)
-    return Subspace.from_span(T @ _complex_space(lad, complex_, k, bc).atlas, target.gram)
+    span = lad.abc_basis(k, bc) if complex_ == "abc" else _complex_space(lad, complex_, k, bc).atlas
+    return Subspace.from_span(T @ span, target.gram)
 
 
 def harmonic_space(mesh, k, flavor):

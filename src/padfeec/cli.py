@@ -272,11 +272,11 @@ def cmd_verify_complex(mesh, config, report):
         dims = {}
         for k in range(mesh.dim):
             gs, _ = lad.abc(k, bc)
-            _, cons = lad.abc(k + 1, bc)
+            C = lad.abc_constraints(k + 1, bc)
             DA = lad.d_matrix(k) @ gs.atlas
-            if cons.matrix.shape[0]:
+            if C.shape[0]:
                 image = lad.p0_injection(k + 1) @ DA
-                worst = max(worst, float(np.abs(cons.matrix @ image).max()))
+                worst = max(worst, float(np.abs(C @ image).max()))
             r = rank(DA)
             dims["kernel_%d" % k] = gs.dim - r
             dims["range_%d" % (k + 1)] = r
@@ -291,10 +291,10 @@ def cmd_verify_complex(mesh, config, report):
         angles = []
         for k in range(mesh.dim + 1):
             gs, _ = lad.abc(k, bc)
-            atlas = lad.abc_atlas(k, bc)
-            A = Subspace.from_span(atlas.matrix(), lad.primal(k).gram())
+            basis = lad.abc_basis(k, bc)
+            A = Subspace.from_span(basis, lad.primal(k).gram())
             ok, ang = subspace_equal(A, gs.subspace(), lad.primal(k).gram(), tol=1e-9)
-            angles.append(ang if atlas.dim == gs.dim and ok else np.inf)
+            angles.append(ang if basis.shape[1] == gs.dim and ok else np.inf)
         report.add(
             CheckRecord(
                 "route-equivalence-%s" % bc,

@@ -208,11 +208,8 @@ def global_field(mesh, form: PolyForm):
 
 def constraint_residual(mesh, k, bc, vec):
     """Largest violated pairing constraint of the matching nonconforming space."""
-    lad = ladder(mesh)
-    _, cons = lad.abc(k, bc)
-    if cons.matrix.shape[0] == 0:
-        return 0.0
-    return float(np.abs(cons.matrix @ vec).max())
+    C = ladder(mesh).abc_constraints(k, bc)
+    return float(np.abs(C @ vec).max()) if C.shape[0] else 0.0
 
 
 def commute_check(mesh, k, field):

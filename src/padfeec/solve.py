@@ -5,7 +5,10 @@ dual form), the eigenvalue pair, and four Hodge-Laplace schemes sharing one
 right-hand side; every announced equivalence between them is verified as a
 relative residual.  All mass terms use the projection onto piecewise
 constants exactly as the schemes are written; only the constant moments of
-the load enter any right-hand side.
+the load enter any right-hand side.  The source and Hodge schemes run on
+the ladder's sparse unit-scaled bases (`abc_basis`, `star_basis`) and are
+factored by sparse LU; the one-field system, on a dense nullspace basis,
+and the eigenvalue pencils, on the constraint atlases, are dense.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +19,7 @@ import scipy.sparse
 from .adjoint import harmonic_space
 from .errors import AssemblyError, DegreeMismatch, InvalidParameter, SolverFailure
 from .forms import cell_quadrature, random_polyform
-from .linalg import gram_factor, nullspace, pencil_nonzero_eigs, solve_symmetric
+from .linalg import DENSE_FILL, gram_factor, nullspace, pencil_nonzero_eigs, solve_symmetric
 from .spaces import d_pairing, ladder
 
 
@@ -50,49 +53,70 @@ def _solve(K, rhs, label):
     return x, rel, cond
 
 
-def _check_symmetric(K, label, scale=None):
-    """Raise unless |K - K^T| <= 1e-13 times ``scale``, by default K's largest entry.
+def _check_symmetric(K, label):
+    """Raise unless |K - K^T| <= 1e-13 times K's largest entry.
 
-    The rows are compared in stripes, so no temporary of K's size is made.
+    A dense K is compared in stripes of rows, so no temporary of its size
+    is made; a sparse one is compared whole.
     """
-    if K.size:
-        if scale is None:
-            scale = max(K.max(), -K.min())
-        tol = 1e-13 * max(scale, 1e-300)
-        for r in range(0, K.shape[0], _STRIPE):
-            gap = K[r : r + _STRIPE] - K[:, r : r + _STRIPE].T
-            if np.abs(gap, out=gap).max() > tol:
-                raise AssemblyError("%s system lost symmetry" % label)
+    tol = 1e-13 * max(_max_abs(K), 1e-300)
+    if scipy.sparse.issparse(K):
+        stripes = [K - K.T]
+    else:
+        stripes = (
+            K[r : r + _STRIPE] - K[:, r : r + _STRIPE].T for r in range(0, K.shape[0], _STRIPE)
+        )
+    if any(_max_abs(gap) > tol for gap in stripes):
+        raise AssemblyError("%s system lost symmetry" % label)
     return K
 
 
 _STRIPE = 128  # rows per stripe of the symmetry check
 
 
+def _max_abs(B):
+    """Largest |entry| of a dense or sparse block, 0 for an empty one."""
+    return float(np.abs(B.data if scipy.sparse.issparse(B) else B).max(initial=0.0))
+
+
 def _block_system(sizes, blocks, rhs_blocks, label):
-    """Dense symmetric block matrix and right-hand side, with the block slices.
+    """Symmetric block matrix and right-hand side, with the block slices.
 
     ``blocks`` maps (i, j) with i <= j to the upper block, dense or
     `scipy.sparse`; it is mirrored to (j, i) transposed.  ``rhs_blocks`` maps
     i to that block of the right-hand side.  Every block not given is zero.
-    The mirrored blocks are symmetric by construction, so only the diagonal
-    blocks are checked, against the largest entry of the whole system.
+    A system more than `DENSE_FILL` full is assembled dense; any other is a
+    CSC array, written from every block's triplets in one pass.  The
+    mirrored blocks cancel exactly in K - K^T, so the symmetry check of the
+    whole system is that of its diagonal blocks, against the largest entry
+    of the whole system.
     """
     ends = np.cumsum(sizes)
     slices = [slice(int(e - n), int(e)) for n, e in zip(sizes, ends)]
     dim = int(ends[-1])
-    K = np.zeros((dim, dim))
-    for (i, j), B in blocks.items():
-        if scipy.sparse.issparse(B):
-            B = B.toarray()
-        K[slices[i], slices[j]] = B
-        if i != j:
-            K[slices[j], slices[i]] = B.T
-    if K.size:
-        scale = max(K.max(), -K.min())
-        for i, j in blocks:
-            if i == j:
-                _check_symmetric(K[slices[i], slices[i]], label, scale)
+    stored = sum(
+        (B.nnz if scipy.sparse.issparse(B) else np.count_nonzero(B)) * (1 + (i != j))
+        for (i, j), B in blocks.items()
+    )
+    if stored > DENSE_FILL * dim**2:
+        K = np.zeros((dim, dim))
+        for (i, j), B in blocks.items():
+            B = B.toarray() if scipy.sparse.issparse(B) else B
+            K[slices[i], slices[j]] = B
+            if i != j:
+                K[slices[j], slices[i]] = B.T
+    else:
+        rows, cols, vals = [], [], []
+        for (i, j), B in blocks.items():
+            B = scipy.sparse.coo_array(B)
+            r, c = B.row + slices[i].start, B.col + slices[j].start
+            rows += [r, c] if i != j else [r]
+            cols += [c, r] if i != j else [c]
+            vals += [B.data, B.data] if i != j else [B.data]
+        K = scipy.sparse.csc_array(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+        )
+    _check_symmetric(K, label)
     rhs = np.zeros(dim)
     for i, b in rhs_blocks.items():
         rhs[slices[i]] = b
@@ -140,14 +164,12 @@ def _p0_coords_of_moments(lad, k, F):
 def solve_source_primal(mesh, k, load, bc="none"):
     """Coercive nonconforming scheme with the projected mass term."""
     lad = ladder(mesh)
-    gs, _ = lad.abc(k, bc)
-    A = gs.atlas
-    G_hi = lad.p0(k + 1).gram if k < mesh.dim else None
+    A = lad.abc_basis(k, bc)
     P = lad.p0_projection(k) @ A
-    K = P.T @ lad.p0(k).gram @ P
+    K = P.T @ (lad.p0(k).gram @ P)
     if k < mesh.dim:
         DA = lad.d_matrix(k) @ A
-        K = K + DA.T @ G_hi @ DA
+        K = K + DA.T @ (lad.p0(k + 1).gram @ DA)
     F = load if isinstance(load, np.ndarray) else p0_moments(mesh, k, load)
     rhs = P.T @ F
     x, rel, cond = _solve(_check_symmetric(K, "source-primal"), rhs, "source-primal")
@@ -160,14 +182,16 @@ def solve_source_primal(mesh, k, load, bc="none"):
     )
 
 
+def _partner_bc(bc):
+    return "homogeneous" if bc == "none" else "none"
+
+
 def solve_source_dual(mesh, k, load, bc="none"):
     """Conforming mixed scheme: flux in the star space, state in constants."""
     lad = ladder(mesh)
-    partner_bc = "homogeneous" if bc == "none" else "none"
-    star = lad.whitney_star(k + 1, partner_bc)
-    Az = star.atlas
+    Az = lad.star_basis(k + 1, _partner_bc(bc))
     Pz = lad.p0_projection(k + 1, "dual") @ Az
-    Mp = Pz.T @ lad.p0(k + 1).gram @ Pz
+    Mp = Pz.T @ (lad.p0(k + 1).gram @ Pz)
     C = lad.p0(k).gram @ (lad.delta_matrix(k + 1) @ Az)  # moments of delta zeta
     M0 = lad.p0(k).gram
     F = load if isinstance(load, np.ndarray) else p0_moments(mesh, k, load)
@@ -202,11 +226,8 @@ def verify_source_equivalence(mesh, primal_sol, dual_sol):
     """The three cell-by-cell identities linking the two source schemes."""
     k = primal_sol.meta["k"]
     lad = ladder(mesh)
-    gs, _ = lad.abc(k, primal_sol.meta["bc"])
-    partner_bc = "homogeneous" if primal_sol.meta["bc"] == "none" else "none"
-    star = lad.whitney_star(k + 1, partner_bc)
     omega_b = primal_sol.components["omega_broken"]
-    zeta_b = star.atlas @ dual_sol.components["zeta"]
+    zeta_b = lad.star_basis(k + 1, _partner_bc(primal_sol.meta["bc"])) @ dual_sol.components["zeta"]
     F = primal_sol.meta["moments"]
     floor = max(float(np.linalg.norm(F)), 1e-14)
     P_omega = lad.p0_projection(k) @ omega_b
@@ -238,8 +259,7 @@ def solve_eigen_pair(mesh, k, bc="none", rel_tol=1e-9):
     P1 = lad.p0_projection(k) @ A
     M1 = P1.T @ lad.p0(k).gram @ P1
     primal_vals, primal_zero = pencil_nonzero_eigs(K1, M1, rel_tol)
-    partner_bc = "homogeneous" if bc == "none" else "none"
-    star = lad.whitney_star(k + 1, partner_bc)
+    star = lad.whitney_star(k + 1, _partner_bc(bc))
     Az = star.atlas
     DZ = lad.delta_matrix(k + 1) @ Az
     K2 = DZ.T @ lad.p0(k).gram @ DZ
@@ -282,45 +302,44 @@ def _mixed_space(mesh, k):
 def _mixed_constraints(lad, k):
     """Rows constraining the broken full k-forms to the one-field space."""
     full = lad.full(k)
-    rows = []
     B_up = d_pairing(full, lad.dual(k + 1))
-    star = lad.whitney_star(k + 1, "homogeneous")
-    rows.append((B_up @ star.atlas).T)
-    abc_lo, _ = lad.abc(k - 1, "none")
+    As = lad.abc_basis(k - 1, "none")
     term1 = lad.delta_matrix(k, "full").T @ (
-        lad.p0(k - 1).gram @ (lad.p0_projection(k - 1) @ abc_lo.atlas)
+        lad.p0(k - 1).gram @ (lad.p0_projection(k - 1) @ As)
     )
-    D_lo = lad.d_matrix(k - 1) @ abc_lo.atlas
-    term2 = full.gram() @ (lad.p0_injection(k, "full") @ D_lo)
-    rows.append((term1 - term2).T)
-    return np.vstack(rows)
+    term2 = full.gram() @ (lad.p0_injection(k, "full") @ (lad.d_matrix(k - 1) @ As))
+    return scipy.sparse.vstack(
+        [(B_up @ lad.star_basis(k + 1, "homogeneous")).T, (term1 - term2).T], format="csr"
+    )
 
 
 def _build_mixed_space(lad, k):
     # with G = R^T R cellwise, R^-1 times the null vectors of C R^-1 is a
     # Gram-orthonormal basis of the null space of C
     Rinv = gram_factor(lad.full(k).gram())[1]
-    CR = _mixed_constraints(lad, k) @ Rinv
+    CR = (_mixed_constraints(lad, k) @ Rinv).toarray()
     return Rinv @ nullspace(CR / max(np.abs(CR).max(initial=0.0), 1e-300)).basis
 
 
 def solve_hodge(mesh, k, load, scheme="complete"):
-    """One of the four Hodge-Laplace discretizations at level 1 <= k <= n-1."""
+    """One of the four Hodge-Laplace discretizations at level 1 <= k <= n-1.
+
+    The nonconforming and starred unknowns are coefficients in the ladder's
+    unit-scaled sparse bases; the one-field unknowns in its dense basis.
+    """
     if not 1 <= k <= mesh.dim - 1:
         raise InvalidParameter("Hodge-Laplace schemes live at 1 <= k <= n-1")
     lad = ladder(mesh)
     F = load if isinstance(load, np.ndarray) else p0_moments(mesh, k, load)
     g0 = lad.p0(k).gram
     if scheme == "complete":
-        star = lad.whitney_star(k + 1, "homogeneous")
-        abc_lo, _ = lad.abc(k - 1, "none")
         H = _harmonic_basis(mesh, k, "abc")
-        Az, As = star.atlas, abc_lo.atlas
+        Az, As = lad.star_basis(k + 1, "homogeneous"), lad.abc_basis(k - 1, "none")
         Pz = lad.p0_projection(k + 1, "dual") @ Az
-        Mpz = Pz.T @ lad.p0(k + 1).gram @ Pz
+        Mpz = Pz.T @ (lad.p0(k + 1).gram @ Pz)
         Cz = g0 @ (lad.delta_matrix(k + 1) @ Az)
         Ps = lad.p0_projection(k - 1) @ As
-        Mps = Ps.T @ lad.p0(k - 1).gram @ Ps
+        Mps = Ps.T @ (lad.p0(k - 1).gram @ Ps)
         Cs = g0 @ (lad.d_matrix(k - 1) @ As)
         MH = g0 @ H
         K, rhs, (sl_o, sl_z, sl_s, sl_h) = _block_system(
@@ -341,17 +360,15 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         }
         return SchemeSolution("hodge-complete", comps, rel, cond, {"k": k, "moments": F})
     if scheme == "mixed_primal":
-        abc_k, _ = lad.abc(k, "none")
-        abc_lo, _ = lad.abc(k - 1, "none")
         H = _harmonic_basis(mesh, k, "abc")
-        A, As = abc_k.atlas, abc_lo.atlas
+        A, As = lad.abc_basis(k, "none"), lad.abc_basis(k - 1, "none")
         Pk = lad.p0_projection(k) @ A
         DA = lad.d_matrix(k) @ A
-        Sk = DA.T @ lad.p0(k + 1).gram @ DA
+        Sk = DA.T @ (lad.p0(k + 1).gram @ DA)
         Ps = lad.p0_projection(k - 1) @ As
-        Mps = Ps.T @ lad.p0(k - 1).gram @ Ps
-        Cs = Pk.T @ g0 @ (lad.d_matrix(k - 1) @ As)
-        MH = Pk.T @ g0 @ H
+        Mps = Ps.T @ (lad.p0(k - 1).gram @ Ps)
+        Cs = Pk.T @ (g0 @ (lad.d_matrix(k - 1) @ As))
+        MH = Pk.T @ (g0 @ H)
         K, rhs, (sl_o, sl_s, sl_h) = _block_system(
             (A.shape[1], As.shape[1], H.shape[1]),
             {(0, 0): Sk, (0, 1): Cs, (0, 2): MH, (1, 1): -Mps},
@@ -369,17 +386,15 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         }
         return SchemeSolution("hodge-mixed-primal", comps, rel, cond, {"k": k, "moments": F})
     if scheme == "mixed_dual":
-        star_k = lad.whitney_star(k, "homogeneous")
-        star_hi = lad.whitney_star(k + 1, "homogeneous")
         H = _harmonic_basis(mesh, k, "star0")
-        A, Az = star_k.atlas, star_hi.atlas
+        A, Az = lad.star_basis(k, "homogeneous"), lad.star_basis(k + 1, "homogeneous")
         Pk = lad.p0_projection(k, "dual") @ A
         DeltaA = lad.delta_matrix(k) @ A
-        Sk = DeltaA.T @ lad.p0(k - 1).gram @ DeltaA
+        Sk = DeltaA.T @ (lad.p0(k - 1).gram @ DeltaA)
         Pz = lad.p0_projection(k + 1, "dual") @ Az
-        Mpz = Pz.T @ lad.p0(k + 1).gram @ Pz
-        Cz = Pk.T @ g0 @ (lad.delta_matrix(k + 1) @ Az)
-        MH = Pk.T @ g0 @ H
+        Mpz = Pz.T @ (lad.p0(k + 1).gram @ Pz)
+        Cz = Pk.T @ (g0 @ (lad.delta_matrix(k + 1) @ Az))
+        MH = Pk.T @ (g0 @ H)
         K, rhs, (sl_o, sl_z, sl_h) = _block_system(
             (A.shape[1], Az.shape[1], H.shape[1]),
             {(0, 0): Sk, (0, 1): Cz, (0, 2): MH, (1, 1): -Mpz},

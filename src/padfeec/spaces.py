@@ -32,11 +32,14 @@ Grams of a `BrokenSpace`) and owning that stack's upper Cholesky factor
 G_K = R_K^T R_K, computed once, on first use.  The batched cell passes read
 the stacked factor, and a constraint nullspace N gives the Gram-orthonormal
 atlas R^-1 N without a further orthonormalization.  Atlases and nullspace
-bases stay dense.  The cells that hold a sub-simplex come from the
+bases are dense; the ladder also keeps the compact nonconforming basis and
+the star atlases as CSC arrays whose columns have unit broken-Gram norm,
+and the sparse solves run on these.  The cells that hold a sub-simplex come from the
 incidence and owner tables of `Mesh.subsimplices`.
 
 The mesh's `DeRhamLadder` is the one home of the operators of a broken
-space.  For each family (primal, dual, full) and degree it builds the
+space, and of the nonconforming constraint matrix C that both routes to
+the nonconforming space read.  For each family (primal, dual, full) and degree it builds the
 cellwise d and delta into piecewise constants, the P0 injection and
 projection, the pairing and each cell's pairing-relative decomposition once,
 and keeps them, with the mesh's geometry arrays, for the life of the mesh.
@@ -46,6 +49,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import (
     AssemblyError,
@@ -436,6 +440,54 @@ class DeRhamLadder:
             ("abc-atlas", k, bc), lambda: abcfes_local_basis(self.mesh, k, bc, self)
         )
 
+    def abc_constraints(self, k, bc="none"):
+        """Constraint matrix C of the nonconforming k-forms: the space is null(C).
+
+        Row j pairs the broken primal k-forms with column j of the starred
+        conforming partner one degree up, of the opposite boundary treatment;
+        at the top degree C has no rows.
+        """
+
+        def build():
+            if k == self.mesh.dim:
+                return np.zeros((0, self.primal(k).dim))
+            partner = self.whitney_star(k + 1, "homogeneous" if bc == "none" else "none")
+            return (self.pairing(k) @ partner.atlas).T
+
+        return self._get(("abc-constraints", k, bc), build)
+
+    def abc_basis(self, k, bc="none"):
+        """The compact basis of `abc_atlas` as a CSC array of unit broken-Gram norm columns."""
+
+        def build():
+            vectors = [f.vector for f in self.abc_atlas(k, bc).functions]
+            support = [np.flatnonzero(v) for v in vectors]
+            data = np.concatenate([np.zeros(0)] + [v[s] for v, s in zip(vectors, support)])
+            indices = np.concatenate([np.zeros(0, dtype=int)] + support)
+            indptr = np.cumsum([0] + [s.size for s in support])
+            B = scipy.sparse.csc_array(
+                (data, indices, indptr), shape=(self.primal(k).dim, len(vectors))
+            )
+            return _unit_columns(B, self.primal(k).gram())
+
+        return self._get(("abc-basis", k, bc), build)
+
+    def star_basis(self, k, bc="none"):
+        """The atlas of `whitney_star` as a CSC array of unit broken-Gram norm columns."""
+        return self._get(
+            ("star-basis", k, bc),
+            lambda: _unit_columns(
+                scipy.sparse.csc_array(self.whitney_star(k, bc).atlas), self.dual(k).gram()
+            ),
+        )
+
+
+def _unit_columns(B, gram):
+    """The CSC array B with each column scaled to unit norm in ``gram``."""
+    norms = np.sqrt((B * (gram @ B)).sum(axis=0))
+    B.data /= np.repeat(norms, np.diff(B.indptr))
+    return B
+
 
 def ladder(mesh):
     """The mesh's ladder, built on first use; it is freed with the mesh."""
@@ -512,10 +564,8 @@ def abcfes_by_constraints(mesh, k, bc="none", lad=None):
     if k == mesh.dim:
         gs = GlobalSpace(broken, np.eye(broken.dim), kind="abc" if bc == "none" else "abc0", bc=bc)
         return gs, ConstraintSet(np.zeros((0, broken.dim)), None)
-    partner_bc = "homogeneous" if bc == "none" else "none"
-    partner = lad.whitney_star(k + 1, partner_bc)
-    B = lad.pairing(k)
-    C = (B @ partner.atlas).T
+    partner = lad.whitney_star(k + 1, "homogeneous" if bc == "none" else "none")
+    C = lad.abc_constraints(k, bc)
     # null vectors of C R^-1 are Euclidean-orthonormal, so A = R^-1 N is
     # Gram-orthonormal and spans the null space of C; the rank is cut from
     # the same pivoted QR, and a gap of less than 1e3 at the cut is ambiguous
@@ -556,7 +606,7 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
     partner_bc = "homogeneous" if bc == "none" else "none"
     partner = lad.whitney_star(k + 1, partner_bc)
     # pairing of every broken basis form with every partner column
-    BP = lad.pairing(k) @ partner.atlas
+    BP = lad.abc_constraints(k, bc).T
     decs = lad.local_decompositions(k)
     # cells supporting each partner basis function
     table = mesh.subsimplices(mesh.dim - k - 1)

@@ -9,17 +9,25 @@ that the batched report is compared with; `is_independent`,
 `canonically_equal`, `max_diameter` and `roundtrip` are checks that only
 the tests make.  `betti_numbers` is the mesh's topology from exact integer
 ranks of its chain boundary matrices, independent of any finite element.
+`constraint_atlas_source` and `constraint_atlas_hodge` solve every scheme
+on the dense constraint-route atlases (`DeRhamLadder.abc`, the Whitney and
+star atlases), assembled dense and factored by LAPACK: the oracle of the
+sparse compact-basis solves.
 """
 
 import json
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 
+from padfeec.adjoint import _complex_kernel, harmonic_space
 from padfeec.errors import NotAdmissible
-from padfeec.linalg import RANK_TOL, Gram, nullspace, orthonormalize
+from padfeec.linalg import RANK_TOL, Gram, Subspace, gram_complement, nullspace, orthonormalize
 from padfeec.local import LocalSpace, decompose_local, pairing_matrix, trimmed_local
 from padfeec.mesh import Mesh, generate_structured
 from padfeec.report import Report, emit
+from padfeec.spaces import d_pairing, ladder
 
 
 def jittered(mesh, seed, amount, everywhere=False):
@@ -215,3 +223,116 @@ def max_diameter(mesh):
 def roundtrip(report: Report):
     """Parse the JSON emission back into plain data (lossless by design)."""
     return json.loads(emit(report, "json").decode())
+
+
+def _dense_block_solve(sizes, blocks, rhs_blocks):
+    """Solve the symmetric block system of `solve._block_system`, dense, by LU.
+
+    Returns the solution's blocks.
+    """
+    ends = np.cumsum(sizes)
+    slices = [slice(int(e - n), int(e)) for n, e in zip(sizes, ends)]
+    K = np.zeros((int(ends[-1]),) * 2)
+    for (i, j), B in blocks.items():
+        B = B.toarray() if scipy.sparse.issparse(B) else np.asarray(B)
+        K[slices[i], slices[j]] = B
+        if i != j:
+            K[slices[j], slices[i]] = B.T
+    rhs = np.zeros(K.shape[0])
+    for i, b in rhs_blocks.items():
+        rhs[slices[i]] = b
+    x = scipy.linalg.solve(K, rhs)
+    return [x[sl] for sl in slices]
+
+
+def constraint_atlas_source(mesh, k, F, bc="none"):
+    """Broken components of both source schemes on the constraint-route atlases."""
+    lad = ladder(mesh)
+    g0 = lad.p0(k).gram
+    A = lad.abc(k, bc)[0].atlas
+    P = lad.p0_projection(k) @ A
+    K = P.T @ (g0 @ P)
+    if k < mesh.dim:
+        DA = lad.d_matrix(k) @ A
+        K = K + DA.T @ (lad.p0(k + 1).gram @ DA)
+    Az = lad.whitney_star(k + 1, "homogeneous" if bc == "none" else "none").atlas
+    Pz = lad.p0_projection(k + 1, "dual") @ Az
+    zeta, omega_bar = _dense_block_solve(
+        (Az.shape[1], lad.p0(k).dim),
+        {(0, 0): Pz.T @ (lad.p0(k + 1).gram @ Pz),
+         (0, 1): -(g0 @ (lad.delta_matrix(k + 1) @ Az)).T,
+         (1, 1): -g0.matrix},
+        {1: -F},
+    )
+    return {
+        "omega_broken": A @ scipy.linalg.solve(K, P.T @ F),
+        "zeta_broken": Az @ zeta,
+        "omega_bar": omega_bar,
+    }
+
+
+def constraint_atlas_hodge(mesh, k, F, scheme):
+    """Broken components of one Hodge scheme on the constraint-route atlases.
+
+    The nonconforming harmonic space is the complement of d of the
+    constraint atlas one degree down in the constraint-set kernel.
+    """
+    lad = ladder(mesh)
+    g0, g_lo, g_hi = lad.p0(k).gram, lad.p0(k - 1).gram, lad.p0(k + 1).gram
+    if scheme == "mixed_dual":
+        H = harmonic_space(mesh, k, "star0").subspace.basis
+    else:
+        R = Subspace.from_span(lad.d_matrix(k - 1) @ lad.abc(k - 1, "none")[0].atlas, g0)
+        H = gram_complement(R, _complex_kernel(lad, "abc", k, "none"), g0).basis
+    As = lad.abc(k - 1, "none")[0].atlas
+    Az = lad.whitney_star(k + 1, "homogeneous").atlas
+    Ps = lad.p0_projection(k - 1) @ As
+    Pz = lad.p0_projection(k + 1, "dual") @ Az
+    Mps, Mpz = Ps.T @ (g_lo @ Ps), Pz.T @ (g_hi @ Pz)
+    if scheme == "complete":
+        _, z, s, h = _dense_block_solve(
+            (lad.p0(k).dim, Az.shape[1], As.shape[1], H.shape[1]),
+            {(0, 1): g0 @ (lad.delta_matrix(k + 1) @ Az),
+             (0, 2): g0 @ (lad.d_matrix(k - 1) @ As),
+             (0, 3): g0 @ H, (1, 1): -Mpz, (2, 2): -Mps},
+            {0: F},
+        )
+        return {"zeta_broken": Az @ z, "sigma_broken": As @ s, "theta_p0": H @ h}
+    if scheme == "mixed_primal":
+        A = lad.abc(k, "none")[0].atlas
+        Pk, DA = lad.p0_projection(k) @ A, lad.d_matrix(k) @ A
+        o, s, h = _dense_block_solve(
+            (A.shape[1], As.shape[1], H.shape[1]),
+            {(0, 0): DA.T @ (g_hi @ DA),
+             (0, 1): Pk.T @ (g0 @ (lad.d_matrix(k - 1) @ As)),
+             (0, 2): Pk.T @ (g0 @ H), (1, 1): -Mps},
+            {0: Pk.T @ F},
+        )
+        return {"omega_broken": A @ o, "sigma_broken": As @ s, "theta_p0": H @ h}
+    if scheme == "mixed_dual":
+        A = lad.whitney_star(k, "homogeneous").atlas
+        Pk, DeltaA = lad.p0_projection(k, "dual") @ A, lad.delta_matrix(k) @ A
+        o, z, h = _dense_block_solve(
+            (A.shape[1], Az.shape[1], H.shape[1]),
+            {(0, 0): DeltaA.T @ (g_lo @ DeltaA),
+             (0, 1): Pk.T @ (g0 @ (lad.delta_matrix(k + 1) @ Az)),
+             (0, 2): Pk.T @ (g0 @ H), (1, 1): -Mpz},
+            {0: Pk.T @ F},
+        )
+        return {"omega_broken": A @ o, "zeta_broken": Az @ z, "theta_p0": H @ h}
+    # the one-field space: the broken full k-forms paired to zero with the
+    # star atlas one degree up and with the constraint atlas one degree down
+    full = lad.full(k)
+    term1 = lad.delta_matrix(k, "full").T @ (g_lo @ Ps)
+    term2 = full.gram() @ (lad.p0_injection(k, "full") @ (lad.d_matrix(k - 1) @ As))
+    C = np.vstack([(d_pairing(full, lad.dual(k + 1)) @ Az).T, (term1 - term2).T])
+    A = nullspace(C / np.abs(C).max()).basis
+    DA, DeltaA = lad.d_matrix(k, "full") @ A, lad.delta_matrix(k, "full") @ A
+    PV = lad.p0_projection(k, "full") @ A
+    F_eff = F - g0 @ (H @ np.linalg.solve(H.T @ (g0 @ H), H.T @ F)) if H.shape[1] else F
+    o, _ = _dense_block_solve(
+        (A.shape[1], H.shape[1]),
+        {(0, 0): DA.T @ (g_hi @ DA) + DeltaA.T @ (g_lo @ DeltaA), (0, 1): PV.T @ (g0 @ H)},
+        {0: PV.T @ F_eff},
+    )
+    return {"omega_broken": A @ o}

@@ -208,6 +208,19 @@ class TestCli:
         assert code == 2 and out == ""
         assert err == "error: SolverFailure: singular matrix\n"
 
+    def test_sparse_lu_failure_is_one_line(self, capsys, monkeypatch):
+        import scipy.sparse.linalg
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", fail)
+        code, out, err = run_cli(
+            ["solve", "hodge", "--mesh", "box:8", "--k", "1", "--scheme", "complete"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err == "error: SolverFailure: sparse LU failed: Factor is exactly singular\n"
+
     def test_memory_failure_is_one_line(self, capsys, monkeypatch):
         import padfeec.cli
 

@@ -265,6 +265,29 @@ class TestSolveSymmetric:
         assert cond > 1.0 and float("%.6g" % cond) == cond
 
 
+    def test_sparse_and_dense_agree(self):
+        rng = np.random.default_rng(7)
+        M = scipy.sparse.random_array((200, 200), density=0.02, rng=rng)
+        K = (M + M.T + scipy.sparse.diags_array(rng.standard_normal(200))).tocsc()
+        b = rng.standard_normal(200)
+        xs, rel_s, cond_s = solve_symmetric(K, b)
+        xd, rel_d, cond_d = solve_symmetric(K.toarray(), b)
+        assert np.linalg.norm(xs - xd) <= 1e-12 * np.linalg.norm(xd)
+        assert rel_s < 1e-13 and rel_d < 1e-13
+        assert cond_s == cond_d
+        # the estimate is a lower bound of the 1-norm condition, here a tight one
+        Kd = K.toarray()
+        exact = np.linalg.norm(Kd, 1) * np.linalg.norm(np.linalg.inv(Kd), 1)
+        assert exact / 10 <= cond_s <= exact * (1 + 1e-6)
+
+    def test_singular_sparse_system_is_a_solver_failure(self):
+        from padfeec.errors import SolverFailure
+
+        K = scipy.sparse.diags_array([1.0, 0.0, 1.0, 2.0, 3.0], format="csc")
+        with pytest.raises(SolverFailure, match="sparse LU failed"):
+            solve_symmetric(K, np.ones(5))
+
+
 class TestOrthonormalize:
     def test_gram_orthonormal(self):
         rng = np.random.default_rng(5)

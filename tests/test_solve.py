@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
+from oracles import constraint_atlas_hodge, constraint_atlas_source
 from padfeec.errors import InvalidParameter
 from padfeec.forms import PolyForm
 from padfeec.linalg import rank
@@ -278,3 +281,120 @@ class TestSymmetryCheck:
         K[0, 199] = 1e-3
         with pytest.raises(AssemblyError, match="source-primal system lost symmetry"):
             _check_symmetric(K, "source-primal")
+
+
+    def test_sparse_asymmetric_diagonal_block_raises(self):
+        from padfeec.errors import AssemblyError
+        from padfeec.solve import _block_system
+
+        rng = np.random.default_rng(0)
+        S = scipy.sparse.random_array((300, 300), density=0.01, rng=rng)
+        S = (S + S.T).tolil()
+        C = scipy.sparse.random_array((300, 4), density=0.05, rng=rng)
+        K, _, _ = _block_system((300, 4), {(0, 0): S.tocsr(), (0, 1): C}, {}, "test")
+        assert scipy.sparse.issparse(K) and abs(K - K.T).max() == 0.0
+        assert np.array_equal(K.toarray()[:300, :300], S.toarray())
+        # the asymmetry sits in the last stripe of rows
+        S[290, 280] += 1e-6
+        with pytest.raises(AssemblyError, match="test system lost symmetry"):
+            _block_system((300, 4), {(0, 0): S.tocsr(), (0, 1): C}, {}, "test")
+
+    def test_sparse_asymmetry_is_scaled_by_the_whole_system(self):
+        from padfeec.errors import AssemblyError
+        from padfeec.solve import _block_system
+
+        # 1e-12 off in a block of unit entries: within 1e-13 of the system's
+        # largest entry 1e4, not of the block's own 1
+        S = scipy.sparse.eye_array(100, format="lil")
+        S[0, 1], S[1, 0] = 1.0 + 1e-12, 1.0
+        for big, fails in ((1e4, False), (1.0, True)):
+            C = scipy.sparse.coo_array(([big], ([0], [0])), shape=(100, 2))
+            if fails:
+                with pytest.raises(AssemblyError):
+                    _block_system((100, 2), {(0, 0): S.tocsr(), (0, 1): C}, {}, "test")
+            else:
+                K, _, _ = _block_system((100, 2), {(0, 0): S.tocsr(), (0, 1): C}, {}, "test")
+                assert scipy.sparse.issparse(K)
+
+    def test_sparse_unassembled_system_is_checked_whole(self):
+        from padfeec.errors import AssemblyError
+        from padfeec.solve import _check_symmetric
+
+        K = scipy.sparse.eye_array(200, format="lil")
+        K[0, 199] = 1e-3
+        with pytest.raises(AssemblyError, match="source-primal system lost symmetry"):
+            _check_symmetric(K.tocsr(), "source-primal")
+
+
+MESH_SPECS = {"box": (2, "box"), "hole": (2, "hole"), "tetbox": (3, "box"), "tunnel": (3, "tunnel")}
+
+
+def _mesh(spec):
+    name, n = spec.split(":")
+    dim, domain = MESH_SPECS[name]
+    return generate_structured(dim, int(n), domain)
+
+
+def _close(new, old):
+    return np.linalg.norm(new - old) <= 1e-9 * max(np.linalg.norm(new), np.linalg.norm(old))
+
+
+class TestConstraintAtlasOracle:
+    """The sparse compact-basis solves against the dense constraint-atlas solves."""
+
+    @pytest.mark.parametrize("spec", ["box:2", "box:4", "hole:4", "tetbox:1", "tunnel:4"])
+    def test_hodge_schemes(self, spec):
+        mesh = _mesh(spec)
+        for k in range(1, mesh.dim):
+            F = p0_moments(mesh, k, random_polynomial_load(mesh, k, seed=31))
+            for scheme in ("complete", "mixed_primal", "mixed_dual", "lowest_primal"):
+                new = solve_hodge(mesh, k, F, scheme).components
+                for name, vec in constraint_atlas_hodge(mesh, k, F, scheme).items():
+                    assert _close(new[name], vec), (spec, k, scheme, name)
+
+    @pytest.mark.parametrize("spec", ["box:2", "box:4", "hole:4", "tetbox:1", "tunnel:4"])
+    def test_source_schemes(self, spec):
+        mesh = _mesh(spec)
+        lad = ladder(mesh)
+        for k in range(mesh.dim):
+            F = p0_moments(mesh, k, random_polynomial_load(mesh, k, seed=37))
+            for bc, partner_bc in (("none", "homogeneous"), ("homogeneous", "none")):
+                old = constraint_atlas_source(mesh, k, F, bc)
+                primal = solve_source_primal(mesh, k, F, bc).components
+                dual = solve_source_dual(mesh, k, F, bc).components
+                zeta = lad.star_basis(k + 1, partner_bc) @ dual["zeta"]
+                assert _close(primal["omega_broken"], old["omega_broken"]), (spec, k, bc)
+                assert _close(zeta, old["zeta_broken"]), (spec, k, bc)
+                assert _close(dual["omega_bar"], old["omega_bar"]), (spec, k, bc)
+
+
+class TestSparseRoute:
+    def test_hodge_builds_no_constraint_atlas(self):
+        mesh = generate_structured(2, 4, "hole")
+        load = random_polynomial_load(mesh, 1, seed=17)
+        sols = {
+            s: solve_hodge(mesh, 1, load, s)
+            for s in ("complete", "mixed_primal", "mixed_dual", "lowest_primal")
+        }
+        assert verify_hodge_equivalences(mesh, 1, sols).passed
+        built = [key for key in ladder(mesh)._cache if isinstance(key, tuple) and key[0] == "abc"]
+        assert built == []
+
+    def test_sparse_systems_do_not_reach_dense_lu(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("dense LU called")
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", fail)
+        mesh = generate_structured(2, 8)
+        load = random_polynomial_load(mesh, 1, seed=17)
+        for scheme in ("complete", "mixed_primal", "mixed_dual"):
+            assert solve_hodge(mesh, 1, load, scheme).residual < 1e-10
+        assert solve_source_primal(mesh, 0, random_polynomial_load(mesh, 0)).residual < 1e-10
+        assert solve_source_dual(mesh, 0, random_polynomial_load(mesh, 0)).residual < 1e-10
+
+    def test_unit_scaled_bases(self):
+        lad = ladder(HOLE4)
+        for B, G in ((lad.abc_basis(1), lad.primal(1).gram()),
+                     (lad.star_basis(1, "homogeneous"), lad.dual(1).gram())):
+            assert B.format == "csc"
+            assert np.abs((B * (G @ B)).sum(axis=0) - 1.0).max() < 1e-13
