@@ -220,8 +220,7 @@ def whitney_pair(mesh, k, bc="none"):
     """
     lad = ladder(mesh)
     abc, _ = lad.abc(k, bc)
-    partner_bc = "homogeneous" if bc == "none" else "none"
-    star = lad.whitney_star(k + 1, partner_bc)
+    star = lad.partner(k, bc)
     pair = OperatorPair(
         T=lad.d_matrix(k),
         domain=abc.subspace(),

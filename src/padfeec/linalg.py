@@ -37,7 +37,6 @@ from .errors import InvalidGram, InvalidMatrix, NotClosedRange, NotNested, Solve
 
 RANK_TOL = 1e-10
 EIG_TOL = 1e-10
-DENSE_FILL = 0.25  # share of stored entries above which a system is handled dense
 
 
 def _as_matrix(M):
@@ -480,30 +479,25 @@ def pencil_nonzero_eigs(K, M, rel_tol=1e-9):
 def solve_symmetric(A, b, refine=True):
     """Symmetric-indefinite solve with one step of iterative refinement.
 
-    A `scipy.sparse` A is factored by SuperLU (`splu`); a dense one, or a
-    sparse one more than `DENSE_FILL` full, on which sparse LU does not pay,
-    by LAPACK's LU.  Returns (x, relative_residual, condition_estimate).  The
-    condition estimate is ||A||_1 times the Hager-Higham estimate of
-    ||A^-1||_1, taken through the factor already held with one probe
-    column (`onenormest` with t = 1 draws no random vector), and rounded
-    to 6 significant digits so that reports stay byte-for-byte
-    deterministic.
+    A `scipy.sparse` A is factored by SuperLU (`splu`), a dense one by
+    LAPACK's LU.  Returns (x, relative_residual, condition_estimate).  The
+    condition estimate is ||A||_1 times `_inverse_norm1`'s estimate of
+    ||A^-1||_1 through the factor held, rounded to 6 significant digits so
+    that reports stay byte-for-byte deterministic.
     """
-    # imported here: it costs the commands that solve nothing 2 MB and 35 modules
-    import scipy.sparse.linalg
-
     b = np.asarray(b, dtype=float)
-    if scipy.sparse.issparse(A) and A.nnz <= DENSE_FILL * A.shape[0] ** 2:
-        A = scipy.sparse.csc_array(A, dtype=float)
-        if not np.all(np.isfinite(A.data)):
-            raise InvalidMatrix("matrix has non-finite entries")
-    else:
-        A = _as_matrix(A)
+    sparse = scipy.sparse.issparse(A)
+    A = scipy.sparse.csc_array(A, dtype=float) if sparse else _as_matrix(A)
+    if sparse and not np.all(np.isfinite(A.data)):
+        raise InvalidMatrix("matrix has non-finite entries")
     if A.shape[0] == 0:
         return np.zeros(0), 0.0, 1.0
-    if scipy.sparse.issparse(A):
+    if sparse:
+        # imported here: it costs the commands that factor nothing sparse 2 MB and 35 modules
+        from scipy.sparse.linalg import splu
+
         try:
-            lu = scipy.sparse.linalg.splu(A)
+            lu = splu(A)
         except RuntimeError as exc:
             raise SolverFailure("sparse LU failed: %s" % exc) from None
         solve = lu.solve
@@ -520,8 +514,40 @@ def solve_symmetric(A, b, refine=True):
         x = x + solve(b - A @ x)
     bnorm = max(np.linalg.norm(b), 1e-300)
     rel = float(np.linalg.norm(b - A @ x) / bnorm)
-    inverse = scipy.sparse.linalg.LinearOperator(
-        A.shape, matvec=solve, rmatvec=lambda r: solve(r, "T"), dtype=float
-    )
-    cond = anorm * scipy.sparse.linalg.onenormest(inverse, t=1)
+    cond = anorm * _inverse_norm1(solve, A.shape[0])
     return x, rel, float("%.6g" % cond) if np.isfinite(cond) else np.inf
+
+
+def _inverse_norm1(solve, n, itmax=5):
+    """Lower estimate of ||A^-1||_1 from ``solve(r, trans)`` with A's factor.
+
+    Higham and Tisseur's block 1-norm estimator (SIAM J. Matrix Anal. Appl.
+    21(4), 2000, Algorithm 2.4) with one probe column, which starts from the
+    constant vector and so draws no random one: the steps of
+    `scipy.sparse.linalg.onenormest(A^-1, t=1)`, without importing that
+    package into every solve.
+    """
+    if n == 1:
+        return float(abs(solve(np.ones(1))[0]))
+    x = np.full(n, 1.0 / n)
+    s = np.zeros(n)
+    est_old, j = 0.0, None
+    for k in range(1, itmax + 2):
+        y = solve(x)
+        est = float(np.abs(y).sum())
+        if k >= 2 and est <= est_old:
+            return est_old
+        est_old = est
+        if k > itmax:
+            break
+        s_new = np.where(y >= 0.0, 1.0, -1.0)
+        if s_new @ s == n:  # the same signs as the last step: a local maximum
+            break
+        s = s_new
+        h = np.abs(solve(s, "T"))
+        if k >= 2 and h.max() == h[j]:
+            break
+        j = int(np.argsort(h)[-1])
+        x = np.zeros(n)
+        x[j] = 1.0
+    return est_old

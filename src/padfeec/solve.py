@@ -6,9 +6,11 @@ right-hand side; every announced equivalence between them is verified as a
 relative residual.  All mass terms use the projection onto piecewise
 constants exactly as the schemes are written; only the constant moments of
 the load enter any right-hand side.  The source and Hodge schemes run on
-the ladder's sparse unit-scaled bases (`abc_basis`, `star_basis`) and are
-factored by sparse LU; the one-field system, on a dense nullspace basis,
-and the eigenvalue pencils, on the constraint atlases, are dense.
+the ladder's unit-scaled compact bases (`abc_basis`, `star_basis`), and
+are factored by sparse LU where those are sparse (on meshes of
+`spaces.SPARSE_CELLS` cells or more); the one-field system, on a dense
+nullspace basis, and the eigenvalue pencils, on the constraint atlases,
+are dense.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +21,7 @@ import scipy.sparse
 from .adjoint import harmonic_space
 from .errors import AssemblyError, DegreeMismatch, InvalidParameter, SolverFailure
 from .forms import cell_quadrature, random_polyform
-from .linalg import DENSE_FILL, gram_factor, nullspace, pencil_nonzero_eigs, solve_symmetric
+from .linalg import gram_factor, nullspace, pencil_nonzero_eigs, solve_symmetric
 from .spaces import d_pairing, ladder
 
 
@@ -85,20 +87,17 @@ def _block_system(sizes, blocks, rhs_blocks, label):
     ``blocks`` maps (i, j) with i <= j to the upper block, dense or
     `scipy.sparse`; it is mirrored to (j, i) transposed.  ``rhs_blocks`` maps
     i to that block of the right-hand side.  Every block not given is zero.
-    A system more than `DENSE_FILL` full is assembled dense; any other is a
-    CSC array, written from every block's triplets in one pass.  The
-    mirrored blocks cancel exactly in K - K^T, so the symmetry check of the
-    whole system is that of its diagonal blocks, against the largest entry
-    of the whole system.
+    A system with a dense diagonal block (a small mesh's, on the ladder's
+    dense bases, or the one-field system, on its dense basis) is assembled
+    dense; any other is a CSC array, written from every block's triplets in
+    one pass.  The mirrored blocks cancel exactly in K - K^T, so the
+    symmetry check of the whole system is that of its diagonal blocks,
+    against the largest entry of the whole system.
     """
     ends = np.cumsum(sizes)
     slices = [slice(int(e - n), int(e)) for n, e in zip(sizes, ends)]
     dim = int(ends[-1])
-    stored = sum(
-        (B.nnz if scipy.sparse.issparse(B) else np.count_nonzero(B)) * (1 + (i != j))
-        for (i, j), B in blocks.items()
-    )
-    if stored > DENSE_FILL * dim**2:
+    if any(not scipy.sparse.issparse(B) for (i, j), B in blocks.items() if i == j):
         K = np.zeros((dim, dim))
         for (i, j), B in blocks.items():
             B = B.toarray() if scipy.sparse.issparse(B) else B
@@ -182,14 +181,10 @@ def solve_source_primal(mesh, k, load, bc="none"):
     )
 
 
-def _partner_bc(bc):
-    return "homogeneous" if bc == "none" else "none"
-
-
 def solve_source_dual(mesh, k, load, bc="none"):
     """Conforming mixed scheme: flux in the star space, state in constants."""
     lad = ladder(mesh)
-    Az = lad.star_basis(k + 1, _partner_bc(bc))
+    Az = lad.star_basis(k + 1, lad.partner_bc(bc))
     Pz = lad.p0_projection(k + 1, "dual") @ Az
     Mp = Pz.T @ (lad.p0(k + 1).gram @ Pz)
     C = lad.p0(k).gram @ (lad.delta_matrix(k + 1) @ Az)  # moments of delta zeta
@@ -227,7 +222,7 @@ def verify_source_equivalence(mesh, primal_sol, dual_sol):
     k = primal_sol.meta["k"]
     lad = ladder(mesh)
     omega_b = primal_sol.components["omega_broken"]
-    zeta_b = lad.star_basis(k + 1, _partner_bc(primal_sol.meta["bc"])) @ dual_sol.components["zeta"]
+    zeta_b = lad.star_basis(k + 1, lad.partner_bc(primal_sol.meta["bc"])) @ dual_sol.components["zeta"]
     F = primal_sol.meta["moments"]
     floor = max(float(np.linalg.norm(F)), 1e-14)
     P_omega = lad.p0_projection(k) @ omega_b
@@ -259,7 +254,7 @@ def solve_eigen_pair(mesh, k, bc="none", rel_tol=1e-9):
     P1 = lad.p0_projection(k) @ A
     M1 = P1.T @ lad.p0(k).gram @ P1
     primal_vals, primal_zero = pencil_nonzero_eigs(K1, M1, rel_tol)
-    star = lad.whitney_star(k + 1, _partner_bc(bc))
+    star = lad.partner(k, bc)
     Az = star.atlas
     DZ = lad.delta_matrix(k + 1) @ Az
     K2 = DZ.T @ lad.p0(k).gram @ DZ
@@ -308,16 +303,16 @@ def _mixed_constraints(lad, k):
         lad.p0(k - 1).gram @ (lad.p0_projection(k - 1) @ As)
     )
     term2 = full.gram() @ (lad.p0_injection(k, "full") @ (lad.d_matrix(k - 1) @ As))
-    return scipy.sparse.vstack(
-        [(B_up @ lad.star_basis(k + 1, "homogeneous")).T, (term1 - term2).T], format="csr"
-    )
+    rows = [(B_up @ lad.star_basis(k + 1, "homogeneous")).T, (term1 - term2).T]
+    return scipy.sparse.vstack(rows, format="csr") if scipy.sparse.issparse(As) else np.vstack(rows)
 
 
 def _build_mixed_space(lad, k):
     # with G = R^T R cellwise, R^-1 times the null vectors of C R^-1 is a
     # Gram-orthonormal basis of the null space of C
     Rinv = gram_factor(lad.full(k).gram())[1]
-    CR = (_mixed_constraints(lad, k) @ Rinv).toarray()
+    CR = _mixed_constraints(lad, k) @ Rinv
+    CR = CR.toarray() if scipy.sparse.issparse(CR) else CR
     return Rinv @ nullspace(CR / max(np.abs(CR).max(initial=0.0), 1e-300)).basis
 
 
@@ -325,7 +320,7 @@ def solve_hodge(mesh, k, load, scheme="complete"):
     """One of the four Hodge-Laplace discretizations at level 1 <= k <= n-1.
 
     The nonconforming and starred unknowns are coefficients in the ladder's
-    unit-scaled sparse bases; the one-field unknowns in its dense basis.
+    unit-scaled compact bases; the one-field unknowns in its dense basis.
     """
     if not 1 <= k <= mesh.dim - 1:
         raise InvalidParameter("Hodge-Laplace schemes live at 1 <= k <= n-1")

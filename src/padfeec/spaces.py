@@ -33,9 +33,10 @@ G_K = R_K^T R_K, computed once, on first use.  The batched cell passes read
 the stacked factor, and a constraint nullspace N gives the Gram-orthonormal
 atlas R^-1 N without a further orthonormalization.  Atlases and nullspace
 bases are dense; the ladder also keeps the compact nonconforming basis and
-the star atlases as CSC arrays whose columns have unit broken-Gram norm,
-and the sparse solves run on these.  The cells that hold a sub-simplex come from the
-incidence and owner tables of `Mesh.subsimplices`.
+the star atlases with columns of unit broken-Gram norm, as CSC arrays from
+`SPARSE_CELLS` cells up and dense below, and the solves run on these.  The
+cells that hold a sub-simplex come from the incidence and owner tables of
+`Mesh.subsimplices`.
 
 The mesh's `DeRhamLadder` is the one home of the operators of a broken
 space, and of the nonconforming constraint matrix C that both routes to
@@ -296,6 +297,15 @@ class BasisAtlas:
 # Largest dense float64 matrix a ladder may need, in MiB (box:32 needs 512).
 DENSE_LIMIT_MB = 1024
 
+# Cells from which the ladder keeps its compact bases sparse.  Below it the
+# fixed cost of each scipy.sparse product (50-150 us) outweighs the
+# arithmetic it saves.  Warm time of the complete, mixed_primal and
+# mixed_dual schemes at k = 1 and both source schemes at k = 0, one BLAS
+# thread, dense -> sparse bases: box:4 (32 cells) 2.5 -> 9.0 ms, box:6 (72)
+# 9.8 -> 14-18 ms, tetbox:2 (48) 11-16 -> 14-17 ms, hole:8 (96) 24.9 ->
+# 13.0 ms, box:8 (128) 38.8 -> 20.3 ms, tetbox:3 (162) 206 -> 55 ms.
+SPARSE_CELLS = 96
+
 
 def _largest_dense_dim(mesh):
     """Order of the largest dense matrix a ladder builds on ``mesh``.
@@ -440,53 +450,63 @@ class DeRhamLadder:
             ("abc-atlas", k, bc), lambda: abcfes_local_basis(self.mesh, k, bc, self)
         )
 
+    @staticmethod
+    def partner_bc(bc):
+        """Boundary treatment of the conforming partner of nonconforming forms with ``bc``."""
+        return "homogeneous" if bc == "none" else "none"
+
+    def partner(self, k, bc="none"):
+        """Conforming partner of the nonconforming k-forms: the starred
+        Whitney (k+1)-forms with the opposite boundary treatment."""
+        return self.whitney_star(k + 1, self.partner_bc(bc))
+
     def abc_constraints(self, k, bc="none"):
         """Constraint matrix C of the nonconforming k-forms: the space is null(C).
 
-        Row j pairs the broken primal k-forms with column j of the starred
-        conforming partner one degree up, of the opposite boundary treatment;
+        Row j pairs the broken primal k-forms with column j of the partner;
         at the top degree C has no rows.
         """
 
         def build():
             if k == self.mesh.dim:
                 return np.zeros((0, self.primal(k).dim))
-            partner = self.whitney_star(k + 1, "homogeneous" if bc == "none" else "none")
-            return (self.pairing(k) @ partner.atlas).T
+            return (self.pairing(k) @ self.partner(k, bc).atlas).T
 
         return self._get(("abc-constraints", k, bc), build)
 
     def abc_basis(self, k, bc="none"):
-        """The compact basis of `abc_atlas` as a CSC array of unit broken-Gram norm columns."""
+        """The compact basis of `abc_atlas`, columns of unit broken-Gram norm.
+
+        It is a CSC array on a mesh of `SPARSE_CELLS` cells or more, and
+        dense below, as is `star_basis`.
+        """
 
         def build():
-            vectors = [f.vector for f in self.abc_atlas(k, bc).functions]
-            support = [np.flatnonzero(v) for v in vectors]
-            data = np.concatenate([np.zeros(0)] + [v[s] for v, s in zip(vectors, support)])
-            indices = np.concatenate([np.zeros(0, dtype=int)] + support)
-            indptr = np.cumsum([0] + [s.size for s in support])
-            B = scipy.sparse.csc_array(
-                (data, indices, indptr), shape=(self.primal(k).dim, len(vectors))
+            # the atlas is built for the basis and not kept: its functions'
+            # full-length vectors would hold the basis a second time
+            atlas = self._cache.get(("abc-atlas", k, bc)) or abcfes_local_basis(
+                self.mesh, k, bc, self
             )
-            return _unit_columns(B, self.primal(k).gram())
+            return self._unit_columns(atlas.matrix(), self.primal(k).gram())
 
         return self._get(("abc-basis", k, bc), build)
 
     def star_basis(self, k, bc="none"):
-        """The atlas of `whitney_star` as a CSC array of unit broken-Gram norm columns."""
+        """The atlas of `whitney_star`, columns of unit broken-Gram norm, kept as `abc_basis`."""
         return self._get(
             ("star-basis", k, bc),
-            lambda: _unit_columns(
-                scipy.sparse.csc_array(self.whitney_star(k, bc).atlas), self.dual(k).gram()
-            ),
+            lambda: self._unit_columns(self.whitney_star(k, bc).atlas, self.dual(k).gram()),
         )
 
-
-def _unit_columns(B, gram):
-    """The CSC array B with each column scaled to unit norm in ``gram``."""
-    norms = np.sqrt((B * (gram @ B)).sum(axis=0))
-    B.data /= np.repeat(norms, np.diff(B.indptr))
-    return B
+    def _unit_columns(self, A, gram):
+        """The dense A with each column scaled to unit norm in ``gram``, as a
+        CSC array on a mesh of `SPARSE_CELLS` cells or more."""
+        norms = np.sqrt(np.einsum("ij,ij->j", A, gram @ A))
+        if self.mesh.num_cells < SPARSE_CELLS:
+            return A / norms
+        B = scipy.sparse.csc_array(A)
+        B.data /= np.repeat(norms, np.diff(B.indptr))
+        return B
 
 
 def ladder(mesh):
@@ -561,11 +581,11 @@ def abcfes_by_constraints(mesh, k, bc="none", lad=None):
     """
     lad = lad or ladder(mesh)
     broken = lad.primal(k)
+    C = lad.abc_constraints(k, bc)
     if k == mesh.dim:
         gs = GlobalSpace(broken, np.eye(broken.dim), kind="abc" if bc == "none" else "abc0", bc=bc)
-        return gs, ConstraintSet(np.zeros((0, broken.dim)), None)
-    partner = lad.whitney_star(k + 1, "homogeneous" if bc == "none" else "none")
-    C = lad.abc_constraints(k, bc)
+        return gs, ConstraintSet(C, None)
+    partner = lad.partner(k, bc)
     # null vectors of C R^-1 are Euclidean-orthonormal, so A = R^-1 N is
     # Gram-orthonormal and spans the null space of C; the rank is cut from
     # the same pivoted QR, and a gap of less than 1e3 at the cut is ambiguous
@@ -603,8 +623,7 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
             BasisFunction("type-I", ("cell", int(ci)), vec)
             for ci, vec in zip(cell_of, np.eye(broken.dim))
         ])
-    partner_bc = "homogeneous" if bc == "none" else "none"
-    partner = lad.whitney_star(k + 1, partner_bc)
+    partner = lad.partner(k, bc)
     # pairing of every broken basis form with every partner column
     BP = lad.abc_constraints(k, bc).T
     decs = lad.local_decompositions(k)

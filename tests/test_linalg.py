@@ -280,6 +280,26 @@ class TestSolveSymmetric:
         exact = np.linalg.norm(Kd, 1) * np.linalg.norm(np.linalg.inv(Kd), 1)
         assert exact / 10 <= cond_s <= exact * (1 + 1e-6)
 
+    def test_inverse_norm_estimate_takes_the_steps_of_onenormest(self):
+        import scipy.sparse.linalg
+
+        from padfeec.linalg import _inverse_norm1
+
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 40, 120):
+            for scale in (1e-3, 1.0, 10.0):
+                M = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+                A = M + M.T + scale * np.diag(rng.standard_normal(n))
+                factor = scipy.linalg.lu_factor(A)
+
+                def solve(r, trans="N"):
+                    return scipy.linalg.lu_solve(factor, r, trans="NT".index(trans))
+
+                inverse = scipy.sparse.linalg.LinearOperator(
+                    A.shape, matvec=solve, rmatvec=lambda r: solve(r, "T"), dtype=float
+                )
+                assert _inverse_norm1(solve, n) == scipy.sparse.linalg.onenormest(inverse, t=1)
+
     def test_singular_sparse_system_is_a_solver_failure(self):
         from padfeec.errors import SolverFailure
 

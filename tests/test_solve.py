@@ -392,9 +392,30 @@ class TestSparseRoute:
         assert solve_source_primal(mesh, 0, random_polynomial_load(mesh, 0)).residual < 1e-10
         assert solve_source_dual(mesh, 0, random_polynomial_load(mesh, 0)).residual < 1e-10
 
-    def test_unit_scaled_bases(self):
-        lad = ladder(HOLE4)
+    @pytest.mark.parametrize("spec,sparse", [("hole:4", False), ("hole:8", True)])
+    def test_unit_scaled_bases(self, spec, sparse):
+        # hole:4 has 24 cells, under SPARSE_CELLS, and hole:8 has 96
+        lad = ladder(_mesh(spec))
         for B, G in ((lad.abc_basis(1), lad.primal(1).gram()),
                      (lad.star_basis(1, "homogeneous"), lad.dual(1).gram())):
-            assert B.format == "csc"
+            assert (B.format == "csc") if sparse else isinstance(B, np.ndarray)
             assert np.abs((B * (G @ B)).sum(axis=0) - 1.0).max() < 1e-13
+
+    def test_sparse_and_dense_bases_agree(self, monkeypatch):
+        import padfeec.spaces
+
+        mesh = generate_structured(2, 4, "hole")
+        load, load_0 = (random_polynomial_load(mesh, k, seed=5) for k in (1, 0))
+        dense = {s: solve_hodge(mesh, 1, load, s) for s in ("complete", "mixed_primal", "mixed_dual")}
+        source = (solve_source_primal(mesh, 0, load_0), solve_source_dual(mesh, 0, load_0))
+        monkeypatch.setattr(padfeec.spaces, "SPARSE_CELLS", 0)
+        mesh = generate_structured(2, 4, "hole")
+        assert scipy.sparse.issparse(ladder(mesh).abc_basis(0))
+        sparse = {s: solve_hodge(mesh, 1, load, s) for s in dense}
+        pairs = [(dense[s], sparse[s]) for s in dense] + list(
+            zip(source, (solve_source_primal(mesh, 0, load_0), solve_source_dual(mesh, 0, load_0)))
+        )
+        for old, new in pairs:
+            for name, vec in old.components.items():
+                assert _close(new.components[name], vec), (old.scheme, name)
+            assert abs(new.condition - old.condition) <= 1e-5 * old.condition, old.scheme
