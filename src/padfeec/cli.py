@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -692,6 +693,9 @@ def run(config: RunConfig, **options):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # `linalg.solve_symmetric` raises the SolverFailure of an exactly singular
+    # dense factor; LAPACK's own warning of it would be a second line
+    warnings.filterwarnings("ignore", message="Diagonal number .* is exactly zero")
     try:
         config = merge_config(args)
         levels = None

@@ -480,7 +480,8 @@ def solve_symmetric(A, b, refine=True):
     """Symmetric-indefinite solve with one step of iterative refinement.
 
     A `scipy.sparse` A is factored by SuperLU (`splu`), a dense one by
-    LAPACK's LU.  Returns (x, relative_residual, condition_estimate).  The
+    LAPACK's LU; an exactly singular factor of either raises SolverFailure.
+    Returns (x, relative_residual, condition_estimate).  The
     condition estimate is ||A||_1 times `_inverse_norm1`'s estimate of
     ||A^-1||_1 through the factor held, rounded to 6 significant digits so
     that reports stay byte-for-byte deterministic.
@@ -503,12 +504,15 @@ def solve_symmetric(A, b, refine=True):
         solve = lu.solve
         anorm = float(abs(A).sum(axis=0).max())
     else:
+        # the norm's |A| temporary is freed before LAPACK copies A into its factor
+        anorm = float(np.linalg.norm(A, 1))
         factor = scipy.linalg.lu_factor(A)
+        if not np.all(np.diagonal(factor[0])):
+            raise SolverFailure("dense LU failed: Factor is exactly singular")
 
         def solve(r, trans="N"):
             return scipy.linalg.lu_solve(factor, r, trans="NT".index(trans))
 
-        anorm = float(np.linalg.norm(A, 1))
     x = solve(b)
     if refine:
         x = x + solve(b - A @ x)

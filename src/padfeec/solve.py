@@ -8,9 +8,10 @@ constants exactly as the schemes are written; only the constant moments of
 the load enter any right-hand side.  The source and Hodge schemes run on
 the ladder's unit-scaled compact bases (`abc_basis`, `star_basis`), and
 are factored by sparse LU where those are sparse (on meshes of
-`spaces.SPARSE_CELLS` cells or more); the one-field system, on a dense
-nullspace basis, and the eigenvalue pencils, on the constraint atlases,
-are dense.
+`spaces.SPARSE_CELLS` cells or more).  The one-field scheme runs on the
+broken full family, bordered by its constraint rows, and takes the format
+of those bases; the eigenvalue pencils, on the constraint atlases, are
+dense.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import scipy.sparse
 from .adjoint import harmonic_space
 from .errors import AssemblyError, DegreeMismatch, InvalidParameter, SolverFailure
 from .forms import cell_quadrature, random_polyform
-from .linalg import gram_factor, nullspace, pencil_nonzero_eigs, solve_symmetric
+from .linalg import pencil_nonzero_eigs, solve_symmetric
 from .spaces import d_pairing, ladder
 
 
@@ -77,8 +78,10 @@ _STRIPE = 128  # rows per stripe of the symmetry check
 
 
 def _max_abs(B):
-    """Largest |entry| of a dense or sparse block, 0 for an empty one."""
-    return float(np.abs(B.data if scipy.sparse.issparse(B) else B).max(initial=0.0))
+    """Largest |entry| of a dense or sparse block, 0 for an empty one, with
+    no temporary of its size."""
+    B = B.data if scipy.sparse.issparse(B) else B
+    return float(max(B.max(initial=0.0), -B.min(initial=0.0)))
 
 
 def _block_system(sizes, blocks, rhs_blocks, label):
@@ -88,11 +91,10 @@ def _block_system(sizes, blocks, rhs_blocks, label):
     `scipy.sparse`; it is mirrored to (j, i) transposed.  ``rhs_blocks`` maps
     i to that block of the right-hand side.  Every block not given is zero.
     A system with a dense diagonal block (a small mesh's, on the ladder's
-    dense bases, or the one-field system, on its dense basis) is assembled
-    dense; any other is a CSC array, written from every block's triplets in
-    one pass.  The mirrored blocks cancel exactly in K - K^T, so the
-    symmetry check of the whole system is that of its diagonal blocks,
-    against the largest entry of the whole system.
+    dense bases) is assembled dense; any other is a CSC array, written from
+    every block's triplets in one pass.  The mirrored blocks cancel exactly
+    in K - K^T, so the symmetry check of the whole system is that of its
+    diagonal blocks, against the largest entry of the whole system.
     """
     ends = np.cumsum(sizes)
     slices = [slice(int(e - n), int(e)) for n, e in zip(sizes, ends)]
@@ -285,15 +287,6 @@ def _harmonic_basis(mesh, k, flavor):
     return H.subspace.basis
 
 
-def _mixed_space(mesh, k):
-    """Atlas of the one-field space in the broken full family: constants plus
-    both contraction summands, constrained by the conforming partner one
-    degree up and the nonconforming space one degree down.  Cached per mesh
-    level."""
-    lad = ladder(mesh)
-    return lad._get(("mixed-space", k), lambda: _build_mixed_space(lad, k))
-
-
 def _mixed_constraints(lad, k):
     """Rows constraining the broken full k-forms to the one-field space."""
     full = lad.full(k)
@@ -307,20 +300,11 @@ def _mixed_constraints(lad, k):
     return scipy.sparse.vstack(rows, format="csr") if scipy.sparse.issparse(As) else np.vstack(rows)
 
 
-def _build_mixed_space(lad, k):
-    # with G = R^T R cellwise, R^-1 times the null vectors of C R^-1 is a
-    # Gram-orthonormal basis of the null space of C
-    Rinv = gram_factor(lad.full(k).gram())[1]
-    CR = _mixed_constraints(lad, k) @ Rinv
-    CR = CR.toarray() if scipy.sparse.issparse(CR) else CR
-    return Rinv @ nullspace(CR / max(np.abs(CR).max(initial=0.0), 1e-300)).basis
-
-
 def solve_hodge(mesh, k, load, scheme="complete"):
     """One of the four Hodge-Laplace discretizations at level 1 <= k <= n-1.
 
     The nonconforming and starred unknowns are coefficients in the ladder's
-    unit-scaled compact bases; the one-field unknowns in its dense basis.
+    unit-scaled compact bases; the one-field unknown is a broken full k-form.
     """
     if not 1 <= k <= mesh.dim - 1:
         raise InvalidParameter("Hodge-Laplace schemes live at 1 <= k <= n-1")
@@ -407,32 +391,34 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         }
         return SchemeSolution("hodge-mixed-dual", comps, rel, cond, {"k": k, "moments": F})
     if scheme == "lowest_primal":
-        A = _mixed_space(mesh, k)
-        # the multiplier space is cut out by the two pairing conditions, which
-        # the discrete Hodge decomposition identifies with the harmonic space
-        # of the nonconforming ladder
+        # the one-field space is the kernel of the constraint rows C in the
+        # broken full k-forms: it is solved for bordered by C, one multiplier
+        # per row, with C scaled once so that its largest entry is the
+        # stiffness's.  The multiplier space is cut out by the two pairing
+        # conditions, which the discrete Hodge decomposition identifies with
+        # the harmonic space of the nonconforming ladder
         H = _harmonic_basis(mesh, k, "abc")
-        DA = lad.d_matrix(k, "full") @ A
-        DeltaA = lad.delta_matrix(k, "full") @ A
-        S = DA.T @ lad.p0(k + 1).gram @ DA + DeltaA.T @ lad.p0(k - 1).gram @ DeltaA
-        PV = lad.p0_projection(k, "full") @ A
-        MH = PV.T @ g0 @ H
+        D, Delta = lad.d_matrix(k, "full"), lad.delta_matrix(k, "full")
+        S = D.T @ (lad.p0(k + 1).gram @ D) + Delta.T @ (lad.p0(k - 1).gram @ Delta)
+        C = _mixed_constraints(lad, k)
+        if not scipy.sparse.issparse(C):
+            S = S.toarray()  # a small mesh's system is dense, as its bases are
+        C = C * (_max_abs(S) / max(_max_abs(C), 1e-300))
+        P = lad.p0_projection(k, "full")
         # harmonic part of the load
         if H.shape[1]:
             c = np.linalg.solve(H.T @ g0 @ H, H.T @ F)
             F_eff = F - g0 @ (H @ c)
         else:
             F_eff = F
-        K, rhs, (sl_o, sl_h) = _block_system(
-            (A.shape[1], H.shape[1]), {(0, 0): S, (0, 1): MH}, {0: PV.T @ F_eff},
+        K, rhs, (sl_o, _, sl_h) = _block_system(
+            (S.shape[0], C.shape[0], H.shape[1]),
+            {(0, 0): S, (0, 1): C.T, (0, 2): P.T @ (g0 @ H)},
+            {0: P.T @ F_eff},
             "hodge-one-field",
         )
         x, rel, cond = _solve(K, rhs, "hodge-one-field")
-        comps = {
-            "omega": x[sl_o],
-            "omega_broken": A @ x[sl_o],
-            "multiplier": x[sl_h],
-        }
+        comps = {"omega_broken": x[sl_o], "multiplier": x[sl_h]}
         return SchemeSolution("hodge-lowest-primal", comps, rel, cond, {"k": k, "moments": F})
     raise InvalidParameter("unknown scheme %r" % (scheme,))
 

@@ -34,9 +34,10 @@ the stacked factor, and a constraint nullspace N gives the Gram-orthonormal
 atlas R^-1 N without a further orthonormalization.  Atlases and nullspace
 bases are dense; the ladder also keeps the compact nonconforming basis and
 the star atlases with columns of unit broken-Gram norm, as CSC arrays from
-`SPARSE_CELLS` cells up and dense below, and the solves run on these.  The
-cells that hold a sub-simplex come from the incidence and owner tables of
-`Mesh.subsimplices`.
+`SPARSE_CELLS` cells up and dense below, and the solves run on these.  Each
+compact basis function keeps only its cell blocks, and the compact basis is
+written, scaled, straight from them.  The cells that hold a sub-simplex
+come from the incidence and owner tables of `Mesh.subsimplices`.
 
 The mesh's `DeRhamLadder` is the one home of the operators of a broken
 space, and of the nonconforming constraint matrix C that both routes to
@@ -271,9 +272,23 @@ class ConstraintSet:
 
 @dataclass
 class BasisFunction:
+    """A compact basis function of a broken space of dimension ``size``.
+
+    ``pieces`` are its nonzero cell blocks, (cell, coefficients); the
+    full-length ``vector`` is written from them on each read.
+    """
+
     category: str  # "type-I" or "type-II"
     anchor: tuple  # ("cell", index) or ("subsimplex", vertices)
-    vector: np.ndarray
+    pieces: list
+    size: int
+
+    @property
+    def vector(self):
+        vec = np.zeros(self.size)
+        for cell, values in self.pieces:
+            vec[cell * values.size : (cell + 1) * values.size] = values
+        return vec
 
 
 @dataclass
@@ -286,9 +301,36 @@ class BasisAtlas:
         return len(self.functions)
 
     def matrix(self):
-        if not self.functions:
-            return np.zeros((self.broken.dim, 0))
-        return np.column_stack([f.vector for f in self.functions])
+        """The functions as the columns of a dense array."""
+        return self._columns(*self._blocks(), sparse=False)
+
+    def unit_columns(self, gram, sparse):
+        """The functions scaled to unit norm in ``gram``, the broken space's
+        `Gram`, as the columns of a CSC array if ``sparse`` and of a dense
+        one otherwise.  Each norm is summed over the function's cell blocks,
+        so both formats hold the same numbers."""
+        cols, cells, V = self._blocks()
+        squares = np.einsum("pi,pij,pj->p", V, gram.stack[cells], V)
+        V = V / np.sqrt(np.bincount(cols, squares, minlength=self.dim))[cols, None]
+        return self._columns(cols, cells, V, sparse)
+
+    def _blocks(self):
+        """Column, cell and coefficients of every function's cell blocks, as arrays."""
+        blocks = [(j, cell, values) for j, f in enumerate(self.functions) for cell, values in f.pieces]
+        cols, cells, values = zip(*blocks) if blocks else ((), (), ())
+        V = np.reshape(values, (len(blocks), self.broken.reference.dim))
+        return np.array(cols, dtype=int), np.array(cells, dtype=int), V
+
+    def _columns(self, cols, cells, V, sparse):
+        rows = cells[:, None] * V.shape[1] + np.arange(V.shape[1])
+        shape = (self.broken.dim, self.dim)
+        if sparse:
+            B = scipy.sparse.csc_array((V.ravel(), (rows.ravel(), np.repeat(cols, V.shape[1]))), shape)
+            B.eliminate_zeros()
+            return B
+        A = np.zeros(shape)
+        A[rows, cols[:, None]] = V
+        return A
 
     def count(self, category):
         return sum(1 for f in self.functions if f.category == category)
@@ -330,8 +372,8 @@ class DeRhamLadder:
     each family (`primal`, `dual`, `full`) and degree: the cellwise d and
     delta into piecewise constants, the P0 injection and projection, the
     pairing, and each cell's pairing-relative decomposition.  The mesh owns
-    its one ladder (see `ladder`); interpolators, mixed spaces and harmonic
-    spaces are kept here too, so all of it is freed with the mesh.
+    its one ladder (see `ladder`); interpolators and harmonic spaces are
+    kept here too, so all of it is freed with the mesh.
 
     A mesh whose largest dense matrix would exceed `DENSE_LIMIT_MB` is
     refused before anything is built.
@@ -480,16 +522,10 @@ class DeRhamLadder:
         It is a CSC array on a mesh of `SPARSE_CELLS` cells or more, and
         dense below, as is `star_basis`.
         """
-
-        def build():
-            # the atlas is built for the basis and not kept: its functions'
-            # full-length vectors would hold the basis a second time
-            atlas = self._cache.get(("abc-atlas", k, bc)) or abcfes_local_basis(
-                self.mesh, k, bc, self
-            )
-            return self._unit_columns(atlas.matrix(), self.primal(k).gram())
-
-        return self._get(("abc-basis", k, bc), build)
+        return self._get(
+            ("abc-basis", k, bc),
+            lambda: self.abc_atlas(k, bc).unit_columns(self.primal(k).gram(), self._sparse),
+        )
 
     def star_basis(self, k, bc="none"):
         """The atlas of `whitney_star`, columns of unit broken-Gram norm, kept as `abc_basis`."""
@@ -498,11 +534,16 @@ class DeRhamLadder:
             lambda: self._unit_columns(self.whitney_star(k, bc).atlas, self.dual(k).gram()),
         )
 
+    @property
+    def _sparse(self):
+        """Whether the compact bases are CSC arrays: on a mesh of `SPARSE_CELLS` cells or more."""
+        return self.mesh.num_cells >= SPARSE_CELLS
+
     def _unit_columns(self, A, gram):
         """The dense A with each column scaled to unit norm in ``gram``, as a
-        CSC array on a mesh of `SPARSE_CELLS` cells or more."""
+        CSC array if the compact bases are sparse."""
         norms = np.sqrt(np.einsum("ij,ij->j", A, gram @ A))
-        if self.mesh.num_cells < SPARSE_CELLS:
+        if not self._sparse:
             return A / norms
         B = scipy.sparse.csc_array(A)
         B.data /= np.repeat(norms, np.diff(B.indptr))
@@ -618,10 +659,10 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
     lad = lad or ladder(mesh)
     broken = lad.primal(k)
     if k == mesh.dim:
-        cell_of = np.repeat(np.arange(mesh.num_cells), broken.reference.dim)
         return BasisAtlas(broken, [
-            BasisFunction("type-I", ("cell", int(ci)), vec)
-            for ci, vec in zip(cell_of, np.eye(broken.dim))
+            BasisFunction("type-I", ("cell", ci), [(ci, unit)], broken.dim)
+            for ci in range(mesh.num_cells)
+            for unit in np.eye(broken.reference.dim)
         ])
     partner = lad.partner(k, bc)
     # pairing of every broken basis form with every partner column
@@ -648,14 +689,13 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
     funcs = []
     reps = {}
     for ci in range(mesh.num_cells):
-        s = broken.cell_slice(ci)
         dec = decs[ci]
         I2 = cell_funcs[ci]
         PB = dec.PB.basis  # local coordinates of the twisted part
         for col in range(dec.P0.dim):
-            vec = np.zeros(broken.dim)
-            vec[s] = dec.P0.basis[:, col]
-            funcs.append(BasisFunction("type-I", ("cell", ci), vec))
+            funcs.append(
+                BasisFunction("type-I", ("cell", ci), [(ci, dec.P0.basis[:, col])], broken.dim)
+            )
         # the pseudo-inverse V_r S_r^-1 U_r^T; its columns are local
         # representatives per functional
         r = len(I2)
@@ -663,9 +703,7 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
         for j_local, j in enumerate(I2):
             reps[(ci, j)] = PB @ V[:, j_local]
         for null in Vt[ci, r:]:
-            vec = np.zeros(broken.dim)
-            vec[s] = PB @ null
-            funcs.append(BasisFunction("type-I", ("cell", ci), vec))
+            funcs.append(BasisFunction("type-I", ("cell", ci), [(ci, PB @ null)], broken.dim))
     for j in range(partner.dim):
         cells = support[j]
         if len(cells) < 2:
@@ -676,10 +714,8 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
             patch = mesh.vertex_patch(anchor[0]).cells
             ordered = [c for c in patch if c in cells]
         for a, b in zip(ordered, ordered[1:]):
-            vec = np.zeros(broken.dim)
-            vec[broken.cell_slice(a)] += reps[(a, j)]
-            vec[broken.cell_slice(b)] -= reps[(b, j)]
-            funcs.append(BasisFunction("type-II", ("subsimplex", anchor), vec))
+            pieces = [(a, reps[(a, j)]), (b, -reps[(b, j)])]
+            funcs.append(BasisFunction("type-II", ("subsimplex", anchor), pieces, broken.dim))
     return BasisAtlas(broken, funcs)
 
 

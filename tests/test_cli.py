@@ -221,6 +221,31 @@ class TestCli:
         assert code == 2 and out == ""
         assert err == "error: SolverFailure: sparse LU failed: Factor is exactly singular\n"
 
+    @pytest.mark.parametrize("mesh,route", [("box:2", "dense"), ("box:8", "sparse")])
+    def test_rank_deficient_one_field_constraints_fail(self, capsys, monkeypatch, mesh, route):
+        # a duplicated constraint row makes the bordered one-field system singular
+        import warnings
+
+        import scipy.sparse
+
+        import padfeec.solve
+
+        constraints = padfeec.solve._mixed_constraints
+
+        def duplicated(lad, k):
+            C = constraints(lad, k)
+            if scipy.sparse.issparse(C):
+                return scipy.sparse.vstack([C, C[:1]], format="csr")
+            return np.vstack([C, C[:1]])
+
+        monkeypatch.setattr(padfeec.solve, "_mixed_constraints", duplicated)
+        args = ["solve", "hodge", "--mesh", mesh, "--k", "1", "--scheme", "lowest_primal"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == "" and caught == []
+        assert err == "error: SolverFailure: %s LU failed: Factor is exactly singular\n" % route
+
     def test_memory_failure_is_one_line(self, capsys, monkeypatch):
         import padfeec.cli
 

@@ -379,6 +379,8 @@ class TestSparseRoute:
         assert verify_hodge_equivalences(mesh, 1, sols).passed
         built = [key for key in ladder(mesh)._cache if isinstance(key, tuple) and key[0] == "abc"]
         assert built == []
+        # nor a one-field space: that scheme is solved bordered by its constraints
+        assert not [key for key in ladder(mesh)._cache if key[0] == "mixed-space"]
 
     def test_sparse_systems_do_not_reach_dense_lu(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -387,7 +389,7 @@ class TestSparseRoute:
         monkeypatch.setattr(scipy.linalg, "lu_factor", fail)
         mesh = generate_structured(2, 8)
         load = random_polynomial_load(mesh, 1, seed=17)
-        for scheme in ("complete", "mixed_primal", "mixed_dual"):
+        for scheme in ("complete", "mixed_primal", "mixed_dual", "lowest_primal"):
             assert solve_hodge(mesh, 1, load, scheme).residual < 1e-10
         assert solve_source_primal(mesh, 0, random_polynomial_load(mesh, 0)).residual < 1e-10
         assert solve_source_dual(mesh, 0, random_polynomial_load(mesh, 0)).residual < 1e-10
@@ -406,7 +408,8 @@ class TestSparseRoute:
 
         mesh = generate_structured(2, 4, "hole")
         load, load_0 = (random_polynomial_load(mesh, k, seed=5) for k in (1, 0))
-        dense = {s: solve_hodge(mesh, 1, load, s) for s in ("complete", "mixed_primal", "mixed_dual")}
+        schemes = ("complete", "mixed_primal", "mixed_dual", "lowest_primal")
+        dense = {s: solve_hodge(mesh, 1, load, s) for s in schemes}
         source = (solve_source_primal(mesh, 0, load_0), solve_source_dual(mesh, 0, load_0))
         monkeypatch.setattr(padfeec.spaces, "SPARSE_CELLS", 0)
         mesh = generate_structured(2, 4, "hole")
@@ -417,5 +420,8 @@ class TestSparseRoute:
         )
         for old, new in pairs:
             for name, vec in old.components.items():
-                assert _close(new.components[name], vec), (old.scheme, name)
+                if name == "multiplier":  # the one-field scheme's: zero but for round-off
+                    assert np.abs(new.components[name]).max(initial=0.0) <= 1e-12
+                else:
+                    assert _close(new.components[name], vec), (old.scheme, name)
             assert abs(new.condition - old.condition) <= 1e-5 * old.condition, old.scheme

@@ -912,18 +912,21 @@ class TestGramOrthonormalConstraintBases:
             assert _largest_angle(gs.atlas, old, G) <= 1e-10
             assert _orthonormality_defect(gs.atlas, G) <= 1e-12
 
-    def test_mixed_space(self, mesh):
-        from padfeec.solve import _mixed_constraints, _mixed_space
+    def test_one_field_constraints(self, mesh):
+        # the bordered one-field system is nonsingular only if its constraint
+        # rows C have full rank, and its solution lies in their kernel
+        from padfeec.solve import _mixed_constraints, p0_moments, random_polynomial_load, solve_hodge
 
         lad = ladder(mesh)
         for k in range(1, mesh.dim):
-            A = _mixed_space(mesh, k)
-            G = lad.full(k).gram()
             C = _mixed_constraints(lad, k)
-            old = _old_route(C / np.abs(C).max(), G)
-            assert A.shape[1] == old.shape[1]
-            assert _largest_angle(A, old, G) <= 1e-10
-            assert _orthonormality_defect(A, G) <= 1e-12
+            C = C.toarray() if scipy.sparse.issparse(C) else C
+            s = np.linalg.svd(C, compute_uv=False)
+            assert C.shape[0] <= C.shape[1] and s[-1] > 1e-3 * s[0]
+            F = p0_moments(mesh, k, random_polynomial_load(mesh, k, seed=41))
+            omega = solve_hodge(mesh, k, F, "lowest_primal").components["omega_broken"]
+            assert np.linalg.norm(omega) > 0.0
+            assert np.linalg.norm(C @ omega) <= 1e-12 * s[0] * np.linalg.norm(omega)
 
     def test_factor_inverse_whitens_every_gram(self, mesh):
         lad = ladder(mesh)
