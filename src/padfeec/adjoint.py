@@ -10,18 +10,23 @@ assuming it.
 
 Base pairs are checked in one batched pass over the cells' Gram, energy
 and pairing stacks, with d and delta as the reference blocks that every
-cell holds, and each report is kept in the ladder.  The kernels
-and ranges of the three discrete complexes (nonconforming, conforming
-Whitney, starred) come from `_complex_kernel` and `_complex_range`, the
-nonconforming kernel below the top degree from its constraint set;
-harmonic spaces, Hodge splits and slice dualities read them.  A harmonic
-space whose range fills its kernel is the zero space, with no complement
-taken, and only the harmonic spaces are kept in the ladder.
+cell holds, and each report is kept in the ladder.  A harmonic space of
+any of the three discrete complexes (nonconforming, conforming Whitney,
+starred) is one rank-revealing nullspace of its stacked conditions,
+closedness and orthogonality to the range from the degree below: on the
+whitened P0 coordinates for the nonconforming complex, its closedness from
+the constraint set, and on the atlas coefficients for the other two, its
+closedness from the integer coboundary of `Mesh.boundary_matrix`.  Only
+its b_k columns are formed, the complex property is checked by sparse
+residuals on the way, and the harmonic spaces are kept in the ladder.  The
+kernels and ranges of `_complex_kernel` and `_complex_range` serve the
+Hodge splits and the slice dualities.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import AssemblyError, NotAComplex, NotAdmissible, NotNested
 from .linalg import (
@@ -37,7 +42,7 @@ from .linalg import (
     subspace_equal,
 )
 from .local import cell_constants
-from .spaces import ladder
+from .spaces import ladder, whitney_dofs
 
 
 @dataclass
@@ -555,19 +560,147 @@ def harmonic_space(mesh, k, flavor):
 
 
 def _build_harmonic_space(mesh, k, flavor):
+    """One rank-revealing nullspace of the stacked harmonic conditions.
+
+    A harmonic form is closed and orthogonal to the range from the degree
+    below, so the null vectors of `_harmonic_conditions`, b_k of them past
+    the pivoted QR's cut, are the whole space; only those columns are
+    formed.  Each basis column is given the sign of `_span_signs`.
+    """
     if flavor not in _FLAVORS:
         raise AssemblyError("unknown harmonic flavor %r" % (flavor,))
-    complex_, bc = _FLAVORS[flavor]
     lad = ladder(mesh)
     p0 = lad.p0(k)
-    N = _complex_kernel(lad, complex_, k, bc)
-    R = _complex_range(lad, complex_, k + 1 if complex_ == "star" else k - 1, bc)
-    if R.dim and not N.contains(R.basis, tol=1e-8):
-        raise NotAComplex("range is not contained in the kernel (flavor %s)" % flavor)
-    # a range as wide as the kernel that contains it leaves no complement
-    H = Subspace.zero(p0.dim, p0.gram) if R.dim == N.dim else gram_complement(R, N, p0.gram)
-    H.basis.flags.writeable = False
-    return HarmonicSpace(H, k, flavor)
+    conditions, lift = _harmonic_conditions(lad, k, flavor)
+    basis = _span_signs(lift(nullspace(conditions).basis))
+    basis.flags.writeable = False
+    return HarmonicSpace(Subspace(p0.dim, basis, p0.gram), k, flavor)
+
+
+def _harmonic_conditions(lad, k, flavor):
+    """(M, lift): the harmonic k-forms of ``flavor`` are lift(null M).
+
+    M stacks the closedness rows and the rows orthogonal to the range from
+    the degree below, each block scaled to largest entry 1; ``lift`` maps
+    its null vectors to a P0-Gram-orthonormal basis in P0 coordinates.  The
+    complex property is checked on the way, else NotAComplex.
+    """
+    complex_, bc = _FLAVORS[flavor]
+    if complex_ == "abc":
+        return _abc_conditions(lad, k, bc)
+    return _whitney_conditions(lad, complex_, k, bc)
+
+
+def _abc_conditions(lad, k, bc):
+    """Nonconforming harmonic conditions on P0 coordinates whitened by R0.
+
+    With the P0 Gram R0^T R0 and p = R0^-1 y, p is closed when C J p = 0
+    below the top degree (C the constraint matrix, J the P0 injection; d
+    vanishes on the broken space exactly on the constants, checked on the
+    reference block) and orthogonal to the range d A_s of the compact basis
+    A_s one degree down when (R0 d A_s)^T y = 0.  The range lies in the
+    kernel when ||C J d A_s|| <= 1e-8 ||C|| ||d A_s||.  The null vectors Y
+    give the Gram-orthonormal basis R0^-1 Y.
+    """
+    p0 = lad.p0(k)
+    R0, R0inv = gram_factor(p0.gram)
+    blocks = []
+    if k < lad.mesh.dim:
+        if _reference_kernel(lad, lad.primal(k), lad.d_matrix(k)).shape[1] != p0.ncomp:
+            raise AssemblyError("d does not vanish exactly on the constants")
+        C = lad.abc_constraints(k, bc)
+        CJ = C @ lad.p0_injection(k)
+        blocks.append(CJ @ R0inv)
+    if k > 0:
+        dA = lad.d_matrix(k - 1) @ lad.abc_basis(k - 1, bc)
+        if k < lad.mesh.dim and _norm(CJ @ dA) > 1e-8 * _norm(C) * _norm(dA):
+            raise NotAComplex("range is not contained in the kernel (abc, degree %d)" % k)
+        blocks.append((R0 @ dA).T)
+    return _stacked(blocks, p0.dim), lambda Y: R0inv @ Y
+
+
+def _whitney_conditions(lad, complex_, k, bc):
+    """Whitney or starred harmonic conditions on the atlas coefficients x.
+
+    On the atlas A of the Whitney w-forms (the starred k-forms are those of
+    w = n - k), d A = P A_(w+1) Delta_w for the integer coboundary Delta_w
+    of `_coboundary` and the P0 projection P, and A_(w+1) is injective, so
+    x is closed when Delta_w x = 0, and orthogonal to the range from the
+    degree below when Delta_(w-1)^T (P A)^T g (P A) x = 0.  The complex
+    property is that identity one degree down, at relative residual 1e-8
+    (up to a sign fixed by w for the starred complex), and Delta_w
+    Delta_(w-1) = 0, exactly: its entries are sums of a few products of
+    signs.  The lift orthonormalizes the verified P0 coordinates of
+    A X, so only the b_k null vectors X are lifted.
+    """
+    n, star = lad.mesh.dim, complex_ == "star"
+    w = n - k if star else k
+    space = _complex_space(lad, complex_, k, bc)
+    g = lad.p0(k).gram
+    PA = lad.p0_projection(k, space.broken.name) @ space.atlas
+    blocks = [_coboundary(lad, w, bc)] if w < n else []
+    if w > 0:
+        Delta = _coboundary(lad, w - 1, bc)
+        if star:
+            # the star's sign is -1, +1, -1 for the coboundary at w - 1 = 0, 1, 2
+            dA = lad.delta_matrix(k + 1) @ _complex_space(lad, complex_, k + 1, bc).atlas
+            sign = (-1) ** w
+        else:
+            dA, sign = lad.d_matrix(k - 1) @ _complex_space(lad, complex_, k - 1, bc).atlas, 1
+        PAD = PA @ Delta
+        if _norm(dA - sign * PAD) > 1e-8 * _norm(dA):
+            raise NotAComplex("d is not the coboundary (%s, degree %d)" % (complex_, k))
+        if blocks and (blocks[0] @ Delta).count_nonzero():
+            raise NotAComplex("the coboundary does not square to zero (Whitney degree %d)" % w)
+        blocks.append(PAD.T @ (g @ PA))
+
+    def lift(X):
+        return Subspace.from_span(_p0_coords(lad, k, space.broken, space.atlas @ X), g).basis
+
+    return _stacked(blocks, space.dim), lift
+
+
+def _coboundary(lad, w, bc):
+    """Coboundary from the Whitney w-forms with ``bc`` to the (w+1)-forms, a CSR array.
+
+    `Mesh.boundary_matrix`(w + 1) transposed, restricted to the two
+    degrees' `whitney_dofs`, in atlas order.  Its entries are the integer
+    signs, held exactly as floats.
+    """
+    mesh = lad.mesh
+    rows, cols = whitney_dofs(mesh, w + 1, bc), whitney_dofs(mesh, w, bc)
+    B = mesh.boundary_matrix(w + 1)
+    position = np.full(B.shape[0], -1)
+    position[cols] = np.arange(cols.size)
+    faces = position[B.indices.reshape(-1, w + 2)[rows]]
+    keep = faces >= 0
+    signs = B.data.reshape(-1, w + 2)[rows][keep].astype(float)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return scipy.sparse.csr_array((signs, faces[keep], indptr), shape=(rows.size, cols.size))
+
+
+def _stacked(blocks, n):
+    """The blocks' rows, each block scaled to largest entry 1, as one dense n-column matrix."""
+    dense = [np.asarray(B.toarray() if scipy.sparse.issparse(B) else B, dtype=float) for B in blocks]
+    return np.vstack(
+        [np.zeros((0, n))] + [B / max(np.abs(B).max(initial=0.0), 1e-300) for B in dense]
+    )
+
+
+def _norm(M):
+    """Frobenius norm of a dense or sparse matrix."""
+    return float(np.sqrt(np.sum(np.square(M.data if scipy.sparse.issparse(M) else M))))
+
+
+def _span_signs(basis, rel=1e-8):
+    """``basis`` with each column's first entry within ``rel`` of its largest magnitude positive.
+
+    A one-column basis then depends on its span only.  Wider bases keep the
+    rotation their nullspace gave; the sign rule is applied per column.
+    """
+    mags = np.abs(basis)
+    lead = np.argmax(mags >= (1.0 - rel) * mags.max(axis=0, initial=0.0), axis=0)
+    return basis * np.where(basis[lead, np.arange(basis.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def pl_duality_check(mesh, k):

@@ -19,11 +19,14 @@ block-diagonal (R, R^-1), factors a dense Gram, and refuses a bare
 
 The subspace algebra runs on Householder QR, which reveals rank without
 iterating: `orthonormalize` takes one column-pivoted QR of the whitened span
-R V, `nullspace` one of M^T, and `gram_complement` an unpivoted QR of the
-cross-Gram of two orthonormal bases.  Bases, nullspaces and the results are
-dense.  A `Subspace` keeps its basis orthonormal in its own ``gram``; the
-subspace operations orthonormalize only a subspace carrying another Gram.
-A Gram that is not SPD raises `InvalidGram` wherever it is factored.
+R V, `nullspace` one of M^T, forming only the columns past the cut, and
+`gram_complement` an unpivoted QR of the cross-Gram of two orthonormal
+bases.  Bases, nullspaces and the results are dense.  A `Subspace` keeps
+its basis orthonormal in its own ``gram``; the subspace operations
+orthonormalize only a subspace carrying another Gram.  `principal_angles`
+takes the projection-residual sines first and the cosines only when some
+angle is large.  A Gram that is not SPD raises `InvalidGram` wherever it is
+factored.
 """
 
 from dataclasses import dataclass, field
@@ -312,8 +315,10 @@ def pivoted_nullspace(M, tol=RANK_TOL):
 def principal_angles(A: Subspace, B: Subspace, gram=None):
     """Principal angles (radians, ascending) between two subspaces w.r.t. ``gram``.
 
-    Uses cosines for large angles and projection-residual sines for tiny ones,
-    so angles near 0 are resolved to machine precision.
+    Uses projection-residual sines for small angles, so angles near 0 are
+    resolved to machine precision, and cosines for large ones.  The sines
+    come first: when all of them are below 0.7, every cosine is above
+    1/sqrt(2) and every angle is an arcsine, so the cosines are not taken.
     """
     if A.ambient_dim != B.ambient_dim:
         raise InvalidMatrix("subspaces live in different ambient dimensions")
@@ -323,17 +328,19 @@ def principal_angles(A: Subspace, B: Subspace, gram=None):
         return np.zeros(0)
     Qa = _orthonormal_basis(A, gram)
     Qb = _orthonormal_basis(B, gram)
-    # Bjorck-Golub cosines, descending: cos(t_1) >= ...
-    cos_vals = scipy.linalg.svdvals(_cross_gram(Qa, gram, Qb))
-    cos_vals = np.clip(cos_vals[:m], 0.0, 1.0)
-    # sines from the projection residual of the smaller space resolve angles
-    # near zero far better than arccos; with gram = F^T F its gram-norms are
-    # the Euclidean norms of F R (Knyazev-Argentati A-based sines)
+    # sines from the projection residual of the smaller space, ascending; with
+    # gram = F^T F its gram-norms are the Euclidean norms of F R
+    # (Knyazev-Argentati A-based sines)
     small, big = (Qa, Qb) if p <= q else (Qb, Qa)
     R = small - big @ (big.T @ (small if gram is None else gram @ small))
     if gram is not None:
         R = gram_factor(gram)[0] @ R
     sin_vals = np.sort(np.clip(scipy.linalg.svdvals(R), 0.0, 1.0))
+    if sin_vals[-1] < 0.7:
+        return np.sort(np.arcsin(sin_vals))
+    # Bjorck-Golub cosines, descending: cos(t_1) >= ...
+    cos_vals = scipy.linalg.svdvals(_cross_gram(Qa, gram, Qb))
+    cos_vals = np.clip(cos_vals[:m], 0.0, 1.0)
     angles = np.where(
         cos_vals > np.sqrt(0.5), np.arcsin(sin_vals[:m]), np.arccos(cos_vals)
     )

@@ -195,17 +195,37 @@ class Mesh:
         return table
 
     def boundary_matrix(self, k):
-        """Integer chain boundary matrix from k-chains to (k-1)-chains."""
+        """Integer chain boundary from k-chains to (k-1)-chains, a sparse CSC array.
+
+        Column s holds its k+1 faces in the order of its vertices: the face
+        that drops the j-th vertex of s has the row ``indices[(k+1) s + j]``
+        and the sign (-1)^j.  Cells list their vertices in ascending order,
+        so each cell's local faces of a local k-simplex give them, through
+        the two incidence tables; every sub-simplex is read from its first
+        cell, and the arrays are written without a format conversion.
+        """
+        # imported here: `padfeec.cli` imports this module, and loading scipy
+        # costs every command about 0.3 s before it starts
+        import scipy.sparse
+
         if not 1 <= k <= self.dim:
             raise InvalidParameter("chain degree out of range")
         upper = self.subsimplices(k)
         lower = self.subsimplices(k - 1)
-        D = np.zeros((lower.count, upper.count), dtype=int)
-        for col, sub in enumerate(upper.simplices):
-            for j in range(len(sub)):
-                face = sub[:j] + sub[j + 1 :]
-                D[lower.index[face], col] += (-1) ** j
-        return D
+        positions = range(self.dim + 1)
+        lower_local = {c: i for i, c in enumerate(itertools.combinations(positions, k))}
+        faces = np.array([
+            [lower_local[c[:j] + c[j + 1 :]] for j in range(k + 1)]
+            for c in itertools.combinations(positions, k + 1)
+        ])
+        # every sub-simplex id occurs, so ``first`` lists one cell slot per id, in id order
+        _, first = np.unique(upper.cell_incidence.ravel(), return_index=True)
+        rows = lower.cell_incidence[:, faces].reshape(-1, k + 1)[first]
+        return scipy.sparse.csc_array(
+            (np.tile((-1) ** np.arange(k + 1), upper.count), rows.ravel(),
+             np.arange(0, rows.size + 1, k + 1)),
+            shape=(lower.count, upper.count),
+        )
 
     def vertex_patch(self, v):
         """All cells containing vertex v, adjacency-ordered in 2-D."""

@@ -566,25 +566,33 @@ def broken_space(mesh, k, variant="primal"):
     return GlobalSpace(broken, np.eye(broken.dim), kind="broken")
 
 
+def whitney_dofs(mesh, k, bc="none"):
+    """Ids of the k-sub-simplices that carry the Whitney k-forms, in atlas order.
+
+    They are sorted by their vertex tuples, so the atlas is deterministic;
+    with homogeneous boundary conditions the boundary sub-simplices are
+    dropped.
+    """
+    table = mesh.subsimplices(k)
+    order = sorted(range(table.count), key=lambda i: table.simplices[i])
+    if bc == "homogeneous":
+        return np.array([i for i in order if not table.boundary[i]], dtype=int)
+    if bc == "none":
+        return np.array(order, dtype=int)
+    raise InvalidParameter("bc must be 'none' or 'homogeneous'")
+
+
 def conforming_whitney(mesh, k, bc="none", lad=None):
     """Conforming Whitney k-forms: one degree of freedom per k-sub-simplex.
 
-    With homogeneous boundary conditions the boundary sub-simplices are
-    dropped.  Each cell's columns are the closed-form trimmed coordinates of
-    its Whitney forms (`whitney_coefficients`), written through the incidence
-    table; the atlas is deterministic because degrees of freedom are sorted
-    by their vertex tuples.
+    The degrees of freedom are `whitney_dofs`.  Each cell's columns are the
+    closed-form trimmed coordinates of its Whitney forms
+    (`whitney_coefficients`), written through the incidence table.
     """
     lad = lad or ladder(mesh)
     broken = lad.primal(k)
     table = mesh.subsimplices(k)
-    order = sorted(range(table.count), key=lambda i: table.simplices[i])
-    if bc == "homogeneous":
-        dofs = [i for i in order if not table.boundary[i]]
-    elif bc == "none":
-        dofs = order
-    else:
-        raise InvalidParameter("bc must be 'none' or 'homogeneous'")
+    dofs = whitney_dofs(mesh, k, bc)
     column = np.full(table.count, -1)
     column[dofs] = np.arange(len(dofs))
     cols = column[table.cell_incidence]  # (cells, faces)

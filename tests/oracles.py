@@ -8,7 +8,10 @@ the cells' trimmed `LocalSpace`s of a broken space with the ladder's Grams;
 that the batched report is compared with; `is_independent`,
 `canonically_equal`, `max_diameter` and `roundtrip` are checks that only
 the tests make.  `betti_numbers` is the mesh's topology from exact integer
-ranks of its chain boundary matrices, independent of any finite element.
+ranks of its chain boundary matrices, independent of any finite element;
+`boundary_matrix_by_loop` writes those matrices one face at a time.
+`harmonic_by_complement` takes a harmonic space as the complement of the
+range in the kernel, the route the stacked nullspace replaced.
 `constraint_atlas_source` and `constraint_atlas_hodge` solve every scheme
 on the dense constraint-route atlases (`DeRhamLadder.abc`, the Whitney and
 star atlases), assembled dense and factored by LAPACK: the oracle of the
@@ -21,8 +24,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from padfeec.adjoint import _complex_kernel, harmonic_space
-from padfeec.errors import NotAdmissible
+from padfeec.adjoint import _FLAVORS, _complex_kernel, _complex_range, harmonic_space
+from padfeec.errors import NotAComplex, NotAdmissible
 from padfeec.linalg import RANK_TOL, Gram, Subspace, gram_complement, nullspace, orthonormalize
 from padfeec.local import LocalSpace, decompose_local, pairing_matrix, trimmed_local
 from padfeec.mesh import Mesh, generate_structured
@@ -195,6 +198,20 @@ def rank_mod_prime(M, p=PRIME):
     return r
 
 
+def boundary_matrix_by_loop(mesh, k):
+    """Dense integer chain boundary from k-chains to (k-1)-chains, one face at a time.
+
+    The face of sub-simplex s without its j-th vertex gets (-1)^j: the
+    oracle of the vectorized `Mesh.boundary_matrix`.
+    """
+    upper, lower = mesh.subsimplices(k), mesh.subsimplices(k - 1)
+    D = np.zeros((lower.count, upper.count), dtype=int)
+    for col, sub in enumerate(upper.simplices):
+        for j in range(len(sub)):
+            D[lower.index[sub[:j] + sub[j + 1 :]], col] += (-1) ** j
+    return D
+
+
 def betti_numbers(mesh, relative=False):
     """Betti numbers b_0..b_n of the mesh, or b_k(mesh, boundary) if ``relative``.
 
@@ -209,10 +226,28 @@ def betti_numbers(mesh, relative=False):
         for k in range(n + 1)
     ]
     ranks = [0] + [
-        rank_mod_prime(mesh.boundary_matrix(k)[np.ix_(keep[k - 1], keep[k])])
+        rank_mod_prime(mesh.boundary_matrix(k)[np.ix_(keep[k - 1], keep[k])].toarray())
         for k in range(1, n + 1)
     ] + [0]
     return [int(keep[k].sum()) - ranks[k] - ranks[k + 1] for k in range(n + 1)]
+
+
+def harmonic_by_complement(mesh, k, flavor):
+    """The harmonic k-forms of ``flavor`` as the complement of the range in the kernel.
+
+    The kernel and the range one degree down are taken separately, each
+    by its own pivoted QR, the range is checked to lie in the kernel, and
+    the complement is one more QR: the route the runtime's stacked
+    nullspace replaced.
+    """
+    complex_, bc = _FLAVORS[flavor]
+    lad = ladder(mesh)
+    g = lad.p0(k).gram
+    N = _complex_kernel(lad, complex_, k, bc)
+    R = _complex_range(lad, complex_, k + 1 if complex_ == "star" else k - 1, bc)
+    if R.dim and not N.contains(R.basis, tol=1e-8):
+        raise NotAComplex("range is not contained in the kernel (flavor %s)" % flavor)
+    return gram_complement(R, N, g)
 
 
 def max_diameter(mesh):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from oracles import (
     cell_icr,
     decompose_pair,
     fast_local_constants,
+    harmonic_by_complement,
     ladder_locals,
     max_diameter,
 )
@@ -551,20 +554,56 @@ class TestConstraintKernel:
 
 class TestEmptyComplement:
     def test_range_leaving_the_kernel_still_raises(self, monkeypatch):
-        import padfeec.adjoint as adjoint
         from padfeec.errors import NotAComplex
 
         mesh = generate_structured(2, 2)
         lad = ladder(mesh)
-        g = lad.p0(1).gram
-        N = adjoint._complex_kernel(lad, "abc", 1, "none")
-        outside = gram_complement(N, Subspace.full(N.ambient_dim, g), g).basis[:, :1]
-        # as wide as the kernel, so only the containment check stops the shortcut
-        fake = Subspace.from_span(np.column_stack([N.basis[:, 1:], outside]), g)
-        assert fake.dim == N.dim
-        monkeypatch.setattr(adjoint, "_complex_range", lambda *args: fake)
-        with pytest.raises(NotAComplex):
+        A = np.array(lad.abc_basis(0, "none"))
+        # one column swapped for a linear form on one cell: the basis keeps its
+        # width, but d of that form is not a nonconforming 1-form
+        A[:, -1] = 0.0
+        A[lad.primal(0).cell_slice(0).start + 1, -1] = 1.0
+        monkeypatch.setitem(lad._cache, ("abc-basis", 0, "none"), A)
+        with pytest.raises(NotAComplex, match="not contained in the kernel"):
             harmonic_space(mesh, 1, "abc")
+
+    @pytest.mark.parametrize(
+        "degree,reason", [(1, "d is not the coboundary"), (2, "does not square to zero")]
+    )
+    def test_conforming_with_a_wrong_incidence_sign_raises(self, monkeypatch, degree, reason):
+        from padfeec.errors import NotAComplex
+
+        mesh = generate_structured(2, 2)
+        boundary = mesh.boundary_matrix
+
+        def flipped(j):
+            D = boundary(j)
+            if j == degree:
+                D = D.copy()
+                D.data[0] = -D.data[0]
+            return D
+
+        # degree 1 feeds the coboundary from the vertices, checked against d of
+        # the Whitney 0-forms; degree 2 the one from the edges, checked in integers
+        monkeypatch.setattr(mesh, "boundary_matrix", flipped)
+        with pytest.raises(NotAComplex, match=reason):
+            harmonic_space(mesh, 1, "conforming")
+
+    def test_star_with_a_corrupted_lower_atlas_raises(self, monkeypatch):
+        import dataclasses
+
+        from padfeec.errors import NotAComplex
+
+        mesh = generate_structured(2, 4)
+        lad = ladder(mesh)
+        lower = lad.whitney_star(2, "homogeneous")
+        atlas = lower.atlas.copy()
+        atlas[:, 0] *= -1.0
+        monkeypatch.setitem(
+            lad._cache, ("whitney-star", 2, "homogeneous"), dataclasses.replace(lower, atlas=atlas)
+        )
+        with pytest.raises(NotAComplex, match="d is not the coboundary"):
+            harmonic_space(mesh, 1, "star0")
 
     def test_zero_space_without_a_complement(self, monkeypatch):
         import padfeec.adjoint as adjoint
@@ -577,6 +616,92 @@ class TestEmptyComplement:
         H = harmonic_space(mesh, 1, "abc")
         assert H.subspace.basis.shape == (ladder(mesh).p0(1).dim, 0)
         assert H.subspace.basis.flags.writeable is False
+
+
+class TestStackedRoute:
+    def test_builds_no_kernel_range_or_complement(self, monkeypatch):
+        import padfeec.adjoint as adjoint
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the complement route was called")
+
+        for name in ("_complex_kernel", "_complex_range", "gram_complement"):
+            monkeypatch.setattr(adjoint, name, refuse)
+        monkeypatch.setattr(Subspace, "contains", refuse)
+        for args in ((2, 4, "hole"), (3, 1)):
+            mesh = generate_structured(*args)
+            dims = {
+                flavor: [harmonic_space(mesh, k, flavor).dim for k in range(mesh.dim + 1)]
+                for flavor in HARMONIC_FLAVORS
+            }
+            assert dims["abc"] == betti_numbers(mesh)
+
+    @pytest.mark.parametrize("args", [(2, 4, "hole"), (3, 4, "tunnel")])
+    def test_theta_survives_a_round_off_change_of_the_lower_basis(self, args):
+        from padfeec.solve import random_polynomial_load, solve_hodge
+
+        thetas = []
+        for scale in (1.0, 1.0 + 1e-14):
+            mesh = generate_structured(*args)
+            lad = ladder(mesh)
+            lad._cache[("abc-basis", 0, "none")] = lad.abc_basis(0, "none") * scale
+            load = random_polynomial_load(mesh, 1, seed=5)
+            thetas.append(
+                [solve_hodge(mesh, 1, load, s).components["theta"] for s in ("complete", "mixed_primal")]
+            )
+        for before, after in zip(*thetas):
+            assert before.size == 1
+            assert abs(after[0] - before[0]) <= 1e-10 * abs(before[0])
+
+    def test_one_column_sign_depends_on_the_span_only(self):
+        from padfeec.adjoint import _span_signs
+
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((12, 1))
+        h[4] = -1.5 * np.abs(h).max()
+        h[9] = -h[4] * (1.0 - 1e-12)  # a tie within 1e-8: the first entry decides
+        assert np.array_equal(_span_signs(h), _span_signs(-h))
+        assert _span_signs(h)[4, 0] > 0.0
+        assert _span_signs(np.zeros((5, 0))).shape == (5, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_mesh(name):
+    kind, n = name.split(":")
+    dim = 3 if kind in ("tetbox", "tunnel", "cavity") else 2
+    domain = {"tetbox": "box"}.get(kind, kind)
+    return generate_structured(dim, int(n), domain)
+
+
+class TestHarmonicByComplementOracle:
+    """The stacked nullspace equals the kernel-range complement, at every degree."""
+
+    @pytest.mark.parametrize("flavor", HARMONIC_FLAVORS)
+    @pytest.mark.parametrize(
+        "name", ["box:2", "box:4", "hole:4", "hole:8", "tetbox:1", "tetbox:2", "tunnel:4", "cavity:4"]
+    )
+    def test_equal_to_the_complement_route(self, name, flavor):
+        from padfeec.adjoint import _harmonic_conditions
+        from padfeec.linalg import RANK_TOL, pivoted_nullspace, principal_angles
+
+        mesh = _oracle_mesh(name)
+        lad = ladder(mesh)
+        relative = flavor not in ("abc", "conforming", "star0")
+        betti = betti_numbers(mesh, relative=relative)
+        for k in range(mesh.dim + 1):
+            H = harmonic_space(mesh, k, flavor).subspace
+            oracle = harmonic_by_complement(mesh, k, flavor)
+            assert H.dim == oracle.dim == betti[k], k
+            angles = principal_angles(H, oracle, lad.p0(k).gram)
+            assert angles.max(initial=0.0) <= 1e-10, k
+            # the stacked QR's rank cut sits in a gap of at least 1e3 on both sides
+            conditions = _harmonic_conditions(lad, k, flavor)[0]
+            _, rdiag = pivoted_nullspace(conditions)
+            r = conditions.shape[1] - H.dim
+            if r:
+                assert rdiag[r - 1] >= 1e3 * RANK_TOL * rdiag[0], k
+            if r < rdiag.size:
+                assert rdiag[r] <= RANK_TOL / 1e3 * rdiag[0], k
 
 
 BETTI_MESHES = {

@@ -331,6 +331,59 @@ class TestPrincipalAngles:
         assert ang[1] == pytest.approx(np.pi / 2, abs=1e-12)
 
 
+    @staticmethod
+    def _both_svds(A, B, gram=None):
+        """The angles from both the cosine and the sine singular values."""
+        from padfeec.linalg import _cross_gram, _orthonormal_basis
+
+        Qa, Qb = _orthonormal_basis(A, gram), _orthonormal_basis(B, gram)
+        m = min(A.dim, B.dim)
+        cos_vals = np.clip(scipy.linalg.svdvals(_cross_gram(Qa, gram, Qb))[:m], 0.0, 1.0)
+        small, big = (Qa, Qb) if A.dim <= B.dim else (Qb, Qa)
+        R = small - big @ (big.T @ (small if gram is None else gram @ small))
+        if gram is not None:
+            R = gram_factor(gram)[0] @ R
+        sin_vals = np.sort(np.clip(scipy.linalg.svdvals(R), 0.0, 1.0))
+        angles = np.where(cos_vals > np.sqrt(0.5), np.arcsin(sin_vals[:m]), np.arccos(cos_vals))
+        return np.sort(angles)
+
+    @pytest.mark.parametrize("tilt,calls", [(1e-9, 1), (0.7, 1), (0.9, 2), (1.2, 2)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_cosines_only_past_the_sine_threshold(self, monkeypatch, tilt, calls, weighted):
+        rng = np.random.default_rng(11)
+        Q = np.linalg.qr(rng.standard_normal((9, 9)))[0]
+        G = None
+        if weighted:
+            F = rng.standard_normal((9, 9)) + 9.0 * np.eye(9)
+            G = F.T @ F
+        # B tilts A's first two directions by up to ``tilt`` radians; the
+        # largest angle is ``tilt``, so only then do the cosines decide
+        A = Subspace.from_span(Q[:, :3], G)
+        B = Subspace.from_span(
+            np.column_stack([
+                np.cos(tilt) * Q[:, 0] + np.sin(tilt) * Q[:, 5],
+                np.cos(tilt / 2) * Q[:, 1] + np.sin(tilt / 2) * Q[:, 6],
+                Q[:, 2], Q[:, 3],
+            ]),
+            G,
+        )
+        want = self._both_svds(A, B, G)
+        counted = []
+        svdvals = scipy.linalg.svdvals
+
+        def counting(M, *args, **kwargs):
+            counted.append(M.shape)
+            return svdvals(M, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "svdvals", counting)
+        got = principal_angles(A, B, G)
+        assert np.array_equal(got, want)
+        assert len(counted) == (1 if np.sin(want[-1]) < 0.7 else 2)
+        if not weighted:
+            assert len(counted) == calls
+            assert got[-1] == pytest.approx(tilt, abs=1e-12)
+
+
 class TestOrthonormalizeOnce:
     """A subspace carrying the Gram in use is taken as it is."""
 

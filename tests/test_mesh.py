@@ -14,7 +14,7 @@ from padfeec.mesh import (
     shape_report,
 )
 
-from oracles import canonically_equal
+from oracles import boundary_matrix_by_loop, canonically_equal
 
 
 class TestGeneration:
@@ -148,7 +148,17 @@ class TestSubsimplices:
         for k in range(2, dim + 1):
             prod = m.boundary_matrix(k - 1) @ m.boundary_matrix(k)
             assert prod.dtype.kind == "i"
-            assert not prod.any()
+            assert prod.count_nonzero() == 0
+
+    @pytest.mark.parametrize(
+        "args", [(2, 2), (2, 4, "hole"), (3, 1), (3, 2), (3, 4, "tunnel"), (3, 4, "cavity")]
+    )
+    def test_boundary_matrix_equals_the_face_loop(self, args):
+        m = generate_structured(*args)
+        for k in range(1, m.dim + 1):
+            D = m.boundary_matrix(k)
+            assert D.format == "csc" and D.dtype.kind == "i"
+            assert np.array_equal(D.toarray(), boundary_matrix_by_loop(m, k))
 
 
 class TestVertexPatch:
