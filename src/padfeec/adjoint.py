@@ -12,15 +12,17 @@ Base pairs are checked in one batched pass over the cells' Gram, energy
 and pairing stacks, with d and delta as the reference blocks that every
 cell holds, and each report is kept in the ladder.  A harmonic space of
 any of the three discrete complexes (nonconforming, conforming Whitney,
-starred) is one rank-revealing nullspace of its stacked conditions,
-closedness and orthogonality to the range from the degree below: on the
-whitened P0 coordinates for the nonconforming complex, its closedness from
-the constraint set, and on the atlas coefficients for the other two, its
-closedness from the integer coboundary of `Mesh.boundary_matrix`.  Only
-its b_k columns are formed, the complex property is checked by sparse
-residuals on the way, and the harmonic spaces are kept in the ladder.  The
-kernels and ranges of `_complex_kernel` and `_complex_range` serve the
-Hodge splits and the slice dualities.
+starred) is the null space of its stacked sparse conditions, closedness
+and orthogonality to the range from the degree below: on the whitened P0
+coordinates for the nonconforming complex, its closedness from the
+constraint set, and on the atlas coefficients for the other two, its
+closedness from the integer coboundary of `Mesh.boundary_matrix`.  Its
+dimension is the mesh's Betti number, an exact integer, and
+`linalg.null_vectors` finds that many null vectors and certifies that
+there are no more.  The complex property is checked by sparse residuals
+on the way, and the harmonic spaces are kept in the ladder.  The kernels
+and ranges of `_complex_kernel` and `_complex_range` serve the Hodge
+splits and the slice dualities.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .errors import AssemblyError, NotAComplex, NotAdmissible, NotNested
+from .errors import AssemblyError, NotAComplex, NotAdmissible, NotNested, ToleranceFailure
 from .linalg import (
     Subspace,
     diagonal_blocks,
@@ -36,6 +38,7 @@ from .linalg import (
     gram_factor,
     icr_of,
     infsup,
+    null_vectors,
     nullspace,
     orthonormalize,
     rank,
@@ -485,6 +488,9 @@ _FLAVORS = {
     "star": ("star", "none"),
     "star0": ("star", "homogeneous"),
 }
+# the flavors whose harmonic dimension is the absolute Betti number; the
+# others take the relative one, of the chains modulo the boundary
+_ABSOLUTE_FLAVORS = ("abc", "conforming", "star0")
 
 
 def _complex_space(lad, complex_, k, bc):
@@ -560,19 +566,30 @@ def harmonic_space(mesh, k, flavor):
 
 
 def _build_harmonic_space(mesh, k, flavor):
-    """One rank-revealing nullspace of the stacked harmonic conditions.
+    """The harmonic k-forms of ``flavor``, sized by the mesh's Betti number.
 
     A harmonic form is closed and orthogonal to the range from the degree
-    below, so the null vectors of `_harmonic_conditions`, b_k of them past
-    the pivoted QR's cut, are the whole space; only those columns are
-    formed.  Each basis column is given the sign of `_span_signs`.
+    below, so the harmonic space is lift(null M) for the stacked conditions
+    M of `_harmonic_conditions`.  Its dimension is the Betti number b_k,
+    absolute for `_ABSOLUTE_FLAVORS` and relative for the others, taken in
+    exact integers before any float work; `null_vectors` finds the b_k null
+    vectors and certifies that there are no more, else ToleranceFailure.
+    The sparse route runs on meshes whose compact bases are sparse.  Each
+    basis column is given the sign of `_span_signs`.
     """
     if flavor not in _FLAVORS:
         raise AssemblyError("unknown harmonic flavor %r" % (flavor,))
     lad = ladder(mesh)
     p0 = lad.p0(k)
+    betti = mesh.betti_numbers(relative=flavor not in _ABSOLUTE_FLAVORS)[k]
     conditions, lift = _harmonic_conditions(lad, k, flavor)
-    basis = _span_signs(lift(nullspace(conditions).basis))
+    try:
+        null = null_vectors(conditions, betti, sparse=lad.sparse)[0]
+    except ToleranceFailure as exc:
+        raise ToleranceFailure(
+            "harmonic %s %d-forms, Betti number %d: %s" % (flavor, k, betti, exc)
+        ) from None
+    basis = _span_signs(lift(null))
     basis.flags.writeable = False
     return HarmonicSpace(Subspace(p0.dim, basis, p0.gram), k, flavor)
 
@@ -631,22 +648,25 @@ def _whitney_conditions(lad, complex_, k, bc):
     (up to a sign fixed by w for the starred complex), and Delta_w
     Delta_(w-1) = 0, exactly: its entries are sums of a few products of
     signs.  The lift orthonormalizes the verified P0 coordinates of
-    A X, so only the b_k null vectors X are lifted.
+    A X, so only the b_k null vectors X are lifted.  The atlases are dense
+    but each column lives on one patch, so the products run on their CSR
+    copies.
     """
     n, star = lad.mesh.dim, complex_ == "star"
     w = n - k if star else k
     space = _complex_space(lad, complex_, k, bc)
     g = lad.p0(k).gram
-    PA = lad.p0_projection(k, space.broken.name) @ space.atlas
+    PA = lad.p0_projection(k, space.broken.name) @ scipy.sparse.csr_array(space.atlas)
     blocks = [_coboundary(lad, w, bc)] if w < n else []
     if w > 0:
         Delta = _coboundary(lad, w - 1, bc)
+        lower = _complex_space(lad, complex_, k + 1 if star else k - 1, bc).atlas
         if star:
             # the star's sign is -1, +1, -1 for the coboundary at w - 1 = 0, 1, 2
-            dA = lad.delta_matrix(k + 1) @ _complex_space(lad, complex_, k + 1, bc).atlas
-            sign = (-1) ** w
+            T, sign = lad.delta_matrix(k + 1), (-1) ** w
         else:
-            dA, sign = lad.d_matrix(k - 1) @ _complex_space(lad, complex_, k - 1, bc).atlas, 1
+            T, sign = lad.d_matrix(k - 1), 1
+        dA = T @ scipy.sparse.csr_array(lower)
         PAD = PA @ Delta
         if _norm(dA - sign * PAD) > 1e-8 * _norm(dA):
             raise NotAComplex("d is not the coboundary (%s, degree %d)" % (complex_, k))
@@ -680,10 +700,12 @@ def _coboundary(lad, w, bc):
 
 
 def _stacked(blocks, n):
-    """The blocks' rows, each block scaled to largest entry 1, as one dense n-column matrix."""
-    dense = [np.asarray(B.toarray() if scipy.sparse.issparse(B) else B, dtype=float) for B in blocks]
-    return np.vstack(
-        [np.zeros((0, n))] + [B / max(np.abs(B).max(initial=0.0), 1e-300) for B in dense]
+    """The blocks' rows, each block scaled to largest entry 1, as one n-column CSR array."""
+    arrays = [scipy.sparse.csr_array(B) for B in blocks]
+    return scipy.sparse.vstack(
+        [scipy.sparse.csr_array((0, n))]
+        + [B / max(np.abs(B.data).max(initial=0.0), 1e-300) for B in arrays],
+        format="csr",
     )
 
 

@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .errors import InvalidParameter, PadfeecError
+from .errors import InvalidParameter, PadfeecError, ToleranceFailure
 from .mesh import Mesh, generate_structured, shape_report
 from .report import HODGE_SCHEMES, CheckRecord, Report, RunConfig, emit
 
@@ -234,17 +234,23 @@ def _vacuous_note(rep):
 def cmd_verify_duality(mesh, config, report):
     from .adjoint import horizontal_duality_check, pl_duality_check
 
-    rep = pl_duality_check(mesh, config.k)
+    # the harmonic spaces are sized by the Betti numbers; a space that does
+    # not have that dimension fails the record with its ToleranceFailure
+    try:
+        rep = pl_duality_check(mesh, config.k)
+    except ToleranceFailure as exc:
+        verdict, numbers, note = "fail", {}, "ToleranceFailure: %s" % exc
+    else:
+        verdict, note = rep.verdict, _vacuous_note(rep)
+        numbers = {
+            "identity_angle": rep.identity_angle,
+            **{"dim_%s" % n: d for n, d in rep.lhs_dims.items()},
+        }
+    numbers["betti"] = mesh.betti_numbers()[config.k]
+    numbers["betti_relative"] = mesh.betti_numbers(relative=True)[config.k]
     report.add(
         CheckRecord(
-            "poincare-lefschetz",
-            rep.verdict,
-            numbers={
-                "identity_angle": rep.identity_angle,
-                **{"dim_%s" % n: d for n, d in rep.lhs_dims.items()},
-            },
-            inputs={"k": config.k},
-            note=_vacuous_note(rep),
+            "poincare-lefschetz", verdict, numbers=numbers, inputs={"k": config.k}, note=note
         )
     )
     if config.k <= mesh.dim - 1:
@@ -511,30 +517,40 @@ def cmd_suite_all(config, report, fast=False):
         jobs.append((cmd_verify_duality, sub("verify duality", mesh="tunnel:4", k=1)))
     # The jobs of one spec are adjacent and share one mesh, and with it the
     # ladder the mesh owns.  A mesh and its ladder refer to each other, so
-    # only the cycle collector frees them: it runs at each switch of spec,
-    # and one spec's mesh is alive at a time.  A mesh that fails to parse is
-    # retried, and fails, job by job.
-    spec = mesh = None
-    for fn, cfg in jobs:
-        local = Report(cfg)
-        try:
-            if cfg.mesh != spec:
-                mesh = spec = None
-                gc.collect()
-                mesh, spec = parse_mesh(cfg), cfg.mesh
-            fn(mesh, cfg, local)
-        except PadfeecError as exc:
-            local.add(
-                CheckRecord(
-                    cfg.command.replace(" ", "-"),
-                    "fail",
-                    note="%s: %s" % (type(exc).__name__, exc),
+    # only the cycle collector frees them: it runs when a spec's mesh is
+    # done, and one spec's mesh is alive at a time.  The jobs' modules are
+    # imported first and everything alive then is frozen, so each collection
+    # walks only what the jobs made.  A mesh that fails to parse is retried,
+    # and fails, job by job.
+    from . import adjoint, interp, solve  # noqa: F401
+
+    gc.freeze()
+    try:
+        spec = mesh = None
+        for fn, cfg in jobs:
+            local = Report(cfg)
+            try:
+                if cfg.mesh != spec:
+                    spec = None
+                    if mesh is not None:
+                        mesh = None
+                        gc.collect()
+                    mesh, spec = parse_mesh(cfg), cfg.mesh
+                fn(mesh, cfg, local)
+            except PadfeecError as exc:
+                local.add(
+                    CheckRecord(
+                        cfg.command.replace(" ", "-"),
+                        "fail",
+                        note="%s: %s" % (type(exc).__name__, exc),
+                    )
                 )
-            )
-        for rec in local.records:
-            rec.inputs = {**rec.inputs, "mesh": cfg.mesh}
-            rec.name = "%s/%s" % (cfg.mesh, rec.name)
-            report.add(rec)
+            for rec in local.records:
+                rec.inputs = {**rec.inputs, "mesh": cfg.mesh}
+                rec.name = "%s/%s" % (cfg.mesh, rec.name)
+                report.add(rec)
+    finally:
+        gc.unfreeze()
 
 
 # -- argument parsing --------------------------------------------------------------

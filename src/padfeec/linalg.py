@@ -1,7 +1,10 @@
 """Dense linear-algebra substrate, with sparse Grams that carry their factor.
 
 `solve_symmetric` is the one sparse-aware solve: it factors a sparse
-system by SuperLU and a dense one by LAPACK.
+system by SuperLU (through `sparse_lu`) and a dense one by LAPACK.
+`null_vectors` takes a null space whose dimension is known in advance
+from the lowest eigenvectors of M^T M: a dense `eigh`, or block inverse
+iteration on one `sparse_lu` factor, certified on unsquared residuals.
 
 Rank and nullspace detection with explicit relative tolerances, Gram-aware
 orthonormalization, inf-sup constants, indices of closed range, the nonzero
@@ -36,7 +39,14 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import InvalidGram, InvalidMatrix, NotClosedRange, NotNested, SolverFailure
+from .errors import (
+    InvalidGram,
+    InvalidMatrix,
+    NotClosedRange,
+    NotNested,
+    SolverFailure,
+    ToleranceFailure,
+)
 
 RANK_TOL = 1e-10
 EIG_TOL = 1e-10
@@ -312,6 +322,79 @@ def pivoted_nullspace(M, tol=RANK_TOL):
     return Subspace(n, _trailing_columns(reflectors, tau, _leading_rank(rdiag, tol))), rdiag
 
 
+def null_vectors(M, nullity, sparse=False, tol=RANK_TOL):
+    """Euclidean-orthonormal basis of the null space of M, whose dimension is known.
+
+    The ``nullity`` + 1 lowest eigenvectors of L = M^T M are taken: from a
+    dense `eigh` of L, or with ``sparse`` by `_inverse_iteration` on one
+    sparse LU.  The rank decision is `nullspace`'s, on unsquared residuals:
+    with the scale the largest row norm of M (the |R_11| of `nullspace`'s
+    pivoted QR), the first ``nullity`` vectors must have ||M v|| <= tol *
+    scale and the next one must not, else ToleranceFailure.  Returns the
+    basis and the residuals of all the vectors taken, relative to the scale.
+    """
+    n = M.shape[1]
+    if not 0 <= nullity <= n:
+        raise ToleranceFailure("nullity %d outside 0..%d" % (nullity, n))
+    count = min(nullity + 1, n)
+    if count == 0:
+        V = np.zeros((0, 0))
+    elif sparse:
+        V = _inverse_iteration(scipy.sparse.csc_array(M.T @ M), count)
+    else:
+        V = scipy.linalg.eigh(_as_matrix(M.T @ M), subset_by_index=[0, count - 1])[1]
+    rows = M.multiply(M).sum(axis=1) if scipy.sparse.issparse(M) else np.sum(M * M, axis=1)
+    scale = float(np.sqrt(np.max(rows, initial=0.0)))
+    resid = np.linalg.norm(M @ V, axis=0) / (scale if scale > 0.0 else 1.0)
+    if nullity and resid[nullity - 1] > tol:
+        raise ToleranceFailure(
+            "nullity %d: null vector %d has residual %.3e of the scale, above %.0e"
+            % (nullity, nullity, resid[nullity - 1], tol)
+        )
+    if count > nullity and resid[nullity] <= tol:
+        raise ToleranceFailure(
+            "nullity %d: vector %d has residual %.3e of the scale, within %.0e"
+            % (nullity, nullity + 1, resid[nullity], tol)
+        )
+    return V[:, :nullity], resid
+
+
+# the shift of `_inverse_iteration` relative to ||L||_1, and its steps
+_SHIFT = 1e-10
+_INVERSE_STEPS = 3
+
+
+def _inverse_iteration(L, count):
+    """The ``count`` lowest eigenvectors of the sparse symmetric PSD L, ascending.
+
+    Block inverse iteration on one sparse LU of L + s I, s = `_SHIFT`
+    ||L||_1, from a pseudo-random start block of fixed seed, then one
+    Rayleigh-Ritz step on L (Saad, Numerical Methods for Large Eigenvalue
+    Problems, SIAM 2011).
+    Each step damps an eigenvector of eigenvalue lambda by s / (lambda + s)
+    against the null vectors.
+    """
+    n = L.shape[0]
+    shift = _SHIFT * float(abs(L).sum(axis=0).max(initial=0.0)) or 1.0  # any shift of L = 0
+    lu = sparse_lu(L + scipy.sparse.diags_array(np.full(n, shift), format="csc"))
+    X = np.random.default_rng(0).standard_normal((n, count))
+    for _ in range(_INVERSE_STEPS):
+        X = np.linalg.qr(lu.solve(X))[0]
+    H = X.T @ (L @ X)
+    return X @ scipy.linalg.eigh(0.5 * (H + H.T))[1]
+
+
+def sparse_lu(A):
+    """SuperLU factor (`splu`) of the sparse A; a failed factor raises SolverFailure."""
+    # imported here: it costs the commands that factor nothing sparse 2 MB and 35 modules
+    from scipy.sparse.linalg import splu
+
+    try:
+        return splu(A)
+    except RuntimeError as exc:
+        raise SolverFailure("sparse LU failed: %s" % exc) from None
+
+
 def principal_angles(A: Subspace, B: Subspace, gram=None):
     """Principal angles (radians, ascending) between two subspaces w.r.t. ``gram``.
 
@@ -501,14 +584,7 @@ def solve_symmetric(A, b, refine=True):
     if A.shape[0] == 0:
         return np.zeros(0), 0.0, 1.0
     if sparse:
-        # imported here: it costs the commands that factor nothing sparse 2 MB and 35 modules
-        from scipy.sparse.linalg import splu
-
-        try:
-            lu = splu(A)
-        except RuntimeError as exc:
-            raise SolverFailure("sparse LU failed: %s" % exc) from None
-        solve = lu.solve
+        solve = sparse_lu(A).solve
         anorm = float(abs(A).sum(axis=0).max())
     else:
         # the norm's |A| temporary is freed before LAPACK copies A into its factor

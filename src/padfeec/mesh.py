@@ -7,6 +7,8 @@ Structured generators cover the unit box, the box with a central square hole
 (nontrivial first Betti number), the 6-tets-per-cube unit box in 3-D, the
 3-D box with a central tunnel (a solid torus, first Betti number 1) and the
 3-D box with a central cavity (a ball with a void, second Betti number 1).
+The Betti numbers, absolute and relative to the boundary, are exact ranks
+of the integer chain boundaries.
 """
 
 import itertools
@@ -97,6 +99,7 @@ class Mesh:
         self._tables = {}
         self._geometry = {}
         self._patches = {}
+        self._betti = {}
         self._ladder = None  # the DeRhamLadder of spaces.ladder, built on first use
         self._validate_facets()
         self.satisfies_vertex_hypothesis = self._check_vertex_hypothesis()
@@ -227,6 +230,30 @@ class Mesh:
             shape=(lower.count, upper.count),
         )
 
+    def betti_numbers(self, relative=False):
+        """Betti numbers b_0..b_n, or the relative b_k(mesh, boundary) if ``relative``.
+
+        b_k = dim C_k - rank of the boundary from C_k - rank of the boundary
+        into C_k, for the chains of `boundary_matrix`; the relative chains
+        are the interior sub-simplices.  The ranks are exact (`_rank_mod_prime`),
+        so no tolerance enters.  Kept per mesh.
+        """
+        betti = self._betti.get(relative)
+        if betti is None:
+            n = self.dim
+            keep = [
+                ~table.boundary if relative else np.ones(table.count, dtype=bool)
+                for table in map(self.subsimplices, range(n + 1))
+            ]
+            ranks = [0] + [
+                _rank_mod_prime(self.boundary_matrix(k)[keep[k - 1]][:, keep[k]])
+                for k in range(1, n + 1)
+            ] + [0]
+            betti = self._betti[relative] = tuple(
+                int(keep[k].sum()) - ranks[k] - ranks[k + 1] for k in range(n + 1)
+            )
+        return betti
+
     def vertex_patch(self, v):
         """All cells containing vertex v, adjacency-ordered in 2-D."""
         if not 0 <= v < self.num_vertices:
@@ -296,6 +323,39 @@ class Mesh:
             except ValueError as exc:
                 raise MeshError("mesh file is not valid JSON: %s" % exc) from exc
         return cls.from_json(data)
+
+
+_PRIME = 2**31 - 1
+
+
+def _rank_mod_prime(B, p=_PRIME):
+    """Exact rank of the sparse integer matrix B over the integers modulo the prime ``p``.
+
+    Column elimination on residues held in dicts: each column is reduced
+    by the stored columns whose last nonzero row matches its own, until it
+    vanishes or has a new last row.  It equals the rank over the rationals
+    unless ``p`` divides every nonzero minor of that order.
+    """
+    B = B.tocsc()
+    rows, values, ptr = B.indices.tolist(), (B.data % p).tolist(), B.indptr.tolist()
+    pivots = {}  # last row -> reduced column scaled to 1 there
+    for j in range(B.shape[1]):
+        col = dict(zip(rows[ptr[j] : ptr[j + 1]], values[ptr[j] : ptr[j + 1]]))
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                inverse = pow(col[low], p - 2, p)
+                pivots[low] = {r: v * inverse % p for r, v in col.items()}
+                break
+            f = col[low]
+            for r, v in pivot.items():
+                w = (col.get(r, 0) - f * v) % p
+                if w:
+                    col[r] = w
+                else:
+                    del col[r]
+    return len(pivots)
 
 
 def _is_number(x):

@@ -524,7 +524,7 @@ class DeRhamLadder:
         """
         return self._get(
             ("abc-basis", k, bc),
-            lambda: self.abc_atlas(k, bc).unit_columns(self.primal(k).gram(), self._sparse),
+            lambda: self.abc_atlas(k, bc).unit_columns(self.primal(k).gram(), self.sparse),
         )
 
     def star_basis(self, k, bc="none"):
@@ -535,7 +535,7 @@ class DeRhamLadder:
         )
 
     @property
-    def _sparse(self):
+    def sparse(self):
         """Whether the compact bases are CSC arrays: on a mesh of `SPARSE_CELLS` cells or more."""
         return self.mesh.num_cells >= SPARSE_CELLS
 
@@ -543,7 +543,7 @@ class DeRhamLadder:
         """The dense A with each column scaled to unit norm in ``gram``, as a
         CSC array if the compact bases are sparse."""
         norms = np.sqrt(np.einsum("ij,ij->j", A, gram @ A))
-        if not self._sparse:
+        if not self.sparse:
             return A / norms
         B = scipy.sparse.csc_array(A)
         B.data /= np.repeat(norms, np.diff(B.indptr))

@@ -310,6 +310,52 @@ class TestCli:
         assert code == 2 and out == ""
         assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
 
+    @staticmethod
+    def _shift_betti(monkeypatch, shift):
+        from padfeec.mesh import Mesh
+
+        betti = Mesh.betti_numbers
+
+        def shifted(self, relative=False):
+            return tuple(b + shift for b in betti(self, relative))
+
+        monkeypatch.setattr(Mesh, "betti_numbers", shifted)
+
+    @pytest.mark.parametrize("mesh", ["hole:4", "hole:16"])
+    def test_wrong_betti_number_is_one_line(self, capsys, monkeypatch, mesh):
+        self._shift_betti(monkeypatch, 1)
+        code, out, err = run_cli(
+            ["solve", "hodge", "--mesh", mesh, "--k", "1", "--scheme", "complete"], capsys
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: ToleranceFailure: harmonic abc 1-forms, Betti number 2: ")
+
+    @pytest.mark.parametrize(
+        "mesh,k,betti",
+        [
+            ("box:2", 1, [0, 0]),
+            ("hole:4", 1, [1, 1]),
+            ("tunnel:4", 1, [1, 0]),
+            ("cavity:4", 2, [1, 0]),
+        ],
+    )
+    def test_poincare_lefschetz_carries_the_betti_numbers(self, capsys, mesh, k, betti):
+        code, out, _ = run_cli(["verify", "duality", "--mesh", mesh, "--k", str(k)], capsys)
+        (rec,) = [r for r in json.loads(out)["records"] if r["name"] == "poincare-lefschetz"]
+        assert code == 0 and rec["verdict"] == "pass"
+        numbers = rec["numbers"]
+        assert [numbers["betti"], numbers["betti_relative"]] == betti
+        assert [numbers["dim_abc"], numbers["dim_abc0"]] == betti
+
+    def test_wrong_betti_number_fails_the_duality_record(self, capsys, monkeypatch):
+        self._shift_betti(monkeypatch, -1)
+        code, out, err = run_cli(["verify", "duality", "--mesh", "hole:4", "--k", "1"], capsys)
+        (rec,) = [r for r in json.loads(out)["records"] if r["name"] == "poincare-lefschetz"]
+        assert code == 1 and err == ""
+        assert rec["verdict"] == "fail"
+        assert rec["note"].startswith("ToleranceFailure: harmonic abc 1-forms, Betti number 0: ")
+        assert rec["numbers"] == {"betti": 0, "betti_relative": 0}
+
     def test_determinism_byte_identical(self, capsys):
         _, out1, _ = run_cli(["verify", "base-pair", "--mesh", "box:2", "--k", "0"], capsys)
         _, out2, _ = run_cli(["verify", "base-pair", "--mesh", "box:2", "--k", "0"], capsys)

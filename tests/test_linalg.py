@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padfeec.errors import InvalidGram, InvalidMatrix, NotNested
+from padfeec.errors import InvalidGram, InvalidMatrix, NotNested, ToleranceFailure
 from padfeec.linalg import (
     Gram,
     Subspace,
@@ -12,6 +12,7 @@ from padfeec.linalg import (
     gram_factor,
     icr_of,
     infsup,
+    null_vectors,
     nullspace,
     orthonormalize,
     pencil_nonzero_eigs,
@@ -57,6 +58,47 @@ class TestNullspace:
         rng = np.random.default_rng(rnd.randrange(2**32))
         A = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
         assert rank(A) + nullspace(A).dim == n
+
+
+
+class TestNullVectors:
+    """The null space of a known dimension, certified on unsquared residuals."""
+
+    @staticmethod
+    def _nullity_three():
+        rng = np.random.default_rng(1)
+        return rng.standard_normal((30, 27)) @ rng.standard_normal((27, 30))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["eigh", "inverse-iteration"])
+    def test_equal_to_the_pivoted_qr(self, sparse):
+        import scipy.sparse
+
+        M = self._nullity_three()
+        V, resid = null_vectors(scipy.sparse.csr_array(M), 3, sparse=sparse)
+        assert V.shape == (30, 3)
+        assert np.abs(V.T @ V - np.eye(3)).max() <= 1e-12
+        assert principal_angles(Subspace(30, V), nullspace(M)).max() <= 1e-10
+        assert resid[:3].max() <= 1e-13 and resid[3] >= 1e-3
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["eigh", "inverse-iteration"])
+    @pytest.mark.parametrize(
+        "nullity,reason", [(2, "vector 3 .* within"), (4, "null vector 4 .* above")]
+    )
+    def test_a_wrong_nullity_raises(self, sparse, nullity, reason):
+        with pytest.raises(ToleranceFailure, match="nullity %d: %s" % (nullity, reason)):
+            null_vectors(self._nullity_three(), nullity, sparse=sparse)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["eigh", "inverse-iteration"])
+    def test_no_rows_give_the_whole_space(self, sparse):
+        V, resid = null_vectors(np.zeros((0, 4)), 4, sparse=sparse)
+        assert np.abs(V.T @ V - np.eye(4)).max() <= 1e-12
+        assert not resid.any()
+        with pytest.raises(ToleranceFailure, match="within"):
+            null_vectors(np.zeros((0, 4)), 3, sparse=sparse)
+
+    def test_nullity_out_of_range(self):
+        with pytest.raises(ToleranceFailure, match="outside 0..2"):
+            null_vectors(np.eye(2), 3)
 
 
 class TestInfsup:

@@ -344,6 +344,42 @@ class TestLadderOwnership:
         assert cli.run(RunConfig("suite all").validate(), fast=True).all_passed
         assert len(alive) == 3
 
+    def test_suite_collects_only_when_a_mesh_is_done(self, monkeypatch):
+        import gc
+
+        from padfeec import cli
+        from padfeec.report import RunConfig
+
+        collections, frozen = [], []
+        complex_job = cli.cmd_verify_complex
+
+        def counting(*args):
+            frozen.append(gc.get_freeze_count())
+            return complex_job(*args)
+
+        monkeypatch.setattr(gc, "collect", lambda *args: collections.append(args) or 0)
+        monkeypatch.setattr(cli, "cmd_verify_complex", counting)
+        assert cli.run(RunConfig("suite all").validate(), fast=True).all_passed
+        # three mesh specs, so two switches with a mesh to free; the jobs run
+        # with the objects alive before the loop frozen, and none stay frozen
+        assert len(collections) == 2
+        assert len(frozen) == 3 and min(frozen) > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_suite_unfreezes_the_collector_when_a_job_raises(self, monkeypatch):
+        import gc
+
+        from padfeec import cli
+        from padfeec.report import RunConfig
+
+        def broken(*args):
+            raise RuntimeError("not a padfeec error")
+
+        monkeypatch.setattr(cli, "cmd_verify_complex", broken)
+        with pytest.raises(RuntimeError, match="not a padfeec error"):
+            cli.run(RunConfig("suite all").validate(), fast=True)
+        assert gc.get_freeze_count() == 0
+
 
 class TestLadderOperators:
     @pytest.mark.parametrize("mesh", [BOX2, BOX3], ids=["box:2", "tetbox:1"])
