@@ -31,13 +31,14 @@ print("annihilator cores: %d / %d (trivial, as the theory demands)\n" % (rep.uM_
 print("=== Helmholtz and Hodge splits ===\n")
 pair = whitney_pair(box, 1, "none")
 h = helmholtz_check(pair)
-print("Helmholtz verdict:", h.verdict, " residual %.1e, angle %.1e" % (
-    h.orthogonality_residual, h.identity_angle))
-print(" pieces:", h.rhs_dims)
+print("Helmholtz verdict:", h.verdict, " orthogonality residual %.1e" % h.orthogonality_residual)
+print(" full ranges:", h.lhs_dims)
+print(" pieces:     ", h.rhs_dims)
 hd = hodge_check(hole, 1)
-print("Hodge verdict (hole):", hd.verdict)
+print("Hodge verdict (hole):", hd.verdict, " orthogonality residual %.1e" % hd.orthogonality_residual)
 for bc, sub in hd.detail.items():
-    print("  bc=%-12s %s" % (bc, sub.rhs_dims))
+    print("  bc=%-12s %s of %d" % (bc, sub.rhs_dims, sub.lhs_dims["full"]))
+print("(a split passes when its pieces are orthogonal and their dimensions add up)")
 
 print("\n=== harmonic spaces and their duality as an identity ===\n")
 print("box  harmonic dim (k=1):", harmonic_space(box, 1, "abc").dim)

@@ -23,6 +23,13 @@ there are no more.  The complex property is checked by sparse residuals
 on the way, and the harmonic spaces are kept in the ladder.  The kernels
 and ranges of `_complex_kernel` and `_complex_range` serve the Hodge
 splits and the slice dualities.
+
+A Helmholtz or Hodge split is decided by its integer dimension count and
+the pairwise orthogonality residual of its pieces: pieces that are
+orthogonal and add up to the space's dimension span it, so no span is
+compared.  The Helmholtz hypotheses, that each full broken range is the
+opposite kernel, are checked on the reference blocks of d and delta, which
+every cell holds.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +47,6 @@ from .linalg import (
     infsup,
     null_vectors,
     nullspace,
-    orthonormalize,
     rank,
     subspace_equal,
 )
@@ -93,16 +99,20 @@ class BasePairReport:
 class DecompositionReport:
     """One decomposition or duality verdict.
 
-    ``vacuous`` names the comparisons inside it that compared two
-    zero-dimensional spaces, so that their pass checked nothing.
+    ``identity_angle`` is the largest principal angle of an identity
+    between two constructions (the harmonic and slice dualities); a
+    Helmholtz or Hodge split is decided by its dimension count and
+    orthogonality residual alone and keeps 0.0.  ``vacuous`` names the
+    comparisons inside it that compared two zero-dimensional spaces, so that
+    their pass checked nothing.
     """
 
     name: str
     lhs_dims: dict
     rhs_dims: dict
     orthogonality_residual: float
-    identity_angle: float
     verdict: str
+    identity_angle: float = 0.0
     detail: dict = field(default_factory=dict)
     vacuous: tuple = ()
 
@@ -315,47 +325,34 @@ def quantified_crt_check(pair: OperatorPair, report: BasePairReport, eig_tol=1e-
     return icr_primal, icr_adjoint, bool(bound_ok)
 
 
-def _assemble_report(name, pieces_lhs, pieces_rhs, gram, ambient_dim=None, extra=None):
-    """Compare two orthogonal decompositions of the same space."""
-    lhs_dims = {n: s.dim for n, s in pieces_lhs.items()}
+def _assemble_report(name, lhs_dims, pieces_rhs, gram, ambient_dim):
+    """One orthogonal split of a P0 space, decided by dimension count and orthogonality.
+
+    ``lhs_dims`` are the dimensions of the side known without a basis.  The
+    split passes when both sides add up to ``ambient_dim`` and the pieces of
+    ``pieces_rhs``, each orthonormal in ``gram``, are pairwise orthogonal to
+    1e-10: such pieces are independent, so their sum is the whole space and
+    no span is compared.
+    """
     rhs_dims = {n: s.dim for n, s in pieces_rhs.items()}
-    resid = 0.0
-    for pieces in (pieces_lhs, pieces_rhs):
-        parts = list(pieces.values())
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                A, Bp = parts[i], parts[j]
-                if A.dim and Bp.dim:
-                    M = A.basis.T @ (gram @ Bp.basis)
-                    resid = max(resid, float(np.abs(M).max()))
-    span_l = Subspace.from_span(
-        np.column_stack([s.basis for s in pieces_lhs.values() if s.dim])
-        if any(s.dim for s in pieces_lhs.values())
-        else np.zeros((next(iter(pieces_lhs.values())).ambient_dim, 0)),
-        gram,
+    parts = [s for s in pieces_rhs.values() if s.dim]
+    resid = max(
+        (
+            float(np.abs(A.basis.T @ (gram @ B.basis)).max())
+            for i, A in enumerate(parts)
+            for B in parts[i + 1:]
+        ),
+        default=0.0,
     )
-    span_r = Subspace.from_span(
-        np.column_stack([s.basis for s in pieces_rhs.values() if s.dim])
-        if any(s.dim for s in pieces_rhs.values())
-        else np.zeros((next(iter(pieces_rhs.values())).ambient_dim, 0)),
-        gram,
-    )
-    ok, angle = subspace_equal(span_l, span_r, gram, tol=1e-8)
-    dims_ok = sum(lhs_dims.values()) == sum(rhs_dims.values())
-    if ambient_dim is not None:
-        dims_ok = dims_ok and sum(lhs_dims.values()) == ambient_dim
-    verdict = "pass" if (dims_ok and resid < 1e-10 and ok) else "fail"
-    report = DecompositionReport(
+    lhs_total, rhs_total = sum(lhs_dims.values()), sum(rhs_dims.values())
+    return DecompositionReport(
         name=name,
-        lhs_dims=lhs_dims,
+        lhs_dims=dict(lhs_dims),
         rhs_dims=rhs_dims,
         orthogonality_residual=resid,
-        identity_angle=angle,
-        verdict=verdict,
-        detail=extra or {},
-        vacuous=_vacuous(name, sum(lhs_dims.values()), sum(rhs_dims.values())),
+        verdict="pass" if lhs_total == rhs_total == ambient_dim and resid < 1e-10 else "fail",
+        vacuous=_vacuous(name, lhs_total, rhs_total),
     )
-    return report
 
 
 def _vacuous(name, dim_a, dim_b):
@@ -366,27 +363,22 @@ def _vacuous(name, dim_a, dim_b):
 def helmholtz_check(pair: OperatorPair):
     """Both Helmholtz splits induced by a partially adjoint pair.
 
-    Verifies the symmetric twisted-range hypotheses first; on failure the
-    verdict names them without asserting the identity.
+    Verifies the symmetric twisted-range hypotheses first, on the reference
+    blocks (`_full_ranges`); on failure the verdict names them without
+    asserting the splits.  The full ranges are one side of each split, by
+    their dimensions alone.
     """
     mesh, k = pair.meta["mesh"], pair.meta["k"]
     lad = ladder(mesh)
     g_lo = lad.p0(k).gram
     g_hi = lad.p0(k + 1).gram
-    # hypotheses: full broken ranges match the opposite kernels
-    R_full = Subspace.from_span(pair.T, g_hi)
-    N_full_adj = _domain_kernel_p0(lad, k + 1, lad.dual(k + 1), pair.adjoint_T)
-    hyp1, _ = subspace_equal(R_full, N_full_adj, g_hi, tol=1e-9)
-    R_full_adj = Subspace.from_span(pair.adjoint_T, g_lo)
-    N_full = _domain_kernel_p0(lad, k, lad.primal(k), pair.T)
-    hyp2, _ = subspace_equal(R_full_adj, N_full, g_lo, tol=1e-9)
-    if not (hyp1 and hyp2):
+    hypotheses, (range_full, range_adjoint_full) = _full_ranges(lad, k, pair)
+    if not all(hypotheses):
         return DecompositionReport(
             name="helmholtz",
             lhs_dims={},
             rhs_dims={},
             orthogonality_residual=np.inf,
-            identity_angle=np.inf,
             verdict="fail",
             detail={"failed_hypothesis": "twisted ranges do not match opposite kernels"},
         )
@@ -395,10 +387,10 @@ def helmholtz_check(pair: OperatorPair):
     kernel_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain.basis)
     low = _assemble_report(
         "helmholtz-low",
-        {"range_adjoint_full": R_full_adj, "kernel_core": Subspace.zero(R_full_adj.ambient_dim, g_lo)},
+        {"range_adjoint_full": range_adjoint_full, "kernel_core": 0},
         {"range_adjoint_domain": R_dom_adj, "kernel_domain": kernel_dom},
         g_lo,
-        ambient_dim=lad.p0(k).dim,
+        lad.p0(k).dim,
     )
     R_dom = Subspace.from_span(pair.T @ pair.domain.basis, g_hi)
     kernel_adj = _domain_kernel_p0(
@@ -406,10 +398,10 @@ def helmholtz_check(pair: OperatorPair):
     )
     high = _assemble_report(
         "helmholtz-high",
-        {"range_full": R_full, "kernel_core": Subspace.zero(R_full.ambient_dim, g_hi)},
+        {"range_full": range_full, "kernel_core": 0},
         {"range_domain": R_dom, "kernel_adjoint_domain": kernel_adj},
         g_hi,
-        ambient_dim=lad.p0(k + 1).dim,
+        lad.p0(k + 1).dim,
     )
     verdict = "pass" if low.passed and high.passed else "fail"
     return DecompositionReport(
@@ -419,38 +411,42 @@ def helmholtz_check(pair: OperatorPair):
         rhs_dims={**{"low_" + n: d for n, d in low.rhs_dims.items()},
                   **{"high_" + n: d for n, d in high.rhs_dims.items()}},
         orthogonality_residual=max(low.orthogonality_residual, high.orthogonality_residual),
-        identity_angle=max(low.identity_angle, high.identity_angle),
         verdict=verdict,
         detail={"low": low, "high": high},
         vacuous=low.vacuous + high.vacuous,
     )
 
 
-def _domain_kernel_p0(lad, k, broken, T, basis=None):
+def _full_ranges(lad, k, pair):
+    """The pair's twisted-range hypotheses and the dimensions of its full broken ranges.
+
+    Returns ((R(T) = N(T*) in P0(k+1), R(T*) = N(T) in P0(k)), (dim R(T),
+    dim R(T*))).  T and T* hold one reference block on every cell, and each
+    cell's P0 Gram is its volume times I, so each identity holds on the mesh
+    exactly when it holds on one cell: the span of the reference block of d
+    (of delta) against the reference kernel of delta (of d), compared in
+    R^ncomp to 1e-9.  A full range is num_cells copies of its reference span.
+    """
+    primal, dual = lad.primal(k), lad.dual(k + 1)
+    sides = (
+        (primal.reference.d, _reference_kernel(lad, dual, pair.adjoint_T)),
+        (dual.reference.delta, _reference_kernel(lad, primal, pair.T)),
+    )
+    ranges = [Subspace.from_span(block) for block, _ in sides]
+    hypotheses = tuple(
+        subspace_equal(R, Subspace.from_span(N), tol=1e-9)[0] for R, (_, N) in zip(ranges, sides)
+    )
+    return hypotheses, tuple(lad.mesh.num_cells * R.dim for R in ranges)
+
+
+def _domain_kernel_p0(lad, k, broken, T, basis):
     """Kernel of a broken-to-constant operator on span(``basis``), in P0 coordinates.
 
-    The basis columns need not be orthonormal.  With ``basis`` None the kernel
-    is taken on the whole broken space (see `_broken_kernel_p0`).
+    The basis columns need not be orthonormal.
     """
-    if basis is None:
-        return _broken_kernel_p0(lad, k, broken, T)
     TV = T @ basis
     ns = nullspace(TV / max(np.abs(TV).max(initial=0.0), 1e-300))
     return Subspace.from_span(_p0_coords(lad, k, broken, basis @ ns.basis), lad.p0(k).gram)
-
-
-def _broken_kernel_p0(lad, k, broken, T):
-    """Kernel of a cellwise operator on the whole broken space, in P0 coordinates.
-
-    The reference block's kernel coordinates, orthonormalized once and scaled
-    by 1/sqrt(volume) per cell, are orthonormal in the P0 Gram.
-    """
-    p0, cells = lad.p0(k), lad.mesh.num_cells
-    Q = orthonormalize(_reference_kernel(lad, broken, T))
-    basis = np.zeros((cells, p0.ncomp, cells, Q.shape[1]))
-    every = np.arange(cells)
-    basis[every, :, every, :] = Q / np.sqrt(p0.volumes)[:, None, None]
-    return Subspace(p0.dim, basis.reshape(p0.dim, cells * Q.shape[1]), p0.gram)
 
 
 def _reference_kernel(lad, broken, T):
@@ -762,28 +758,25 @@ def pl_duality_check(mesh, k):
 def hodge_check(mesh, k):
     """Three-way split of the constant k-forms, for both boundary placements."""
     lad = ladder(mesh)
-    g = lad.p0(k).gram
+    p0 = lad.p0(k)
     reports = {}
     for bc, flavor, star_bc in (("none", "abc", "homogeneous"), ("homogeneous", "abc0", "none")):
         R_lo = _complex_range(lad, "abc", k - 1, bc)
         H = harmonic_space(mesh, k, flavor)
         R_hi = _complex_range(lad, "star", k + 1, star_bc)
-        full = Subspace.full(lad.p0(k).dim, g)
-        rep = _assemble_report(
+        reports[bc] = _assemble_report(
             "hodge-%s" % bc,
-            {"full": full},
+            {"full": p0.dim},
             {"range_below": R_lo, "harmonic": H.subspace, "corange_above": R_hi},
-            g,
-            ambient_dim=lad.p0(k).dim,
+            p0.gram,
+            p0.dim,
         )
-        reports[bc] = rep
     verdict = "pass" if all(r.passed for r in reports.values()) else "fail"
     return DecompositionReport(
         name="hodge",
         lhs_dims={bc: sum(r.lhs_dims.values()) for bc, r in reports.items()},
         rhs_dims={bc: sum(r.rhs_dims.values()) for bc, r in reports.items()},
         orthogonality_residual=max(r.orthogonality_residual for r in reports.values()),
-        identity_angle=max(r.identity_angle for r in reports.values()),
         verdict=verdict,
         detail=reports,
         vacuous=sum((r.vacuous for r in reports.values()), ()),

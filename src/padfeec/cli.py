@@ -119,11 +119,7 @@ def cmd_mesh_info(mesh, config, report):
 def cmd_space_build(mesh, config, report, kind):
     from .spaces import broken_space, ladder, space_summary, verify_trace_continuity
 
-    if config.k > mesh.dim:
-        raise InvalidParameter(
-            "space build needs degree k in 0..%d on a %d-D mesh, got %d"
-            % (mesh.dim, mesh.dim, config.k)
-        )
+    _require_degree(mesh, config.k, "space build", mesh.dim)
     lad = ladder(mesh)
     if kind == "broken":
         gs = broken_space(mesh, config.k, "primal")
@@ -152,7 +148,7 @@ def cmd_space_build(mesh, config, report, kind):
 def cmd_verify_base_pair(mesh, config, report, name="base-pair"):
     from .adjoint import base_pair_report, quantified_crt_check, whitney_pair
 
-    _require_below_top(mesh, config.k, "verify base-pair")
+    _require_degree(mesh, config.k, "verify base-pair", mesh.dim - 1)
     rep = base_pair_report(mesh, config.k, eig_tol=config.eig_tol)
     pair = whitney_pair(mesh, config.k, config.bc)
     icr_p, icr_a, bound_ok = quantified_crt_check(pair, rep, eig_tol=config.eig_tol)
@@ -191,7 +187,7 @@ def cmd_verify_base_pair_levels(config, report, levels):
 def cmd_verify_decomposition(mesh, config, report):
     from .adjoint import helmholtz_check, hodge_check, whitney_pair
 
-    _require_below_top(mesh, config.k, "verify decomposition")
+    _require_degree(mesh, config.k, "verify decomposition", mesh.dim - 1)
     for bc in ("none", "homogeneous"):
         pair = whitney_pair(mesh, config.k, bc)
         rep = helmholtz_check(pair)
@@ -201,7 +197,6 @@ def cmd_verify_decomposition(mesh, config, report):
                 rep.verdict,
                 numbers={
                     "orthogonality_residual": rep.orthogonality_residual,
-                    "identity_angle": rep.identity_angle,
                     **{"dim_%s" % n: d for n, d in rep.rhs_dims.items()},
                 },
                 inputs={"k": config.k, "bc": bc},
@@ -214,10 +209,7 @@ def cmd_verify_decomposition(mesh, config, report):
             CheckRecord(
                 "hodge",
                 rep.verdict,
-                numbers={
-                    "orthogonality_residual": rep.orthogonality_residual,
-                    "identity_angle": rep.identity_angle,
-                },
+                numbers={"orthogonality_residual": rep.orthogonality_residual},
                 inputs={"k": config.k},
                 note=_vacuous_note(rep),
             )
@@ -234,6 +226,7 @@ def _vacuous_note(rep):
 def cmd_verify_duality(mesh, config, report):
     from .adjoint import horizontal_duality_check, pl_duality_check
 
+    _require_degree(mesh, config.k, "verify duality", mesh.dim)
     # the harmonic spaces are sized by the Betti numbers; a space that does
     # not have that dimension fails the record with its ToleranceFailure
     try:
@@ -312,12 +305,12 @@ def cmd_verify_complex(mesh, config, report):
         )
 
 
-def _require_below_top(mesh, k, command):
-    """Base pairs, decompositions, source and eigen problems pair k with k+1, so k < n."""
-    if k > mesh.dim - 1:
+def _require_degree(mesh, k, command, top, bottom=0):
+    """Refuse a degree outside bottom..top; the commands that pair k with k+1 take top n - 1."""
+    if not bottom <= k <= top:
         raise InvalidParameter(
-            "%s needs degree k in 0..%d on a %d-D mesh, got %d"
-            % (command, mesh.dim - 1, mesh.dim, k)
+            "%s needs degree k in %d..%d on a %d-D mesh, got %d"
+            % (command, bottom, top, mesh.dim, k)
         )
 
 
@@ -414,7 +407,7 @@ def _export_solutions(path, solutions):
 def cmd_solve_source(mesh, config, report, export=None):
     from .solve import solve_source_dual, solve_source_primal, verify_source_equivalence
 
-    _require_below_top(mesh, config.k, "solve source")
+    _require_degree(mesh, config.k, "solve source", mesh.dim - 1)
     load = parse_load(mesh, config.k, config.load)
     sp = solve_source_primal(mesh, config.k, load, config.bc)
     sd = solve_source_dual(mesh, config.k, load, config.bc)
@@ -434,7 +427,7 @@ def cmd_solve_source(mesh, config, report, export=None):
 def cmd_solve_eigen(mesh, config, report):
     from .solve import solve_eigen_pair
 
-    _require_below_top(mesh, config.k, "solve eigen")
+    _require_degree(mesh, config.k, "solve eigen", mesh.dim - 1)
     pv, dv, rep, meta = solve_eigen_pair(mesh, config.k, config.bc)
     numbers = {
         "nonzero_spectrum_gap": rep.residuals["nonzero_spectrum_gap"],
@@ -453,6 +446,7 @@ def cmd_solve_hodge(mesh, config, report, export=None):
     """The chosen Hodge schemes; with --scheme all, also their equivalences."""
     from .solve import p0_moments, solve_hodge, verify_hodge_equivalences
 
+    _require_degree(mesh, config.k, "solve hodge", mesh.dim - 1, bottom=1)
     load = parse_load(mesh, config.k, config.load)
     # every scheme reads only the constant moments of the load: take them once
     moments = load if isinstance(load, np.ndarray) else p0_moments(mesh, config.k, load)

@@ -12,6 +12,9 @@ ranks of its chain boundary matrices, independent of any finite element;
 `boundary_matrix_by_loop` writes those matrices one face at a time.
 `harmonic_by_complement` takes a harmonic space as the complement of the
 range in the kernel, the route the stacked nullspace replaced.
+`broken_kernel_p0` spans the kernel of a cellwise operator on the whole
+broken space, and `full_range_hypotheses` checks the Helmholtz hypotheses
+on the whole P0 spaces with it: the oracle of the reference-block check.
 `constraint_atlas_source` and `constraint_atlas_hodge` solve every scheme
 on the dense constraint-route atlases (`DeRhamLadder.abc`, the Whitney and
 star atlases), assembled dense and factored by LAPACK: the oracle of the
@@ -24,9 +27,23 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from padfeec.adjoint import _FLAVORS, _complex_kernel, _complex_range, harmonic_space
+from padfeec.adjoint import (
+    _FLAVORS,
+    _complex_kernel,
+    _complex_range,
+    _reference_kernel,
+    harmonic_space,
+)
 from padfeec.errors import NotAComplex, NotAdmissible
-from padfeec.linalg import RANK_TOL, Gram, Subspace, gram_complement, nullspace, orthonormalize
+from padfeec.linalg import (
+    RANK_TOL,
+    Gram,
+    Subspace,
+    gram_complement,
+    nullspace,
+    orthonormalize,
+    subspace_equal,
+)
 from padfeec.local import LocalSpace, decompose_local, pairing_matrix, trimmed_local
 from padfeec.mesh import Mesh, generate_structured
 from padfeec.report import Report, emit
@@ -248,6 +265,42 @@ def harmonic_by_complement(mesh, k, flavor):
     if R.dim and not N.contains(R.basis, tol=1e-8):
         raise NotAComplex("range is not contained in the kernel (flavor %s)" % flavor)
     return gram_complement(R, N, g)
+
+
+def broken_kernel_p0(lad, k, broken, T):
+    """Kernel of a cellwise operator on the whole broken space, in P0 coordinates.
+
+    The reference block's kernel coordinates, orthonormalized once and scaled
+    by 1/sqrt(volume) per cell, are orthonormal in the P0 Gram.
+    """
+    p0, cells = lad.p0(k), lad.mesh.num_cells
+    Q = orthonormalize(_reference_kernel(lad, broken, T))
+    basis = np.zeros((cells, p0.ncomp, cells, Q.shape[1]))
+    every = np.arange(cells)
+    basis[every, :, every, :] = Q / np.sqrt(p0.volumes)[:, None, None]
+    return Subspace(p0.dim, basis.reshape(p0.dim, cells * Q.shape[1]), p0.gram)
+
+
+def full_range_hypotheses(pair):
+    """The Helmholtz hypotheses and full-range dimensions, on the whole P0 spaces.
+
+    ((R(T) = N(T*), R(T*) = N(T)), (dim R(T), dim R(T*))) as `adjoint._full_ranges`
+    gives them, with each range spanned by the whole broken operator and
+    each kernel by `broken_kernel_p0`, compared by principal angles in the
+    P0 Gram at 1e-9: the route the reference-block comparison replaced.
+    """
+    mesh, k = pair.meta["mesh"], pair.meta["k"]
+    lad = ladder(mesh)
+    g_lo, g_hi = lad.p0(k).gram, lad.p0(k + 1).gram
+    R_full = Subspace.from_span(pair.T, g_hi)
+    R_full_adj = Subspace.from_span(pair.adjoint_T, g_lo)
+    N_full_adj = broken_kernel_p0(lad, k + 1, lad.dual(k + 1), pair.adjoint_T)
+    N_full = broken_kernel_p0(lad, k, lad.primal(k), pair.T)
+    hypotheses = (
+        subspace_equal(R_full, N_full_adj, g_hi, tol=1e-9)[0],
+        subspace_equal(R_full_adj, N_full, g_lo, tol=1e-9)[0],
+    )
+    return hypotheses, (R_full.dim, R_full_adj.dim)
 
 
 def max_diameter(mesh):

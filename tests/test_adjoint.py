@@ -32,9 +32,11 @@ from padfeec.spaces import ladder
 from oracles import (
     JITTERED,
     betti_numbers,
+    broken_kernel_p0,
     cell_icr,
     decompose_pair,
     fast_local_constants,
+    full_range_hypotheses,
     harmonic_by_complement,
     ladder_locals,
     max_diameter,
@@ -440,6 +442,54 @@ class TestHelmholtz:
         pair = whitney_pair(BOX2, 1, "none")
         rep = helmholtz_check(pair)
         assert rep.passed
+
+
+HYPOTHESIS_MESHES = {
+    "box:2": BOX2,
+    "box:4": BOX4,
+    "hole:4": HOLE,
+    "tetbox:1": BOX3D,
+}
+
+
+class TestFullRangeHypothesesOracle:
+    """The reference-block hypotheses and full-range dimensions equal the whole-space route."""
+
+    @pytest.mark.parametrize(
+        "name,k,bc",
+        [
+            (name, k, bc)
+            for name, mesh in HYPOTHESIS_MESHES.items()
+            for k in range(mesh.dim)
+            for bc in ("none", "homogeneous")
+        ],
+    )
+    def test_equal_to_the_full_space_oracle(self, name, k, bc):
+        from padfeec.adjoint import _full_ranges
+
+        pair = whitney_pair(HYPOTHESIS_MESHES[name], k, bc)
+        got = _full_ranges(ladder(pair.meta["mesh"]), k, pair)
+        assert got == full_range_hypotheses(pair)
+        assert got[0] == (True, True)
+        rep = helmholtz_check(pair)
+        assert rep.lhs_dims["high_range_full"] == got[1][0]
+        assert rep.lhs_dims["low_range_adjoint_full"] == got[1][1]
+
+    def test_a_short_reference_kernel_fails_the_named_hypothesis(self, monkeypatch):
+        import oracles
+        import padfeec.adjoint as adjoint
+
+        pair = whitney_pair(_fresh(BOX2), 0, "none")
+        reference = adjoint._reference_kernel
+        short = lambda *args: reference(*args)[:, 1:]  # noqa: E731
+        monkeypatch.setattr(adjoint, "_reference_kernel", short)
+        monkeypatch.setattr(oracles, "_reference_kernel", short)
+        rep = helmholtz_check(pair)
+        assert rep.verdict == "fail"
+        assert rep.detail == {"failed_hypothesis": "twisted ranges do not match opposite kernels"}
+        assert rep.lhs_dims == rep.rhs_dims == {}
+        hypotheses = adjoint._full_ranges(ladder(pair.meta["mesh"]), 0, pair)[0]
+        assert hypotheses == full_range_hypotheses(pair)[0] == (False, False)
 
 
 class TestHarmonic:
@@ -869,6 +919,62 @@ class TestHodge:
         assert rep.orthogonality_residual < 1e-10
 
 
+def _tilted(sub, seed=0, amount=1e-3):
+    """A subspace of the same dimension as ``sub``, turned out of it by about ``amount``."""
+    noise = np.random.default_rng(seed).standard_normal(sub.basis.shape)
+    tilted = Subspace.from_span(sub.basis + amount * np.abs(sub.basis).max() * noise, sub.gram)
+    assert tilted.dim == sub.dim
+    return tilted
+
+
+class TestWrongPieceOfTheRightDimension:
+    """A split whose pieces still add up to the whole space fails on orthogonality alone.
+
+    Each split's pieces sum to the ambient dimension, so a piece replaced by
+    a tilted subspace of the same dimension keeps every dimension count; its
+    sum with the other pieces is still the whole space, so their span shows
+    nothing either.  The orthogonality residual is the figure that catches it.
+    """
+
+    def test_hodge_with_a_tilted_harmonic_piece(self, monkeypatch):
+        import padfeec.adjoint as adjoint
+
+        mesh = _fresh(HOLE)
+        honest = hodge_check(mesh, 1)
+        harmonic = adjoint.harmonic_space
+
+        def tilted_harmonic(mesh, k, flavor):
+            H = harmonic(mesh, k, flavor)
+            return adjoint.HarmonicSpace(_tilted(H.subspace), k, flavor)
+
+        monkeypatch.setattr(adjoint, "harmonic_space", tilted_harmonic)
+        rep = hodge_check(mesh, 1)
+        assert honest.passed and honest.orthogonality_residual < 1e-10
+        for bc in ("none", "homogeneous"):
+            assert rep.detail[bc].rhs_dims == honest.detail[bc].rhs_dims
+            assert rep.detail[bc].rhs_dims["harmonic"] == 1
+            assert rep.detail[bc].verdict == "fail"
+        assert rep.verdict == "fail"
+        assert rep.orthogonality_residual > 1e-6
+        assert rep.identity_angle < 1e-8
+
+    @pytest.mark.parametrize("mesh", [BOX2, HOLE], ids=["box:2", "hole:4"])
+    @pytest.mark.parametrize("k,bc", [(0, "none"), (1, "homogeneous")])
+    def test_helmholtz_with_a_tilted_kernel_piece(self, monkeypatch, mesh, k, bc):
+        import padfeec.adjoint as adjoint
+
+        mesh = _fresh(mesh)
+        honest = helmholtz_check(whitney_pair(mesh, k, bc))
+        kernel = adjoint._domain_kernel_p0
+        monkeypatch.setattr(adjoint, "_domain_kernel_p0", lambda *args: _tilted(kernel(*args)))
+        rep = helmholtz_check(whitney_pair(mesh, k, bc))
+        assert honest.passed and honest.orthogonality_residual < 1e-10
+        assert rep.lhs_dims == honest.lhs_dims and rep.rhs_dims == honest.rhs_dims
+        assert rep.verdict == "fail"
+        assert rep.orthogonality_residual > 1e-6
+        assert rep.identity_angle < 1e-8
+
+
 class TestHorizontal:
     def test_boundary_vertex_count_slice(self):
         rep = horizontal_duality_check(BOX2, 0)
@@ -897,7 +1003,7 @@ class TestOrthogonalDualityInvariant:
         from padfeec.adjoint import _domain_kernel_p0
 
         N_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain.basis)
-        N_full = _domain_kernel_p0(lad, k, lad.primal(k), pair.T)
+        N_full = broken_kernel_p0(lad, k, lad.primal(k), pair.T)
         R_adj = Subspace.from_span(pair.adjoint_T @ pair.adjoint_domain.basis, g)
         expected = gram_complement(R_adj, N_full, g)
         ok, ang = subspace_equal(N_dom, expected, g, tol=1e-9)

@@ -139,9 +139,10 @@ class TestCli:
             ("source", "box:2", 2),
             ("eigen", "box:2", 2),
             ("eigen", "tetbox:1", 3),
-            # space build takes every degree 0..n, so it refuses k = n + 1
+            # space build and verify duality take every degree 0..n, so they refuse k = n + 1
             ("space build --kind star", "box:2", 3),
             ("space build --kind conforming", "box:2", 3),
+            ("verify duality", "box:2", 3),
         ],
     )
     def test_source_and_eigen_refuse_top_degree(self, capsys, command, mesh, k):
@@ -196,6 +197,26 @@ class TestCli:
         assert code == 2 and out == ""
         assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
         assert "verify " + command in err and "0..%d" % (k - 1) in err
+
+    @pytest.mark.parametrize(
+        "mesh,k,degrees", [("box:2", 3, "1..1"), ("box:2", 0, "1..1"), ("tetbox:1", 3, "1..2")]
+    )
+    def test_solve_hodge_refuses_a_degree_before_reading_the_load(self, capsys, mesh, k, degrees):
+        args = ["solve", "hodge", "--mesh", mesh, "--k", str(k), "--scheme", "all"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
+        assert "solve hodge" in err and degrees in err
+
+    def test_split_records_carry_no_identity_angle(self, capsys):
+        code, out, _ = run_cli(["verify", "decomposition", "--mesh", "hole:4", "--k", "1"], capsys)
+        assert code == 0
+        records = {r["name"]: r for r in json.loads(out)["records"]}
+        assert sorted(records) == ["helmholtz-homogeneous", "helmholtz-none", "hodge"]
+        for record in records.values():
+            assert record["verdict"] == "pass"
+            assert "identity_angle" not in record["numbers"]
+            assert record["numbers"]["orthogonality_residual"] < 1e-10
 
     def test_lapack_failure_is_one_line(self, capsys, monkeypatch):
         import scipy.linalg
