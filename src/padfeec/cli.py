@@ -188,32 +188,34 @@ def cmd_verify_decomposition(mesh, config, report):
     from .adjoint import helmholtz_check, hodge_check, whitney_pair
 
     _require_degree(mesh, config.k, "verify decomposition", mesh.dim - 1)
-    for bc in ("none", "homogeneous"):
-        pair = whitney_pair(mesh, config.k, bc)
-        rep = helmholtz_check(pair)
+    splits = [
+        ("helmholtz-%s" % bc, helmholtz_check(whitney_pair(mesh, config.k, bc)), {"bc": bc})
+        for bc in ("none", "homogeneous")
+    ]
+    if config.k >= 1:
+        splits.append(("hodge", hodge_check(mesh, config.k), {}))
+    for name, rep, inputs in splits:
         report.add(
             CheckRecord(
-                "helmholtz-%s" % bc,
+                name,
                 rep.verdict,
                 numbers={
                     "orthogonality_residual": rep.orthogonality_residual,
+                    **_betti_numbers(mesh, config.k),
                     **{"dim_%s" % n: d for n, d in rep.rhs_dims.items()},
                 },
-                inputs={"k": config.k, "bc": bc},
+                inputs={"k": config.k, **inputs},
                 note=_vacuous_note(rep),
             )
         )
-    if config.k >= 1:
-        rep = hodge_check(mesh, config.k)
-        report.add(
-            CheckRecord(
-                "hodge",
-                rep.verdict,
-                numbers={"orthogonality_residual": rep.orthogonality_residual},
-                inputs={"k": config.k},
-                note=_vacuous_note(rep),
-            )
-        )
+
+
+def _betti_numbers(mesh, k):
+    """The absolute and relative Betti numbers at degree k, as record numbers."""
+    return {
+        "betti": mesh.betti_numbers()[k],
+        "betti_relative": mesh.betti_numbers(relative=True)[k],
+    }
 
 
 def _vacuous_note(rep):
@@ -227,43 +229,47 @@ def cmd_verify_duality(mesh, config, report):
     from .adjoint import horizontal_duality_check, pl_duality_check
 
     _require_degree(mesh, config.k, "verify duality", mesh.dim)
-    # the harmonic spaces are sized by the Betti numbers; a space that does
-    # not have that dimension fails the record with its ToleranceFailure
+    # a harmonic space that does not have its Betti number's dimension fails
+    # the record with its ToleranceFailure, and the slices sized with it fail
+    failure = ""
     try:
         rep = pl_duality_check(mesh, config.k)
     except ToleranceFailure as exc:
-        verdict, numbers, note = "fail", {}, "ToleranceFailure: %s" % exc
+        failure = "ToleranceFailure: %s" % exc
+        verdict, numbers, note = "fail", {}, failure
     else:
         verdict, note = rep.verdict, _vacuous_note(rep)
         numbers = {
             "identity_angle": rep.identity_angle,
             **{"dim_%s" % n: d for n, d in rep.lhs_dims.items()},
         }
-    numbers["betti"] = mesh.betti_numbers()[config.k]
-    numbers["betti_relative"] = mesh.betti_numbers(relative=True)[config.k]
+    numbers.update(_betti_numbers(mesh, config.k))
     report.add(
         CheckRecord(
             "poincare-lefschetz", verdict, numbers=numbers, inputs={"k": config.k}, note=note
         )
     )
     if config.k <= mesh.dim - 1:
-        rep = horizontal_duality_check(mesh, config.k)
+        verdict, numbers, note = "fail", _betti_numbers(mesh, config.k), failure
+        if not failure:
+            # a slice that does not have its integer dimension raises
+            rep = horizontal_duality_check(mesh, config.k)
+            verdict, note = rep.verdict, _vacuous_note(rep)
+            numbers = {
+                "identity_angle": rep.identity_angle,
+                **numbers,
+                **{"dim_%s" % n: d for n, d in {**rep.lhs_dims, **rep.rhs_dims}.items()},
+            }
         report.add(
             CheckRecord(
-                "horizontal-duality",
-                rep.verdict,
-                numbers={
-                    "identity_angle": rep.identity_angle,
-                    **{"dim_%s" % n: d for n, d in rep.lhs_dims.items()},
-                },
-                inputs={"k": config.k},
-                note=_vacuous_note(rep),
+                "horizontal-duality", verdict, numbers=numbers, inputs={"k": config.k}, note=note
             )
         )
 
 
 def cmd_verify_complex(mesh, config, report):
-    from .linalg import Subspace, subspace_equal, rank
+    from .adjoint import complex_rank
+    from .linalg import Subspace, subspace_equal
     from .spaces import ladder
 
     lad = ladder(mesh)
@@ -273,11 +279,10 @@ def cmd_verify_complex(mesh, config, report):
         for k in range(mesh.dim):
             gs, _ = lad.abc(k, bc)
             C = lad.abc_constraints(k + 1, bc)
-            DA = lad.d_matrix(k) @ gs.atlas
             if C.shape[0]:
-                image = lad.p0_injection(k + 1) @ DA
+                image = lad.p0_injection(k + 1) @ (lad.d_matrix(k) @ gs.atlas)
                 worst = max(worst, float(np.abs(C @ image).max()))
-            r = rank(DA)
+            r = complex_rank(mesh, "abc", k, bc)
             dims["kernel_%d" % k] = gs.dim - r
             dims["range_%d" % (k + 1)] = r
         report.add(
@@ -656,11 +661,14 @@ def merge_config(args):
 
 
 def parse_levels(text):
-    """Mesh sizes from a comma list such as ``2,4,8``."""
+    """Mesh sizes from a comma list such as ``2,4,8``: at least one, none repeated."""
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        levels = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise InvalidParameter("--levels must be a comma list of integers, got %r" % (text,))
+        levels = []
+    if not levels or len(set(levels)) < len(levels):
+        raise InvalidParameter("--levels needs a comma list of distinct integers, got %r" % (text,))
+    return levels
 
 
 def run(config: RunConfig, **options):
@@ -709,7 +717,7 @@ def main(argv=None):
     try:
         config = merge_config(args)
         levels = None
-        if getattr(args, "levels", None):
+        if getattr(args, "levels", None) is not None:
             levels = parse_levels(args.levels)
         report = run(
             config,

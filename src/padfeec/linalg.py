@@ -22,9 +22,8 @@ block-diagonal (R, R^-1), factors a dense Gram, and refuses a bare
 
 The subspace algebra runs on Householder QR, which reveals rank without
 iterating: `orthonormalize` takes one column-pivoted QR of the whitened span
-R V, `nullspace` one of M^T, forming only the columns past the cut, and
-`gram_complement` an unpivoted QR of the cross-Gram of two orthonormal
-bases.  Bases, nullspaces and the results are dense.  A `Subspace` keeps
+R V, and `nullspace` one of M^T, forming only the columns past the cut.
+Bases, nullspaces and the results are dense.  A `Subspace` keeps
 its basis orthonormal in its own ``gram``; the subspace operations
 orthonormalize only a subspace carrying another Gram.  `principal_angles`
 takes the projection-residual sines first and the cosines only when some
@@ -43,7 +42,6 @@ from .errors import (
     InvalidGram,
     InvalidMatrix,
     NotClosedRange,
-    NotNested,
     SolverFailure,
     ToleranceFailure,
 )
@@ -54,7 +52,7 @@ EIG_TOL = 1e-10
 
 def _as_matrix(M):
     """A dense float 2-d array; a sparse operand is made dense to be factored."""
-    M = np.asarray(_dense(M), dtype=float)
+    M = np.asarray(M.toarray() if scipy.sparse.issparse(M) else M, dtype=float)
     if M.ndim != 2:
         raise InvalidMatrix("expected a 2-d array, got shape %s" % (M.shape,))
     if not np.all(np.isfinite(M)):
@@ -67,10 +65,6 @@ def _as_gram(gram):
     if gram is None or isinstance(gram, Gram) or scipy.sparse.issparse(gram):
         return gram
     return np.asarray(gram, dtype=float)
-
-
-def _dense(M):
-    return M.toarray() if scipy.sparse.issparse(M) else M
 
 
 class Gram:
@@ -141,32 +135,6 @@ class Subspace:
         Q = orthonormalize(V, gram, tol)
         return cls(V.shape[0], Q, gram)
 
-    @classmethod
-    def full(cls, n, gram=None):
-        """The whole space; with gram = R^T R the columns of R^-1 are its basis."""
-        Rinv = gram_factor(gram)[1]
-        return cls(n, np.eye(n) if Rinv is None else _dense(Rinv), gram)
-
-    @classmethod
-    def zero(cls, n, gram=None):
-        return cls(n, np.zeros((n, 0)), gram)
-
-    def contains(self, vectors, tol=1e-10):
-        """True if every column of ``vectors`` lies in the span at relative tolerance."""
-        V = np.atleast_2d(np.asarray(vectors, dtype=float))
-        if V.shape[0] != self.ambient_dim:
-            V = V.T
-        R = V - self.basis @ self._inner(self.basis, V)
-        num = np.sqrt(np.abs(np.sum(R * self._apply_gram(R), axis=0)))
-        den = np.sqrt(np.abs(np.sum(V * self._apply_gram(V), axis=0)))
-        return bool(np.all(num <= tol * np.maximum(den, 1e-300)))
-
-    def _apply_gram(self, V):
-        return V if self.gram is None else self.gram @ V
-
-    def _inner(self, A, B):
-        return A.T @ self._apply_gram(B)
-
 
 def orthonormalize(V, gram=None, tol=RANK_TOL):
     """Return a gram-orthonormal basis of span(columns of V), rank-trimmed.
@@ -179,7 +147,7 @@ def orthonormalize(V, gram=None, tol=RANK_TOL):
     V = _as_matrix(V)
     R, Rinv = gram_factor(gram)
     W = V if R is None else R @ V
-    reflectors, tau, rdiag = _householder(W, pivoting=True)
+    reflectors, tau, rdiag = _householder(W)
     Q = _leading_columns(reflectors, tau, _leading_rank(rdiag, np.sqrt(tol)))
     return Q if Rinv is None else Rinv @ Q
 
@@ -237,16 +205,13 @@ def dense_factor(G):
     return R, np.linalg.inv(R)
 
 
-def _householder(A, pivoting):
-    """Householder QR of A: the LAPACK reflectors, their tau and |diag R|.
-
-    With ``pivoting`` the columns are pivoted by residual norm (``geqp3``),
-    so |diag R| is non-increasing and reveals the rank.
-    """
+def _householder(A):
+    """Column-pivoted Householder QR of A (``geqp3``): the LAPACK reflectors,
+    their tau and |diag R|, which is non-increasing and reveals the rank."""
     A = np.array(A, dtype=float, order="F")
     if min(A.shape) == 0:
         return A, np.zeros(0), np.zeros(0)
-    routine = scipy.linalg.lapack.dgeqp3 if pivoting else scipy.linalg.lapack.dgeqrf
+    routine = scipy.linalg.lapack.dgeqp3
     out = routine(A, lwork=_lwork(routine, A, overwrite_a=1), overwrite_a=1)
     if out[-1] != 0:
         raise InvalidMatrix("Householder QR failed (info %d)" % out[-1])
@@ -318,7 +283,7 @@ def pivoted_nullspace(M, tol=RANK_TOL):
     """`nullspace` of M and the |diag R| of its pivoted QR, which show the gap at the cut."""
     M = _as_matrix(M)
     n = M.shape[1]
-    reflectors, tau, rdiag = _householder(M.T, pivoting=True)
+    reflectors, tau, rdiag = _householder(M.T)
     return Subspace(n, _trailing_columns(reflectors, tau, _leading_rank(rdiag, tol))), rdiag
 
 
@@ -337,12 +302,14 @@ def null_vectors(M, nullity, sparse=False, tol=RANK_TOL):
     if not 0 <= nullity <= n:
         raise ToleranceFailure("nullity %d outside 0..%d" % (nullity, n))
     count = min(nullity + 1, n)
+    if not sparse:
+        M = _as_matrix(M)
     if count == 0:
         V = np.zeros((0, 0))
     elif sparse:
         V = _inverse_iteration(scipy.sparse.csc_array(M.T @ M), count)
     else:
-        V = scipy.linalg.eigh(_as_matrix(M.T @ M), subset_by_index=[0, count - 1])[1]
+        V = scipy.linalg.eigh(M.T @ M, subset_by_index=[0, count - 1])[1]
     rows = M.multiply(M).sum(axis=1) if scipy.sparse.issparse(M) else np.sum(M * M, axis=1)
     scale = float(np.sqrt(np.max(rows, initial=0.0)))
     resid = np.linalg.norm(M @ V, axis=0) / (scale if scale > 0.0 else 1.0)
@@ -499,35 +466,6 @@ def icr_of(T, D: Subspace, gram_x=None, gram_y=None, eig_tol=EIG_TOL):
             "restricted stiffness nearly singular (lambda_min=%.3e)" % lam_min
         )
     return 1.0 / np.sqrt(lam_min)
-
-
-def gram_complement(A: Subspace, B: Subspace, gram=None, tol=RANK_TOL):
-    """Orthogonal complement of A inside B with respect to ``gram``.
-
-    Requires A to be contained in B at tolerance; the result has dimension
-    dim B - dim A and is gram-orthogonal to A.
-    """
-    if A.ambient_dim != B.ambient_dim:
-        raise InvalidMatrix("subspaces live in different ambient dimensions")
-    n = A.ambient_dim
-    Qb = _orthonormal_basis(B, gram)
-    Bsub = Subspace(n, Qb, gram)
-    if A.dim > 0 and not Bsub.contains(A.basis, tol=max(tol, 1e-9) * 1e3):
-        raise NotNested("first subspace is not contained in the second")
-    if A.dim == 0:
-        return Subspace(n, Qb.copy(), gram)
-    if A.dim > B.dim:
-        raise NotNested("first subspace is larger than the second")
-    Qa = _orthonormal_basis(A, gram)
-    # With A inside B the transposed cross-Gram C^T (dim B x dim A) has
-    # orthonormal columns, so its unpivoted Householder QR has |R_ii| near 1
-    # and the trailing columns of the full Q are the B-coordinates of the
-    # complement.  They are Euclidean-orthonormal, so Qb @ coords is
-    # gram-orthonormal as it is.
-    reflectors, tau, rdiag = _householder(_cross_gram(Qa, gram, Qb).T, pivoting=False)
-    if np.any(rdiag <= 1e-8):
-        raise NotNested("first subspace is not contained in the second")
-    return Subspace(n, Qb @ _trailing_columns(reflectors, tau, A.dim), gram)
 
 
 def pencil_nonzero_eigs(K, M, rel_tol=1e-9):

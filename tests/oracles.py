@@ -11,7 +11,12 @@ the tests make.  `betti_numbers` is the mesh's topology from exact integer
 ranks of its chain boundary matrices, independent of any finite element;
 `boundary_matrix_by_loop` writes those matrices one face at a time.
 `harmonic_by_complement` takes a harmonic space as the complement of the
-range in the kernel, the route the stacked nullspace replaced.
+range in the kernel, and `slices_by_complement` the four slices of the
+horizontal duality as complements of ranges and kernels: the route the
+stacked nullspaces replaced.  Its pieces are here too: `_complex_kernel`
+and `_complex_range` span a kernel or range of a complex by pivoted QR,
+`gram_complement` takes the complement of one subspace in another, and
+`contains` tests a span.
 `broken_kernel_p0` spans the kernel of a cellwise operator on the whole
 broken space, and `full_range_hypotheses` checks the Helmholtz hypotheses
 on the whole P0 spaces with it: the oracle of the reference-block check.
@@ -29,17 +34,20 @@ import scipy.sparse
 
 from padfeec.adjoint import (
     _FLAVORS,
-    _complex_kernel,
-    _complex_range,
+    _complex_space,
+    _domain_kernel_p0,
+    _p0_coords,
     _reference_kernel,
     harmonic_space,
 )
-from padfeec.errors import NotAComplex, NotAdmissible
+from padfeec.errors import AssemblyError, InvalidMatrix, NotAComplex, NotAdmissible, NotNested
 from padfeec.linalg import (
     RANK_TOL,
     Gram,
     Subspace,
-    gram_complement,
+    _cross_gram,
+    _orthonormal_basis,
+    gram_factor,
     nullspace,
     orthonormalize,
     subspace_equal,
@@ -262,9 +270,140 @@ def harmonic_by_complement(mesh, k, flavor):
     g = lad.p0(k).gram
     N = _complex_kernel(lad, complex_, k, bc)
     R = _complex_range(lad, complex_, k + 1 if complex_ == "star" else k - 1, bc)
-    if R.dim and not N.contains(R.basis, tol=1e-8):
+    if R.dim and not contains(N, R.basis, tol=1e-8):
         raise NotAComplex("range is not contained in the kernel (flavor %s)" % flavor)
     return gram_complement(R, N, g)
+
+
+def slices_by_complement(mesh, k):
+    """The four slices of `horizontal_duality_check`, each the complement of
+    the homogeneous-bc range or kernel in the one with bc none.
+
+    Returns {name: Subspace} for the range slice of d from degree k, the
+    kernel slice of delta at degree k + 1, the range slice of delta from
+    degree k + 1 and the kernel slice of d at degree k, each spanned by
+    its own pivoted QR: the route the stacked nullspaces replaced.
+    """
+    lad = ladder(mesh)
+    pieces = {
+        "range_slice_high": (_complex_range, "abc", k, lad.p0(k + 1).gram),
+        "kernel_slice_high": (_complex_kernel, "star", k + 1, lad.p0(k + 1).gram),
+        "corange_slice_low": (_complex_range, "star", k + 1, lad.p0(k).gram),
+        "kernel_slice_low": (_complex_kernel, "abc", k, lad.p0(k).gram),
+    }
+    out = {}
+    for name, (span, complex_, j, g) in pieces.items():
+        big, small = (span(lad, complex_, j, bc) for bc in ("none", "homogeneous"))
+        out[name] = gram_complement(small, big, g)
+    return out
+
+
+def _complex_kernel(lad, complex_, k, bc):
+    """Kernel of the complex's d (delta for 'star') at degree k, in P0 coordinates.
+
+    Below the top degree the nonconforming space is null(C) for its
+    constraint matrix C, and d vanishes on the broken space exactly on the
+    constants J p (checked on the reference block), so the kernel is
+    {p : C J p = 0}: with the P0 Gram R0^T R0, the null vectors N of
+    C J R0^-1 give the Gram-orthonormal basis R0^-1 N.  The other kernels
+    are taken on the atlas, handed over without orthonormalizing it.  Past
+    the last operator (d at degree n, delta at degree 0) the kernel is the
+    whole space, whose members are piecewise constant.
+    """
+    g = lad.p0(k).gram
+    if complex_ == "abc" and k < lad.mesh.dim:
+        if _reference_kernel(lad, lad.primal(k), lad.d_matrix(k)).shape[1] != lad.p0(k).ncomp:
+            raise AssemblyError("d does not vanish exactly on the constants")
+        Rinv = gram_factor(g)[1]
+        CJ = lad.abc_constraints(k, bc) @ (lad.p0_injection(k) @ Rinv)
+        ns = nullspace(CJ / max(np.abs(CJ).max(initial=0.0), 1e-300))
+        return Subspace(ns.ambient_dim, Rinv @ ns.basis, g)
+    gs = _complex_space(lad, complex_, k, bc)
+    if complex_ == "star":
+        if k == 0:
+            return Subspace.from_span(_p0_coords(lad, 0, lad.dual(0), gs.atlas), g)
+        return _domain_kernel_p0(lad, k, lad.dual(k), lad.delta_matrix(k), gs.atlas)
+    if k == lad.mesh.dim:
+        return Subspace.from_span(gs.atlas, g)
+    return _domain_kernel_p0(lad, k, lad.primal(k), lad.d_matrix(k), gs.atlas)
+
+
+def _complex_range(lad, complex_, k, bc):
+    """Range of the complex's d (delta for 'star') from degree k, in P0 coordinates.
+
+    The nonconforming range is spanned by d of the compact basis, the
+    others by the image of the atlas.  It is empty past the ends of the
+    complex: from degree -1 for d, and from degree n+1 for delta.
+    """
+    if complex_ == "star":
+        target = lad.p0(k - 1)
+        if k > lad.mesh.dim:
+            return zero_subspace(target.dim, target.gram)
+        T = lad.delta_matrix(k)
+    else:
+        target = lad.p0(k + 1)
+        if k < 0:
+            return zero_subspace(target.dim, target.gram)
+        T = lad.d_matrix(k)
+    span = lad.abc_basis(k, bc) if complex_ == "abc" else _complex_space(lad, complex_, k, bc).atlas
+    return Subspace.from_span(T @ span, target.gram)
+
+
+def full_subspace(n, gram=None):
+    """The whole R^n; with gram = R^T R the columns of R^-1 are its basis."""
+    Rinv = gram_factor(gram)[1]
+    if Rinv is None:
+        return Subspace(n, np.eye(n), gram)
+    return Subspace(n, Rinv.toarray() if scipy.sparse.issparse(Rinv) else Rinv, gram)
+
+
+def zero_subspace(n, gram=None):
+    """The zero subspace of R^n."""
+    return Subspace(n, np.zeros((n, 0)), gram)
+
+
+def contains(sub, vectors, tol=1e-10):
+    """True if every column of ``vectors`` lies in the span of ``sub`` at relative tolerance."""
+    V = np.atleast_2d(np.asarray(vectors, dtype=float))
+    if V.shape[0] != sub.ambient_dim:
+        V = V.T
+
+    def gram(X):
+        return X if sub.gram is None else sub.gram @ X
+
+    R = V - sub.basis @ (sub.basis.T @ gram(V))
+    num = np.sqrt(np.abs(np.sum(R * gram(R), axis=0)))
+    den = np.sqrt(np.abs(np.sum(V * gram(V), axis=0)))
+    return bool(np.all(num <= tol * np.maximum(den, 1e-300)))
+
+
+def gram_complement(A: Subspace, B: Subspace, gram=None, tol=RANK_TOL):
+    """Orthogonal complement of A inside B with respect to ``gram``.
+
+    Requires A to be contained in B at tolerance; the result has dimension
+    dim B - dim A and is gram-orthogonal to A.
+    """
+    if A.ambient_dim != B.ambient_dim:
+        raise InvalidMatrix("subspaces live in different ambient dimensions")
+    n = A.ambient_dim
+    Qb = _orthonormal_basis(B, gram)
+    Bsub = Subspace(n, Qb, gram)
+    if A.dim > 0 and not contains(Bsub, A.basis, tol=max(tol, 1e-9) * 1e3):
+        raise NotNested("first subspace is not contained in the second")
+    if A.dim == 0:
+        return Subspace(n, Qb.copy(), gram)
+    if A.dim > B.dim:
+        raise NotNested("first subspace is larger than the second")
+    Qa = _orthonormal_basis(A, gram)
+    # With A inside B the transposed cross-Gram C^T (dim B x dim A) has
+    # orthonormal columns, so its unpivoted QR has |R_ii| near 1 and the
+    # trailing columns of the full Q are the B-coordinates of the
+    # complement.  They are Euclidean-orthonormal, so Qb @ coords is
+    # gram-orthonormal as it is.
+    Q, R = scipy.linalg.qr(_cross_gram(Qa, gram, Qb).T)
+    if np.any(np.abs(np.diag(R)) <= 1e-8):
+        raise NotNested("first subspace is not contained in the second")
+    return Subspace(n, Qb @ Q[:, A.dim:], gram)
 
 
 def broken_kernel_p0(lad, k, broken, T):

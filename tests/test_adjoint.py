@@ -15,7 +15,7 @@ from padfeec.adjoint import (
     whitney_pair,
 )
 from padfeec.forms import CellGeometry, PolyForm
-from padfeec.linalg import Subspace, gram_complement, icr_of, infsup, nullspace, subspace_equal
+from padfeec.linalg import Subspace, icr_of, infsup, nullspace, subspace_equal
 from padfeec.linalg import Gram, block_diagonal
 from padfeec.local import (
     LocalSpace,
@@ -29,17 +29,24 @@ from padfeec.local import (
 from padfeec.mesh import Mesh, generate_structured
 from padfeec.spaces import ladder
 
+import oracles
 from oracles import (
     JITTERED,
+    _complex_kernel,
     betti_numbers,
     broken_kernel_p0,
     cell_icr,
+    contains,
     decompose_pair,
     fast_local_constants,
     full_range_hypotheses,
+    full_subspace,
+    gram_complement,
     harmonic_by_complement,
     ladder_locals,
     max_diameter,
+    slices_by_complement,
+    zero_subspace,
 )
 
 BOX2 = generate_structured(2, 2)
@@ -304,7 +311,7 @@ class TestBasePairCore:
         mesh = generate_structured(2, 2)
         _zero_cell_block(mesh, 0, 0)
         lad = ladder(mesh)
-        D = Subspace.full(lad.primal(0).dim, lad.primal(0).gram())
+        D = full_subspace(lad.primal(0).dim, lad.primal(0).gram())
         with pytest.raises(NotAdmissible, match="annihilator core"):
             partial_adjoint_of(D, mesh, 0)
 
@@ -353,13 +360,13 @@ class TestBasePairCache:
 class TestPartialAdjoint:
     def test_full_domain_gives_trivial_adjoint(self):
         lad = ladder(BOX2)
-        D = Subspace.full(lad.primal(0).dim, lad.primal(0).gram())
+        D = full_subspace(lad.primal(0).dim, lad.primal(0).gram())
         pair = partial_adjoint_of(D, BOX2, 0)
         assert pair.adjoint_domain.dim == 0  # the annihilator core is trivial
 
     def test_zero_domain_gives_full_adjoint(self):
         lad = ladder(BOX2)
-        D = Subspace.zero(lad.primal(0).dim, lad.primal(0).gram())
+        D = zero_subspace(lad.primal(0).dim, lad.primal(0).gram())
         pair = partial_adjoint_of(D, BOX2, 0)
         assert pair.adjoint_domain.dim == lad.dual(1).dim
 
@@ -380,7 +387,7 @@ class TestPartialAdjoint:
         assert pair.meta["roundtrip_angle"] < 1e-9
         # the adjoint domain contains the star-conjugated conforming partner
         partner = lad.whitney_star(1, "none")
-        assert pair.adjoint_domain.contains(partner.subspace().basis, tol=1e-8)
+        assert contains(pair.adjoint_domain, partner.subspace().basis, tol=1e-8)
 
 
 class TestQuantifiedCrt:
@@ -392,7 +399,7 @@ class TestQuantifiedCrt:
         assert abs(icr_p - icr_a) < 0.3 * max_diameter(BOX4) * max(icr_p, icr_a)
 
     def test_zero_maps(self):
-        D = Subspace.full(3)
+        D = full_subspace(3)
         assert icr_of(np.zeros((2, 3)), D) == 0.0
 
     def test_genuinely_adjoint_finite_dimensional_pair(self):
@@ -406,8 +413,8 @@ class TestQuantifiedCrt:
             Gy = rng.standard_normal((m, m))
             Gy = Gy @ Gy.T + m * np.eye(m)
             Tstar = np.linalg.solve(Gx, T.T @ Gy)
-            a = icr_of(T, Subspace.full(n, Gx), Gx, Gy)
-            b = icr_of(Tstar, Subspace.full(m, Gy), Gy, Gx)
+            a = icr_of(T, full_subspace(n, Gx), Gx, Gy)
+            b = icr_of(Tstar, full_subspace(m, Gy), Gy, Gx)
             assert abs(a - b) <= 1e-9 * max(a, b)
 
 
@@ -568,7 +575,7 @@ KERNEL_MESHES = {
 
 
 class TestConstraintKernel:
-    """ker d on the nonconforming space, from its constraints, equals the atlas route."""
+    """The oracle's ker d on the nonconforming space, from its constraints, equals the atlas route."""
 
     @pytest.mark.parametrize(
         "name,k,bc",
@@ -580,7 +587,7 @@ class TestConstraintKernel:
         ],
     )
     def test_equal_to_atlas_route(self, name, k, bc):
-        from padfeec.adjoint import _complex_kernel, _domain_kernel_p0
+        from padfeec.adjoint import _domain_kernel_p0
 
         lad = ladder(_fresh(KERNEL_MESHES[name]))
         g = lad.p0(k).gram
@@ -595,11 +602,16 @@ class TestConstraintKernel:
         import padfeec.adjoint as adjoint
         from padfeec.errors import AssemblyError
 
-        # a reference kernel that misses a constant breaks the route's premise
+        # a reference kernel that misses a constant breaks the premise of the
+        # oracle's kernel and of the runtime's nonconforming conditions
         reference = adjoint._reference_kernel
-        monkeypatch.setattr(adjoint, "_reference_kernel", lambda *args: reference(*args)[:, 1:])
+        short = lambda *args: reference(*args)[:, 1:]  # noqa: E731
+        monkeypatch.setattr(oracles, "_reference_kernel", short)
+        monkeypatch.setattr(adjoint, "_reference_kernel", short)
         with pytest.raises(AssemblyError, match="constants"):
-            adjoint._complex_kernel(ladder(generate_structured(2, 2)), "abc", 1, "none")
+            _complex_kernel(ladder(generate_structured(2, 2)), "abc", 1, "none")
+        with pytest.raises(AssemblyError, match="constants"):
+            harmonic_space(generate_structured(2, 2), 1, "abc")
 
 
 class TestEmptyComplement:
@@ -656,13 +668,11 @@ class TestEmptyComplement:
             harmonic_space(mesh, 1, "star0")
 
     def test_zero_space_without_a_complement(self, monkeypatch):
-        import padfeec.adjoint as adjoint
-
         def refuse(*args, **kwargs):
             raise AssertionError("gram_complement called for an empty complement")
 
         mesh = generate_structured(2, 2)
-        monkeypatch.setattr(adjoint, "gram_complement", refuse)
+        monkeypatch.setattr(oracles, "gram_complement", refuse)
         H = harmonic_space(mesh, 1, "abc")
         assert H.subspace.basis.shape == (ladder(mesh).p0(1).dim, 0)
         assert H.subspace.basis.flags.writeable is False
@@ -671,20 +681,50 @@ class TestEmptyComplement:
 class TestStackedRoute:
     def test_builds_no_kernel_range_or_complement(self, monkeypatch):
         import padfeec.adjoint as adjoint
+        import padfeec.linalg as linalg
 
         def refuse(*args, **kwargs):
             raise AssertionError("the complement route was called")
 
+        # the complement route is the oracles' alone
         for name in ("_complex_kernel", "_complex_range", "gram_complement"):
-            monkeypatch.setattr(adjoint, name, refuse)
-        monkeypatch.setattr(Subspace, "contains", refuse)
+            assert not hasattr(adjoint, name) and not hasattr(linalg, name)
+            monkeypatch.setattr(oracles, name, refuse)
+        monkeypatch.setattr(oracles, "contains", refuse)
+        assert not hasattr(Subspace, "contains")
+        # every span orthonormalized is a lift of null vectors, no wider than
+        # the widest slice, and every pivoted QR nullspace a reference block's
+        spans, kernels = [], []
+        from_span, pivoted = Subspace.from_span.__func__, linalg.pivoted_nullspace
+
+        def recording_span(cls, vectors, *args, **kwargs):
+            spans.append(np.shape(vectors)[1])
+            return from_span(cls, vectors, *args, **kwargs)
+
+        def recording_nullspace(M, *args, **kwargs):
+            kernels.append(np.shape(M)[1])
+            return pivoted(M, *args, **kwargs)
+
+        monkeypatch.setattr(Subspace, "from_span", classmethod(recording_span))
+        monkeypatch.setattr(linalg, "pivoted_nullspace", recording_nullspace)
         for args in ((2, 4, "hole"), (3, 1)):
             mesh = generate_structured(*args)
-            dims = {
-                flavor: [harmonic_space(mesh, k, flavor).dim for k in range(mesh.dim + 1)]
-                for flavor in HARMONIC_FLAVORS
-            }
+            # the base pair's reference-block ranks are the one float rank
+            for k in range(mesh.dim):
+                base_pair_report(mesh, k)
+            with monkeypatch.context() as m:
+                m.setattr(adjoint, "rank", refuse)
+                dims = {
+                    flavor: [harmonic_space(mesh, k, flavor).dim for k in range(mesh.dim + 1)]
+                    for flavor in HARMONIC_FLAVORS
+                }
+                slices = [horizontal_duality_check(mesh, k) for k in range(mesh.dim)]
+                splits = [hodge_check(mesh, k) for k in range(1, mesh.dim)]
             assert dims["abc"] == betti_numbers(mesh)
+            assert all(rep.passed for rep in slices + splits)
+            assert spans and max(spans) <= max(max(rep.lhs_dims.values()) for rep in slices)
+            spans.clear()
+        assert kernels and max(kernels) < 10
 
     @pytest.mark.parametrize("args", [(2, 4, "hole"), (3, 4, "tunnel")])
     def test_theta_survives_a_round_off_change_of_the_lower_basis(self, args):
@@ -792,7 +832,7 @@ class TestHarmonicByComplementOracle:
     @pytest.mark.parametrize("flavor", HARMONIC_FLAVORS)
     @pytest.mark.parametrize("name", ORACLE_BATTERY)
     def test_equal_to_the_complement_route(self, name, flavor):
-        from padfeec.adjoint import _harmonic_conditions
+        from padfeec.adjoint import _FLAVORS, _conditions
         from padfeec.linalg import RANK_TOL, null_vectors, principal_angles
 
         mesh = _oracle_mesh(name)
@@ -807,7 +847,8 @@ class TestHarmonicByComplementOracle:
             assert angles.max(initial=0.0) <= 1e-10, k
             # the rank cut on the residuals relative to the largest row norm
             # sits in a gap of at least 1e3 on both sides
-            conditions = _harmonic_conditions(lad, k, flavor)[0]
+            complex_, bc = _FLAVORS[flavor]
+            conditions = _conditions(lad, complex_, k, bc, bc)[0]
             resid = null_vectors(conditions, H.dim, sparse=lad.sparse)[1]
             assert resid[: H.dim].max(initial=0.0) <= RANK_TOL / 1e3, k
             if resid.size > H.dim:
@@ -918,6 +959,18 @@ class TestHodge:
         rep = hodge_check(BOX4, 1)
         assert rep.orthogonality_residual < 1e-10
 
+    # at the ends of the complex one range is empty
+    @pytest.mark.parametrize("mesh,k,dims", [
+        (BOX2, 0, {"range_below": 0, "harmonic": 1, "corange_above": 7}),
+        (BOX2, 2, {"range_below": 8, "harmonic": 0, "corange_above": 0}),
+        (HOLE, 0, {"range_below": 0, "harmonic": 1, "corange_above": 23}),
+        (HOLE, 2, {"range_below": 24, "harmonic": 0, "corange_above": 0}),
+    ])
+    def test_end_degrees(self, mesh, k, dims):
+        rep = hodge_check(mesh, k)
+        assert rep.passed and rep.orthogonality_residual < 1e-10
+        assert rep.detail["none"].rhs_dims == dims
+
 
 def _tilted(sub, seed=0, amount=1e-3):
     """A subspace of the same dimension as ``sub``, turned out of it by about ``amount``."""
@@ -943,9 +996,10 @@ class TestWrongPieceOfTheRightDimension:
         honest = hodge_check(mesh, 1)
         harmonic = adjoint.harmonic_space
 
+        # the integer ranks ask for empty harmonic spaces too, which cannot tilt
         def tilted_harmonic(mesh, k, flavor):
             H = harmonic(mesh, k, flavor)
-            return adjoint.HarmonicSpace(_tilted(H.subspace), k, flavor)
+            return adjoint.HarmonicSpace(_tilted(H.subspace), k, flavor) if H.dim else H
 
         monkeypatch.setattr(adjoint, "harmonic_space", tilted_harmonic)
         rep = hodge_check(mesh, 1)
@@ -957,6 +1011,23 @@ class TestWrongPieceOfTheRightDimension:
         assert rep.verdict == "fail"
         assert rep.orthogonality_residual > 1e-6
         assert rep.identity_angle < 1e-8
+
+    def test_hodge_with_a_tilted_range_below(self, monkeypatch):
+        mesh = _fresh(HOLE)
+        honest = hodge_check(mesh, 1)
+        lad = ladder(mesh)
+        # the compact basis one degree down, each entry moved by about 1e-3 of
+        # the largest: its width, and so every integer dimension, stays
+        A = lad.abc_basis(0, "none")
+        noise = np.random.default_rng(1).standard_normal(A.shape)
+        monkeypatch.setitem(lad._cache, ("abc-basis", 0, "none"), A + 1e-3 * np.abs(A).max() * noise)
+        rep = hodge_check(mesh, 1)
+        assert honest.passed and honest.orthogonality_residual < 1e-10
+        for bc in ("none", "homogeneous"):
+            assert rep.detail[bc].rhs_dims == honest.detail[bc].rhs_dims
+        assert rep.detail["none"].verdict == "fail" and rep.detail["homogeneous"].passed
+        assert rep.verdict == "fail"
+        assert rep.orthogonality_residual > 1e-6
 
     @pytest.mark.parametrize("mesh", [BOX2, HOLE], ids=["box:2", "hole:4"])
     @pytest.mark.parametrize("k,bc", [(0, "none"), (1, "homogeneous")])
@@ -993,6 +1064,66 @@ class TestHorizontal:
         assert rep.passed
 
 
+# every degree below the top; tunnel:4 at k = 1 only, where its slices are widest
+SLICE_CASES = [
+    (name, k) for name in ("box:2", "box:4", "hole:4", "tetbox:1") for k in range(_oracle_mesh(name).dim)
+] + [("tunnel:4", 1)]
+
+
+class TestSlicesByComplementOracle:
+    """Each slice, the null space of its stacked conditions, is the complement route's slice."""
+
+    @pytest.mark.parametrize("name,k", SLICE_CASES)
+    def test_equal_to_the_complement_route(self, name, k):
+        from padfeec.adjoint import horizontal_slices
+        from padfeec.linalg import principal_angles
+
+        mesh = _oracle_mesh(name)
+        got, want = horizontal_slices(mesh, k), slices_by_complement(mesh, k)
+        assert list(got) == list(want)
+        assert any(S.dim for S in got.values())
+        for key, S in got.items():
+            assert S.dim == want[key].dim, key
+            assert principal_angles(S, want[key], S.gram).max(initial=0.0) <= 1e-8, key
+            assert np.abs(S.basis.T @ (S.gram @ S.basis) - np.eye(S.dim)).max(initial=0.0) <= 1e-10
+
+    def test_a_wrong_betti_number_names_the_slice(self, monkeypatch):
+        from padfeec.errors import ToleranceFailure
+        from padfeec.mesh import Mesh
+
+        mesh = _fresh(HOLE)
+        # every harmonic space is built, and kept, with the true Betti numbers
+        honest = horizontal_duality_check(mesh, 0)
+        betti = Mesh.betti_numbers
+
+        def shifted(self, relative=False):
+            return tuple(b + (k == 0 and not relative) for k, b in enumerate(betti(self, relative)))
+
+        # b_0 one too large takes one from the rank of d from degree 0
+        monkeypatch.setattr(Mesh, "betti_numbers", shifted)
+        dim = honest.lhs_dims["range_slice_high"] - 1
+        with pytest.raises(ToleranceFailure, match="^range slice of d from degree 0, dimension %d: " % dim):
+            horizontal_duality_check(mesh, 0)
+
+
+class TestIntegerRanks:
+    """Each integer rank of a complex equals the float rank of its operator on an atlas."""
+
+    @pytest.mark.parametrize("name", ["box:4", "hole:4", "tetbox:2", "cavity:4"])
+    def test_equal_to_the_float_rank(self, name):
+        from padfeec.adjoint import complex_rank
+        from padfeec.linalg import rank
+
+        mesh = _oracle_mesh(name)
+        lad = ladder(mesh)
+        for bc in ("none", "homogeneous"):
+            for k in range(mesh.dim + 1):
+                dA = lad.d_matrix(k) @ lad.abc(k, bc)[0].atlas
+                assert complex_rank(mesh, "abc", k, bc) == rank(dA), (bc, k)
+                deltaA = lad.delta_matrix(k) @ lad.whitney_star(k, bc).atlas
+                assert complex_rank(mesh, "star", k, bc) == rank(deltaA), (bc, k)
+
+
 class TestOrthogonalDualityInvariant:
     @pytest.mark.parametrize("k,bc", [(0, "none"), (0, "homogeneous"), (1, "none")])
     def test_kernel_is_annihilator_of_adjoint_range(self, k, bc):
@@ -1014,8 +1145,6 @@ class TestComplexGuard:
     def test_harmonic_space_demands_a_complex(self):
         from padfeec.errors import NotAComplex
         from padfeec.adjoint import HarmonicSpace, harmonic_space
-        from padfeec.linalg import gram_complement
-
         # sabotage: feed the complement machinery a non-nested pair directly
         lad = ladder(BOX2)
         g = lad.p0(1).gram

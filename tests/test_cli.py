@@ -320,6 +320,16 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
 
+    # an empty list would run one unlevelled check, and a repeated size two
+    # records of one name
+    @pytest.mark.parametrize("levels", [",", "", "2,2", "1,2,1"])
+    def test_empty_or_repeated_levels_rejected(self, capsys, levels):
+        code, out, err = run_cli(
+            ["verify", "base-pair", "--mesh", "box:2", "--k", "0", "--levels", levels], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter: --levels") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "command",
         [["suite", "all", "--fast"], ["verify", "base-pair", "--levels", "2,4"]],
@@ -376,6 +386,75 @@ class TestCli:
         assert rec["verdict"] == "fail"
         assert rec["note"].startswith("ToleranceFailure: harmonic abc 1-forms, Betti number 0: ")
         assert rec["numbers"] == {"betti": 0, "betti_relative": 0}
+
+    def test_verify_complex_takes_integer_ranks(self, capsys, monkeypatch):
+        import padfeec.linalg as linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a float rank was taken")
+
+        monkeypatch.setattr(linalg, "rank", refuse)
+        code, out, _ = run_cli(["verify", "complex", "--mesh", "hole:4"], capsys)
+        records = {r["name"]: r for r in json.loads(out)["records"]}
+        assert code == 0
+        # the kernel of d at degree 1 is the harmonic space (b_1 = 1) plus the range
+        numbers = records["complex-property-none"]["numbers"]
+        assert numbers["kernel_1"] == 1 + numbers["range_1"]
+
+    def test_a_slice_of_the_wrong_dimension_is_one_line(self, capsys, monkeypatch):
+        import padfeec.cli as cli
+        from padfeec.adjoint import horizontal_duality_check
+        from padfeec.mesh import Mesh, generate_structured
+
+        mesh = generate_structured(2, 4, "hole")
+        # every harmonic space is built, and kept, with the true Betti numbers
+        dim = horizontal_duality_check(mesh, 0).lhs_dims["range_slice_high"]
+        monkeypatch.setattr(cli, "parse_mesh", lambda config: mesh)
+        betti = Mesh.betti_numbers
+
+        # b_0 one too large takes one from the rank of d from degree 0
+        def shifted(self, relative=False):
+            return tuple(b + (k == 0 and not relative) for k, b in enumerate(betti(self, relative)))
+
+        monkeypatch.setattr(Mesh, "betti_numbers", shifted)
+        code, out, err = run_cli(["verify", "duality", "--mesh", "hole:4", "--k", "0"], capsys)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(
+            "error: ToleranceFailure: range slice of d from degree 0, dimension %d: " % (dim - 1)
+        )
+
+    @pytest.mark.parametrize(
+        "mesh,k,betti,slices",
+        [
+            ("box:2", 1, [0, 0], [1, 7, 1, 7]),
+            ("hole:4", 1, [1, 1], [1, 23, 1, 23]),
+            ("tetbox:1", 1, [0, 0], [7, 11, 7, 11]),
+        ],
+    )
+    def test_horizontal_duality_carries_betti_and_slice_dims(self, capsys, mesh, k, betti, slices):
+        code, out, _ = run_cli(["verify", "duality", "--mesh", mesh, "--k", str(k)], capsys)
+        (rec,) = [r for r in json.loads(out)["records"] if r["name"] == "horizontal-duality"]
+        assert code == 0 and rec["verdict"] == "pass"
+        numbers = rec["numbers"]
+        assert [numbers["betti"], numbers["betti_relative"]] == betti
+        assert [
+            numbers["dim_range_slice_high"],
+            numbers["dim_corange_slice_low"],
+            numbers["dim_kernel_slice_high"],
+            numbers["dim_kernel_slice_low"],
+        ] == slices
+
+    def test_hodge_carries_betti_and_piece_dims(self, capsys):
+        code, out, _ = run_cli(["verify", "decomposition", "--mesh", "hole:4", "--k", "1"], capsys)
+        (rec,) = [r for r in json.loads(out)["records"] if r["name"] == "hodge"]
+        assert code == 0 and rec["verdict"] == "pass"
+        numbers = rec["numbers"]
+        assert [numbers["betti"], numbers["betti_relative"]] == [1, 1]
+        pieces = ("range_below", "harmonic", "corange_above")
+        dims = {bc: [numbers["dim_%s_%s" % (bc, p)] for p in pieces] for bc in ("none", "homogeneous")}
+        assert dims["none"][1] == dims["homogeneous"][1] == 1
+        # each split fills the 48 constant 1-forms of hole:4
+        assert sum(dims["none"]) == sum(dims["homogeneous"]) == 48
 
     def test_determinism_byte_identical(self, capsys):
         _, out1, _ = run_cli(["verify", "base-pair", "--mesh", "box:2", "--k", "0"], capsys)

@@ -26,6 +26,7 @@ from padfeec.local import (
 )
 
 from oracles import (
+    contains,
     JITTERED,
     decompose_pair,
     fast_local_constants,
@@ -192,7 +193,7 @@ class TestDecomposition:
         dec = decompose_pair(primal, dual)
         coeffs = dual.expand(hodge_star(interior_quadratic(cell)))
         assert dec.dual_P0.dim >= 1
-        assert dec.dual_P0.contains(coeffs.reshape(-1, 1), tol=1e-8)
+        assert contains(dec.dual_P0, coeffs.reshape(-1, 1), tol=1e-8)
 
 
 class TestLocalConstants:
