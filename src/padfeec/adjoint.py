@@ -726,7 +726,8 @@ def _unit_columns(V, gram):
     A zero column, such as d of a closed basis function, stays zero.
     """
     sparse = scipy.sparse.issparse(V)
-    norms = np.sqrt(np.ravel((V.multiply(gram @ V) if sparse else V * (gram @ V)).sum(axis=0)))
+    squares = (V.multiply(gram @ V) if sparse else V * (gram @ V)).sum(axis=0)
+    norms = np.sqrt(np.asarray(squares).ravel())
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
     if not sparse:
         return V * scale
