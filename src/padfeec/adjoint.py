@@ -643,15 +643,15 @@ def _whitney_conditions(lad, complex_, k, bc, range_bc):
     agree, Delta_w Delta_(w-1) = 0, exactly: its entries are sums of a few
     products of signs.  Returns the condition blocks, P A, and the lift,
     which orthonormalizes the verified P0 coordinates of A X, so only the
-    null vectors X are lifted.  The atlases are dense but each column lives
-    on one patch, so the products run on their CSR copies.
+    null vectors X are lifted.  The atlases are CSC arrays, each column on
+    one patch, so every product here is sparse; only A X is dense.
     """
     n, star = lad.mesh.dim, complex_ == "star"
     w = n - k if star else k
     space = _complex_space(lad, complex_, k, bc)
     g = lad.p0(k).gram
     P = lad.p0_projection(k, space.broken.name)
-    PA = P @ scipy.sparse.csr_array(space.atlas)
+    PA = P @ space.atlas
     blocks = [_coboundary(lad, w, bc)] if w < n else []
     if w > 0:
         Delta = _coboundary(lad, w - 1, range_bc)
@@ -661,10 +661,8 @@ def _whitney_conditions(lad, complex_, k, bc, range_bc):
             T, sign = lad.delta_matrix(k + 1), (-1) ** w
         else:
             T, sign = lad.d_matrix(k - 1), 1
-        dA = T @ scipy.sparse.csr_array(lower)
-        PAr = PA if range_bc == bc else P @ scipy.sparse.csr_array(
-            _complex_space(lad, complex_, k, range_bc).atlas
-        )
+        dA = T @ lower
+        PAr = PA if range_bc == bc else P @ _complex_space(lad, complex_, k, range_bc).atlas
         PAD = PAr @ Delta
         if _norm(dA - sign * PAD) > 1e-8 * _norm(dA):
             raise NotAComplex("d is not the coboundary (%s, degree %d)" % (complex_, k))

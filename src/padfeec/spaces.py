@@ -31,13 +31,20 @@ from its stack of cell blocks (the cell volumes of a `P0Space`, the cell
 Grams of a `BrokenSpace`) and owning that stack's upper Cholesky factor
 G_K = R_K^T R_K, computed once, on first use.  The batched cell passes read
 the stacked factor, and a constraint nullspace N gives the Gram-orthonormal
-atlas R^-1 N without a further orthonormalization.  Atlases and nullspace
-bases are dense; the ladder also keeps the compact nonconforming basis and
-the star atlases with columns of unit broken-Gram norm, as CSC arrays from
-`SPARSE_CELLS` cells up and dense below, and the solves run on these.  Each
-compact basis function keeps only its cell blocks, and the compact basis is
-written, scaled, straight from them.  The cells that hold a sub-simplex
-come from the incidence and owner tables of `Mesh.subsimplices`.
+atlas R^-1 N without a further orthonormalization.
+
+The Whitney atlas is a CSC array written straight from the cells' closed-form
+blocks (`_cell_columns`), each column on the patch of its sub-simplex; the
+starred atlas is the cellwise star of it, and the constraint matrix C, the
+pairing times the starred partner atlas, is a CSR array.  So no array of
+the broken dimension times the partner's is formed.  The constraint route's
+atlas and nullspace bases are dense.  The ladder also keeps the compact
+nonconforming basis and the starred atlases with columns of unit
+broken-Gram norm, as CSC arrays from `SPARSE_CELLS` cells up and dense
+below, and the solves run on these.  Each compact basis function keeps only
+its cell blocks, and the compact basis is written, scaled, straight from
+them.  The cells that hold a sub-simplex come from the incidence and owner
+tables of `Mesh.subsimplices`.
 
 The mesh's `DeRhamLadder` is the one home of the operators of a broken
 space, and of the nonconforming constraint matrix C that both routes to
@@ -141,6 +148,19 @@ def _repeat(block, cells):
     return np.broadcast_to(block, (cells,) + block.shape)
 
 
+def _cell_columns(cols, cells, V, shape):
+    """CSC array whose column ``cols[p]`` holds the block ``V[p]`` on cell ``cells[p]``.
+
+    ``V`` is (blocks, dim) with dim the rows of one cell; each (cell, column)
+    pair occurs once, so every entry is written, not summed.  Zeros are not
+    stored.
+    """
+    rows = cells[:, None] * V.shape[1] + np.arange(V.shape[1])
+    A = scipy.sparse.csc_array((V.ravel(), (rows.ravel(), np.repeat(cols, V.shape[1]))), shape)
+    A.eliminate_zeros()
+    return A
+
+
 class P0Space:
     """Piecewise-constant k-forms: the coordinate space of all differentials.
 
@@ -232,12 +252,16 @@ def d_pairing(primal: BrokenSpace, dual: BrokenSpace):
 class GlobalSpace:
     """A subspace of a broken space given by an atlas of coefficient columns.
 
-    ``span`` is the atlas as an orthonormal `Subspace`; a constructor that
-    already holds one passes it, otherwise `subspace` builds it on first use.
+    The Whitney and starred atlases are CSC arrays, each column with
+    blocks only on the cells of its patch; the constraint route's atlas and
+    the identity atlas of a whole broken space are dense.  ``span`` is the
+    atlas as an orthonormal `Subspace`; a constructor that already holds one
+    passes it, otherwise `subspace` builds it on first use, densifying the
+    atlas for its QR.
     """
 
     broken: BrokenSpace
-    atlas: np.ndarray
+    atlas: "np.ndarray | scipy.sparse.csc_array"
     kind: str
     bc: str = "none"
     anchors: list = field(default_factory=list)
@@ -264,9 +288,10 @@ class GlobalSpace:
 
 @dataclass
 class ConstraintSet:
-    """Rows are the pairing functionals against a conforming partner basis."""
+    """Rows are the pairing functionals against a conforming partner basis,
+    as the CSR array `DeRhamLadder.abc_constraints`."""
 
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_array
     partner: GlobalSpace
 
 
@@ -322,14 +347,11 @@ class BasisAtlas:
         return np.array(cols, dtype=int), np.array(cells, dtype=int), V
 
     def _columns(self, cols, cells, V, sparse):
-        rows = cells[:, None] * V.shape[1] + np.arange(V.shape[1])
         shape = (self.broken.dim, self.dim)
         if sparse:
-            B = scipy.sparse.csc_array((V.ravel(), (rows.ravel(), np.repeat(cols, V.shape[1]))), shape)
-            B.eliminate_zeros()
-            return B
+            return _cell_columns(cols, cells, V, shape)
         A = np.zeros(shape)
-        A[rows, cols[:, None]] = V
+        A[cells[:, None] * V.shape[1] + np.arange(V.shape[1]), cols[:, None]] = V
         return A
 
     def count(self, category):
@@ -337,6 +359,14 @@ class BasisAtlas:
 
 
 # Largest dense float64 matrix a ladder may need, in MiB (box:32 needs 512).
+# The Whitney and starred atlases are sparse, so `solve hodge` no longer
+# needs such a matrix: with this guard lifted, `solve hodge --k 1 --scheme
+# all --check-equivalence` passed every record on box:64 (8,192 MiB
+# reckoned) in 8.5 s at a 334 MB peak RSS, and on tetbox:8 (3,528 MiB) in
+# 23.8 s at 625 MB (2 CPUs, OpenBLAS).  The guard stays
+# for the routes that still take a dense QR square in the broken space: the
+# constraint route's pivoted QR (`abcfes_by_constraints`) and the dense rows
+# of an excluded harmonic space in `adjoint._conditions`.
 DENSE_LIMIT_MB = 1024
 
 # Cells from which the ladder keeps its compact bases sparse.  Below it the
@@ -505,14 +535,15 @@ class DeRhamLadder:
     def abc_constraints(self, k, bc="none"):
         """Constraint matrix C of the nonconforming k-forms: the space is null(C).
 
-        Row j pairs the broken primal k-forms with column j of the partner;
-        at the top degree C has no rows.
+        Row j pairs the broken primal k-forms with column j of the partner,
+        so it is nonzero only on the cells that column lives on; C is a CSR
+        array, with no rows at the top degree.
         """
 
         def build():
             if k == self.mesh.dim:
-                return np.zeros((0, self.primal(k).dim))
-            return (self.pairing(k) @ self.partner(k, bc).atlas).T
+                return scipy.sparse.csr_array((0, self.primal(k).dim))
+            return scipy.sparse.csr_array((self.pairing(k) @ self.partner(k, bc).atlas).T)
 
         return self._get(("abc-constraints", k, bc), build)
 
@@ -540,14 +571,11 @@ class DeRhamLadder:
         return self.mesh.num_cells >= SPARSE_CELLS
 
     def _unit_columns(self, A, gram):
-        """The dense A with each column scaled to unit norm in ``gram``, as a
-        CSC array if the compact bases are sparse."""
-        norms = np.sqrt(np.einsum("ij,ij->j", A, gram @ A))
-        if not self.sparse:
-            return A / norms
-        B = scipy.sparse.csc_array(A)
-        B.data /= np.repeat(norms, np.diff(B.indptr))
-        return B
+        """The CSC A with each column scaled to unit norm in ``gram``, made
+        dense if the compact bases are dense."""
+        B = A.copy()
+        B.data /= np.repeat(np.sqrt(A.multiply(gram @ A).sum(axis=0)), np.diff(B.indptr))
+        return B if self.sparse else B.toarray()
 
 
 def ladder(mesh):
@@ -587,7 +615,8 @@ def conforming_whitney(mesh, k, bc="none", lad=None):
 
     The degrees of freedom are `whitney_dofs`.  Each cell's columns are the
     closed-form trimmed coordinates of its Whitney forms
-    (`whitney_coefficients`), written through the incidence table.
+    (`whitney_coefficients`), written through the incidence table into a CSC
+    atlas: a column has blocks only on the cells that hold its sub-simplex.
     """
     lad = lad or ladder(mesh)
     broken = lad.primal(k)
@@ -598,9 +627,7 @@ def conforming_whitney(mesh, k, bc="none", lad=None):
     cols = column[table.cell_incidence]  # (cells, faces)
     cells, faces = np.nonzero(cols >= 0)
     W = whitney_coefficients(lad.geometry.gradients, k)  # (cells, faces, dim)
-    dim = broken.reference.dim
-    A = np.zeros((broken.dim, len(dofs)))
-    A[cells[:, None] * dim + np.arange(dim), cols[cells, faces][:, None]] = W[cells, faces]
+    A = _cell_columns(cols[cells, faces], cells, W[cells, faces], (broken.dim, len(dofs)))
     return GlobalSpace(broken, A, kind="conforming" if bc == "none" else "conforming0",
                        bc=bc, anchors=[table.simplices[sid] for sid in dofs])
 
@@ -608,15 +635,16 @@ def conforming_whitney(mesh, k, bc="none", lad=None):
 def star_space(space: GlobalSpace, lad=None):
     """Cellwise Hodge star of a conforming space; degree n-k, kind 'star'.
 
-    The star is the signed permutation `reference_star` on every cell.
+    The star is the signed permutation `reference_star` on every cell,
+    applied to the CSC atlas, so the starred atlas is CSC with the same
+    cell blocks.
     """
     lad = lad or ladder(space.mesh)
     n, cells = space.mesh.dim, space.mesh.num_cells
     target = lad.dual(n - space.k)
-    S = reference_star(n, space.k)
-    blocks = space.atlas.reshape(cells, S.shape[1], space.dim)
+    star = block_diagonal(_repeat(reference_star(n, space.k), cells))
     return GlobalSpace(
-        target, np.matmul(S, blocks).reshape(target.dim, space.dim), kind="star",
+        target, scipy.sparse.csc_array(star @ space.atlas), kind="star",
         bc=space.bc, anchors=list(space.anchors),
     )
 
@@ -673,8 +701,6 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
             for unit in np.eye(broken.reference.dim)
         ])
     partner = lad.partner(k, bc)
-    # pairing of every broken basis form with every partner column
-    BP = lad.abc_constraints(k, bc).T
     decs = lad.local_decompositions(k)
     # cells supporting each partner basis function
     table = mesh.subsimplices(mesh.dim - k - 1)
@@ -683,13 +709,21 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
     for j in range(partner.dim):
         for ci in support[j]:
             cell_funcs[ci].append(j)
-    # every cell's functionals of its overlapping partner columns, restricted
-    # to its twisted part PB and zero-padded to one stack: one SVD gives each
-    # cell's rank, pseudo-inverse and local null basis
     counts = np.array([len(cell_funcs[ci]) for ci in range(mesh.num_cells)])
-    L = np.zeros((mesh.num_cells, counts.max(initial=0), decs[0].PB.dim))
-    for ci, I2 in cell_funcs.items():
-        L[ci, : len(I2)] = BP[broken.cell_slice(ci), I2].T @ decs[ci].PB.basis
+    # every cell's functionals of its overlapping partner columns, zero-padded
+    # to one (cells, count, dim) stack: each entry of the constraint matrix
+    # sits on one cell, in the row of its partner column's place in that
+    # cell's list (a partner column lives only on its supporting cells),
+    # found among the sorted keys cell * partner.dim + column of all lists
+    C = lad.abc_constraints(k, bc).tocoo()
+    cell, local = np.divmod(C.col, broken.reference.dim)
+    pairs = np.array([ci * partner.dim + j for ci, I2 in cell_funcs.items() for j in I2], dtype=int)
+    place = np.searchsorted(pairs, cell * partner.dim + C.row) - (np.cumsum(counts) - counts)[cell]
+    BP = np.zeros((mesh.num_cells, counts.max(initial=0), broken.reference.dim))
+    BP[cell, place, local] = C.data
+    # restricted to each cell's twisted part PB, one SVD gives each cell's
+    # rank, pseudo-inverse and local null basis
+    L = np.matmul(BP, np.array([dec.PB.basis for dec in decs]))
     U, sv, Vt = np.linalg.svd(L)
     short = np.flatnonzero(np.sum(sv > 1e-10 * sv[:, :1], axis=1) < counts)
     if short.size:
@@ -742,6 +776,7 @@ def verify_trace_continuity(space: GlobalSpace):
     k = space.k
     if k == mesh.dim:
         return 0.0
+    atlas = space.atlas.toarray() if scipy.sparse.issparse(space.atlas) else space.atlas
     facets = mesh.subsimplices(mesh.dim - 1)
     worst = 0.0
     ref = reference_simplex(mesh.dim - 1)
@@ -752,7 +787,7 @@ def verify_trace_continuity(space: GlobalSpace):
         for col in range(space.dim):
             tr = []
             for ci, _ in owners:
-                form = broken.form_on_cell(space.atlas[:, col], ci)
+                form = broken.form_on_cell(atlas[:, col], ci)
                 tr.append(trace_on(form, coords))
             diff = tr[0] - tr[1]
             err2 = 0.0

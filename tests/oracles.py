@@ -24,6 +24,10 @@ on the whole P0 spaces with it: the oracle of the reference-block check.
 on the dense constraint-route atlases (`DeRhamLadder.abc`, the Whitney and
 star atlases), assembled dense and factored by LAPACK: the oracle of the
 sparse compact-basis solves.
+`dense_whitney_atlas`, `dense_star_atlas` and `dense_constraints` write
+the Whitney atlas, the starred atlas and the constraint matrix as dense
+arrays, the star by reshaping the atlas into cell blocks: the oracle of
+the CSC arrays that the ladder builds from the cell blocks.
 """
 
 import json
@@ -52,10 +56,17 @@ from padfeec.linalg import (
     orthonormalize,
     subspace_equal,
 )
-from padfeec.local import LocalSpace, decompose_local, pairing_matrix, trimmed_local
+from padfeec.local import (
+    LocalSpace,
+    decompose_local,
+    pairing_matrix,
+    reference_star,
+    trimmed_local,
+    whitney_coefficients,
+)
 from padfeec.mesh import Mesh, generate_structured
 from padfeec.report import Report, emit
-from padfeec.spaces import d_pairing, ladder
+from padfeec.spaces import d_pairing, ladder, whitney_dofs
 
 
 def jittered(mesh, seed, amount, everywhere=False):
@@ -315,17 +326,18 @@ def _complex_kernel(lad, complex_, k, bc):
         if _reference_kernel(lad, lad.primal(k), lad.d_matrix(k)).shape[1] != lad.p0(k).ncomp:
             raise AssemblyError("d does not vanish exactly on the constants")
         Rinv = gram_factor(g)[1]
-        CJ = lad.abc_constraints(k, bc) @ (lad.p0_injection(k) @ Rinv)
+        CJ = lad.abc_constraints(k, bc).toarray() @ (lad.p0_injection(k) @ Rinv)
         ns = nullspace(CJ / max(np.abs(CJ).max(initial=0.0), 1e-300))
         return Subspace(ns.ambient_dim, Rinv @ ns.basis, g)
     gs = _complex_space(lad, complex_, k, bc)
+    atlas = gs.atlas.toarray() if scipy.sparse.issparse(gs.atlas) else gs.atlas
     if complex_ == "star":
         if k == 0:
-            return Subspace.from_span(_p0_coords(lad, 0, lad.dual(0), gs.atlas), g)
-        return _domain_kernel_p0(lad, k, lad.dual(k), lad.delta_matrix(k), gs.atlas)
+            return Subspace.from_span(_p0_coords(lad, 0, lad.dual(0), atlas), g)
+        return _domain_kernel_p0(lad, k, lad.dual(k), lad.delta_matrix(k), atlas)
     if k == lad.mesh.dim:
-        return Subspace.from_span(gs.atlas, g)
-    return _domain_kernel_p0(lad, k, lad.primal(k), lad.d_matrix(k), gs.atlas)
+        return Subspace.from_span(atlas, g)
+    return _domain_kernel_p0(lad, k, lad.primal(k), lad.d_matrix(k), atlas)
 
 
 def _complex_range(lad, complex_, k, bc):
@@ -482,7 +494,7 @@ def constraint_atlas_source(mesh, k, F, bc="none"):
     if k < mesh.dim:
         DA = lad.d_matrix(k) @ A
         K = K + DA.T @ (lad.p0(k + 1).gram @ DA)
-    Az = lad.whitney_star(k + 1, "homogeneous" if bc == "none" else "none").atlas
+    Az = lad.whitney_star(k + 1, "homogeneous" if bc == "none" else "none").atlas.toarray()
     Pz = lad.p0_projection(k + 1, "dual") @ Az
     zeta, omega_bar = _dense_block_solve(
         (Az.shape[1], lad.p0(k).dim),
@@ -512,7 +524,7 @@ def constraint_atlas_hodge(mesh, k, F, scheme):
         R = Subspace.from_span(lad.d_matrix(k - 1) @ lad.abc(k - 1, "none")[0].atlas, g0)
         H = gram_complement(R, _complex_kernel(lad, "abc", k, "none"), g0).basis
     As = lad.abc(k - 1, "none")[0].atlas
-    Az = lad.whitney_star(k + 1, "homogeneous").atlas
+    Az = lad.whitney_star(k + 1, "homogeneous").atlas.toarray()
     Ps = lad.p0_projection(k - 1) @ As
     Pz = lad.p0_projection(k + 1, "dual") @ Az
     Mps, Mpz = Ps.T @ (g_lo @ Ps), Pz.T @ (g_hi @ Pz)
@@ -537,7 +549,7 @@ def constraint_atlas_hodge(mesh, k, F, scheme):
         )
         return {"omega_broken": A @ o, "sigma_broken": As @ s, "theta_p0": H @ h}
     if scheme == "mixed_dual":
-        A = lad.whitney_star(k, "homogeneous").atlas
+        A = lad.whitney_star(k, "homogeneous").atlas.toarray()
         Pk, DeltaA = lad.p0_projection(k, "dual") @ A, lad.delta_matrix(k) @ A
         o, z, h = _dense_block_solve(
             (A.shape[1], Az.shape[1], H.shape[1]),
@@ -563,3 +575,41 @@ def constraint_atlas_hodge(mesh, k, F, scheme):
         {0: PV.T @ F_eff},
     )
     return {"omega_broken": A @ o}
+
+
+def dense_whitney_atlas(mesh, k, bc="none"):
+    """The Whitney k-forms as a dense atlas, columns in `whitney_dofs` order.
+
+    Each cell's closed-form coefficients are written through the incidence
+    table into an array of zeros.
+    """
+    lad = ladder(mesh)
+    broken = lad.primal(k)
+    table = mesh.subsimplices(k)
+    dofs = whitney_dofs(mesh, k, bc)
+    column = np.full(table.count, -1)
+    column[dofs] = np.arange(len(dofs))
+    cols = column[table.cell_incidence]  # (cells, faces)
+    cells, faces = np.nonzero(cols >= 0)
+    W = whitney_coefficients(lad.geometry.gradients, k)  # (cells, faces, dim)
+    dim = broken.reference.dim
+    A = np.zeros((broken.dim, len(dofs)))
+    A[cells[:, None] * dim + np.arange(dim), cols[cells, faces][:, None]] = W[cells, faces]
+    return A
+
+
+def dense_star_atlas(mesh, k, bc="none"):
+    """The starred Whitney k-forms as a dense atlas: `reference_star` on the
+    dense (n-k) atlas reshaped into (cells, dim, columns) blocks."""
+    n, cells = mesh.dim, mesh.num_cells
+    A = dense_whitney_atlas(mesh, n - k, bc)
+    S = reference_star(n, n - k)
+    return np.matmul(S, A.reshape(cells, S.shape[1], A.shape[1])).reshape(A.shape)
+
+
+def dense_constraints(mesh, k, bc="none"):
+    """The constraint matrix of the nonconforming k-forms, against the dense partner atlas."""
+    lad = ladder(mesh)
+    if k == mesh.dim:
+        return np.zeros((0, lad.primal(k).dim))
+    return (lad.pairing(k) @ dense_star_atlas(mesh, k + 1, lad.partner_bc(bc))).T

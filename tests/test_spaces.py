@@ -17,9 +17,17 @@ from padfeec.spaces import (
     space_summary,
     star_space,
     verify_trace_continuity,
+    whitney_dofs,
 )
 
-from oracles import decompose_pair, jittered, ladder_locals
+from oracles import (
+    decompose_pair,
+    dense_constraints,
+    dense_star_atlas,
+    dense_whitney_atlas,
+    jittered,
+    ladder_locals,
+)
 
 BOX2 = generate_structured(2, 2)
 BOX3 = generate_structured(3, 1)
@@ -148,7 +156,7 @@ class TestAbcByConstraints:
         mesh = generate_structured(2, 2)
         lad = ladder(mesh)
         star = lad.whitney_star(1, "homogeneous")
-        a, b, c = star.atlas[:, :3].T
+        a, b, c = star.atlas.toarray()[:, :3].T
         columns = np.column_stack([a, a + 1e-9 * b, a + weak * c])
         lad._cache[("whitney-star", 1, "homogeneous")] = GlobalSpace(star.broken, columns, "star")
         if ambiguous:
@@ -266,7 +274,7 @@ class TestEnergyGram:
     def test_gradient_energy_positive_semidefinite(self):
         gs = conforming_whitney(BOX2, 0, "none")
         lad = ladder(BOX2)
-        DA = lad.d_matrix(0) @ gs.atlas
+        DA = lad.d_matrix(0) @ gs.atlas.toarray()
         E = DA.T @ lad.p0(1).gram @ DA
         w = np.linalg.eigvalsh(E)
         assert w[0] > -1e-12
@@ -988,3 +996,63 @@ class TestGramOrthonormalConstraintBases:
             for i, block in enumerate(ref):
                 cells = broken.cell_slice(i)
                 np.testing.assert_array_equal(Rinv[cells, cells].toarray(), block)
+
+
+# -- CSC atlases and constraints against the dense cell-block writes ------------
+
+SPARSE_ATLAS_MESHES = {
+    "box:2": lambda: generate_structured(2, 2),
+    "box:4": lambda: generate_structured(2, 4),
+    "hole:4": lambda: generate_structured(2, 4, "hole"),
+    "tetbox:1": lambda: generate_structured(3, 1),
+    "tetbox:2": lambda: generate_structured(3, 2),
+    "tunnel:4": lambda: generate_structured(3, 4, "tunnel"),
+}
+
+
+class TestSparseAtlasesMatchDenseWrites:
+    """The CSC Whitney and starred atlases and the CSR constraints equal the dense writes."""
+
+    @pytest.fixture(scope="class", params=list(SPARSE_ATLAS_MESHES))
+    def mesh(self, request):
+        return SPARSE_ATLAS_MESHES[request.param]()
+
+    @pytest.mark.parametrize("bc", ["none", "homogeneous"])
+    def test_whitney_and_star_atlases_are_the_dense_ones(self, mesh, bc):
+        lad, n = ladder(mesh), mesh.dim
+        for k in range(n + 1):
+            table = mesh.subsimplices(k)
+            whitney, star = lad.whitney(k, bc), lad.whitney_star(n - k, bc)
+            anchors = [table.simplices[sid] for sid in whitney_dofs(mesh, k, bc)]
+            assert whitney.atlas.format == "csc" and star.atlas.format == "csc"
+            assert whitney.anchors == anchors and star.anchors == anchors
+            assert np.array_equal(whitney.atlas.toarray(), dense_whitney_atlas(mesh, k, bc))
+            assert np.array_equal(star.atlas.toarray(), dense_star_atlas(mesh, n - k, bc))
+
+    @pytest.mark.parametrize("bc", ["none", "homogeneous"])
+    def test_constraints_are_the_dense_ones(self, mesh, bc):
+        lad = ladder(mesh)
+        for k in range(mesh.dim + 1):
+            C, expected = lad.abc_constraints(k, bc), dense_constraints(mesh, k, bc)
+            assert C.format == "csr" and C.shape == expected.shape
+            scale = np.abs(expected).max(initial=0.0)
+            assert np.abs(C.toarray() - expected).max(initial=0.0) <= 1e-15 * scale
+
+
+class TestCompactBasesWithoutDenseAtlas:
+    def test_box16_builds_allocate_less_than_one_dense_partner_atlas(self):
+        # the dense partner atlas of abc_atlas(0, "none") on box:16 is
+        # 1536 x 736 float64, 9.0 MB; the sparse builds stay well below it
+        import tracemalloc
+
+        mesh = generate_structured(2, 16)
+        lad = ladder(mesh)
+        tracemalloc.start()
+        try:
+            lad.abc_basis(0, "none")
+            lad.star_basis(1, "homogeneous")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lad.partner(0, "none").atlas.shape == (1536, 736)
+        assert peak < 1536 * 736 * 8
