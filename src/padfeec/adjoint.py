@@ -46,6 +46,7 @@ import scipy.sparse
 from .errors import AssemblyError, NotAComplex, NotAdmissible, ToleranceFailure
 from .linalg import (
     Subspace,
+    abs_max,
     diagonal_blocks,
     gram_factor,
     icr_of,
@@ -54,6 +55,7 @@ from .linalg import (
     nullspace,
     rank,
     subspace_equal,
+    unit_columns,
 )
 from .local import cell_constants
 from .spaces import ladder, whitney_dofs
@@ -64,24 +66,42 @@ class OperatorPair:
     """A discrete operator with its domain and the partially adjoint partner.
 
     The operators, Grams and pairing are the ladder's sparse cellwise arrays.
+    Each domain is a basis, dense or sparse: independent columns in broken
+    coordinates, not orthonormalized.
     """
 
     T: object
-    domain: Subspace
+    domain: object
     source_gram: object
     range_gram: object
     adjoint_T: object
-    adjoint_domain: Subspace
+    adjoint_domain: object
     adjoint_source_gram: object
     adjoint_range_gram: object
     pairing: object = None
     meta: dict = field(default_factory=dict)
 
+    @classmethod
+    def trimmed(cls, mesh, k, domain, adjoint_domain, **meta):
+        """d on the broken trimmed k-forms and delta on the (k+1)-forms, on the two domains."""
+        lad = ladder(mesh)
+        return cls(
+            T=lad.d_matrix(k),
+            domain=domain,
+            source_gram=lad.primal(k).gram(),
+            range_gram=lad.p0(k + 1).gram,
+            adjoint_T=lad.delta_matrix(k + 1),
+            adjoint_domain=adjoint_domain,
+            adjoint_source_gram=lad.dual(k + 1).gram(),
+            adjoint_range_gram=lad.p0(k).gram,
+            pairing=lad.pairing(k),
+            meta={"mesh": mesh, "k": k, **meta},
+        )
+
     def pairing_residual(self):
-        if self.pairing is None or self.domain.dim == 0 or self.adjoint_domain.dim == 0:
+        if self.pairing is None or 0 in (self.domain.shape[1], self.adjoint_domain.shape[1]):
             return 0.0
-        M = self.domain.basis.T @ self.pairing @ self.adjoint_domain.basis
-        return float(np.abs(M).max())
+        return abs_max(self.domain.T @ (self.pairing @ self.adjoint_domain))
 
 
 @dataclass
@@ -240,22 +260,12 @@ def whitney_pair(mesh, k, bc="none"):
     """The partially adjoint pair: nonconforming k-forms vs conforming duals.
 
     bc='none' places the boundary condition on the conforming side, and
-    conversely.
+    conversely.  The domains are the ladder's compact nonconforming basis
+    and the starred partner atlas, with unit columns.
     """
     lad = ladder(mesh)
-    abc, _ = lad.abc(k, bc)
-    star = lad.partner(k, bc)
-    pair = OperatorPair(
-        T=lad.d_matrix(k),
-        domain=abc.subspace(),
-        source_gram=lad.primal(k).gram(),
-        range_gram=lad.p0(k + 1).gram,
-        adjoint_T=lad.delta_matrix(k + 1),
-        adjoint_domain=star.subspace(),
-        adjoint_source_gram=lad.dual(k + 1).gram(),
-        adjoint_range_gram=lad.p0(k).gram,
-        pairing=lad.pairing(k),
-        meta={"mesh": mesh, "k": k, "bc": bc},
+    pair = OperatorPair.trimmed(
+        mesh, k, lad.abc_basis(k, bc), lad.star_basis(k + 1, lad.partner_bc(bc)), bc=bc
     )
     resid = pair.pairing_residual()
     if resid > 1e-11:
@@ -263,40 +273,26 @@ def whitney_pair(mesh, k, bc="none"):
     return pair
 
 
-def partial_adjoint_of(D: Subspace, mesh, k, check_roundtrip=True):
-    """Adjoint domain of a subspace of the broken k-forms, with round trip.
+def partial_adjoint_of(D, mesh, k, check_roundtrip=True):
+    """Adjoint domain of the span of a basis D of broken k-forms, with round trip.
 
     The domain must contain the mutual-annihilator core of the base pair,
     which every domain does when the core is trivial, as for the trimmed
     pairs; a nontrivial core raises NotAdmissible.  The adjoint domain is the
-    annihilator of the pairing restricted to the domain.
+    annihilator of the pairing restricted to the domain, as a
+    Euclidean-orthonormal basis.
     """
     if not base_pair_report(mesh, k).assumptions_ok["annihilator_cores_trivial"]:
         raise NotAdmissible("the base pair has a nontrivial annihilator core")
-    lad = ladder(mesh)
-    B = lad.pairing(k)
-    Gp, Gq = lad.primal(k).gram(), lad.dual(k + 1).gram()
-    Dsub = Subspace.from_span(D.basis, Gp)
-    rows = Dsub.basis.T @ B
-    adjoint = Subspace.from_span(nullspace(rows / max(np.abs(rows).max(initial=0.0), 1e-300)).basis, Gq)
-    pair = OperatorPair(
-        T=lad.d_matrix(k),
-        domain=Dsub,
-        source_gram=Gp,
-        range_gram=lad.p0(k + 1).gram,
-        adjoint_T=lad.delta_matrix(k + 1),
-        adjoint_domain=adjoint,
-        adjoint_source_gram=Gq,
-        adjoint_range_gram=lad.p0(k).gram,
-        pairing=B,
-        meta={"mesh": mesh, "k": k},
-    )
+    B = ladder(mesh).pairing(k)
+    rows = D.T @ B
+    adjoint = nullspace(rows / max(abs_max(rows), 1e-300)).basis
+    pair = OperatorPair.trimmed(mesh, k, D, adjoint)
     if check_roundtrip:
-        cols = B @ adjoint.basis
-        back = Subspace.from_span(
-            nullspace(cols.T / max(np.abs(cols).max(initial=0.0), 1e-300)).basis, Gp
-        )
-        ok, ang = subspace_equal(Dsub, back, Gp, tol=1e-9)
+        Gp = pair.source_gram
+        cols = B @ adjoint
+        back = nullspace(cols.T / max(abs_max(cols), 1e-300)).basis
+        ok, ang = subspace_equal(*(Subspace.from_span(S, Gp) for S in (D, back)), Gp, tol=1e-9)
         pair.meta["roundtrip_angle"] = ang
         if not ok:
             raise NotAdmissible("double annihilator does not return the domain")
@@ -345,7 +341,7 @@ def _assemble_report(name, lhs_dims, pieces, p0):
     rhs_dims = {n: dim for n, (dim, _) in pieces.items()}
     spans = [S for _, S in pieces.values() if S.shape[1]]
     resid = max(
-        (_abs_max(A.T @ (p0.gram @ B)) for i, A in enumerate(spans) for B in spans[i + 1:]),
+        (abs_max(A.T @ (p0.gram @ B)) for i, A in enumerate(spans) for B in spans[i + 1:]),
         default=0.0,
     )
     lhs_total, rhs_total = sum(lhs_dims.values()), sum(rhs_dims.values())
@@ -370,12 +366,13 @@ def helmholtz_check(pair: OperatorPair):
     Verifies the symmetric twisted-range hypotheses first, on the reference
     blocks (`_full_ranges`); on failure the verdict names them without
     asserting the splits.  The full ranges are one side of each split, by
-    their dimensions alone.
+    their dimensions alone.  On the other side, each kernel is taken on its
+    domain basis, and the range of the same operator has the basis width
+    minus that kernel's dimension; it is measured on its spanning set, the
+    image of the basis with unit columns, so no range is orthonormalized.
     """
     mesh, k = pair.meta["mesh"], pair.meta["k"]
     lad = ladder(mesh)
-    g_lo = lad.p0(k).gram
-    g_hi = lad.p0(k + 1).gram
     hypotheses, (range_full, range_adjoint_full) = _full_ranges(lad, k, pair)
     if not all(hypotheses):
         return DecompositionReport(
@@ -386,24 +383,22 @@ def helmholtz_check(pair: OperatorPair):
             verdict="fail",
             detail={"failed_hypothesis": "twisted ranges do not match opposite kernels"},
         )
+    kernel_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain)
+    kernel_adj = _domain_kernel_p0(lad, k + 1, lad.dual(k + 1), pair.adjoint_T, pair.adjoint_domain)
+    range_dom = unit_columns(pair.T @ pair.domain, lad.p0(k + 1).gram)
+    range_adj = unit_columns(pair.adjoint_T @ pair.adjoint_domain, lad.p0(k).gram)
     # split of the low space: R(adjoint on full) (+) 0  =  R(adjoint on domain) (+) N(T on domain)
-    R_dom_adj = Subspace.from_span(pair.adjoint_T @ pair.adjoint_domain.basis, g_lo)
-    kernel_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain.basis)
     low = _assemble_report(
         "helmholtz-low",
         {"range_adjoint_full": range_adjoint_full, "kernel_core": 0},
-        {"range_adjoint_domain": (R_dom_adj.dim, R_dom_adj.basis),
+        {"range_adjoint_domain": (pair.adjoint_domain.shape[1] - kernel_adj.dim, range_adj),
          "kernel_domain": (kernel_dom.dim, kernel_dom.basis)},
         lad.p0(k),
-    )
-    R_dom = Subspace.from_span(pair.T @ pair.domain.basis, g_hi)
-    kernel_adj = _domain_kernel_p0(
-        lad, k + 1, lad.dual(k + 1), pair.adjoint_T, pair.adjoint_domain.basis
     )
     high = _assemble_report(
         "helmholtz-high",
         {"range_full": range_full, "kernel_core": 0},
-        {"range_domain": (R_dom.dim, R_dom.basis),
+        {"range_domain": (pair.domain.shape[1] - kernel_dom.dim, range_dom),
          "kernel_adjoint_domain": (kernel_adj.dim, kernel_adj.basis)},
         lad.p0(k + 1),
     )
@@ -448,10 +443,10 @@ def _full_ranges(lad, k, pair):
 def _domain_kernel_p0(lad, k, broken, T, basis):
     """Kernel of a broken-to-constant operator on span(``basis``), in P0 coordinates.
 
-    The basis columns need not be orthonormal.
+    The basis, dense or sparse, need only have independent columns.
     """
     TV = T @ basis
-    ns = nullspace(TV / max(np.abs(TV).max(initial=0.0), 1e-300))
+    ns = nullspace(TV / max(abs_max(TV), 1e-300))
     return Subspace.from_span(_p0_coords(lad, k, broken, basis @ ns.basis), lad.p0(k).gram)
 
 
@@ -476,6 +471,15 @@ def _reference_kernel(lad, broken, T):
     return coords
 
 
+def require_constant_kernel(lad, broken, T):
+    """Raise AssemblyError unless the cellwise T (d or delta) vanishes on
+    ``broken`` exactly on the constants; checked on the reference block,
+    which every cell holds."""
+    if _reference_kernel(lad, broken, T).shape[1] != lad.p0(broken.k).ncomp:
+        raise AssemblyError("the cellwise operator on the %s %d-forms does not vanish "
+                            "exactly on the constants" % (broken.name, broken.k))
+
+
 # -- the three discrete complexes ------------------------------------------------
 #
 # 'abc' (nonconforming) and 'conforming' (Whitney) raise the degree with d;
@@ -497,11 +501,8 @@ _FLAVOR_OF = {place: flavor for flavor, place in _FLAVORS.items()}
 
 
 def _complex_space(lad, complex_, k, bc):
-    if complex_ == "abc":
-        return lad.abc(k, bc)[0]
-    if complex_ == "conforming":
-        return lad.whitney(k, bc)
-    return lad.whitney_star(k, bc)
+    """The atlas space of the conforming ('conforming') or starred complex at degree k."""
+    return lad.whitney(k, bc) if complex_ == "conforming" else lad.whitney_star(k, bc)
 
 
 def harmonic_space(mesh, k, flavor):
@@ -616,8 +617,7 @@ def _abc_conditions(lad, k, bc, range_bc):
     R0, R0inv = gram_factor(p0.gram)
     blocks = []
     if k < lad.mesh.dim:
-        if _reference_kernel(lad, lad.primal(k), lad.d_matrix(k)).shape[1] != p0.ncomp:
-            raise AssemblyError("d does not vanish exactly on the constants")
+        require_constant_kernel(lad, lad.primal(k), lad.d_matrix(k))
         C = lad.abc_constraints(k, bc)
         CJ = C @ lad.p0_injection(k)
         blocks.append(CJ @ R0inv)
@@ -713,27 +713,6 @@ def _norm(M):
     return float(np.sqrt(np.sum(np.square(M.data if scipy.sparse.issparse(M) else M))))
 
 
-def _abs_max(M):
-    """Largest |entry| of a dense or sparse matrix, 0 if it has none."""
-    return float(np.abs(M.data if scipy.sparse.issparse(M) else M).max(initial=0.0))
-
-
-def _unit_columns(V, gram):
-    """The dense or sparse V with each nonzero column scaled to unit norm in ``gram``.
-
-    A zero column, such as d of a closed basis function, stays zero.
-    """
-    sparse = scipy.sparse.issparse(V)
-    squares = (V.multiply(gram @ V) if sparse else V * (gram @ V)).sum(axis=0)
-    norms = np.sqrt(np.asarray(squares).ravel())
-    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
-    if not sparse:
-        return V * scale
-    V = scipy.sparse.csc_array(V, copy=True)
-    V.data *= np.repeat(scale, np.diff(V.indptr))
-    return V
-
-
 def _span_signs(basis, rel=1e-8):
     """``basis`` with each column's first entry within ``rel`` of its largest magnitude positive.
 
@@ -795,7 +774,7 @@ def hodge_check(mesh, k):
         H = harmonic_space(mesh, k, flavor).subspace
         below = lad.d_matrix(k - 1) @ lad.abc_basis(k - 1, bc) if k > 0 else empty
         above = lad.delta_matrix(k + 1) @ lad.star_basis(k + 1, star_bc) if k < mesh.dim else empty
-        below, above = _unit_columns(below, p0.gram), _unit_columns(above, p0.gram)
+        below, above = unit_columns(below, p0.gram), unit_columns(above, p0.gram)
         reports[bc] = _assemble_report(
             "hodge-%s" % bc,
             {"full": p0.dim},

@@ -146,30 +146,30 @@ def cmd_space_build(mesh, config, report, kind):
 
 
 def cmd_verify_base_pair(mesh, config, report, name="base-pair"):
+    """The base-pair record; the pair and its domain indices only if every hypothesis holds."""
     from .adjoint import base_pair_report, quantified_crt_check, whitney_pair
 
     _require_degree(mesh, config.k, "verify base-pair", mesh.dim - 1)
     rep = base_pair_report(mesh, config.k, eig_tol=config.eig_tol)
-    pair = whitney_pair(mesh, config.k, config.bc)
-    icr_p, icr_a, bound_ok = quantified_crt_check(pair, rep, eig_tol=config.eig_tol)
-    verdict = "pass" if all(rep.assumptions_ok.values()) and bound_ok else "fail"
+    numbers = {
+        "alpha": rep.alpha,
+        "beta": rep.beta,
+        "gamma": rep.gamma,
+        "icr_broken": rep.icr_tilde,
+        "icr_broken_adjoint": rep.icr_tilde_adjoint,
+        "icr_core": rep.icr_under,
+    }
+    failed = [h for h, ok in rep.assumptions_ok.items() if not ok]
+    verdict, note = "fail", "failed hypothesis: %s; no domain index taken" % ", ".join(failed)
+    if not failed:
+        pair = whitney_pair(mesh, config.k, config.bc)
+        icr_p, icr_a, bound_ok = quantified_crt_check(pair, rep, eig_tol=config.eig_tol)
+        numbers.update(icr_domain=icr_p, icr_adjoint_domain=icr_a)
+        verdict, note = "pass" if bound_ok else "fail", ""
+    numbers.update(annihilator_dim=rep.uM_dim, annihilator_dim_adjoint=rep.uN_dim)
     report.add(
         CheckRecord(
-            name,
-            verdict,
-            numbers={
-                "alpha": rep.alpha,
-                "beta": rep.beta,
-                "gamma": rep.gamma,
-                "icr_broken": rep.icr_tilde,
-                "icr_broken_adjoint": rep.icr_tilde_adjoint,
-                "icr_core": rep.icr_under,
-                "icr_domain": icr_p,
-                "icr_adjoint_domain": icr_a,
-                "annihilator_dim": rep.uM_dim,
-                "annihilator_dim_adjoint": rep.uN_dim,
-            },
-            inputs={"k": config.k, "mesh": config.mesh},
+            name, verdict, numbers=numbers, inputs={"k": config.k, "mesh": config.mesh}, note=note
         )
     )
 
@@ -268,8 +268,9 @@ def cmd_verify_duality(mesh, config, report):
 
 
 def cmd_verify_complex(mesh, config, report):
+    """The complex on the compact basis, and its route equivalence with the constraint route."""
     from .adjoint import complex_rank
-    from .linalg import Subspace, subspace_equal
+    from .linalg import Subspace, abs_max, subspace_equal
     from .spaces import ladder
 
     lad = ladder(mesh)
@@ -277,13 +278,13 @@ def cmd_verify_complex(mesh, config, report):
         worst = 0.0
         dims = {}
         for k in range(mesh.dim):
-            gs, _ = lad.abc(k, bc)
+            A = lad.abc_basis(k, bc)
             C = lad.abc_constraints(k + 1, bc)
             if C.shape[0]:
-                image = lad.p0_injection(k + 1) @ (lad.d_matrix(k) @ gs.atlas)
-                worst = max(worst, float(np.abs(C @ image).max()))
+                image = lad.p0_injection(k + 1) @ (lad.d_matrix(k) @ A)
+                worst = max(worst, abs_max(C @ image))
             r = complex_rank(mesh, "abc", k, bc)
-            dims["kernel_%d" % k] = gs.dim - r
+            dims["kernel_%d" % k] = A.shape[1] - r
             dims["range_%d" % (k + 1)] = r
         report.add(
             CheckRecord(

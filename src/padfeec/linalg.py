@@ -196,6 +196,30 @@ def diagonal_blocks(M, r, c):
     return out
 
 
+def abs_max(M):
+    """Largest |entry| of a dense or sparse matrix, 0 if it has none, with no
+    temporary of its size."""
+    M = M.data if scipy.sparse.issparse(M) else np.asarray(M)
+    return float(max(M.max(initial=0.0), -M.min(initial=0.0)))
+
+
+def unit_columns(V, gram):
+    """The dense or sparse V with each nonzero column divided by its norm in ``gram``.
+
+    A zero column, such as d of a closed basis function, stays zero.  A
+    sparse V gives a CSC array.
+    """
+    sparse = scipy.sparse.issparse(V)
+    squares = (V.multiply(gram @ V) if sparse else V * (gram @ V)).sum(axis=0)
+    norms = np.sqrt(np.asarray(squares).ravel())
+    norms[norms == 0.0] = 1.0
+    if not sparse:
+        return V / norms
+    V = scipy.sparse.csc_array(V, copy=True)
+    V.data /= np.repeat(norms, np.diff(V.indptr))
+    return V
+
+
 def dense_factor(G):
     """Upper Cholesky factor R and R^-1 of a Gram, or batched over a stack of Grams."""
     try:
@@ -436,23 +460,23 @@ def infsup(A: Subspace, B: Subspace, gram=None):
     return float(np.clip(s[A.dim - 1], 0.0, 1.0))
 
 
-def icr_of(T, D: Subspace, gram_x=None, gram_y=None, eig_tol=EIG_TOL):
-    """Index of closed range of T restricted to the domain subspace D.
+def icr_of(T, V, gram_x=None, gram_y=None, eig_tol=EIG_TOL):
+    """Index of closed range of T restricted to the span of the columns of V.
 
     Computes sup |v|_X / |Tv|_Y over the X-orthogonal complement of the kernel
-    inside D; returns 0.0 when that complement is trivial.
+    inside span V; returns 0.0 when that complement is trivial.  V, dense or
+    sparse, need only have independent columns: the pencil (K, M), K = (T V)^T
+    G_y (T V) and M = V^T G_x V, has the same eigenvalues on every basis of
+    the span.
     """
     if not scipy.sparse.issparse(T):
         T = _as_matrix(T)
-    if D.dim == 0:
+    if V.shape[1] == 0:
         return 0.0
-    V = D.basis
     TV = T @ V
-    K = _cross_gram(TV, _as_gram(gram_y), TV)
-    M = _cross_gram(V, _as_gram(gram_x), V)
-    K = 0.5 * (K + K.T)
-    M = 0.5 * (M + M.T)
-    w = scipy.linalg.eigh(K, M, eigvals_only=True)
+    K = _as_matrix(_cross_gram(TV, _as_gram(gram_y), TV))
+    M = _as_matrix(_cross_gram(V, _as_gram(gram_x), V))
+    w = scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (M + M.T), eigvals_only=True)
     wmax = max(w[-1], 0.0)
     if wmax <= 0.0:
         return 0.0
@@ -471,29 +495,24 @@ def icr_of(T, D: Subspace, gram_x=None, gram_y=None, eig_tol=EIG_TOL):
 def pencil_nonzero_eigs(K, M, rel_tol=1e-9):
     """Finite nonzero eigenvalues of the PSD pencil K v = lambda M v.
 
-    Handles a singular M (and a possible common kernel of K and M) by the
-    shifted symmetric reduction M v = theta (K + M) v; finite eigenvalues are
-    (1-theta)/theta.  Returns the sorted nonzero eigenvalues and the count of
+    Handles a singular M by the shifted symmetric reduction M v = theta
+    (K + M) v; finite eigenvalues are (1-theta)/theta.  K + M must be
+    positive definite, so that K and M share no kernel; otherwise
+    SolverFailure.  Returns the sorted nonzero eigenvalues and the count of
     zero eigenvalues (theta ~ 1).
     """
     K = _as_matrix(K)
     M = _as_matrix(M)
-    n = K.shape[0]
-    if n == 0:
+    if K.shape[0] == 0:
         return np.zeros(0), 0
     sK = max(np.abs(K).max(), 1e-300)
     sM = max(np.abs(M).max(), 1e-300)
-    common = nullspace(np.vstack([K / sK, M / sM]))
-    if common.dim:
-        Q = nullspace(common.basis.T).basis
-    else:
-        Q = np.eye(n)
-    Kr = Q.T @ K @ Q
-    Mr = Q.T @ M @ Q
-    A = 0.5 * (Kr + Kr.T)
-    B = 0.5 * (Mr + Mr.T)
+    A, B = 0.5 * (K + K.T), 0.5 * (M + M.T)
     S = A / sK + B / sM
-    theta = scipy.linalg.eigh(B / sM, 0.5 * (S + S.T), eigvals_only=True)
+    try:
+        theta = scipy.linalg.eigh(B / sM, 0.5 * (S + S.T), eigvals_only=True)
+    except np.linalg.LinAlgError:
+        raise SolverFailure("K + M of the pencil is not positive definite") from None
     theta = np.clip(theta, 0.0, 1.0)
     lam = np.full_like(theta, np.inf)
     pos = theta > rel_tol

@@ -5,13 +5,13 @@ dual form), the eigenvalue pair, and four Hodge-Laplace schemes sharing one
 right-hand side; every announced equivalence between them is verified as a
 relative residual.  All mass terms use the projection onto piecewise
 constants exactly as the schemes are written; only the constant moments of
-the load enter any right-hand side.  The source and Hodge schemes run on
-the ladder's unit-scaled compact bases (`abc_basis`, `star_basis`), and
-are factored by sparse LU where those are sparse (on meshes of
-`spaces.SPARSE_CELLS` cells or more).  The one-field scheme runs on the
-broken full family, bordered by its constraint rows, and takes the format
-of those bases; the eigenvalue pencils, on the constraint atlases, are
-dense.
+the load enter any right-hand side.  The source and Hodge schemes and the
+eigenvalue pencils run on the ladder's unit-scaled compact bases
+(`abc_basis`, `star_basis`).  The source and Hodge systems are factored by
+sparse LU where those bases are sparse (on meshes of `spaces.SPARSE_CELLS`
+cells or more); the one-field scheme runs on the broken full family,
+bordered by its constraint rows, and takes the format of those bases.  The
+pencils' nonzero spectra come from one dense generalized `eigh` each.
 """
 
 from dataclasses import dataclass, field
@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .adjoint import harmonic_space
+from .adjoint import harmonic_space, require_constant_kernel
 from .errors import AssemblyError, DegreeMismatch, InvalidParameter, SolverFailure
-from .forms import cell_quadrature, random_polyform
-from .linalg import pencil_nonzero_eigs, solve_symmetric
+from .forms import cell_quadrature, product_positions, random_polyform
+from .linalg import abs_max, pencil_nonzero_eigs, solve_symmetric
 from .spaces import d_pairing, ladder
 
 
@@ -62,26 +62,19 @@ def _check_symmetric(K, label):
     A dense K is compared in stripes of rows, so no temporary of its size
     is made; a sparse one is compared whole.
     """
-    tol = 1e-13 * max(_max_abs(K), 1e-300)
+    tol = 1e-13 * max(abs_max(K), 1e-300)
     if scipy.sparse.issparse(K):
         stripes = [K - K.T]
     else:
         stripes = (
             K[r : r + _STRIPE] - K[:, r : r + _STRIPE].T for r in range(0, K.shape[0], _STRIPE)
         )
-    if any(_max_abs(gap) > tol for gap in stripes):
+    if any(abs_max(gap) > tol for gap in stripes):
         raise AssemblyError("%s system lost symmetry" % label)
     return K
 
 
 _STRIPE = 128  # rows per stripe of the symmetry check
-
-
-def _max_abs(B):
-    """Largest |entry| of a dense or sparse block, 0 for an empty one, with
-    no temporary of its size."""
-    B = B.data if scipy.sparse.issparse(B) else B
-    return float(max(B.max(initial=0.0), -B.min(initial=0.0)))
 
 
 def _block_system(sizes, blocks, rhs_blocks, label):
@@ -145,8 +138,8 @@ def p0_moments(mesh, k, load):
     cells_of = {}
     for ci, form in enumerate(load):
         cells_of.setdefault(id(form), (form, []))[1].append(ci)
-    # the constant's row of the scalar mass matrix: every monomial's integral
-    moments = lad.geometry.mass_matrices(0)[:, 0]
+    # every monomial's integral: the constant's row of the scalar mass matrix
+    moments = lad.geometry.moments()[:, product_positions(mesh.dim)[0]]
     F = np.zeros((mesh.num_cells, p0.ncomp))
     for form, cells in cells_of.values():
         if (form.n, form.k) != (mesh.dim, k):
@@ -245,24 +238,27 @@ def verify_source_equivalence(mesh, primal_sol, dual_sol):
 def solve_eigen_pair(mesh, k, bc="none", rel_tol=1e-9):
     """Nonzero spectra of the primal and dual eigenvalue schemes.
 
-    Both pencils carry the projected mass, so infinite eigenvalues (modes
-    invisible to the projection) are removed symmetrically before comparing.
+    The pencils are assembled on the compact nonconforming basis and on the
+    partner's starred atlas.  Both carry the projected mass, so infinite
+    eigenvalues (modes invisible to the projection) are removed symmetrically
+    before comparing.  d (delta) vanishes exactly on the constants, checked
+    on the reference block, where the projection is the identity, so K + M
+    is positive definite: the pencils share no kernel.
     """
     lad = ladder(mesh)
-    gs, _ = lad.abc(k, bc)
-    A = gs.atlas
-    DA = lad.d_matrix(k) @ A
-    K1 = DA.T @ lad.p0(k + 1).gram @ DA
-    P1 = lad.p0_projection(k) @ A
-    M1 = P1.T @ lad.p0(k).gram @ P1
-    primal_vals, primal_zero = pencil_nonzero_eigs(K1, M1, rel_tol)
-    star = lad.partner(k, bc)
-    Az = star.atlas
-    DZ = lad.delta_matrix(k + 1) @ Az
-    K2 = DZ.T @ lad.p0(k).gram @ DZ
-    P2 = lad.p0_projection(k + 1, "dual") @ Az
-    M2 = P2.T @ lad.p0(k + 1).gram @ P2
-    dual_vals, dual_zero = pencil_nonzero_eigs(K2, M2, rel_tol)
+    require_constant_kernel(lad, lad.primal(k), lad.d_matrix(k))
+    require_constant_kernel(lad, lad.dual(k + 1), lad.delta_matrix(k + 1))
+    spectra = []
+    for A, T, P, lo, hi in (
+        (lad.abc_basis(k, bc), lad.d_matrix(k), lad.p0_projection(k), k, k + 1),
+        (lad.star_basis(k + 1, lad.partner_bc(bc)), lad.delta_matrix(k + 1),
+         lad.p0_projection(k + 1, "dual"), k + 1, k),
+    ):
+        TA, PA = T @ A, P @ A
+        K = TA.T @ (lad.p0(hi).gram @ TA)
+        M = PA.T @ (lad.p0(lo).gram @ PA)
+        spectra.append(pencil_nonzero_eigs(K, M, rel_tol))
+    (primal_vals, primal_zero), (dual_vals, dual_zero) = spectra
     m = min(primal_vals.size, dual_vals.size)
     if primal_vals.size != dual_vals.size:
         gap = np.inf
@@ -403,7 +399,7 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         C = _mixed_constraints(lad, k)
         if not scipy.sparse.issparse(C):
             S = S.toarray()  # a small mesh's system is dense, as its bases are
-        C = C * (_max_abs(S) / max(_max_abs(C), 1e-300))
+        C = C * (abs_max(S) / max(abs_max(C), 1e-300))
         P = lad.p0_projection(k, "full")
         # harmonic part of the load
         if H.shape[1]:

@@ -37,14 +37,15 @@ The Whitney atlas is a CSC array written straight from the cells' closed-form
 blocks (`_cell_columns`), each column on the patch of its sub-simplex; the
 starred atlas is the cellwise star of it, and the constraint matrix C, the
 pairing times the starred partner atlas, is a CSR array.  So no array of
-the broken dimension times the partner's is formed.  The constraint route's
-atlas and nullspace bases are dense.  The ladder also keeps the compact
-nonconforming basis and the starred atlases with columns of unit
-broken-Gram norm, as CSC arrays from `SPARSE_CELLS` cells up and dense
-below, and the solves run on these.  Each compact basis function keeps only
-its cell blocks, and the compact basis is written, scaled, straight from
-them.  The cells that hold a sub-simplex come from the incidence and owner
-tables of `Mesh.subsimplices`.
+the broken dimension times the partner's is formed.  The ladder also keeps
+the compact nonconforming basis and the starred atlases with columns of
+unit broken-Gram norm, as CSC arrays from `SPARSE_CELLS` cells up and dense
+below, and everything that runs on the nonconforming space runs on these.
+Each compact basis function keeps only its cell blocks, and the compact
+basis is written, scaled, straight from them.  The cells that hold a
+sub-simplex come from the incidence and owner tables of `Mesh.subsimplices`.
+The constraint route's dense pivoted QR (`abcfes_by_constraints`) is the
+compact basis's cross-check, built only by `verify complex` and `space build`.
 
 The mesh's `DeRhamLadder` is the one home of the operators of a broken
 space, and of the nonconforming constraint matrix C that both routes to
@@ -83,6 +84,7 @@ from .linalg import (
     diagonal_blocks,
     gram_factor,
     pivoted_nullspace,
+    unit_columns,
 )
 from .local import (
     FAMILY_OPS,
@@ -253,8 +255,9 @@ class GlobalSpace:
     """A subspace of a broken space given by an atlas of coefficient columns.
 
     The Whitney and starred atlases are CSC arrays, each column with
-    blocks only on the cells of its patch; the constraint route's atlas and
-    the identity atlas of a whole broken space are dense.  ``span`` is the
+    blocks only on the cells of its patch, and so are the identity atlases
+    of a whole broken space and of the top degree; the constraint route's
+    atlas below the top degree is dense.  ``span`` is the
     atlas as an orthonormal `Subspace`; a constructor that already holds one
     passes it, otherwise `subspace` builds it on first use, densifying the
     atlas for its QR.
@@ -363,10 +366,11 @@ class BasisAtlas:
 # needs such a matrix: with this guard lifted, `solve hodge --k 1 --scheme
 # all --check-equivalence` passed every record on box:64 (8,192 MiB
 # reckoned) in 8.5 s at a 334 MB peak RSS, and on tetbox:8 (3,528 MiB) in
-# 23.8 s at 625 MB (2 CPUs, OpenBLAS).  The guard stays
-# for the routes that still take a dense QR square in the broken space: the
-# constraint route's pivoted QR (`abcfes_by_constraints`) and the dense rows
-# of an excluded harmonic space in `adjoint._conditions`.
+# 23.8 s at 625 MB (2 CPUs, OpenBLAS).  The guard stays for the routes that
+# still take a dense square: the constraint route's pivoted QR in `verify
+# complex` and `space build --kind abc` (square in the broken space), the
+# dense eigen pencils of `solve eigen` and `verify base-pair` (`icr_of`), and
+# the dense rows of an excluded harmonic space in `adjoint._conditions`.
 DENSE_LIMIT_MB = 1024
 
 # Cells from which the ladder keeps its compact bases sparse.  Below it the
@@ -560,22 +564,17 @@ class DeRhamLadder:
 
     def star_basis(self, k, bc="none"):
         """The atlas of `whitney_star`, columns of unit broken-Gram norm, kept as `abc_basis`."""
-        return self._get(
-            ("star-basis", k, bc),
-            lambda: self._unit_columns(self.whitney_star(k, bc).atlas, self.dual(k).gram()),
-        )
+
+        def build():
+            B = unit_columns(self.whitney_star(k, bc).atlas, self.dual(k).gram())
+            return B if self.sparse else B.toarray()
+
+        return self._get(("star-basis", k, bc), build)
 
     @property
     def sparse(self):
         """Whether the compact bases are CSC arrays: on a mesh of `SPARSE_CELLS` cells or more."""
         return self.mesh.num_cells >= SPARSE_CELLS
-
-    def _unit_columns(self, A, gram):
-        """The CSC A with each column scaled to unit norm in ``gram``, made
-        dense if the compact bases are dense."""
-        B = A.copy()
-        B.data /= np.repeat(np.sqrt(A.multiply(gram @ A).sum(axis=0)), np.diff(B.indptr))
-        return B if self.sparse else B.toarray()
 
 
 def ladder(mesh):
@@ -589,9 +588,9 @@ def ladder(mesh):
 
 
 def broken_space(mesh, k, variant="primal"):
-    """The whole broken trimmed space as a GlobalSpace (identity atlas)."""
+    """The whole broken trimmed space as a GlobalSpace (a sparse identity atlas)."""
     broken = ladder(mesh).broken(k, variant)
-    return GlobalSpace(broken, np.eye(broken.dim), kind="broken")
+    return GlobalSpace(broken, scipy.sparse.eye_array(broken.dim, format="csc"), kind="broken")
 
 
 def whitney_dofs(mesh, k, bc="none"):
@@ -660,7 +659,10 @@ def abcfes_by_constraints(mesh, k, bc="none", lad=None):
     broken = lad.primal(k)
     C = lad.abc_constraints(k, bc)
     if k == mesh.dim:
-        gs = GlobalSpace(broken, np.eye(broken.dim), kind="abc" if bc == "none" else "abc0", bc=bc)
+        gs = GlobalSpace(
+            broken, scipy.sparse.eye_array(broken.dim, format="csc"),
+            kind="abc" if bc == "none" else "abc0", bc=bc,
+        )
         return gs, ConstraintSet(C, None)
     partner = lad.partner(k, bc)
     # null vectors of C R^-1 are Euclidean-orthonormal, so A = R^-1 N is

@@ -28,6 +28,12 @@ sparse compact-basis solves.
 the Whitney atlas, the starred atlas and the constraint matrix as dense
 arrays, the star by reshaping the atlas into cell blocks: the oracle of
 the CSC arrays that the ladder builds from the cell blocks.
+`constraint_route_pair` is the base pair on the Gram-orthonormal
+constraint-route atlas and the orthonormalized partner atlas, and
+`constraint_route_eigen` the eigen pencils on the constraint-route atlases,
+with `common_kernel_pencil_eigs` removing a common kernel of K and M by a
+pivoted QR of the stacked [K; M]: the oracles of the compact-basis pair and
+pencils.
 """
 
 import json
@@ -38,6 +44,7 @@ import scipy.sparse
 
 from padfeec.adjoint import (
     _FLAVORS,
+    OperatorPair,
     _complex_space,
     _domain_kernel_p0,
     _p0_coords,
@@ -329,7 +336,7 @@ def _complex_kernel(lad, complex_, k, bc):
         CJ = lad.abc_constraints(k, bc).toarray() @ (lad.p0_injection(k) @ Rinv)
         ns = nullspace(CJ / max(np.abs(CJ).max(initial=0.0), 1e-300))
         return Subspace(ns.ambient_dim, Rinv @ ns.basis, g)
-    gs = _complex_space(lad, complex_, k, bc)
+    gs = lad.abc(k, bc)[0] if complex_ == "abc" else _complex_space(lad, complex_, k, bc)
     atlas = gs.atlas.toarray() if scipy.sparse.issparse(gs.atlas) else gs.atlas
     if complex_ == "star":
         if k == 0:
@@ -613,3 +620,54 @@ def dense_constraints(mesh, k, bc="none"):
     if k == mesh.dim:
         return np.zeros((0, lad.primal(k).dim))
     return (lad.pairing(k) @ dense_star_atlas(mesh, k + 1, lad.partner_bc(bc))).T
+
+
+def constraint_route_pair(mesh, k, bc="none"):
+    """`adjoint.whitney_pair` on the constraint route: the domain is the
+    Gram-orthonormal atlas of `DeRhamLadder.abc`, the adjoint domain the
+    partner's starred atlas orthonormalized by a dense QR."""
+    lad = ladder(mesh)
+    return OperatorPair.trimmed(
+        mesh, k, lad.abc(k, bc)[0].subspace().basis, lad.partner(k, bc).subspace().basis, bc=bc
+    )
+
+
+def common_kernel_pencil_eigs(K, M, rel_tol=1e-9):
+    """`linalg.pencil_nonzero_eigs` with a common kernel of K and M removed
+    first: the pencil is restricted to the complement of the null space of
+    the stacked [K / max|K|; M / max|M|], by pivoted QR."""
+    K, M = np.asarray(K, dtype=float), np.asarray(M, dtype=float)
+    n = K.shape[0]
+    if n == 0:
+        return np.zeros(0), 0
+    sK = max(np.abs(K).max(), 1e-300)
+    sM = max(np.abs(M).max(), 1e-300)
+    common = nullspace(np.vstack([K / sK, M / sM]))
+    Q = nullspace(common.basis.T).basis if common.dim else np.eye(n)
+    A = 0.5 * (Q.T @ K @ Q + (Q.T @ K @ Q).T)
+    B = 0.5 * (Q.T @ M @ Q + (Q.T @ M @ Q).T)
+    S = A / sK + B / sM
+    theta = np.clip(scipy.linalg.eigh(B / sM, 0.5 * (S + S.T), eigvals_only=True), 0.0, 1.0)
+    lam = np.full_like(theta, np.inf)
+    pos = theta > rel_tol
+    lam[pos] = (1.0 - theta[pos]) / theta[pos] * (sK / sM)
+    finite = lam[np.isfinite(lam)]
+    cut = rel_tol * max(finite.max(initial=1.0), 1.0)
+    return np.sort(finite[np.abs(finite) > cut]), int(np.sum(np.abs(finite) <= cut))
+
+
+def constraint_route_eigen(mesh, k, bc="none", rel_tol=1e-9):
+    """((primal nonzero eigenvalues, zero count), (dual ..., ...)) of
+    `solve.solve_eigen_pair`'s pencils on the constraint-route atlas and the
+    partner's starred atlas, by `common_kernel_pencil_eigs`."""
+    lad = ladder(mesh)
+    out = []
+    for A, T, P, lo, hi in (
+        (lad.abc(k, bc)[0].atlas, lad.d_matrix(k), lad.p0_projection(k), k, k + 1),
+        (lad.partner(k, bc).atlas.toarray(), lad.delta_matrix(k + 1),
+         lad.p0_projection(k + 1, "dual"), k + 1, k),
+    ):
+        TA, PA = T @ A, P @ A
+        K, M = TA.T @ (lad.p0(hi).gram @ TA), PA.T @ (lad.p0(lo).gram @ PA)
+        out.append(common_kernel_pencil_eigs(K, M, rel_tol))
+    return tuple(out)

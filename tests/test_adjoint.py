@@ -361,33 +361,34 @@ class TestPartialAdjoint:
     def test_full_domain_gives_trivial_adjoint(self):
         lad = ladder(BOX2)
         D = full_subspace(lad.primal(0).dim, lad.primal(0).gram())
-        pair = partial_adjoint_of(D, BOX2, 0)
-        assert pair.adjoint_domain.dim == 0  # the annihilator core is trivial
+        pair = partial_adjoint_of(D.basis, BOX2, 0)
+        assert pair.adjoint_domain.shape[1] == 0  # the annihilator core is trivial
 
     def test_zero_domain_gives_full_adjoint(self):
         lad = ladder(BOX2)
         D = zero_subspace(lad.primal(0).dim, lad.primal(0).gram())
-        pair = partial_adjoint_of(D, BOX2, 0)
-        assert pair.adjoint_domain.dim == lad.dual(1).dim
+        pair = partial_adjoint_of(D.basis, BOX2, 0)
+        assert pair.adjoint_domain.shape[1] == lad.dual(1).dim
 
     def test_conforming_domain_pairs_with_flux_space(self):
         # scalar conforming space with boundary condition: its partner is the
         # flux-type nonconforming space on the conjugated side
         lad = ladder(BOX2)
         wh = lad.whitney(0, "homogeneous")
-        pair = partial_adjoint_of(wh.subspace(), BOX2, 0)
+        pair = partial_adjoint_of(wh.subspace().basis, BOX2, 0)
         assert pair.meta["roundtrip_angle"] < 1e-9
-        assert pair.adjoint_domain.dim == lad.dual(1).dim - wh.dim
+        assert pair.adjoint_domain.shape[1] == lad.dual(1).dim - wh.dim
         assert pair.pairing_residual() < 1e-11
 
     def test_roundtrip_on_nonconforming_domain(self):
         lad = ladder(BOX2)
         gs, _ = lad.abc(0, "homogeneous")
-        pair = partial_adjoint_of(gs.subspace(), BOX2, 0)
+        pair = partial_adjoint_of(gs.subspace().basis, BOX2, 0)
         assert pair.meta["roundtrip_angle"] < 1e-9
         # the adjoint domain contains the star-conjugated conforming partner
         partner = lad.whitney_star(1, "none")
-        assert contains(pair.adjoint_domain, partner.subspace().basis, tol=1e-8)
+        adjoint = Subspace(lad.dual(1).dim, pair.adjoint_domain)  # Euclidean-orthonormal
+        assert contains(adjoint, partner.subspace().basis, tol=1e-8)
 
 
 class TestQuantifiedCrt:
@@ -400,7 +401,7 @@ class TestQuantifiedCrt:
 
     def test_zero_maps(self):
         D = full_subspace(3)
-        assert icr_of(np.zeros((2, 3)), D) == 0.0
+        assert icr_of(np.zeros((2, 3)), D.basis) == 0.0
 
     def test_genuinely_adjoint_finite_dimensional_pair(self):
         # adjoint matrices share the index of closed range to high accuracy
@@ -413,8 +414,8 @@ class TestQuantifiedCrt:
             Gy = rng.standard_normal((m, m))
             Gy = Gy @ Gy.T + m * np.eye(m)
             Tstar = np.linalg.solve(Gx, T.T @ Gy)
-            a = icr_of(T, full_subspace(n, Gx), Gx, Gy)
-            b = icr_of(Tstar, full_subspace(m, Gy), Gy, Gx)
+            a = icr_of(T, full_subspace(n, Gx).basis, Gx, Gy)
+            b = icr_of(Tstar, full_subspace(m, Gy).basis, Gy, Gx)
             assert abs(a - b) <= 1e-9 * max(a, b)
 
 
@@ -612,6 +613,11 @@ class TestConstraintKernel:
             _complex_kernel(ladder(generate_structured(2, 2)), "abc", 1, "none")
         with pytest.raises(AssemblyError, match="constants"):
             harmonic_space(generate_structured(2, 2), 1, "abc")
+        # and of the eigen pencils' shared-kernel-free K + M
+        from padfeec.solve import solve_eigen_pair
+
+        with pytest.raises(AssemblyError, match="constants"):
+            solve_eigen_pair(generate_structured(2, 2), 0)
 
 
 class TestEmptyComplement:
@@ -1133,9 +1139,9 @@ class TestOrthogonalDualityInvariant:
         g = lad.p0(k).gram
         from padfeec.adjoint import _domain_kernel_p0
 
-        N_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain.basis)
+        N_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain)
         N_full = broken_kernel_p0(lad, k, lad.primal(k), pair.T)
-        R_adj = Subspace.from_span(pair.adjoint_T @ pair.adjoint_domain.basis, g)
+        R_adj = Subspace.from_span(pair.adjoint_T @ pair.adjoint_domain, g)
         expected = gram_complement(R_adj, N_full, g)
         ok, ang = subspace_equal(N_dom, expected, g, tol=1e-9)
         assert ok, ang
@@ -1297,3 +1303,20 @@ class TestComplexDuality:
         assert rep.passed
         assert rep.lhs_dims == {"abc": 0, "abc0": 1}
         assert rep.identity_angle < 1e-12
+
+
+class TestConstraintRoutePairOracle:
+    """The pair on the compact basis and the partner atlas gives the domain
+    indices of the pair on the constraint route's orthonormal atlases."""
+
+    @pytest.mark.parametrize("name", ["box:4", "hole:8", "tetbox:2", "tunnel:4"])
+    def test_domain_indices(self, name):
+        mesh = _oracle_mesh(name)
+        for k in range(mesh.dim):
+            rep = base_pair_report(mesh, k)
+            for bc in ("none", "homogeneous"):
+                new = quantified_crt_check(whitney_pair(mesh, k, bc), rep)
+                old = quantified_crt_check(oracles.constraint_route_pair(mesh, k, bc), rep)
+                assert new[2] and old[2], (k, bc)
+                for a, b in zip(new[:2], old[:2]):
+                    assert abs(a - b) <= 1e-10 * b, (k, bc, a, b)

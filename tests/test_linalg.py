@@ -176,16 +176,16 @@ class TestGramFactor:
 class TestIcr:
     def test_zero_map_convention(self):
         D = full_subspace(2)
-        assert icr_of(np.zeros((2, 2)), D) == 0.0
+        assert icr_of(np.zeros((2, 2)), D.basis) == 0.0
 
     def test_isometry(self):
         D = full_subspace(3)
-        assert icr_of(np.eye(3), D) == pytest.approx(1.0, abs=1e-12)
+        assert icr_of(np.eye(3), D.basis) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal(self):
         # eigenvalue oracle: smallest singular value 0.5 -> icr = 2
         D = full_subspace(2)
-        assert icr_of(np.diag([2.0, 0.5]), D) == pytest.approx(2.0, rel=1e-12)
+        assert icr_of(np.diag([2.0, 0.5]), D.basis) == pytest.approx(2.0, rel=1e-12)
 
     def test_invariant_under_gram_orthogonal_reparametrization(self):
         rng = np.random.default_rng(3)
@@ -194,10 +194,10 @@ class TestIcr:
         G = rng.standard_normal((n, n))
         G = G @ G.T + n * np.eye(n)
         V = rng.standard_normal((n, 5))
-        base = icr_of(T, Subspace.from_span(V, G), gram_x=G)
+        base = icr_of(T, Subspace.from_span(V, G).basis, gram_x=G)
         for _ in range(5):
             Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-            other = icr_of(T, Subspace.from_span(V @ Q, G), gram_x=G)
+            other = icr_of(T, Subspace.from_span(V @ Q, G).basis, gram_x=G)
             assert abs(other - base) <= 1e-10 * base
 
 
@@ -209,9 +209,9 @@ class TestIcrDegenerate:
         # smallest kept value sits below the absolute tolerance
         D = full_subspace(2)
         with pytest.raises(NotClosedRange):
-            icr_of(np.diag([1e-4, 1e-6]), D)
+            icr_of(np.diag([1e-4, 1e-6]), D.basis)
         # a clean scale separation classifies the tiny mode as kernel instead
-        assert icr_of(np.diag([1.0, 1e-6]), D) == pytest.approx(1.0)
+        assert icr_of(np.diag([1.0, 1e-6]), D.basis) == pytest.approx(1.0)
 
 
 class TestSubspaceEqual:
@@ -285,12 +285,14 @@ class TestPencil:
         assert np.allclose(lam, [2.0])
         assert zeros == 1  # the (0,0,1) direction has K v = 0, M v != 0
 
-    def test_common_kernel_removed(self):
+    def test_common_kernel_refused(self):
+        # K + M is singular: the pencils this takes share no kernel by construction
+        from padfeec.errors import SolverFailure
+
         K = np.diag([5.0, 0.0])
         M = np.diag([1.0, 0.0])
-        lam, zeros = pencil_nonzero_eigs(K, M)
-        assert np.allclose(lam, [5.0])
-        assert zeros == 0
+        with pytest.raises(SolverFailure, match="not positive definite"):
+            pencil_nonzero_eigs(K, M)
 
 
 class TestSolveSymmetric:

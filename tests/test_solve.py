@@ -382,6 +382,23 @@ class TestSparseRoute:
         # nor a one-field space: that scheme is solved bordered by its constraints
         assert not [key for key in ladder(mesh)._cache if key[0] == "mixed-space"]
 
+    @pytest.mark.parametrize("spec", ["hole:4", "tetbox:1"])
+    def test_base_pair_splits_and_eigen_build_no_constraint_atlas(self, spec):
+        from padfeec.cli import cmd_solve_eigen, cmd_verify_base_pair, cmd_verify_decomposition
+        from padfeec.report import Report, RunConfig
+
+        mesh = _mesh(spec)
+        for name, command in (("verify base-pair", cmd_verify_base_pair),
+                              ("verify decomposition", cmd_verify_decomposition),
+                              ("solve eigen", cmd_solve_eigen)):
+            for k in range(mesh.dim):
+                for bc in ("none", "homogeneous"):
+                    config = RunConfig(command=name, mesh=spec, k=k, bc=bc).validate()
+                    report = Report(config)
+                    command(mesh, config, report)
+                    assert report.all_passed, (name, k, bc)
+        assert [key for key in ladder(mesh)._cache if key[0] == "abc"] == []
+
     def test_sparse_systems_do_not_reach_dense_lu(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("dense LU called")
@@ -425,3 +442,23 @@ class TestSparseRoute:
                 else:
                     assert _close(new.components[name], vec), (old.scheme, name)
             assert abs(new.condition - old.condition) <= 1e-5 * old.condition, old.scheme
+
+
+class TestConstraintRouteEigenOracle:
+    """The pencils on the compact bases give the nonzero spectra and zero
+    multiplicities of the pencils on the constraint-route atlases."""
+
+    @pytest.mark.parametrize("spec", ["box:4", "hole:8", "tetbox:2", "tunnel:4"])
+    def test_nonzero_spectra(self, spec):
+        from oracles import constraint_route_eigen
+
+        mesh = _mesh(spec)
+        for k in range(mesh.dim):
+            for bc in ("none", "homogeneous"):
+                primal, dual, _, meta = solve_eigen_pair(mesh, k, bc)
+                (old_primal, old_zero), (old_dual, old_dual_zero) = constraint_route_eigen(mesh, k, bc)
+                assert meta == {"primal_zero_multiplicity": old_zero,
+                                "dual_zero_multiplicity": old_dual_zero}, (k, bc)
+                for new, old in ((primal, old_primal), (dual, old_dual)):
+                    assert new.size == old.size, (k, bc)
+                    assert np.all(np.abs(new - old) <= 1e-9 * np.abs(old)), (k, bc)

@@ -269,7 +269,7 @@ class TestEnergyGram:
         gs = broken_space(BOX2, 2, "primal")
         lad = ladder(BOX2)
         DA = lad.d_matrix(2) @ gs.atlas
-        assert not (DA.T @ lad.p0(3).gram @ DA).any()
+        assert not (DA.T @ lad.p0(3).gram @ DA).toarray().any()
 
     def test_gradient_energy_positive_semidefinite(self):
         gs = conforming_whitney(BOX2, 0, "none")
@@ -1056,3 +1056,26 @@ class TestCompactBasesWithoutDenseAtlas:
             tracemalloc.stop()
         assert lad.partner(0, "none").atlas.shape == (1536, 736)
         assert peak < 1536 * 736 * 8
+
+
+class TestSparseIdentityAtlases:
+    def test_box16_broken_space_allocates_less_than_one_megabyte(self):
+        # the dense identity atlas of the broken 1-forms on box:16 is
+        # 1536 x 1536 float64, 18.9 MB
+        import tracemalloc
+
+        mesh = generate_structured(2, 16)
+        tracemalloc.start()
+        try:
+            gs = broken_space(mesh, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gs.dim == 1536 and scipy.sparse.issparse(gs.atlas)
+        assert peak < 2**20
+
+    def test_top_degree_constraint_atlas_is_a_sparse_identity(self):
+        gs, cons = abcfes_by_constraints(BOX2, 2, "none")
+        assert scipy.sparse.issparse(gs.atlas)
+        assert np.array_equal(gs.atlas.toarray(), np.eye(8))
+        assert cons.matrix.shape == (0, 8)
