@@ -22,18 +22,17 @@ dimension is the mesh's Betti number, an exact integer, and
 there are no more.  The complex property is checked by sparse residuals
 on the way, and the harmonic spaces are kept in the ladder.
 
-The Hodge split and the horizontal slices need no kernel, range or
-complement from a rank-revealing QR either: the ranks of d and delta are
-the integers of `complex_rank`, backed by the certified harmonic spaces,
-and each slice is the null space of one more set of stacked conditions,
-of the dimension those ranks give.
+The splits and the horizontal slices need no kernel, range or complement
+from a rank-revealing QR either: the ranks of d and delta are the
+integers of `complex_rank`, backed by the certified harmonic spaces, and
+each slice is the null space of the same stacked conditions, less the
+harmonic space, of the dimension those ranks give.
 
 A Helmholtz or Hodge split is decided by its integer dimension count and
-the pairwise orthogonality residual of its pieces: pieces that are
-orthogonal and add up to the space's dimension span it, so no span is
-compared.  A Hodge split's ranges are measured on their spanning sets,
-d of the compact basis and delta of the starred atlas, with unit columns.
-The Helmholtz hypotheses, that each full broken range is the opposite
+the pairwise orthogonality residual of its pieces, so no span is
+compared.  Its pieces are the harmonic spaces and the two ranges of
+`_ranges`, measured on their spanning sets with unit columns.  The
+Helmholtz hypotheses, that each full broken range is the opposite
 kernel, are checked on the reference blocks of d and delta, which every
 cell holds.
 """
@@ -145,17 +144,6 @@ class DecompositionReport:
     @property
     def passed(self):
         return self.verdict == "pass"
-
-
-@dataclass
-class HarmonicSpace:
-    subspace: Subspace
-    k: int
-    flavor: str
-
-    @property
-    def dim(self):
-        return self.subspace.dim
 
 
 def _p0_coords(lad, k, broken, vectors, tol=1e-9):
@@ -366,12 +354,18 @@ def helmholtz_check(pair: OperatorPair):
     Verifies the symmetric twisted-range hypotheses first, on the reference
     blocks (`_full_ranges`); on failure the verdict names them without
     asserting the splits.  The full ranges are one side of each split, by
-    their dimensions alone.  On the other side, each kernel is taken on its
-    domain basis, and the range of the same operator has the basis width
-    minus that kernel's dimension; it is measured on its spanning set, the
-    image of the basis with unit columns, so no range is orthonormalized.
+    their dimensions alone.  The other side is the Hodge pieces of
+    `_ranges`: on its domain, d has the range below degree k + 1 and the
+    kernel H_k plus the range below k, and delta the corange above degree
+    k and the kernel H*_(k+1) plus the corange above k + 1 (H and H* the
+    nonconforming and starred harmonic spaces).  Each dimension is a Betti
+    number plus an integer rank, so no kernel is found by a rank decision.
+    The pieces are read from the ladder by the mesh, k and bc of a
+    `whitney_pair`'s meta; a pair without a bc raises NotAdmissible.
     """
-    mesh, k = pair.meta["mesh"], pair.meta["k"]
+    if "bc" not in pair.meta:
+        raise NotAdmissible("helmholtz_check needs a whitney_pair, which names its bc")
+    mesh, k, bc = pair.meta["mesh"], pair.meta["k"], pair.meta["bc"]
     lad = ladder(mesh)
     hypotheses, (range_full, range_adjoint_full) = _full_ranges(lad, k, pair)
     if not all(hypotheses):
@@ -383,26 +377,52 @@ def helmholtz_check(pair: OperatorPair):
             verdict="fail",
             detail={"failed_hypothesis": "twisted ranges do not match opposite kernels"},
         )
-    kernel_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain)
-    kernel_adj = _domain_kernel_p0(lad, k + 1, lad.dual(k + 1), pair.adjoint_T, pair.adjoint_domain)
-    range_dom = unit_columns(pair.T @ pair.domain, lad.p0(k + 1).gram)
-    range_adj = unit_columns(pair.adjoint_T @ pair.adjoint_domain, lad.p0(k).gram)
+    below, above = _ranges(mesh, k, bc)
+    below_high, above_high = _ranges(mesh, k + 1, bc)
+    harmonic = harmonic_space(mesh, k, _FLAVOR_OF["abc", bc])
+    harmonic_high = harmonic_space(mesh, k + 1, _FLAVOR_OF["star", lad.partner_bc(bc)])
     # split of the low space: R(adjoint on full) (+) 0  =  R(adjoint on domain) (+) N(T on domain)
     low = _assemble_report(
         "helmholtz-low",
         {"range_adjoint_full": range_adjoint_full, "kernel_core": 0},
-        {"range_adjoint_domain": (pair.adjoint_domain.shape[1] - kernel_adj.dim, range_adj),
-         "kernel_domain": (kernel_dom.dim, kernel_dom.basis)},
+        {"range_adjoint_domain": above, "kernel_domain": _plus_harmonic(harmonic, below)},
         lad.p0(k),
     )
     high = _assemble_report(
         "helmholtz-high",
         {"range_full": range_full, "kernel_core": 0},
-        {"range_domain": (pair.domain.shape[1] - kernel_dom.dim, range_dom),
-         "kernel_adjoint_domain": (kernel_adj.dim, kernel_adj.basis)},
+        {"range_domain": below_high,
+         "kernel_adjoint_domain": _plus_harmonic(harmonic_high, above_high)},
         lad.p0(k + 1),
     )
     return _combined("helmholtz", {"low": low, "high": high})
+
+
+def _ranges(mesh, j, bc):
+    """The two ranges into the constant j-forms beside the harmonic space of ``bc``.
+
+    ``range_below`` is d of the compact nonconforming basis of degree j - 1
+    with ``bc``, and ``corange_above`` delta of the starred atlas of degree
+    j + 1 with the partner bc.  Each is (its integer dimension from
+    `complex_rank`, its spanning set with unit P0 columns), and empty past
+    the ends of the complex.
+    """
+    lad = ladder(mesh)
+    p0, star_bc = lad.p0(j), lad.partner_bc(bc)
+    empty = np.zeros((p0.dim, 0))
+    below = lad.d_matrix(j - 1) @ lad.abc_basis(j - 1, bc) if j > 0 else empty
+    above = lad.delta_matrix(j + 1) @ lad.star_basis(j + 1, star_bc) if j < mesh.dim else empty
+    return (
+        (complex_rank(mesh, "abc", j - 1, bc), unit_columns(below, p0.gram)),
+        (complex_rank(mesh, "star", j + 1, star_bc), unit_columns(above, p0.gram)),
+    )
+
+
+def _plus_harmonic(harmonic, piece):
+    """A kernel piece: the harmonic space stacked with the range ``piece`` of `_ranges`."""
+    dim, span = piece
+    stack = scipy.sparse.hstack if scipy.sparse.issparse(span) else np.hstack
+    return harmonic.dim + dim, stack([harmonic.basis, span])
 
 
 def _combined(name, splits):
@@ -438,16 +458,6 @@ def _full_ranges(lad, k, pair):
         subspace_equal(R, Subspace.from_span(N), tol=1e-9)[0] for R, (_, N) in zip(ranges, sides)
     )
     return hypotheses, tuple(lad.mesh.num_cells * R.dim for R in ranges)
-
-
-def _domain_kernel_p0(lad, k, broken, T, basis):
-    """Kernel of a broken-to-constant operator on span(``basis``), in P0 coordinates.
-
-    The basis, dense or sparse, need only have independent columns.
-    """
-    TV = T @ basis
-    ns = nullspace(TV / max(abs_max(TV), 1e-300))
-    return Subspace.from_span(_p0_coords(lad, k, broken, basis @ ns.basis), lad.p0(k).gram)
 
 
 def _reference_kernel(lad, broken, T):
@@ -510,8 +520,8 @@ def harmonic_space(mesh, k, flavor):
 
     Flavors: 'abc'/'abc0' use the nonconforming ladder, 'conforming'/
     'conforming0' the conforming Whitney one, 'star'/'star0' the conjugated
-    codifferential ladder.  Each space is built once per mesh and kept in its
-    ladder; the basis is read-only because every caller shares it.
+    codifferential ladder.  Each `Subspace` is built once per mesh and kept
+    in its ladder; the basis is read-only because every caller shares it.
     """
     return ladder(mesh)._get(
         ("harmonic", k, flavor), lambda: _build_harmonic_space(mesh, k, flavor)
@@ -537,17 +547,18 @@ def _build_harmonic_space(mesh, k, flavor):
     betti = mesh.betti_numbers(relative=flavor not in _ABSOLUTE_FLAVORS)[k]
     complex_, bc = _FLAVORS[flavor]
     what = "harmonic %s %d-forms, Betti number %d" % (flavor, k, betti)
-    basis = _span_signs(_certified_null(lad, _conditions(lad, complex_, k, bc, bc), betti, what))
+    conditions = _conditions(lad, complex_, k, bc, bc)
+    basis = _span_signs(_certified_null(conditions, betti, what, lad.sparse))
     basis.flags.writeable = False
-    return HarmonicSpace(Subspace(p0.dim, basis, p0.gram), k, flavor)
+    return Subspace(p0.dim, basis, p0.gram)
 
 
-def _certified_null(lad, conditions, nullity, what):
+def _certified_null(conditions, nullity, what, sparse):
     """lift(null M) for ``conditions`` = (M, lift), with the ``nullity`` null vectors
     certified by `null_vectors`, else a ToleranceFailure that names ``what``."""
     M, lift = conditions
     try:
-        return lift(null_vectors(M, nullity, sparse=lad.sparse)[0])
+        return lift(null_vectors(M, nullity, sparse=sparse)[0])
     except ToleranceFailure as exc:
         raise ToleranceFailure("%s: %s" % (what, exc)) from None
 
@@ -581,23 +592,18 @@ def _complex_dim(lad, complex_, k, bc):
     return table.count - (int(table.boundary.sum()) if bc == "homogeneous" else 0)
 
 
-def _conditions(lad, complex_, k, bc, range_bc, exclude=None):
+def _conditions(lad, complex_, k, bc, range_bc):
     """(M, lift): the closed k-forms with ``bc``, orthogonal to the range from
-    the degree below with ``range_bc`` and to the columns of ``exclude`` (a
-    P0-Gram-orthonormal basis), are lift(null M).
+    the degree below with ``range_bc``, are lift(null M).
 
-    M stacks the three blocks of rows, each scaled to largest entry 1;
-    ``lift`` maps its null vectors to a P0-Gram-orthonormal basis in P0
-    coordinates.  The complex property is checked on the way, else
-    NotAComplex.
+    M stacks the blocks of rows, each scaled to largest entry 1, as one
+    sparse array; ``lift`` maps its null vectors to a P0-Gram-orthonormal
+    basis in P0 coordinates.  The complex property is checked on the way,
+    else NotAComplex.
     """
     if complex_ == "abc":
-        M, to_p0, lift = _abc_conditions(lad, k, bc, range_bc)
-    else:
-        M, to_p0, lift = _whitney_conditions(lad, complex_, k, bc, range_bc)
-    if exclude is not None and exclude.shape[1]:
-        M.append(exclude.T @ (lad.p0(k).gram @ to_p0))
-    return _stacked(M, to_p0.shape[1]), lift
+        return _abc_conditions(lad, k, bc, range_bc)
+    return _whitney_conditions(lad, complex_, k, bc, range_bc)
 
 
 def _abc_conditions(lad, k, bc, range_bc):
@@ -609,8 +615,7 @@ def _abc_conditions(lad, k, bc, range_bc):
     checked on the reference block) and orthogonal to the range d A_s of
     the compact basis A_s of ``range_bc`` one degree down when
     (R0 d A_s)^T y = 0.  The range lies in the kernel when
-    ||C J d A_s|| <= 1e-8 ||C|| ||d A_s||.  Returns the condition blocks,
-    the map R0^-1 from the unknowns to P0 coordinates, and the lift R0^-1 Y
+    ||C J d A_s|| <= 1e-8 ||C|| ||d A_s||.  Returns M and the lift R0^-1 Y
     of the null vectors Y, Gram-orthonormal as it stands.
     """
     p0 = lad.p0(k)
@@ -626,7 +631,7 @@ def _abc_conditions(lad, k, bc, range_bc):
         if k < lad.mesh.dim and _norm(CJ @ dA) > 1e-8 * _norm(C) * _norm(dA):
             raise NotAComplex("range is not contained in the kernel (abc, degree %d)" % k)
         blocks.append((R0 @ dA).T)
-    return blocks, R0inv, lambda Y: R0inv @ Y
+    return _stacked(blocks, p0.dim), lambda Y: R0inv @ Y
 
 
 def _whitney_conditions(lad, complex_, k, bc, range_bc):
@@ -641,10 +646,10 @@ def _whitney_conditions(lad, complex_, k, bc, range_bc):
     identity one degree down, at relative residual 1e-8 (up to a sign fixed
     by w for the starred complex), and, where both boundary conditions
     agree, Delta_w Delta_(w-1) = 0, exactly: its entries are sums of a few
-    products of signs.  Returns the condition blocks, P A, and the lift,
-    which orthonormalizes the verified P0 coordinates of A X, so only the
-    null vectors X are lifted.  The atlases are CSC arrays, each column on
-    one patch, so every product here is sparse; only A X is dense.
+    products of signs.  Returns M and the lift, which orthonormalizes the
+    verified P0 coordinates of A X, so only the null vectors X are lifted.
+    The atlases are CSC arrays, each column on one patch, so every product
+    here is sparse; only A X is dense.
     """
     n, star = lad.mesh.dim, complex_ == "star"
     w = n - k if star else k
@@ -673,7 +678,7 @@ def _whitney_conditions(lad, complex_, k, bc, range_bc):
     def lift(X):
         return Subspace.from_span(_p0_coords(lad, k, space.broken, space.atlas @ X), g).basis
 
-    return blocks, PA, lift
+    return _stacked(blocks, PA.shape[1]), lift
 
 
 def _coboundary(lad, w, bc):
@@ -734,8 +739,8 @@ def pl_duality_check(mesh, k):
     for flavor, conf_flavor in (("abc", "conforming0"), ("abc0", "conforming")):
         H_abc = harmonic_space(mesh, k, flavor)
         H_conf = harmonic_space(mesh, n - k, conf_flavor)
-        starred = Subspace.from_span(star @ H_conf.subspace.basis, g)
-        ok, ang = subspace_equal(H_abc.subspace, starred, g, tol=1e-8)
+        starred = Subspace.from_span(star @ H_conf.basis, g)
+        ok, ang = subspace_equal(H_abc, starred, g, tol=1e-8)
         out[flavor] = DecompositionReport(
             name="pl-duality-%s" % flavor,
             lhs_dims={"harmonic_abc": H_abc.dim},
@@ -761,28 +766,18 @@ def pl_duality_check(mesh, k):
 def hodge_check(mesh, k):
     """Three-way split of the constant k-forms, for both boundary placements.
 
-    The ranges of d from the nonconforming (k-1)-forms and of delta from the
-    starred (k+1)-forms with the other boundary placement have the integer
-    dimensions of `complex_rank`, and their orthogonality is measured on
-    their spanning sets with unit columns, so no range is orthonormalized.
+    The pieces are the harmonic space and the two ranges of `_ranges`
+    beside it, so no range is orthonormalized.
     """
-    lad = ladder(mesh)
-    p0 = lad.p0(k)
-    empty = np.zeros((p0.dim, 0))
+    p0 = ladder(mesh).p0(k)
     reports = {}
-    for bc, flavor, star_bc in (("none", "abc", "homogeneous"), ("homogeneous", "abc0", "none")):
-        H = harmonic_space(mesh, k, flavor).subspace
-        below = lad.d_matrix(k - 1) @ lad.abc_basis(k - 1, bc) if k > 0 else empty
-        above = lad.delta_matrix(k + 1) @ lad.star_basis(k + 1, star_bc) if k < mesh.dim else empty
-        below, above = unit_columns(below, p0.gram), unit_columns(above, p0.gram)
+    for bc in ("none", "homogeneous"):
+        below, above = _ranges(mesh, k, bc)
+        H = harmonic_space(mesh, k, _FLAVOR_OF["abc", bc])
         reports[bc] = _assemble_report(
             "hodge-%s" % bc,
             {"full": p0.dim},
-            {
-                "range_below": (complex_rank(mesh, "abc", k - 1, bc), below),
-                "harmonic": (H.dim, H.basis),
-                "corange_above": (complex_rank(mesh, "star", k + 1, star_bc), above),
-            },
+            {"range_below": below, "harmonic": (H.dim, H.basis), "corange_above": above},
             p0,
         )
     return _combined("hodge", reports)
@@ -793,9 +788,12 @@ def horizontal_slices(mesh, k):
 
     A slice is the part of a range (or kernel) with bc none orthogonal to
     the one with homogeneous bc: the forms closed with bc none, orthogonal
-    to the range below with homogeneous bc and to the harmonic space with
-    bc none (with homogeneous bc), of the dimension the integer ranks of
-    `complex_rank` give.  `_certified_null` finds it, else ToleranceFailure.
+    to the range below with homogeneous bc and to the harmonic space H with
+    bc none (with homogeneous bc), of the dimension d the integer ranks of
+    `complex_rank` give.  `_certified_null` finds the null space N of the
+    sparse first two conditions, of dimension d + dim H as H lies in it,
+    and then the d null vectors of the small dense H^T g N, else
+    ToleranceFailure.
     """
     lad = ladder(mesh)
 
@@ -817,10 +815,13 @@ def horizontal_slices(mesh, k):
         ("kernel_slice_low", "abc", k, "abc0", drop("abc", k, True),
          "kernel slice of d at degree %d" % k),
     ):
-        H = harmonic_space(mesh, j, flavor).subspace.basis
-        conditions = _conditions(lad, complex_, j, "none", "homogeneous", H)
-        basis = _certified_null(lad, conditions, dim, "%s, dimension %d" % (what, dim))
-        slices[name] = Subspace(lad.p0(j).dim, basis, lad.p0(j).gram)
+        p0, H = lad.p0(j), harmonic_space(mesh, j, flavor).basis
+        what = "%s, dimension %d" % (what, dim)
+        conditions = _conditions(lad, complex_, j, "none", "homogeneous")
+        N = _certified_null(conditions, dim + H.shape[1], what, lad.sparse)
+        if H.shape[1]:
+            N = _certified_null((H.T @ (p0.gram @ N), lambda Y, N=N: N @ Y), dim, what, False)
+        slices[name] = Subspace(p0.dim, N, p0.gram)
     return slices
 
 

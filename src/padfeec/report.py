@@ -7,7 +7,6 @@ byte-identical output.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -39,8 +38,9 @@ class RunConfig:
             raise InvalidParameter("degree k must be an integer")
         if isinstance(self.eig_tol, bool) or not isinstance(self.eig_tol, (int, float)):
             raise InvalidParameter("eig_tol must be a number")
-        if not 0 < self.eig_tol < math.inf:
-            raise InvalidParameter("eig_tol must be positive and finite")
+        if not 0 < self.eig_tol < 1:
+            # a relative eigenvalue cut at or above 1 drops every eigenvalue
+            raise InvalidParameter("eig_tol must lie strictly between 0 and 1")
         if self.k < 0 or self.k > 3:
             raise InvalidParameter("degree k out of range")
         if self.fmt not in ("json", "csv"):

@@ -278,11 +278,6 @@ def solve_eigen_pair(mesh, k, bc="none", rel_tol=1e-9):
 # -- Hodge-Laplace schemes ---------------------------------------------------------
 
 
-def _harmonic_basis(mesh, k, flavor):
-    H = harmonic_space(mesh, k, flavor)
-    return H.subspace.basis
-
-
 def _mixed_constraints(lad, k):
     """Rows constraining the broken full k-forms to the one-field space."""
     full = lad.full(k)
@@ -308,7 +303,7 @@ def solve_hodge(mesh, k, load, scheme="complete"):
     F = load if isinstance(load, np.ndarray) else p0_moments(mesh, k, load)
     g0 = lad.p0(k).gram
     if scheme == "complete":
-        H = _harmonic_basis(mesh, k, "abc")
+        H = harmonic_space(mesh, k, "abc").basis
         Az, As = lad.star_basis(k + 1, "homogeneous"), lad.abc_basis(k - 1, "none")
         Pz = lad.p0_projection(k + 1, "dual") @ Az
         Mpz = Pz.T @ (lad.p0(k + 1).gram @ Pz)
@@ -335,7 +330,7 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         }
         return SchemeSolution("hodge-complete", comps, rel, cond, {"k": k, "moments": F})
     if scheme == "mixed_primal":
-        H = _harmonic_basis(mesh, k, "abc")
+        H = harmonic_space(mesh, k, "abc").basis
         A, As = lad.abc_basis(k, "none"), lad.abc_basis(k - 1, "none")
         Pk = lad.p0_projection(k) @ A
         DA = lad.d_matrix(k) @ A
@@ -361,7 +356,7 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         }
         return SchemeSolution("hodge-mixed-primal", comps, rel, cond, {"k": k, "moments": F})
     if scheme == "mixed_dual":
-        H = _harmonic_basis(mesh, k, "star0")
+        H = harmonic_space(mesh, k, "star0").basis
         A, Az = lad.star_basis(k, "homogeneous"), lad.star_basis(k + 1, "homogeneous")
         Pk = lad.p0_projection(k, "dual") @ A
         DeltaA = lad.delta_matrix(k) @ A
@@ -393,7 +388,7 @@ def solve_hodge(mesh, k, load, scheme="complete"):
         # stiffness's.  The multiplier space is cut out by the two pairing
         # conditions, which the discrete Hodge decomposition identifies with
         # the harmonic space of the nonconforming ladder
-        H = _harmonic_basis(mesh, k, "abc")
+        H = harmonic_space(mesh, k, "abc").basis
         D, Delta = lad.d_matrix(k, "full"), lad.delta_matrix(k, "full")
         S = D.T @ (lad.p0(k + 1).gram @ D) + Delta.T @ (lad.p0(k - 1).gram @ Delta)
         C = _mixed_constraints(lad, k)

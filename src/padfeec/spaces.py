@@ -368,9 +368,8 @@ class BasisAtlas:
 # reckoned) in 8.5 s at a 334 MB peak RSS, and on tetbox:8 (3,528 MiB) in
 # 23.8 s at 625 MB (2 CPUs, OpenBLAS).  The guard stays for the routes that
 # still take a dense square: the constraint route's pivoted QR in `verify
-# complex` and `space build --kind abc` (square in the broken space), the
-# dense eigen pencils of `solve eigen` and `verify base-pair` (`icr_of`), and
-# the dense rows of an excluded harmonic space in `adjoint._conditions`.
+# complex` and `space build --kind abc` (square in the broken space), and
+# the dense eigen pencils of `solve eigen` and `verify base-pair` (`icr_of`).
 DENSE_LIMIT_MB = 1024
 
 # Cells from which the ladder keeps its compact bases sparse.  Below it the

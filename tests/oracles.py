@@ -17,6 +17,9 @@ stacked nullspaces replaced.  Its pieces are here too: `_complex_kernel`
 and `_complex_range` span a kernel or range of a complex by pivoted QR,
 `gram_complement` takes the complement of one subspace in another, and
 `contains` tests a span.
+`_domain_kernel_p0` takes the kernel of d or delta on a basis of its
+domain by one pivoted QR, and `helmholtz_by_domain_kernels` builds both
+Helmholtz splits with it: the route the Hodge pieces replaced.
 `broken_kernel_p0` spans the kernel of a cellwise operator on the whole
 broken space, and `full_range_hypotheses` checks the Helmholtz hypotheses
 on the whole P0 spaces with it: the oracle of the reference-block check.
@@ -45,8 +48,10 @@ import scipy.sparse
 from padfeec.adjoint import (
     _FLAVORS,
     OperatorPair,
+    _assemble_report,
+    _combined,
     _complex_space,
-    _domain_kernel_p0,
+    _full_ranges,
     _p0_coords,
     _reference_kernel,
     harmonic_space,
@@ -58,10 +63,12 @@ from padfeec.linalg import (
     Subspace,
     _cross_gram,
     _orthonormal_basis,
+    abs_max,
     gram_factor,
     nullspace,
     orthonormalize,
     subspace_equal,
+    unit_columns,
 )
 from padfeec.local import (
     LocalSpace,
@@ -368,6 +375,49 @@ def _complex_range(lad, complex_, k, bc):
     return Subspace.from_span(T @ span, target.gram)
 
 
+def _domain_kernel_p0(lad, k, broken, T, basis):
+    """Kernel of a broken-to-constant operator on span(``basis``), in P0 coordinates.
+
+    The basis, dense or sparse, need only have independent columns; the
+    kernel is one pivoted-QR `nullspace` of T times the basis.
+    """
+    TV = T @ basis
+    ns = nullspace(TV / max(abs_max(TV), 1e-300))
+    return Subspace.from_span(_p0_coords(lad, k, broken, basis @ ns.basis), lad.p0(k).gram)
+
+
+def helmholtz_by_domain_kernels(pair):
+    """`adjoint.helmholtz_check` of a pair whose hypotheses hold, on its domain kernels.
+
+    Each domain kernel is `_domain_kernel_p0` of the pair's basis, and the
+    range of the same operator is sized as the basis width less that
+    kernel's dimension and measured on its unit-column spanning set.
+    """
+    mesh, k = pair.meta["mesh"], pair.meta["k"]
+    lad = ladder(mesh)
+    hypotheses, (range_full, range_adjoint_full) = _full_ranges(lad, k, pair)
+    assert all(hypotheses)
+    kernel_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain)
+    kernel_adj = _domain_kernel_p0(lad, k + 1, lad.dual(k + 1), pair.adjoint_T, pair.adjoint_domain)
+    range_dom = unit_columns(pair.T @ pair.domain, lad.p0(k + 1).gram)
+    range_adj = unit_columns(pair.adjoint_T @ pair.adjoint_domain, lad.p0(k).gram)
+    low = _assemble_report(
+        "helmholtz-low",
+        {"range_adjoint_full": range_adjoint_full, "kernel_core": 0},
+        {"range_adjoint_domain": (pair.adjoint_domain.shape[1] - kernel_adj.dim, range_adj),
+         "kernel_domain": (kernel_dom.dim, kernel_dom.basis)},
+        lad.p0(k),
+    )
+    high = _assemble_report(
+        "helmholtz-high",
+        {"range_full": range_full, "kernel_core": 0},
+        {"range_domain": (pair.domain.shape[1] - kernel_dom.dim, range_dom),
+         "kernel_adjoint_domain": (kernel_adj.dim, kernel_adj.basis)},
+        lad.p0(k + 1),
+    )
+    return _combined("helmholtz", {"low": low, "high": high})
+
+
 def full_subspace(n, gram=None):
     """The whole R^n; with gram = R^T R the columns of R^-1 are its basis."""
     Rinv = gram_factor(gram)[1]
@@ -526,7 +576,7 @@ def constraint_atlas_hodge(mesh, k, F, scheme):
     lad = ladder(mesh)
     g0, g_lo, g_hi = lad.p0(k).gram, lad.p0(k - 1).gram, lad.p0(k + 1).gram
     if scheme == "mixed_dual":
-        H = harmonic_space(mesh, k, "star0").subspace.basis
+        H = harmonic_space(mesh, k, "star0").basis
     else:
         R = Subspace.from_span(lad.d_matrix(k - 1) @ lad.abc(k - 1, "none")[0].atlas, g0)
         H = gram_complement(R, _complex_kernel(lad, "abc", k, "none"), g0).basis

@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from padfeec.adjoint import (
     base_pair_report,
@@ -33,6 +34,7 @@ import oracles
 from oracles import (
     JITTERED,
     _complex_kernel,
+    _domain_kernel_p0,
     betti_numbers,
     broken_kernel_p0,
     cell_icr,
@@ -43,6 +45,7 @@ from oracles import (
     full_subspace,
     gram_complement,
     harmonic_by_complement,
+    helmholtz_by_domain_kernels,
     ladder_locals,
     max_diameter,
     slices_by_complement,
@@ -445,6 +448,15 @@ class TestHelmholtz:
         assert low.rhs_dims["range_adjoint_domain"] == 8
         assert low.rhs_dims["kernel_domain"] == 8
 
+    def test_a_pair_without_a_bc_is_refused(self):
+        from padfeec.errors import NotAdmissible
+
+        # the pieces come from the ladder by the pair's bc, which only a
+        # whitney_pair names; another domain would be judged on the wrong pieces
+        pair = partial_adjoint_of(ladder(BOX2).abc_basis(0, "none"), BOX2, 0)
+        with pytest.raises(NotAdmissible, match="whitney_pair"):
+            helmholtz_check(pair)
+
     def test_top_degree_edge_case(self):
         # at k = n-1 the high split has the whole space as kernel complement
         pair = whitney_pair(BOX2, 1, "none")
@@ -518,7 +530,7 @@ class TestHarmonic:
         H1 = harmonic_space(HOLE, 1, "abc")
         H2 = harmonic_space(HOLE, 1, "star0")
         lad = ladder(HOLE)
-        ok, ang = subspace_equal(H1.subspace, H2.subspace, lad.p0(1).gram, tol=1e-8)
+        ok, ang = subspace_equal(H1, H2, lad.p0(1).gram, tol=1e-8)
         assert ok, ang
 
 
@@ -555,9 +567,9 @@ class TestHarmonicCache:
         for flavor, space in cached.items():
             fresh = _build_harmonic_space(generate_structured(2, 4, "hole"), 1, flavor)
             assert space.dim == fresh.dim == 1
-            assert np.array_equal(space.subspace.basis, fresh.subspace.basis), flavor
+            assert np.array_equal(space.basis, fresh.basis), flavor
             with pytest.raises(ValueError):
-                space.subspace.basis[0, 0] = 1.0
+                space.basis[0, 0] = 1.0
 
     def test_unknown_flavor_caches_nothing(self):
         from padfeec.errors import AssemblyError
@@ -588,8 +600,6 @@ class TestConstraintKernel:
         ],
     )
     def test_equal_to_atlas_route(self, name, k, bc):
-        from padfeec.adjoint import _domain_kernel_p0
-
         lad = ladder(_fresh(KERNEL_MESHES[name]))
         g = lad.p0(k).gram
         N = _complex_kernel(lad, "abc", k, bc)
@@ -680,8 +690,8 @@ class TestEmptyComplement:
         mesh = generate_structured(2, 2)
         monkeypatch.setattr(oracles, "gram_complement", refuse)
         H = harmonic_space(mesh, 1, "abc")
-        assert H.subspace.basis.shape == (ladder(mesh).p0(1).dim, 0)
-        assert H.subspace.basis.flags.writeable is False
+        assert H.basis.shape == (ladder(mesh).p0(1).dim, 0)
+        assert H.basis.flags.writeable is False
 
 
 class TestStackedRoute:
@@ -699,7 +709,8 @@ class TestStackedRoute:
         monkeypatch.setattr(oracles, "contains", refuse)
         assert not hasattr(Subspace, "contains")
         # every span orthonormalized is a lift of null vectors, no wider than
-        # the widest slice, and every pivoted QR nullspace a reference block's
+        # the widest slice with its harmonic space, and every pivoted QR
+        # nullspace a reference block's
         spans, kernels = [], []
         from_span, pivoted = Subspace.from_span.__func__, linalg.pivoted_nullspace
 
@@ -728,7 +739,8 @@ class TestStackedRoute:
                 splits = [hodge_check(mesh, k) for k in range(1, mesh.dim)]
             assert dims["abc"] == betti_numbers(mesh)
             assert all(rep.passed for rep in slices + splits)
-            assert spans and max(spans) <= max(max(rep.lhs_dims.values()) for rep in slices)
+            widest = max(max(rep.lhs_dims.values()) for rep in slices) + max(map(max, dims.values()))
+            assert spans and max(spans) <= widest
             spans.clear()
         assert kernels and max(kernels) < 10
 
@@ -846,7 +858,7 @@ class TestHarmonicByComplementOracle:
         relative = flavor not in ("abc", "conforming", "star0")
         betti = betti_numbers(mesh, relative=relative)
         for k in range(mesh.dim + 1):
-            H = harmonic_space(mesh, k, flavor).subspace
+            H = harmonic_space(mesh, k, flavor)
             oracle = harmonic_by_complement(mesh, k, flavor)
             assert H.dim == oracle.dim == betti[k], k
             angles = principal_angles(H, oracle, lad.p0(k).gram)
@@ -921,7 +933,7 @@ class TestOrthonormalInvariant:
         subs = []
         for k in range(mesh.dim + 1):
             subs.append(lad.abc(k)[0].subspace())
-            subs.extend(harmonic_space(mesh, k, f).subspace for f in HARMONIC_FLAVORS)
+            subs.extend(harmonic_space(mesh, k, f) for f in HARMONIC_FLAVORS)
         for k in range(mesh.dim):
             g = lad.p0(k + 1).gram
             big = Subspace.from_span(lad.d_matrix(k) @ lad.abc(k, "none")[0].atlas, g)
@@ -1005,7 +1017,7 @@ class TestWrongPieceOfTheRightDimension:
         # the integer ranks ask for empty harmonic spaces too, which cannot tilt
         def tilted_harmonic(mesh, k, flavor):
             H = harmonic(mesh, k, flavor)
-            return adjoint.HarmonicSpace(_tilted(H.subspace), k, flavor) if H.dim else H
+            return _tilted(H) if H.dim else H
 
         monkeypatch.setattr(adjoint, "harmonic_space", tilted_harmonic)
         rep = hodge_check(mesh, 1)
@@ -1042,8 +1054,22 @@ class TestWrongPieceOfTheRightDimension:
 
         mesh = _fresh(mesh)
         honest = helmholtz_check(whitney_pair(mesh, k, bc))
-        kernel = adjoint._domain_kernel_p0
-        monkeypatch.setattr(adjoint, "_domain_kernel_p0", lambda *args: _tilted(kernel(*args)))
+        # the kernel piece is the harmonic space plus d of the compact basis one
+        # degree down: tilt the harmonic space where it is not empty, else that
+        # basis, whose width, and so every integer dimension, stays
+        flavor = "abc" if bc == "none" else "abc0"
+        harmonic = adjoint.harmonic_space
+        if harmonic(mesh, k, flavor).dim:
+            def tilted_harmonic(m, j, f):
+                H = harmonic(m, j, f)
+                return _tilted(H) if (j, f) == (k, flavor) else H
+
+            monkeypatch.setattr(adjoint, "harmonic_space", tilted_harmonic)
+        else:
+            lad = ladder(mesh)
+            A = lad.abc_basis(k - 1, bc)
+            noise = np.random.default_rng(1).standard_normal(A.shape)
+            monkeypatch.setitem(lad._cache, ("abc-basis", k - 1, bc), A + 1e-3 * np.abs(A).max() * noise)
         rep = helmholtz_check(whitney_pair(mesh, k, bc))
         assert honest.passed and honest.orthogonality_residual < 1e-10
         assert rep.lhs_dims == honest.lhs_dims and rep.rhs_dims == honest.rhs_dims
@@ -1112,6 +1138,77 @@ class TestSlicesByComplementOracle:
             horizontal_duality_check(mesh, 0)
 
 
+class TestSlicesStaySparse:
+    def test_range_slice_conditions_hold_no_dense_rows(self, monkeypatch):
+        import padfeec.adjoint as adjoint
+
+        # tunnel:4 has b_1 = 1: the harmonic space is taken out of the range
+        # slice after its null space, not as a dense row of its conditions
+        mesh = generate_structured(3, 4, "tunnel")
+        conditions, recorded = adjoint._conditions, []
+
+        def recording(lad, *args, **kwargs):
+            M, lift = conditions(lad, *args, **kwargs)
+            if args[:4] == ("abc", 1, "none", "homogeneous"):
+                recorded.append(M)
+            return M, lift
+
+        monkeypatch.setattr(adjoint, "_conditions", recording)
+        adjoint.horizontal_slices(mesh, 0)
+        (M,) = recorded
+        n = ladder(mesh).p0(1).dim
+        assert M.shape[1] == n == 864
+        assert scipy.sparse.issparse(M) and (M.T @ M).nnz < 0.1 * n * n
+
+
+# every degree below the top and both bcs on the small meshes; the larger
+# ones at k = 1 only
+HELMHOLTZ_CASES = [
+    (name, k, bc)
+    for name in ("box:2", "box:4", "hole:4", "hole:8", "tetbox:1", "tetbox:2")
+    for k in range(_oracle_mesh(name).dim)
+    for bc in ("none", "homogeneous")
+] + [(name, 1, bc) for name in ("box:16", "tunnel:4", "cavity:4") for bc in ("none", "homogeneous")]
+
+
+class TestHelmholtzByDomainKernelsOracle:
+    """The Helmholtz splits from the Hodge pieces equal the domain-kernel route."""
+
+    @pytest.mark.parametrize("name,k,bc", HELMHOLTZ_CASES)
+    def test_equal_to_the_domain_kernel_route(self, name, k, bc):
+        pair = whitney_pair(_oracle_mesh(name), k, bc)
+        got, want = helmholtz_check(pair), helmholtz_by_domain_kernels(pair)
+        assert got.lhs_dims == want.lhs_dims
+        assert got.rhs_dims == want.rhs_dims
+        assert got.passed and want.passed
+        assert got.orthogonality_residual < 1e-10
+
+    def test_no_nullspace_or_orthonormalize_past_the_reference_blocks(self, monkeypatch):
+        import padfeec.linalg as linalg
+
+        widths = []
+        for name in ("pivoted_nullspace", "orthonormalize"):
+            def recording(M, *rest, _original=getattr(linalg, name), **kw):
+                widths.append(np.shape(M)[1])
+                return _original(M, *rest, **kw)
+
+            monkeypatch.setattr(linalg, name, recording)
+        # hole:16 takes the sparse route; every QR left is a reference block's
+        # or a lift of a harmonic space's few null vectors
+        mesh = generate_structured(2, 16, "hole")
+        lad = ladder(mesh)
+        for k in range(mesh.dim):
+            for bc in ("none", "homogeneous"):
+                assert helmholtz_check(whitney_pair(mesh, k, bc)).passed
+        reference = max(
+            lad.broken(k, family).reference.dim
+            for k in range(mesh.dim + 1)
+            for family in ("primal", "dual")
+        )
+        assert lad.sparse
+        assert widths and max(widths) <= reference < 10
+
+
 class TestIntegerRanks:
     """Each integer rank of a complex equals the float rank of its operator on an atlas."""
 
@@ -1137,8 +1234,6 @@ class TestOrthogonalDualityInvariant:
         lad = ladder(mesh)
         pair = whitney_pair(mesh, k, bc)
         g = lad.p0(k).gram
-        from padfeec.adjoint import _domain_kernel_p0
-
         N_dom = _domain_kernel_p0(lad, k, lad.primal(k), pair.T, pair.domain)
         N_full = broken_kernel_p0(lad, k, lad.primal(k), pair.T)
         R_adj = Subspace.from_span(pair.adjoint_T @ pair.adjoint_domain, g)
@@ -1150,7 +1245,6 @@ class TestOrthogonalDualityInvariant:
 class TestComplexGuard:
     def test_harmonic_space_demands_a_complex(self):
         from padfeec.errors import NotAComplex
-        from padfeec.adjoint import HarmonicSpace, harmonic_space
         # sabotage: feed the complement machinery a non-nested pair directly
         lad = ladder(BOX2)
         g = lad.p0(1).gram

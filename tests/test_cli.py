@@ -127,6 +127,16 @@ class TestCli:
         assert err.startswith("error: InvalidParameter") and "mesh_fle" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("eig_tol", ["1", "2"])
+    def test_eig_tol_at_or_above_one_refused(self, capsys, eig_tol):
+        # a relative eigenvalue cut at or above 1 drops every eigenvalue, so
+        # every index would read 0.0 and the pass would have checked nothing
+        argv = ["verify", "base-pair", "--mesh", "box:4", "--k", "0", "--eig-tol", eig_tol]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
+        assert "eig_tol" in err
+
     @pytest.mark.parametrize("load", ["poly:x", "poly:-1", "poly:"])
     def test_bad_poly_seed_rejected(self, capsys, load):
         code, out, err = run_cli(["solve", "source", "--mesh", "box:2", "--load", load], capsys)
@@ -493,6 +503,7 @@ MALFORMED_CONFIG = st.one_of(
     st.one_of(
         NOT_NUMBER,
         st.floats(max_value=0.0),
+        st.floats(min_value=1.0, allow_infinity=False),
         st.just(float("inf")),
         st.just(float("nan")),
     ).map(lambda value: {"eig_tol": value}),

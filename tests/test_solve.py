@@ -172,7 +172,7 @@ class TestHodgeSchemes:
         lad = ladder(mesh)
         from padfeec.adjoint import harmonic_space
 
-        H = harmonic_space(mesh, 1, "abc").subspace.basis
+        H = harmonic_space(mesh, 1, "abc").basis
         g0 = lad.p0(1).gram
         F = g0 @ H[:, 0]
         sol = solve_hodge(mesh, 1, F, "complete")
@@ -189,7 +189,7 @@ class TestHodgeSchemes:
 
         load = random_polynomial_load(mesh, 1, seed=23)
         sol = solve_hodge(mesh, 1, load, "complete")
-        H = harmonic_space(mesh, 1, "abc").subspace.basis
+        H = harmonic_space(mesh, 1, "abc").basis
         g0 = lad.p0(1).gram
         resid = np.abs(H.T @ g0 @ sol.components["omega"]).max(initial=0.0)
         assert resid < 1e-10 * max(np.linalg.norm(sol.meta["moments"]), 1.0)
