@@ -1,14 +1,16 @@
 """Command-line driver: mesh generation, space building, verification suites
 and scheme solves, with JSON/CSV reports.
 
-Subcommands: mesh gen|info, space build, verify base-pair|decomposition|
-duality|complex|interp, solve source|eigen|hodge, suite all.  Configuration
-precedence is CLI flags over a JSON config file over defaults.  Every
-command runs on a mesh its caller parses: `run` parses one for a single
-command, and `suite all` parses each mesh spec once for all of its jobs.
+`COMMANDS` declares each command, the function that runs it and the flags
+it reads; the parser, the dispatch and the refusal of any other flag all
+come from it.  Configuration precedence is CLI flags over a JSON config
+file over defaults.  Every command but `suite all` runs on a mesh its
+caller parses: `run` parses one for a single command, and `suite all`
+parses each mesh spec once for all of its jobs.
 """
 
 import argparse
+import dataclasses
 import gc
 import json
 import math
@@ -116,7 +118,7 @@ def cmd_mesh_info(mesh, config, report):
     )
 
 
-def cmd_space_build(mesh, config, report, kind):
+def cmd_space_build(mesh, config, report, kind="abc"):
     from .spaces import broken_space, ladder, space_summary, verify_trace_continuity
 
     _require_degree(mesh, config.k, "space build", mesh.dim)
@@ -145,7 +147,7 @@ def cmd_space_build(mesh, config, report, kind):
     report.add(CheckRecord("space-build-%s" % kind, verdict, numbers=summary))
 
 
-def cmd_verify_base_pair(mesh, config, report, name="base-pair"):
+def cmd_verify_base_pair(mesh, config, report):
     """The base-pair record; the pair and its domain indices only if every hypothesis holds."""
     from .adjoint import base_pair_report, quantified_crt_check, whitney_pair
 
@@ -167,21 +169,8 @@ def cmd_verify_base_pair(mesh, config, report, name="base-pair"):
         numbers.update(icr_domain=icr_p, icr_adjoint_domain=icr_a)
         verdict, note = "pass" if bound_ok else "fail", ""
     numbers.update(annihilator_dim=rep.uM_dim, annihilator_dim_adjoint=rep.uN_dim)
-    report.add(
-        CheckRecord(
-            name, verdict, numbers=numbers, inputs={"k": config.k, "mesh": config.mesh}, note=note
-        )
-    )
-
-
-def cmd_verify_base_pair_levels(config, report, levels):
-    """The base-pair check on one mesh per level of the config's mesh family."""
-    if config.mesh_file:
-        raise InvalidParameter("--levels builds its meshes from the --mesh family, not a file")
-    kind = config.mesh.split(":", 1)[0]
-    for n in levels:
-        sub = RunConfig(**{**config.to_dict(), "mesh": "%s:%d" % (kind, n)})
-        cmd_verify_base_pair(parse_mesh(sub), sub, report, name="base-pair-%s" % sub.mesh)
+    inputs = {"k": config.k, "mesh": config.mesh}
+    report.add(CheckRecord("base-pair", verdict, numbers=numbers, inputs=inputs, note=note))
 
 
 def cmd_verify_decomposition(mesh, config, report):
@@ -492,29 +481,26 @@ def cmd_suite_all(config, report, fast=False):
         raise InvalidParameter("suite all runs its fixed mesh matrix and takes no --mesh-file")
     jobs = []
 
-    def sub(command, **kw):
-        base = config.to_dict()
-        base.pop("command", None)
-        base.update(kw)
-        return RunConfig(command=command, **base).validate()
+    def job(command, mesh, k=config.k):
+        jobs.append(RunConfig(**{**config.to_dict(), "command": command, "mesh": mesh, "k": k}))
 
     specs = ["box:2", "box:4", "hole:4"] if fast else ["box:2", "box:4", "box:8", "hole:4", "hole:8"]
     for spec in specs:
         for k in (0, 1):
-            jobs.append((cmd_verify_base_pair, sub("verify base-pair", mesh=spec, k=k)))
-            jobs.append((cmd_verify_decomposition, sub("verify decomposition", mesh=spec, k=k)))
-        jobs.append((cmd_verify_duality, sub("verify duality", mesh=spec, k=1)))
-        jobs.append((cmd_verify_complex, sub("verify complex", mesh=spec)))
-        jobs.append((cmd_verify_interp, sub("verify interp", mesh=spec, k=0)))
-        jobs.append((cmd_solve_source, sub("solve source", mesh=spec, k=0)))
-        jobs.append((cmd_solve_eigen, sub("solve eigen", mesh=spec, k=0)))
-        jobs.append((cmd_solve_hodge, sub("solve hodge", mesh=spec, k=1)))
+            job("verify base-pair", spec, k)
+            job("verify decomposition", spec, k)
+        job("verify duality", spec, 1)
+        job("verify complex", spec)
+        job("verify interp", spec, 0)
+        job("solve source", spec, 0)
+        job("solve eigen", spec, 0)
+        job("solve hodge", spec, 1)
     if not fast:
-        jobs.append((cmd_verify_base_pair, sub("verify base-pair", mesh="tetbox:1", k=1)))
-        jobs.append((cmd_verify_complex, sub("verify complex", mesh="tetbox:1")))
-        jobs.append((cmd_verify_interp, sub("verify interp", mesh="tetbox:1", k=1)))
+        job("verify base-pair", "tetbox:1", 1)
+        job("verify complex", "tetbox:1")
+        job("verify interp", "tetbox:1", 1)
         # a solid torus: the 3-D duality check compares nonzero harmonic spaces
-        jobs.append((cmd_verify_duality, sub("verify duality", mesh="tunnel:4", k=1)))
+        job("verify duality", "tunnel:4", 1)
     # The jobs of one spec are adjacent and share one mesh, and with it the
     # ladder the mesh owns.  A mesh and its ladder refer to each other, so
     # only the cycle collector frees them: it runs when a spec's mesh is
@@ -527,7 +513,7 @@ def cmd_suite_all(config, report, fast=False):
     gc.freeze()
     try:
         spec = mesh = None
-        for fn, cfg in jobs:
+        for cfg in jobs:
             local = Report(cfg)
             try:
                 if cfg.mesh != spec:
@@ -536,7 +522,7 @@ def cmd_suite_all(config, report, fast=False):
                         mesh = None
                         gc.collect()
                     mesh, spec = parse_mesh(cfg), cfg.mesh
-                fn(mesh, cfg, local)
+                globals()[COMMANDS[cfg.command][0]](mesh, cfg, local)
             except PadfeecError as exc:
                 local.add(
                     CheckRecord(
@@ -555,63 +541,82 @@ def cmd_suite_all(config, report, fast=False):
 
 # -- argument parsing --------------------------------------------------------------
 
+_MESH = ("--mesh", "--mesh-file")
+
+# Each command: the function that runs it, and the flags it reads besides
+# --out, --format and --timings, which every command reads.  A command's
+# parser takes only these, and refuses every other flag.
+COMMANDS = {
+    "mesh gen": ("cmd_mesh_gen", _MESH),
+    "mesh info": ("cmd_mesh_info", _MESH),
+    "space build": ("cmd_space_build", _MESH + ("--k", "--bc", "--kind")),
+    "verify base-pair": ("cmd_verify_base_pair", _MESH + ("--k", "--bc", "--eig-tol", "--levels")),
+    # decomposition, duality and interp run both bcs (or none) themselves,
+    # and verify complex every degree as well
+    "verify decomposition": ("cmd_verify_decomposition", _MESH + ("--k",)),
+    "verify duality": ("cmd_verify_duality", _MESH + ("--k",)),
+    "verify complex": ("cmd_verify_complex", _MESH),
+    "verify interp": ("cmd_verify_interp", _MESH + ("--k",)),
+    "solve source": ("cmd_solve_source", _MESH + ("--k", "--bc", "--load", "--export-solutions")),
+    "solve eigen": ("cmd_solve_eigen", _MESH + ("--k", "--bc")),
+    # every Hodge scheme fixes its own boundary conditions
+    "solve hodge": (
+        "cmd_solve_hodge",
+        _MESH + ("--k", "--load", "--scheme", "--check-equivalence", "--export-solutions"),
+    ),
+    # suite all runs its fixed mesh matrix and passes these on to its jobs
+    "suite all": ("cmd_suite_all", ("--fast", "--bc", "--load", "--eig-tol")),
+}
+
+FLAGS = {
+    "--mesh": dict(help="box:N, hole:N, tetbox:N, tunnel:N or cavity:N"),
+    "--mesh-file": dict(),
+    "--k": dict(type=int),
+    "--bc": dict(choices=("none", "homogeneous")),
+    "--kind": dict(choices=("broken", "conforming", "star", "abc"), default="abc"),
+    "--load": dict(help="zero, poly:<seed> or trig"),
+    "--scheme": dict(help="all, " + ", ".join(HODGE_SCHEMES)),
+    "--eig-tol": dict(type=float),
+    "--levels": dict(help="comma list of mesh sizes"),
+    "--export-solutions": dict(metavar="FILE"),
+    "--check-equivalence": dict(action="store_true"),
+    "--fast": dict(action="store_true"),
+    "--out": dict(),
+    "--format": dict(choices=("json", "csv")),
+    "--timings": dict(action="store_true"),
+}
+
+# The flags that are not config keys, by the `run` option that carries each.
+OPTIONS = {"--kind": "kind", "--levels": "levels", "--export-solutions": "export", "--fast": "fast"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parse error is one `InvalidParameter`, not a usage block and an exit."""
+
+    def error(self, message):
+        raise InvalidParameter(message)
+
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="padfeec",
-        description="Partially adjoint discretizations on simplicial meshes",
+    parser = _Parser(
+        prog="padfeec", description="Partially adjoint discretizations on simplicial meshes"
     )
     parser.add_argument("--config", default=None, help="JSON config file")
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    def common(p):
-        p.add_argument("--mesh", default=None, help="box:N, hole:N, tetbox:N, tunnel:N or cavity:N")
-        p.add_argument("--mesh-file", default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--bc", choices=("none", "homogeneous"), default=None)
-        p.add_argument("--load", default=None, help="zero, poly:<seed> or trig")
-        p.add_argument("--scheme", default=None)
-        p.add_argument("--eig-tol", type=float, default=None)
-        p.add_argument("--levels", default=None, help="comma list of mesh sizes")
-        p.add_argument("--export-solutions", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--timings", action="store_true")
-
-    mesh = sub.add_parser("mesh").add_subparsers(dest="action", required=True)
-    for action in ("gen", "info"):
-        common(mesh.add_parser(action))
-    space = sub.add_parser("space").add_subparsers(dest="action", required=True)
-    p = space.add_parser("build")
-    p.add_argument("--kind", choices=("broken", "conforming", "star", "abc"), default="abc")
-    common(p)
-    verify = sub.add_parser("verify").add_subparsers(dest="action", required=True)
-    for action in ("base-pair", "decomposition", "duality", "complex", "interp"):
-        common(verify.add_parser(action))
-    solve = sub.add_parser("solve").add_subparsers(dest="action", required=True)
-    for action in ("source", "eigen", "hodge"):
-        p = solve.add_parser(action)
-        p.add_argument("--check-equivalence", action="store_true")
-        common(p)
-    suite = sub.add_parser("suite").add_subparsers(dest="action", required=True)
-    p = suite.add_parser("all")
-    p.add_argument("--fast", action="store_true")
-    common(p)
+    groups = parser.add_subparsers(dest="group", required=True)
+    actions = {}
+    for command, (_, flags) in COMMANDS.items():
+        group, action = command.split()
+        if group not in actions:
+            actions[group] = groups.add_parser(group).add_subparsers(dest="action", required=True)
+        p = actions[group].add_parser(action)
+        for flag in flags + ("--out", "--format", "--timings"):
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def merge_config(args):
-    defaults = {
-        "mesh": "box:2",
-        "mesh_file": "",
-        "k": 0,
-        "bc": "none",
-        "scheme": "all",
-        "load": "poly:0",
-        "eig_tol": 1e-10,
-        "out": "",
-        "fmt": "json",
-    }
+    """The run's config: each flag given over the config file over `RunConfig`'s defaults."""
+    keys = [f.name for f in dataclasses.fields(RunConfig) if f.name != "command"]
     file_conf = {}
     if args.config:
         with open(args.config) as fh:
@@ -623,42 +628,22 @@ def merge_config(args):
             raise InvalidParameter(
                 "config file must hold a JSON object, not %s" % type(file_conf).__name__
             )
-    unknown = sorted(set(file_conf) - set(defaults))
+    unknown = sorted(set(file_conf) - set(keys))
     if unknown:
         raise InvalidParameter("unknown config key(s): %s" % ", ".join(map(repr, unknown)))
-    merged = dict(defaults)
-    for key in defaults:
-        if key in file_conf and file_conf[key] is not None:
-            merged[key] = file_conf[key]
-    cli_map = {
-        "mesh": args.mesh,
-        "mesh_file": args.mesh_file,
-        "k": args.k,
-        "bc": args.bc,
-        "scheme": args.scheme,
-        "load": args.load,
-        "eig_tol": args.eig_tol,
-        "out": args.out,
-        "fmt": args.format,
-    }
-    for key, value in cli_map.items():
+    merged = {key: file_conf[key] for key in keys if file_conf.get(key) is not None}
+    # a flag the command does not read is not in its namespace
+    for key in keys:
+        value = getattr(args, "format" if key == "fmt" else key, None)
         if value is not None:
             merged[key] = value
-    command = "%s %s" % (args.group, args.action)
-    # only solve hodge reads a scheme; every other command would ignore it
-    if command != "solve hodge":
-        for flag, given in (
-            ("--scheme", args.scheme is not None),
-            ("--check-equivalence", getattr(args, "check_equivalence", False)),
-        ):
-            if given:
-                raise InvalidParameter("%s applies only to solve hodge, not to %s" % (flag, command))
+    config = RunConfig(command="%s %s" % (args.group, args.action), **merged)
     # the scheme equivalences run exactly when every scheme does
-    if getattr(args, "check_equivalence", False) and merged["scheme"] != "all":
+    if getattr(args, "check_equivalence", False) and config.scheme != "all":
         raise InvalidParameter(
-            "--check-equivalence needs --scheme all, got --scheme %s" % (merged["scheme"],)
+            "--check-equivalence needs --scheme all, got --scheme %s" % (config.scheme,)
         )
-    return RunConfig(command=command, **merged).validate()
+    return config.validate()
 
 
 def parse_levels(text):
@@ -672,50 +657,56 @@ def parse_levels(text):
     return levels
 
 
+def _run_levels(fn, config, report, levels):
+    """The command on one mesh per level of the --mesh family; each record is named by its mesh."""
+    if config.mesh_file:
+        raise InvalidParameter("--levels builds its meshes from the --mesh family, not a file")
+    family = config.mesh.split(":", 1)[0]
+    for n in levels:
+        sub = RunConfig(**{**config.to_dict(), "mesh": "%s:%d" % (family, n)})
+        local = Report(sub)
+        fn(parse_mesh(sub), sub, local)
+        for rec in local.records:
+            rec.name = "%s-%s" % (rec.name, sub.mesh)
+            report.add(rec)
+
+
 def run(config: RunConfig, **options):
-    """Execute the pipeline named by config.command and return its Report."""
+    """Execute the command named by config.command and return its Report.
+
+    ``options`` holds the values of the flags that are not config keys, by
+    the names in `OPTIONS`; the command gets those of the flags it reads.
+    """
+    if config.command not in COMMANDS:
+        raise PadfeecError("unknown command %r" % (config.command,))
+    name, flags = COMMANDS[config.command]
+    fn = globals()[name]  # looked up here, so a wrapped or patched command runs
+    kw = {key: options[key] for flag, key in OPTIONS.items() if flag in flags and key in options}
+    levels = kw.pop("levels", None)
     report = Report(config)
     t0 = time.time()
-    group, _, action = config.command.partition(" ")
-    if group == "mesh" and action == "gen":
-        cmd_mesh_gen(parse_mesh(config), config, report)
-    elif group == "mesh" and action == "info":
-        cmd_mesh_info(parse_mesh(config), config, report)
-    elif group == "space" and action == "build":
-        cmd_space_build(parse_mesh(config), config, report, options.get("kind", "abc"))
-    elif group == "verify" and action == "base-pair" and options.get("levels"):
-        cmd_verify_base_pair_levels(config, report, options["levels"])
-    elif group == "verify" and action == "base-pair":
-        cmd_verify_base_pair(parse_mesh(config), config, report)
-    elif group == "verify" and action == "decomposition":
-        cmd_verify_decomposition(parse_mesh(config), config, report)
-    elif group == "verify" and action == "duality":
-        cmd_verify_duality(parse_mesh(config), config, report)
-    elif group == "verify" and action == "complex":
-        cmd_verify_complex(parse_mesh(config), config, report)
-    elif group == "verify" and action == "interp":
-        cmd_verify_interp(parse_mesh(config), config, report)
-    elif group == "solve" and action == "source":
-        cmd_solve_source(parse_mesh(config), config, report, export=options.get("export"))
-    elif group == "solve" and action == "eigen":
-        cmd_solve_eigen(parse_mesh(config), config, report)
-    elif group == "solve" and action == "hodge":
-        cmd_solve_hodge(parse_mesh(config), config, report, export=options.get("export"))
-    elif group == "suite" and action == "all":
-        cmd_suite_all(config, report, fast=options.get("fast", False))
+    if "--mesh" not in flags:  # suite all parses the meshes of its matrix itself
+        fn(config, report, **kw)
+    elif levels:
+        _run_levels(fn, config, report, levels)
     else:
-        raise PadfeecError("unknown command %r" % (config.command,))
+        fn(parse_mesh(config), config, report, **kw)
     report.timings["total_seconds"] = time.time() - t0
     return report
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # `linalg.solve_symmetric` raises the SolverFailure of an exactly singular
     # dense factor; LAPACK's own warning of it would be a second line
     warnings.filterwarnings("ignore", message="Diagonal number .* is exactly zero")
     try:
+        args, unread = build_parser().parse_known_args(argv)
+        command = "%s %s" % (args.group, args.action)
+        if unread:
+            flags = [a.split("=", 1)[0] for a in unread if a.startswith("--")] or unread
+            raise InvalidParameter(
+                "%s does not read %s (see padfeec %s --help)" % (command, ", ".join(flags), command)
+            )
         config = merge_config(args)
         levels = None
         if getattr(args, "levels", None) is not None:

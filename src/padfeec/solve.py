@@ -57,24 +57,10 @@ def _solve(K, rhs, label):
 
 
 def _check_symmetric(K, label):
-    """Raise unless |K - K^T| <= 1e-13 times K's largest entry.
-
-    A dense K is compared in stripes of rows, so no temporary of its size
-    is made; a sparse one is compared whole.
-    """
-    tol = 1e-13 * max(abs_max(K), 1e-300)
-    if scipy.sparse.issparse(K):
-        stripes = [K - K.T]
-    else:
-        stripes = (
-            K[r : r + _STRIPE] - K[:, r : r + _STRIPE].T for r in range(0, K.shape[0], _STRIPE)
-        )
-    if any(abs_max(gap) > tol for gap in stripes):
+    """Raise unless |K - K^T| <= 1e-13 times K's largest entry."""
+    if abs_max(K - K.T) > 1e-13 * max(abs_max(K), 1e-300):
         raise AssemblyError("%s system lost symmetry" % label)
     return K
-
-
-_STRIPE = 128  # rows per stripe of the symmetry check
 
 
 def _block_system(sizes, blocks, rhs_blocks, label):

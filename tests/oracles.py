@@ -37,9 +37,13 @@ constraint-route atlas and the orthonormalized partner atlas, and
 with `common_kernel_pencil_eigs` removing a common kernel of K and M by a
 pivoted QR of the stacked [K; M]: the oracles of the compact-basis pair and
 pencils.
+`trace_mismatch_all_columns` compares every atlas column on every interior
+facet: the oracle of `spaces.verify_trace_continuity`, which compares only
+the columns that live on one of the facet's two cells.
 """
 
 import json
+import math
 
 import numpy as np
 import scipy.linalg
@@ -78,6 +82,7 @@ from padfeec.local import (
     trimmed_local,
     whitney_coefficients,
 )
+from padfeec.forms import reference_simplex, trace_on
 from padfeec.mesh import Mesh, generate_structured
 from padfeec.report import Report, emit
 from padfeec.spaces import d_pairing, ladder, whitney_dofs
@@ -721,3 +726,29 @@ def constraint_route_eigen(mesh, k, bc="none", rel_tol=1e-9):
         K, M = TA.T @ (lad.p0(hi).gram @ TA), PA.T @ (lad.p0(lo).gram @ PA)
         out.append(common_kernel_pencil_eigs(K, M, rel_tol))
     return tuple(out)
+
+
+def trace_mismatch_all_columns(space):
+    """Worst inter-cell trace mismatch of every atlas column on every interior facet."""
+    mesh, broken = space.mesh, space.broken
+    if space.k == mesh.dim:
+        return 0.0
+    atlas = space.atlas.toarray() if scipy.sparse.issparse(space.atlas) else space.atlas
+    facets = mesh.subsimplices(mesh.dim - 1)
+    ref = reference_simplex(mesh.dim - 1)
+    worst = 0.0
+    for sub, owners in zip(facets.simplices, facets.owners):
+        if len(owners) != 2:
+            continue
+        coords = mesh.vertices[list(sub)]
+        for col in range(space.dim):
+            a, b = (trace_on(broken.form_on_cell(atlas[:, col], ci), coords) for ci, _ in owners)
+            diff = a - b
+            err2 = sum(
+                ca * cb * ref.monomial_integral(tuple(x + y for x, y in zip(ea, eb)))
+                for (ea, ma), ca in diff.terms.items()
+                for (eb, mb), cb in diff.terms.items()
+                if ma == mb
+            )
+            worst = max(worst, math.sqrt(abs(err2)))
+    return worst

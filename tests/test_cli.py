@@ -183,6 +183,19 @@ class TestCli:
             (["solve", "source", "--k", "0", "--check-equivalence"], "solve source"),
             (["solve", "source", "--k", "0", "--scheme", "all"], "solve source"),
             (["solve", "hodge", "--k", "1", "--scheme", "bogus"], "solve hodge"),
+            # one flag per command that the command does not read
+            (["mesh", "gen", "--k", "1"], "mesh gen"),
+            (["mesh", "info", "--load", "poly:1"], "mesh info"),
+            (["space", "build", "--eig-tol", "0.5"], "space build"),
+            (["verify", "base-pair", "--load", "poly:1"], "verify base-pair"),
+            (["verify", "decomposition", "--k", "1", "--bc", "homogeneous"], "verify decomposition"),
+            (["verify", "duality", "--levels", "2,4"], "verify duality"),
+            (["verify", "complex", "--k", "1"], "verify complex"),
+            (["verify", "interp", "--eig-tol", "0.5"], "verify interp"),
+            (["solve", "source", "--eig-tol", "0.5"], "solve source"),
+            (["solve", "eigen", "--export-solutions", "x.json"], "solve eigen"),
+            (["solve", "hodge", "--k", "1", "--bc", "homogeneous"], "solve hodge"),
+            (["suite", "all", "--fast", "--k", "1"], "suite all"),
         ],
     )
     def test_flags_a_command_ignores_are_refused(self, capsys, argv, command):
@@ -190,6 +203,29 @@ class TestCli:
         assert code == 2 and out == ""
         assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
         assert command in err
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["verify", "duality", "--bogus", "1"], "--bogus"),
+            (["solve", "eigen", "--bc", "bogus"], "invalid choice"),
+            (["verify", "duality", "--k", "x"], "invalid int"),
+            (["verify"], "required"),
+        ],
+        ids=["unknown-flag", "bad-choice", "bad-int", "no-subcommand"],
+    )
+    def test_parse_errors_are_one_line(self, capsys, argv, reason):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter: ") and err.count("\n") == 1
+        assert reason in err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "hodge", "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--scheme" in usage and "--bc" not in usage and "--levels" not in usage
 
     @pytest.mark.parametrize("command", [["verify", "complex"], ["mesh", "info"]])
     def test_unknown_scheme_in_config_refused_by_every_command(self, tmp_path, capsys, command):
@@ -480,6 +516,70 @@ class TestCli:
         lines = out.strip().splitlines()
         assert lines[0] == "record,key,value,verdict"
         assert any("alpha" in line for line in lines)
+
+
+# The flags each command reads besides --out, --format and --timings.
+MESH = ("--mesh", "--mesh-file")
+READS = {
+    "mesh gen": MESH,
+    "mesh info": MESH,
+    "space build": MESH + ("--k", "--bc", "--kind"),
+    "verify base-pair": MESH + ("--k", "--bc", "--eig-tol", "--levels"),
+    "verify decomposition": MESH + ("--k",),
+    "verify duality": MESH + ("--k",),
+    "verify complex": MESH,
+    "verify interp": MESH + ("--k",),
+    "solve source": MESH + ("--k", "--bc", "--load", "--export-solutions"),
+    "solve eigen": MESH + ("--k", "--bc"),
+    "solve hodge": MESH + ("--k", "--load", "--scheme", "--check-equivalence", "--export-solutions"),
+    "suite all": ("--fast", "--bc", "--load", "--eig-tol"),
+}
+UNIVERSAL = ("--out", "--format", "--timings")
+FLAG_VALUES = {
+    "--mesh": ["box:4"],
+    "--mesh-file": ["mesh.json"],
+    "--k": ["1"],
+    "--bc": ["homogeneous"],
+    "--kind": ["star"],
+    "--load": ["poly:3"],
+    "--scheme": ["all"],
+    "--eig-tol": ["0.5"],
+    "--levels": ["2,4"],
+    "--export-solutions": ["x.json"],
+    "--check-equivalence": [],
+    "--fast": [],
+    "--out": ["report.json"],
+    "--format": ["csv"],
+    "--timings": [],
+}
+
+
+class TestFlagTable:
+    def test_the_table_declares_each_command_once(self):
+        from padfeec.cli import COMMANDS
+
+        assert {c: tuple(flags) for c, (_, flags) in COMMANDS.items()} == READS
+        assert sum(len(flags) + len(UNIVERSAL) for flags in READS.values()) == 83
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_each_command_takes_exactly_its_flags(self, capsys, monkeypatch, command):
+        import padfeec.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command ran")
+
+        monkeypatch.setattr(cli, "run", refuse)
+        for flag in FLAG_VALUES:
+            argv = command.split() + [flag] + FLAG_VALUES[flag]
+            if flag in READS[command] + UNIVERSAL:
+                args, unread = cli.build_parser().parse_known_args(argv)
+                assert unread == [], (command, flag)
+                cli.merge_config(args)
+            else:
+                code, out, err = run_cli(argv, capsys)
+                assert code == 2 and out == "" and err.count("\n") == 1, (command, flag)
+                assert err.startswith("error: InvalidParameter: %s " % command), err
+                assert flag in err
 
 
 CONFIG_KEYS = ("mesh", "mesh_file", "k", "bc", "scheme", "load", "eig_tol", "out", "fmt")

@@ -260,7 +260,7 @@ class TestSymmetryCheck:
         C = rng.standard_normal((300, 4))
         K, _, _ = _block_system((300, 4), {(0, 0): S, (0, 1): C}, {}, "test")
         assert np.array_equal(K, K.T)
-        # the asymmetry sits in the last stripe of rows
+        # one entry below the diagonal breaks the symmetry
         S[290, 280] += 1e-6
         with pytest.raises(AssemblyError, match="test system lost symmetry"):
             _block_system((300, 4), {(0, 0): S, (0, 1): C}, {}, "test")
@@ -294,7 +294,7 @@ class TestSymmetryCheck:
         K, _, _ = _block_system((300, 4), {(0, 0): S.tocsr(), (0, 1): C}, {}, "test")
         assert scipy.sparse.issparse(K) and abs(K - K.T).max() == 0.0
         assert np.array_equal(K.toarray()[:300, :300], S.toarray())
-        # the asymmetry sits in the last stripe of rows
+        # one entry below the diagonal breaks the symmetry
         S[290, 280] += 1e-6
         with pytest.raises(AssemblyError, match="test system lost symmetry"):
             _block_system((300, 4), {(0, 0): S.tocsr(), (0, 1): C}, {}, "test")

@@ -27,6 +27,7 @@ from oracles import (
     dense_whitney_atlas,
     jittered,
     ladder_locals,
+    trace_mismatch_all_columns,
 )
 
 BOX2 = generate_structured(2, 2)
@@ -95,6 +96,41 @@ class TestConformingWhitney:
         gs = conforming_whitney(BOX3, 1, "none")
         assert gs.dim == BOX3.subsimplices(1).count
         assert verify_trace_continuity(gs) < 1e-11
+
+    @pytest.mark.parametrize("bc", ["none", "homogeneous"])
+    @pytest.mark.parametrize("spec", [(2, 2, "box"), (2, 4, "hole"), (3, 1, "box")])
+    def test_trace_mismatch_matches_every_column_oracle(self, spec, bc):
+        mesh = generate_structured(*spec)
+        for k in range(mesh.dim):
+            gs = conforming_whitney(mesh, k, bc)
+            assert verify_trace_continuity(gs) == trace_mismatch_all_columns(gs), k
+
+    def test_broken_mismatch_matches_every_column_oracle(self):
+        # broken columns live on one cell each, so their traces do not match
+        gs = broken_space(BOX2, 1, "primal")
+        mismatch = verify_trace_continuity(gs)
+        assert mismatch > 0.1 and mismatch == trace_mismatch_all_columns(gs)
+
+    def test_trace_check_compares_only_the_columns_of_each_facet(self, monkeypatch):
+        from math import comb
+
+        from padfeec import spaces
+
+        calls = []
+        trace_on = spaces.trace_on
+
+        def counting(*args):
+            calls.append(args)
+            return trace_on(*args)
+
+        monkeypatch.setattr(spaces, "trace_on", counting)
+        mesh = generate_structured(2, 4)
+        gs = conforming_whitney(mesh, 1, "none")
+        assert verify_trace_continuity(gs) < 1e-11
+        interior = sum(len(owners) == 2 for owners in mesh.subsimplices(1).owners)
+        # two triangles sharing an edge hold 3 + 3 - 1 Whitney 1-forms
+        pair = 2 * comb(3, 2) - comb(2, 2)
+        assert 0 < len(calls) <= 2 * interior * pair
 
 
 class TestStarSpace:
