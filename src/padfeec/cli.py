@@ -638,6 +638,9 @@ def merge_config(args):
         if value is not None:
             merged[key] = value
     config = RunConfig(command="%s %s" % (args.group, args.action), **merged)
+    # the broken space has no boundary treatment
+    if getattr(args, "kind", None) == "broken" and args.bc is not None:
+        raise InvalidParameter("space build --kind broken does not read --bc")
     # the scheme equivalences run exactly when every scheme does
     if getattr(args, "check_equivalence", False) and config.scheme != "all":
         raise InvalidParameter(

@@ -67,10 +67,10 @@ class InterpolatorSpec:
 def interpolator_spec(mesh, k):
     """Assemble and validate the square systems of every cell of one mesh level.
 
-    The systems are built from the pairing blocks and the primal Grams that
-    the ladder's cell decompositions hold; Phi_K holds the same moments as
-    coefficient functionals, so S_K applied to the primal basis is the
-    identity only when the two agree.  Returns one `InterpolatorSpec` per
+    The systems are built from the pairing and part stacks of the ladder's
+    `StackedDecomposition` and from the primal Grams; Phi_K holds the same
+    moments as coefficient functionals, so S_K applied to the primal basis
+    is the identity only when the two agree.  Returns one `InterpolatorSpec` per
     cell, whose arrays are views into (cells, ...) stacks.
     """
     lad = ladder(mesh)
@@ -86,10 +86,7 @@ def interpolator_spec(mesh, k):
     # the dual basis' codifferentials are constant: combinations of the
     # primal basis' leading members, the constants
     dQ = P @ (primal.reference.projection.T @ delta)
-    pb, ring, perp = (
-        np.stack([getattr(dec, part).basis for dec in decs])
-        for part in ("dual_PB", "ring_P0", "P0_perp")
-    )
+    pb, ring, perp = decs.dual_PB, decs.ring_P0, decs.P0_perp
     value_tests = np.concatenate([dQ @ pb, P @ ring, np.zeros_like(P @ perp)], axis=2)
     derivative_tests = np.concatenate(
         [-(Q @ pb), np.zeros_like(D @ P @ ring), D @ P @ perp], axis=2
@@ -100,7 +97,7 @@ def interpolator_spec(mesh, k):
             % (value_tests.shape[2], primal.reference.dim)
         )
     system = np.concatenate([
-        np.swapaxes(np.stack([dec.pairing for dec in decs]) @ pb, 1, 2),
+        np.swapaxes(decs.pairing @ pb, 1, 2),
         np.swapaxes(ring, 1, 2) @ primal.gram_blocks(),
         np.swapaxes(perp, 1, 2) @ primal.energy_blocks(),
     ], axis=1)

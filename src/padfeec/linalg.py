@@ -476,7 +476,12 @@ def icr_of(T, V, gram_x=None, gram_y=None, eig_tol=EIG_TOL):
     TV = T @ V
     K = _as_matrix(_cross_gram(TV, _as_gram(gram_y), TV))
     M = _as_matrix(_cross_gram(V, _as_gram(gram_x), V))
-    w = scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (M + M.T), eigvals_only=True)
+    # K and M are fresh products of `_cross_gram`, never a caller's or a
+    # cached array: symmetrize them in place and let eigh overwrite them
+    for A in (K, M):
+        A += A.T
+        A *= 0.5
+    w = scipy.linalg.eigh(K, M, eigvals_only=True, overwrite_a=True, overwrite_b=True)
     wmax = max(w[-1], 0.0)
     if wmax <= 0.0:
         return 0.0
@@ -507,10 +512,16 @@ def pencil_nonzero_eigs(K, M, rel_tol=1e-9):
         return np.zeros(0), 0
     sK = max(np.abs(K).max(), 1e-300)
     sM = max(np.abs(M).max(), 1e-300)
-    A, B = 0.5 * (K + K.T), 0.5 * (M + M.T)
-    S = A / sK + B / sM
+    # S and B are this call's own arrays, built and scaled in place and
+    # overwritten by eigh; K and M, which may be the caller's, are only read
+    S, B = 0.5 * (K + K.T), 0.5 * (M + M.T)
+    S /= sK
+    B /= sM
+    S += B
+    S += S.T
+    S *= 0.5
     try:
-        theta = scipy.linalg.eigh(B / sM, 0.5 * (S + S.T), eigvals_only=True)
+        theta = scipy.linalg.eigh(B, S, eigvals_only=True, overwrite_a=True, overwrite_b=True)
     except np.linalg.LinAlgError:
         raise SolverFailure("K + M of the pencil is not positive definite") from None
     theta = np.clip(theta, 0.0, 1.0)

@@ -7,15 +7,16 @@ cell, with its d, delta, P0 projection, pairing and star blocks, built once
 per (n, k, family) on first use.  The runtime reads cells only through these
 blocks and the mesh's geometry: `decompose_local` splits every cell's pair
 into its pairing-null part and its twisted part in one batched pass over
-the cells' Gram, energy and pairing stacks, `cell_constants` gives every
+the cells' Gram, energy and pairing stacks, and keeps every part as one
+(cells, ., .) stack (`StackedDecomposition`), `cell_constants` gives every
 cell's inf-sups in one batched pass over the same stacks, and the Whitney
 forms of a whole mesh have their trimmed coordinates in closed form
 (`whitney_coefficients`).  Neither pass factors a Gram: both read the
 stacked factor that each broken space's `linalg.Gram` computes once.
 
 A `LocalSpace` is a span of `PolyForm`s on one cell, with Grams by exact
-integration.  `trimmed_local`, `pairing_matrix`, `block_d_expand` and
-`local_constants` are the oracles that the tests compare the runtime with.
+integration.  `trimmed_local`, `pairing_matrix` and `block_d_expand` are
+oracles that the tests compare the runtime with.
 The closed-form 2-D families (lowest-degree H(div) shape functions,
 Crouzeix-Raviart companions, enriched quadratics with the cubic edge
 bubble, enhanced linear fluxes) are local spaces too;
@@ -50,13 +51,7 @@ from .forms import (
     multiindices,
     star_sign,
 )
-from .linalg import (
-    Subspace,
-    block_diagonal,
-    infsup,
-    nullspace,
-    orthonormalize,
-)
+from .linalg import block_diagonal, nullspace, orthonormalize
 
 # relative residual above which a form counts as outside a trimmed span
 SPAN_TOL = 1e-9
@@ -384,25 +379,29 @@ def block_d_expand(sources, targets):
 
 
 @dataclass
-class LocalDecomposition:
-    """Pairing-relative structural split of one cell's primal/dual pair.
+class StackedDecomposition:
+    """Pairing-relative structural split of every cell's primal/dual pair.
 
     Both sides keep their pairing-null part P0 and twisted part PB with the
-    d- or delta-kernel of PB; the primal side also keeps the kernel ring_P0
-    of its P0 and the complement P0_perp, which the interpolation moments
-    read.  Every part is orthonormal in the cell's Gram of its side, and
-    ``pairing`` is the cell's pairing block.
+    d- or delta-kernel ring_PB of PB; the primal side also keeps the kernel
+    ring_P0 of its P0 and the complement P0_perp, which the interpolation
+    moments read.  Each part is a contiguous (cells, dim, m) stack: cell K's
+    slice is a basis orthonormal in the K-th block of ``gram`` (primal
+    parts) or of ``dual_gram`` (dual parts), and ``pairing`` is the (cells,
+    p, q) stack of pairing blocks.
     """
 
     pairing: np.ndarray
-    P0: Subspace
-    ring_P0: Subspace
-    P0_perp: Subspace
-    PB: Subspace
-    ring_PB: Subspace
-    dual_P0: Subspace
-    dual_PB: Subspace
-    dual_ring_PB: Subspace
+    P0: np.ndarray
+    ring_P0: np.ndarray
+    P0_perp: np.ndarray
+    PB: np.ndarray
+    ring_PB: np.ndarray
+    dual_P0: np.ndarray
+    dual_PB: np.ndarray
+    dual_ring_PB: np.ndarray
+    gram: np.ndarray
+    dual_gram: np.ndarray
 
 
 def _unit_block(stack, what):
@@ -471,8 +470,8 @@ def decompose_local(Mp, Ep, Md, Ed, B):
     block times a positive factor, as a trimmed family's are (vol_K times
     its reference block): the pairing-null parts are found once, and only
     the Gram-dependent steps run per cell, batched over the stacks and
-    whitened by each `Gram`'s stacked factor.  Returns one
-    `LocalDecomposition` per cell.
+    whitened by each `Gram`'s stacked factor.  Returns the
+    `StackedDecomposition` of all cells.
     """
     p, q = B.shape[1:]
     P0, ring_P0, P0_perp, PB, ring_PB = _side_parts(Mp, Ep, np.swapaxes(B, 1, 2))
@@ -482,59 +481,11 @@ def decompose_local(Mp, Ep, Md, Ed, B):
         raise AssumptionViolation("primal side does not split into P0 + PB")
     if dual_P0.shape[2] + dual_PB.shape[2] != q:
         raise AssumptionViolation("dual side does not split into P0 + PB")
-    return [
-        LocalDecomposition(
-            B[c],
-            *(Subspace(p, part[c], Mp.stack[c]) for part in (P0, ring_P0, P0_perp, PB, ring_PB)),
-            *(Subspace(q, part[c], Md.stack[c]) for part in (dual_P0, dual_PB, dual_ring_PB)),
-        )
-        for c in range(len(B))
-    ]
-
-
-def local_constants(dec: LocalDecomposition, primal: LocalSpace, dual: LocalSpace):
-    """(alpha_K, beta_K, gamma_K): the twisted-kernel inf-sup constants.
-
-    alpha pairs the d-kernel of the primal twisted part with the delta-range
-    of the dual twisted part inside L2 Lambda^k; beta is the mirror image one
-    level up; gamma is the full twisted pairing inf-sup in graph norms.
-    ``dec`` is the decomposition of the pair of local spaces ``primal`` and
-    ``dual``.
-    """
-    # delta-range of the dual twisted part, expanded in primal coordinates
-    delta_imgs = [
-        primal.expand(
-            codifferential(dual.form_from_coeffs(c)) if dual.k > 0 else PolyForm(dual.n, 0),
-            tol=1e-7,
-        )
-        for c in dec.dual_PB.basis.T
-    ]
-    alpha = _kernel_range_infsup(dec.ring_PB, delta_imgs, primal.gram())
-    # d-range of the primal twisted part, expanded in dual coordinates
-    d_imgs = [
-        dual.expand(
-            exterior_derivative(primal.form_from_coeffs(c))
-            if primal.k < primal.n else PolyForm(primal.n, primal.k + 1),
-            tol=1e-7,
-        )
-        for c in dec.PB.basis.T
-    ]
-    beta = _kernel_range_infsup(dec.dual_ring_PB, d_imgs, dual.gram())
-    P, Q = dec.PB.basis, dec.dual_PB.basis
-    if P.shape[1] == 0 or Q.shape[1] == 0:
-        return alpha, beta, 1.0
-    Gp = primal.gram() + primal.energy_gram()
-    Gq = dual.gram() + dual.energy_gram()
-    return alpha, beta, _graph_infsup(P.T @ Gp @ P, Q.T @ Gq @ Q, P.T @ dec.pairing @ Q)
-
-
-def _kernel_range_infsup(kernel: Subspace, images, gram):
-    """inf-sup of a kernel against the span of image columns; 1 when both are empty."""
-    span = np.column_stack(images) if images else np.zeros((len(gram), 0))
-    R = Subspace.from_span(span, gram)
-    if kernel.dim == 0 and R.dim == 0:
-        return 1.0
-    return infsup(kernel, R, gram)
+    # a complement is a column slice of a wider stack: keep only its own columns
+    parts = (P0, ring_P0, P0_perp, PB, ring_PB, dual_P0, dual_PB, dual_ring_PB)
+    return StackedDecomposition(
+        B, *(np.ascontiguousarray(part) for part in parts), Mp.stack, Md.stack
+    )
 
 
 def _graph_infsup(Gp, Gq, B):

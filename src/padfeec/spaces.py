@@ -41,8 +41,10 @@ the broken dimension times the partner's is formed.  The ladder also keeps
 the compact nonconforming basis and the starred atlases with columns of
 unit broken-Gram norm, as CSC arrays from `SPARSE_CELLS` cells up and dense
 below, and everything that runs on the nonconforming space runs on these.
-Each compact basis function keeps only its cell blocks, and the compact
-basis is written, scaled, straight from them.  The cells that hold a
+The compact basis is built from the stacks of the cells' decompositions by
+batched products, with no per-cell or per-function object: its `BasisAtlas`
+keeps the cell blocks as arrays (column, cell, coefficients), and the
+compact basis is written, scaled, straight from them.  The cells that hold a
 sub-simplex come from the incidence and owner tables of `Mesh.subsimplices`.
 The constraint route's dense pivoted QR (`abcfes_by_constraints`) is the
 compact basis's cross-check, built only by `verify complex` and `space build`.
@@ -298,67 +300,73 @@ class ConstraintSet:
     partner: GlobalSpace
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasisFunction:
-    """A compact basis function of a broken space of dimension ``size``.
+    """One column of a `BasisAtlas`, for inspection: its category ("type-I"
+    or "type-II"), anchor (("cell", index) or ("subsimplex", vertices)) and
+    read-only broken coefficient ``vector``."""
 
-    ``pieces`` are its nonzero cell blocks, (cell, coefficients); the
-    full-length ``vector`` is written from them on each read.
-    """
-
-    category: str  # "type-I" or "type-II"
-    anchor: tuple  # ("cell", index) or ("subsimplex", vertices)
-    pieces: list
-    size: int
-
-    @property
-    def vector(self):
-        vec = np.zeros(self.size)
-        for cell, values in self.pieces:
-            vec[cell * values.size : (cell + 1) * values.size] = values
-        return vec
+    category: str
+    anchor: tuple
+    vector: np.ndarray
 
 
 @dataclass
 class BasisAtlas:
+    """The compact basis as cell blocks: column ``cols[p]`` holds ``V[p]`` on
+    cell ``cells[p]``, the blocks in column order.
+
+    The first ``type_I`` columns are type-I, each on the cell ``anchors[j]``;
+    the rest are type-II, each on two cells and anchored at the sub-simplex
+    ``partner_anchors[anchors[j]]`` of a partner column.
+    """
+
     broken: BrokenSpace
-    functions: list
+    cols: np.ndarray
+    cells: np.ndarray
+    V: np.ndarray  # (blocks, dim)
+    anchors: np.ndarray
+    type_I: int
+    partner_anchors: list
 
     @property
     def dim(self):
-        return len(self.functions)
+        return len(self.anchors)
+
+    @property
+    def functions(self):
+        """Every column as a `BasisFunction`, derived from the blocks on each read."""
+        A = self.matrix()
+        A.flags.writeable = False
+        return tuple(
+            BasisFunction("type-I", ("cell", a), A[:, j]) if j < self.type_I
+            else BasisFunction("type-II", ("subsimplex", self.partner_anchors[a]), A[:, j])
+            for j, a in enumerate(self.anchors.tolist())
+        )
 
     def matrix(self):
         """The functions as the columns of a dense array."""
-        return self._columns(*self._blocks(), sparse=False)
+        return self._columns(self.V, sparse=False)
 
     def unit_columns(self, gram, sparse):
         """The functions scaled to unit norm in ``gram``, the broken space's
         `Gram`, as the columns of a CSC array if ``sparse`` and of a dense
         one otherwise.  Each norm is summed over the function's cell blocks,
         so both formats hold the same numbers."""
-        cols, cells, V = self._blocks()
-        squares = np.einsum("pi,pij,pj->p", V, gram.stack[cells], V)
-        V = V / np.sqrt(np.bincount(cols, squares, minlength=self.dim))[cols, None]
-        return self._columns(cols, cells, V, sparse)
+        squares = np.einsum("pi,pij,pj->p", self.V, gram.stack[self.cells], self.V)
+        norms = np.sqrt(np.bincount(self.cols, squares, minlength=self.dim))
+        return self._columns(self.V / norms[self.cols, None], sparse)
 
-    def _blocks(self):
-        """Column, cell and coefficients of every function's cell blocks, as arrays."""
-        blocks = [(j, cell, values) for j, f in enumerate(self.functions) for cell, values in f.pieces]
-        cols, cells, values = zip(*blocks) if blocks else ((), (), ())
-        V = np.reshape(values, (len(blocks), self.broken.reference.dim))
-        return np.array(cols, dtype=int), np.array(cells, dtype=int), V
-
-    def _columns(self, cols, cells, V, sparse):
+    def _columns(self, V, sparse):
         shape = (self.broken.dim, self.dim)
         if sparse:
-            return _cell_columns(cols, cells, V, shape)
+            return _cell_columns(self.cols, self.cells, V, shape)
         A = np.zeros(shape)
-        A[cells[:, None] * V.shape[1] + np.arange(V.shape[1]), cols[:, None]] = V
+        A[self.cells[:, None] * V.shape[1] + np.arange(V.shape[1]), self.cols[:, None]] = V
         return A
 
     def count(self, category):
-        return sum(1 for f in self.functions if f.category == category)
+        return self.type_I if category == "type-I" else self.dim - self.type_I
 
 
 # Largest dense float64 matrix a ladder may need, in MiB (box:32 needs 512).
@@ -488,7 +496,7 @@ class DeRhamLadder:
         )
 
     def local_decompositions(self, k):
-        """Each cell's decomposition of (primal k-forms, dual (k+1)-forms).
+        """The `StackedDecomposition` of every cell's (primal k-forms, dual (k+1)-forms).
 
         At the top degree the dual side is the empty space of (n+1)-forms.
         """
@@ -691,75 +699,86 @@ def abcfes_local_basis(mesh, k, bc="none", lad=None):
     members annihilating every overlapping conforming-partner functional.
     Type-II functions chain the dual-paired cell representatives over the
     support of one partner basis function, two adjacent cells at a time, and
-    close the single global pairing condition.
+    close the single global pairing condition.  Every cell's pieces come
+    from batched products over the stacks of the ladder's decomposition;
+    the columns are, per cell, P0 then the null basis, then the type-II
+    functions in partner order.
     """
     lad = lad or ladder(mesh)
     broken = lad.primal(k)
+    dim, cells = broken.reference.dim, mesh.num_cells
     if k == mesh.dim:
-        return BasisAtlas(broken, [
-            BasisFunction("type-I", ("cell", ci), [(ci, unit)], broken.dim)
-            for ci in range(mesh.num_cells)
-            for unit in np.eye(broken.reference.dim)
-        ])
+        cell = np.repeat(np.arange(cells), dim)
+        return BasisAtlas(
+            broken, np.arange(broken.dim), cell, np.tile(np.eye(dim), (cells, 1)), cell,
+            broken.dim, [],
+        )
     partner = lad.partner(k, bc)
     decs = lad.local_decompositions(k)
-    # cells supporting each partner basis function
+    # cells supporting each partner basis function, in chain order: around
+    # the patch of a vertex anchor in 2-D, ascending otherwise
     table = mesh.subsimplices(mesh.dim - k - 1)
-    support = [[ci for ci, _ in table.owners[table.index[sub]]] for sub in partner.anchors]
-    cell_funcs = {ci: [] for ci in range(mesh.num_cells)}
-    for j in range(partner.dim):
-        for ci in support[j]:
-            cell_funcs[ci].append(j)
-    counts = np.array([len(cell_funcs[ci]) for ci in range(mesh.num_cells)])
+    support = [
+        mesh.vertex_patch(sub[0]).cells if len(sub) == 1 and mesh.dim == 2
+        else [ci for ci, _ in table.owners[table.index[sub]]]
+        for sub in partner.anchors
+    ]
+    lengths = [len(cells_j) for cells_j in support]
+    flat = np.array([ci for cells_j in support for ci in cells_j], dtype=int)
+    column = np.repeat(np.arange(partner.dim), lengths)
+    # every cell's overlapping partner columns in ascending order, as the
+    # sorted keys cell * partner.dim + column; a column's place in its
+    # cell's list is its key's rank less the cell's first
+    keys = np.sort(flat * partner.dim + column)
+    counts = np.bincount(flat, minlength=cells)
+    first = np.cumsum(counts) - counts
+
+    def place(cell, col):
+        return np.searchsorted(keys, cell * partner.dim + col) - first[cell]
+
     # every cell's functionals of its overlapping partner columns, zero-padded
     # to one (cells, count, dim) stack: each entry of the constraint matrix
-    # sits on one cell, in the row of its partner column's place in that
-    # cell's list (a partner column lives only on its supporting cells),
-    # found among the sorted keys cell * partner.dim + column of all lists
+    # sits on one cell (a partner column lives only on its supporting cells)
     C = lad.abc_constraints(k, bc).tocoo()
-    cell, local = np.divmod(C.col, broken.reference.dim)
-    pairs = np.array([ci * partner.dim + j for ci, I2 in cell_funcs.items() for j in I2], dtype=int)
-    place = np.searchsorted(pairs, cell * partner.dim + C.row) - (np.cumsum(counts) - counts)[cell]
-    BP = np.zeros((mesh.num_cells, counts.max(initial=0), broken.reference.dim))
-    BP[cell, place, local] = C.data
+    cell, local = np.divmod(C.col, dim)
+    r = counts.max(initial=0)
+    BP = np.zeros((cells, r, dim))
+    BP[cell, place(cell, C.row), local] = C.data
     # restricted to each cell's twisted part PB, one SVD gives each cell's
     # rank, pseudo-inverse and local null basis
-    L = np.matmul(BP, np.array([dec.PB.basis for dec in decs]))
-    U, sv, Vt = np.linalg.svd(L)
+    U, sv, Vt = np.linalg.svd(BP @ decs.PB)
     short = np.flatnonzero(np.sum(sv > 1e-10 * sv[:, :1], axis=1) < counts)
     if short.size:
         raise AssumptionViolation("partner restrictions dependent on cell %d" % short[0])
-    funcs = []
-    reps = {}
-    for ci in range(mesh.num_cells):
-        dec = decs[ci]
-        I2 = cell_funcs[ci]
-        PB = dec.PB.basis  # local coordinates of the twisted part
-        for col in range(dec.P0.dim):
-            funcs.append(
-                BasisFunction("type-I", ("cell", ci), [(ci, dec.P0.basis[:, col])], broken.dim)
-            )
-        # the pseudo-inverse V_r S_r^-1 U_r^T; its columns are local
-        # representatives per functional
-        r = len(I2)
-        V = Vt[ci, :r].T / sv[ci, :r] @ U[ci, :r, :r].T
-        for j_local, j in enumerate(I2):
-            reps[(ci, j)] = PB @ V[:, j_local]
-        for null in Vt[ci, r:]:
-            funcs.append(BasisFunction("type-I", ("cell", ci), [(ci, PB @ null)], broken.dim))
-    for j in range(partner.dim):
-        cells = support[j]
-        if len(cells) < 2:
-            continue
-        anchor = partner.anchors[j]
-        ordered = cells
-        if len(anchor) == 1 and mesh.dim == 2:
-            patch = mesh.vertex_patch(anchor[0]).cells
-            ordered = [c for c in patch if c in cells]
-        for a, b in zip(ordered, ordered[1:]):
-            pieces = [(a, reps[(a, j)]), (b, -reps[(b, j)])]
-            funcs.append(BasisFunction("type-II", ("subsimplex", anchor), pieces, broken.dim))
-    return BasisAtlas(broken, funcs)
+    # every cell's pieces: PB times a row of Vt, or times a functional's
+    # column of the pseudo-inverse V_r S_r^-1 U_r^T, r = counts[cell], whose
+    # terms past r are zero; batched matrix-vector products, so each piece
+    # is the one-cell product to the last bit
+    def pieces(vectors):
+        return np.matmul(decs.PB[:, None], vectors[..., None])[..., 0]
+
+    p0, m = decs.P0.shape[2], decs.PB.shape[2]
+    live = np.arange(r) < counts[:, None]
+    scaled = np.zeros((cells, m, r))
+    np.divide(np.swapaxes(Vt[:, :r], 1, 2), sv[:, None, :r], out=scaled, where=live[:, None])
+    reps = pieces(np.swapaxes(scaled @ np.swapaxes(U, 1, 2), 1, 2))  # (cells, r, dim)
+    # type-I: each cell's P0, then PB times its null rows counts[cell].. of Vt
+    blocks = np.concatenate([np.swapaxes(decs.P0, 1, 2), pieces(Vt)], axis=1)
+    keep = np.concatenate([np.ones((cells, p0), bool), np.arange(m) >= counts[:, None]], axis=1)
+    type_I, slot = np.nonzero(keep)
+    # type-II: one function per adjacent pair (a, b) in a partner column's chain
+    chained = np.flatnonzero(column[1:] == column[:-1])
+    a, b, j = flat[chained], flat[chained + 1], column[chained]
+    pairs = np.stack([reps[a, place(a, j)], -reps[b, place(b, j)]], axis=1)
+    return BasisAtlas(
+        broken,
+        np.concatenate([np.arange(len(type_I)), np.repeat(len(type_I) + np.arange(len(j)), 2)]),
+        np.concatenate([type_I, np.stack([a, b], axis=1).ravel()]),
+        np.concatenate([blocks[type_I, slot], pairs.reshape(-1, dim)]),
+        np.concatenate([type_I, j]),
+        len(type_I),
+        partner.anchors,
+    )
 
 
 # -- verification helpers ---------------------------------------------------------

@@ -3,7 +3,12 @@
 `jittered` gives every cell of a structured mesh its own shape, so that a
 mapping error cannot hide behind congruent cells; `ladder_locals` builds
 the cells' trimmed `LocalSpace`s of a broken space with the ladder's Grams;
-`decompose_pair` runs `decompose_local` on one cell's pair of local spaces.
+`decompose_pair` runs `decompose_local` on one cell's pair of local spaces,
+and `cell_decomposition` takes one cell's `LocalDecomposition` from the
+stacks; `local_constants` reads one cell's inf-sup constants from it by
+exact form algebra.  `local_basis_by_loop` builds the compact basis one
+cell and one function at a time: the oracle of the batched
+`abcfes_local_basis`.
 `fast_local_constants` and `cell_icr` are the per-cell base-pair constants
 that the batched report is compared with; `is_independent`,
 `canonically_equal`, `max_diameter` and `roundtrip` are checks that only
@@ -44,6 +49,7 @@ the columns that live on one of the facet's two cells.
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -69,6 +75,7 @@ from padfeec.linalg import (
     _orthonormal_basis,
     abs_max,
     gram_factor,
+    infsup,
     nullspace,
     orthonormalize,
     subspace_equal,
@@ -76,13 +83,14 @@ from padfeec.linalg import (
 )
 from padfeec.local import (
     LocalSpace,
+    _graph_infsup,
     decompose_local,
     pairing_matrix,
     reference_star,
     trimmed_local,
     whitney_coefficients,
 )
-from padfeec.forms import reference_simplex, trace_on
+from padfeec.forms import PolyForm, codifferential, exterior_derivative, reference_simplex, trace_on
 from padfeec.mesh import Mesh, generate_structured
 from padfeec.report import Report, emit
 from padfeec.spaces import d_pairing, ladder, whitney_dofs
@@ -108,14 +116,157 @@ JITTERED = [
 ]
 
 
+@dataclass
+class LocalDecomposition:
+    """One cell's slice of a `local.StackedDecomposition`, each part a
+    `Subspace` in the cell's Gram of its side: what `local_constants` reads."""
+
+    pairing: np.ndarray
+    P0: Subspace
+    ring_P0: Subspace
+    P0_perp: Subspace
+    PB: Subspace
+    ring_PB: Subspace
+    dual_P0: Subspace
+    dual_PB: Subspace
+    dual_ring_PB: Subspace
+
+
+PRIMAL_PARTS = ("P0", "ring_P0", "P0_perp", "PB", "ring_PB")
+DUAL_PARTS = ("dual_P0", "dual_PB", "dual_ring_PB")
+
+
+def cell_decomposition(stacks, c):
+    """Cell ``c``'s `LocalDecomposition`: its slice of every stack of a
+    `StackedDecomposition`, each part a `Subspace` in the cell's Gram."""
+    p, q = stacks.pairing.shape[1:]
+    return LocalDecomposition(
+        stacks.pairing[c],
+        *(Subspace(p, getattr(stacks, part)[c], stacks.gram[c]) for part in PRIMAL_PARTS),
+        *(Subspace(q, getattr(stacks, part)[c], stacks.dual_gram[c]) for part in DUAL_PARTS),
+    )
+
+
+def cell_decompositions(stacks):
+    """Every cell's `LocalDecomposition`, as the ladder kept them before the stacks."""
+    return [cell_decomposition(stacks, c) for c in range(len(stacks.pairing))]
+
+
 def decompose_pair(primal, dual):
     """The `LocalDecomposition` of one cell's pair of local spaces."""
-    (dec,) = decompose_local(
+    stacks = decompose_local(
         Gram(primal.gram()[None]), primal.energy_gram()[None],
         Gram(dual.gram()[None]), dual.energy_gram()[None],
         pairing_matrix(primal, dual)[None],
     )
-    return dec
+    return cell_decomposition(stacks, 0)
+
+
+def local_constants(dec: LocalDecomposition, primal: LocalSpace, dual: LocalSpace):
+    """(alpha_K, beta_K, gamma_K): the twisted-kernel inf-sup constants.
+
+    alpha pairs the d-kernel of the primal twisted part with the delta-range
+    of the dual twisted part inside L2 Lambda^k; beta is the mirror image one
+    level up; gamma is the full twisted pairing inf-sup in graph norms.
+    ``dec`` is the decomposition of the pair of local spaces ``primal`` and
+    ``dual``.
+    """
+    # delta-range of the dual twisted part, expanded in primal coordinates
+    delta_imgs = [
+        primal.expand(
+            codifferential(dual.form_from_coeffs(c)) if dual.k > 0 else PolyForm(dual.n, 0),
+            tol=1e-7,
+        )
+        for c in dec.dual_PB.basis.T
+    ]
+    alpha = _kernel_range_infsup(dec.ring_PB, delta_imgs, primal.gram())
+    # d-range of the primal twisted part, expanded in dual coordinates
+    d_imgs = [
+        dual.expand(
+            exterior_derivative(primal.form_from_coeffs(c))
+            if primal.k < primal.n else PolyForm(primal.n, primal.k + 1),
+            tol=1e-7,
+        )
+        for c in dec.PB.basis.T
+    ]
+    beta = _kernel_range_infsup(dec.dual_ring_PB, d_imgs, dual.gram())
+    P, Q = dec.PB.basis, dec.dual_PB.basis
+    if P.shape[1] == 0 or Q.shape[1] == 0:
+        return alpha, beta, 1.0
+    Gp = primal.gram() + primal.energy_gram()
+    Gq = dual.gram() + dual.energy_gram()
+    return alpha, beta, _graph_infsup(P.T @ Gp @ P, Q.T @ Gq @ Q, P.T @ dec.pairing @ Q)
+
+
+def _kernel_range_infsup(kernel: Subspace, images, gram):
+    """inf-sup of a kernel against the span of image columns; 1 when both are empty."""
+    span = np.column_stack(images) if images else np.zeros((len(gram), 0))
+    R = Subspace.from_span(span, gram)
+    if kernel.dim == 0 and R.dim == 0:
+        return 1.0
+    return infsup(kernel, R, gram)
+
+
+
+def local_basis_by_loop(mesh, k, bc="none"):
+    """The compact basis built one cell and one function at a time.
+
+    The loop that `spaces.abcfes_local_basis` replaced by batched products:
+    from the same stacked SVD of the cells' zero-padded partner
+    restrictions, per cell its P0 columns, its pseudo-inverse
+    representatives one functional at a time and PB times each null row;
+    then, per partner column, one type-II function per adjacent pair of its
+    chained support.  Returns (dense atlas, categories, anchors) in column
+    order.
+    """
+    lad = ladder(mesh)
+    broken = lad.primal(k)
+    dim = broken.reference.dim
+    if k == mesh.dim:
+        anchors = [("cell", ci) for ci in range(mesh.num_cells) for _ in range(dim)]
+        return np.eye(broken.dim), ["type-I"] * broken.dim, anchors
+    partner = lad.partner(k, bc)
+    decs = cell_decompositions(lad.local_decompositions(k))
+    table = mesh.subsimplices(mesh.dim - k - 1)
+    support = [[ci for ci, _ in table.owners[table.index[sub]]] for sub in partner.anchors]
+    cell_funcs = {ci: [] for ci in range(mesh.num_cells)}
+    for j in range(partner.dim):
+        for ci in support[j]:
+            cell_funcs[ci].append(j)
+    counts = np.array([len(cell_funcs[ci]) for ci in range(mesh.num_cells)])
+    C = lad.abc_constraints(k, bc).toarray()
+    BP = np.zeros((mesh.num_cells, counts.max(initial=0), dim))
+    for ci, I2 in cell_funcs.items():
+        BP[ci, : len(I2)] = C[I2][:, broken.cell_slice(ci)]
+    U, sv, Vt = np.linalg.svd(np.matmul(BP, np.array([dec.PB.basis for dec in decs])))
+    funcs, reps = [], {}
+    for ci in range(mesh.num_cells):
+        dec, I2 = decs[ci], cell_funcs[ci]
+        PB = dec.PB.basis
+        for col in range(dec.P0.dim):
+            funcs.append(("type-I", ("cell", ci), [(ci, dec.P0.basis[:, col])]))
+        r = len(I2)
+        V = Vt[ci, :r].T / sv[ci, :r] @ U[ci, :r, :r].T
+        for j_local, j in enumerate(I2):
+            reps[(ci, j)] = PB @ V[:, j_local]
+        for null in Vt[ci, r:]:
+            funcs.append(("type-I", ("cell", ci), [(ci, PB @ null)]))
+    for j in range(partner.dim):
+        cells = support[j]
+        if len(cells) < 2:
+            continue
+        anchor = partner.anchors[j]
+        ordered = cells
+        if len(anchor) == 1 and mesh.dim == 2:
+            patch = mesh.vertex_patch(anchor[0]).cells
+            ordered = [c for c in patch if c in cells]
+        for a, b in zip(ordered, ordered[1:]):
+            funcs.append(("type-II", ("subsimplex", anchor), [(a, reps[(a, j)]), (b, -reps[(b, j)])]))
+    A = np.zeros((broken.dim, len(funcs)))
+    for col, (_, _, pieces) in enumerate(funcs):
+        for ci, values in pieces:
+            A[broken.cell_slice(ci), col] = values
+    return A, [f[0] for f in funcs], [f[1] for f in funcs]
 
 
 def ladder_locals(broken):

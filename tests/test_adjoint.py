@@ -22,7 +22,6 @@ from padfeec.local import (
     LocalSpace,
     block_d_expand,
     gallery_2d,
-    local_constants,
     pairing_matrix,
     star_local,
     trimmed_local,
@@ -41,6 +40,7 @@ from oracles import (
     contains,
     decompose_pair,
     fast_local_constants,
+    local_constants,
     full_range_hypotheses,
     full_subspace,
     gram_complement,

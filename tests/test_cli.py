@@ -204,6 +204,18 @@ class TestCli:
         assert err.startswith("error: InvalidParameter") and err.count("\n") == 1
         assert command in err
 
+    @pytest.mark.parametrize("bc", ["none", "homogeneous"])
+    def test_broken_space_refuses_bc(self, capsys, bc):
+        # the broken space has no boundary treatment, so a --bc there would
+        # only be echoed into the report's config
+        argv = ["space", "build", "--kind", "broken", "--mesh", "box:2", "--k", "1"]
+        code, out, err = run_cli(argv + ["--bc", bc], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter: ") and err.count("\n") == 1
+        assert "--kind broken" in err and "--bc" in err
+        assert run_cli(argv, capsys)[0] == 0
+        assert run_cli(argv[:3] + ["conforming"] + argv[4:] + ["--bc", bc], capsys)[0] == 0
+
     @pytest.mark.parametrize(
         "argv,reason",
         [

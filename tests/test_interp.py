@@ -28,7 +28,7 @@ from padfeec.local import LocalSpace, trimmed_local
 from padfeec.mesh import generate_structured
 from padfeec.spaces import ladder
 
-from oracles import JITTERED, decompose_pair
+from oracles import JITTERED, cell_decompositions, decompose_pair
 
 BOX2 = generate_structured(2, 2)
 BOX4 = generate_structured(2, 4)
@@ -201,7 +201,7 @@ class TestGlobalInterpolation:
     def test_stored_moment_forms_match_fresh_derivatives(self, mesh, k):
         # the spec's test-form columns against fresh PolyForm derivatives
         n = mesh.dim
-        decs = ladder(mesh).local_decompositions(k)
+        decs = cell_decompositions(ladder(mesh).local_decompositions(k))
         for spec, dec in zip(global_interpolator(mesh, k).specs, decs):
             primal = spec.primal
             dual = trimmed_local(primal.cell, k + 1, "dual") if k < n else None

@@ -200,6 +200,24 @@ class TestIcr:
             other = icr_of(T, Subspace.from_span(V @ Q, G).basis, gram_x=G)
             assert abs(other - base) <= 1e-10 * base
 
+    def test_in_place_pencil_leaves_the_inputs_and_the_value(self):
+        # K and M are symmetrized in place and overwritten by eigh: the
+        # caller's T, V and Grams stay as they were, and the index is the
+        # one of the copying route, to the last bit
+        import scipy.linalg
+
+        rng = np.random.default_rng(11)
+        T, V = rng.standard_normal((7, 6)), rng.standard_normal((6, 4))
+        Gx, Gy = (np.eye(m) + 0.1 * rng.standard_normal((m, m)) for m in (6, 7))
+        Gx, Gy = Gx @ Gx.T, Gy @ Gy.T
+        inputs = [a.copy() for a in (T, V, Gx, Gy)]
+        value = icr_of(T, V, gram_x=Gx, gram_y=Gy)
+        for a, b in zip((T, V, Gx, Gy), inputs):
+            assert np.array_equal(a, b)
+        K, M = (T @ V).T @ (Gy @ (T @ V)), V.T @ (Gx @ V)
+        w = scipy.linalg.eigh(0.5 * (K + K.T), 0.5 * (M + M.T), eigvals_only=True)
+        assert value == 1.0 / np.sqrt(w[w > 1e-10 * w[-1]][0])
+
 
 class TestIcrDegenerate:
     def test_near_singular_restricted_stiffness_raises(self):
@@ -284,6 +302,26 @@ class TestPencil:
         lam, zeros = pencil_nonzero_eigs(K, M)
         assert np.allclose(lam, [2.0])
         assert zeros == 1  # the (0,0,1) direction has K v = 0, M v != 0
+
+    def test_caller_arrays_untouched(self):
+        # the shifted reduction is built in arrays of its own: K and M are
+        # only read, and the spectrum is the copying route's to the last bit
+        import scipy.linalg
+
+        rng = np.random.default_rng(12)
+        X, Y = rng.standard_normal((6, 6)), rng.standard_normal((4, 6))
+        K, M = X @ X.T, Y.T @ Y
+        K[0, 1] += 1e-15  # not symmetric to the last bit
+        saved = K.copy(), M.copy()
+        lam, zeros = pencil_nonzero_eigs(K, M)
+        assert np.array_equal(K, saved[0]) and np.array_equal(M, saved[1])
+        sK, sM = np.abs(K).max(), np.abs(M).max()
+        S = 0.5 * (K + K.T) / sK + 0.5 * (M + M.T) / sM
+        theta = scipy.linalg.eigh(0.5 * (M + M.T) / sM, 0.5 * (S + S.T), eigvals_only=True)
+        # M has a two-dimensional kernel: two infinite eigenvalues, no zero one
+        theta = np.clip(theta, 0.0, 1.0)[theta > 1e-9]
+        assert zeros == 0 and lam.size == 4
+        assert np.array_equal(lam, np.sort((1.0 - theta) / theta * (sK / sM)))
 
     def test_common_kernel_refused(self):
         # K + M is singular: the pencils this takes share no kernel by construction

@@ -17,7 +17,6 @@ from padfeec.local import (
     gallery_2d,
     grad_components,
     interior_quadratic,
-    local_constants,
     rot_of,
     star_local,
     vec_inner,
@@ -30,6 +29,7 @@ from oracles import (
     JITTERED,
     decompose_pair,
     fast_local_constants,
+    local_constants,
     is_independent,
     ladder_locals,
 )

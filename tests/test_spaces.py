@@ -21,12 +21,16 @@ from padfeec.spaces import (
 )
 
 from oracles import (
+    DUAL_PARTS,
+    PRIMAL_PARTS,
+    cell_decompositions,
     decompose_pair,
     dense_constraints,
     dense_star_atlas,
     dense_whitney_atlas,
     jittered,
     ladder_locals,
+    local_basis_by_loop,
     trace_mismatch_all_columns,
 )
 
@@ -271,9 +275,8 @@ class TestLocalBasisRoute:
         from padfeec.errors import AssumptionViolation
 
         lad = ladder(generate_structured(2, 2))
-        dec = lad.local_decompositions(0)[3]
         # with cell 3's twisted part zeroed, its partner functionals restricted to it vanish
-        dec.PB = Subspace(dec.PB.ambient_dim, np.zeros_like(dec.PB.basis), dec.PB.gram)
+        lad.local_decompositions(0).PB[3] = 0.0
         with pytest.raises(AssumptionViolation, match="dependent on cell 3"):
             lad.abc_atlas(0, "none")
 
@@ -723,16 +726,15 @@ class TestBlockAssemblyOracle:
 
         lad = ladder(mesh)
         cells = _fresh_cells(mesh)
-        parts = ("P0", "ring_P0", "P0_perp", "PB", "ring_PB", "dual_P0", "dual_PB", "dual_ring_PB")
         for k in range(mesh.dim + 1):
             primals = _fresh_locals(mesh, k, "primal", cells)
             if k < mesh.dim:
                 duals = _fresh_locals(mesh, k + 1, "dual", cells)
             else:
                 duals = [LocalSpace(cell, k + 1, [], op="delta") for cell in cells]
-            for dec, p, q in zip(lad.local_decompositions(k), primals, duals):
+            for dec, p, q in zip(cell_decompositions(lad.local_decompositions(k)), primals, duals):
                 fresh = decompose_pair(p, q)
-                for part in parts:
+                for part in PRIMAL_PARTS + DUAL_PARTS:
                     got, want = getattr(dec, part), getattr(fresh, part)
                     ok, angle = subspace_equal(got, want, want.gram, tol=1e-10)
                     assert ok, (k, part, got.dim, want.dim, angle)
@@ -1115,3 +1117,115 @@ class TestSparseIdentityAtlases:
         assert scipy.sparse.issparse(gs.atlas)
         assert np.array_equal(gs.atlas.toarray(), np.eye(8))
         assert cons.matrix.shape == (0, 8)
+
+
+# -- cell stacks against the per-cell and per-function builds --------------------
+
+STACK_MESHES = {
+    "box:2": lambda: generate_structured(2, 2),
+    "box:4": lambda: generate_structured(2, 4),
+    "hole:4": lambda: generate_structured(2, 4, "hole"),
+    "tetbox:1": lambda: generate_structured(3, 1),
+    "tetbox:2": lambda: generate_structured(3, 2),
+    # every cell its own shape, so a cell's parts cannot stand in for another's
+    "box:4-jittered": lambda: jittered(generate_structured(2, 4), 7, 0.04),
+}
+
+
+class TestCellStacks:
+    """The stacked decompositions and the batched compact basis equal the
+    one-cell decompositions and the cell-by-cell, function-by-function build."""
+
+    @pytest.fixture(scope="class", params=list(STACK_MESHES))
+    def mesh(self, request):
+        return STACK_MESHES[request.param]()
+
+    def test_stacks_equal_one_cell_decompositions(self, mesh):
+        from padfeec.linalg import Gram
+        from padfeec.local import StackedDecomposition, decompose_local
+
+        lad, n = ladder(mesh), mesh.dim
+        for k in range(n + 1):
+            stacks = lad.local_decompositions(k)
+            assert isinstance(stacks, StackedDecomposition)
+            Ep = lad.primal(k).energy_blocks()
+            Ed = lad.dual(k + 1).energy_blocks() if k < n else np.zeros((mesh.num_cells, 0, 0))
+            for c in range(mesh.num_cells):
+                one = slice(c, c + 1)
+                cell = decompose_local(
+                    Gram(stacks.gram[one]), Ep[one], Gram(stacks.dual_gram[one]), Ed[one],
+                    stacks.pairing[one],
+                )
+                for part in PRIMAL_PARTS + DUAL_PARTS:
+                    got, want = getattr(stacks, part)[c], getattr(cell, part)[0]
+                    assert got.shape == want.shape, (k, c, part)
+                    # 0 seen: a cell's parts do not depend on the other cells
+                    assert _rel_error(got, want) <= 1e-12, (k, c, part)
+
+    @pytest.mark.parametrize("bc", ["none", "homogeneous"])
+    def test_atlas_equals_the_cell_by_cell_build(self, mesh, bc):
+        lad = ladder(mesh)
+        for k in range(mesh.dim + 1):
+            atlas = lad.abc_atlas(k, bc)
+            expected, categories, anchors = local_basis_by_loop(mesh, k, bc)
+            functions = atlas.functions
+            # the same columns in the same order: per cell P0 then the null
+            # basis, then the type-II functions in partner order
+            assert [f.category for f in functions] == categories, (k, bc)
+            assert [f.anchor for f in functions] == anchors, (k, bc)
+            assert atlas.count("type-I") == categories.count("type-I")
+            assert atlas.count("type-II") == categories.count("type-II")
+            assert atlas.matrix().shape == expected.shape
+            # 0 seen: the batched products are the loop's matrix-vector products
+            assert _rel_error(atlas.matrix(), expected) <= 1e-12, (k, bc)
+            G = lad.primal(k).gram()
+            dense, sparse = atlas.unit_columns(G, sparse=False), atlas.unit_columns(G, sparse=True)
+            assert scipy.sparse.issparse(sparse) and np.array_equal(sparse.toarray(), dense)
+
+    def test_functions_are_a_derived_read_only_view(self, mesh):
+        atlas = ladder(mesh).abc_atlas(0, "none")
+        # the atlas keeps its cell blocks as arrays, not one object per function
+        assert "functions" not in vars(atlas)
+        for name in ("cols", "cells", "V", "anchors"):
+            assert isinstance(getattr(atlas, name), np.ndarray), name
+        f = next(f for f in atlas.functions if f.category == "type-II")
+        with pytest.raises(ValueError):
+            f.vector[0] = 1.0
+
+
+class TestCellStacksMemory:
+    """On box:16 the cell data is held as a few stacks, with no per-cell or
+    per-function Python objects."""
+
+    @staticmethod
+    def _held(build):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            result = build()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return result, held
+
+    def test_box16_decompositions_hold_at_most_half_a_megabyte(self):
+        # the stacks themselves are about 0.15 MB; the per-cell objects
+        # held 1.74 MB (with each cell's 8 Subspaces and views)
+        lad = ladder(generate_structured(2, 16))
+        lad.primal(1).gram().stack_factor
+        lad.dual(2).gram().stack_factor
+        lad.pairing(1)
+        stacks, held = self._held(lambda: lad.local_decompositions(1))
+        assert held <= 0.5e6, held
+        assert stacks.PB.shape[0] == 512
+
+    def test_box16_compact_basis_holds_at_most_0_4_megabytes(self):
+        # the block arrays are about 0.17 MB; one object per function with
+        # one array per cell piece held 0.91 MB
+        lad = ladder(generate_structured(2, 16))
+        lad.local_decompositions(1)
+        lad.abc_constraints(1, "none")
+        atlas, held = self._held(lambda: lad.abc_atlas(1, "none"))
+        assert atlas.dim == 1311
+        assert held <= 0.4e6, held
